@@ -1,6 +1,8 @@
-//! Emits `BENCH_kernels.json`: SpMV/dot GFLOP/s per backend and thread
-//! count on Poisson-3D workloads, plus (schema v5) the storage-format
-//! sweep — CSR vs SELL-C-σ vs BCSR — and the small-SpMV cutoff rows.
+//! Emits `BENCH_kernels.json`: GFLOP/s and ns/row of PCG's per-iteration
+//! kernels (SpMV, dot, block-Jacobi apply, contiguous vs split-phase
+//! row-range SpMV) per backend and thread count on Poisson-3D workloads,
+//! plus the storage-format sweep — CSR vs SELL-C-σ vs BCSR — and the
+//! dispatch-cutoff rows (SpMV nnz gate, streaming-vector gate).
 //!
 //! ```text
 //! cargo run --release -p esrcg-bench --bin kernels -- [options]
@@ -242,11 +244,12 @@ fn main() {
     }
     for m in &report.results {
         eprintln!(
-            "  {:<5} n={:<8} {:<9} {:>10.3} ms/iter  {:>8.3} GFLOP/s",
+            "  {:<13} n={:<8} {:<9} {:>10.3} ms/iter  {:>8.3} ns/row  {:>8.3} GFLOP/s",
             m.kernel,
             m.n,
             m.backend,
             m.secs * 1e3,
+            m.secs * 1e9 / m.n.max(1) as f64,
             m.gflops
         );
     }
@@ -264,10 +267,13 @@ fn main() {
                 m.gflops
             );
         }
-        eprintln!("small-SpMV cutoff (par backend vs seq around the nnz gate):");
+        eprintln!(
+            "dispatch cutoffs (par backend vs seq around the SpMV nnz gate and the vector gate):"
+        );
         for m in &report.cutoff {
             eprintln!(
-                "  n={:<7} nnz={:<8} par({}) {} {:>10.3} µs seq  {:>10.3} µs par  ({:.2}x)",
+                "  {:<11} n={:<8} nnz={:<8} par({}) {} {:>10.3} µs seq  {:>10.3} µs par  ({:.2}x)",
+                m.kernel,
                 m.n,
                 m.nnz,
                 m.threads,

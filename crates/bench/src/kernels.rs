@@ -1,11 +1,16 @@
-//! Machine-readable kernel benchmarks: SpMV and dot throughput per backend
-//! and thread count, emitted as `BENCH_kernels.json` to seed the project's
-//! performance trajectory.
+//! Machine-readable kernel benchmarks: the per-iteration kernels of PCG
+//! per backend and thread count, emitted as `BENCH_kernels.json` to seed
+//! the project's performance trajectory.
 //!
-//! The workload is the paper's: 7-point Poisson-3D matrices (the SpMV that
-//! dominates PCG iterations) at n ∈ {1e4, 1e5, 1e6}, and dot products of
-//! the same lengths. Throughput is reported in GFLOP/s (2 flops per stored
-//! entry for SpMV, 2 per element for dot).
+//! The workload is the paper's: 7-point Poisson-3D matrices at
+//! n ∈ {1e4, 1e5, 1e6}. Each `(n, backend)` cell times the whole-matrix
+//! SpMV, a dot product of the same length, and — on the rows rank 0 of a
+//! 2-rank partition owns — the contiguous row-range SpMV (`spmv_rows`) next
+//! to the split-phase interior-then-boundary product over the same rows
+//! (`spmv_split`); the paper's block-Jacobi(10) application
+//! (`bjacobi_apply`) takes no backend and is timed once per size. Throughput is reported in GFLOP/s (2 flops per stored
+//! entry for SpMV, 2 per element for dot, the cost model's `apply_flops`
+//! for the preconditioner) and as nanoseconds per row.
 //!
 //! A second sweep quantifies **dispatch overhead**: the same parallel
 //! kernels timed under the persistent worker pool
@@ -37,19 +42,21 @@ use esrcg_cluster::{validate_trace_json, CostModel, MetricsRollup, Phase, TraceC
 use esrcg_core::driver::{Experiment, MatrixSource, RhsSpec};
 use esrcg_core::solver::{PcgVariant, SpmvMode};
 use esrcg_core::Strategy;
-use esrcg_sparse::backend::{PARALLEL_CUTOFF, SPMV_PARALLEL_NNZ_CUTOFF};
+use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
+use esrcg_sparse::backend::{PARALLEL_CUTOFF, SPMV_PARALLEL_NNZ_CUTOFF, VECTOR_PARALLEL_CUTOFF};
 use esrcg_sparse::gen::{audikw_like, poisson2d, poisson3d, stencil27};
 use esrcg_sparse::pool::{self, DispatchMode};
-use esrcg_sparse::{CsrMatrix, FormatMatrix, KernelBackend, SpmvFormat};
+use esrcg_sparse::{CsrMatrix, FormatMatrix, KernelBackend, Partition, RowSplit, SpmvFormat};
 
 /// One measured cell.
 #[derive(Debug, Clone)]
 pub struct KernelMeasurement {
-    /// `"spmv"` or `"dot"`.
+    /// `"spmv"`, `"dot"`, `"bjacobi_apply"`, `"spmv_rows"` or
+    /// `"spmv_split"` (see the module docs).
     pub kernel: &'static str,
-    /// Problem size (rows or vector length).
+    /// Problem size (rows or vector length the kernel covers).
     pub n: usize,
-    /// Stored entries (SpMV only; `n` for dot).
+    /// Stored matrix entries the SpMVs read (`n` for the other kernels).
     pub nnz: usize,
     /// Worker threads of the backend.
     pub threads: usize,
@@ -193,20 +200,24 @@ pub struct FormatSweepSpec {
     pub a: CsrMatrix,
 }
 
-/// One cell of the small-SpMV cutoff sweep: the parallel backend timed
-/// against the sequential one at an entry count below or above
-/// [`SPMV_PARALLEL_NNZ_CUTOFF`]. Below the cutoff the parallel backend is
-/// gated onto the sequential path, so `par_over_seq ≈ 1` is the proof that
-/// small SpMVs no longer pay dispatch overhead.
+/// One cell of the cutoff sweep: the parallel backend timed against the
+/// sequential one at a size below or above the kernel's dispatch gate —
+/// [`SPMV_PARALLEL_NNZ_CUTOFF`] stored entries for `"spmv"`,
+/// [`VECTOR_PARALLEL_CUTOFF`] elements for the streaming kernels. Below the
+/// gate the parallel backend runs the sequential path, so
+/// `par_over_seq ≈ 1` is the proof that small kernels pay no dispatch
+/// overhead; the rows above it record where dispatching starts to win.
 #[derive(Debug, Clone)]
 pub struct CutoffMeasurement {
-    /// Problem size (rows).
+    /// `"spmv"`, `"dot"`, `"axpby"` or `"fused_axpy2"`.
+    pub kernel: &'static str,
+    /// Problem size (rows or vector length).
     pub n: usize,
-    /// Stored entries.
+    /// Stored entries (`n` for the vector kernels).
     pub nnz: usize,
     /// Worker threads of the parallel backend.
     pub threads: usize,
-    /// Whether the nnz gate forces the sequential path at this size.
+    /// Whether the kernel's gate forces the sequential path at this size.
     pub gated: bool,
     /// Median seconds per SpMV, sequential backend.
     pub seq_secs: f64,
@@ -384,34 +395,50 @@ pub fn run_kernel_bench(sizes: &[usize], thread_counts: &[usize], samples: usize
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
         let mut out = vec![0.0; n];
+        // The solver's view of the same matrix: the paper's preconditioner
+        // over all rows, and the rows rank 0 of a 2-rank partition owns,
+        // classified for the split-phase product.
+        let precond = BlockJacobiPrecond::new(&a, &Partition::balanced(n, 1), 10)
+            .expect("Poisson blocks are SPD");
+        let owned = Partition::balanced(n, 2).range(0);
+        let split = RowSplit::build(&a, owned.clone(), owned.clone());
 
         let mut cell = |backend: KernelBackend, threads: usize| {
-            let spmv_secs = time_kernel(2, samples, || {
-                backend.spmv_into(&a, &x, &mut out);
-            });
-            results.push(KernelMeasurement {
-                kernel: "spmv",
-                n,
-                nnz,
-                threads,
-                backend: backend.name(),
-                secs: spmv_secs,
-                gflops: a.spmv_flops() as f64 / spmv_secs / 1e9,
-            });
+            let mut push = |kernel, n: usize, nnz: usize, flops: u64, secs: f64| {
+                results.push(KernelMeasurement {
+                    kernel,
+                    n,
+                    nnz,
+                    threads,
+                    backend: backend.name(),
+                    secs,
+                    gflops: flops as f64 / secs / 1e9,
+                });
+            };
+            let secs = time_kernel(2, samples, || backend.spmv_into(&a, &x, &mut out));
+            push("spmv", n, nnz, a.spmv_flops(), secs);
             let mut sink = 0.0;
-            let dot_secs = time_kernel(2, samples, || {
-                sink += backend.dot(&x, &y);
-            });
+            let secs = time_kernel(2, samples, || sink += backend.dot(&x, &y));
             std::hint::black_box(sink);
-            results.push(KernelMeasurement {
-                kernel: "dot",
-                n,
-                nnz: n,
-                threads,
-                backend: backend.name(),
-                secs: dot_secs,
-                gflops: 2.0 * n as f64 / dot_secs / 1e9,
+            push("dot", n, n, 2 * n as u64, secs);
+            if backend == KernelBackend::Sequential {
+                let secs = time_kernel(2, samples, || precond.apply_local(0..n, &x, &mut out));
+                push("bjacobi_apply", n, n, precond.apply_flops(0..n), secs);
+            }
+            let (rows, head) = (owned.len(), &mut out[..owned.len()]);
+            let (owned_nnz, owned_flops) = (
+                a.row_ptr()[owned.end] - a.row_ptr()[owned.start],
+                a.spmv_rows_flops(owned.clone()),
+            );
+            let secs = time_kernel(2, samples, || {
+                backend.spmv_rows_into(&a, owned.clone(), &x, head)
             });
+            push("spmv_rows", rows, owned_nnz, owned_flops, secs);
+            let secs = time_kernel(2, samples, || {
+                backend.spmv_row_runs_into(&a, split.interior(), owned.start, &x, head);
+                backend.spmv_row_runs_into(&a, split.boundary(), owned.start, &x, head);
+            });
+            push("spmv_split", rows, owned_nnz, owned_flops, secs);
         };
 
         cell(KernelBackend::Sequential, 1);
@@ -550,12 +577,17 @@ pub fn run_format_sweep(
 }
 
 /// Runs the cutoff sweep: 7-point Poisson-3D SpMVs straddling
-/// [`SPMV_PARALLEL_NNZ_CUTOFF`], the sequential backend against the
-/// parallel one at each thread count. Below the cutoff the gate routes the
-/// parallel backend onto the sequential kernel, so the ratio ≈ 1 rows are
-/// the regression proof for the small-n fix.
+/// [`SPMV_PARALLEL_NNZ_CUTOFF`] and the streaming vector kernels straddling
+/// [`VECTOR_PARALLEL_CUTOFF`] (half, twice and eight times the gate), the
+/// sequential backend against the parallel one at each thread count. Below
+/// a gate the parallel backend runs the sequential kernel, so the
+/// ratio ≈ 1 rows are the regression proof that small kernels pay no
+/// dispatch; the rows above it are the measured crossover.
 pub fn run_cutoff_sweep(thread_counts: &[usize], samples: usize) -> Vec<CutoffMeasurement> {
     let mut out = Vec::new();
+    let seq = KernelBackend::Sequential;
+    // A 1-thread parallel backend is the sequential path.
+    let pars: Vec<usize> = thread_counts.iter().copied().filter(|&t| t >= 2).collect();
     // ~10k rows ⇒ ~66k entries (gated); ~33k rows ⇒ ~219k entries (just
     // past the 200k gate, dispatches).
     for target in [10_000usize, 33_000] {
@@ -565,23 +597,49 @@ pub fn run_cutoff_sweep(thread_counts: &[usize], samples: usize) -> Vec<CutoffMe
         let nnz = a.nnz();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut y = vec![0.0; n];
-        let seq = KernelBackend::Sequential;
         let seq_secs = time_kernel(2, samples, || seq.spmv_into(&a, &x, &mut y));
-        for &t in thread_counts {
-            if t < 2 {
-                continue; // 1-thread parallel backend == sequential path
-            }
+        for &t in &pars {
             let par = KernelBackend::parallel(t);
-            let par_secs = time_kernel(2, samples, || par.spmv_into(&a, &x, &mut y));
             out.push(CutoffMeasurement {
+                kernel: "spmv",
                 n,
                 nnz,
                 threads: t,
                 gated: nnz < SPMV_PARALLEL_NNZ_CUTOFF,
                 seq_secs,
-                par_secs,
+                par_secs: time_kernel(2, samples, || par.spmv_into(&a, &x, &mut y)),
             });
         }
+    }
+    for n in [
+        VECTOR_PARALLEL_CUTOFF / 2,
+        2 * VECTOR_PARALLEL_CUTOFF,
+        8 * VECTOR_PARALLEL_CUTOFF,
+    ] {
+        let p: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let q: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
+        let (mut x, mut r) = (p.clone(), q.clone());
+        let mut sink = 0.0;
+        let mut measure = |kernel, run: &mut dyn FnMut(KernelBackend)| {
+            let seq_secs = time_kernel(2, samples, || run(seq));
+            for &t in &pars {
+                out.push(CutoffMeasurement {
+                    kernel,
+                    n,
+                    nnz: n,
+                    threads: t,
+                    gated: n < VECTOR_PARALLEL_CUTOFF,
+                    seq_secs,
+                    par_secs: time_kernel(2, samples, || run(KernelBackend::parallel(t))),
+                });
+            }
+        };
+        measure("dot", &mut |be| sink += be.dot(&p, &q));
+        measure("axpby", &mut |be| be.axpby(0.5, &p, 0.99, &mut x));
+        measure("fused_axpy2", &mut |be| {
+            be.fused_axpy2(1e-9, &p, &q, &mut x, &mut r)
+        });
+        std::hint::black_box(sink);
     }
     out
 }
@@ -662,9 +720,11 @@ pub fn run_overlap_sweep(
 }
 
 /// Times the parallel kernels under both dispatch modes at the given sizes
-/// (sizes below [`PARALLEL_CUTOFF`] are skipped: neither mode dispatches
-/// there), plus one bare no-op broadcast row per thread count. Restores
-/// [`DispatchMode::Pooled`] before returning.
+/// (a kernel whose gate — [`PARALLEL_CUTOFF`] rows and
+/// [`SPMV_PARALLEL_NNZ_CUTOFF`] entries for SpMV, [`VECTOR_PARALLEL_CUTOFF`]
+/// elements for dot — keeps it sequential at a size is skipped: neither
+/// mode dispatches there), plus one bare no-op broadcast row per thread
+/// count. Restores [`DispatchMode::Pooled`] before returning.
 pub fn run_overhead_sweep(
     sizes: &[usize],
     thread_counts: &[usize],
@@ -704,34 +764,35 @@ pub fn run_overhead_sweep(
             let edge = poisson3d_edge(target);
             let a = poisson3d(edge, edge, edge);
             let n = a.nrows();
-            if n < PARALLEL_CUTOFF {
-                continue;
-            }
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
             let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
-            let mut outv = vec![0.0; n];
-            let (pooled_secs, spawn_secs) = time_both(&mut || {
-                backend.spmv_into(&a, &x, &mut outv);
-            });
-            out.push(OverheadMeasurement {
-                kernel: "spmv",
-                n,
-                threads: t,
-                pooled_secs,
-                spawn_secs,
-            });
-            let mut sink = 0.0;
-            let (pooled_secs, spawn_secs) = time_both(&mut || {
-                sink += backend.dot(&x, &y);
-            });
-            std::hint::black_box(sink);
-            out.push(OverheadMeasurement {
-                kernel: "dot",
-                n,
-                threads: t,
-                pooled_secs,
-                spawn_secs,
-            });
+            if n >= PARALLEL_CUTOFF && a.nnz() >= SPMV_PARALLEL_NNZ_CUTOFF {
+                let mut outv = vec![0.0; n];
+                let (pooled_secs, spawn_secs) = time_both(&mut || {
+                    backend.spmv_into(&a, &x, &mut outv);
+                });
+                out.push(OverheadMeasurement {
+                    kernel: "spmv",
+                    n,
+                    threads: t,
+                    pooled_secs,
+                    spawn_secs,
+                });
+            }
+            if n >= VECTOR_PARALLEL_CUTOFF {
+                let mut sink = 0.0;
+                let (pooled_secs, spawn_secs) = time_both(&mut || {
+                    sink += backend.dot(&x, &y);
+                });
+                std::hint::black_box(sink);
+                out.push(OverheadMeasurement {
+                    kernel: "dot",
+                    n,
+                    threads: t,
+                    pooled_secs,
+                    spawn_secs,
+                });
+            }
         }
     }
     out
@@ -777,20 +838,21 @@ impl KernelReport {
         Some(ratio(seq.secs, par.secs))
     }
 
-    /// Speedup of `format` over CSR at the same `(matrix, n, threads)` cell
+    /// Speedup of `format` over CSR at the same `(matrix, n, backend)` cell
     /// of the format sweep (> 1 means the format wins; `None` when either
-    /// cell is absent).
+    /// cell is absent). Cells are matched by backend *name*: `seq` and
+    /// `par(1)` both run one thread but are distinct cells.
     pub fn format_speedup(
         &self,
         matrix: &str,
         n: usize,
         format: &str,
-        threads: usize,
+        backend: &str,
     ) -> Option<f64> {
         let find = |fmt: &str| {
             self.formats
                 .iter()
-                .find(|m| m.matrix == matrix && m.n == n && m.format == fmt && m.threads == threads)
+                .find(|m| m.matrix == matrix && m.n == n && m.format == fmt && m.backend == backend)
         };
         let csr = find("csr")?;
         let other = find(format)?;
@@ -826,19 +888,21 @@ impl KernelReport {
     /// carries no serde).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
-        s.push_str("  \"schema\": \"esrcg-bench-kernels-v7\",\n");
+        s.push_str("  \"schema\": \"esrcg-bench-kernels-v8\",\n");
         s.push_str(&format!("  \"host_threads\": {},\n", self.host_threads));
         s.push_str("  \"results\": [\n");
         for (i, m) in self.results.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"kernel\": \"{}\", \"n\": {}, \"nnz\": {}, \"backend\": \"{}\", \
-                 \"threads\": {}, \"secs_per_iter\": {:.9}, \"gflops\": {:.4}}}{}\n",
+                 \"threads\": {}, \"secs_per_iter\": {:.9}, \"ns_per_row\": {:.3}, \
+                 \"gflops\": {:.4}}}{}\n",
                 m.kernel,
                 m.n,
                 m.nnz,
                 m.backend,
                 m.threads,
                 fmt_nonneg_zero(m.secs),
+                fmt_nonneg_zero(m.secs * 1e9 / m.n.max(1) as f64),
                 fmt_nonneg_zero(m.gflops),
                 if i + 1 == self.results.len() { "" } else { "," }
             ));
@@ -867,8 +931,10 @@ impl KernelReport {
         s.push_str("  \"cutoff\": [\n");
         for (i, m) in self.cutoff.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"n\": {}, \"nnz\": {}, \"threads\": {}, \"gated\": {}, \
-                 \"seq_secs\": {:.9}, \"par_secs\": {:.9}, \"par_over_seq\": {:.3}}}{}\n",
+                "    {{\"kernel\": \"{}\", \"n\": {}, \"nnz\": {}, \"threads\": {}, \
+                 \"gated\": {}, \"seq_secs\": {:.9}, \"par_secs\": {:.9}, \
+                 \"par_over_seq\": {:.3}}}{}\n",
+                m.kernel,
                 m.n,
                 m.nnz,
                 m.threads,
@@ -1001,7 +1067,7 @@ impl KernelReport {
             v.dedup();
             v
         };
-        for kernel in ["spmv", "dot"] {
+        for kernel in ["spmv", "dot", "spmv_rows", "spmv_split"] {
             for &n in &sizes {
                 for &t in &threads {
                     if let Some(sp) = self.speedup(kernel, n, t) {
@@ -1010,24 +1076,49 @@ impl KernelReport {
                 }
             }
         }
-        // Format-vs-CSR speedups per (matrix, threads) cell (> 1 means the
+        for m in self.results.iter().filter(|m| m.kernel == "bjacobi_apply") {
+            lines.push(format!(
+                "    \"bjacobi_apply_ns_per_row_n{}\": {:.3}",
+                m.n,
+                m.secs * 1e9 / m.n as f64
+            ));
+        }
+        // What the split-phase schedule costs on the host: interior-then-
+        // boundary over the contiguous product on the same rows and backend
+        // (1 = free).
+        for split in self.results.iter().filter(|m| m.kernel == "spmv_split") {
+            let rows = self
+                .results
+                .iter()
+                .find(|m| m.kernel == "spmv_rows" && m.n == split.n && m.backend == split.backend);
+            if let Some(rows) = rows {
+                lines.push(format!(
+                    "    \"spmv_split_over_rows_{}_n{}\": {:.3}",
+                    split.backend,
+                    split.n,
+                    ratio(split.secs, rows.secs)
+                ));
+            }
+        }
+        // Format-vs-CSR speedups per (matrix, backend) cell (> 1 means the
         // non-CSR format wins).
         for m in &self.formats {
             if m.format == "csr" {
                 continue;
             }
-            if let Some(sp) = self.format_speedup(&m.matrix, m.n, &m.format, m.threads) {
+            if let Some(sp) = self.format_speedup(&m.matrix, m.n, &m.format, &m.backend) {
                 lines.push(format!(
-                    "    \"format_{}_over_csr_{}_{}t_n{}\": {:.3}",
-                    m.format, m.matrix, m.threads, m.n, sp
+                    "    \"format_{}_over_csr_{}_{}_n{}\": {:.3}",
+                    m.format, m.matrix, m.backend, m.n, sp
                 ));
             }
         }
         for m in &self.cutoff {
             lines.push(format!(
-                "    \"cutoff_par_over_seq_{}t_nnz{}\": {:.3}",
+                "    \"cutoff_{}_par_over_seq_{}t_n{}\": {:.3}",
+                m.kernel,
                 m.threads,
-                m.nnz,
+                m.n,
                 m.par_over_seq()
             ));
         }
@@ -1114,6 +1205,80 @@ mod tests {
     /// below race on multicore test runners.
     static DISPATCH_MODE_LOCK: Mutex<()> = Mutex::new(());
 
+    /// Scans a JSON document and returns every object key that occurs
+    /// twice within one object (parsers silently keep only the last).
+    fn duplicate_keys(json: &str) -> Vec<String> {
+        let bytes = json.as_bytes();
+        let mut scopes: Vec<std::collections::HashSet<&str>> = Vec::new();
+        let mut dups = Vec::new();
+        let mut i = 0;
+        while i < bytes.len() {
+            match bytes[i] {
+                b'{' | b'[' => scopes.push(Default::default()),
+                b'}' | b']' => {
+                    scopes.pop().expect("balanced brackets");
+                }
+                b'"' => {
+                    let start = i + 1;
+                    i = start;
+                    while bytes[i] != b'"' {
+                        i += 1 + usize::from(bytes[i] == b'\\');
+                    }
+                    let after = json[i + 1..].trim_start();
+                    if after.starts_with(':') {
+                        let key = &json[start..i];
+                        if !scopes.last_mut().expect("key inside an object").insert(key) {
+                            dups.push(key.to_string());
+                        }
+                    }
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        assert!(scopes.is_empty(), "balanced brackets");
+        dups
+    }
+
+    #[test]
+    fn duplicate_key_scanner_finds_repeats_per_object() {
+        assert_eq!(
+            duplicate_keys(r#"{"a": 1, "b": {"a": 2, "a": 3}, "c": ["a", {"x": "a:"}], "b": 0}"#),
+            ["a", "b"]
+        );
+    }
+
+    /// `seq` and `par(1)` both run one thread: keyed by thread count their
+    /// format speedups collided and the `par(1)` ratios were lost.
+    #[test]
+    fn summary_keys_are_unique_when_seq_and_par1_share_a_thread_count() {
+        let specs = format_sweep_matrices(600);
+        let formats = [SpmvFormat::Csr, SpmvFormat::sell(), SpmvFormat::bcsr3()];
+        let report = KernelReport {
+            host_threads: 1,
+            results: Vec::new(),
+            formats: run_format_sweep(&specs, &formats, &[1, 2], 2, 1),
+            cutoff: Vec::new(),
+            overhead: Vec::new(),
+            overlap: Vec::new(),
+            trace: None,
+        };
+        let json = report.to_json();
+        assert_eq!(duplicate_keys(&json), Vec::<String>::new());
+        for backend in ["seq", "par(1)", "par(2)"] {
+            assert!(
+                json.contains(&format!("format_sell-8-64_over_csr_poisson2d_{backend}_n")),
+                "{backend}"
+            );
+        }
+    }
+
+    #[test]
+    fn committed_artifact_has_no_duplicate_keys() {
+        let committed = include_str!("../../../BENCH_kernels.json");
+        assert_eq!(duplicate_keys(committed), Vec::<String>::new());
+    }
+
     #[test]
     fn edges_hit_targets() {
         assert_eq!(poisson3d_edge(1_000_000), 100);
@@ -1125,15 +1290,30 @@ mod tests {
     fn tiny_report_renders_json() {
         let _guard = DISPATCH_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let report = run_kernel_bench(&[1000], &[2], 3);
-        assert!(report.results.len() == 4, "seq + par(2), spmv + dot");
+        assert_eq!(
+            report.results.len(),
+            9,
+            "seq + par(2) for the four backend kernels, one bjacobi_apply"
+        );
+        for kernel in ["spmv", "dot", "bjacobi_apply", "spmv_rows", "spmv_split"] {
+            assert_eq!(
+                report.results.iter().filter(|m| m.kernel == kernel).count(),
+                if kernel == "bjacobi_apply" { 1 } else { 2 },
+                "{kernel}"
+            );
+        }
         // n = 1000 is below the parallel cutoff, so the overhead sweep only
         // carries the bare dispatch row.
         assert_eq!(report.overhead.len(), 1);
         assert_eq!(report.overhead[0].kernel, "dispatch");
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"esrcg-bench-kernels-v7\""));
+        assert!(json.contains("\"schema\": \"esrcg-bench-kernels-v8\""));
         assert!(json.contains("\"kernel\": \"spmv\""));
         assert!(json.contains("spmv_speedup_2t_n1000"));
+        assert!(json.contains("bjacobi_apply_ns_per_row_n1000"));
+        assert!(json.contains("spmv_split_over_rows_par(2)_n500"));
+        assert!(json.contains("\"ns_per_row\": "));
+        assert_eq!(duplicate_keys(&json), Vec::<String>::new());
         assert!(json.contains("overhead_spawn_over_pooled_dispatch_2t_n0"));
         assert!(report.speedup("spmv", report.results[0].n, 2).is_some());
         assert!(
@@ -1204,8 +1384,8 @@ mod tests {
             trace: None,
         };
         let json = report.to_json();
-        assert!(json.contains("format_sell-8-64_over_csr_poisson2d_1t_n"));
-        assert!(json.contains("format_bcsr-3x3_over_csr_elasticity_1t_n"));
+        assert!(json.contains("format_sell-8-64_over_csr_poisson2d_seq_n"));
+        assert!(json.contains("format_bcsr-3x3_over_csr_elasticity_par(2)_n"));
         // Deterministic mode zeroes every wall-clock field; rendering stays
         // valid JSON (no NaN ratios) and is reproducible.
         report.zero_wall_clock();
@@ -1242,14 +1422,24 @@ mod tests {
     }
 
     #[test]
-    fn cutoff_sweep_straddles_the_nnz_gate() {
+    fn cutoff_sweep_straddles_the_spmv_and_vector_gates() {
         let rows = run_cutoff_sweep(&[1, 2], 2);
-        // t = 1 contributes nothing; t = 2 gives one row per size.
-        assert_eq!(rows.len(), 2);
+        // t = 1 contributes nothing; t = 2 gives one row per SpMV size and
+        // one per vector kernel × size.
+        assert_eq!(rows.len(), 2 + 3 * 3);
+        assert_eq!((rows[0].kernel, rows[1].kernel), ("spmv", "spmv"));
         assert!(rows[0].gated, "~66k entries sit below the 200k gate");
         assert!(rows[0].nnz < SPMV_PARALLEL_NNZ_CUTOFF);
         assert!(!rows[1].gated, "~219k entries clear the gate");
         assert!(rows[1].nnz >= SPMV_PARALLEL_NNZ_CUTOFF);
+        for kernel in ["dot", "axpby", "fused_axpy2"] {
+            let gated: Vec<bool> = rows
+                .iter()
+                .filter(|m| m.kernel == kernel)
+                .map(|m| m.gated)
+                .collect();
+            assert_eq!(gated, [true, false, false], "{kernel}");
+        }
         for m in &rows {
             assert_eq!(m.threads, 2);
             assert!(m.seq_secs > 0.0 && m.par_secs > 0.0);
@@ -1265,7 +1455,9 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"gated\": true"));
-        assert!(json.contains("cutoff_par_over_seq_2t_nnz"));
+        assert!(json.contains("cutoff_spmv_par_over_seq_2t_n"));
+        assert!(json.contains("cutoff_axpby_par_over_seq_2t_n"));
+        assert_eq!(duplicate_keys(&json), Vec::<String>::new());
     }
 
     #[test]
@@ -1413,7 +1605,9 @@ mod tests {
     #[test]
     fn overhead_sweep_covers_small_sizes_under_both_modes() {
         let _guard = DISPATCH_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let rows = run_overhead_sweep(&[10_000], &[1, 2], 3);
+        // ~140k rows: past the SpMV gates and the vector gate, so both
+        // kernels genuinely dispatch under both modes.
+        let rows = run_overhead_sweep(&[140_000], &[1, 2], 3);
         assert_eq!(
             pool::dispatch_mode(),
             DispatchMode::Pooled,
@@ -1427,6 +1621,9 @@ mod tests {
             assert!(m.pooled_secs > 0.0 && m.spawn_secs > 0.0);
             assert!(m.spawn_over_pooled() > 0.0);
         }
-        assert!(rows[1].n >= PARALLEL_CUTOFF);
+        assert!(rows[1].n >= VECTOR_PARALLEL_CUTOFF);
+        // Sizes whose gates keep every kernel sequential add no row.
+        let gated = run_overhead_sweep(&[10_000], &[2], 2);
+        assert_eq!(gated.len(), 1, "only the bare dispatch row");
     }
 }

@@ -298,9 +298,9 @@ mod tests {
                     let mut y = vec![0.0; range.len()];
                     let hx =
                         HaloExchange::start(ctx, &plan, &part, &x[range.clone()], 0, &mut full);
-                    a.spmv_rows_subset_into(rs.interior(), range.start, &full, &mut y);
+                    a.spmv_rows_subset_into(&rs.interior().to_vec(), range.start, &full, &mut y);
                     hx.finish(ctx, &plan, &mut full, None);
-                    a.spmv_rows_subset_into(rs.boundary(), range.start, &full, &mut y);
+                    a.spmv_rows_subset_into(&rs.boundary().to_vec(), range.start, &full, &mut y);
                     y
                 }
             });
@@ -338,9 +338,19 @@ mod tests {
                         let rs = split.of(ctx.rank());
                         let hx =
                             HaloExchange::start(ctx, &plan, &part, &x[range.clone()], 0, &mut full);
-                        a.spmv_rows_subset_into(rs.interior(), range.start, &full, &mut y);
+                        a.spmv_rows_subset_into(
+                            &rs.interior().to_vec(),
+                            range.start,
+                            &full,
+                            &mut y,
+                        );
                         hx.finish(ctx, &plan, &mut full, None);
-                        a.spmv_rows_subset_into(rs.boundary(), range.start, &full, &mut y);
+                        a.spmv_rows_subset_into(
+                            &rs.boundary().to_vec(),
+                            range.start,
+                            &full,
+                            &mut y,
+                        );
                     } else {
                         exchange_halo(ctx, &plan, &part, &x[range.clone()], 0, &mut full, None);
                         a.spmv_rows_into(range.clone(), &full, &mut y);

@@ -475,14 +475,14 @@ fn dist_spmv_hooked<F>(
             let hx = HaloExchange::start(ctx, &shared.plan, &shared.part, local, tag_sub, full);
             match pieces {
                 Some(p) => be.spmv_fmt_into(&p.interior, full, q),
-                None => be.spmv_rows_subset_into(&shared.a, split.interior(), range.start, full, q),
+                None => be.spmv_row_runs_into(&shared.a, split.interior(), range.start, full, q),
             }
             ctx.charge_flops(split.interior_flops());
             hx.finish(ctx, &shared.plan, full, captured.as_deref_mut());
             after_comm(ctx, captured);
             match pieces {
                 Some(p) => be.spmv_fmt_into(&p.boundary, full, q),
-                None => be.spmv_rows_subset_into(&shared.a, split.boundary(), range.start, full, q),
+                None => be.spmv_row_runs_into(&shared.a, split.boundary(), range.start, full, q),
             }
             ctx.charge_flops(split.boundary_flops());
         }

@@ -688,7 +688,7 @@ fn distributed_inner_solve(
                 );
                 match cache.a_in_interior_fmt.as_ref() {
                     Some(m) => be.spmv_fmt_into(m, &scratch.p_full, &mut scratch.iq),
-                    None => be.spmv_rows_subset_into(
+                    None => be.spmv_row_runs_into(
                         &cache.a_in,
                         split.interior(),
                         0,
@@ -700,7 +700,7 @@ fn distributed_inner_solve(
                 hx.finish_view(ctx, &inner_view, &mut scratch.p_full, None);
                 match cache.a_in_boundary_fmt.as_ref() {
                     Some(m) => be.spmv_fmt_into(m, &scratch.p_full, &mut scratch.iq),
-                    None => be.spmv_rows_subset_into(
+                    None => be.spmv_row_runs_into(
                         &cache.a_in,
                         split.boundary(),
                         0,

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use esrcg_precond::BlockJacobiPrecond;
-use esrcg_sparse::{CsrMatrix, FormatMatrix, Partition, RowSplit, SpmvFormat};
+use esrcg_sparse::{CsrMatrix, FormatMatrix, Partition, RowRuns, RowSplit, SpmvFormat};
 
 use crate::solver::SharedProblem;
 
@@ -156,23 +156,20 @@ impl DomainCache {
         };
         let inner_split = RowSplit::build(&a_in, 0..a_in.nrows(), own_cols);
         // The recovery operators get the same once-per-domain conversion
-        // the outer solve's matrix gets once per problem. The inner split
-        // lists are already local row indices of `a_in`, and each row
+        // the outer solve's matrix gets once per problem. The inner split's
+        // rows are already local row indices of `a_in`, and each row
         // writes its own index, so the out map is the row list itself.
         let a_off_fmt = FormatMatrix::from_csr(&a_off, format);
         let a_in_fmt = FormatMatrix::from_csr(&a_in, format);
-        let a_in_interior_fmt = FormatMatrix::from_rows(
-            &a_in,
-            inner_split.interior(),
-            inner_split.interior(),
-            format,
-        );
-        let a_in_boundary_fmt = FormatMatrix::from_rows(
-            &a_in,
-            inner_split.boundary(),
-            inner_split.boundary(),
-            format,
-        );
+        let piece = |runs: &RowRuns| {
+            if format.is_csr() {
+                return None;
+            }
+            let rows = runs.to_vec();
+            FormatMatrix::from_rows(&a_in, &rows, &rows, format)
+        };
+        let a_in_interior_fmt = piece(inner_split.interior());
+        let a_in_boundary_fmt = piece(inner_split.boundary());
         DomainCache {
             in_failed_idx,
             a_off,
@@ -259,11 +256,11 @@ mod tests {
             cache.a_in.spmv_flops()
         );
         let own = own_rows[0]..own_rows[8] + 1;
-        for &lr in split.interior() {
+        for lr in split.interior().iter() {
             let (cols, _) = cache.a_in.row(lr);
             assert!(cols.iter().all(|c| own.contains(c)), "interior row {lr}");
         }
-        for &lr in split.boundary() {
+        for lr in split.boundary().iter() {
             let (cols, _) = cache.a_in.row(lr);
             assert!(cols.iter().any(|c| !own.contains(c)), "boundary row {lr}");
         }

@@ -5,30 +5,90 @@
 //! as possible, with a maximum block size of 10" (paper §5). Each block is
 //! Cholesky-factored once at construction; applying `P = M⁻¹` is a pair of
 //! small triangular solves per block.
+//!
+//! # Storage: one packed, lane-interleaved arena
+//!
+//! A 10 × 10 triangular solve is a chain of dependent subtractions and
+//! divisions: solved one block at a time it runs at the latency of the
+//! divider, not its throughput. Blocks are independent, though, and within
+//! a rank they come in at most two sizes, so the factors are stored for
+//! solving *several blocks in lock-step*:
+//!
+//! * only the lower triangles are kept, packed row-major
+//!   (`(i, k) ↦ i(i+1)/2 + k`), all in one `Vec` — no per-block allocation;
+//! * every run of `W` consecutive equal-sized blocks of a rank forms a
+//!   *group* whose factors are interleaved lane by lane — entry `(i, k)` of
+//!   the group's lane `j` lives at `off + (i(i+1)/2 + k)·W + j`, the
+//!   SELL-C-σ idea of `esrcg_sparse::sellcs` applied to dense blocks. The
+//!   fewer-than-`W` blocks left over in a size class are groups of one
+//!   lane. Groups never cross a rank boundary.
+//!
+//! One routine, `solve_lanes::<L>`, solves a group: `L = W` for full
+//! groups, `L = 1` for leftovers. Each lane performs exactly the per-row
+//! sequence of `Cholesky::solve_in_place` — `s ← b_i; s ← s − l_ik·b_k` for
+//! ascending `k`, `b_i ← s / l_ii`, forward then backward — on its own
+//! block; lanes never exchange data. The result is therefore **bitwise
+//! identical** to factoring and solving every block on its own, while the
+//! `L` independent chains keep the pipeline full and vectorise. The
+//! factors themselves are computed in a reusable scratch by
+//! [`Cholesky::factor_in_place`] — the routine `DenseMatrix::cholesky` runs
+//! — and copied into the arena, so the stored bits are the same as well.
+//!
+//! The apply is single-threaded. Blocks are independent, so a rank's group
+//! list could be cut into worker-disjoint chunks without changing a bit,
+//! but on the 2-core bench host a `par(2)` apply measured 0.88–1.0× the
+//! sequential one at every size from 3·10⁴ to 10⁶ rows (steady-state
+//! repeated applies), so there is no threaded path to gate.
 
 use std::ops::Range;
 
-use esrcg_sparse::{Cholesky, CsrMatrix, DenseMatrix, Partition, SparseError};
+use esrcg_sparse::{Cholesky, CsrMatrix, Partition, SparseError};
 
 use crate::traits::Preconditioner;
 
-/// One factored diagonal block.
+/// Blocks solved in lock-step per full group.
+const W: usize = 8;
+
+/// Largest block size whose solve scratch (`W` lanes per row) lives on the
+/// stack; larger `max_block` values fall back to one heap buffer per apply.
+const STACK_ROWS: usize = 16;
+
+/// Entries of a packed lower triangle of dimension `n`; also the packed
+/// offset of row `n`.
+#[inline]
+fn tri(n: usize) -> usize {
+    n * (n + 1) / 2
+}
+
+/// `lanes` consecutive blocks of `n` rows each, factored and stored
+/// lane-interleaved (see the module docs).
 #[derive(Debug, Clone)]
-struct Block {
-    /// Global index of the block's first row.
+struct Group {
+    /// Global index of the group's first row.
     start: usize,
-    /// Cholesky factor of `A[start..start+len, start..start+len]`.
-    chol: Cholesky,
+    /// Rows per block.
+    n: usize,
+    /// Blocks in the group: `W` or 1.
+    lanes: usize,
+    /// Offset of the group's `tri(n) · lanes` factor entries in the arena.
+    off: usize,
+}
+
+impl Group {
+    /// One past the group's last global row.
+    fn end(&self) -> usize {
+        self.start + self.n * self.lanes
+    }
 }
 
 /// The block Jacobi preconditioner of the paper's experiments.
 #[derive(Debug, Clone)]
 pub struct BlockJacobiPrecond {
     n: usize,
-    /// Blocks sorted by `start`; they tile `0..n`.
-    blocks: Vec<Block>,
-    /// `block_of[i]` = index into `blocks` owning global row `i`.
-    block_of: Vec<usize>,
+    /// Groups sorted by `start`; they tile `0..n`.
+    groups: Vec<Group>,
+    /// Packed lower-triangular Cholesky factors of all groups.
+    arena: Vec<f64>,
     max_block: usize,
 }
 
@@ -56,45 +116,57 @@ impl BlockJacobiPrecond {
             a.nrows(),
             "partition size must match the matrix"
         );
-        let n = a.nrows();
-        let mut blocks = Vec::new();
-        let mut block_of = vec![0usize; n];
+        let mut groups = Vec::new();
+        let mut arena = Vec::new();
+        // Dense scratch one block is assembled and factored in.
+        let mut dense = vec![0.0; max_block * max_block];
         for (_, range) in partition.iter() {
             let len = range.len();
             if len == 0 {
                 continue;
             }
             // Fewest uniform blocks of size <= max_block covering `len` rows:
-            // nb = ceil(len / max_block), sizes differing by at most one.
+            // nb = ceil(len / max_block), sizes differing by at most one —
+            // `extra` blocks of `base + 1` rows, then the rest of `base`.
             let nb = len.div_ceil(max_block);
-            let base = len / nb;
-            let extra = len % nb;
+            let (base, extra) = (len / nb, len % nb);
             let mut pos = range.start;
-            for b in 0..nb {
-                let bl = base + usize::from(b < extra);
-                let idx: Vec<usize> = (pos..pos + bl).collect();
-                let dense = DenseMatrix::from_csr_block(a, &idx);
-                let chol = dense.cholesky()?;
-                let bid = blocks.len();
-                for i in &idx {
-                    block_of[*i] = bid;
+            for (n, count) in [(base + 1, extra), (base, nb - extra)] {
+                let mut left = count;
+                while left > 0 {
+                    let lanes = if left >= W { W } else { 1 };
+                    let off = arena.len();
+                    arena.resize(off + tri(n) * lanes, 0.0);
+                    for lane in 0..lanes {
+                        let first = pos + lane * n;
+                        factor_block(a, first, n, &mut dense)?;
+                        for (e, &v) in lower_entries(&dense, n).enumerate() {
+                            arena[off + e * lanes + lane] = v;
+                        }
+                    }
+                    groups.push(Group {
+                        start: pos,
+                        n,
+                        lanes,
+                        off,
+                    });
+                    pos += n * lanes;
+                    left -= lanes;
                 }
-                blocks.push(Block { start: pos, chol });
-                pos += bl;
             }
             debug_assert_eq!(pos, range.end);
         }
         Ok(BlockJacobiPrecond {
-            n,
-            blocks,
-            block_of,
+            n: a.nrows(),
+            groups,
+            arena,
             max_block,
         })
     }
 
     /// Number of blocks.
     pub fn n_blocks(&self) -> usize {
-        self.blocks.len()
+        self.groups.iter().map(|g| g.lanes).sum()
     }
 
     /// The configured maximum block size.
@@ -102,20 +174,134 @@ impl BlockJacobiPrecond {
         self.max_block
     }
 
-    /// The blocks fully contained in `lo..hi`, with a panic if any block
-    /// straddles the boundary (cannot happen when `lo..hi` is a union of
-    /// rank ranges, since blocks never cross rank boundaries).
-    fn blocks_in(&self, lo: usize, hi: usize) -> &[Block] {
-        let first = self.blocks.partition_point(|b| b.start < lo);
-        let last = self.blocks.partition_point(|b| b.start < hi);
-        let slice = &self.blocks[first..last];
-        if let Some(b) = slice.last() {
-            assert!(
-                b.start + b.chol.n() <= hi,
-                "block straddles the requested range — ranges must align with rank boundaries"
-            );
-        }
+    /// The groups tiling `lo..hi`.
+    ///
+    /// # Panics
+    /// Panics if a group straddles either end (cannot happen when `lo..hi`
+    /// is a union of rank ranges, since groups never cross rank
+    /// boundaries).
+    fn groups_in(&self, lo: usize, hi: usize) -> &[Group] {
+        let first = self.groups.partition_point(|g| g.start < lo);
+        let last = self.groups.partition_point(|g| g.start < hi);
+        let slice = &self.groups[first..last];
+        let tiles = match (slice.first(), slice.last()) {
+            (Some(f), Some(l)) => f.start == lo && l.end() == hi,
+            _ => lo >= hi,
+        };
+        assert!(
+            tiles,
+            "block straddles the requested range — ranges must align with rank boundaries"
+        );
         slice
+    }
+
+    /// The arena slice holding `g`'s factors.
+    fn factors(&self, g: &Group) -> &[f64] {
+        &self.arena[g.off..g.off + tri(g.n) * g.lanes]
+    }
+
+    /// Solves every group of `groups` — a contiguous run whose first row is
+    /// global row `base` — reading `r` and writing `z` (both local to
+    /// `base`, covering exactly the run's rows).
+    fn solve_groups(&self, groups: &[Group], base: usize, r: &[f64], z: &mut [f64]) {
+        let mut stack = [0.0; STACK_ROWS * W];
+        let mut heap = Vec::new();
+        let scratch: &mut [f64] = if self.max_block <= STACK_ROWS {
+            &mut stack
+        } else {
+            heap.resize(self.max_block * W, 0.0);
+            &mut heap
+        };
+        for g in groups {
+            let rows = g.start - base..g.end() - base;
+            let (l, r, z) = (self.factors(g), &r[rows.clone()], &mut z[rows]);
+            if g.lanes == W {
+                solve_lanes::<W>(l, g.n, r, z, scratch);
+            } else {
+                solve_lanes::<1>(l, g.n, r, z, scratch);
+            }
+        }
+    }
+}
+
+/// Assembles the lower triangle of `A[first..first+n, first..first+n]` into
+/// `dense` (row-major, `n × n`) and factors it in place with
+/// [`Cholesky::factor_in_place`] — the routine `DenseMatrix::cholesky`
+/// runs, so the factor is bit-equal to it.
+fn factor_block(
+    a: &CsrMatrix,
+    first: usize,
+    n: usize,
+    dense: &mut [f64],
+) -> Result<(), SparseError> {
+    let dense = &mut dense[..n * n];
+    dense.fill(0.0);
+    for i in 0..n {
+        let (cols, vals) = a.row(first + i);
+        for (&c, &v) in cols.iter().zip(vals) {
+            if (first..=first + i).contains(&c) {
+                dense[i * n + (c - first)] = v;
+            }
+        }
+    }
+    Cholesky::factor_in_place(n, dense)
+}
+
+/// The lower-triangle entries of the row-major `n × n` matrix `dense`, in
+/// packed order.
+fn lower_entries(dense: &[f64], n: usize) -> impl Iterator<Item = &f64> {
+    (0..n).flat_map(move |i| &dense[i * n..=i * n + i])
+}
+
+/// Solves `L Lᵀ x = r` for the `L` blocks of one group at once. `l` is the
+/// group's lane-interleaved packed factor, `r`/`z` hold the blocks back to
+/// back (`n` rows each), `scratch` provides at least `n · L` values. Every
+/// lane runs the operation sequence of `Cholesky::solve_in_place` on its
+/// own block, so each block's result is bit-equal to solving it alone.
+fn solve_lanes<const L: usize>(l: &[f64], n: usize, r: &[f64], z: &mut [f64], scratch: &mut [f64]) {
+    let (l, _) = l.as_chunks::<L>();
+    let (b, _) = scratch.as_chunks_mut::<L>();
+    let b = &mut b[..n];
+    debug_assert_eq!(l.len(), tri(n));
+    debug_assert!(r.len() == n * L && z.len() == n * L);
+    // Transpose in: b[i][lane] = row i of block `lane`.
+    for (i, bi) in b.iter_mut().enumerate() {
+        for (lane, v) in bi.iter_mut().enumerate() {
+            *v = r[lane * n + i];
+        }
+    }
+    // Forward: L y = r.
+    for i in 0..n {
+        let row = &l[tri(i)..=tri(i) + i];
+        let mut s = b[i];
+        for k in 0..i {
+            for lane in 0..L {
+                s[lane] -= row[k][lane] * b[k][lane];
+            }
+        }
+        for lane in 0..L {
+            b[i][lane] = s[lane] / row[i][lane];
+        }
+    }
+    // Backward: Lᵀ x = y.
+    for i in (0..n).rev() {
+        let mut s = b[i];
+        for k in (i + 1)..n {
+            let lki = &l[tri(k) + i];
+            for lane in 0..L {
+                s[lane] -= lki[lane] * b[k][lane];
+            }
+        }
+        let d = &l[tri(i) + i];
+        for lane in 0..L {
+            b[i][lane] = s[lane] / d[lane];
+        }
+    }
+    // Transpose out.
+    for (i, bi) in b.iter().enumerate() {
+        for (lane, v) in bi.iter().enumerate() {
+            z[lane * n + i] = *v;
+        }
     }
 }
 
@@ -127,27 +313,21 @@ impl Preconditioner for BlockJacobiPrecond {
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
         assert_eq!(r.len(), self.n, "block jacobi: r length");
         assert_eq!(z.len(), self.n, "block jacobi: z length");
-        for b in &self.blocks {
-            let range = b.start..b.start + b.chol.n();
-            z[range.clone()].copy_from_slice(&r[range]);
-            b.chol.solve_in_place(&mut z[b.start..b.start + b.chol.n()]);
-        }
+        self.solve_groups(&self.groups, 0, r, z);
     }
 
     fn apply_local(&self, range: Range<usize>, r_local: &[f64], z_local: &mut [f64]) {
         assert_eq!(r_local.len(), range.len(), "block jacobi: local r length");
         assert_eq!(z_local.len(), range.len(), "block jacobi: local z length");
-        z_local.copy_from_slice(r_local);
-        for b in self.blocks_in(range.start, range.end) {
-            let lo = b.start - range.start;
-            b.chol.solve_in_place(&mut z_local[lo..lo + b.chol.n()]);
-        }
+        let groups = self.groups_in(range.start, range.end);
+        self.solve_groups(groups, range.start, r_local, z_local);
     }
 
     fn apply_flops(&self, range: Range<usize>) -> u64 {
-        self.blocks_in(range.start, range.end)
+        // ~2·n² per block: n² multiply-adds per triangular solve.
+        self.groups_in(range.start, range.end)
             .iter()
-            .map(|b| b.chol.solve_flops())
+            .map(|g| g.lanes as u64 * 2 * (g.n as u64) * (g.n as u64))
             .sum()
     }
 
@@ -156,24 +336,32 @@ impl Preconditioner for BlockJacobiPrecond {
         // P_ff r_f = v with P = M⁻¹ block-diagonal ⇒ r_f = M_ff v, i.e.
         // multiply each block's original matrix (recovered from its factor
         // as L·Lᵀ). idx is a union of whole rank ranges, hence of whole
-        // blocks; process it run by run.
+        // groups; process it group by group.
         let mut out = vec![0.0; idx.len()];
+        let mut scratch = vec![0.0; self.max_block];
         let mut k = 0usize;
         while k < idx.len() {
-            let bid = self.block_of[idx[k]];
-            let b = &self.blocks[bid];
-            let bn = b.chol.n();
+            let g = &self.groups[self.groups.partition_point(|g| g.end() <= idx[k])];
             assert_eq!(
-                idx[k], b.start,
+                idx[k], g.start,
                 "restricted index set must align with preconditioner blocks"
             );
+            let rows = g.n * g.lanes;
             assert!(
-                k + bn <= idx.len() && idx[k + bn - 1] == b.start + bn - 1,
+                k + rows <= idx.len() && idx[k + rows - 1] == g.end() - 1,
                 "restricted index set must contain whole blocks"
             );
-            let y = b.chol.apply_original(&v[k..k + bn]);
-            out[k..k + bn].copy_from_slice(&y);
-            k += bn;
+            let l = self.factors(g);
+            for lane in 0..g.lanes {
+                let span = k + lane * g.n..k + (lane + 1) * g.n;
+                Cholesky::llt_matvec(
+                    |i, j| l[(tri(i) + j) * g.lanes + lane],
+                    &v[span.clone()],
+                    &mut scratch[..g.n],
+                    &mut out[span],
+                );
+            }
+            k += rows;
         }
         out
     }
@@ -270,6 +458,112 @@ mod tests {
         assert_eq!(p.n_blocks(), 2);
         let mut z = vec![0.0; 0];
         p.apply_local(4..4, &[], &mut z);
+    }
+
+    /// The reference the packed arena must reproduce bit for bit: every
+    /// block factored and solved on its own through `DenseMatrix`.
+    fn per_block_oracle(
+        a: &CsrMatrix,
+        part: &Partition,
+        max_block: usize,
+    ) -> Vec<(usize, esrcg_sparse::Cholesky)> {
+        let mut blocks = Vec::new();
+        for (_, range) in part.iter() {
+            if range.is_empty() {
+                continue;
+            }
+            let nb = range.len().div_ceil(max_block);
+            let (base, extra) = (range.len() / nb, range.len() % nb);
+            let mut pos = range.start;
+            for b in 0..nb {
+                let bl = base + usize::from(b < extra);
+                let idx: Vec<usize> = (pos..pos + bl).collect();
+                let chol = esrcg_sparse::DenseMatrix::from_csr_block(a, &idx)
+                    .cholesky()
+                    .unwrap();
+                blocks.push((pos, chol));
+                pos += bl;
+            }
+        }
+        blocks
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn packed_apply_is_bitwise_the_per_block_cholesky() {
+        use esrcg_sparse::gen::banded_spd;
+        // 611 rows: uneven ranks (one empty, one smaller than a block, one
+        // with fewer than W blocks, large ones with full groups, leftovers
+        // and both size classes).
+        let a = banded_spd(611, 12, 0.5, 9);
+        let part = Partition::from_offsets(vec![0, 0, 7, 60, 337, 611]);
+        let r: Vec<f64> = (0..611).map(|i| (i as f64 * 0.37).sin() - 0.2).collect();
+        for max_block in [1usize, 3, 10, 16, 25] {
+            let p = BlockJacobiPrecond::new(&a, &part, max_block).unwrap();
+            let oracle = per_block_oracle(&a, &part, max_block);
+            assert_eq!(p.n_blocks(), oracle.len(), "max_block {max_block}");
+            if max_block == 10 {
+                let lanes: Vec<usize> = p.groups.iter().map(|g| g.lanes).collect();
+                assert!(lanes.contains(&W) && lanes.contains(&1));
+                let mut sizes: Vec<usize> = p.groups.iter().map(|g| g.n).collect();
+                sizes.dedup();
+                assert!(sizes.len() > 2, "both size classes occur");
+            }
+            let mut expected = r.clone();
+            let mut flops = 0;
+            for (start, chol) in &oracle {
+                chol.solve_in_place(&mut expected[*start..*start + chol.n()]);
+                flops += chol.solve_flops();
+            }
+            let mut z = vec![0.0; 611];
+            p.apply_into(&r, &mut z);
+            assert_eq!(
+                bits(&z),
+                bits(&expected),
+                "apply_into, max_block {max_block}"
+            );
+            assert_eq!(p.apply_flops(0..611), flops);
+            for (_, range) in part.iter() {
+                let mut z_loc = vec![f64::NAN; range.len()];
+                p.apply_local(range.clone(), &r[range.clone()], &mut z_loc);
+                assert_eq!(bits(&z_loc), bits(&expected[range]), "apply_local");
+            }
+            // solve_restricted multiplies by the blocks' original matrices
+            // exactly like `Cholesky::apply_original`.
+            let idx: Vec<usize> = (7..337).collect();
+            let mut restricted = vec![0.0; idx.len()];
+            for (start, chol) in oracle.iter().filter(|(s, _)| idx.contains(s)) {
+                let span = start - 7..start - 7 + chol.n();
+                restricted[span.clone()].copy_from_slice(&chol.apply_original(&r[7..337][span]));
+            }
+            assert_eq!(
+                bits(&p.solve_restricted(&idx, &r[7..337])),
+                bits(&restricted),
+                "solve_restricted, max_block {max_block}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ranges must align with rank boundaries")]
+    fn apply_local_rejects_a_range_that_cuts_a_block() {
+        let a = poisson1d(20);
+        let p = BlockJacobiPrecond::new(&a, &Partition::balanced(20, 1), 10).unwrap();
+        let mut z = vec![0.0; 5];
+        p.apply_local(5..10, &[1.0; 5], &mut z);
+    }
+
+    #[test]
+    fn indefinite_block_is_reported() {
+        let a = CsrMatrix::from_dense(2, 2, &[1.0, 2.0, 2.0, 1.0]);
+        let err = BlockJacobiPrecond::new(&a, &Partition::balanced(2, 1), 2).unwrap_err();
+        assert!(matches!(
+            err,
+            SparseError::NotPositiveDefinite { pivot_index: 1, .. }
+        ));
     }
 
     #[test]

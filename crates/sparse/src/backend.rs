@@ -23,7 +23,9 @@
 //! * SpMV parallelism is over *rows*; each output row is one sequential
 //!   accumulation, exactly as in the reference kernel, so splitting rows
 //!   across threads cannot change any bit. Chunks are nnz-balanced so the
-//!   split is also load-balanced.
+//!   split is also load-balanced. The split-phase product
+//!   ([`KernelBackend::spmv_row_runs_into`]) is the same kernel applied to
+//!   each contiguous run of a [`crate::split::RowRuns`].
 //! * Reductions (`dot`, `norm2`) use the fixed-block tree of
 //!   [`crate::vector::REDUCTION_BLOCK`]: threads compute the partial sums of
 //!   whole blocks (the same partials the sequential kernel forms), and the
@@ -32,6 +34,12 @@
 //!   on the thread count.
 //! * Elementwise kernels (`axpy`, `axpby`, `scale`) have no cross-element
 //!   data flow at all.
+//!
+//! Whether a call dispatches at all is decided by constants —
+//! [`PARALLEL_CUTOFF`] rows and [`SPMV_PARALLEL_NNZ_CUTOFF`] entries for
+//! SpMV, [`VECTOR_PARALLEL_CUTOFF`] elements for the streaming vector
+//! kernels — and below a gate the sequential kernel runs, which by the
+//! above cannot change a bit.
 //!
 //! This is what lets `tests/determinism.rs` and
 //! `tests/trajectory_exactness.rs` pass identically under either backend,
@@ -42,6 +50,7 @@ use std::ops::Range;
 use crate::csr::CsrMatrix;
 use crate::format::FormatMatrix;
 use crate::pool::{self, DispatchMode};
+use crate::split::RowRuns;
 use crate::vector::{self, REDUCTION_BLOCK};
 
 /// A `Send + Sync` wrapper around a raw mutable pointer, used to hand
@@ -83,11 +92,58 @@ fn dispatch<F: Fn(usize) + Sync>(active: usize, job: F) {
     }
 }
 
-/// Minimum problem size (vector elements or matrix rows) before the parallel
-/// backend actually spawns threads. Below this, thread startup dominates and
-/// the sequential path is used — which is safe precisely because both paths
-/// are bit-identical.
+/// Runs `job(c, &mut out[bounds[c]..bounds[c + 1]])` for every chunk `c`
+/// of the monotone boundary list `bounds` — on one worker per chunk when
+/// there are several, inline otherwise. The dispatch primitive for kernels
+/// whose work splits into independent chunks of one output slice: the CSR
+/// SpMVs go through it, so the worker-disjointness argument lives here and
+/// they carry no `unsafe` of their own. Which worker runs which chunk is
+/// invisible to the arithmetic: a kernel whose chunks are independent is
+/// bitwise identical to its sequential form at any chunk count.
+///
+/// # Panics
+/// Panics if `bounds` is not monotone or ends past `out.len()`.
+fn par_chunks_mut<F>(out: &mut [f64], bounds: &[usize], job: F)
+where
+    F: Fn(usize, &mut [f64]) + Sync,
+{
+    assert!(
+        bounds.windows(2).all(|w| w[0] <= w[1]) && bounds.last().is_none_or(|&e| e <= out.len()),
+        "par_chunks_mut: bounds must be monotone and within the slice"
+    );
+    match *bounds {
+        [] | [_] => {}
+        [lo, hi] => job(0, &mut out[lo..hi]),
+        _ => {
+            let ptr = SendPtr::new(out);
+            dispatch(bounds.len() - 1, |c| {
+                // SAFETY: `bounds` is monotone and ends within `out`
+                // (asserted above), so chunk `c` is in range and disjoint
+                // from every other worker's chunk.
+                job(c, unsafe { ptr.chunk(bounds[c], bounds[c + 1]) });
+            });
+        }
+    }
+}
+
+/// Minimum row count before a SpMV dispatches in parallel (the
+/// [`SPMV_PARALLEL_NNZ_CUTOFF`] entry cutoff must pass as well). Below it
+/// the sequential path is used — which is safe precisely because both
+/// paths are bit-identical.
 pub const PARALLEL_CUTOFF: usize = 8192;
+
+/// Minimum vector length before a *streaming* kernel (`dot`, `axpy`,
+/// `axpby`, `fused_axpy2`, `scale`, `sub_into`) dispatches in parallel.
+/// These kernels move 16–32 bytes per element and do one or two flops on
+/// them, so waking the parked workers (≈ 40 µs on the 2-core bench host)
+/// costs more than the sweep itself until the vectors are far longer than
+/// [`PARALLEL_CUTOFF`]. Measured `par(2)` / sequential time there: at
+/// n = 2¹⁶ `dot` 1.59×, `axpby` 2.97×, `fused_axpy2` 1.26× (parallel
+/// loses); at 2¹⁷ 1.02×, 1.19×, 0.78× — break-even for PCG's mix of two
+/// dots, one `axpby` and one fused update; from 2¹⁸ on parallel wins on all
+/// three. Like the SpMV gate this is a constant and cannot change any bit;
+/// the kernels bench records the crossover in its cutoff sweep.
+pub const VECTOR_PARALLEL_CUTOFF: usize = 131_072;
 
 /// Minimum stored-entry count before a *SpMV* dispatches in parallel. Rows
 /// alone mispredict SpMV cost: at n≈1e4 a stencil matrix clears the row
@@ -177,24 +233,25 @@ impl KernelBackend {
         }
     }
 
-    /// Threads to actually use for a workload of `n` independent items.
+    /// Threads to actually use for a streaming vector kernel over `n`
+    /// elements ([`VECTOR_PARALLEL_CUTOFF`]).
     #[inline]
-    fn threads_for(&self, n: usize) -> usize {
-        if n < PARALLEL_CUTOFF {
+    fn threads_for_vector(&self, n: usize) -> usize {
+        if n < VECTOR_PARALLEL_CUTOFF {
             return 1;
         }
         self.threads().min(n).max(1)
     }
 
     /// Threads to actually use for a SpMV over `rows` rows carrying `nnz`
-    /// stored entries — the row cutoff *and* the
+    /// stored entries — the [`PARALLEL_CUTOFF`] row cutoff *and* the
     /// [`SPMV_PARALLEL_NNZ_CUTOFF`] entry cutoff must both pass.
     #[inline]
     fn threads_for_spmv(&self, rows: usize, nnz: usize) -> usize {
-        if nnz < SPMV_PARALLEL_NNZ_CUTOFF {
+        if nnz < SPMV_PARALLEL_NNZ_CUTOFF || rows < PARALLEL_CUTOFF {
             return 1;
         }
-        self.threads_for(rows)
+        self.threads().min(rows).max(1)
     }
 
     // --- SpMV ---------------------------------------------------------------
@@ -232,77 +289,51 @@ impl KernelBackend {
             return;
         }
         let bounds = nnz_balanced_bounds(a.row_ptr(), rows.clone(), nthreads);
-        let y_out = SendPtr::new(y);
-        dispatch(nthreads, |c| {
-            let (lo, hi) = (bounds[c], bounds[c + 1]);
-            // SAFETY: `bounds` is monotone with `bounds[nthreads] == y.len()`,
-            // so chunks are in-range and worker-disjoint.
-            let head = unsafe { y_out.chunk(lo, hi) };
-            a.spmv_rows_into(rows.start + lo..rows.start + hi, x, head);
+        par_chunks_mut(y, &bounds, |c, head| {
+            a.spmv_rows_into(rows.start + bounds[c]..rows.start + bounds[c + 1], x, head);
         });
     }
 
     /// Computes `y[i - offset] = Σ_k A[i, k] x[k]` for each global row `i`
-    /// in `rows` (strictly increasing) — the subset kernel of the
-    /// split-phase distributed SpMV. Interior rows run while the halo is in
-    /// flight, boundary rows afterwards; together the two calls write
-    /// exactly what [`KernelBackend::spmv_rows_into`] over the whole owned
-    /// range writes, bit for bit, because every row is the same sequential
-    /// accumulation. Unlisted positions of `y` keep their contents.
+    /// of `rows` — the kernel of the split-phase distributed SpMV. Interior
+    /// rows run while the halo is in flight, boundary rows afterwards;
+    /// together the two calls write exactly what
+    /// [`KernelBackend::spmv_rows_into`] over the whole owned range writes,
+    /// bit for bit, because every row is the same sequential accumulation.
+    /// Positions of `y` outside the runs keep their contents.
     ///
-    /// Parallelism is over nnz-balanced chunks of the row list; since the
-    /// list is sorted, each chunk's outputs form a contiguous, worker-
-    /// disjoint slice of `y`.
+    /// Each run is one [`KernelBackend::spmv_rows_into`] — contiguous rows,
+    /// nnz-balanced by `partition_point` on the row pointer — so a call
+    /// costs O(runs · log rows) on top of the products themselves. The
+    /// dispatch gates therefore apply per run: this is as fast as the
+    /// contiguous product when a class is a few long runs, which is what a
+    /// block-row distribution of a banded operator gives (every benchmark
+    /// workload has at most one interior and two boundary runs per rank);
+    /// a class shattered into runs below the gates runs sequentially.
     ///
     /// # Panics
-    /// Panics on dimension mismatches, rows that do not map into `y`, or a
-    /// row list that is not strictly increasing.
-    pub fn spmv_rows_subset_into(
+    /// Panics on dimension mismatches or rows that do not map into `y`.
+    pub fn spmv_row_runs_into(
         &self,
         a: &CsrMatrix,
-        rows: &[usize],
+        rows: &RowRuns,
         offset: usize,
         x: &[f64],
         y: &mut [f64],
     ) {
-        assert_eq!(x.len(), a.ncols(), "spmv_rows_subset: x length != ncols");
-        let (Some(&first), Some(&last)) = (rows.first(), rows.last()) else {
-            return;
-        };
-        assert!(
-            first >= offset && last - offset < y.len(),
-            "spmv_rows_subset: rows do not map into y"
-        );
-        // The disjointness of the parallel worker output chunks below hinges
-        // on the list being strictly increasing; a duplicate or out-of-order
-        // row would hand two threads overlapping slices. Check it in release
-        // builds and on every path — sequential too, so the documented
-        // contract does not depend on host core count (O(rows), negligible
-        // next to the SpMV itself).
-        assert!(
-            rows.windows(2).all(|w| w[0] < w[1]),
-            "spmv_rows_subset: rows must be strictly increasing"
-        );
-        let nnz: usize = rows.iter().map(|&r| a.row_nnz(r)).sum();
-        let nthreads = self.threads_for_spmv(rows.len(), nnz);
-        if nthreads <= 1 {
-            a.spmv_rows_subset_into(rows, offset, x, y);
-            return;
+        let runs = rows.runs();
+        if let (Some(first), Some(last)) = (runs.first(), runs.last()) {
+            assert!(
+                first.start >= offset && last.end - offset <= y.len(),
+                "spmv_row_runs: rows do not map into y"
+            );
         }
-        let bounds = nnz_balanced_bounds_list(a, rows, nthreads);
-        let y_out = SendPtr::new(y);
-        dispatch(nthreads, |c| {
-            let (lo, hi) = (bounds[c], bounds[c + 1]);
-            if lo >= hi {
-                return;
-            }
-            let (y_lo, y_hi) = (rows[lo] - offset, rows[hi - 1] - offset + 1);
-            // SAFETY: rows are strictly increasing, so chunk `c`'s output
-            // positions lie in `[y_lo, y_hi)`, disjoint from every other
-            // chunk's, and within `y` (asserted above).
-            let head = unsafe { y_out.chunk(y_lo, y_hi) };
-            a.spmv_rows_subset_into(&rows[lo..hi], rows[lo], x, head);
-        });
+        for run in runs {
+            // Runs ascend (`RowRuns` invariant), so the endpoint check
+            // above covers every slice taken here.
+            let head = &mut y[run.start - offset..run.end - offset];
+            self.spmv_rows_into(a, run.clone(), x, head);
+        }
     }
 
     /// For each row `i` in `rows` (sorted global indices), computes
@@ -329,14 +360,15 @@ impl KernelBackend {
             a.spmv_rows_masked_into(rows, x_full, &masked, y);
             return;
         }
-        let bounds = nnz_balanced_bounds_list(a, rows, nthreads);
-        let y_out = SendPtr::new(y);
+        // Equal row counts per chunk: the list form has no row pointer to
+        // bisect. On whole rank ranges of the stencil and elasticity
+        // generators the fullest chunk carries at most 1.02× its nnz share
+        // at sizes that pass the gate. (No solver path reaches this branch:
+        // recovery multiplies its cached `A[I_own, ·]` pieces instead.)
+        let bounds: Vec<usize> = (0..=nthreads).map(|c| rows.len() * c / nthreads).collect();
         let masked = &masked;
-        dispatch(nthreads, |c| {
-            let (lo, hi) = (bounds[c], bounds[c + 1]);
-            // SAFETY: monotone bounds ending at `rows.len() == y.len()`.
-            let head = unsafe { y_out.chunk(lo, hi) };
-            a.spmv_rows_masked_into(&rows[lo..hi], x_full, masked, head);
+        par_chunks_mut(y, &bounds, |c, head| {
+            a.spmv_rows_masked_into(&rows[bounds[c]..bounds[c + 1]], x_full, masked, head);
         });
     }
 
@@ -418,7 +450,7 @@ impl KernelBackend {
     /// Panics if `a.len() != b.len()`.
     pub fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
         assert_eq!(a.len(), b.len(), "dot: length mismatch");
-        let nthreads = self.threads_for(a.len());
+        let nthreads = self.threads_for_vector(a.len());
         if nthreads <= 1 {
             return vector::dot(a, b);
         }
@@ -530,7 +562,7 @@ impl KernelBackend {
     where
         F: Fn(&[f64], &[f64], &mut [f64], &mut [f64]) + Sync,
     {
-        let nthreads = self.threads_for(n);
+        let nthreads = self.threads_for_vector(n);
         if nthreads <= 1 {
             op(a, b, x, y);
             return;
@@ -588,30 +620,6 @@ fn nnz_balanced_bounds(row_ptr: &[usize], rows: Range<usize>, nchunks: usize) ->
     bounds
 }
 
-/// Same as [`nnz_balanced_bounds`] for an explicit (sorted) row list.
-fn nnz_balanced_bounds_list(a: &CsrMatrix, rows: &[usize], nchunks: usize) -> Vec<usize> {
-    let total: usize = rows.iter().map(|&r| a.row_nnz(r)).sum();
-    let mut bounds = Vec::with_capacity(nchunks + 1);
-    bounds.push(0);
-    let mut acc = 0usize;
-    let mut c = 1usize;
-    for (k, &r) in rows.iter().enumerate() {
-        if c == nchunks {
-            break;
-        }
-        if acc >= total * c / nchunks {
-            bounds.push(k);
-            c += 1;
-        }
-        acc += a.row_nnz(r);
-    }
-    while bounds.len() < nchunks {
-        bounds.push(rows.len());
-    }
-    bounds.push(rows.len());
-    bounds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,7 +653,8 @@ mod tests {
             100,
             REDUCTION_BLOCK - 1,
             REDUCTION_BLOCK + 1,
-            50_000,
+            VECTOR_PARALLEL_CUTOFF - 1,
+            VECTOR_PARALLEL_CUTOFF + 1234,
         ] {
             let (a, b) = vecs(n, 42);
             let reference = vector::dot(&a, &b);
@@ -698,26 +707,76 @@ mod tests {
     }
 
     #[test]
-    fn spmv_rows_subset_matches_reference_above_cutoff() {
+    fn spmv_row_runs_match_the_list_oracle_above_cutoff() {
+        use crate::split::RowSplit;
+        // Own the middle 48k rows of a banded matrix: the interior is one
+        // long run above both cutoffs (it dispatches in parallel), the
+        // boundary two short ones at the range's edges.
         let a = banded_spd(50_000, 6, 0.7, 5);
         let x: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.3).cos()).collect();
         let range = 1000..49_000;
+        let split = RowSplit::build(&a, range.clone(), range.clone());
+        assert!(
+            a.spmv_rows_list_flops(&split.interior().to_vec()) as usize / 2
+                >= SPMV_PARALLEL_NNZ_CUTOFF
+        );
+        assert!(split.boundary().runs().len() >= 2);
         let mut reference = vec![0.0; range.len()];
-        a.spmv_rows_into(range.clone(), &x, &mut reference);
-        // Split the range into two interleaved sorted subsets (each still
-        // above the nnz cutoff, so both dispatch in parallel).
-        let evens: Vec<usize> = range.clone().filter(|r| r % 2 == 0).collect();
-        let odds: Vec<usize> = range.clone().filter(|r| r % 2 == 1).collect();
-        for t in [2usize, 7] {
-            let be = KernelBackend::parallel(t);
+        a.spmv_rows_subset_into(&split.interior().to_vec(), range.start, &x, &mut reference);
+        a.spmv_rows_subset_into(&split.boundary().to_vec(), range.start, &x, &mut reference);
+        for be in [
+            KernelBackend::Sequential,
+            KernelBackend::parallel(2),
+            KernelBackend::parallel(7),
+        ] {
             let mut y = vec![0.0; range.len()];
-            be.spmv_rows_subset_into(&a, &evens, range.start, &x, &mut y);
-            be.spmv_rows_subset_into(&a, &odds, range.start, &x, &mut y);
-            assert_eq!(y, reference, "t={t}");
-            // Empty subset: no-op, no panic.
-            be.spmv_rows_subset_into(&a, &[], range.start, &x, &mut y);
+            be.spmv_row_runs_into(&a, split.interior(), range.start, &x, &mut y);
+            be.spmv_row_runs_into(&a, split.boundary(), range.start, &x, &mut y);
+            assert_eq!(y, reference, "{}", be.name());
+            // Empty set: no-op, no panic.
+            be.spmv_row_runs_into(&a, &RowRuns::default(), range.start, &x, &mut y);
             assert_eq!(y, reference);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "rows do not map into y")]
+    fn spmv_row_runs_reject_an_output_that_is_too_short() {
+        use crate::split::RowSplit;
+        let a = poisson2d(4, 4);
+        let split = RowSplit::build(&a, 0..16, 0..16);
+        let x = vec![1.0; 16];
+        let mut y = vec![0.0; 15];
+        KernelBackend::Sequential.spmv_row_runs_into(&a, split.interior(), 0, &x, &mut y);
+    }
+
+    #[test]
+    fn par_chunks_mut_hands_out_disjoint_chunks() {
+        let mut v = vec![0.0f64; 10_000];
+        let bounds = [0, 10, 10, 4_000, 10_000];
+        par_chunks_mut(&mut v, &bounds, |c, chunk| {
+            assert_eq!(chunk.len(), bounds[c + 1] - bounds[c]);
+            chunk.iter_mut().for_each(|e| *e += (c + 1) as f64);
+        });
+        for (c, w) in bounds.windows(2).enumerate() {
+            assert!(
+                v[w[0]..w[1]].iter().all(|&e| e == (c + 1) as f64),
+                "chunk {c}"
+            );
+        }
+        // Zero and one chunk run inline.
+        par_chunks_mut(&mut v, &[], |_, _| unreachable!());
+        par_chunks_mut(&mut v, &[3], |_, _| unreachable!());
+        par_chunks_mut(&mut v, &[3, 5], |c, chunk| {
+            assert_eq!((c, chunk.len()), (0, 2));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "bounds must be monotone")]
+    fn par_chunks_mut_rejects_overlapping_bounds() {
+        let mut v = vec![0.0f64; 8];
+        par_chunks_mut(&mut v, &[0, 5, 3, 8], |_, _| {});
     }
 
     #[test]
@@ -748,6 +807,10 @@ mod tests {
             KernelBackend::Sequential.threads_for_spmv(1 << 20, 1 << 20),
             1
         );
+        // Streaming kernels have their own, much later gate.
+        assert_eq!(be.threads_for_vector(VECTOR_PARALLEL_CUTOFF - 1), 1);
+        assert_eq!(be.threads_for_vector(VECTOR_PARALLEL_CUTOFF), 4);
+        assert_eq!(KernelBackend::Sequential.threads_for_vector(usize::MAX), 1);
     }
 
     #[test]
@@ -780,7 +843,8 @@ mod tests {
 
     #[test]
     fn elementwise_kernels_match() {
-        let n = 30_000;
+        // Above the vector cutoff, so the chunked path genuinely dispatches.
+        let n = VECTOR_PARALLEL_CUTOFF + 77;
         let (x, y0) = vecs(n, 7);
         for t in [1usize, 2, 8] {
             let be = KernelBackend::parallel(t);

@@ -104,27 +104,10 @@ impl DenseMatrix {
     pub fn cholesky(&self) -> Result<Cholesky, SparseError> {
         let n = self.n;
         let mut l = vec![0.0; n * n];
-        for j in 0..n {
-            let mut d = self.get(j, j);
-            for k in 0..j {
-                d -= l[j * n + k] * l[j * n + k];
-            }
-            if d <= 0.0 || !d.is_finite() {
-                return Err(SparseError::NotPositiveDefinite {
-                    pivot_index: j,
-                    pivot: d,
-                });
-            }
-            let dj = d.sqrt();
-            l[j * n + j] = dj;
-            for i in (j + 1)..n {
-                let mut s = self.get(i, j);
-                for k in 0..j {
-                    s -= l[i * n + k] * l[j * n + k];
-                }
-                l[i * n + j] = s / dj;
-            }
+        for i in 0..n {
+            l[i * n..=i * n + i].copy_from_slice(&self.data[i * n..=i * n + i]);
         }
+        Cholesky::factor_in_place(n, &mut l)?;
         Ok(Cholesky { n, l })
     }
 }
@@ -138,6 +121,74 @@ pub struct Cholesky {
 }
 
 impl Cholesky {
+    /// Factors in place: on entry the lower triangle of the row-major
+    /// `n × n` slice `a` holds that of an SPD matrix, on success it holds
+    /// its Cholesky factor `L`. The strict upper triangle is neither read
+    /// nor written. This is the one factorization routine —
+    /// [`DenseMatrix::cholesky`] and the block Jacobi preconditioner's
+    /// packed arena both call it, so their factors agree bit for bit.
+    ///
+    /// # Errors
+    /// Returns [`SparseError::NotPositiveDefinite`] if a pivot is not
+    /// strictly positive.
+    ///
+    /// # Panics
+    /// Panics if `a.len() != n * n`.
+    pub fn factor_in_place(n: usize, a: &mut [f64]) -> Result<(), SparseError> {
+        assert_eq!(a.len(), n * n, "factor_in_place: data length");
+        for j in 0..n {
+            let mut d = a[j * n + j];
+            for k in 0..j {
+                d -= a[j * n + k] * a[j * n + k];
+            }
+            if d <= 0.0 || !d.is_finite() {
+                return Err(SparseError::NotPositiveDefinite {
+                    pivot_index: j,
+                    pivot: d,
+                });
+            }
+            let dj = d.sqrt();
+            a[j * n + j] = dj;
+            for i in (j + 1)..n {
+                let mut s = a[i * n + j];
+                for k in 0..j {
+                    s -= a[i * n + k] * a[j * n + k];
+                }
+                a[i * n + j] = s / dj;
+            }
+        }
+        Ok(())
+    }
+
+    /// `y = L (Lᵀ x)` for a lower-triangular factor given by the accessor
+    /// `l(i, k)` (`k ≤ i`), with `t` as scratch for `Lᵀ x`. The one
+    /// definition of this product's operation order:
+    /// [`Cholesky::apply_original`] and block Jacobi's `solve_restricted`
+    /// (whose factors are stored packed and lane-interleaved) both call it.
+    ///
+    /// # Panics
+    /// Panics if `x`, `t` and `y` differ in length.
+    pub fn llt_matvec(l: impl Fn(usize, usize) -> f64, x: &[f64], t: &mut [f64], y: &mut [f64]) {
+        assert!(
+            x.len() == t.len() && x.len() == y.len(),
+            "llt_matvec: lengths"
+        );
+        for (i, ti) in t.iter_mut().enumerate() {
+            let mut s = 0.0;
+            for (k, xk) in x.iter().enumerate().skip(i) {
+                s += l(k, i) * xk;
+            }
+            *ti = s;
+        }
+        for (i, yi) in y.iter_mut().enumerate() {
+            let mut s = 0.0;
+            for (k, tk) in t[..=i].iter().enumerate() {
+                s += l(i, k) * tk;
+            }
+            *yi = s;
+        }
+    }
+
     /// Dimension of the factored matrix.
     #[inline]
     pub fn n(&self) -> usize {
@@ -186,28 +237,11 @@ impl Cholesky {
     ///
     /// # Panics
     /// Panics if `x.len() != n`.
-    #[allow(clippy::needless_range_loop)]
     pub fn apply_original(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n, "apply_original: x length");
         let n = self.n;
-        // t = Lᵀ x
-        let mut t = vec![0.0; n];
-        for (i, ti) in t.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for k in i..n {
-                s += self.l[k * n + i] * x[k];
-            }
-            *ti = s;
-        }
-        // y = L t
-        let mut y = vec![0.0; n];
-        for (i, yi) in y.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for k in 0..=i {
-                s += self.l[i * n + k] * t[k];
-            }
-            *yi = s;
-        }
+        let (mut t, mut y) = (vec![0.0; n], vec![0.0; n]);
+        Self::llt_matvec(|i, k| self.l[i * n + k], x, &mut t, &mut y);
         y
     }
 

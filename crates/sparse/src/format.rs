@@ -21,7 +21,7 @@ use crate::bcsr::{BcsrMatrix, MAX_BCSR_DIM};
 use crate::csr::CsrMatrix;
 use crate::partition::Partition;
 use crate::sellcs::{SellMatrix, MAX_SELL_C};
-use crate::split::RowSplitSet;
+use crate::split::{RowRuns, RowSplitSet};
 
 /// Which storage format the SpMV hot loops use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -254,26 +254,18 @@ impl FormatCache {
             .iter()
             .map(|(rank, range)| {
                 let split = splits.of(rank);
-                let local = |rows: &[usize]| -> Vec<usize> {
-                    rows.iter().map(|&r| r - range.start).collect()
+                // The converters take explicit row lists; expand the runs
+                // once here, at conversion time.
+                let piece = |runs: &RowRuns| {
+                    let rows = runs.to_vec();
+                    let out: Vec<usize> = rows.iter().map(|&r| r - range.start).collect();
+                    FormatMatrix::from_rows(a, &rows, &out, format).expect("non-CSR format")
                 };
                 RankFormatPieces {
                     owned: FormatMatrix::from_range(a, range.clone(), format)
                         .expect("non-CSR format"),
-                    interior: FormatMatrix::from_rows(
-                        a,
-                        split.interior(),
-                        &local(split.interior()),
-                        format,
-                    )
-                    .expect("non-CSR format"),
-                    boundary: FormatMatrix::from_rows(
-                        a,
-                        split.boundary(),
-                        &local(split.boundary()),
-                        format,
-                    )
-                    .expect("non-CSR format"),
+                    interior: piece(split.interior()),
+                    boundary: piece(split.boundary()),
                 }
             })
             .collect();

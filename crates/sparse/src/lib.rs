@@ -23,7 +23,8 @@
 //!   vector entries over cluster ranks used throughout the paper,
 //! * [`split`] / [`RowSplit`] — the interior/boundary row classification the
 //!   split-phase distributed SpMV uses to overlap communication with
-//!   interior compute (cached per matrix + partition),
+//!   interior compute (cached per matrix + partition, each class stored as
+//!   contiguous [`RowRuns`]),
 //! * [`gen`] — synthetic SPD problem generators standing in for the paper's
 //!   SuiteSparse test matrices (see `DESIGN.md` §4 for the substitution
 //!   argument),
@@ -62,4 +63,4 @@ pub use error::SparseError;
 pub use format::{FormatCache, FormatMatrix, RankFormatPieces, SpmvFormat};
 pub use partition::Partition;
 pub use sellcs::SellMatrix;
-pub use split::{RowSplit, RowSplitSet};
+pub use split::{RowRuns, RowSplit, RowSplitSet};
