@@ -14,8 +14,8 @@
 //!    measure the *overhead with node failures* and the *reconstruction
 //!    overhead*.
 //!
-//! The `paper` binary drives this module; see `EXPERIMENTS.md` for the
-//! recorded outputs and the paper-vs-measured comparison.
+//! The `paper` binary drives this module. Its outputs are not tracked in the
+//! repository yet (ROADMAP.md, direction A, asks for a `BENCH_paper.json`).
 
 pub mod drills;
 pub mod figures;

@@ -42,7 +42,10 @@ impl RedundancyQueue {
     /// already holds the same iteration (which happens when the solver
     /// rolls back and re-executes a storage iteration), it is replaced
     /// instead, keeping the queue identical to an undisturbed run's.
-    pub fn push(&mut self, iter: usize, entries: Vec<(usize, f64)>) {
+    /// Returns the buffer that left the queue — the evicted oldest slot's
+    /// or the replaced one's, contents intact — so the caller can fill it
+    /// with the next capture instead of allocating.
+    pub fn push(&mut self, iter: usize, entries: Vec<(usize, f64)>) -> Option<Vec<(usize, f64)>> {
         if let Some(newest) = self.slots.back_mut() {
             assert!(
                 newest.iter <= iter,
@@ -50,13 +53,14 @@ impl RedundancyQueue {
                 newest.iter
             );
             if newest.iter == iter {
-                newest.entries = entries;
-                return;
+                return Some(std::mem::replace(&mut newest.entries, entries));
             }
         }
         self.slots.push_back(QueueSlot { iter, entries });
         if self.slots.len() > QUEUE_DEPTH {
-            self.slots.pop_front();
+            self.slots.pop_front().map(|s| s.entries)
+        } else {
+            None
         }
     }
 
@@ -186,6 +190,26 @@ mod tests {
         q.push(6, pairs(&[4, 5, 6]));
         assert_eq!(q.iters(), vec![5, 6]);
         assert_eq!(q.slot(6).unwrap().entries, pairs(&[4, 5, 6]));
+    }
+
+    #[test]
+    fn push_hands_back_the_buffer_that_left_the_queue() {
+        let mut q = RedundancyQueue::new();
+        for j in 0..QUEUE_DEPTH {
+            assert_eq!(q.push(j, pairs(&[j, j + 10])), None, "nothing left yet");
+        }
+        let evicted = q
+            .push(QUEUE_DEPTH, pairs(&[99]))
+            .expect("oldest slot evicted");
+        assert_eq!(evicted, pairs(&[0, 10]), "the evicted slot's own buffer");
+        assert!(evicted.capacity() >= 2);
+        // A same-iteration re-push (re-executed storage iteration) hands
+        // back the replaced buffer.
+        let replaced = q
+            .push(QUEUE_DEPTH, pairs(&[7, 8, 9]))
+            .expect("slot replaced");
+        assert_eq!(replaced, pairs(&[99]));
+        assert_eq!(q.len(), QUEUE_DEPTH);
     }
 
     #[test]

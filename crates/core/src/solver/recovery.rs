@@ -13,13 +13,9 @@ use esrcg_cluster::{Ctx, Payload, Phase, Tag};
 use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
 
 use crate::dist::halo::{HaloExchange, PlanView};
-use crate::solver::state::{NodeState, OwnCheckpoint, PipelinedCkptAux};
-use crate::solver::tuning::IntervalSchedule;
+use crate::solver::state::NodeState;
 use crate::solver::workspace::{DomainCache, LocalInnerSolve, RecoveryScratch, SolverWorkspace};
-use crate::solver::{
-    dist_spmv, init_pipelined, init_state, PcgVariant, SharedProblem, SpmvMode, RECOVERY_TAG_G,
-    RECOVERY_TAG_S, RECOVERY_TAG_W,
-};
+use crate::solver::{Node, Recurrence, SharedProblem, SpmvMode};
 use crate::strategy::Strategy;
 
 /// What a recovery did, as reported by every rank (identical everywhere
@@ -46,25 +42,30 @@ pub struct RecoveryOutcome {
 
 /// Runs the strategy's recovery protocol. The failed ranks must already
 /// have wiped their state ([`NodeState::wipe`]). The rollback `target` is
-/// supplied by the caller: the per-iteration variants derive it from the
-/// (possibly re-anchored) `sched` via [`IntervalSchedule::rollback_target`],
-/// while the s-step variant passes the last *block-start* it protected —
-/// its protection events all land on outer-step boundaries, so mid-block
-/// failures resume at the enclosing outer step. Returns the outcome;
-/// afterwards every rank's state corresponds to iteration
-/// `outcome.resumed_at` and `st.rz` is current.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn recover(
+/// supplied by the caller ([`Recurrence::rollback_target`]): the
+/// per-iteration variants derive it from the (possibly re-anchored)
+/// schedule, while the s-step variant passes the last *block-start* it
+/// protected — its protection events all land on outer-step boundaries, so
+/// mid-block failures resume at the enclosing outer step. `None` means no
+/// recovery point exists yet. Returns the outcome; afterwards every rank's
+/// state corresponds to iteration `outcome.resumed_at` and `st.rz` is
+/// current.
+pub(super) fn recover<R: Recurrence>(
     ctx: &mut Ctx,
-    shared: &SharedProblem,
-    st: &mut NodeState,
-    ws: &mut SolverWorkspace,
-    full: &mut [f64],
+    node: &mut Node<'_>,
+    rec: &mut R,
     j_f: usize,
     target: Option<usize>,
     event: &esrcg_cluster::FailureSpec,
-    sched: &IntervalSchedule,
 ) -> RecoveryOutcome {
+    let Node {
+        shared,
+        st,
+        ws,
+        full,
+        sched,
+        ..
+    } = &mut *node;
     // Attribute the entry barrier (and everything until the strategy sets a
     // finer recovery phase) to RecoveryReset rather than the caller's
     // compute phase — otherwise SpMV/Storage silently absorb the
@@ -72,21 +73,48 @@ pub(crate) fn recover(
     // polluted Storage time.
     ctx.set_phase(Phase::RecoveryReset);
     let t_start = ctx.barrier_sync_clock();
-    let (resumed_at, full_restart, inner_iterations) = match sched.strategy() {
-        Strategy::None => panic!(
+    let failed = event.ranks();
+    debug_assert!(
+        failed.windows(2).all(|w| w[0] < w[1]),
+        "FailureSpec guarantees a sorted, duplicate-free rank set"
+    );
+    let strategy = sched.strategy();
+    let inner_iterations = match (strategy, target) {
+        (Strategy::None, _) => panic!(
             "node failure injected into a run without a resilience strategy — \
              an unprotected solver loses all progress (the paper's motivating case)"
         ),
-        Strategy::Esrp { t } => recover_esrp(ctx, shared, st, ws, full, target, t, event.ranks()),
-        Strategy::Imcr { .. } => recover_imcr(ctx, shared, st, full, target, event.ranks()),
+        (_, None) => {
+            // No recovery point yet: restart the whole solve from x0 (static
+            // data is retrievable from safe storage; see DESIGN.md §2.4 — the
+            // paper's experiments never hit this case, ours test it). The
+            // s-step loop rebuilds its per-block basis workspace from
+            // definitions.
+            (*st, _, _) = rec.init(ctx, shared, full);
+            0
+        }
+        (Strategy::Esrp { t }, Some(jhat)) => {
+            recover_esrp(ctx, shared, st, ws, full, jhat, t, failed)
+        }
+        (Strategy::Imcr { .. }, Some(jc)) => {
+            recover_imcr(ctx, shared, st, jc, failed);
+            0
+        }
     };
+    if target.is_some() {
+        // --- All ranks: re-establish the replicated scalars (and whatever
+        // else the recurrence carries) for the rollback iteration ---------
+        ctx.set_phase(Phase::RecoveryReset);
+        rec.resync_after_rollback(ctx, node, matches!(strategy, Strategy::Imcr { .. }));
+    }
     let t_end = ctx.barrier_sync_clock();
     ctx.trace_recovery_span(t_start, t_end);
+    let resumed_at = target.unwrap_or(0);
     RecoveryOutcome {
         failed_at: j_f,
         resumed_at,
         wasted_iterations: j_f - resumed_at,
-        full_restart,
+        full_restart: target.is_none(),
         recovery_time: t_end - t_start,
         inner_iterations,
     }
@@ -117,7 +145,8 @@ pub fn imcr_rollback_target(j_f: usize, t: usize) -> Option<usize> {
     (m >= 1).then(|| m * t)
 }
 
-/// ESR/ESRP recovery (paper Alg. 2 + the ESRP rollback of §3).
+/// ESR/ESRP recovery (paper Alg. 2 + the ESRP rollback of §3) to iteration
+/// `jhat`; returns the inner-solve iteration count (designated rank only).
 #[allow(clippy::too_many_arguments)]
 fn recover_esrp(
     ctx: &mut Ctx,
@@ -125,28 +154,16 @@ fn recover_esrp(
     st: &mut NodeState,
     ws: &mut SolverWorkspace,
     full: &mut [f64],
-    target: Option<usize>,
+    jhat: usize,
     t: usize,
     failed_sorted: &[usize],
-) -> (usize, bool, usize) {
+) -> usize {
     let part = &*shared.part;
     let me = ctx.rank();
     let n_ranks = ctx.size();
     let be = shared.cfg.backend.subdivided(n_ranks);
-    debug_assert!(
-        failed_sorted.windows(2).all(|w| w[0] < w[1]),
-        "FailureSpec guarantees a sorted, duplicate-free rank set"
-    );
     let am_failed = failed_sorted.binary_search(&me).is_ok();
     let is_failed = |r: usize| failed_sorted.binary_search(&r).is_ok();
-
-    let Some(jhat) = target else {
-        // No recovery point yet: restart the whole solve from x0 (static
-        // data is retrievable from safe storage; see DESIGN.md §2.4 — the
-        // paper's experiments never hit this case, ours test it).
-        full_restart(ctx, shared, st, full);
-        return (0, true, 0);
-    };
 
     // --- Survivors roll back to the storage-stage state -------------------
     ctx.set_phase(Phase::RecoveryReset);
@@ -368,106 +385,20 @@ fn recover_esrp(
         }
     }
 
-    // --- All ranks: re-establish the replicated scalars for iteration ĵ ---
-    ctx.set_phase(Phase::RecoveryReset);
-    match shared.cfg.variant {
-        PcgVariant::Classic | PcgVariant::SStep { .. } => {
-            // SStep rolls back to a block start, where its state is exactly
-            // classic-shaped (x, r, z, p, β) and the transient Krylov block
-            // is definitionally empty — the next outer step rebuilds the
-            // basis from definitions, so only r·z needs re-establishing.
-            let rz_loc = be.dot(&st.r, &st.z);
-            ctx.charge_flops(2 * st.r.len() as u64);
-            st.rz = ctx.allreduce_sum_scalar(rz_loc);
-        }
-        PcgVariant::Pipelined => {
-            // The starred copies (and Alg. 2) cover only the classic state
-            // x, r, u(=z), p — deliberately, so ESRP's per-node storage is
-            // unchanged by pipelining. The auxiliary recurrence vectors are
-            // rebuilt *globally* from their definitions: w = Au, s = Ap,
-            // h = M⁻¹s, g = Ah, plus the fused [γ, pᵀAp] reduction. The
-            // three SpMVs need every rank anyway (halo entries of the
-            // reconstructed chunks flow to the survivors), so this costs
-            // the survivors no extra rounds. Survivor aux values are
-            // re-derived rather than bitwise-preserved; the trajectory
-            // stays within the variant's rounding tolerance.
-            rebuild_pipelined_aux(ctx, shared, st, full);
-        }
-    }
-
-    (jhat, false, inner_iterations)
+    inner_iterations
 }
 
-/// Rebuilds the pipelined auxiliary state for the *current* (rolled-back)
-/// `x, r, z, p` on every rank: three distributed SpMVs for `w`, `s ≡ q`,
-/// `g`, one local preconditioner application for `h`, and one fused
-/// allreduce re-establishing the replicated γ = r·u and pᵀAp. Runs under
-/// [`Phase::RecoveryReset`].
-fn rebuild_pipelined_aux(
-    ctx: &mut Ctx,
-    shared: &SharedProblem,
-    st: &mut NodeState,
-    full: &mut [f64],
-) {
-    let part = &*shared.part;
-    let be = shared.cfg.backend.subdivided(ctx.size());
-    let range = part.range(ctx.rank());
-    let nloc = range.len();
-
-    let mut aux = st
-        .aux
-        .take()
-        .expect("pipelined recovery requires aux state");
-    {
-        let NodeState { z, p, q, .. } = st;
-        dist_spmv(ctx, shared, be, z, RECOVERY_TAG_W, full, &mut aux.w, None);
-        dist_spmv(ctx, shared, be, p, RECOVERY_TAG_S, full, q, None);
-    }
-    shared.precond.apply_local(range.clone(), &st.q, &mut aux.h);
-    ctx.charge_flops(shared.precond.apply_flops(range.clone()));
-    dist_spmv(
-        ctx,
-        shared,
-        be,
-        &aux.h,
-        RECOVERY_TAG_G,
-        full,
-        &mut aux.g,
-        None,
-    );
-
-    let rz_loc = be.dot(&st.r, &st.z);
-    let pq_loc = be.dot(&st.p, &st.q);
-    ctx.charge_flops(4 * nloc as u64);
-    let red = ctx.allreduce_sum(&[rz_loc, pq_loc]);
-    st.rz = red[0];
-    aux.pap = red[1];
-    ctx.recycle_f64s(red);
-    st.aux = Some(aux);
-}
-
-/// IMCR recovery: replacements fetch the newest checkpoint from their first
-/// surviving buddy; survivors roll back locally.
+/// IMCR recovery to the checkpoint of iteration `jc`: replacements fetch it
+/// from their first surviving buddy; survivors roll back locally.
 fn recover_imcr(
     ctx: &mut Ctx,
     shared: &SharedProblem,
     st: &mut NodeState,
-    full: &mut [f64],
-    target: Option<usize>,
+    jc: usize,
     failed_sorted: &[usize],
-) -> (usize, bool, usize) {
+) {
     let me = ctx.rank();
-    debug_assert!(
-        failed_sorted.windows(2).all(|w| w[0] < w[1]),
-        "FailureSpec guarantees a sorted, duplicate-free rank set"
-    );
     let am_failed = failed_sorted.binary_search(&me).is_ok();
-
-    let Some(jc) = target else {
-        full_restart(ctx, shared, st, full);
-        return (0, true, 0);
-    };
-
     let buddies = shared.buddies.as_ref().expect("IMCR requires a buddy map");
 
     ctx.set_phase(Phase::RecoveryGather);
@@ -495,22 +426,7 @@ fn recover_imcr(
         st.restore_from_blob(&blob);
         ctx.recycle_f64s(blob);
         // The replacement's own rollback copy is its restored state.
-        st.own_ckpt = Some(OwnCheckpoint {
-            iter: jc,
-            x: st.x.clone(),
-            r: st.r.clone(),
-            z: st.z.clone(),
-            p: st.p.clone(),
-            beta_prev: st.beta_prev,
-            aux: st.aux.as_ref().map(|a| PipelinedCkptAux {
-                q: st.q.clone(),
-                w: a.w.clone(),
-                h: a.h.clone(),
-                g: a.g.clone(),
-                gamma: st.rz,
-                pap: a.pap,
-            }),
-        });
+        st.take_own_checkpoint(jc);
     }
 
     ctx.set_phase(Phase::RecoveryReset);
@@ -524,25 +440,6 @@ fn recover_imcr(
         // Held checkpoints for ranks that failed are kept: they are exactly
         // the data just restored; newer held data cannot exist.
     }
-
-    // Classic blobs carry β but not r·z, so the replicated scalar is
-    // recomputed — from bitwise-restored r and z, giving back the exact
-    // checkpoint-time value. SStep checkpoints are classic-shaped (they
-    // land on outer-step boundaries, where the transient Krylov block is
-    // empty), so it takes the same path. Pipelined blobs carry γ and pᵀAp
-    // directly (pᵀAp is a running recurrence, not recomputable from the
-    // vectors), so the rollback is already complete and bitwise; the
-    // variant is shared config, so every rank skips the reduction together.
-    if matches!(
-        shared.cfg.variant,
-        PcgVariant::Classic | PcgVariant::SStep { .. }
-    ) {
-        let rz_loc = shared.cfg.backend.subdivided(ctx.size()).dot(&st.r, &st.z);
-        ctx.charge_flops(2 * st.r.len() as u64);
-        st.rz = ctx.allreduce_sum_scalar(rz_loc);
-    }
-
-    (jc, false, 0)
 }
 
 /// Distributed PCG over the replacement subgroup for the inner system
@@ -750,24 +647,6 @@ fn distributed_inner_solve(
         relres = if wnorm > 0.0 { rr.sqrt() / wnorm } else { 0.0 };
     }
     iterations
-}
-
-/// Restart from scratch: re-initialize every rank from the static data.
-fn full_restart(ctx: &mut Ctx, shared: &SharedProblem, st: &mut NodeState, full: &mut [f64]) {
-    ctx.set_phase(Phase::RecoveryReset);
-    let nloc = shared.part.local_len(ctx.rank());
-    match shared.cfg.variant {
-        PcgVariant::Classic | PcgVariant::SStep { .. } => {
-            // SStep restarts with classic-shaped state: the outer loop
-            // rebuilds its per-block basis workspace from definitions.
-            *st = NodeState::new(nloc);
-            init_state(ctx, shared, st, full);
-        }
-        PcgVariant::Pipelined => {
-            *st = NodeState::new_pipelined(nloc);
-            init_pipelined(ctx, shared, st, full);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -53,8 +53,8 @@ impl PipelinedAux {
 /// *not* part of [`NodeState`]: every column is fully overwritten by the
 /// matrix-powers sweep at the start of each outer step, so the basis is
 /// per-block scratch — a failed node's replacement rebuilds it from
-/// definitions and `wipe` never needs to touch it. The solver holds it as
-/// a local `Box<SStepAux>` allocated once before the outer loop.
+/// definitions and `wipe` never needs to touch it. The s-step recurrence
+/// owns one, allocated once before the outer loop.
 #[derive(Debug, Clone)]
 pub(crate) struct SStepAux {
     /// Basis columns V = [ρ₀…ρ_s, ζ₀…ζ_{s−1}]: ρ₀ = p, ρ_{k+1} = M⁻¹Aρ_k,
@@ -173,10 +173,20 @@ pub(crate) struct OwnCheckpoint {
 #[derive(Debug, Clone)]
 pub(crate) struct HeldCheckpoint {
     pub iter: usize,
-    /// Classic: `4·nloc(owner) + 1` values (x, r, z, p chunks then β).
-    /// Pipelined: `8·nloc(owner) + 3` values (x, r, z, p, q, w, h, g
-    /// chunks then β, γ, pᵀAp).
+    /// [`checkpoint_blob_len`] values for the owner's `nloc`.
     pub blob: Vec<f64>,
+}
+
+/// The length of a checkpoint blob for a node owning `nloc` indices — the
+/// one definition of the layout's size. Classic (and s-step, whose
+/// checkpoints are classic-shaped): `[x; r; z; p; β]`. Pipelined:
+/// `[x; r; z; p; q; w; h; g; β; γ; pᵀAp]`.
+pub(crate) fn checkpoint_blob_len(nloc: usize, pipelined: bool) -> usize {
+    if pipelined {
+        8 * nloc + 3
+    } else {
+        4 * nloc + 1
+    }
 }
 
 /// All dynamic data of one simulated node.
@@ -354,34 +364,26 @@ impl NodeState {
     /// Serializes the dynamic state for buddy checkpointing into a
     /// caller-supplied buffer (cleared first) — lets the checkpoint path
     /// stage into a pooled payload buffer instead of allocating per event.
-    /// Classic layout: `[x; r; z; p; β]` (`4·nloc + 1` values). Pipelined
-    /// layout: `[x; r; z; p; q; w; h; g; β; γ; pᵀAp]` (`8·nloc + 3`).
+    /// The layout is [`checkpoint_blob_len`]'s: the classic part
+    /// `[x; r; z; p]`, the pipelined vectors `[q; w; h; g]` if any, then
+    /// the scalars (β, and for pipelined γ and pᵀAp).
     pub fn checkpoint_blob_into(&self, blob: &mut Vec<f64>) {
-        let nloc = self.x.len();
         blob.clear();
-        match self.aux.as_ref() {
-            None => {
-                blob.reserve(4 * nloc + 1);
-                blob.extend_from_slice(&self.x);
-                blob.extend_from_slice(&self.r);
-                blob.extend_from_slice(&self.z);
-                blob.extend_from_slice(&self.p);
-                blob.push(self.beta_prev);
-            }
-            Some(aux) => {
-                blob.reserve(8 * nloc + 3);
-                blob.extend_from_slice(&self.x);
-                blob.extend_from_slice(&self.r);
-                blob.extend_from_slice(&self.z);
-                blob.extend_from_slice(&self.p);
-                blob.extend_from_slice(&self.q);
-                blob.extend_from_slice(&aux.w);
-                blob.extend_from_slice(&aux.h);
-                blob.extend_from_slice(&aux.g);
-                blob.push(self.beta_prev);
-                blob.push(self.rz);
-                blob.push(aux.pap);
-            }
+        blob.reserve(checkpoint_blob_len(self.x.len(), self.aux.is_some()));
+        blob.extend_from_slice(&self.x);
+        blob.extend_from_slice(&self.r);
+        blob.extend_from_slice(&self.z);
+        blob.extend_from_slice(&self.p);
+        if let Some(aux) = self.aux.as_ref() {
+            blob.extend_from_slice(&self.q);
+            blob.extend_from_slice(&aux.w);
+            blob.extend_from_slice(&aux.h);
+            blob.extend_from_slice(&aux.g);
+        }
+        blob.push(self.beta_prev);
+        if let Some(aux) = self.aux.as_ref() {
+            blob.push(self.rz);
+            blob.push(aux.pap);
         }
     }
 
@@ -391,30 +393,32 @@ impl NodeState {
     /// # Panics
     /// Panics if the blob length does not match the variant's layout.
     pub fn restore_from_blob(&mut self, blob: &[f64]) {
-        let nloc = self.x.len();
-        match self.aux.as_mut() {
-            None => {
-                assert_eq!(blob.len(), 4 * nloc + 1, "checkpoint blob length mismatch");
-                self.x.copy_from_slice(&blob[0..nloc]);
-                self.r.copy_from_slice(&blob[nloc..2 * nloc]);
-                self.z.copy_from_slice(&blob[2 * nloc..3 * nloc]);
-                self.p.copy_from_slice(&blob[3 * nloc..4 * nloc]);
-                self.beta_prev = blob[4 * nloc];
-            }
-            Some(aux) => {
-                assert_eq!(blob.len(), 8 * nloc + 3, "checkpoint blob length mismatch");
-                self.x.copy_from_slice(&blob[0..nloc]);
-                self.r.copy_from_slice(&blob[nloc..2 * nloc]);
-                self.z.copy_from_slice(&blob[2 * nloc..3 * nloc]);
-                self.p.copy_from_slice(&blob[3 * nloc..4 * nloc]);
-                self.q.copy_from_slice(&blob[4 * nloc..5 * nloc]);
-                aux.w.copy_from_slice(&blob[5 * nloc..6 * nloc]);
-                aux.h.copy_from_slice(&blob[6 * nloc..7 * nloc]);
-                aux.g.copy_from_slice(&blob[7 * nloc..8 * nloc]);
-                self.beta_prev = blob[8 * nloc];
-                self.rz = blob[8 * nloc + 1];
-                aux.pap = blob[8 * nloc + 2];
-            }
+        assert_eq!(
+            blob.len(),
+            checkpoint_blob_len(self.x.len(), self.aux.is_some()),
+            "checkpoint blob length mismatch"
+        );
+        // Read back in the order `checkpoint_blob_into` wrote.
+        let mut rest = blob;
+        let mut take = |dst: &mut [f64]| {
+            let (head, tail) = rest.split_at(dst.len());
+            dst.copy_from_slice(head);
+            rest = tail;
+        };
+        take(&mut self.x);
+        take(&mut self.r);
+        take(&mut self.z);
+        take(&mut self.p);
+        if let Some(aux) = self.aux.as_mut() {
+            take(&mut self.q);
+            take(&mut aux.w);
+            take(&mut aux.h);
+            take(&mut aux.g);
+        }
+        self.beta_prev = rest[0];
+        if let Some(aux) = self.aux.as_mut() {
+            self.rz = rest[1];
+            aux.pap = rest[2];
         }
     }
 }
@@ -493,6 +497,27 @@ mod tests {
         assert_eq!(st2.z, st.z);
         assert_eq!(st2.p, st.p);
         assert_eq!(st2.beta_prev, st.beta_prev);
+    }
+
+    #[test]
+    fn blob_len_is_what_the_blob_writer_writes() {
+        let mut blob = Vec::new();
+        for nloc in [0, 1, 3, 7] {
+            let classic = filled(nloc);
+            classic.checkpoint_blob_into(&mut blob);
+            assert_eq!(
+                blob.len(),
+                checkpoint_blob_len(nloc, false),
+                "classic {nloc}"
+            );
+            let pipelined = filled_pipelined(nloc);
+            pipelined.checkpoint_blob_into(&mut blob);
+            assert_eq!(
+                blob.len(),
+                checkpoint_blob_len(nloc, true),
+                "pipelined {nloc}"
+            );
+        }
     }
 
     #[test]

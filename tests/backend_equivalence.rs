@@ -4,6 +4,7 @@
 //! runs — at 1, 2, and 8 threads.
 
 use esrcg::core::pcg::{pcg_with, PcgWorkspace};
+use esrcg::core::Resilience;
 use esrcg::prelude::*;
 use esrcg::sparse::backend::VECTOR_PARALLEL_CUTOFF;
 use esrcg::sparse::gen::{audikw_like, banded_spd, poisson3d};
@@ -286,45 +287,413 @@ fn split_phase_spmv_matches_the_list_oracle_across_formats_and_threads() {
     }
 }
 
-/// A full ESRP run with a two-rank failure, pinned to the bits it produced
-/// before block Jacobi moved to the packed lane-interleaved arena and the
-/// row split to runs (recorded at the parent commit): the solution, the
-/// iteration count and both modeled clocks must not move.
+/// One row of the recorded-bits table: a failing run and everything it
+/// must reproduce bit for bit.
+struct PinnedRun {
+    name: &'static str,
+    variant: PcgVariant,
+    strategy: Resilience,
+    phi: usize,
+    /// `(at_iteration, start_rank, count)` per failure event.
+    failures: &'static [(usize, usize, usize)],
+    iterations: usize,
+    total_loop_trips: usize,
+    modeled_bits: u64,
+    /// `(failed_at, resumed_at, recovery_time.to_bits())` per event.
+    recoveries: &'static [(usize, usize, u64)],
+    /// The tuner's `interval_after` per event (empty under `Fixed`).
+    intervals_after: &'static [usize],
+    /// FNV-1a over the solution's bit patterns.
+    x_hash: u64,
+}
+
+/// Failing runs of all three recurrences under ESR, ESRP and IMCR — one
+/// mid-run failure each, plus a mid-block s-step failure, failures before
+/// the first storage stage (full restart) and two-event runs under the
+/// adaptive interval policy — pinned to the bits they produced when the
+/// solver still carried one hand-written resilient loop per recurrence
+/// (recorded at the parent commit of the one-loop refactor; the first row
+/// is older: it was recorded before block Jacobi moved to the packed
+/// arena). The solution, both iteration counts, the modeled clock, every
+/// recovery's resume point and modeled cost and the tuner's decisions must
+/// not move. A mismatch prints the observed row in table syntax.
 #[test]
-fn esrp_failure_run_reproduces_the_recorded_bits() {
-    for be in [KernelBackend::Sequential, KernelBackend::parallel(2)] {
-        let r = Experiment::builder()
-            .matrix(MatrixSource::Poisson3d {
-                nx: 12,
-                ny: 12,
-                nz: 12,
-            })
-            .n_ranks(4)
-            .strategy(Strategy::Esrp { t: 5 })
-            .phi(2)
-            .failure_at(12, 1, 2)
-            .backend(be)
-            .run()
-            .expect("run");
-        assert!(r.converged);
-        assert_eq!(r.iterations, 40, "{}", be.name());
-        assert_eq!(
-            r.modeled_time.to_bits(),
-            0x3f6e97afe465d62a,
-            "{}",
-            be.name()
-        );
-        assert_eq!(r.recoveries.len(), 1);
-        assert_eq!(
-            r.recoveries[0].recovery_time.to_bits(),
-            0x3f5b2db3a38ff056,
-            "{}",
-            be.name()
-        );
-        // FNV-1a over the solution's bit patterns.
-        let x_hash = r.x.iter().fold(0xcbf29ce484222325u64, |h, v| {
-            (h ^ v.to_bits()).wrapping_mul(0x100000001b3)
-        });
-        assert_eq!(x_hash, 0xc7ae1b02529d4835, "{}", be.name());
+fn failure_runs_reproduce_the_recorded_bits() {
+    const SSTEP4: PcgVariant = PcgVariant::SStep { s: 4 };
+    let esr = Strategy::esr().fixed();
+    let esrp = Strategy::Esrp { t: 5 }.fixed();
+    let imcr = Strategy::Imcr { t: 5 }.fixed();
+    let table = [
+        PinnedRun {
+            name: "classic esr mid-run",
+            variant: PcgVariant::Classic,
+            strategy: esr,
+            phi: 1,
+            failures: &[(12, 1, 1)],
+            iterations: 40,
+            total_loop_trips: 41,
+            modeled_bits: 0x3f6561c1df078422,
+            recoveries: &[(12, 12, 0x3f3f9b096901c408)],
+            intervals_after: &[],
+            x_hash: 0x5df94cd43fda4ceb,
+        },
+        PinnedRun {
+            name: "pipelined esr mid-run",
+            variant: PcgVariant::Pipelined,
+            strategy: esr,
+            phi: 1,
+            failures: &[(12, 1, 1)],
+            iterations: 40,
+            total_loop_trips: 41,
+            modeled_bits: 0x3f63a3242e9c7e3b,
+            recoveries: &[(12, 12, 0x3f40df40413be84b)],
+            intervals_after: &[],
+            x_hash: 0xf87c96effe09abdc,
+        },
+        PinnedRun {
+            name: "sstep4 esr mid-run",
+            variant: SSTEP4,
+            strategy: esr,
+            phi: 1,
+            failures: &[(12, 1, 1)],
+            iterations: 40,
+            total_loop_trips: 40,
+            modeled_bits: 0x3f6476df5a8b4d11,
+            recoveries: &[(12, 12, 0x3f3fbc5758432fdc)],
+            intervals_after: &[],
+            x_hash: 0x8f4ca11f5a7badf8,
+        },
+        PinnedRun {
+            name: "classic esrp5 mid-run",
+            variant: PcgVariant::Classic,
+            strategy: esrp,
+            phi: 2,
+            failures: &[(12, 1, 2)],
+            iterations: 40,
+            total_loop_trips: 42,
+            modeled_bits: 0x3f6e97afe465d62a,
+            recoveries: &[(12, 11, 0x3f5b2db3a38ff056)],
+            intervals_after: &[],
+            x_hash: 0xc7ae1b02529d4835,
+        },
+        PinnedRun {
+            name: "pipelined esrp5 mid-run",
+            variant: PcgVariant::Pipelined,
+            strategy: esrp,
+            phi: 2,
+            failures: &[(12, 1, 2)],
+            iterations: 40,
+            total_loop_trips: 42,
+            modeled_bits: 0x3f6ab97397cbb031,
+            recoveries: &[(12, 11, 0x3f5bbb1969ed7399)],
+            intervals_after: &[],
+            x_hash: 0x5ed75f9ca9c9228f,
+        },
+        PinnedRun {
+            name: "sstep4 esrp5 mid-run",
+            variant: SSTEP4,
+            strategy: esrp,
+            phi: 2,
+            failures: &[(12, 1, 2)],
+            iterations: 40,
+            total_loop_trips: 44,
+            modeled_bits: 0x3f6f8f2a442c65a0,
+            recoveries: &[(12, 8, 0x3f5b31ca6e5a5974)],
+            intervals_after: &[],
+            x_hash: 0xc75828b6168e0d3c,
+        },
+        PinnedRun {
+            name: "classic imcr5 mid-run",
+            variant: PcgVariant::Classic,
+            strategy: imcr,
+            phi: 1,
+            failures: &[(12, 1, 1)],
+            iterations: 40,
+            total_loop_trips: 43,
+            modeled_bits: 0x3f618ae5fa1cefc5,
+            recoveries: &[(12, 10, 0x3f0638eeedbc8f70)],
+            intervals_after: &[],
+            x_hash: 0xec525586400599f5,
+        },
+        PinnedRun {
+            name: "pipelined imcr5 mid-run",
+            variant: PcgVariant::Pipelined,
+            strategy: imcr,
+            phi: 1,
+            failures: &[(12, 1, 1)],
+            iterations: 40,
+            total_loop_trips: 43,
+            modeled_bits: 0x3f5a6df9ea9e8919,
+            recoveries: &[(12, 10, 0x3f06f60da67e25f0)],
+            intervals_after: &[],
+            x_hash: 0x39c5c71d248ffa5f,
+        },
+        PinnedRun {
+            name: "sstep4 imcr5 mid-run",
+            variant: SSTEP4,
+            strategy: imcr,
+            phi: 1,
+            failures: &[(12, 1, 1)],
+            iterations: 40,
+            total_loop_trips: 40,
+            modeled_bits: 0x3f5f150233f1f543,
+            recoveries: &[(12, 12, 0x3f054358ccfe53d0)],
+            intervals_after: &[],
+            x_hash: 0x39b4e732650e459d,
+        },
+        PinnedRun {
+            name: "sstep4 esr mid-block",
+            variant: SSTEP4,
+            strategy: esr,
+            phi: 1,
+            failures: &[(18, 1, 1)],
+            iterations: 40,
+            total_loop_trips: 40,
+            modeled_bits: 0x3f6476df5a8b4d13,
+            recoveries: &[(18, 16, 0x3f3fbc5758433008)],
+            intervals_after: &[],
+            x_hash: 0xe955e466e1f10c5d,
+        },
+        PinnedRun {
+            name: "sstep4 esrp5 mid-block",
+            variant: SSTEP4,
+            strategy: esrp,
+            phi: 2,
+            failures: &[(18, 1, 2)],
+            iterations: 40,
+            total_loop_trips: 40,
+            modeled_bits: 0x3f6e2a4e1244e1ec,
+            recoveries: &[(18, 16, 0x3f5b2cc6f289fe44)],
+            intervals_after: &[],
+            x_hash: 0x162a0df74588cf5f,
+        },
+        PinnedRun {
+            name: "sstep4 imcr5 mid-block",
+            variant: SSTEP4,
+            strategy: imcr,
+            phi: 1,
+            failures: &[(18, 1, 1)],
+            iterations: 40,
+            total_loop_trips: 44,
+            modeled_bits: 0x3f60ec65cc7b4bfa,
+            recoveries: &[(18, 12, 0x3f06bbc84709b2b0)],
+            intervals_after: &[],
+            x_hash: 0x39b4e732650e459d,
+        },
+        PinnedRun {
+            name: "classic esrp5 full restart",
+            variant: PcgVariant::Classic,
+            strategy: esrp,
+            phi: 1,
+            failures: &[(3, 0, 1)],
+            iterations: 40,
+            total_loop_trips: 44,
+            modeled_bits: 0x3f6183f59436a5c2,
+            recoveries: &[(3, 0, 0x3f0682781cfac01c)],
+            intervals_after: &[],
+            x_hash: 0xec525586400599f5,
+        },
+        PinnedRun {
+            name: "pipelined esrp5 full restart",
+            variant: PcgVariant::Pipelined,
+            strategy: esrp,
+            phi: 1,
+            failures: &[(3, 0, 1)],
+            iterations: 40,
+            total_loop_trips: 44,
+            modeled_bits: 0x3f5afafc22336d47,
+            recoveries: &[(3, 0, 0x3f10a84a063375c8)],
+            intervals_after: &[],
+            x_hash: 0x39c5c71d248ffa5f,
+        },
+        PinnedRun {
+            name: "sstep4 esrp5 full restart",
+            variant: SSTEP4,
+            strategy: esrp,
+            phi: 1,
+            failures: &[(3, 0, 1)],
+            iterations: 40,
+            total_loop_trips: 40,
+            modeled_bits: 0x3f602c75b7df32a9,
+            recoveries: &[(3, 0, 0x3f0705517647e373)],
+            intervals_after: &[],
+            x_hash: 0x182d3418dbc7be37,
+        },
+        PinnedRun {
+            name: "classic imcr5 full restart",
+            variant: PcgVariant::Classic,
+            strategy: imcr,
+            phi: 1,
+            failures: &[(3, 0, 1)],
+            iterations: 40,
+            total_loop_trips: 44,
+            modeled_bits: 0x3f61c6e9318428fa,
+            recoveries: &[(3, 0, 0x3f0682781cfac01c)],
+            intervals_after: &[],
+            x_hash: 0xec525586400599f5,
+        },
+        PinnedRun {
+            name: "pipelined imcr5 full restart",
+            variant: PcgVariant::Pipelined,
+            strategy: imcr,
+            phi: 1,
+            failures: &[(3, 0, 1)],
+            iterations: 40,
+            total_loop_trips: 44,
+            modeled_bits: 0x3f5adb416f520402,
+            recoveries: &[(3, 0, 0x3f10a84a063375c8)],
+            intervals_after: &[],
+            x_hash: 0x39c5c71d248ffa5f,
+        },
+        PinnedRun {
+            name: "sstep4 imcr5 full restart",
+            variant: SSTEP4,
+            strategy: imcr,
+            phi: 1,
+            failures: &[(3, 0, 1)],
+            iterations: 40,
+            total_loop_trips: 40,
+            modeled_bits: 0x3f5edc53019b8bd2,
+            recoveries: &[(3, 0, 0x3f0705517647e373)],
+            intervals_after: &[],
+            x_hash: 0x182d3418dbc7be37,
+        },
+        PinnedRun {
+            name: "classic esrp5 adaptive two-event",
+            variant: PcgVariant::Classic,
+            strategy: Strategy::Esrp { t: 5 }.auto(),
+            phi: 1,
+            failures: &[(12, 1, 1), (25, 2, 1)],
+            iterations: 40,
+            total_loop_trips: 47,
+            modeled_bits: 0x3f6aa43c3178c896,
+            recoveries: &[(12, 11, 0x3f3fae6e3dd81f96), (25, 21, 0x3f3fbcb75843300c)],
+            intervals_after: &[5, 3],
+            x_hash: 0x4835ced1f94c28a9,
+        },
+        PinnedRun {
+            name: "pipelined esrp5 adaptive two-event",
+            variant: PcgVariant::Pipelined,
+            strategy: Strategy::Esrp { t: 5 }.auto(),
+            phi: 1,
+            failures: &[(12, 1, 1), (25, 2, 1)],
+            iterations: 40,
+            total_loop_trips: 47,
+            modeled_bits: 0x3f67275a3f373c1f,
+            recoveries: &[(12, 11, 0x3f40f110413be83e), (25, 21, 0x3f40f109a347cc08)],
+            intervals_after: &[5, 3],
+            x_hash: 0x0fb03edc8e77d1f6,
+        },
+        PinnedRun {
+            name: "sstep4 esrp5 adaptive two-event",
+            variant: SSTEP4,
+            strategy: Strategy::Esrp { t: 5 }.auto(),
+            phi: 1,
+            failures: &[(12, 1, 1), (25, 2, 1)],
+            iterations: 40,
+            total_loop_trips: 44,
+            modeled_bits: 0x3f69fbf8641f8f39,
+            recoveries: &[(12, 8, 0x3f3fbec96901c3fc), (25, 24, 0x3f3fde0547849be8)],
+            intervals_after: &[5, 3],
+            x_hash: 0xe7e4be4569c5ab16,
+        },
+        PinnedRun {
+            name: "classic imcr5 adaptive two-event",
+            variant: PcgVariant::Classic,
+            strategy: Strategy::Imcr { t: 5 }.auto(),
+            phi: 1,
+            failures: &[(12, 1, 1), (25, 2, 1)],
+            iterations: 40,
+            total_loop_trips: 44,
+            modeled_bits: 0x3f62c5bf97dd45b3,
+            recoveries: &[(12, 10, 0x3f0638eeedbc8f70), (25, 25, 0x3f07465e67c7ee40)],
+            intervals_after: &[5, 3],
+            x_hash: 0xec525586400599f5,
+        },
+        PinnedRun {
+            name: "pipelined imcr5 adaptive two-event",
+            variant: PcgVariant::Pipelined,
+            strategy: Strategy::Imcr { t: 5 }.auto(),
+            phi: 1,
+            failures: &[(12, 1, 1), (25, 2, 1)],
+            iterations: 40,
+            total_loop_trips: 44,
+            modeled_bits: 0x3f5ccfd4a7cd97ef,
+            recoveries: &[(12, 10, 0x3f06f60da67e25f0), (25, 25, 0x3f06f40da67e2620)],
+            intervals_after: &[5, 4],
+            x_hash: 0x39c5c71d248ffa5f,
+        },
+        PinnedRun {
+            name: "sstep4 imcr5 adaptive two-event",
+            variant: SSTEP4,
+            strategy: Strategy::Imcr { t: 5 }.auto(),
+            phi: 1,
+            failures: &[(12, 1, 1), (25, 2, 1)],
+            iterations: 40,
+            total_loop_trips: 40,
+            modeled_bits: 0x3f60b707d683c11c,
+            recoveries: &[(12, 12, 0x3f054358ccfe53d0), (25, 24, 0x3f0650c84709b2c0)],
+            intervals_after: &[5, 3],
+            x_hash: 0xd3438606383ab730,
+        },
+    ];
+    let mut mismatches = Vec::new();
+    for row in &table {
+        for be in [KernelBackend::Sequential, KernelBackend::parallel(2)] {
+            let mut exp = Experiment::builder()
+                .matrix(MatrixSource::Poisson3d {
+                    nx: 12,
+                    ny: 12,
+                    nz: 12,
+                })
+                .n_ranks(4)
+                .variant(row.variant)
+                .strategy(row.strategy)
+                .phi(row.phi)
+                .backend(be);
+            for &(at, start, count) in row.failures {
+                exp = exp.failure_at(at, start, count);
+            }
+            let r = exp.run().expect("run");
+            assert!(r.converged, "{} {}", row.name, be.name());
+            let recoveries: Vec<(usize, usize, u64)> = r
+                .recoveries
+                .iter()
+                .map(|rec| (rec.failed_at, rec.resumed_at, rec.recovery_time.to_bits()))
+                .collect();
+            let intervals_after: Vec<usize> = r.tuning.iter().map(|t| t.interval_after).collect();
+            let x_hash = r.x.iter().fold(0xcbf29ce484222325u64, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x100000001b3)
+            });
+            let same = r.iterations == row.iterations
+                && r.total_loop_trips == row.total_loop_trips
+                && r.modeled_time.to_bits() == row.modeled_bits
+                && recoveries == row.recoveries
+                && intervals_after == row.intervals_after
+                && x_hash == row.x_hash;
+            if !same {
+                mismatches.push(format!(
+                    "{} [{}]: iterations: {}, total_loop_trips: {}, modeled_bits: {:#018x}, \
+                     recoveries: &[{}], intervals_after: &{:?}, x_hash: {:#018x}",
+                    row.name,
+                    be.name(),
+                    r.iterations,
+                    r.total_loop_trips,
+                    r.modeled_time.to_bits(),
+                    recoveries
+                        .iter()
+                        .map(|(f, at, bits)| format!("({f}, {at}, {bits:#018x})"))
+                        .collect::<Vec<_>>()
+                        .join(", "),
+                    intervals_after,
+                    x_hash
+                ));
+            }
+        }
     }
+    assert!(
+        mismatches.is_empty(),
+        "runs moved off their recorded bits:\n{}",
+        mismatches.join("\n")
+    );
 }
