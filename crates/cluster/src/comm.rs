@@ -2,11 +2,11 @@
 //! plus deterministic tree collectives, with cost-model instrumentation and
 //! a per-rank [`BufferPool`] so steady-state traffic allocates nothing.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 
 use crate::cost::CostModel;
 use crate::msg::{BufferPool, BufferPoolStats, Message, Payload, Tag};
+use crate::spmd::Fabric;
 use crate::stats::{Phase, RankStats};
 use crate::trace::{InstantKind, TraceConfig, TraceEvent, TraceRecorder};
 
@@ -75,21 +75,17 @@ impl PendingReduce {
     }
 }
 
-/// The per-rank handle to the simulated cluster: identity, channels,
+/// The per-rank handle to the simulated cluster: identity, mailboxes,
 /// logical clock, and instrumentation.
 ///
 /// All receive operations address a specific `(source, tag)` pair, so
 /// message matching — and therefore every floating-point result — is
-/// independent of thread scheduling.
+/// independent of how the runtime schedules ranks.
 pub struct Ctx {
     rank: usize,
     size: usize,
-    /// `senders[dst]` delivers to rank `dst`; `senders[rank]` is unused.
-    senders: Vec<Sender<Message>>,
-    /// `receivers[src]` yields messages sent by rank `src`.
-    receivers: Vec<Receiver<Message>>,
-    /// Out-of-order messages parked per `(src, tag)` until requested.
-    pending: Vec<HashMap<u64, VecDeque<Message>>>,
+    /// The run's shared mailboxes and run queues (see [`crate::spmd`]).
+    fabric: Arc<Fabric>,
     /// Recycled payload backing buffers (see [`BufferPool`]).
     buffers: BufferPool,
     cost: CostModel,
@@ -108,18 +104,14 @@ impl Ctx {
     pub(crate) fn new(
         rank: usize,
         size: usize,
-        senders: Vec<Sender<Message>>,
-        receivers: Vec<Receiver<Message>>,
+        fabric: Arc<Fabric>,
         cost: CostModel,
         trace: TraceConfig,
     ) -> Self {
-        let pending = (0..size).map(|_| HashMap::new()).collect();
         Ctx {
             rank,
             size,
-            senders,
-            receivers,
-            pending,
+            fabric,
             buffers: BufferPool::new(),
             cost,
             clock: 0.0,
@@ -266,7 +258,9 @@ impl Ctx {
         self.advance(self.cost.compute_time(flops));
     }
 
-    /// Sends `payload` to rank `to` under `tag`.
+    /// Sends `payload` to rank `to` under `tag`. Never blocks: the message
+    /// is queued in `to`'s mailbox, whether or not `to` is still running
+    /// (a message nobody receives is dropped with the run).
     ///
     /// # Panics
     /// Panics on self-sends and on unknown destination ranks (both are
@@ -282,13 +276,15 @@ impl Ctx {
         self.advance(self.cost.injection_time());
         self.trace.send(to, tag, bytes, self.clock);
         let arrival = self.clock + self.cost.transfer_time(bytes);
-        self.senders[to]
-            .send(Message {
+        self.fabric.send(
+            self.rank,
+            to,
+            Message {
                 tag,
                 arrival,
                 payload,
-            })
-            .expect("receiver hung up: a rank exited early");
+            },
+        );
     }
 
     /// Completes a receive on the modeled clock: waits (if needed) until
@@ -320,50 +316,27 @@ impl Ctx {
     }
 
     /// Receives the next message from rank `from` with matching `tag`,
-    /// blocking until it arrives. Non-matching messages from the same
-    /// source are parked and delivered to later receives. Time spent
-    /// waiting for the arrival (on the modeled clock) is recorded in
-    /// [`RankStats::recv_wait`].
+    /// blocking until it is delivered: the rank suspends and its worker
+    /// runs other ranks meanwhile. Other messages stay in the mailbox for
+    /// later receives. Time spent waiting for the arrival (on the modeled
+    /// clock) is recorded in [`RankStats::recv_wait`].
     ///
     /// # Panics
-    /// Panics if the sending rank's thread exited without sending (protocol
-    /// mismatch or a crashed rank).
+    /// Panics on self-receives and unknown source ranks. A receive nobody
+    /// will ever satisfy does not hang: if another rank panicked, this rank
+    /// is unwound from here (silently — `run_spmd` re-raises the original
+    /// panic); if the protocol is simply wrong and every unfinished rank
+    /// ends up blocked, `run_spmd` panics with a report that lists this
+    /// rank and the `(from, tag)` it waits for.
     pub fn recv(&mut self, from: usize, tag: u64) -> Payload {
         assert_ne!(from, self.rank, "self-receive is a protocol bug");
         assert!(from < self.size, "recv: unknown source rank {from}");
-        // Check parked messages first.
-        if let Some(queue) = self.pending[from].get_mut(&tag) {
-            if let Some(msg) = queue.pop_front() {
-                let wait = self.complete_recv(msg.arrival);
-                self.trace_recv(from, tag, &msg.payload, wait);
-                return msg.payload;
-            }
-        }
-        loop {
-            let msg = self.receivers[from]
-                .recv()
-                .expect("sender hung up: a rank exited early");
-            if msg.tag == tag {
-                let wait = self.complete_recv(msg.arrival);
-                self.trace_recv(from, tag, &msg.payload, wait);
-                return msg.payload;
-            }
-            self.pending[from]
-                .entry(msg.tag)
-                .or_default()
-                .push_back(msg);
-        }
-    }
-
-    /// Parks every message from `from` that has already been physically
-    /// delivered, without blocking.
-    fn drain_channel(&mut self, from: usize) {
-        while let Ok(msg) = self.receivers[from].try_recv() {
-            self.pending[from]
-                .entry(msg.tag)
-                .or_default()
-                .push_back(msg);
-        }
+        let msg = self
+            .fabric
+            .recv(self.rank, from, tag, self.phase, self.clock);
+        let wait = self.complete_recv(msg.arrival);
+        self.trace_recv(from, tag, &msg.payload, wait);
+        msg.payload
     }
 
     /// Nonblocking receive: returns the next message from `(from, tag)` if
@@ -373,8 +346,8 @@ impl Ctx {
     ///
     /// FIFO order per `(source, tag)` is preserved across `try_recv` and
     /// [`Ctx::recv`], so mixing the two can never reorder payloads.
-    /// Whether a probe hits depends on real thread scheduling, but a hit
-    /// never advances the clock — a deterministic protocol that eventually
+    /// Whether a probe hits depends on how the host schedules ranks, but a
+    /// hit never advances the clock — a deterministic protocol that eventually
     /// `recv`s every message it is owed therefore yields
     /// schedule-independent results *and* modeled times, with `try_recv`
     /// acting purely as a zero-cost fast path (this is how the split-phase
@@ -385,30 +358,26 @@ impl Ctx {
     pub fn try_recv(&mut self, from: usize, tag: u64) -> Option<Payload> {
         assert_ne!(from, self.rank, "self-receive is a protocol bug");
         assert!(from < self.size, "try_recv: unknown source rank {from}");
-        self.drain_channel(from);
-        let queue = self.pending[from].get_mut(&tag)?;
-        if queue.front().is_some_and(|m| m.has_arrived(self.clock)) {
-            let msg = queue.pop_front()?;
-            self.trace_recv(from, tag, &msg.payload, 0.0);
-            return Some(msg.payload);
-        }
-        None
+        let msg = self.fabric.try_recv(self.rank, from, tag, self.clock)?;
+        self.trace_recv(from, tag, &msg.payload, 0.0);
+        Some(msg.payload)
     }
 
     /// Nonblocking probe: true if a message from `(from, tag)` has been
     /// physically delivered (regardless of its modeled arrival time — a
-    /// matching [`Ctx::recv`] would return without OS-level blocking,
-    /// though it may still advance the modeled clock). Like
-    /// [`Ctx::try_recv`], the answer depends on real thread scheduling and
-    /// must only steer opportunistic work, never protocol decisions.
+    /// matching [`Ctx::recv`] would return without suspending, though it
+    /// may still advance the modeled clock). Like [`Ctx::try_recv`], the
+    /// answer depends on how the host schedules ranks and must only steer
+    /// opportunistic work, never protocol decisions. A miss lets the other
+    /// ranks of this rank's worker run before it returns, so spinning on
+    /// the probe cannot starve the sender.
     ///
     /// # Panics
     /// Panics on self-receives and unknown source ranks.
     pub fn has_pending(&mut self, from: usize, tag: u64) -> bool {
         assert_ne!(from, self.rank, "self-receive is a protocol bug");
         assert!(from < self.size, "has_pending: unknown source rank {from}");
-        self.drain_channel(from);
-        self.pending[from].get(&tag).is_some_and(|q| !q.is_empty())
+        self.fabric.has_pending(self.rank, from, tag)
     }
 
     /// Fresh sub-identifier for a collective round.
@@ -630,4 +599,4 @@ impl Ctx {
 }
 
 // Tests for the communication layer live in `spmd.rs`, which provides the
-// thread harness they need.
+// runtime they need.

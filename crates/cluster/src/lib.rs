@@ -2,12 +2,16 @@
 //!
 //! The paper runs its solver on 128 MPI processes of the VSC3 cluster; this
 //! crate provides the laptop-scale equivalent: an SPMD runtime where each
-//! simulated node ("rank") runs on its own OS thread and communicates through
-//! an MPI-like, tag-matched, point-to-point message layer ([`Ctx`]).
+//! simulated node ("rank") runs as a stackful coroutine — many ranks
+//! multiplexed over at most as many worker threads as the host has cores —
+//! and communicates through an MPI-like, tag-matched, point-to-point
+//! message layer ([`Ctx`]) backed by one mailbox per rank. A rank body is an
+//! ordinary synchronous closure; a blocking [`Ctx::recv`] is where it yields
+//! its worker to other ranks.
 //!
 //! Two kinds of time are measured (see `DESIGN.md` §2.2):
 //!
-//! * **wall-clock** — real elapsed time of the threaded run, and
+//! * **wall-clock** — real elapsed time of the run, and
 //! * **modeled time** — a deterministic α–β–γ cost model: sends advance a
 //!   per-rank logical clock by a per-message latency plus a bandwidth term,
 //!   receives synchronize the receiver's clock with the message's arrival
@@ -20,11 +24,12 @@
 //! iteration the failing ranks zero out their dynamic data and then act as
 //! their own replacement nodes ([`FailureSpec`]).
 //!
-//! Message payloads move by value through the channels; each rank's
+//! Message payloads move by value through the mailboxes; each rank's
 //! [`BufferPool`] recycles consumed payload buffers so steady-state traffic
 //! (halo rounds, collectives, checkpoints) allocates nothing per message.
 
 pub mod comm;
+mod coro;
 pub mod cost;
 pub mod failure;
 pub mod msg;

@@ -1,6 +1,6 @@
 //! Message payloads, tag construction, and the per-rank [`BufferPool`].
 //!
-//! Payloads own their backing `Vec`s and move through the channels by
+//! Payloads own their backing `Vec`s and move through the mailboxes by
 //! value, so a buffer allocated by the sender is *owned by the receiver*
 //! after delivery. The [`BufferPool`] closes that loop: receivers recycle
 //! consumed payload buffers into their rank-local pool, senders take
@@ -13,7 +13,7 @@
 /// The solver's protocols only ever move a handful of shapes: raw `f64`
 /// vectors (halo exchange, checkpoints), `(global index, value)` pairs
 /// (redundant-copy recovery), index lists, single scalars, and empty
-/// control messages. An enum keeps the channel layer simple and lets the
+/// control messages. An enum keeps the message layer simple and lets the
 /// instrumentation compute payload sizes without serialization.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {

@@ -1,19 +1,40 @@
-//! The SPMD runner: executes one closure per rank on its own OS thread.
+//! The SPMD runner: executes one closure per rank, every rank a stackful
+//! coroutine, on at most as many OS threads as the host has cores.
+//!
+//! `run_spmd` starts W = min(`n_ranks`, host threads) **workers** — worker 0
+//! is the calling thread, the rest are scoped threads — and gives each a
+//! contiguous block of ranks (`rank · W / n_ranks`) that never migrate. A
+//! rank runs until its body returns or until [`Ctx::recv`] finds no matching
+//! message; then it registers what it waits for in its mailbox and suspends
+//! back into its worker's loop, which resumes the next runnable rank. A
+//! `send` that matches a registered wait puts the receiver on its worker's
+//! run queue, so a blocked rank costs nothing until its message exists.
+//! The private `Fabric` is that shared state: one mailbox per rank, one run
+//! queue per worker.
 //!
 //! Each rank's [`Ctx`] is built here with its own
-//! [`crate::msg::BufferPool`]; kernel calls inside the rank body hit the
-//! rank thread's own persistent worker pool (`esrcg_sparse::pool`), so
-//! neither message buffers nor kernel dispatch state is shared across
-//! ranks.
+//! [`crate::msg::BufferPool`]; kernel calls inside a rank body hit the
+//! *worker* thread's persistent pool (`esrcg_sparse::pool`), which pinning
+//! keeps valid across suspensions.
+//!
+//! Nothing here can move a modeled bit: the modeled clock advances on
+//! message *arrival times*, which senders compute, so the order in which the
+//! scheduler happens to run ranks is invisible to it.
 
-use std::sync::mpsc::channel;
+use std::any::Any;
+use std::collections::VecDeque;
+use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::comm::Ctx;
+use crate::coro::{self, Coro};
 use crate::cost::CostModel;
 use crate::msg::{BufferPoolStats, Message};
-use crate::stats::RankStats;
-use crate::trace::{MergedTrace, RankTrace, TraceConfig};
+use crate::stats::{Phase, RankStats};
+use crate::trace::{tag_kind_name, MergedTrace, RankTrace, TraceConfig};
 
 /// Result of an SPMD run.
 #[derive(Debug)]
@@ -53,15 +74,353 @@ impl<T> SpmdOutcome<T> {
     }
 }
 
-/// Runs `body` as an SPMD program over `n_ranks` simulated nodes, one OS
-/// thread per rank, and collects results, counters, and both time metrics.
+/// Locks a runtime mutex. Every critical section in this file is a few
+/// queue operations with no caller-supplied code inside, so a poisoned lock
+/// cannot happen short of a bug here.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .expect("no panic happens while a runtime lock is held")
+}
+
+/// What a rank suspended in `recv` is waiting for, and where it stood.
+struct Blocked {
+    from: usize,
+    tag: u64,
+    phase: Phase,
+    clock: f64,
+}
+
+/// One rank's inbox: delivered, not yet received messages in delivery
+/// order, each with its source.
+struct Mailbox {
+    queue: VecDeque<(usize, Message)>,
+    /// Set (under this lock) by the owner just before it suspends, cleared
+    /// by the `send` that satisfies it.
+    waiting: Option<Blocked>,
+}
+
+impl Mailbox {
+    /// Position of the oldest message from `(from, tag)`. Sends from one
+    /// source are pushed in program order, so taking the oldest match keeps
+    /// every `(source, tag)` stream FIFO. Inboxes hold a handful of
+    /// messages; a linear scan beats any index.
+    fn position(&self, from: usize, tag: u64) -> Option<usize> {
+        self.queue
+            .iter()
+            .position(|(src, msg)| *src == from && msg.tag == tag)
+    }
+}
+
+/// One worker's runnable ranks.
+struct RunQueue {
+    ready: VecDeque<usize>,
+    /// True while the worker sleeps on `wake` because `ready` was empty;
+    /// whoever pushes to a parked queue clears the flag, takes the worker
+    /// off the idle count and notifies.
+    parked: bool,
+}
+
+struct Worker {
+    queue: Mutex<RunQueue>,
+    wake: Condvar,
+}
+
+/// Why a run is being torn down. Only the first failure is kept.
+enum Failure {
+    /// A rank body panicked with this payload.
+    Panic(Box<dyn Any + Send>),
+    /// No rank can make progress; the report names every blocked rank.
+    Deadlock(String),
+}
+
+/// The state all ranks and workers of one run share.
+pub(crate) struct Fabric {
+    mailboxes: Vec<Mutex<Mailbox>>,
+    workers: Vec<Worker>,
+    /// Workers that are parked or have returned. A worker adds itself
+    /// under its own queue lock, and a pusher takes a parked worker off
+    /// under that same lock, so the count equals the worker count only
+    /// when no worker is running a rank or about to.
+    idle: AtomicUsize,
+    /// Ranks whose body has not returned.
+    unfinished: AtomicUsize,
+    /// Set together with `failure`; workers stop resuming ranks.
+    poisoned: AtomicBool,
+    failure: Mutex<Option<Failure>>,
+}
+
+/// Messages an inbox holds before its first reallocation: room for what a
+/// rank has outstanding in steady state (its halo neighbours plus a few
+/// tree hops). A gather root grows past it once and keeps the capacity.
+const INBOX_CAPACITY: usize = 16;
+
+impl Fabric {
+    fn new(n_ranks: usize, n_workers: usize) -> Fabric {
+        let fabric = Fabric {
+            mailboxes: (0..n_ranks)
+                .map(|_| {
+                    Mutex::new(Mailbox {
+                        queue: VecDeque::with_capacity(INBOX_CAPACITY),
+                        waiting: None,
+                    })
+                })
+                .collect(),
+            workers: (0..n_workers)
+                .map(|_| Worker {
+                    queue: Mutex::new(RunQueue {
+                        ready: VecDeque::new(),
+                        parked: false,
+                    }),
+                    wake: Condvar::new(),
+                })
+                .collect(),
+            idle: AtomicUsize::new(0),
+            unfinished: AtomicUsize::new(n_ranks),
+            poisoned: AtomicBool::new(false),
+            failure: Mutex::new(None),
+        };
+        // Every rank starts runnable, in rank order. A rank is queued at
+        // most once, so the block length is all the capacity ever needed.
+        for (w, worker) in fabric.workers.iter().enumerate() {
+            lock(&worker.queue).ready.extend(fabric.block(w));
+        }
+        fabric
+    }
+
+    fn n_ranks(&self) -> usize {
+        self.mailboxes.len()
+    }
+
+    /// The worker `rank` is pinned to.
+    fn worker_of(&self, rank: usize) -> usize {
+        rank * self.workers.len() / self.n_ranks()
+    }
+
+    /// The contiguous ranks pinned to worker `w` (the inverse of
+    /// [`Fabric::worker_of`]).
+    fn block(&self, w: usize) -> std::ops::Range<usize> {
+        let (n, workers) = (self.n_ranks(), self.workers.len());
+        (w * n).div_ceil(workers)..((w + 1) * n).div_ceil(workers)
+    }
+
+    /// Delivers `msg` into `to`'s inbox; if `to` is suspended waiting for
+    /// exactly `(from, msg.tag)`, makes it runnable. No other delivery
+    /// wakes it, so a resumed receiver always finds its message.
+    pub(crate) fn send(&self, from: usize, to: usize, msg: Message) {
+        let wakes = {
+            let mut inbox = lock(&self.mailboxes[to]);
+            let wakes = inbox
+                .waiting
+                .as_ref()
+                .is_some_and(|w| w.from == from && w.tag == msg.tag);
+            if wakes {
+                inbox.waiting = None;
+            }
+            inbox.queue.push_back((from, msg));
+            wakes
+        };
+        if wakes {
+            self.make_runnable(to);
+        }
+    }
+
+    /// Removes and returns the oldest message from `(from, tag)` in
+    /// `rank`'s inbox, suspending the calling rank until it exists.
+    /// `phase` and `clock` are recorded for the deadlock report.
+    pub(crate) fn recv(
+        &self,
+        rank: usize,
+        from: usize,
+        tag: u64,
+        phase: Phase,
+        clock: f64,
+    ) -> Message {
+        loop {
+            {
+                let mut inbox = lock(&self.mailboxes[rank]);
+                if let Some(at) = inbox.position(from, tag) {
+                    let (_, msg) = inbox.queue.remove(at).expect("position is in range");
+                    return msg;
+                }
+                inbox.waiting = Some(Blocked {
+                    from,
+                    tag,
+                    phase,
+                    clock,
+                });
+            }
+            // A sender may already have seen `waiting` and queued this rank;
+            // its worker cannot pop that entry before this switch completes,
+            // because that worker is the thread running this very code.
+            coro::suspend();
+        }
+    }
+
+    /// The oldest message from `(from, tag)` if it is delivered *and* has
+    /// arrived by modeled time `now`. Never suspends.
+    pub(crate) fn try_recv(&self, rank: usize, from: usize, tag: u64, now: f64) -> Option<Message> {
+        let mut inbox = lock(&self.mailboxes[rank]);
+        let at = inbox.position(from, tag)?;
+        if !inbox.queue[at].1.has_arrived(now) {
+            return None;
+        }
+        inbox.queue.remove(at).map(|(_, msg)| msg)
+    }
+
+    /// Whether a message from `(from, tag)` has been delivered. On a miss
+    /// the rank yields to its worker's other runnable ranks first: a caller
+    /// spinning on this probe would otherwise starve the very sender it is
+    /// waiting for whenever both share a worker.
+    pub(crate) fn has_pending(&self, rank: usize, from: usize, tag: u64) -> bool {
+        let delivered = || lock(&self.mailboxes[rank]).position(from, tag).is_some();
+        if delivered() {
+            return true;
+        }
+        self.make_runnable(rank);
+        coro::suspend();
+        delivered()
+    }
+
+    fn make_runnable(&self, rank: usize) {
+        let worker = &self.workers[self.worker_of(rank)];
+        let mut queue = lock(&worker.queue);
+        queue.ready.push_back(rank);
+        if queue.parked {
+            queue.parked = false;
+            self.idle.fetch_sub(1, Ordering::SeqCst);
+            worker.wake.notify_one();
+        }
+    }
+
+    /// The next rank worker `w` should resume, sleeping while there is
+    /// none. `None` once the run is poisoned — including by this call, when
+    /// it finds that no rank anywhere can run again.
+    fn next_runnable(&self, w: usize) -> Option<usize> {
+        let worker = &self.workers[w];
+        let mut queue = lock(&worker.queue);
+        loop {
+            if self.poisoned.load(Ordering::SeqCst) {
+                return None;
+            }
+            if let Some(rank) = queue.ready.pop_front() {
+                return Some(rank);
+            }
+            queue.parked = true;
+            if self.idle.fetch_add(1, Ordering::SeqCst) + 1 == self.workers.len() {
+                drop(queue);
+                self.fail(Failure::Deadlock(self.deadlock_report()));
+                return None;
+            }
+            while queue.parked && !self.poisoned.load(Ordering::SeqCst) {
+                queue = worker
+                    .wake
+                    .wait(queue)
+                    .expect("no panic happens while a runtime lock is held");
+            }
+        }
+    }
+
+    /// Worker `w`'s loop: resumes whichever rank of its block (`ranks`, in
+    /// block order) is runnable, until all have finished or the run is
+    /// poisoned.
+    fn drive(&self, w: usize, ranks: &mut [Coro<'_>]) {
+        let first = self.block(w).start;
+        let mut live = ranks.len();
+        while live > 0 {
+            let Some(rank) = self.next_runnable(w) else {
+                return;
+            };
+            match ranks[rank - first].resume() {
+                None => {}
+                Some(Ok(())) => {
+                    live -= 1;
+                    self.unfinished.fetch_sub(1, Ordering::SeqCst);
+                }
+                Some(Err(payload)) => return self.fail(Failure::Panic(payload)),
+            }
+        }
+        self.retire();
+    }
+
+    /// A worker has no unfinished rank left and is about to return. If
+    /// that leaves every other worker parked, their ranks wait for messages
+    /// nobody is left to send.
+    fn retire(&self) {
+        let all_idle = self.idle.fetch_add(1, Ordering::SeqCst) + 1 == self.workers.len();
+        if all_idle
+            && self.unfinished.load(Ordering::SeqCst) > 0
+            && !self.poisoned.load(Ordering::SeqCst)
+        {
+            self.fail(Failure::Deadlock(self.deadlock_report()));
+        }
+    }
+
+    /// Records `failure` if it is the first, then stops every worker:
+    /// running ranks are not resumed again once they suspend, and parked
+    /// workers wake up to see the flag.
+    fn fail(&self, failure: Failure) {
+        lock(&self.failure).get_or_insert(failure);
+        self.poisoned.store(true, Ordering::SeqCst);
+        for worker in &self.workers {
+            // Taking the lock orders the store before the worker's next
+            // check of the flag, so the notification cannot be missed.
+            let _queue = lock(&worker.queue);
+            worker.wake.notify_all();
+        }
+    }
+
+    /// One line per rank suspended in `recv`. Called only when every worker
+    /// is idle, so every unfinished rank is one of them.
+    fn deadlock_report(&self) -> String {
+        let mut report = format!(
+            "run_spmd: deadlock: every worker is idle and no rank is runnable, \
+             but {} of {} ranks have not finished",
+            self.unfinished.load(Ordering::SeqCst),
+            self.n_ranks()
+        );
+        for (rank, inbox) in self.mailboxes.iter().enumerate() {
+            if let Some(w) = &lock(inbox).waiting {
+                write!(
+                    report,
+                    "\n  rank {rank}: phase {}, blocked in recv(from {}, tag {}.{}), \
+                     modeled clock {:.9} s",
+                    w.phase.name(),
+                    w.from,
+                    tag_kind_name((w.tag >> 32) as u32),
+                    w.tag & 0xFFFF_FFFF,
+                    w.clock
+                )
+                .expect("writing to a String cannot fail");
+            }
+        }
+        report
+    }
+}
+
+/// The host's thread count, looked up once: on Linux
+/// `available_parallelism` parses cgroup files (≈ 15 µs and several
+/// allocations per call), which a campaign would pay on every run.
+fn host_threads() -> usize {
+    static HOST_THREADS: OnceLock<usize> = OnceLock::new();
+    *HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Runs `body` as an SPMD program over `n_ranks` simulated nodes and
+/// collects results, counters, and both time metrics. Ranks are coroutines
+/// multiplexed over at most as many OS threads as the host has cores (see
+/// the module docs); the calling thread is one of them.
 ///
 /// The closure receives this rank's [`Ctx`]; all inter-rank communication
-/// goes through it. A panic on any rank aborts the run (propagated after all
-/// threads are joined).
+/// goes through it. A panic on any rank aborts the run: every other rank is
+/// unwound where it stands (its destructors run), and the *first* panic's
+/// payload is re-raised from this call. A protocol in which no rank can
+/// make progress — every unfinished rank blocked in [`Ctx::recv`] on a
+/// message nobody will send — panics with a report naming each blocked
+/// rank, its phase, the `(source, tag)` it waits for and its modeled clock.
 ///
 /// # Panics
-/// Panics if `n_ranks == 0` or if any rank body panics.
+/// Panics if `n_ranks == 0`, if any rank body panics, or on deadlock.
 pub fn run_spmd<T, F>(n_ranks: usize, cost: CostModel, body: F) -> SpmdOutcome<T>
 where
     T: Send,
@@ -76,7 +435,7 @@ where
 /// the merged per-rank event logs.
 ///
 /// # Panics
-/// Panics if `n_ranks == 0` or if any rank body panics.
+/// Panics if `n_ranks == 0`, if any rank body panics, or on deadlock.
 pub fn run_spmd_traced<T, F>(
     n_ranks: usize,
     cost: CostModel,
@@ -88,21 +447,23 @@ where
     F: Fn(&mut Ctx) -> T + Sync,
 {
     assert!(n_ranks > 0, "run_spmd: need at least one rank");
+    run_on_workers(n_ranks, n_ranks.min(host_threads()), cost, trace, body)
+}
 
-    // Build the full channel mesh: one unbounded channel per (src, dst)
-    // pair. senders[src][dst] feeds receivers_by_dst[dst][src].
-    let mut senders: Vec<Vec<_>> = (0..n_ranks).map(|_| Vec::with_capacity(n_ranks)).collect();
-    let mut receivers: Vec<Vec<_>> = (0..n_ranks).map(|_| Vec::with_capacity(n_ranks)).collect();
-    for src_senders in senders.iter_mut() {
-        for dst_receivers in receivers.iter_mut() {
-            let (tx, rx) = channel::<Message>();
-            src_senders.push(tx);
-            dst_receivers.push(rx);
-        }
-    }
-
-    let started = Instant::now();
-    let body_ref = &body;
+/// [`run_spmd_traced`] on exactly `n_workers` worker threads (the caller
+/// included). Results, counters and every modeled number are the same for
+/// any worker count; only the host time differs.
+fn run_on_workers<T, F>(
+    n_ranks: usize,
+    n_workers: usize,
+    cost: CostModel,
+    trace: TraceConfig,
+    body: F,
+) -> SpmdOutcome<T>
+where
+    T: Send,
+    F: Fn(&mut Ctx) -> T + Sync,
+{
     type RankResult<T> = (
         T,
         RankStats,
@@ -110,36 +471,61 @@ where
         Vec<crate::trace::TraceEvent>,
         f64,
     );
-    let mut per_rank: Vec<Option<RankResult<T>>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n_ranks);
-        // Hand each rank its row of senders and column of receivers.
-        let rank_channels: Vec<_> = senders.into_iter().zip(receivers).collect();
-        for (rank, (tx_row, rx_col)) in rank_channels.into_iter().enumerate() {
-            handles.push(scope.spawn(move || {
-                let mut ctx = Ctx::new(rank, n_ranks, tx_row, rx_col, cost, trace);
-                let out = body_ref(&mut ctx);
-                let clock = ctx.clock();
-                let (st, pool, events) = ctx.into_parts();
-                (out, st, pool, events, clock)
-            }));
+    let started = Instant::now();
+    let fabric = Arc::new(Fabric::new(n_ranks, n_workers));
+    let slots: Vec<Mutex<Option<RankResult<T>>>> = (0..n_ranks).map(|_| Mutex::new(None)).collect();
+
+    // One worker: creates the coroutines of its block, drives them, then
+    // drops them — which unwinds every rank still suspended mid-body.
+    let work = |w: usize| {
+        let driven = catch_unwind(AssertUnwindSafe(|| {
+            let mut ranks: Vec<Coro<'_>> = fabric
+                .block(w)
+                .map(|rank| {
+                    let (fabric, slot, body) = (&fabric, &slots[rank], &body);
+                    Coro::new(move || {
+                        let mut ctx = Ctx::new(rank, n_ranks, Arc::clone(fabric), cost, trace);
+                        let out = body(&mut ctx);
+                        let clock = ctx.clock();
+                        let (st, pool, events) = ctx.into_parts();
+                        *lock(slot) = Some((out, st, pool, events, clock));
+                    })
+                })
+                .collect();
+            fabric.drive(w, &mut ranks);
+        }));
+        // A worker that dies — a stack it cannot map — must end the run as
+        // a rank's panic does, or the others wait for its ranks forever.
+        if let Err(payload) = driven {
+            fabric.fail(Failure::Panic(payload));
         }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => Some(v),
-                Err(e) => std::panic::resume_unwind(e),
-            })
-            .collect()
+    };
+    std::thread::scope(|scope| {
+        for w in 1..n_workers {
+            let work = &work;
+            scope.spawn(move || work(w));
+        }
+        work(0);
     });
     let wall_time = started.elapsed();
+
+    match lock(&fabric.failure).take() {
+        // The rank's own panic already went through the panic hook.
+        Some(Failure::Panic(payload)) => std::panic::resume_unwind(payload),
+        Some(Failure::Deadlock(report)) => panic!("{report}"),
+        None => {}
+    }
 
     let mut results = Vec::with_capacity(n_ranks);
     let mut stats = Vec::with_capacity(n_ranks);
     let mut buffer_stats = Vec::with_capacity(n_ranks);
     let mut rank_traces = Vec::with_capacity(n_ranks);
     let mut modeled_time = 0.0f64;
-    for (rank, slot) in per_rank.iter_mut().enumerate() {
-        let (out, st, pool, events, clock) = slot.take().expect("all ranks joined");
+    for (rank, slot) in slots.into_iter().enumerate() {
+        let (out, st, pool, events, clock) = slot
+            .into_inner()
+            .expect("no panic happens while a runtime lock is held")
+            .expect("every rank finished");
         results.push(out);
         stats.push(st);
         buffer_stats.push(pool);
@@ -168,7 +554,6 @@ mod tests {
     use super::*;
     use crate::comm::ReduceOp;
     use crate::msg::{Payload, Tag};
-    use crate::stats::Phase;
 
     const SIZES: [usize; 7] = [1, 2, 3, 4, 5, 8, 13];
 
@@ -720,6 +1105,177 @@ mod tests {
         for (rank, stats) in out.results.iter().enumerate() {
             assert_eq!(stats.takes, 40, "rank {rank}");
             assert!(stats.hits >= 38, "rank {rank}: hits {}", stats.hits);
+        }
+    }
+
+    /// Runs `f` on its own thread and hands back how it ended. A scheduler
+    /// that hangs must fail the test in seconds, not stall the CI job.
+    fn watchdog<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::Result<T> {
+        let run = std::thread::spawn(f);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !run.is_finished() {
+            assert!(Instant::now() < deadline, "run_spmd hung");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        run.join()
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .expect("a string panic payload"),
+        }
+    }
+
+    /// Worker counts the failure tests run under: everything on the calling
+    /// thread, the usual few workers, and one worker per rank.
+    const WORKERS: [usize; 4] = [1, 2, 3, usize::MAX];
+
+    /// [`run_spmd`] on `workers` workers (capped at one per rank), whatever
+    /// the host has.
+    fn run_on<T: Send>(
+        n_ranks: usize,
+        workers: usize,
+        body: impl Fn(&mut Ctx) -> T + Sync,
+    ) -> SpmdOutcome<T> {
+        run_on_workers(
+            n_ranks,
+            workers.min(n_ranks),
+            CostModel::default(),
+            TraceConfig::Off,
+            body,
+        )
+    }
+
+    #[test]
+    fn a_receive_nobody_satisfies_is_reported_not_hung() {
+        // Rank 2 waits for a halo message from rank 0 that no rank sends;
+        // everyone else finishes. On a thread-per-rank runtime this hangs.
+        for workers in WORKERS {
+            let outcome = watchdog(move || {
+                run_on(4, workers, |ctx| {
+                    ctx.barrier();
+                    if ctx.rank() == 2 {
+                        ctx.set_phase(Phase::SpMV);
+                        ctx.charge_flops(1_000);
+                        ctx.recv(0, Tag::Halo.with(7));
+                    }
+                })
+            });
+            let report = panic_message(outcome.expect_err("the run must fail"));
+            assert!(report.contains("deadlock"), "{report}");
+            assert!(report.contains("1 of 4 ranks"), "{report}");
+            let lines: Vec<&str> = report.lines().skip(1).collect();
+            assert_eq!(lines.len(), 1, "one line per blocked rank: {report}");
+            assert!(lines[0].contains("rank 2:"), "{report}");
+            assert!(lines[0].contains("phase spmv"), "{report}");
+            assert!(lines[0].contains("recv(from 0, tag halo.7)"), "{report}");
+            assert!(!lines[0].contains("clock 0.000000000"), "{report}");
+        }
+    }
+
+    #[test]
+    fn a_receive_cycle_names_every_blocked_rank() {
+        // Every rank receives from its successor before anyone sends: all
+        // workers end up parked, none retires.
+        for workers in WORKERS {
+            let outcome = watchdog(move || {
+                run_on(5, workers, |ctx| {
+                    let next = (ctx.rank() + 1) % ctx.size();
+                    let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
+                    ctx.recv(next, Tag::Checkpoint.bare());
+                    ctx.send(prev, Tag::Checkpoint.bare(), Payload::Empty);
+                })
+            });
+            let report = panic_message(outcome.expect_err("the run must fail"));
+            assert!(report.contains("5 of 5 ranks"), "{report}");
+            for rank in 0..5 {
+                let line = format!(
+                    "rank {rank}: phase setup, blocked in recv(from {}, tag checkpoint.0)",
+                    (rank + 1) % 5
+                );
+                assert!(report.contains(&line), "missing `{line}` in: {report}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_panic_is_reraised_and_every_rank_unwinds() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct CountsDrop;
+        impl Drop for CountsDrop {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        // Rank 11 dies after a barrier; the other fifteen are inside (or
+        // about to enter) an allreduce it will never join.
+        for workers in WORKERS {
+            DROPS.store(0, Ordering::SeqCst);
+            let outcome = watchdog(move || {
+                run_on(16, workers, |ctx| {
+                    let _held = CountsDrop;
+                    ctx.barrier();
+                    if ctx.rank() == 11 {
+                        panic!("boom on {}", ctx.rank());
+                    }
+                    ctx.allreduce_sum_scalar(1.0)
+                })
+            });
+            let message = panic_message(outcome.expect_err("the run must fail"));
+            assert_eq!(
+                message, "boom on 11",
+                "the original payload, not a secondary one"
+            );
+            assert_eq!(
+                DROPS.load(Ordering::SeqCst),
+                16,
+                "every rank's frames unwound ({workers} workers)"
+            );
+        }
+    }
+
+    #[test]
+    fn worker_count_is_invisible_to_results_and_clocks() {
+        // Uneven blocks (37 is prime), tree hops across every worker, an
+        // opportunistic try_recv drain and a has_pending spin: values and
+        // modeled clocks must not depend on how ranks share threads.
+        let run = |workers: usize| {
+            watchdog(move || {
+                run_on(37, workers, |ctx| {
+                    let next = (ctx.rank() + 1) % ctx.size();
+                    let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
+                    let mut x = 0.1 + ctx.rank() as f64 * 0.3;
+                    for round in 0..25u32 {
+                        let tag = Tag::Halo.with(round);
+                        ctx.charge_flops(100 * (1 + ctx.rank() as u64 % 3));
+                        ctx.send(next, tag, Payload::Scalar(x));
+                        while !ctx.has_pending(prev, tag) {}
+                        let got = match ctx.try_recv(prev, tag) {
+                            Some(p) => p,
+                            None => ctx.recv(prev, tag),
+                        };
+                        x = ctx.allreduce_sum_scalar(x + got.into_scalar()) / ctx.size() as f64;
+                    }
+                    (x.to_bits(), ctx.clock().to_bits())
+                })
+            })
+            .expect("the run completes")
+        };
+        let reference = run(1);
+        for workers in [2, 3, 4, 8, 37] {
+            let out = run(workers);
+            assert_eq!(out.results, reference.results, "{workers} workers");
+            assert_eq!(
+                out.modeled_time.to_bits(),
+                reference.modeled_time.to_bits(),
+                "{workers} workers"
+            );
         }
     }
 

@@ -25,8 +25,8 @@ pub(super) fn init_state(
 ) -> (NodeState, f64, f64) {
     let rank = ctx.rank();
     let part = &*shared.part;
-    // Each rank runs on its own OS thread: divide the kernel thread budget
-    // so the ranks together use the machine once over, not n_ranks times.
+    // Ranks run concurrently, up to one per core: divide the kernel thread
+    // budget so together they use the machine once over, not n_ranks times.
     let be = shared.cfg.backend.subdivided(ctx.size());
     let range = part.range(rank);
     let nloc = range.len();

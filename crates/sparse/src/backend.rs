@@ -210,7 +210,7 @@ impl KernelBackend {
     }
 
     /// This backend with its thread budget divided across `parts`
-    /// concurrent users — e.g. the SPMD solver runs one OS thread per rank,
+    /// concurrent users — e.g. the SPMD solver runs its ranks concurrently,
     /// so each rank's kernels get `threads / n_ranks` workers instead of
     /// oversubscribing the machine by a factor of the rank count. Thread
     /// count never affects results (the determinism guarantee), so this is

@@ -11,10 +11,12 @@
 //!   per-worker channels and blocks until all of them signal completion
 //!   ([`WorkerPool::broadcast`]).
 //! * [`with_local_pool`] — a lazily-built, **thread-local** pool. Every OS
-//!   thread that executes kernels (each simulated cluster rank runs on its
-//!   own thread) gets its own pool, so concurrent ranks never contend on a
-//!   shared task queue and [`crate::backend::KernelBackend::subdivided`]
-//!   backends share no state by construction. The pool grows (rebuilds)
+//!   thread that executes kernels gets its own pool — in a cluster run
+//!   that is every *worker* thread of the rank scheduler, whose ranks are
+//!   pinned to it and take turns — so concurrently running ranks never
+//!   contend on a shared task queue and
+//!   [`crate::backend::KernelBackend::subdivided`] backends on different
+//!   threads share no state by construction. The pool grows (rebuilds)
 //!   when a call wants more workers than it holds.
 //! * [`broadcast_scoped`] — the old spawn-per-call dispatch, kept as a
 //!   measurable baseline and selectable via [`set_dispatch_mode`] so the
@@ -257,8 +259,8 @@ pub fn broadcast_scoped<F: Fn(usize) + Sync>(active: usize, job: F) {
 }
 
 thread_local! {
-    /// This OS thread's pool (each simulated cluster rank, and the main
-    /// thread, lazily builds its own — see the module docs).
+    /// This OS thread's pool (each cluster-runtime worker thread, and the
+    /// main thread, lazily builds its own — see the module docs).
     static LOCAL_POOL: RefCell<Option<Rc<WorkerPool>>> = const { RefCell::new(None) };
 }
 

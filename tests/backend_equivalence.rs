@@ -637,8 +637,50 @@ fn failure_runs_reproduce_the_recorded_bits() {
             x_hash: 0xd3438606383ab730,
         },
     ];
+    // Rank counts that neither 2 nor 4 scheduler workers divide, so worker
+    // blocks are uneven and tree hops cross workers (recorded on the
+    // thread-per-rank runtime, at the parent commit of the coroutine
+    // scheduler).
+    let uneven = [
+        (
+            5,
+            PinnedRun {
+                name: "classic esrp5 mid-run, 5 ranks",
+                variant: PcgVariant::Classic,
+                strategy: esrp,
+                phi: 1,
+                failures: &[(12, 3, 1)],
+                iterations: 40,
+                total_loop_trips: 42,
+                modeled_bits: 0x3f64999edd443e16,
+                recoveries: &[(12, 11, 0x3f381354a835357c)],
+                intervals_after: &[],
+                x_hash: 0xa8541255c7c74e9d,
+            },
+        ),
+        (
+            7,
+            PinnedRun {
+                name: "pipelined imcr5 mid-run, 7 ranks",
+                variant: PcgVariant::Pipelined,
+                strategy: imcr,
+                phi: 1,
+                failures: &[(12, 5, 1)],
+                iterations: 40,
+                total_loop_trips: 43,
+                modeled_bits: 0x3f5b36d6fa35de5a,
+                recoveries: &[(12, 10, 0x3f023b8e4e956d18)],
+                intervals_after: &[],
+                x_hash: 0x165fa5c733195817,
+            },
+        ),
+    ];
+    let rows = table
+        .iter()
+        .map(|row| (4, row))
+        .chain(uneven.iter().map(|(n_ranks, row)| (*n_ranks, row)));
     let mut mismatches = Vec::new();
-    for row in &table {
+    for (n_ranks, row) in rows {
         for be in [KernelBackend::Sequential, KernelBackend::parallel(2)] {
             let mut exp = Experiment::builder()
                 .matrix(MatrixSource::Poisson3d {
@@ -646,7 +688,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
                     ny: 12,
                     nz: 12,
                 })
-                .n_ranks(4)
+                .n_ranks(n_ranks)
                 .variant(row.variant)
                 .strategy(row.strategy)
                 .phi(row.phi)

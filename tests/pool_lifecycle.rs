@@ -103,8 +103,8 @@ fn pool_grows_for_wider_backends() {
 #[test]
 fn subdivided_backends_share_no_state_across_threads() {
     let _mode = dispatch_mode_guard();
-    // The SPMD solver hands each rank thread a subdivided backend; each
-    // rank thread builds its own pool. Run several such threads truly
+    // The SPMD solver hands each rank a subdivided backend, and each of
+    // its worker threads builds its own pool. Run several such threads truly
     // concurrently on shared inputs and check every result is bitwise the
     // sequential reference — and that each thread saw its *own* pool.
     let parent = KernelBackend::parallel(8);
