@@ -1,8 +1,10 @@
 //! Emits `BENCH_kernels.json`: GFLOP/s and ns/row of PCG's per-iteration
 //! kernels (SpMV, dot, block-Jacobi apply, contiguous vs split-phase
 //! row-range SpMV) per backend and thread count on Poisson-3D workloads,
-//! plus the storage-format sweep — CSR vs SELL-C-σ vs BCSR — and the
-//! dispatch-cutoff rows (SpMV nnz gate, streaming-vector gate).
+//! plus the storage-format sweep — CSR vs SELL-C-σ vs BCSR — the
+//! dispatch-cutoff rows (SpMV nnz gate, streaming-vector gate), the
+//! modeled-clock overlap sweep (PCG variant × cost model) with its crossover
+//! winners, and the flight-recorder probe.
 //!
 //! ```text
 //! cargo run --release -p esrcg-bench --bin kernels -- [options]
@@ -12,7 +14,7 @@
 //!   --sizes LIST          comma-separated row counts (default: 10000,100000,1000000)
 //!   --threads LIST        comma-separated thread counts (default: 1,4)
 //!   --samples N           timed repetitions per cell (default: 10)
-//!   --overlap-ranks LIST  rank counts for the halo-overlap sweep
+//!   --overlap-ranks LIST  rank counts for the overlap sweep
 //!                         (default: 4,8,16; empty list skips the sweep)
 //!   --overlap-grid N      grid edge of the sweep's 2-D Poisson problem
 //!                         (default: 128, i.e. 16384 rows)
@@ -284,36 +286,22 @@ fn main() {
             );
         }
     }
-    eprintln!("dispatch overhead (pooled worker pool vs spawn-per-call):");
-    for m in &report.overhead {
-        eprintln!(
-            "  {:<8} n={:<8} par({}) {:>10.3} µs pooled  {:>10.3} µs spawn  ({:.2}x)",
-            m.kernel,
-            m.n,
-            m.threads,
-            m.pooled_secs * 1e6,
-            m.spawn_secs * 1e6,
-            m.spawn_over_pooled()
-        );
-    }
     if !report.overlap.is_empty() {
-        eprintln!("overlap (modeled clock, blocking vs split-phase SpMV, per variant):");
+        eprintln!("overlap (modeled clock, per variant):");
         for m in &report.overlap {
             eprintln!(
-                "  {} [{:<9}|{:<17}] n={} ranks={:<3} {:>9.3} µs/iter blocking  \
-                 {:>9.3} µs/iter split  ({:.3}x, {:.2} reductions/iter)",
+                "  {} [{:<9}|{:<17}] n={} ranks={:<3} {:>9.3} µs/iter  \
+                 ({:.2} reductions/iter)",
                 m.matrix,
                 m.variant,
                 m.cost_model,
                 m.n,
                 m.n_ranks,
-                m.blocking_per_iter() * 1e6,
                 m.split_per_iter() * 1e6,
-                m.blocking_over_split(),
                 m.reductions_per_iteration
             );
         }
-        eprintln!("crossover (fastest variant per n × ranks × cost model, split-phase):");
+        eprintln!("crossover (fastest variant per n × ranks × cost model):");
         for w in report.crossover_winners() {
             eprintln!(
                 "  n={} ranks={:<3} {:<17} -> {:<9} ({:>9.3} µs/iter)",

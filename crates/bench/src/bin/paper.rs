@@ -24,7 +24,7 @@
 //! Absolute numbers depend on the cost model and scale; the *shapes* are
 //! the reproduction target: ESRP's failure-free overhead falls as T grows,
 //! and IMCR's reconstruction overhead stays far below ESRP's. (No recorded
-//! output is tracked yet; see ROADMAP.md, direction A.)
+//! output is tracked yet; see ROADMAP.md, direction F.)
 
 use std::collections::HashMap;
 

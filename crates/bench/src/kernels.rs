@@ -8,44 +8,36 @@
 //! 2-rank partition owns — the contiguous row-range SpMV (`spmv_rows`) next
 //! to the split-phase interior-then-boundary product over the same rows
 //! (`spmv_split`); the paper's block-Jacobi(10) application
-//! (`bjacobi_apply`) takes no backend and is timed once per size. Throughput is reported in GFLOP/s (2 flops per stored
-//! entry for SpMV, 2 per element for dot, the cost model's `apply_flops`
-//! for the preconditioner) and as nanoseconds per row.
+//! (`bjacobi_apply`) takes no backend and is timed once per size.
+//! Throughput is reported in GFLOP/s (2 flops per stored entry for SpMV, 2
+//! per element for dot, the cost model's `apply_flops` for the
+//! preconditioner) and as nanoseconds per row.
 //!
-//! A second sweep quantifies **dispatch overhead**: the same parallel
-//! kernels timed under the persistent worker pool
-//! ([`esrcg_sparse::pool::DispatchMode::Pooled`]) versus the old
-//! spawn-threads-per-call scheme (`DispatchMode::Spawn`), at the small
-//! sizes (n ≤ 1e5) where per-call overhead is a visible fraction of the
-//! kernel — plus a bare no-op broadcast isolating the dispatch cost itself.
-//!
-//! A third sweep quantifies the **overlap**: the full distributed PCG loop
-//! under the blocking SpMV schedule versus the split-phase schedule
-//! ([`esrcg_core::solver::SpmvMode`]), and — since schema v4 — under the
-//! PCG recurrences ([`esrcg_core::solver::PcgVariant`]: the classic loop,
-//! the pipelined loop whose fused reduction hides under the
-//! preconditioner + SpMV, and — since schema v6 — the s-step loop that
-//! amortizes one Gram reduction over a whole block). Since schema v6 the
-//! sweep also carries a **cost-model axis** ([`CostModel`] presets): the
-//! latency-dominated preset is where the communication-avoiding recurrence
-//! crosses over the pipelined one, and the per-`(n, ranks, cost model)`
-//! crossover winners are a first-class section of the artifact. Everything
-//! runs on the deterministic modeled clock — which is exactly what makes
-//! the win measurable on a 1-core container (the logical clocks do not
-//! depend on host parallelism; only wall-clock numbers need a multicore
-//! re-run, see `ROADMAP.md` follow-up (a)).
+//! The **overlap** sweep runs the full distributed PCG loop under each PCG
+//! recurrence ([`esrcg_core::solver::PcgVariant`]: the classic loop, the
+//! pipelined loop whose fused reduction hides under the preconditioner +
+//! SpMV, and the s-step loop that amortizes one Gram reduction over a whole
+//! block) and records what the split-phase SpMV schedule leaves of the halo
+//! and reduction waits. (What that schedule buys over a blocking exchange,
+//! 1.025–1.067× per iteration at 4–16 ranks, is frozen in CHANGES.md; the
+//! blocking product is a test oracle, not a mode.) The sweep also carries a
+//! **cost-model axis** ([`CostModel`] presets): the latency-dominated preset
+//! is where the communication-avoiding recurrence crosses over the
+//! pipelined one, and the per-`(n, ranks, cost model)` crossover winners
+//! are a first-class section of the artifact. Everything in it runs on the
+//! deterministic modeled clock, so it is valid on a 1-core container (the
+//! logical clocks do not depend on host parallelism).
 
 use std::time::Instant;
 
 use esrcg_campaign::report::fmt_nonneg_zero;
 use esrcg_cluster::{validate_trace_json, CostModel, MetricsRollup, Phase, TraceConfig};
 use esrcg_core::driver::{Experiment, MatrixSource, RhsSpec};
-use esrcg_core::solver::{PcgVariant, SpmvMode};
+use esrcg_core::solver::PcgVariant;
 use esrcg_core::Strategy;
 use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
-use esrcg_sparse::backend::{PARALLEL_CUTOFF, SPMV_PARALLEL_NNZ_CUTOFF, VECTOR_PARALLEL_CUTOFF};
+use esrcg_sparse::backend::{SPMV_PARALLEL_NNZ_CUTOFF, VECTOR_PARALLEL_CUTOFF};
 use esrcg_sparse::gen::{audikw_like, poisson2d, poisson3d, stencil27};
-use esrcg_sparse::pool::{self, DispatchMode};
 use esrcg_sparse::{CsrMatrix, FormatMatrix, KernelBackend, Partition, RowSplit, SpmvFormat};
 
 /// One measured cell.
@@ -68,36 +60,11 @@ pub struct KernelMeasurement {
     pub gflops: f64,
 }
 
-/// One cell of the dispatch-overhead sweep: the same parallel kernel timed
-/// under both dispatch schemes. `kernel == "dispatch"` rows (n = 0) time a
-/// bare no-op broadcast — the pure per-call dispatch cost.
-#[derive(Debug, Clone)]
-pub struct OverheadMeasurement {
-    /// `"spmv"`, `"dot"`, or `"dispatch"` (no-op broadcast).
-    pub kernel: &'static str,
-    /// Problem size (0 for the bare dispatch rows).
-    pub n: usize,
-    /// Worker threads of the parallel backend.
-    pub threads: usize,
-    /// Median seconds per call with the persistent pool.
-    pub pooled_secs: f64,
-    /// Median seconds per call with spawn-per-call threads (PR 1 baseline).
-    pub spawn_secs: f64,
-}
-
-impl OverheadMeasurement {
-    /// How many times slower the spawn-per-call baseline is (> 1 means the
-    /// pool wins).
-    pub fn spawn_over_pooled(&self) -> f64 {
-        ratio(self.spawn_secs, self.pooled_secs)
-    }
-}
-
 /// One cell of the overlap sweep: the distributed PCG loop of one
-/// [`PcgVariant`] solved under both SpMV schedules, on the deterministic
-/// modeled clock. Rows of different variants at the same
-/// `(n, n_ranks, cost model)` compare the recurrences (the pipelined one
-/// hides its reduction; the s-step one amortizes it over a block).
+/// [`PcgVariant`] on the deterministic modeled clock. Rows of different
+/// variants at the same `(n, n_ranks, cost model)` compare the recurrences
+/// (the pipelined one hides its reduction; the s-step one amortizes it over
+/// a block).
 #[derive(Debug, Clone)]
 pub struct OverlapMeasurement {
     /// Matrix family (`"poisson2d"`).
@@ -116,20 +83,15 @@ pub struct OverlapMeasurement {
     pub n: usize,
     /// Simulated ranks.
     pub n_ranks: usize,
-    /// PCG iterations to convergence (identical under both schedules — the
-    /// trajectories are bitwise equal *within* a variant).
+    /// PCG iterations to convergence.
     pub iterations: usize,
-    /// Modeled seconds of the whole solve, blocking schedule.
-    pub blocking_time: f64,
-    /// Modeled seconds of the whole solve, split-phase schedule.
+    /// Modeled seconds of the whole solve.
     pub split_time: f64,
-    /// Summed SpMV-phase receive wait across ranks, blocking schedule —
-    /// the time the split-phase schedule exists to hide.
-    pub blocking_spmv_wait: f64,
-    /// Summed SpMV-phase receive wait across ranks, split-phase schedule.
+    /// Summed SpMV-phase receive wait across ranks — what the split-phase
+    /// schedule leaves of the halo wait it exists to hide.
     pub split_spmv_wait: f64,
-    /// Summed `Phase::Reduction` receive wait across ranks, split-phase
-    /// schedule — the time the *pipelined variant* exists to hide.
+    /// Summed `Phase::Reduction` receive wait across ranks — the time the
+    /// *pipelined variant* exists to hide.
     pub split_reduction_wait: f64,
     /// Rows classified interior (cluster-wide, from the `RowSplitSet`).
     pub interior_rows: usize,
@@ -138,20 +100,9 @@ pub struct OverlapMeasurement {
 }
 
 impl OverlapMeasurement {
-    /// Modeled seconds per PCG iteration under the blocking schedule.
-    pub fn blocking_per_iter(&self) -> f64 {
-        self.blocking_time / self.iterations.max(1) as f64
-    }
-
-    /// Modeled seconds per PCG iteration under the split-phase schedule.
+    /// Modeled seconds per PCG iteration.
     pub fn split_per_iter(&self) -> f64 {
         self.split_time / self.iterations.max(1) as f64
-    }
-
-    /// How many times slower the blocking schedule is (> 1 means the
-    /// overlap wins).
-    pub fn blocking_over_split(&self) -> f64 {
-        self.blocking_time / self.split_time
     }
 }
 
@@ -255,9 +206,7 @@ pub struct KernelReport {
     pub formats: Vec<FormatMeasurement>,
     /// Small-SpMV cutoff sweep straddling [`SPMV_PARALLEL_NNZ_CUTOFF`].
     pub cutoff: Vec<CutoffMeasurement>,
-    /// Dispatch-overhead sweep (pooled vs spawn-per-call), small sizes only.
-    pub overhead: Vec<OverheadMeasurement>,
-    /// Halo-overlap sweep (blocking vs split-phase distributed SpMV).
+    /// Overlap sweep (PCG variant × cost model on the modeled clock).
     pub overlap: Vec<OverlapMeasurement>,
     /// Flight-recorder probe (schema v7): one deterministic failing run
     /// recorded at [`TraceConfig::Full`], carrying the metrics rollup and
@@ -446,14 +395,11 @@ pub fn run_kernel_bench(sizes: &[usize], thread_counts: &[usize], samples: usize
             cell(KernelBackend::parallel(t), t);
         }
     }
-    let small: Vec<usize> = sizes.iter().copied().filter(|&s| s <= 100_000).collect();
-    let overhead = run_overhead_sweep(&small, thread_counts, samples);
     KernelReport {
         host_threads,
         results,
         formats: Vec::new(),
         cutoff: Vec::new(),
-        overhead,
         overlap: Vec::new(),
         trace: Some(run_trace_probe()),
     }
@@ -656,11 +602,9 @@ pub fn reductions_per_iteration(variant: PcgVariant) -> f64 {
 }
 
 /// Runs the overlap sweep: one distributed PCG solve per rank count ×
-/// cost model × variant × SpMV schedule on a 2-D Poisson problem
-/// (`nx × ny` grid), comparing modeled times. Within a variant the two
-/// SpMV schedules are bitwise identical in every result (asserted here — a
-/// benchmark must not report a win for a wrong answer), and so are the
-/// trajectories across cost models (the cost model only reclocks the same
+/// cost model × variant on a 2-D Poisson problem (`nx × ny` grid),
+/// comparing modeled times. Within a variant the trajectories are bitwise
+/// identical across cost models (the cost model only reclocks the same
 /// arithmetic); across variants only the modeled clock and the
 /// (±10%-equivalent) iteration counts differ.
 pub fn run_overlap_sweep(
@@ -674,22 +618,16 @@ pub fn run_overlap_sweep(
     for &n_ranks in rank_counts {
         for &cost in cost_models {
             for &variant in variants {
-                let run = |mode: SpmvMode| {
-                    Experiment::builder()
-                        .matrix(MatrixSource::Poisson2d { nx, ny })
-                        .n_ranks(n_ranks)
-                        .spmv_mode(mode)
-                        .variant(variant)
-                        .cost_model(cost)
-                        .run()
-                        .expect("overlap sweep run")
-                };
-                let blocking = run(SpmvMode::Blocking);
-                let split = run(SpmvMode::SplitPhase);
-                assert_eq!(blocking.x, split.x, "schedules must agree bitwise");
-                assert_eq!(blocking.iterations, split.iterations);
-                let phase_wait = |r: &esrcg_core::driver::RunReport, phase: Phase| {
-                    r.per_rank_stats
+                let split = Experiment::builder()
+                    .matrix(MatrixSource::Poisson2d { nx, ny })
+                    .n_ranks(n_ranks)
+                    .variant(variant)
+                    .cost_model(cost)
+                    .run()
+                    .expect("overlap sweep run");
+                let phase_wait = |phase: Phase| {
+                    split
+                        .per_rank_stats
                         .iter()
                         .map(|s| s.recv_wait[phase as usize])
                         .sum::<f64>()
@@ -701,96 +639,15 @@ pub fn run_overlap_sweep(
                     reductions_per_iteration: reductions_per_iteration(variant),
                     n: split.x.len(),
                     n_ranks,
-                    iterations: blocking.iterations,
-                    blocking_time: blocking.modeled_time,
+                    iterations: split.iterations,
                     split_time: split.modeled_time,
-                    blocking_spmv_wait: phase_wait(&blocking, Phase::SpMV),
-                    split_spmv_wait: phase_wait(&split, Phase::SpMV),
-                    split_reduction_wait: phase_wait(&split, Phase::Reduction),
+                    split_spmv_wait: phase_wait(Phase::SpMV),
+                    split_reduction_wait: phase_wait(Phase::Reduction),
                     // Read back from the run itself, so the reported counts
                     // are by construction the split the solver actually
                     // used.
                     interior_rows: split.interior_rows,
                     boundary_rows: split.boundary_rows,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Times the parallel kernels under both dispatch modes at the given sizes
-/// (a kernel whose gate — [`PARALLEL_CUTOFF`] rows and
-/// [`SPMV_PARALLEL_NNZ_CUTOFF`] entries for SpMV, [`VECTOR_PARALLEL_CUTOFF`]
-/// elements for dot — keeps it sequential at a size is skipped: neither
-/// mode dispatches there), plus one bare no-op broadcast row per thread
-/// count. Restores [`DispatchMode::Pooled`] before returning.
-pub fn run_overhead_sweep(
-    sizes: &[usize],
-    thread_counts: &[usize],
-    samples: usize,
-) -> Vec<OverheadMeasurement> {
-    let mut out = Vec::new();
-    // Both-mode timing helper: pooled first (warms this thread's pool),
-    // then the spawn baseline.
-    let time_both = |f: &mut dyn FnMut()| {
-        pool::set_dispatch_mode(DispatchMode::Pooled);
-        let pooled = time_kernel(3, samples, &mut *f);
-        pool::set_dispatch_mode(DispatchMode::Spawn);
-        let spawn = time_kernel(3, samples, &mut *f);
-        pool::set_dispatch_mode(DispatchMode::Pooled);
-        (pooled, spawn)
-    };
-    for &t in thread_counts {
-        if t < 2 {
-            continue; // a 1-thread backend never dispatches
-        }
-        let backend = KernelBackend::parallel(t);
-        let (pooled_secs, spawn_secs) = time_both(&mut || {
-            // What `dispatch` does for a parallel kernel, minus the kernel.
-            match pool::dispatch_mode() {
-                DispatchMode::Pooled => pool::with_local_pool(t, |p| p.broadcast(t, |_| {})),
-                DispatchMode::Spawn => pool::broadcast_scoped(t, |_| {}),
-            }
-        });
-        out.push(OverheadMeasurement {
-            kernel: "dispatch",
-            n: 0,
-            threads: t,
-            pooled_secs,
-            spawn_secs,
-        });
-        for &target in sizes {
-            let edge = poisson3d_edge(target);
-            let a = poisson3d(edge, edge, edge);
-            let n = a.nrows();
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-            let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
-            if n >= PARALLEL_CUTOFF && a.nnz() >= SPMV_PARALLEL_NNZ_CUTOFF {
-                let mut outv = vec![0.0; n];
-                let (pooled_secs, spawn_secs) = time_both(&mut || {
-                    backend.spmv_into(&a, &x, &mut outv);
-                });
-                out.push(OverheadMeasurement {
-                    kernel: "spmv",
-                    n,
-                    threads: t,
-                    pooled_secs,
-                    spawn_secs,
-                });
-            }
-            if n >= VECTOR_PARALLEL_CUTOFF {
-                let mut sink = 0.0;
-                let (pooled_secs, spawn_secs) = time_both(&mut || {
-                    sink += backend.dot(&x, &y);
-                });
-                std::hint::black_box(sink);
-                out.push(OverheadMeasurement {
-                    kernel: "dot",
-                    n,
-                    threads: t,
-                    pooled_secs,
-                    spawn_secs,
                 });
             }
         }
@@ -878,17 +735,13 @@ impl KernelReport {
             m.seq_secs = 0.0;
             m.par_secs = 0.0;
         }
-        for m in &mut self.overhead {
-            m.pooled_secs = 0.0;
-            m.spawn_secs = 0.0;
-        }
     }
 
     /// Renders the report as pretty-printed JSON (hand-rolled; the build
     /// carries no serde).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
-        s.push_str("  \"schema\": \"esrcg-bench-kernels-v8\",\n");
+        s.push_str("  \"schema\": \"esrcg-bench-kernels-v9\",\n");
         s.push_str(&format!("  \"host_threads\": {},\n", self.host_threads));
         s.push_str("  \"results\": [\n");
         for (i, m) in self.results.iter().enumerate() {
@@ -946,26 +799,6 @@ impl KernelReport {
             ));
         }
         s.push_str("  ],\n");
-        s.push_str("  \"overhead\": [\n");
-        for (i, m) in self.overhead.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"n\": {}, \"threads\": {}, \
-                 \"pooled_secs\": {:.9}, \"spawn_secs\": {:.9}, \
-                 \"spawn_over_pooled\": {:.3}}}{}\n",
-                m.kernel,
-                m.n,
-                m.threads,
-                fmt_nonneg_zero(m.pooled_secs),
-                fmt_nonneg_zero(m.spawn_secs),
-                fmt_nonneg_zero(m.spawn_over_pooled()),
-                if i + 1 == self.overhead.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        s.push_str("  ],\n");
         // Modeled-clock numbers: valid on any host, including the 1-core
         // dev container (the logical clocks never see host parallelism).
         s.push_str("  \"overlap\": [\n");
@@ -974,12 +807,9 @@ impl KernelReport {
                 "    {{\"matrix\": \"{}\", \"variant\": \"{}\", \"cost_model\": \"{}\", \
                  \"reductions_per_iteration\": {:.4}, \"n\": {}, \
                  \"n_ranks\": {}, \"iterations\": {}, \
-                 \"modeled_blocking_secs\": {:.9}, \"modeled_split_secs\": {:.9}, \
-                 \"per_iter_blocking_secs\": {:.9}, \"per_iter_split_secs\": {:.9}, \
-                 \"spmv_wait_blocking_secs\": {:.9}, \"spmv_wait_split_secs\": {:.9}, \
-                 \"reduction_wait_split_secs\": {:.9}, \
-                 \"interior_rows\": {}, \"boundary_rows\": {}, \
-                 \"blocking_over_split\": {:.4}}}{}\n",
+                 \"modeled_split_secs\": {:.9}, \"per_iter_split_secs\": {:.9}, \
+                 \"spmv_wait_split_secs\": {:.9}, \"reduction_wait_split_secs\": {:.9}, \
+                 \"interior_rows\": {}, \"boundary_rows\": {}}}{}\n",
                 m.matrix,
                 m.variant,
                 m.cost_model,
@@ -987,16 +817,12 @@ impl KernelReport {
                 m.n,
                 m.n_ranks,
                 m.iterations,
-                fmt_nonneg_zero(m.blocking_time),
                 fmt_nonneg_zero(m.split_time),
-                fmt_nonneg_zero(m.blocking_per_iter()),
                 fmt_nonneg_zero(m.split_per_iter()),
-                fmt_nonneg_zero(m.blocking_spmv_wait),
                 fmt_nonneg_zero(m.split_spmv_wait),
                 fmt_nonneg_zero(m.split_reduction_wait),
                 m.interior_rows,
                 m.boundary_rows,
-                fmt_nonneg_zero(m.blocking_over_split()),
                 if i + 1 == self.overlap.len() { "" } else { "," }
             ));
         }
@@ -1122,25 +948,6 @@ impl KernelReport {
                 m.par_over_seq()
             ));
         }
-        for m in &self.overhead {
-            lines.push(format!(
-                "    \"overhead_spawn_over_pooled_{}_{}t_n{}\": {:.3}",
-                m.kernel,
-                m.threads,
-                m.n,
-                m.spawn_over_pooled()
-            ));
-        }
-        for m in &self.overlap {
-            lines.push(format!(
-                "    \"overlap_blocking_over_split_{}_{}r_n{}_{}\": {:.4}",
-                m.variant,
-                m.n_ranks,
-                m.n,
-                m.cost_model,
-                fmt_nonneg_zero(m.blocking_over_split())
-            ));
-        }
         // Cross-variant comparisons at matched (n, ranks, cost model)
         // cells, per iteration so convergence differences cannot fake or
         // mask the win (> 1 means the second-named recurrence is faster).
@@ -1188,22 +995,9 @@ impl KernelReport {
     }
 }
 
-/// Builds the ≈1e6-row matrix used by the acceptance benchmark (here so the
-/// bin and tests agree on the workload).
-pub fn acceptance_matrix() -> CsrMatrix {
-    let edge = poisson3d_edge(1_000_000);
-    poisson3d(edge, edge, edge)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes the tests that flip the process-global dispatch mode —
-    /// without this, `run_kernel_bench`'s sweep and the mode assertion
-    /// below race on multicore test runners.
-    static DISPATCH_MODE_LOCK: Mutex<()> = Mutex::new(());
 
     /// Scans a JSON document and returns every object key that occurs
     /// twice within one object (parsers silently keep only the last).
@@ -1259,7 +1053,6 @@ mod tests {
             results: Vec::new(),
             formats: run_format_sweep(&specs, &formats, &[1, 2], 2, 1),
             cutoff: Vec::new(),
-            overhead: Vec::new(),
             overlap: Vec::new(),
             trace: None,
         };
@@ -1288,7 +1081,6 @@ mod tests {
 
     #[test]
     fn tiny_report_renders_json() {
-        let _guard = DISPATCH_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let report = run_kernel_bench(&[1000], &[2], 3);
         assert_eq!(
             report.results.len(),
@@ -1302,19 +1094,14 @@ mod tests {
                 "{kernel}"
             );
         }
-        // n = 1000 is below the parallel cutoff, so the overhead sweep only
-        // carries the bare dispatch row.
-        assert_eq!(report.overhead.len(), 1);
-        assert_eq!(report.overhead[0].kernel, "dispatch");
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"esrcg-bench-kernels-v8\""));
+        assert!(json.contains("\"schema\": \"esrcg-bench-kernels-v9\""));
         assert!(json.contains("\"kernel\": \"spmv\""));
         assert!(json.contains("spmv_speedup_2t_n1000"));
         assert!(json.contains("bjacobi_apply_ns_per_row_n1000"));
         assert!(json.contains("spmv_split_over_rows_par(2)_n500"));
         assert!(json.contains("\"ns_per_row\": "));
         assert_eq!(duplicate_keys(&json), Vec::<String>::new());
-        assert!(json.contains("overhead_spawn_over_pooled_dispatch_2t_n0"));
         assert!(report.speedup("spmv", report.results[0].n, 2).is_some());
         assert!(
             json.contains("\"overlap\": ["),
@@ -1379,7 +1166,6 @@ mod tests {
             results: Vec::new(),
             formats: serial,
             cutoff: Vec::new(),
-            overhead: Vec::new(),
             overlap: Vec::new(),
             trace: None,
         };
@@ -1449,7 +1235,6 @@ mod tests {
             results: Vec::new(),
             formats: Vec::new(),
             cutoff: rows,
-            overhead: Vec::new(),
             overlap: Vec::new(),
             trace: None,
         };
@@ -1461,10 +1246,8 @@ mod tests {
     }
 
     #[test]
-    fn overlap_sweep_reports_a_split_phase_win() {
-        // Small grid so the debug-mode sweep stays cheap; the modeled-clock
-        // comparison is deterministic, so strict inequality is a stable
-        // assertion, not a flaky benchmark.
+    fn overlap_sweep_reports_the_solve_and_its_row_split() {
+        // Small grid so the debug-mode sweep stays cheap.
         let rows = run_overlap_sweep(
             &[4],
             24,
@@ -1482,32 +1265,23 @@ mod tests {
         assert!(m.iterations > 0);
         assert_eq!(m.interior_rows + m.boundary_rows, m.n);
         assert!(m.boundary_rows > 0, "4 ranks couple across block edges");
+        assert!(m.split_time > 0.0 && m.split_per_iter() < m.split_time);
         assert!(
-            m.split_time < m.blocking_time,
-            "split {} vs blocking {}",
-            m.split_time,
-            m.blocking_time
-        );
-        assert!(m.blocking_over_split() > 1.0);
-        assert!(
-            m.split_spmv_wait < m.blocking_spmv_wait,
-            "the overlap hides halo wait: {} vs {}",
+            m.split_spmv_wait < m.split_reduction_wait,
+            "classic PCG waits on its reductions, not on the overlapped halo: {} vs {}",
             m.split_spmv_wait,
-            m.blocking_spmv_wait
+            m.split_reduction_wait
         );
-        // Rendering a report carrying overlap rows includes the summary key.
         let report = KernelReport {
             host_threads: 1,
             results: Vec::new(),
             formats: Vec::new(),
             cutoff: Vec::new(),
-            overhead: Vec::new(),
             overlap: rows,
             trace: None,
         };
-        assert!(report
-            .to_json()
-            .contains("overlap_blocking_over_split_classic_4r_n576_default"));
+        let json = report.to_json();
+        assert!(json.contains("\"modeled_split_secs\": ") && !json.contains("blocking"));
     }
 
     #[test]
@@ -1542,7 +1316,6 @@ mod tests {
             results: Vec::new(),
             formats: Vec::new(),
             cutoff: Vec::new(),
-            overhead: Vec::new(),
             overlap: rows,
             trace: None,
         };
@@ -1585,7 +1358,6 @@ mod tests {
             results: Vec::new(),
             formats: Vec::new(),
             cutoff: Vec::new(),
-            overhead: Vec::new(),
             overlap: rows,
             trace: None,
         };
@@ -1600,30 +1372,5 @@ mod tests {
         assert!(json.contains("\"winner\": \"sstep4\""));
         assert!(json.contains("\"reductions_per_iteration\": 0.2500"));
         assert!(json.contains("overlap_pipelined_over_sstep4_split_16r_n576_latency-dominated"));
-    }
-
-    #[test]
-    fn overhead_sweep_covers_small_sizes_under_both_modes() {
-        let _guard = DISPATCH_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // ~140k rows: past the SpMV gates and the vector gate, so both
-        // kernels genuinely dispatch under both modes.
-        let rows = run_overhead_sweep(&[140_000], &[1, 2], 3);
-        assert_eq!(
-            pool::dispatch_mode(),
-            DispatchMode::Pooled,
-            "sweep restores the default dispatch mode"
-        );
-        // t = 1 contributes nothing; t = 2 gives dispatch + spmv + dot.
-        let kernels: Vec<&str> = rows.iter().map(|m| m.kernel).collect();
-        assert_eq!(kernels, vec!["dispatch", "spmv", "dot"]);
-        for m in &rows {
-            assert_eq!(m.threads, 2);
-            assert!(m.pooled_secs > 0.0 && m.spawn_secs > 0.0);
-            assert!(m.spawn_over_pooled() > 0.0);
-        }
-        assert!(rows[1].n >= VECTOR_PARALLEL_CUTOFF);
-        // Sizes whose gates keep every kernel sequential add no row.
-        let gated = run_overhead_sweep(&[10_000], &[2], 2);
-        assert_eq!(gated.len(), 1, "only the bare dispatch row");
     }
 }

@@ -15,14 +15,13 @@
 //!    overhead*.
 //!
 //! The `paper` binary drives this module. Its outputs are not tracked in the
-//! repository yet (ROADMAP.md, direction A, asks for a `BENCH_paper.json`).
+//! repository yet (ROADMAP.md, direction F, asks for a `BENCH_paper.json`).
 
 pub mod drills;
 pub mod figures;
 pub mod format;
 pub mod grid;
 pub mod kernels;
-pub mod microbench;
 pub mod scale;
 
 pub use grid::{run_table, CellResult, FailureCell, TableData, TableRow, TableSpec};

@@ -8,8 +8,8 @@
 //! deterministic protocol (tag-matched point-to-point channels, binomial
 //! collective trees, source-ordered halo drains), the recorded event stream is
 //! a pure function of the run's inputs: merged traces are byte-identical
-//! across `DispatchMode`s, kernel thread counts, and campaign `--workers`,
-//! and can therefore be `cmp`-tested like any other artifact.
+//! across kernel thread counts, rank-scheduler workers and campaign
+//! `--workers`, and can therefore be `cmp`-tested like any other artifact.
 //!
 //! Two renderers are provided:
 //!

@@ -11,9 +11,9 @@
 //! receives. On the modeled clock, receives synchronize to each message's
 //! arrival time instead of adding a wait, so a split-phase SpMV pays
 //! `max(halo transfer, interior compute)` where the blocking form pays the
-//! sum. [`exchange_halo`] remains as the blocking composition of the two
-//! halves — the baseline the overlap is measured against, and the form the
-//! recovery protocols use where there is nothing to overlap.
+//! sum. [`exchange_halo`] is the blocking composition of the two halves: no
+//! solver path calls it — it is the oracle the split-phase tests compare
+//! against, and the entry point of the `benchmark` package's halo probe.
 //!
 //! The exchange is generic over a [`PlanView`] — the full plan, or the plan
 //! restricted to the peers a predicate accepts — and over the wire tag, so
@@ -223,8 +223,9 @@ impl HaloExchange {
 /// Exchanges halo entries of a distributed vector and scatters them into
 /// `full`, a full-length scratch vector — the blocking composition of
 /// [`HaloExchange::start`] and [`HaloExchange::finish`] (see there for the
-/// protocol details). Kept as the measurable baseline of the split-phase
-/// path and for call sites with no compute to overlap.
+/// protocol details). The oracle of the split-phase tests (this module's
+/// and `solver`'s) and the `benchmark` probe's entry point; the solver
+/// itself always overlaps.
 ///
 /// # Panics
 /// Panics if `local` does not match the rank's range length, or on protocol

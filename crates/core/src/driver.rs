@@ -28,7 +28,7 @@ use esrcg_sparse::gen;
 use esrcg_sparse::{CsrMatrix, KernelBackend, SpmvFormat};
 
 use crate::solver::recovery::RecoveryOutcome;
-use crate::solver::{solve_node, PcgVariant, SharedProblem, SolverConfig, SpmvMode, TuneEvent};
+use crate::solver::{solve_node, PcgVariant, SharedProblem, SolverConfig, TuneEvent};
 use crate::strategy::{IntervalPolicy, Resilience, Strategy};
 
 /// Where the system matrix comes from.
@@ -229,7 +229,6 @@ pub struct Experiment {
     failure_explicit: Vec<FailureSpec>,
     cost: CostModel,
     backend: KernelBackend,
-    spmv_mode: SpmvMode,
     variant: PcgVariant,
     spmv_format: SpmvFormat,
     trace: TraceConfig,
@@ -254,7 +253,6 @@ impl Experiment {
             failure_explicit: Vec::new(),
             cost: CostModel::default(),
             backend: KernelBackend::default(),
-            spmv_mode: SpmvMode::default(),
             variant: PcgVariant::default(),
             spmv_format: SpmvFormat::default(),
             trace: TraceConfig::Off,
@@ -376,17 +374,8 @@ impl Experiment {
         self
     }
 
-    /// Selects how the distributed SpMV schedules its halo exchange
-    /// (default: [`SpmvMode::SplitPhase`]). Both modes are bitwise
-    /// identical in every result; blocking is kept as the measurable
-    /// baseline of the communication/computation overlap.
-    pub fn spmv_mode(mut self, m: SpmvMode) -> Self {
-        self.spmv_mode = m;
-        self
-    }
-
     /// Selects the PCG recurrence (default: [`PcgVariant::Classic`]).
-    /// Unlike [`Experiment::spmv_mode`], the variants are *not* bitwise
+    /// Unlike [`Experiment::backend`], the variants are *not* bitwise
     /// identical — pipelining restructures the recurrence; trajectories
     /// agree to rounding. [`Experiment::reference`] preserves the variant,
     /// so each run is compared against the matched baseline.
@@ -400,8 +389,7 @@ impl Experiment {
     /// without the recorder. `Spans` records phase/recovery spans and
     /// logical marks; `Full` adds per-message send/recv events. Because
     /// every event is timestamped with the deterministic modeled clock, the
-    /// merged trace is byte-identical across thread counts and dispatch
-    /// modes.
+    /// merged trace is byte-identical across thread counts.
     pub fn trace(mut self, t: TraceConfig) -> Self {
         self.trace = t;
         self
@@ -448,7 +436,6 @@ impl Experiment {
         cfg.max_iters = self.max_iters;
         cfg.failures = failures;
         cfg.backend = self.backend;
-        cfg.spmv_mode = self.spmv_mode;
         cfg.variant = self.variant;
         cfg.spmv_format = self.spmv_format;
         let shared = Arc::new(SharedProblem::assemble_shared(

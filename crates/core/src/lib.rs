@@ -10,7 +10,7 @@
 //! * [`dist`] — the distributed solver substrate: communication plans derived
 //!   from the matrix sparsity pattern and the split-phase halo-exchange SpMV
 //!   (`HaloExchange::start`/`finish` overlapping communication with interior
-//!   rows; a blocking wrapper remains as the measurable baseline),
+//!   rows; the blocking wrapper `exchange_halo` is the tests' oracle),
 //! * [`aspmv`] — the *augmented* sparse matrix–vector product (paper §2.2):
 //!   redundant-copy destinations d(s,k) (Eq. 1), entry multiplicities m(i),
 //!   g(i), and the extra-send sets Rc(s,k),
@@ -55,5 +55,5 @@ pub mod solver;
 pub mod strategy;
 
 pub use driver::{Experiment, FaultObservation, FaultObserver, RunReport};
-pub use solver::{PcgVariant, SpmvMode, TuneEvent};
+pub use solver::{PcgVariant, TuneEvent};
 pub use strategy::{IntervalPolicy, Resilience, Strategy};

@@ -8,8 +8,8 @@
 //!
 //! Everything here runs in a single address space — there is no halo
 //! exchange, so the split-phase SpMV scheduling of the distributed solver
-//! ([`crate::solver::SpmvMode`]) does not apply; its SpMV call sites go
-//! straight to the backend. The *distributed* inner solve of the recovery
+//! ([`crate::dist::halo`]) does not apply; its SpMV call sites go straight
+//! to the backend. The *distributed* inner solve of the recovery
 //! path (which does exchange halos between replacement ranks) lives in
 //! [`crate::solver::recovery`] and is split-phase like the outer loop.
 

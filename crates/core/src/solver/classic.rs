@@ -64,9 +64,9 @@ impl Recurrence for Classic {
     /// copies on the second iteration of an ESRP storage stage.
     fn protect(&mut self, ctx: &mut Ctx, node: &mut Node<'_>, j: usize, _: bool) {
         ctx.set_phase(Phase::SpMV);
-        // Both modes preserve the blocking capture order — halo receives in
-        // source order, then the extras — so the redundancy queue is
-        // bit-identical under either schedule.
+        // The capture order is the blocking product's — halo receives in
+        // source order, then the extras — which the `dist_spmv` oracle
+        // test pins, so the redundancy queue never depends on the overlap.
         let mut captured = node.sched.augmented(j).then(|| node.capture_buffer());
         let NodeState { p, q, .. } = &mut node.st;
         dist_spmv(

@@ -15,7 +15,7 @@ use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
 use crate::dist::halo::{HaloExchange, PlanView};
 use crate::solver::state::NodeState;
 use crate::solver::workspace::{DomainCache, LocalInnerSolve, RecoveryScratch, SolverWorkspace};
-use crate::solver::{Node, Recurrence, SharedProblem, SpmvMode};
+use crate::solver::{Node, Recurrence, SharedProblem};
 use crate::strategy::Strategy;
 
 /// What a recovery did, as reported by every rank (identical everywhere
@@ -528,8 +528,7 @@ fn distributed_inner_solve(
     // positions are read by the column-split SpMV), and its split-phase use
     // below gives the inner solve the same overlap the outer SpMV gets.
     let inner_view = PlanView::filtered(&shared.plan, &is_failed);
-
-    let spmv_flops = cache.a_in.spmv_flops();
+    let split = &cache.inner_split;
 
     // PCG on the inner system, distributed over the replacements. All
     // vectors are workspace buffers (`ix`, `ir`, `iz`, `ip`, `iq`).
@@ -552,62 +551,41 @@ fn distributed_inner_solve(
 
     let mut iterations = 0usize;
     while relres >= shared.cfg.inner_rtol && iterations < shared.cfg.inner_max_iters {
-        // The inner operator application, scheduled like the outer SpMV
-        // (bitwise identical under both modes; see `SpmvMode`).
+        // The inner operator application, scheduled like the outer SpMV:
+        // interior rows compute while the subgroup halo is in flight.
         seq += 1;
         let halo_tag = Tag::RecoveryInner.with(seq);
-        match shared.cfg.spmv_mode {
-            SpmvMode::Blocking => {
-                HaloExchange::start_view(
-                    ctx,
-                    &inner_view,
-                    part,
-                    &scratch.ip,
-                    halo_tag,
-                    &mut scratch.p_full,
-                )
-                .finish_view(ctx, &inner_view, &mut scratch.p_full, None);
-                match cache.a_in_fmt.as_ref() {
-                    Some(m) => be.spmv_fmt_into(m, &scratch.p_full, &mut scratch.iq),
-                    None => be.spmv_into(&cache.a_in, &scratch.p_full, &mut scratch.iq),
-                }
-                ctx.charge_flops(spmv_flops);
-            }
-            SpmvMode::SplitPhase => {
-                let split = &cache.inner_split;
-                let hx = HaloExchange::start_view(
-                    ctx,
-                    &inner_view,
-                    part,
-                    &scratch.ip,
-                    halo_tag,
-                    &mut scratch.p_full,
-                );
-                match cache.a_in_interior_fmt.as_ref() {
-                    Some(m) => be.spmv_fmt_into(m, &scratch.p_full, &mut scratch.iq),
-                    None => be.spmv_row_runs_into(
-                        &cache.a_in,
-                        split.interior(),
-                        0,
-                        &scratch.p_full,
-                        &mut scratch.iq,
-                    ),
-                }
-                ctx.charge_flops(split.interior_flops());
-                hx.finish_view(ctx, &inner_view, &mut scratch.p_full, None);
-                match cache.a_in_boundary_fmt.as_ref() {
-                    Some(m) => be.spmv_fmt_into(m, &scratch.p_full, &mut scratch.iq),
-                    None => be.spmv_row_runs_into(
-                        &cache.a_in,
-                        split.boundary(),
-                        0,
-                        &scratch.p_full,
-                        &mut scratch.iq,
-                    ),
-                }
-                ctx.charge_flops(split.boundary_flops());
-            }
+        let hx = HaloExchange::start_view(
+            ctx,
+            &inner_view,
+            part,
+            &scratch.ip,
+            halo_tag,
+            &mut scratch.p_full,
+        );
+        match cache.a_in_interior_fmt.as_ref() {
+            Some(m) => be.spmv_fmt_into(m, &scratch.p_full, &mut scratch.iq),
+            None => be.spmv_row_runs_into(
+                &cache.a_in,
+                split.interior(),
+                0,
+                &scratch.p_full,
+                &mut scratch.iq,
+            ),
         }
+        ctx.charge_flops(split.interior_flops());
+        hx.finish_view(ctx, &inner_view, &mut scratch.p_full, None);
+        match cache.a_in_boundary_fmt.as_ref() {
+            Some(m) => be.spmv_fmt_into(m, &scratch.p_full, &mut scratch.iq),
+            None => be.spmv_row_runs_into(
+                &cache.a_in,
+                split.boundary(),
+                0,
+                &scratch.p_full,
+                &mut scratch.iq,
+            ),
+        }
+        ctx.charge_flops(split.boundary_flops());
         let pap_red = subreduce!({
             let mut v = ctx.take_f64s();
             v.push(be.dot(&scratch.ip, &scratch.iq));

@@ -403,8 +403,8 @@ impl Recurrence for SStep {
 
         // --- Materialize the block-end state ------------------------------
         // Column-by-column axpys in fixed index order: bitwise identical
-        // across thread counts, dispatch modes, and formats (the backend's
-        // per-vector kernels already are).
+        // across thread counts and formats (the backend's per-vector
+        // kernels already are).
         ctx.set_phase(Phase::VecOps);
         let j_next = j + i_exec;
         let aux = &mut self.aux;

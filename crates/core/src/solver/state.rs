@@ -123,7 +123,7 @@ impl SStepAux {
 /// The pipelined part of an IMCR checkpoint: the extra recurrence vectors
 /// and replicated scalars that must roll back bitwise alongside
 /// `[x; r; z; p]`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct PipelinedCkptAux {
     /// q ≡ s = Ap — recurrence state for the pipelined variant (plain
     /// scratch for Classic, which is why the classic blob omits it).
@@ -141,7 +141,7 @@ pub(crate) struct PipelinedCkptAux {
 /// The starred local copies of ESRP (paper §3): the state at the end of the
 /// last completed storage stage, duplicated locally by every node so that
 /// survivors can roll back without communication.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct StarCopies {
     /// The iteration ĵ = mT+1 these copies belong to.
     pub iter: usize,
@@ -155,7 +155,7 @@ pub(crate) struct StarCopies {
 
 /// A node's own IMCR rollback copy (kept locally; the same data is also sent
 /// to the buddy ranks).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct OwnCheckpoint {
     pub iter: usize,
     pub x: Vec<f64>,
@@ -279,15 +279,16 @@ impl NodeState {
 
     /// Takes the starred copies at iteration `iter` (ESRP storage stage,
     /// second iteration): duplicates x, r, z, p and promotes β** → β*.
+    /// The previous stage's copies are overwritten in place, so only the
+    /// first stage (and the first after a [`NodeState::wipe`]) allocates.
     pub fn make_star(&mut self, iter: usize) {
-        self.star = Some(StarCopies {
-            iter,
-            x: self.x.clone(),
-            r: self.r.clone(),
-            z: self.z.clone(),
-            p: self.p.clone(),
-            beta_star: self.beta_ss,
-        });
+        let star = self.star.get_or_insert_with(StarCopies::default);
+        star.iter = iter;
+        star.x.clone_from(&self.x);
+        star.r.clone_from(&self.r);
+        star.z.clone_from(&self.z);
+        star.p.clone_from(&self.p);
+        star.beta_star = self.beta_ss;
     }
 
     /// Rolls this node back to its starred copies (survivor side of ESRP
@@ -311,25 +312,25 @@ impl NodeState {
     /// Records the node's own IMCR checkpoint at iteration `iter`. For the
     /// pipelined variant the checkpoint also carries `q(=s)`, `w`, `h`,
     /// `g`, γ, and the recurrence pᵀAp, so a rollback restores the full
-    /// recurrence bitwise.
+    /// recurrence bitwise. Like [`NodeState::make_star`] it overwrites the
+    /// previous checkpoint in place.
     pub fn take_own_checkpoint(&mut self, iter: usize) {
-        let aux = self.aux.as_ref().map(|a| PipelinedCkptAux {
-            q: self.q.clone(),
-            w: a.w.clone(),
-            h: a.h.clone(),
-            g: a.g.clone(),
-            gamma: self.rz,
-            pap: a.pap,
-        });
-        self.own_ckpt = Some(OwnCheckpoint {
-            iter,
-            x: self.x.clone(),
-            r: self.r.clone(),
-            z: self.z.clone(),
-            p: self.p.clone(),
-            beta_prev: self.beta_prev,
-            aux,
-        });
+        let c = self.own_ckpt.get_or_insert_with(OwnCheckpoint::default);
+        c.iter = iter;
+        c.x.clone_from(&self.x);
+        c.r.clone_from(&self.r);
+        c.z.clone_from(&self.z);
+        c.p.clone_from(&self.p);
+        c.beta_prev = self.beta_prev;
+        if let Some(a) = self.aux.as_ref() {
+            let ca = c.aux.get_or_insert_with(PipelinedCkptAux::default);
+            ca.q.clone_from(&self.q);
+            ca.w.clone_from(&a.w);
+            ca.h.clone_from(&a.h);
+            ca.g.clone_from(&a.g);
+            ca.gamma = self.rz;
+            ca.pap = a.pap;
+        }
     }
 
     /// Rolls this node back to its own IMCR checkpoint (survivor side).

@@ -113,11 +113,10 @@ pub(crate) struct DomainCache {
     /// (`None` under plain CSR) — the recovery-side mirror of the outer
     /// solve's format cache.
     pub a_off_fmt: Option<FormatMatrix>,
-    /// `a_in` converted whole (the inner solve's blocking schedule).
-    pub a_in_fmt: Option<FormatMatrix>,
-    /// `a_in`'s interior rows converted (split-phase inner solve).
+    /// `a_in`'s interior rows converted (computed while the inner halo is
+    /// in flight).
     pub a_in_interior_fmt: Option<FormatMatrix>,
-    /// `a_in`'s boundary rows converted (split-phase inner solve).
+    /// `a_in`'s boundary rows converted (computed after the receives).
     pub a_in_boundary_fmt: Option<FormatMatrix>,
 }
 
@@ -160,7 +159,6 @@ impl DomainCache {
         // rows are already local row indices of `a_in`, and each row
         // writes its own index, so the out map is the row list itself.
         let a_off_fmt = FormatMatrix::from_csr(&a_off, format);
-        let a_in_fmt = FormatMatrix::from_csr(&a_in, format);
         let piece = |runs: &RowRuns| {
             if format.is_csr() {
                 return None;
@@ -176,7 +174,6 @@ impl DomainCache {
             a_in,
             inner_split,
             a_off_fmt,
-            a_in_fmt,
             a_in_interior_fmt,
             a_in_boundary_fmt,
         }
@@ -233,7 +230,7 @@ mod tests {
         let own_rows: Vec<usize> = part.range(1).collect();
         let cache = DomainCache::build(&a, &part, &own_rows, &[1, 3], SpmvFormat::Csr);
         assert!(cache.a_off_fmt.is_none(), "CSR needs no converted pieces");
-        assert!(cache.a_in_fmt.is_none());
+        assert!(cache.a_in_interior_fmt.is_none() && cache.a_in_boundary_fmt.is_none());
         // Mask marks exactly the rows of ranks 1 and 3.
         let marked: Vec<usize> = (0..36).filter(|&i| cache.in_failed_idx[i]).collect();
         let expected: Vec<usize> = (9..18).chain(27..36).collect();
@@ -277,17 +274,12 @@ mod tests {
         for fmt in [SpmvFormat::sell(), SpmvFormat::bcsr3()] {
             let cache = DomainCache::build(&a, &part, &own_rows, &[2], fmt);
             let nloc = own_rows.len();
-            // a_off and a_in pieces reproduce the CSR products bitwise.
-            for (csr, piece) in [
-                (&cache.a_off, cache.a_off_fmt.as_ref().unwrap()),
-                (&cache.a_in, cache.a_in_fmt.as_ref().unwrap()),
-            ] {
-                let mut y_ref = vec![0.0; nloc];
-                be.spmv_into(csr, &x, &mut y_ref);
-                let mut y = vec![0.0; nloc];
-                be.spmv_fmt_into(piece, &x, &mut y);
-                assert_eq!(y, y_ref, "{}", fmt.name());
-            }
+            // The a_off piece reproduces the CSR product bitwise.
+            let mut y_ref = vec![0.0; nloc];
+            be.spmv_into(&cache.a_off, &x, &mut y_ref);
+            let mut y = vec![0.0; nloc];
+            be.spmv_fmt_into(cache.a_off_fmt.as_ref().unwrap(), &x, &mut y);
+            assert_eq!(y, y_ref, "{}", fmt.name());
             // Interior-then-boundary pieces reproduce the whole a_in product.
             let mut y_ref = vec![0.0; nloc];
             be.spmv_into(&cache.a_in, &x, &mut y_ref);

@@ -6,15 +6,14 @@
 //! equivalence here means: both converge, iteration counts agree to ±10%
 //! (the monomial basis trades a little numerical headroom for latency),
 //! and the true residual reaches the tolerance. The s-step variant *is*
-//! required to be bitwise self-identical across thread counts and
-//! dispatch modes: every protocol decision derives from replicated Gram
-//! scalars, and the materialization axpys run in fixed column order.
+//! required to be bitwise self-identical across thread counts: every
+//! protocol decision derives from replicated Gram scalars, and the
+//! materialization axpys run in fixed column order.
 
 use esrcg_cluster::{CostModel, Phase};
 use esrcg_core::driver::{Experiment, MatrixSource, RhsSpec};
 use esrcg_core::solver::PcgVariant;
 use esrcg_core::{RunReport, Strategy};
-use esrcg_sparse::pool::{set_dispatch_mode, DispatchMode};
 use esrcg_sparse::KernelBackend;
 
 fn poisson(nx: usize, ny: usize) -> MatrixSource {
@@ -88,9 +87,9 @@ fn sstep_matches_classic_across_ranks_threads_and_block_sizes() {
 }
 
 /// The determinism contract: the s-step trajectory is bitwise identical
-/// across thread counts *and* across worker dispatch modes — the Gram
-/// scalars are replicated and the materialization order is fixed, so
-/// nothing downstream of the backend kernels can diverge.
+/// across thread counts — the Gram scalars are replicated and the
+/// materialization order is fixed, so nothing downstream of the backend
+/// kernels can diverge.
 #[test]
 fn sstep_is_bitwise_deterministic() {
     let reference = run_variant(poisson(24, 24), 4, 1, PcgVariant::SStep { s: 4 });
@@ -113,12 +112,6 @@ fn sstep_is_bitwise_deterministic() {
         let report = run_variant(poisson(24, 24), 4, threads, PcgVariant::SStep { s: 4 });
         same(&report, &format!("{threads} threads"));
     }
-    // Both dispatch modes must agree bit-for-bit (the kernels already
-    // guarantee this; the s-step layer must not break it).
-    set_dispatch_mode(DispatchMode::Spawn);
-    let spawned = run_variant(poisson(24, 24), 4, 8, PcgVariant::SStep { s: 4 });
-    set_dispatch_mode(DispatchMode::Pooled);
-    same(&spawned, "spawn dispatch");
 }
 
 /// Mid-block failures (the injection iteration is *inside* an s-step

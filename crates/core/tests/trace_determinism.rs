@@ -1,7 +1,7 @@
 //! Flight-recorder determinism: the merged trace is a pure function of the
 //! modeled execution, so its rendered JSON must be byte-identical across
-//! kernel thread counts and worker dispatch modes — and switching the
-//! recorder off must not perturb a single bit of the run itself.
+//! kernel thread counts — and switching the recorder off must not perturb
+//! a single bit of the run itself.
 //!
 //! The probe run is deliberately the nastiest case the recorder covers: an
 //! s-step solve with a failure injected *mid-block* under ESRP, so the trace
@@ -12,7 +12,6 @@ use esrcg_cluster::{validate_trace_json, TraceConfig};
 use esrcg_core::driver::{Experiment, MatrixSource, RhsSpec};
 use esrcg_core::solver::PcgVariant;
 use esrcg_core::{RunReport, Strategy};
-use esrcg_sparse::pool::{set_dispatch_mode, DispatchMode};
 use esrcg_sparse::KernelBackend;
 
 /// The probe: s-step ESRP with a mid-block failure (21 is not a multiple of
@@ -33,7 +32,7 @@ fn probe(threads: usize, trace: TraceConfig) -> RunReport {
 }
 
 #[test]
-fn full_trace_is_byte_identical_across_threads_and_dispatch_modes() {
+fn full_trace_is_byte_identical_across_threads() {
     let reference = probe(1, TraceConfig::Full);
     assert!(reference.converged);
     assert!(
@@ -56,14 +55,6 @@ fn full_trace_is_byte_identical_across_threads_and_dispatch_modes() {
             "{threads} kernel threads: merged trace JSON must be byte-identical"
         );
     }
-    set_dispatch_mode(DispatchMode::Spawn);
-    let spawned = probe(8, TraceConfig::Full);
-    set_dispatch_mode(DispatchMode::Pooled);
-    assert_eq!(
-        json,
-        spawned.trace_json().unwrap(),
-        "spawn dispatch: merged trace JSON must be byte-identical"
-    );
 }
 
 /// The acceptance criterion from the paper harness: the trace's recovery

@@ -11,9 +11,7 @@
 //!   the container this project is developed in has no network access, so
 //!   rayon cannot be vendored — the pool plays rayon's role and keeps the
 //!   same shape so rayon could be slotted in later). Every parallel kernel
-//!   broadcasts one job closure over precomputed disjoint chunks; the old
-//!   spawn-per-call dispatch survives as a benchmark baseline behind
-//!   [`crate::pool::DispatchMode::Spawn`].
+//!   broadcasts one job closure over precomputed disjoint chunks.
 //!
 //! # Determinism guarantee
 //!
@@ -49,7 +47,7 @@ use std::ops::Range;
 
 use crate::csr::CsrMatrix;
 use crate::format::FormatMatrix;
-use crate::pool::{self, DispatchMode};
+use crate::pool;
 use crate::split::RowRuns;
 use crate::vector::{self, REDUCTION_BLOCK};
 
@@ -81,15 +79,11 @@ impl<T> SendPtr<T> {
     }
 }
 
-/// Runs `job(w)` for `w` in `0..active` — on the persistent thread-local
-/// pool, or via scoped spawn-per-call threads when the process-wide
-/// [`DispatchMode`] says so. The worker *indices* a job observes are
-/// identical under both modes, so dispatch can never affect results.
+/// Runs `job(w)` for `w` in `0..active` on the persistent thread-local
+/// pool. A job observes only its worker *index*, so which OS thread runs it
+/// can never affect results.
 fn dispatch<F: Fn(usize) + Sync>(active: usize, job: F) {
-    match pool::dispatch_mode() {
-        DispatchMode::Pooled => pool::with_local_pool(active, |p| p.broadcast(active, job)),
-        DispatchMode::Spawn => pool::broadcast_scoped(active, job),
-    }
+    pool::with_local_pool(active, |p| p.broadcast(active, job))
 }
 
 /// Runs `job(c, &mut out[bounds[c]..bounds[c + 1]])` for every chunk `c`
@@ -376,7 +370,7 @@ impl KernelBackend {
     /// for every row stored in the piece, unlisted `y` positions
     /// untouched. Bitwise identical to the corresponding CSR kernel over
     /// the same rows — see the format modules' determinism arguments — at
-    /// any thread count and `DispatchMode`.
+    /// any thread count.
     ///
     /// Parallelism splits SELL pieces at σ-window boundaries and BCSR
     /// pieces at block-row boundaries (both load-balanced by stored

@@ -9,13 +9,12 @@
 //!
 //! Conversion is not free (one pass over the matrix per piece), so it
 //! happens **once per problem**: [`FormatCache::build`] converts every
-//! rank's owned range plus its interior/boundary split lists next to the
-//! `RowSplitSet`/`CommPlan` it mirrors, and the solver shares the cache
-//! across ranks through the `SharedProblem`. Recovery converts its
-//! per-domain extracted operators (`a_off`, `a_in`) the same way, cached
-//! in its `DomainCache`.
-
-use std::ops::Range;
+//! rank's interior and boundary row lists — the two pieces the split-phase
+//! distributed SpMV multiplies — next to the `RowSplitSet`/`CommPlan` it
+//! mirrors, and the solver shares the cache across ranks through the
+//! `SharedProblem`. Recovery converts its per-domain extracted operators
+//! (`a_off`, and `a_in`'s interior/boundary rows) the same way, cached in
+//! its `DomainCache`.
 
 use crate::bcsr::{BcsrMatrix, MAX_BCSR_DIM};
 use crate::csr::CsrMatrix;
@@ -166,17 +165,10 @@ impl FormatMatrix {
         }
     }
 
-    /// Converts a contiguous row range with output positions
-    /// `row - rows.start` (the shape of a rank's owned block).
-    pub fn from_range(a: &CsrMatrix, rows: Range<usize>, format: SpmvFormat) -> Option<Self> {
-        let list: Vec<usize> = rows.clone().collect();
-        let out: Vec<usize> = (0..rows.len()).collect();
-        Self::from_rows(a, &list, &out, format)
-    }
-
     /// Converts a whole matrix (output position = row index).
     pub fn from_csr(a: &CsrMatrix, format: SpmvFormat) -> Option<Self> {
-        Self::from_range(a, 0..a.nrows(), format)
+        let rows: Vec<usize> = (0..a.nrows()).collect();
+        Self::from_rows(a, &rows, &rows, format)
     }
 
     /// Stored (structural) entries.
@@ -204,14 +196,12 @@ impl FormatMatrix {
     }
 }
 
-/// One rank's converted SpMV pieces: the owned row block for the blocking
-/// distributed SpMV, and the interior/boundary split lists for the
-/// split-phase schedule. Output positions are local (`row - range.start`)
-/// in all three, matching what the CSR kernels write.
+/// One rank's converted SpMV pieces: the interior/boundary row lists of
+/// the split-phase schedule, which together cover the owned range exactly
+/// once. Output positions are local (`row - range.start`) in both, matching
+/// what the CSR kernels write.
 #[derive(Debug, Clone)]
 pub struct RankFormatPieces {
-    /// The whole owned range.
-    pub owned: FormatMatrix,
     /// The interior rows (computable while the halo is in flight).
     pub interior: FormatMatrix,
     /// The boundary rows (need received halo entries).
@@ -262,8 +252,6 @@ impl FormatCache {
                     FormatMatrix::from_rows(a, &rows, &out, format).expect("non-CSR format")
                 };
                 RankFormatPieces {
-                    owned: FormatMatrix::from_range(a, range.clone(), format)
-                        .expect("non-CSR format"),
                     interior: piece(split.interior()),
                     boundary: piece(split.boundary()),
                 }
@@ -337,12 +325,8 @@ mod tests {
                 let mut reference = vec![0.0; range.len()];
                 be.spmv_rows_into(&a, range.clone(), &x, &mut reference);
                 let pieces = cache.of(rank);
-                // Owned piece alone reproduces the blocking product.
-                let mut y = vec![0.0; range.len()];
-                be.spmv_fmt_into(&pieces.owned, &x, &mut y);
-                assert_eq!(y, reference, "owned, rank {rank}, {}", fmt.name());
-                // Interior-then-boundary reproduces it too.
-                let mut y = vec![0.0; range.len()];
+                // Interior-then-boundary covers the owned rows exactly.
+                let mut y = vec![f64::NAN; range.len()];
                 be.spmv_fmt_into(&pieces.interior, &x, &mut y);
                 be.spmv_fmt_into(&pieces.boundary, &x, &mut y);
                 assert_eq!(y, reference, "split, rank {rank}, {}", fmt.name());

@@ -1,10 +1,10 @@
 //! The persistent worker pool behind [`crate::backend::KernelBackend`].
 //!
-//! PR 1's parallel backend spawned OS threads on *every* kernel call via
-//! `std::thread::scope`. Thread creation costs tens of microseconds — at
-//! n ≈ 1e4 that is the same order as the kernel itself, which is why the
-//! seed benchmark showed `par(4)` *losing* to `seq` at small sizes. This
-//! module replaces spawn-per-call with long-lived workers:
+//! Thread creation costs tens of microseconds — at n ≈ 1e4 that is the same
+//! order as the kernel itself, so spawning per kernel call made `par(4)`
+//! *lose* to `seq` at small sizes (CHANGES.md, PR 2: a bare pooled dispatch
+//! is 5.0× cheaper than a spawned one, an n = 1e4 SpMV 2.5×). Parallel
+//! kernels therefore run on long-lived workers, the only dispatch path:
 //!
 //! * [`WorkerPool`] — `threads − 1` parked worker threads plus the caller.
 //!   Each kernel call broadcasts one job closure to the active workers over
@@ -18,17 +18,14 @@
 //!   [`crate::backend::KernelBackend::subdivided`] backends on different
 //!   threads share no state by construction. The pool grows (rebuilds)
 //!   when a call wants more workers than it holds.
-//! * [`broadcast_scoped`] — the old spawn-per-call dispatch, kept as a
-//!   measurable baseline and selectable via [`set_dispatch_mode`] so the
-//!   benchmark harness can quantify exactly what the pool buys.
 //!
 //! # Determinism
 //!
 //! Dispatch never affects results. A job receives only its worker index;
-//! which OS thread runs it, and whether that thread was freshly spawned or
-//! pooled, is invisible to the arithmetic. The backend's bitwise-equality
-//! contract (see [`crate::backend`]) therefore holds identically under
-//! both dispatch modes — `tests/pool_lifecycle.rs` asserts this.
+//! which OS thread runs it is invisible to the arithmetic, so the backend's
+//! bitwise-equality contract (see [`crate::backend`]) holds at every pool
+//! size and across pool rebuilds — `tests/pool_lifecycle.rs` asserts this
+//! against [`crate::backend::KernelBackend::Sequential`].
 //!
 //! # Safety model
 //!
@@ -41,37 +38,8 @@
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
-
-/// How the parallel backend hands work to its helper threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Broadcast to the persistent thread-local [`WorkerPool`] (default).
-    Pooled,
-    /// Spawn scoped threads per call — PR 1's scheme, kept as the
-    /// measurable baseline for the dispatch-overhead benchmark.
-    Spawn,
-}
-
-/// Process-wide dispatch mode; 0 = Pooled, 1 = Spawn.
-static DISPATCH_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the dispatch scheme for every subsequent parallel kernel call in
-/// the process. A benchmarking/testing knob: results are bitwise identical
-/// under either mode, only per-call overhead differs.
-pub fn set_dispatch_mode(mode: DispatchMode) {
-    DISPATCH_MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// The currently selected dispatch scheme.
-pub fn dispatch_mode() -> DispatchMode {
-    match DISPATCH_MODE.load(Ordering::Relaxed) {
-        0 => DispatchMode::Pooled,
-        _ => DispatchMode::Spawn,
-    }
-}
 
 /// A type- and lifetime-erased borrow of a broadcast job closure: the raw
 /// address of the caller's `F` plus a monomorphized trampoline that knows
@@ -240,24 +208,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// The old spawn-per-call dispatch: `job(0)` on the caller, `job(1..active)`
-/// on freshly spawned scoped threads. Semantically identical to
-/// [`WorkerPool::broadcast`]; kept so the dispatch overhead the pool removes
-/// stays measurable (see `esrcg-bench`'s `kernels` bin).
-pub fn broadcast_scoped<F: Fn(usize) + Sync>(active: usize, job: F) {
-    if active <= 1 {
-        job(0);
-        return;
-    }
-    std::thread::scope(|scope| {
-        let job = &job;
-        for worker in 1..active {
-            scope.spawn(move || job(worker));
-        }
-        job(0);
-    });
-}
-
 thread_local! {
     /// This OS thread's pool (each cluster-runtime worker thread, and the
     /// main thread, lazily builds its own — see the module docs).
@@ -377,19 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_broadcast_matches_pool_semantics() {
-        for active in [1usize, 2, 5] {
-            let hits: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(0)).collect();
-            broadcast_scoped(active, |w| {
-                hits[w].fetch_add(1, Ordering::SeqCst);
-            });
-            for (w, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::SeqCst), usize::from(w < active.max(1)));
-            }
-        }
-    }
-
-    #[test]
     fn local_pool_builds_grows_and_drops() {
         drop_local_pool();
         assert_eq!(local_pool_threads(), 0);
@@ -438,14 +375,5 @@ mod tests {
         });
         assert_eq!(total.load(Ordering::SeqCst), 4);
         drop_local_pool();
-    }
-
-    #[test]
-    fn dispatch_mode_toggles() {
-        assert_eq!(dispatch_mode(), DispatchMode::Pooled);
-        set_dispatch_mode(DispatchMode::Spawn);
-        assert_eq!(dispatch_mode(), DispatchMode::Spawn);
-        set_dispatch_mode(DispatchMode::Pooled);
-        assert_eq!(dispatch_mode(), DispatchMode::Pooled);
     }
 }

@@ -67,7 +67,7 @@ pub mod prelude {
         paper_failure_iteration, Experiment, MatrixSource, RhsSpec, RunReport,
     };
     pub use esrcg_core::pcg::pcg;
-    pub use esrcg_core::solver::{PcgVariant, SpmvMode};
+    pub use esrcg_core::solver::PcgVariant;
     pub use esrcg_core::strategy::Strategy;
     pub use esrcg_precond::PrecondSpec;
     pub use esrcg_sparse::{CooMatrix, CsrMatrix, KernelBackend, Partition};

@@ -2,44 +2,18 @@
 //! and the per-rank buffer pools have reached their working size, a
 //! send/recv/allreduce round costs zero heap allocations, so a run twice as
 //! long allocates exactly as often. Scoped to the cluster runtime; the
-//! solver's storage stages are not allocation-free yet (see ROADMAP).
+//! solver on top of it is counted by `alloc_solver.rs`.
 //!
 //! One test per binary on purpose: the counter is process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting_alloc;
 
 use esrcg::cluster::{run_spmd, CostModel, Payload, Tag};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards to `System` unchanged; the counter is a
-// statistic and publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Allocations of one whole 16-rank run of `rounds` rounds, each a pooled
 /// ring exchange followed by a scalar allreduce.
 fn allocations_of(rounds: u32) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     let out = run_spmd(16, CostModel::default(), |ctx| {
         let next = (ctx.rank() + 1) % ctx.size();
         let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
@@ -54,7 +28,7 @@ fn allocations_of(rounds: u32) -> u64 {
         }
         sum
     });
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = counting_alloc::allocations();
     assert!(out.results.iter().all(|&s| s == 16.0 * rounds as f64));
     after - before
 }

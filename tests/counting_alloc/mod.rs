@@ -1,0 +1,37 @@
+//! A process-wide allocation counter for the `alloc_*` tests: installs a
+//! `#[global_allocator]` that forwards to `System` and counts every
+//! `alloc` and `realloc`. One test per binary that includes this module —
+//! the counter cannot tell concurrent tests apart.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a
+// statistic and publishes no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations and reallocations the process has made so far.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}

@@ -1,30 +1,20 @@
 //! Lifecycle contract of the persistent worker pool behind the parallel
 //! backend: results must be bitwise stable across pool reuse, pool
-//! teardown/rebuild, dispatch modes, and concurrent `subdivided()` backends
-//! — the pool is a pure scheduling artifact, invisible to the arithmetic.
-
-use std::sync::{Mutex, MutexGuard};
+//! teardown/rebuild, and concurrent `subdivided()` backends — the pool is a
+//! pure scheduling artifact, invisible to the arithmetic. Pools are
+//! thread-local and every test runs on its own thread, so the tests share
+//! no state.
 
 use esrcg::core::pcg::{pcg_with, PcgWorkspace};
 use esrcg::prelude::*;
 use esrcg::sparse::backend::VECTOR_PARALLEL_CUTOFF;
 use esrcg::sparse::gen::poisson3d;
-use esrcg::sparse::pool::{drop_local_pool, local_pool_threads, set_dispatch_mode, DispatchMode};
+use esrcg::sparse::pool::{drop_local_pool, local_pool_threads};
 use esrcg::sparse::rng::SplitMix64;
 use esrcg::sparse::vector;
 
 /// Above the backend's vector-kernel cutoff, so `dot` actually dispatches.
 const N: usize = VECTOR_PARALLEL_CUTOFF + 8_928;
-
-/// The dispatch mode is process-wide, and under `Spawn` a kernel call
-/// builds no pool — so every test that flips the mode, and every test that
-/// asserts on this thread's pool, holds this lock for its whole body.
-static DISPATCH_MODE: Mutex<()> = Mutex::new(());
-
-fn dispatch_mode_guard() -> MutexGuard<'static, ()> {
-    // A poisoned lock only means another of these tests failed.
-    DISPATCH_MODE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn vecs(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let mut rng = SplitMix64::new(seed);
@@ -56,7 +46,6 @@ fn repeated_pool_reuse_is_bitwise_stable() {
 
 #[test]
 fn pool_drop_and_rebuild_preserves_results() {
-    let _mode = dispatch_mode_guard();
     let (a, b) = vecs(N, 2);
     let reference = vector::dot(&a, &b);
     let be = KernelBackend::parallel(3);
@@ -82,7 +71,6 @@ fn pool_drop_and_rebuild_preserves_results() {
 
 #[test]
 fn pool_grows_for_wider_backends() {
-    let _mode = dispatch_mode_guard();
     drop_local_pool();
     let (a, b) = vecs(N, 3);
     let reference = vector::dot(&a, &b);
@@ -102,7 +90,6 @@ fn pool_grows_for_wider_backends() {
 
 #[test]
 fn subdivided_backends_share_no_state_across_threads() {
-    let _mode = dispatch_mode_guard();
     // The SPMD solver hands each rank a subdivided backend, and each of
     // its worker threads builds its own pool. Run several such threads truly
     // concurrently on shared inputs and check every result is bitwise the
@@ -139,27 +126,6 @@ fn subdivided_backends_share_no_state_across_threads() {
             );
         }
     });
-}
-
-#[test]
-fn dispatch_modes_are_bitwise_identical() {
-    let _mode = dispatch_mode_guard();
-    let (a, b) = vecs(N, 5);
-    let m = poisson3d(16, 16, 16);
-    let x: Vec<f64> = (0..m.nrows()).map(|i| (i as f64 * 0.17).cos()).collect();
-    let be = KernelBackend::parallel(4);
-
-    set_dispatch_mode(DispatchMode::Pooled);
-    let dot_pooled = be.dot(&a, &b);
-    let spmv_pooled = be.spmv(&m, &x);
-
-    set_dispatch_mode(DispatchMode::Spawn);
-    let dot_spawn = be.dot(&a, &b);
-    let spmv_spawn = be.spmv(&m, &x);
-    set_dispatch_mode(DispatchMode::Pooled);
-
-    assert_eq!(dot_pooled.to_bits(), dot_spawn.to_bits());
-    assert_eq!(spmv_pooled, spmv_spawn);
 }
 
 #[test]
@@ -203,10 +169,9 @@ fn pcg_workspace_reuse_on_one_pool_matches_reference() {
 }
 
 #[test]
-fn full_esrp_run_identical_under_both_dispatch_modes() {
-    let _mode = dispatch_mode_guard();
-    // End to end: a distributed resilient run with a failure, under pooled
-    // and spawn dispatch, must match the sequential backend bit for bit.
+fn full_esrp_run_on_the_pool_matches_sequential() {
+    // End to end: a distributed resilient run with a failure on pooled
+    // workers must match the sequential backend bit for bit.
     let run = |backend: KernelBackend| {
         Experiment::builder()
             .matrix(MatrixSource::Poisson3d {
@@ -224,11 +189,7 @@ fn full_esrp_run_identical_under_both_dispatch_modes() {
     };
     let reference = run(KernelBackend::Sequential);
     assert!(reference.converged);
-    for mode in [DispatchMode::Pooled, DispatchMode::Spawn] {
-        set_dispatch_mode(mode);
-        let r = run(KernelBackend::parallel(4));
-        assert_eq!(r.iterations, reference.iterations, "{mode:?}");
-        assert_eq!(r.x, reference.x, "{mode:?}: bitwise solution");
-    }
-    set_dispatch_mode(DispatchMode::Pooled);
+    let pooled = run(KernelBackend::parallel(4));
+    assert_eq!(pooled.iterations, reference.iterations);
+    assert_eq!(pooled.x, reference.x, "bitwise solution");
 }
