@@ -16,12 +16,17 @@
 //!
 //! The `paper` binary drives this module. Its outputs are not tracked in the
 //! repository yet (ROADMAP.md, direction F, asks for a `BENCH_paper.json`).
+//! The `drills` binary runs the recovery-drill catalog of [`drills`] and
+//! gates it against `DRILLS.md`.
+//!
+//! Everything here reads the deterministic *modeled* clock. Host seconds —
+//! kernels, plan builds, whole solves — are measured by the standalone
+//! `benchmark/` package and nowhere else.
 
 pub mod drills;
 pub mod figures;
 pub mod format;
 pub mod grid;
-pub mod kernels;
 pub mod scale;
 
 pub use grid::{run_table, CellResult, FailureCell, TableData, TableRow, TableSpec};

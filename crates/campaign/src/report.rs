@@ -25,7 +25,7 @@ pub const SCHEMA: &str = "esrcg-campaign-v6";
 /// contract of the BENCH artifacts without changing any value. Every float
 /// a report renders goes through here first.
 #[inline]
-pub fn fmt_nonneg_zero(v: f64) -> f64 {
+pub(crate) fn fmt_nonneg_zero(v: f64) -> f64 {
     v + 0.0
 }
 

@@ -203,12 +203,6 @@ impl Ctx {
         self.buffers.stats()
     }
 
-    /// The flight recorder's capture level.
-    #[inline]
-    pub fn trace_level(&self) -> TraceConfig {
-        self.trace.level()
-    }
-
     /// Records a logical instant (iteration mark, failure trigger, …) at the
     /// current modeled clock. A no-op unless tracing is enabled.
     #[inline]

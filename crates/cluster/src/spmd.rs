@@ -27,7 +27,6 @@ use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
 
 use crate::comm::Ctx;
 use crate::coro::{self, Coro};
@@ -48,8 +47,6 @@ pub struct SpmdOutcome<T> {
     /// The merged flight-recorder trace (`None` when the run was started
     /// with [`TraceConfig::Off`]).
     pub trace: Option<MergedTrace>,
-    /// Real elapsed time of the whole run.
-    pub wall_time: Duration,
     /// Modeled runtime: the maximum final logical clock across ranks.
     pub modeled_time: f64,
 }
@@ -471,7 +468,6 @@ where
         Vec<crate::trace::TraceEvent>,
         f64,
     );
-    let started = Instant::now();
     let fabric = Arc::new(Fabric::new(n_ranks, n_workers));
     let slots: Vec<Mutex<Option<RankResult<T>>>> = (0..n_ranks).map(|_| Mutex::new(None)).collect();
 
@@ -507,7 +503,6 @@ where
         }
         work(0);
     });
-    let wall_time = started.elapsed();
 
     match lock(&fabric.failure).take() {
         // The rank's own panic already went through the panic hook.
@@ -544,7 +539,6 @@ where
         trace: trace
             .enabled()
             .then_some(MergedTrace { ranks: rank_traces }),
-        wall_time,
         modeled_time,
     }
 }
@@ -554,6 +548,7 @@ mod tests {
     use super::*;
     use crate::comm::ReduceOp;
     use crate::msg::{Payload, Tag};
+    use std::time::{Duration, Instant};
 
     const SIZES: [usize; 7] = [1, 2, 3, 4, 5, 8, 13];
 
@@ -1288,13 +1283,5 @@ mod tests {
         });
         assert_eq!(out.results, vec![5.0]);
         assert_eq!(out.total_stats().total_msgs(), 0);
-    }
-
-    #[test]
-    fn wall_time_is_measured() {
-        let out = run_spmd(2, CostModel::default(), |ctx| {
-            ctx.barrier();
-        });
-        assert!(out.wall_time > Duration::ZERO);
     }
 }

@@ -15,12 +15,10 @@
 //! the worst-case injection point. The benchmark harness in `esrcg-bench`
 //! composes these into the full table/figure grids.
 
-use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 use esrcg_cluster::{
-    run_spmd_traced, BufferPoolStats, CostModel, FailureSpec, MergedTrace, MetricsRollup, Phase,
+    run_spmd_traced, BufferPoolStats, CostModel, FailureSpec, MergedTrace, MetricsRollup,
     RankStats, TraceConfig,
 };
 use esrcg_precond::PrecondSpec;
@@ -173,43 +171,6 @@ pub fn paper_failure_iteration(c: usize, t: usize) -> usize {
     ((m + 1) * t).saturating_sub(2).max(1)
 }
 
-/// One observed failure event, delivered to a [`FaultObserver`] in trigger
-/// order once the run completes.
-#[derive(Debug, Clone)]
-pub struct FaultObservation {
-    /// 0-based index of the event in the run's failure schedule.
-    pub event: usize,
-    /// The recovery outcome (`inner_iterations` maximized over ranks, as in
-    /// [`RunReport::recoveries`]).
-    pub recovery: RecoveryOutcome,
-    /// The interval tuner's decision for this event (`None` under the
-    /// fixed policy).
-    pub tune: Option<TuneEvent>,
-}
-
-/// Hook receiving the failure stream of a run — what external MTBF
-/// estimators (and the drill harness's logging) attach to. Observations
-/// are delivered from [`Experiment::run`] after the SPMD solve finishes,
-/// one per processed failure event, in trigger order.
-pub trait FaultObserver: Send + Sync {
-    /// Called once per processed failure event.
-    fn on_failure(&self, obs: &FaultObservation);
-}
-
-/// Optional shared observer; a newtype so [`Experiment`] keeps deriving
-/// `Debug`/`Clone` (trait objects have neither).
-#[derive(Clone, Default)]
-struct ObserverHandle(Option<Arc<dyn FaultObserver>>);
-
-impl fmt::Debug for ObserverHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            Some(_) => f.write_str("ObserverHandle(set)"),
-            None => f.write_str("ObserverHandle(none)"),
-        }
-    }
-}
-
 /// One fully-specified experiment run (builder-style).
 #[derive(Debug, Clone)]
 pub struct Experiment {
@@ -219,7 +180,6 @@ pub struct Experiment {
     precond: PrecondSpec,
     strategy: Strategy,
     policy: IntervalPolicy,
-    observer: ObserverHandle,
     phi: usize,
     rtol: f64,
     max_iters: usize,
@@ -245,7 +205,6 @@ impl Experiment {
             precond: PrecondSpec::paper_default(),
             strategy: Strategy::None,
             policy: IntervalPolicy::Fixed,
-            observer: ObserverHandle::default(),
             phi: 0,
             rtol: 1e-8,
             max_iters: 200_000,
@@ -291,15 +250,6 @@ impl Experiment {
         let r = s.into();
         self.strategy = r.strategy;
         self.policy = r.policy;
-        self
-    }
-
-    /// Registers a fault observer: it receives one [`FaultObservation`]
-    /// per processed failure event, in trigger order, after the run
-    /// completes — the hook online MTBF estimators and drill logging
-    /// attach to.
-    pub fn observer(mut self, obs: Arc<dyn FaultObserver>) -> Self {
-        self.observer = ObserverHandle(Some(obs));
         self
     }
 
@@ -447,9 +397,6 @@ impl Experiment {
             cfg,
         )?);
 
-        let interior_rows = shared.row_split.total_interior();
-        let boundary_rows = shared.row_split.total_boundary();
-
         let outcome = run_spmd_traced(self.n_ranks, self.cost, self.trace, {
             let shared = shared.clone();
             move |ctx| solve_node(ctx, &shared)
@@ -484,23 +431,13 @@ impl Experiment {
         for s in &outcome.stats {
             stats_total.merge(s);
         }
-        // Tuner decisions are replicated; report rank 0's copy and feed
-        // the failure stream to the registered observer in trigger order.
+        // Tuner decisions are replicated; report rank 0's copy.
         let tuning = first.tuning.clone();
         let buffer_stats_total = outcome.total_buffer_stats();
         let metrics = outcome
             .trace
             .as_ref()
             .map(|t| t.rollup(&outcome.buffer_stats));
-        if let Some(obs) = &self.observer.0 {
-            for (e, rec) in recoveries.iter().enumerate() {
-                obs.on_failure(&FaultObservation {
-                    event: e,
-                    recovery: rec.clone(),
-                    tune: tuning.get(e).cloned(),
-                });
-            }
-        }
 
         Ok(RunReport {
             converged: outcome.results.iter().all(|o| o.converged),
@@ -510,7 +447,6 @@ impl Experiment {
             true_relres: first.true_relres,
             residual_drift: first.residual_drift,
             modeled_time: outcome.modeled_time,
-            wall_time: outcome.wall_time,
             recovery,
             recoveries,
             tuning,
@@ -526,8 +462,6 @@ impl Experiment {
             phi: self.phi,
             n_ranks: self.n_ranks,
             variant: self.variant,
-            interior_rows,
-            boundary_rows,
         })
     }
 }
@@ -549,8 +483,6 @@ pub struct RunReport {
     pub residual_drift: f64,
     /// Deterministic modeled runtime (seconds).
     pub modeled_time: f64,
-    /// Real elapsed time of the threaded run.
-    pub wall_time: Duration,
     /// First recovery event's details (convenience accessor for the
     /// paper's single-event experiments; `None` if no failure triggered).
     pub recovery: Option<RecoveryOutcome>,
@@ -585,11 +517,6 @@ pub struct RunReport {
     pub n_ranks: usize,
     /// Echo of the PCG recurrence variant.
     pub variant: PcgVariant,
-    /// Cluster-wide interior rows of the solve's [`esrcg_sparse::RowSplitSet`]
-    /// (rows the split-phase SpMV computes while the halo is in flight).
-    pub interior_rows: usize,
-    /// Cluster-wide boundary rows (rows that wait for the halo).
-    pub boundary_rows: usize,
 }
 
 impl RunReport {
@@ -609,14 +536,6 @@ impl RunReport {
     /// (one track per rank). `None` under [`TraceConfig::Off`].
     pub fn trace_json(&self) -> Option<String> {
         self.trace.as_ref().map(MergedTrace::to_perfetto_json)
-    }
-
-    /// Modeled time spent in a phase, maximized over ranks.
-    pub fn max_phase_time(&self, phase: Phase) -> f64 {
-        self.per_rank_stats
-            .iter()
-            .map(|s| s.modeled_time[phase as usize])
-            .fold(0.0, f64::max)
     }
 }
 

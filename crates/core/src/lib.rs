@@ -54,6 +54,6 @@ pub mod queue;
 pub mod solver;
 pub mod strategy;
 
-pub use driver::{Experiment, FaultObservation, FaultObserver, RunReport};
+pub use driver::{Experiment, RunReport};
 pub use solver::{PcgVariant, TuneEvent};
 pub use strategy::{IntervalPolicy, Resilience, Strategy};

@@ -301,15 +301,9 @@ fn recover_esrp(
         // column-split extractions of my rows. Built once per domain
         // (static-data access, uncharged like the paper's safe-storage
         // reloads), reused by every later event with the same failure set.
-        let cache = domains.entry(failed_sorted.to_vec()).or_insert_with(|| {
-            DomainCache::build(
-                &shared.a,
-                part,
-                &my_idx,
-                failed_sorted,
-                shared.cfg.spmv_format,
-            )
-        });
+        let cache = domains
+            .entry(failed_sorted.to_vec())
+            .or_insert_with(|| DomainCache::build(&shared.a, part, &my_idx, failed_sorted));
         debug_assert!(
             range.is_empty() || cache.in_failed_idx[range.start],
             "my own indices must be inside the failure domain"
@@ -338,10 +332,7 @@ fn recover_esrp(
         // Line 7: w = b_f − r_f − A[f, s] x_s. `full` carries the surviving
         // x at exactly the halo positions my rows read; the cached
         // column-split `a_off` is `A[f, s]` as a branch-free SpMV.
-        match cache.a_off_fmt.as_ref() {
-            Some(m) => be.spmv_fmt_into(m, full, &mut scratch.ax),
-            None => be.spmv_into(&cache.a_off, full, &mut scratch.ax),
-        }
+        be.spmv_into(&cache.a_off, full, &mut scratch.ax);
         ctx.charge_flops(cache.a_off.spmv_flops());
         for i in 0..nloc {
             scratch.w[i] = shared.b[range.start + i] - st.r[i] - scratch.ax[i];
@@ -563,28 +554,22 @@ fn distributed_inner_solve(
             halo_tag,
             &mut scratch.p_full,
         );
-        match cache.a_in_interior_fmt.as_ref() {
-            Some(m) => be.spmv_fmt_into(m, &scratch.p_full, &mut scratch.iq),
-            None => be.spmv_row_runs_into(
-                &cache.a_in,
-                split.interior(),
-                0,
-                &scratch.p_full,
-                &mut scratch.iq,
-            ),
-        }
+        be.spmv_row_runs_into(
+            &cache.a_in,
+            split.interior(),
+            0,
+            &scratch.p_full,
+            &mut scratch.iq,
+        );
         ctx.charge_flops(split.interior_flops());
         hx.finish_view(ctx, &inner_view, &mut scratch.p_full, None);
-        match cache.a_in_boundary_fmt.as_ref() {
-            Some(m) => be.spmv_fmt_into(m, &scratch.p_full, &mut scratch.iq),
-            None => be.spmv_row_runs_into(
-                &cache.a_in,
-                split.boundary(),
-                0,
-                &scratch.p_full,
-                &mut scratch.iq,
-            ),
-        }
+        be.spmv_row_runs_into(
+            &cache.a_in,
+            split.boundary(),
+            0,
+            &scratch.p_full,
+            &mut scratch.iq,
+        );
         ctx.charge_flops(split.boundary_flops());
         let pap_red = subreduce!({
             let mut v = ctx.take_f64s();

@@ -15,7 +15,10 @@
 //! * `DomainCache` — per failure domain (the sorted set of failed ranks):
 //!   the membership mask of `I_f` and the two column-split row extractions
 //!   `A[I_own, I\I_f]` / `A[I_own, I_f]`, which turn every masked SpMV of
-//!   the recovery into a plain CSR SpMV with no per-entry branch,
+//!   the recovery into a plain CSR SpMV with no per-entry branch (always
+//!   CSR, whatever `SolverConfig::spmv_format` the outer SpMV runs: these
+//!   operators live for one failure domain, and the format contract makes
+//!   the choice invisible in every iterate and every modeled second),
 //! * `LocalInnerSolve` — the rank's own principal submatrix block-Jacobi
 //!   preconditioner for the inner system, which depends only on the rank's
 //!   row range and is therefore factored at most once per solve.
@@ -24,7 +27,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use esrcg_precond::BlockJacobiPrecond;
-use esrcg_sparse::{CsrMatrix, FormatMatrix, Partition, RowRuns, RowSplit, SpmvFormat};
+use esrcg_sparse::{CsrMatrix, Partition, RowSplit};
 
 use crate::solver::SharedProblem;
 
@@ -109,15 +112,6 @@ pub(crate) struct DomainCache {
     /// SpMV read only the rank's own `p` chunk and can compute while the
     /// replacement-subgroup halo is in flight.
     pub inner_split: RowSplit,
-    /// `a_off` converted to the configured non-CSR [`SpmvFormat`]
-    /// (`None` under plain CSR) — the recovery-side mirror of the outer
-    /// solve's format cache.
-    pub a_off_fmt: Option<FormatMatrix>,
-    /// `a_in`'s interior rows converted (computed while the inner halo is
-    /// in flight).
-    pub a_in_interior_fmt: Option<FormatMatrix>,
-    /// `a_in`'s boundary rows converted (computed after the receives).
-    pub a_in_boundary_fmt: Option<FormatMatrix>,
 }
 
 impl DomainCache {
@@ -129,7 +123,6 @@ impl DomainCache {
         part: &Partition,
         own_rows: &[usize],
         failed_sorted: &[usize],
-        format: SpmvFormat,
     ) -> Self {
         let mut in_failed_idx = vec![false; part.n()];
         for &f in failed_sorted {
@@ -154,28 +147,11 @@ impl DomainCache {
             _ => 0..0,
         };
         let inner_split = RowSplit::build(&a_in, 0..a_in.nrows(), own_cols);
-        // The recovery operators get the same once-per-domain conversion
-        // the outer solve's matrix gets once per problem. The inner split's
-        // rows are already local row indices of `a_in`, and each row
-        // writes its own index, so the out map is the row list itself.
-        let a_off_fmt = FormatMatrix::from_csr(&a_off, format);
-        let piece = |runs: &RowRuns| {
-            if format.is_csr() {
-                return None;
-            }
-            let rows = runs.to_vec();
-            FormatMatrix::from_rows(&a_in, &rows, &rows, format)
-        };
-        let a_in_interior_fmt = piece(inner_split.interior());
-        let a_in_boundary_fmt = piece(inner_split.boundary());
         DomainCache {
             in_failed_idx,
             a_off,
             a_in,
             inner_split,
-            a_off_fmt,
-            a_in_interior_fmt,
-            a_in_boundary_fmt,
         }
     }
 }
@@ -228,9 +204,7 @@ mod tests {
         let a = poisson2d(6, 6);
         let part = Partition::balanced(36, 4); // 9 rows per rank
         let own_rows: Vec<usize> = part.range(1).collect();
-        let cache = DomainCache::build(&a, &part, &own_rows, &[1, 3], SpmvFormat::Csr);
-        assert!(cache.a_off_fmt.is_none(), "CSR needs no converted pieces");
-        assert!(cache.a_in_interior_fmt.is_none() && cache.a_in_boundary_fmt.is_none());
+        let cache = DomainCache::build(&a, &part, &own_rows, &[1, 3]);
         // Mask marks exactly the rows of ranks 1 and 3.
         let marked: Vec<usize> = (0..36).filter(|&i| cache.in_failed_idx[i]).collect();
         let expected: Vec<usize> = (9..18).chain(27..36).collect();
@@ -260,33 +234,6 @@ mod tests {
         for lr in split.boundary().iter() {
             let (cols, _) = cache.a_in.row(lr);
             assert!(cols.iter().any(|c| !own.contains(c)), "boundary row {lr}");
-        }
-    }
-
-    #[test]
-    fn domain_cache_format_pieces_are_bitwise_csr() {
-        use esrcg_sparse::KernelBackend;
-        let a = poisson2d(8, 9);
-        let part = Partition::balanced(72, 4);
-        let own_rows: Vec<usize> = part.range(2).collect();
-        let x: Vec<f64> = (0..72).map(|i| (i as f64 * 0.17).sin()).collect();
-        let be = KernelBackend::Sequential;
-        for fmt in [SpmvFormat::sell(), SpmvFormat::bcsr3()] {
-            let cache = DomainCache::build(&a, &part, &own_rows, &[2], fmt);
-            let nloc = own_rows.len();
-            // The a_off piece reproduces the CSR product bitwise.
-            let mut y_ref = vec![0.0; nloc];
-            be.spmv_into(&cache.a_off, &x, &mut y_ref);
-            let mut y = vec![0.0; nloc];
-            be.spmv_fmt_into(cache.a_off_fmt.as_ref().unwrap(), &x, &mut y);
-            assert_eq!(y, y_ref, "{}", fmt.name());
-            // Interior-then-boundary pieces reproduce the whole a_in product.
-            let mut y_ref = vec![0.0; nloc];
-            be.spmv_into(&cache.a_in, &x, &mut y_ref);
-            let mut y = vec![0.0; nloc];
-            be.spmv_fmt_into(cache.a_in_interior_fmt.as_ref().unwrap(), &x, &mut y);
-            be.spmv_fmt_into(cache.a_in_boundary_fmt.as_ref().unwrap(), &x, &mut y);
-            assert_eq!(y, y_ref, "split {}", fmt.name());
         }
     }
 }

@@ -178,17 +178,21 @@ fn pipelined_beats_classic_on_the_modeled_clock() {
              modeled seconds per iteration"
         );
 
-        let reduction_wait = |r: &RunReport| -> f64 {
+        let wait = |r: &RunReport, phase: Phase| -> f64 {
             r.per_rank_stats
                 .iter()
-                .map(|s| s.recv_wait[Phase::Reduction as usize])
+                .map(|s| s.recv_wait[phase as usize])
                 .sum()
         };
-        let w_classic = reduction_wait(&classic) / classic.iterations as f64;
-        let w_pipelined = reduction_wait(&pipelined) / pipelined.iterations as f64;
+        let w_classic = wait(&classic, Phase::Reduction) / classic.iterations as f64;
+        let w_pipelined = wait(&pipelined, Phase::Reduction) / pipelined.iterations as f64;
         assert!(
             w_pipelined < w_classic,
             "{n_ranks} ranks: reduction wait/iter {w_pipelined} vs {w_classic}"
+        );
+        assert!(
+            wait(&classic, Phase::SpMV) < wait(&classic, Phase::Reduction),
+            "{n_ranks} ranks: classic PCG waits on its reductions, not on the overlapped halo"
         );
     }
 }

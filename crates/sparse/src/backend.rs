@@ -136,17 +136,19 @@ pub const PARALLEL_CUTOFF: usize = 8192;
 /// loses); at 2¹⁷ 1.02×, 1.19×, 0.78× — break-even for PCG's mix of two
 /// dots, one `axpby` and one fused update; from 2¹⁸ on parallel wins on all
 /// three. Like the SpMV gate this is a constant and cannot change any bit;
-/// the kernels bench records the crossover in its cutoff sweep.
+/// `backend::tests::spmv_nnz_cutoff_gates_the_parallel_path` pins both
+/// sides of it.
 pub const VECTOR_PARALLEL_CUTOFF: usize = 131_072;
 
 /// Minimum stored-entry count before a *SpMV* dispatches in parallel. Rows
 /// alone mispredict SpMV cost: at n≈1e4 a stencil matrix clears the row
 /// cutoff with only ~7e4 stored entries, and the measured parallel kernel
-/// ran at 0.61 GFLOP/s against 1.52 sequential (BENCH_kernels.json v4, 4
-/// threads) — pure dispatch overhead. Below this entry count the
-/// sequential kernel runs instead, which cannot change any bit (the
-/// backends are bitwise identical); the kernels bench records the
-/// crossover.
+/// ran at 0.61 GFLOP/s against 1.52 sequential (4 threads; the measurement
+/// behind PR 8 in CHANGES.md, which introduced the gate) — pure dispatch
+/// overhead. Below this entry count the sequential kernel runs instead,
+/// which cannot change any bit (the backends are bitwise identical);
+/// `backend::tests::spmv_nnz_cutoff_gates_the_parallel_path` pins both
+/// sides of the gate.
 pub const SPMV_PARALLEL_NNZ_CUTOFF: usize = 200_000;
 
 /// Detected hardware parallelism, queried once per process (the kernels

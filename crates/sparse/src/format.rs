@@ -12,9 +12,8 @@
 //! rank's interior and boundary row lists — the two pieces the split-phase
 //! distributed SpMV multiplies — next to the `RowSplitSet`/`CommPlan` it
 //! mirrors, and the solver shares the cache across ranks through the
-//! `SharedProblem`. Recovery converts its per-domain extracted operators
-//! (`a_off`, and `a_in`'s interior/boundary rows) the same way, cached in
-//! its `DomainCache`.
+//! `SharedProblem`. That outer SpMV is where formats stop: recovery runs
+//! the CSR operators it extracts per failure domain, whatever the format.
 
 use crate::bcsr::{BcsrMatrix, MAX_BCSR_DIM};
 use crate::csr::CsrMatrix;

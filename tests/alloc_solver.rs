@@ -7,29 +7,59 @@
 //! storage stages / checkpoint rounds of T = 20 that fill the queue; the
 //! probe converges at 119.)
 //!
+//! A recovery event does allocate — gather buffers, the failure domain's
+//! column-split operators, the inner preconditioner — but a bounded number
+//! of times that does not depend on the outer SpMV's storage format, and a
+//! second event in the same failure domain reuses what the first one built.
+//!
 //! One test per binary on purpose: the counter is process-wide.
 
 mod counting_alloc;
 
 use esrcg::prelude::*;
+use esrcg::sparse::SpmvFormat;
 
-/// Allocations of one whole failure-free solve (Poisson2d 64², 8 ranks,
-/// φ = 1) stopped after `max_iters` iterations.
-fn allocations_of(strategy: Strategy, variant: PcgVariant, max_iters: usize) -> u64 {
-    let phi = usize::from(strategy != Strategy::None);
-    let before = counting_alloc::allocations();
-    let report = Experiment::builder()
+/// The probe: Poisson2d 64², 8 ranks (converges at iteration 119).
+fn probe() -> Experiment {
+    Experiment::builder()
         .matrix(MatrixSource::Poisson2d { nx: 64, ny: 64 })
         .n_ranks(8)
+}
+
+/// Heap allocations of one whole run of `exp`, and its report.
+fn counted(exp: Experiment) -> (u64, RunReport) {
+    let before = counting_alloc::allocations();
+    let report = exp.run().expect("probe run");
+    (counting_alloc::allocations() - before, report)
+}
+
+/// Allocations of one whole failure-free solve of the probe at φ = 1,
+/// stopped after `max_iters` iterations.
+fn allocations_of(strategy: Strategy, variant: PcgVariant, max_iters: usize) -> u64 {
+    let phi = usize::from(strategy != Strategy::None);
+    let exp = probe()
         .strategy(strategy)
         .phi(phi)
         .variant(variant)
-        .max_iters(max_iters)
-        .run()
-        .expect("probe run");
-    let after = counting_alloc::allocations();
+        .max_iters(max_iters);
+    let (allocations, report) = counted(exp);
     assert!(report.iterations >= 80, "ran past the warm-up");
-    after - before
+    allocations
+}
+
+/// Allocations of one whole ESRP(20) solve of the probe under `format` in
+/// which rank 3 fails at each of the `failures` iterations.
+fn allocations_with_failures(format: SpmvFormat, failures: &[usize]) -> u64 {
+    let mut exp = probe()
+        .strategy(Strategy::Esrp { t: 20 })
+        .phi(1)
+        .spmv_format(format);
+    for &at in failures {
+        exp = exp.failure_at(at, 3, 1);
+    }
+    let (allocations, report) = counted(exp);
+    assert_eq!(report.recoveries.len(), failures.len());
+    allocations
 }
 
 #[test]
@@ -55,5 +85,23 @@ fn iterations_past_the_warm_up_add_no_allocation() {
                 variant.name()
             );
         }
+    }
+
+    // Whole-run counts wobble by ± 1 between identical runs, hence the slack.
+    let run = allocations_with_failures;
+    let csr = SpmvFormat::Csr;
+    let (none, one, two) = (run(csr, &[]), run(csr, &[50]), run(csr, &[50, 95]));
+    let (csr_first, csr_second) = (one - none, two - one);
+    assert!(
+        2 * csr_second < csr_first,
+        "a second event in the same failure domain allocated {csr_second} times, the first {csr_first}"
+    );
+    for format in [SpmvFormat::sell(), SpmvFormat::bcsr3()] {
+        let first = run(format, &[50]) - run(format, &[]);
+        assert!(
+            first.abs_diff(csr_first) <= 2,
+            "{}: the first recovery event allocated {first} times, {csr_first} under csr",
+            format.name()
+        );
     }
 }
