@@ -6,8 +6,9 @@
 //! cargo run --release -p esrcg-bench --bin drills -- [options]
 //!
 //! options:
-//!   --workers N                 fleet worker threads (default: 4); the
-//!                               artifact lines are byte-identical for any N
+//!   --workers N                 fleet worker threads (default: the host's
+//!                               available parallelism); the artifact
+//!                               lines are byte-identical for any N
 //!   --check PATH                diff against the baselines in PATH
 //!                               (DRILLS.md) and exit 1 on a >20% recovery
 //!                               regression without a rationale entry
@@ -40,7 +41,7 @@ struct Options {
 
 fn parse_args() -> Result<Options, String> {
     let mut opt = Options {
-        workers: 4,
+        workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         check: None,
         out: None,
         inject_pct: 0.0,

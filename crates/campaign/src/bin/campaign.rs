@@ -20,8 +20,9 @@
 //!                     default,latency-dominated,compute-only,comm-only
 //!                     (default: default,latency-dominated)
 //!   --max-runs N      budget: cap the number of measured runs
-//!   --workers N       fleet worker threads (default 4); the artifact is
-//!                     byte-identical for any value
+//!   --workers N       fleet worker threads (default: the host's available
+//!                     parallelism); the artifact is byte-identical for
+//!                     any value
 //!   --out PATH        output file (default BENCH_campaign.json)
 //!   --trace-out PATH  also write one flight-recorder rollup line per
 //!                     measured run (JSONL, enumeration order) — the bytes
@@ -61,7 +62,7 @@ fn parse_args() -> Result<Options, String> {
         formats: vec![SpmvFormat::Csr],
         cost_models: None,
         max_runs: None,
-        workers: 4,
+        workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         out: "BENCH_campaign.json".to_string(),
         trace_out: None,
         quiet: false,

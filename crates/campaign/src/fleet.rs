@@ -8,8 +8,19 @@
 //! independent, long, unequal jobs, which fit the classic injected-channel
 //! shape — workers pull `(index, job)` pairs from a shared queue until it
 //! drains, so a slow cell never stalls the fleet. Each simulated cluster a
-//! job spawns (`run_spmd`) still gets its per-rank kernel pools; the two
-//! pool layers compose without shared state.
+//! job spawns (`run_spmd`) still gets its per-rank kernel pools; fleet and
+//! kernel pools compose without shared state.
+//!
+//! The fleet and the *rank* workers under it do share one thing, and it
+//! lives on the other side: `run_spmd` claims its workers from a
+//! process-wide budget of one per host thread, and every run in flight
+//! holds at least its calling thread — here, a fleet thread. Once the fleet
+//! has as many runs in flight as the host has threads, each further run
+//! finds the budget spent and executes all its ranks inline on the fleet
+//! thread that started it: no second scheduler thread per job, no futex
+//! hand-off between two of them. A fleet narrower than the host leaves the
+//! remainder to its runs' extra workers. Nothing is configured here; the
+//! fleet is seen because its threads are the ones calling `run_spmd`.
 //!
 //! Determinism: results are collected by *submission index*, and a job's
 //! outcome (modeled clocks, iteration counts, recovery reports) never

@@ -122,6 +122,13 @@ impl Ctx {
         }
     }
 
+    /// The run's shared state, for runtime tests that watch the scheduler
+    /// from inside a rank.
+    #[cfg(test)]
+    pub(crate) fn fabric(&self) -> &Fabric {
+        &self.fabric
+    }
+
     /// This rank's id, in `0..size`.
     #[inline]
     pub fn rank(&self) -> usize {

@@ -1,16 +1,26 @@
 //! The SPMD runner: executes one closure per rank, every rank a stackful
 //! coroutine, on at most as many OS threads as the host has cores.
 //!
-//! `run_spmd` starts W = min(`n_ranks`, host threads) **workers** — worker 0
-//! is the calling thread, the rest are scoped threads — and gives each a
-//! contiguous block of ranks (`rank · W / n_ranks`) that never migrate. A
-//! rank runs until its body returns or until [`Ctx::recv`] finds no matching
-//! message; then it registers what it waits for in its mailbox and suspends
-//! back into its worker's loop, which resumes the next runnable rank. A
-//! `send` that matches a registered wait puts the receiver on its worker's
-//! run queue, so a blocked rank costs nothing until its message exists.
-//! The private `Fabric` is that shared state: one mailbox per rank, one run
-//! queue per worker.
+//! `run_spmd` starts W **workers** — worker 0 is the calling thread, the rest
+//! are scoped threads — and gives each a contiguous block of ranks
+//! (`rank · W / n_ranks`) that never migrate. W comes out of a process-wide
+//! budget of one worker per host thread: a run claims what the runs already
+//! in flight have left, at least 1 and at most `n_ranks`. A lone run takes
+//! every core; a run started from a full fleet (a campaign's workers,
+//! `cargo test`'s parallel tests) gets W = 1 and runs all its ranks inline
+//! on the calling thread — no thread spawn, no futex, uncontended locks.
+//!
+//! A rank runs until its body returns or until [`Ctx::recv`] finds no
+//! matching message; then it registers what it waits for in its mailbox and
+//! suspends back into its worker's loop, which resumes the next runnable
+//! rank. A `send` that matches a registered wait puts the receiver on its
+//! worker's run queue, so a blocked rank costs nothing until its message
+//! exists. A worker whose queue is empty polls it, yielding its core
+//! between looks, and parks on a condvar only after `IDLE_POLLS` misses:
+//! a PCG iteration crosses the worker boundary at least three times, and
+//! waking a parked thread costs more than the arithmetic between two
+//! crossings. The private `Fabric` is that shared state: one mailbox per
+//! rank, one run queue per worker.
 //!
 //! Each rank's [`Ctx`] is built here with its own
 //! [`crate::msg::BufferPool`]; kernel calls inside a rank body hit the
@@ -152,6 +162,20 @@ pub(crate) struct Fabric {
 /// tree hops). A gather root grows past it once and keeps the capacity.
 const INBOX_CAPACITY: usize = 16;
 
+/// Looks a worker of a multi-worker run takes at its empty run queue, with
+/// a `yield_now` between them, before it parks on its condvar: ≈ 0.3 ms
+/// on an unloaded core. The smallest value on the plateau of the recorded
+/// sweep (2-core host, `benchmark run --seconds 5`, `wall_s` of two runs
+/// each at 0 / 16 / 64 / 256 / 1 024 / 4 096 / 16 384 polls): `paper-grid`
+/// 0.70–0.75 / 0.67–0.69 / 0.48–0.50 / 0.48–0.49 / **0.38–0.42** /
+/// 0.43–0.47 / 0.43–0.47 s, `rank-bound` 0.49–0.51 / 0.40 / 0.39–0.44 /
+/// 0.37–0.42 / **0.38** / 0.33–0.40 / 0.32–0.38 s, `recovery-storm`
+/// 0.52–0.56 / 0.48–0.51 / 0.40–0.47 / 0.41 / **0.38–0.39** / 0.37–0.40 /
+/// 0.34–0.40 s. Larger buys nothing resolvable and starts to cost where
+/// workers outnumber cores: `fleet` reads 0.24–0.29 s up to 4 096 and
+/// 0.34 s at 16 384.
+const IDLE_POLLS: u32 = 1024;
+
 impl Fabric {
     fn new(n_ranks: usize, n_workers: usize) -> Fabric {
         let fabric = Fabric {
@@ -290,11 +314,21 @@ impl Fabric {
         }
     }
 
-    /// The next rank worker `w` should resume, sleeping while there is
-    /// none. `None` once the run is poisoned — including by this call, when
-    /// it finds that no rank anywhere can run again.
+    /// The next rank worker `w` should resume, waiting while there is none:
+    /// up to [`IDLE_POLLS`] looks at the queue with the lock dropped and the
+    /// core yielded in between, then asleep on the condvar. `None` once the
+    /// run is poisoned — including by this call, when it finds that no rank
+    /// anywhere can run again. A polling worker is not idle yet, so a
+    /// deadlock is reported at most `IDLE_POLLS` yields per worker later
+    /// than it occurs. The only worker of a run never waits at all: its
+    /// empty queue *is* the deadlock.
     fn next_runnable(&self, w: usize) -> Option<usize> {
         let worker = &self.workers[w];
+        let mut polls_left = if self.workers.len() > 1 {
+            IDLE_POLLS
+        } else {
+            0
+        };
         let mut queue = lock(&worker.queue);
         loop {
             if self.poisoned.load(Ordering::SeqCst) {
@@ -302,6 +336,13 @@ impl Fabric {
             }
             if let Some(rank) = queue.ready.pop_front() {
                 return Some(rank);
+            }
+            if polls_left > 0 {
+                polls_left -= 1;
+                drop(queue);
+                std::thread::yield_now();
+                queue = lock(&worker.queue);
+                continue;
             }
             queue.parked = true;
             if self.idle.fetch_add(1, Ordering::SeqCst) + 1 == self.workers.len() {
@@ -403,10 +444,51 @@ fn host_threads() -> usize {
     *HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
+/// Rank workers alive in this process, the calling threads of their runs
+/// included: what [`run_spmd`] calls share the host's threads through.
+static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// One run's share of a worker budget, handed back on drop — so also when
+/// the run unwinds.
+struct WorkerClaim<'a> {
+    live: &'a AtomicUsize,
+    workers: usize,
+}
+
+impl<'a> WorkerClaim<'a> {
+    /// Claims the host threads the runs counted in `live` have left, at
+    /// least one (the calling thread works whatever else runs) and at most
+    /// one per rank. Count and claim are one read-modify-write, so runs
+    /// that start together split the host instead of each taking all of it.
+    /// The count can still be stale by the time the workers start — a run
+    /// that ended a moment later would have left more — which costs host
+    /// time on one run and nothing else: the worker count is invisible to
+    /// results and modeled clocks.
+    fn new(live: &'a AtomicUsize, n_ranks: usize) -> Self {
+        let share = |held: usize| host_threads().saturating_sub(held).clamp(1, n_ranks);
+        let held = live
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |held| {
+                Some(held + share(held))
+            })
+            .expect("the update never declines");
+        WorkerClaim {
+            live,
+            workers: share(held),
+        }
+    }
+}
+
+impl Drop for WorkerClaim<'_> {
+    fn drop(&mut self) {
+        self.live.fetch_sub(self.workers, Ordering::SeqCst);
+    }
+}
+
 /// Runs `body` as an SPMD program over `n_ranks` simulated nodes and
 /// collects results, counters, and both time metrics. Ranks are coroutines
-/// multiplexed over at most as many OS threads as the host has cores (see
-/// the module docs); the calling thread is one of them.
+/// multiplexed over at most as many OS threads as the host has cores *and
+/// the process's other runs have left free* (see the module docs); the
+/// calling thread is one of them, and under a full fleet the only one.
 ///
 /// The closure receives this rank's [`Ctx`]; all inter-rank communication
 /// goes through it. A panic on any rank aborts the run: every other rank is
@@ -443,13 +525,32 @@ where
     T: Send,
     F: Fn(&mut Ctx) -> T + Sync,
 {
+    run_within(&LIVE_WORKERS, n_ranks, cost, trace, body)
+}
+
+/// [`run_spmd_traced`] on the workers it can claim from `live`. The tests
+/// bring a count of their own: the process's is shared with whatever test
+/// runs beside them.
+fn run_within<T, F>(
+    live: &AtomicUsize,
+    n_ranks: usize,
+    cost: CostModel,
+    trace: TraceConfig,
+    body: F,
+) -> SpmdOutcome<T>
+where
+    T: Send,
+    F: Fn(&mut Ctx) -> T + Sync,
+{
     assert!(n_ranks > 0, "run_spmd: need at least one rank");
-    run_on_workers(n_ranks, n_ranks.min(host_threads()), cost, trace, body)
+    let claim = WorkerClaim::new(live, n_ranks);
+    run_on_workers(n_ranks, claim.workers, cost, trace, body)
 }
 
 /// [`run_spmd_traced`] on exactly `n_workers` worker threads (the caller
-/// included). Results, counters and every modeled number are the same for
-/// any worker count; only the host time differs.
+/// included), outside the worker budget. Results, counters and every
+/// modeled number are the same for any worker count; only the host time
+/// differs.
 fn run_on_workers<T, F>(
     n_ranks: usize,
     n_workers: usize,
@@ -1272,6 +1373,134 @@ mod tests {
                 "{workers} workers"
             );
         }
+    }
+
+    #[test]
+    fn a_worker_that_polled_out_and_parked_is_woken_by_its_message() {
+        // Rank 1 blocks in `recv` on a worker of its own. With `hold`,
+        // rank 0 sends only once it sees that worker in the idle count:
+        // poll expiry → park → notify, forced without a sleep. Holding the
+        // message back is host time; nothing modeled may tell the two runs
+        // apart.
+        let run = |hold: bool| {
+            watchdog(move || {
+                run_on(2, 2, move |ctx| {
+                    ctx.set_phase(Phase::SpMV);
+                    let tag = Tag::Halo.with(1);
+                    if ctx.rank() == 0 {
+                        ctx.charge_flops(1_000);
+                        while hold && ctx.fabric().idle.load(Ordering::SeqCst) != 1 {
+                            std::thread::yield_now();
+                        }
+                        ctx.send(1, tag, Payload::Scalar(42.0));
+                        (0, ctx.clock().to_bits())
+                    } else {
+                        let got = ctx.recv(0, tag).into_scalar();
+                        (got.to_bits(), ctx.clock().to_bits())
+                    }
+                })
+            })
+            .expect("the run completes")
+        };
+        let (held, prompt) = (run(true), run(false));
+        assert_eq!(held.results[1].0, 42.0f64.to_bits());
+        assert_eq!(held.results, prompt.results, "payload and both clocks");
+        assert_eq!(held.stats, prompt.stats);
+    }
+
+    /// One 8-rank run against the budget `live`: the `alloc_runtime` shape, a
+    /// ring exchange and an allreduce per round, seeded by `run` so no two
+    /// runs compute the same bits. Rank 0 calls `each_round` first thing
+    /// every round; run 0 panics on rank 5 part of the way through.
+    fn budgeted_ring(
+        live: &AtomicUsize,
+        run: usize,
+        each_round: &(dyn Fn(u32) + Sync),
+    ) -> std::thread::Result<SpmdOutcome<(u64, u64)>> {
+        let body = |ctx: &mut Ctx| {
+            let next = (ctx.rank() + 1) % ctx.size();
+            let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
+            let mut x = 0.1 + run as f64 + ctx.rank() as f64 * 0.3;
+            for round in 0..30u32 {
+                if ctx.rank() == 0 {
+                    each_round(round);
+                }
+                assert!(run != 0 || round < 3 || ctx.rank() != 5, "run 0 dies");
+                ctx.charge_flops(100 * (1 + ctx.rank() as u64 % 3));
+                ctx.send(next, Tag::Halo.with(round), Payload::Scalar(x));
+                let got = ctx.recv(prev, Tag::Halo.with(round)).into_scalar();
+                x = ctx.allreduce_sum_scalar(x + got) / ctx.size() as f64;
+            }
+            (x.to_bits(), ctx.clock().to_bits())
+        };
+        catch_unwind(AssertUnwindSafe(|| {
+            run_within(live, 8, CostModel::default(), TraceConfig::Off, body)
+        }))
+    }
+
+    #[test]
+    fn the_worker_budget_holds_under_nesting_and_moves_no_bit() {
+        // More concurrent runs than the host has threads, against a budget
+        // of the test's own (the process's is shared with the tests running
+        // beside this one). Rank 0 of every run meets the others at a
+        // barrier in round 0 — all runs are in flight at once, no sleep —
+        // and samples the live-worker count every round.
+        watchdog(|| {
+            let host = host_threads();
+            let runs = 2 * host + 1;
+            let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let all_in_flight = std::sync::Barrier::new(runs);
+            let sample = |round: u32| {
+                if round == 0 {
+                    all_in_flight.wait();
+                }
+                peak.fetch_max(live.load(Ordering::SeqCst), Ordering::SeqCst);
+            };
+            let nested: Vec<_> = std::thread::scope(|scope| {
+                let (live, sample) = (&live, &sample);
+                let handles: Vec<_> = (0..runs)
+                    .map(|run| scope.spawn(move || budgeted_ring(live, run, sample)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("the run's panic is caught inside"))
+                    .collect()
+            });
+            // The runs that claimed while the host had threads left hold
+            // `host` between them, every later one its calling thread only.
+            // Unbudgeted, each would hold min(8, host).
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                (runs..host + runs).contains(&peak),
+                "{runs} runs held {peak} workers on {host} host threads"
+            );
+            assert_eq!(live.load(Ordering::SeqCst), 0, "run 0 unwound, too");
+
+            // The same runs back to back: each finds the budget empty and
+            // takes every host thread, and no result, counter or clock
+            // differs from its starved twin's.
+            for (run, nested) in nested.into_iter().enumerate() {
+                let held = AtomicUsize::new(0);
+                let alone = budgeted_ring(&live, run, &|_| {
+                    held.store(live.load(Ordering::SeqCst), Ordering::SeqCst);
+                });
+                assert_eq!(held.into_inner(), host.min(8), "a lone run's workers");
+                assert_eq!(live.load(Ordering::SeqCst), 0, "run {run}");
+                let (Ok(nested), Ok(alone)) = (nested, alone) else {
+                    assert_eq!(run, 0, "only run 0 panics");
+                    continue;
+                };
+                assert_ne!(run, 0, "run 0 panics");
+                assert_eq!(nested.results, alone.results, "run {run}");
+                assert_eq!(nested.stats, alone.stats, "run {run}");
+                assert_eq!(
+                    nested.modeled_time.to_bits(),
+                    alone.modeled_time.to_bits(),
+                    "run {run}"
+                );
+            }
+        })
+        .expect("the budget holds");
     }
 
     #[test]
