@@ -123,32 +123,57 @@ pub enum TraceEvent {
     /// Phase spans tile the rank's timeline exactly: the first span starts at
     /// bitwise `0.0`, each span starts where the previous ended, and the last
     /// span ends at the rank's final clock ([`check_phase_coverage`]).
-    PhaseSpan { phase: Phase, start: f64, end: f64 },
+    PhaseSpan {
+        /// The phase the rank was in.
+        phase: Phase,
+        /// Clock at which the rank entered the phase.
+        start: f64,
+        /// Clock at which it left.
+        end: f64,
+    },
     /// One recovery episode, bracketed by the entry/exit barriers of
     /// `recover()`; `end - start` is the per-failure `recovery_time`.
-    RecoverySpan { start: f64, end: f64 },
+    RecoverySpan {
+        /// Clock after the entry barrier.
+        start: f64,
+        /// Clock after the exit barrier.
+        end: f64,
+    },
     /// A logical point event.
     Instant {
+        /// What happened.
         kind: InstantKind,
+        /// The kind's argument (an iteration index, a period, a sequence
+        /// number — see [`InstantKind`]).
         arg: u64,
+        /// Clock at the mark.
         at: f64,
     },
     /// A point-to-point send (recorded at `Full`); `at` is the clock after
     /// the injection charge.
     Send {
+        /// Destination rank.
         peer: usize,
+        /// High 32 bits of the message tag (see [`tag_kind_name`]).
         tag_kind: u32,
+        /// Payload size.
         bytes: usize,
+        /// Clock after the injection charge.
         at: f64,
     },
     /// A point-to-point receive completion (recorded at `Full`); `wait` is
     /// the modeled time spent blocked for the arrival, `at` the clock after
     /// synchronizing with it.
     Recv {
+        /// Source rank.
         peer: usize,
+        /// High 32 bits of the message tag (see [`tag_kind_name`]).
         tag_kind: u32,
+        /// Payload size.
         bytes: usize,
+        /// Modeled time spent blocked for the arrival.
         wait: f64,
+        /// Clock after synchronizing with the arrival.
         at: f64,
     },
 }

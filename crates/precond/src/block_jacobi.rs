@@ -16,23 +16,28 @@
 //!
 //! * only the lower triangles are kept, packed row-major
 //!   (`(i, k) ↦ i(i+1)/2 + k`), all in one `Vec` — no per-block allocation;
-//! * every run of `W` consecutive equal-sized blocks of a rank forms a
-//!   *group* whose factors are interleaved lane by lane — entry `(i, k)` of
-//!   the group's lane `j` lives at `off + (i(i+1)/2 + k)·W + j`, the
-//!   SELL-C-σ idea of `esrcg_sparse::sellcs` applied to dense blocks. The
-//!   fewer-than-`W` blocks left over in a size class are groups of one
-//!   lane. Groups never cross a rank boundary.
+//! * every run of consecutive equal-sized blocks of a rank is cut into
+//!   *groups* of `W` blocks, and the fewer-than-`W` blocks left over form
+//!   one last, narrower group. A group of `lanes` blocks (1 ..= `W`) is
+//!   interleaved lane by lane at stride `lanes` — entry `(i, k)` of lane `j`
+//!   lives at `off + (i(i+1)/2 + k)·lanes + j`, the SELL-C-σ idea of
+//!   `esrcg_sparse::sellcs` applied to dense blocks. Nothing is padded: the
+//!   arena holds exactly `Σ_b n_b(n_b+1)/2` entries whatever the grouping.
+//!   Groups never cross a rank boundary and never mix the two block sizes.
 //!
-//! One routine, `solve_lanes::<L>`, solves a group: `L = W` for full
-//! groups, `L = 1` for leftovers. Each lane performs exactly the per-row
-//! sequence of `Cholesky::solve_in_place` — `s ← b_i; s ← s − l_ik·b_k` for
-//! ascending `k`, `b_i ← s / l_ii`, forward then backward — on its own
-//! block; lanes never exchange data. The result is therefore **bitwise
-//! identical** to factoring and solving every block on its own, while the
-//! `L` independent chains keep the pipeline full and vectorise. The
-//! factors themselves are computed in a reusable scratch by
-//! [`Cholesky::factor_in_place`] — the routine `DenseMatrix::cholesky` runs
-//! — and copied into the arena, so the stored bits are the same as well.
+//! One routine, `solve_lanes::<L>`, solves a group; it is monomorphised for
+//! every `L` in `1..=W`, so the leftovers of a run are solved in lock-step
+//! like a full group. That matters most on small ranks: a 64-row rank is
+//! one block of 10 rows and six of 9 — no full group at all, 2 groups in
+//! all. Each lane performs exactly the per-row sequence of
+//! `Cholesky::solve_in_place` — `s ← b_i; s ← s − l_ik·b_k` for ascending
+//! `k`, `b_i ← s / l_ii`, forward then backward — on its own block; lanes
+//! never exchange data. The result is therefore **bitwise identical** to
+//! factoring and solving every block on its own, while the `L` independent
+//! chains keep the pipeline full and vectorise. The factors themselves are
+//! computed in a reusable scratch by [`Cholesky::factor_in_place`] — the
+//! routine `DenseMatrix::cholesky` runs — and copied into the arena, so the
+//! stored bits are the same as well.
 //!
 //! The apply is single-threaded. Blocks are independent, so a rank's group
 //! list could be cut into worker-disjoint chunks without changing a bit,
@@ -48,6 +53,8 @@ use crate::traits::Preconditioner;
 
 /// Blocks solved in lock-step per full group.
 const W: usize = 8;
+// `solve_groups` names every lane count `1..=W` in one `match`.
+const _: () = assert!(W == 8);
 
 /// Largest block size whose solve scratch (`W` lanes per row) lives on the
 /// stack; larger `max_block` values fall back to one heap buffer per apply.
@@ -68,7 +75,7 @@ struct Group {
     start: usize,
     /// Rows per block.
     n: usize,
-    /// Blocks in the group: `W` or 1.
+    /// Blocks in the group, `1..=W`; also the stride of its interleaving.
     lanes: usize,
     /// Offset of the group's `tri(n) · lanes` factor entries in the arena.
     off: usize,
@@ -134,7 +141,7 @@ impl BlockJacobiPrecond {
             for (n, count) in [(base + 1, extra), (base, nb - extra)] {
                 let mut left = count;
                 while left > 0 {
-                    let lanes = if left >= W { W } else { 1 };
+                    let lanes = left.min(W);
                     let off = arena.len();
                     arena.resize(off + tri(n) * lanes, 0.0);
                     for lane in 0..lanes {
@@ -215,10 +222,16 @@ impl BlockJacobiPrecond {
         for g in groups {
             let rows = g.start - base..g.end() - base;
             let (l, r, z) = (self.factors(g), &r[rows.clone()], &mut z[rows]);
-            if g.lanes == W {
-                solve_lanes::<W>(l, g.n, r, z, scratch);
-            } else {
-                solve_lanes::<1>(l, g.n, r, z, scratch);
+            match g.lanes {
+                1 => solve_lanes::<1>(l, g.n, r, z, scratch),
+                2 => solve_lanes::<2>(l, g.n, r, z, scratch),
+                3 => solve_lanes::<3>(l, g.n, r, z, scratch),
+                4 => solve_lanes::<4>(l, g.n, r, z, scratch),
+                5 => solve_lanes::<5>(l, g.n, r, z, scratch),
+                6 => solve_lanes::<6>(l, g.n, r, z, scratch),
+                7 => solve_lanes::<7>(l, g.n, r, z, scratch),
+                W => solve_lanes::<W>(l, g.n, r, z, scratch),
+                lanes => unreachable!("group of {lanes} lanes, W = {W}"),
             }
         }
     }
@@ -460,6 +473,16 @@ mod tests {
         p.apply_local(4..4, &[], &mut z);
     }
 
+    /// The two runs of equal-sized blocks a rank of `len` rows is cut into,
+    /// as `(rows per block, blocks)` — the paper's rule, written out again
+    /// independently of `new`.
+    fn size_classes(len: usize, max_block: usize) -> [(usize, usize); 2] {
+        let nb = len.div_ceil(max_block);
+        let base = len.checked_div(nb).unwrap_or(0);
+        let extra = len - base * nb;
+        [(base + 1, extra), (base, nb - extra)]
+    }
+
     /// The reference the packed arena must reproduce bit for bit: every
     /// block factored and solved on its own through `DenseMatrix`.
     fn per_block_oracle(
@@ -469,20 +492,16 @@ mod tests {
     ) -> Vec<(usize, esrcg_sparse::Cholesky)> {
         let mut blocks = Vec::new();
         for (_, range) in part.iter() {
-            if range.is_empty() {
-                continue;
-            }
-            let nb = range.len().div_ceil(max_block);
-            let (base, extra) = (range.len() / nb, range.len() % nb);
             let mut pos = range.start;
-            for b in 0..nb {
-                let bl = base + usize::from(b < extra);
-                let idx: Vec<usize> = (pos..pos + bl).collect();
-                let chol = esrcg_sparse::DenseMatrix::from_csr_block(a, &idx)
-                    .cholesky()
-                    .unwrap();
-                blocks.push((pos, chol));
-                pos += bl;
+            for (rows, count) in size_classes(range.len(), max_block) {
+                for _ in 0..count {
+                    let idx: Vec<usize> = (pos..pos + rows).collect();
+                    let chol = esrcg_sparse::DenseMatrix::from_csr_block(a, &idx)
+                        .cholesky()
+                        .unwrap();
+                    blocks.push((pos, chol));
+                    pos += rows;
+                }
             }
         }
         blocks
@@ -490,6 +509,61 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Builds the preconditioner and checks every entry point against
+    /// [`per_block_oracle`] under `to_bits`: `apply_into`, `apply_local` on
+    /// every rank, `solve_restricted` on the rows `restricted` (a union of
+    /// whole rank ranges), the block count and the modeled flops.
+    fn assert_bitwise_the_oracle(
+        a: &CsrMatrix,
+        part: &Partition,
+        max_block: usize,
+        restricted: Range<usize>,
+    ) -> BlockJacobiPrecond {
+        let n = a.nrows();
+        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() - 0.2).collect();
+        let p = BlockJacobiPrecond::new(a, part, max_block).unwrap();
+        let oracle = per_block_oracle(a, part, max_block);
+        assert_eq!(p.n_blocks(), oracle.len(), "max_block {max_block}");
+        let mut expected = r.clone();
+        let mut flops = 0;
+        for (start, chol) in &oracle {
+            chol.solve_in_place(&mut expected[*start..*start + chol.n()]);
+            flops += chol.solve_flops();
+        }
+        let mut z = vec![0.0; n];
+        p.apply_into(&r, &mut z);
+        assert_eq!(
+            bits(&z),
+            bits(&expected),
+            "apply_into, max_block {max_block}"
+        );
+        assert_eq!(p.apply_flops(0..n), flops);
+        for (rank, range) in part.iter() {
+            let mut z_loc = vec![f64::NAN; range.len()];
+            p.apply_local(range.clone(), &r[range.clone()], &mut z_loc);
+            assert_eq!(
+                bits(&z_loc),
+                bits(&expected[range]),
+                "apply_local, max_block {max_block}, rank {rank}"
+            );
+        }
+        // solve_restricted multiplies by the blocks' original matrices
+        // exactly like `Cholesky::apply_original`.
+        let idx: Vec<usize> = restricted.clone().collect();
+        let v = &r[restricted.clone()];
+        let mut product = vec![0.0; idx.len()];
+        for (start, chol) in oracle.iter().filter(|(s, _)| restricted.contains(s)) {
+            let span = start - restricted.start..start - restricted.start + chol.n();
+            product[span.clone()].copy_from_slice(&chol.apply_original(&v[span]));
+        }
+        assert_eq!(
+            bits(&p.solve_restricted(&idx, v)),
+            bits(&product),
+            "solve_restricted, max_block {max_block}"
+        );
+        p
     }
 
     #[test]
@@ -500,50 +574,104 @@ mod tests {
         // and both size classes).
         let a = banded_spd(611, 12, 0.5, 9);
         let part = Partition::from_offsets(vec![0, 0, 7, 60, 337, 611]);
-        let r: Vec<f64> = (0..611).map(|i| (i as f64 * 0.37).sin() - 0.2).collect();
         for max_block in [1usize, 3, 10, 16, 25] {
-            let p = BlockJacobiPrecond::new(&a, &part, max_block).unwrap();
-            let oracle = per_block_oracle(&a, &part, max_block);
-            assert_eq!(p.n_blocks(), oracle.len(), "max_block {max_block}");
+            let p = assert_bitwise_the_oracle(&a, &part, max_block, 7..337);
             if max_block == 10 {
                 let lanes: Vec<usize> = p.groups.iter().map(|g| g.lanes).collect();
-                assert!(lanes.contains(&W) && lanes.contains(&1));
+                assert!(lanes.contains(&W) && lanes.iter().any(|l| (2..W).contains(l)));
                 let mut sizes: Vec<usize> = p.groups.iter().map(|g| g.n).collect();
                 sizes.dedup();
                 assert!(sizes.len() > 2, "both size classes occur");
             }
-            let mut expected = r.clone();
-            let mut flops = 0;
-            for (start, chol) in &oracle {
-                chol.solve_in_place(&mut expected[*start..*start + chol.n()]);
-                flops += chol.solve_flops();
+        }
+    }
+
+    /// The groups of every rank, as `(rows per block, lanes)`.
+    fn groups_per_rank(p: &BlockJacobiPrecond, part: &Partition) -> Vec<Vec<(usize, usize)>> {
+        part.iter()
+            .map(|(_, range)| {
+                let groups = p.groups_in(range.start, range.end);
+                groups.iter().map(|g| (g.n, g.lanes)).collect()
+            })
+            .collect()
+    }
+
+    /// Entries of an unpadded arena: the packed triangle of every block.
+    fn packed_triangles(part: &Partition, max_block: usize) -> usize {
+        part.iter()
+            .flat_map(|(_, range)| size_classes(range.len(), max_block))
+            .map(|(n, blocks)| blocks * tri(n))
+            .sum()
+    }
+
+    #[test]
+    fn every_leftover_count_is_bitwise_the_oracle_and_solved_in_one_group() {
+        use esrcg_sparse::gen::banded_spd;
+        for max_block in [1usize, 3, 10, 16] {
+            // One rank of every length from 0 (empty) through max_block − 1
+            // (smaller than one block) up to 2W + 2 full blocks: that is
+            // every count 1..=2W+2 of maximal blocks, alone and next to
+            // every count of the smaller size a rank can hold (< max_block).
+            let lens = 0..=(2 * W + 2) * max_block;
+            let mut offsets = vec![0];
+            for len in lens.clone() {
+                offsets.push(offsets[len] + len);
             }
-            let mut z = vec![0.0; 611];
-            p.apply_into(&r, &mut z);
-            assert_eq!(
-                bits(&z),
-                bits(&expected),
-                "apply_into, max_block {max_block}"
-            );
-            assert_eq!(p.apply_flops(0..611), flops);
-            for (_, range) in part.iter() {
-                let mut z_loc = vec![f64::NAN; range.len()];
-                p.apply_local(range.clone(), &r[range.clone()], &mut z_loc);
-                assert_eq!(bits(&z_loc), bits(&expected[range]), "apply_local");
+            let n = offsets[offsets.len() - 1];
+            let restricted = offsets[max_block + 2]..offsets[offsets.len() - 3];
+            let part = Partition::from_offsets(offsets);
+            let a = banded_spd(n, 12, 0.5, max_block as u64);
+            let p = assert_bitwise_the_oracle(&a, &part, max_block, restricted);
+            assert_eq!(p.arena.len(), packed_triangles(&part, max_block));
+            for (len, groups) in lens.zip(groups_per_rank(&p, &part)) {
+                // Each size class: its full groups, then at most one
+                // narrower group holding all the leftovers.
+                let mut expected = Vec::new();
+                for (n, blocks) in size_classes(len, max_block) {
+                    expected.extend(std::iter::repeat_n((n, W), blocks / W));
+                    expected.extend((blocks % W > 0).then_some((n, blocks % W)));
+                }
+                assert_eq!(groups, expected, "max_block {max_block}, {len} rows");
             }
-            // solve_restricted multiplies by the blocks' original matrices
-            // exactly like `Cholesky::apply_original`.
-            let idx: Vec<usize> = (7..337).collect();
-            let mut restricted = vec![0.0; idx.len()];
-            for (start, chol) in oracle.iter().filter(|(s, _)| idx.contains(s)) {
-                let span = start - 7..start - 7 + chol.n();
-                restricted[span.clone()].copy_from_slice(&chol.apply_original(&r[7..337][span]));
+        }
+    }
+
+    #[test]
+    fn benchmark_rank_shapes_keep_their_group_counts() {
+        // The grouping depends on the partition alone, so a tridiagonal
+        // matrix of the workload's size stands in for its operator. A rank
+        // of `rank-bound` / `fleet` is 64 rows — 1 block of 10 + 6 of 9, no
+        // full group — and solved as 7 single-lane groups it cost a quarter
+        // of those workloads' host time.
+        for (workload, n, ranks, groups) in [
+            ("rank-bound: Poisson2d 128x64 on 128 ranks", 8192, 128, 2),
+            ("fleet: n = 256 on 4 ranks", 256, 4, 2),
+            (
+                "paper-grid: EmiliaLike 12x12x32 on 16 ranks",
+                12 * 12 * 32,
+                16,
+                5,
+            ),
+            (
+                "recovery-storm: EmiliaLike 12x12x64 on 16 ranks",
+                12 * 12 * 64,
+                16,
+                8,
+            ),
+            (
+                "kernel-bound: Poisson3d 48^3 on 2 ranks",
+                48 * 48 * 48,
+                2,
+                692,
+            ),
+        ] {
+            let part = Partition::balanced(n, ranks);
+            let p = BlockJacobiPrecond::new(&poisson1d(n), &part, 10).unwrap();
+            for (rank, g) in groups_per_rank(&p, &part).iter().enumerate() {
+                assert_eq!(g.len(), groups, "{workload}, rank {rank}: {g:?}");
             }
-            assert_eq!(
-                bits(&p.solve_restricted(&idx, &r[7..337])),
-                bits(&restricted),
-                "solve_restricted, max_block {max_block}"
-            );
+            // Unpadded — the property that keeps `setup_s` where it is.
+            assert_eq!(p.arena.len(), packed_triangles(&part, 10), "{workload}");
         }
     }
 

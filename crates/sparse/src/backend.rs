@@ -61,6 +61,8 @@ struct SendPtr<T>(*mut T);
 // SAFETY: the pointer is only dereferenced at worker-disjoint offsets while
 // the owning slice outlives the broadcast (see `SendPtr` docs).
 unsafe impl<T> Send for SendPtr<T> {}
+// SAFETY: as for `Send` — sharing the wrapper shares only the address; every
+// dereference goes through `chunk`, whose callers keep workers disjoint.
 unsafe impl<T> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
@@ -579,14 +581,17 @@ impl KernelBackend {
             if lo >= hi {
                 return;
             }
-            // SAFETY: chunk `[lo, hi)` is worker-disjoint and within every
-            // used (length-`n`) slice; unused slices stay empty.
+            // Chunk `[lo, hi)` is worker-disjoint and within every used
+            // (length-`n`) slice; unused slices stay empty.
             let hx = if x_used {
+                // SAFETY: `x` is used, so `[lo, hi) ⊆ [0, n)` lies within it,
+                // and no other worker's chunk overlaps it.
                 unsafe { x_out.chunk(lo, hi) }
             } else {
                 &mut []
             };
             let hy = if y_used {
+                // SAFETY: as for `x`.
                 unsafe { y_out.chunk(lo, hi) }
             } else {
                 &mut []
@@ -699,6 +704,97 @@ mod tests {
             let mut y = vec![0.0; rows.len()];
             KernelBackend::parallel(t).spmv_rows_into(&a, rows.clone(), &x, &mut y);
             assert_eq!(y, reference, "t={t}");
+        }
+    }
+
+    /// Row `r` of `A x` over the columns `skip` does not reject, by index:
+    /// the loop each CSR entry point spelled out for itself before they
+    /// shared one row kernel.
+    fn indexed_row(a: &CsrMatrix, r: usize, x: &[f64], skip: impl Fn(usize) -> bool) -> u64 {
+        let mut acc = 0.0;
+        for k in a.row_ptr()[r]..a.row_ptr()[r + 1] {
+            if !skip(a.col_idx()[k]) {
+                acc += a.values()[k] * x[a.col_idx()[k]];
+            }
+        }
+        acc.to_bits()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn csr_entry_points_are_bitwise_the_indexed_loop() {
+        // Random sparsity, large enough that the parallel backends dispatch.
+        let random = banded_spd(60_000, 40, 0.12, 3);
+        let piece_rows: Vec<usize> = (20_000..20_500).collect();
+        let cases = [
+            (
+                "empty rows",
+                CsrMatrix::from_dense(
+                    4,
+                    3,
+                    &[0.0, 0.0, 0.0, 1.5, 0.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.25, 0.0],
+                ),
+            ),
+            (
+                "single row",
+                CsrMatrix::from_dense(1, 5, &[0.5, 0.0, -3.0, 0.0, 7.0]),
+            ),
+            (
+                "non-square filtered piece",
+                random.extract_rows_filtered(&piece_rows, |c| c % 3 != 0),
+            ),
+            ("random sparsity", random),
+        ];
+        let masked = |c: usize| c % 5 == 2;
+        for (label, a) in &cases {
+            let n = a.nrows();
+            let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.113).sin()).collect();
+            let expected: Vec<u64> = (0..n).map(|r| indexed_row(a, r, &x, |_| false)).collect();
+            // A range with `rows.start > 0` and a strided list inside it.
+            let lo = n / 3;
+            let list: Vec<usize> = (lo..n).step_by(2).collect();
+            let expected_masked: Vec<u64> = list
+                .iter()
+                .map(|&r| indexed_row(a, r, &x, masked))
+                .collect();
+            for be in [
+                KernelBackend::Sequential,
+                KernelBackend::parallel(2),
+                KernelBackend::parallel(8),
+            ] {
+                let mut y = vec![f64::NAN; n];
+                be.spmv_into(a, &x, &mut y);
+                assert_eq!(bits(&y), expected, "spmv_into, {label}, {}", be.name());
+                let mut y = vec![f64::NAN; n - lo];
+                be.spmv_rows_into(a, lo..n, &x, &mut y);
+                assert_eq!(
+                    bits(&y),
+                    expected[lo..],
+                    "spmv_rows_into, {label}, {}",
+                    be.name()
+                );
+                let mut y = vec![f64::NAN; list.len()];
+                be.spmv_rows_masked_into(a, &list, &x, masked, &mut y);
+                assert_eq!(
+                    bits(&y),
+                    expected_masked,
+                    "spmv_rows_masked_into, {label}, {}",
+                    be.name()
+                );
+            }
+            // The list kernel has no backend-routed form.
+            let mut y = vec![f64::NAN; n - lo];
+            a.spmv_rows_subset_into(&list, lo, &x, &mut y);
+            for (i, out) in y.iter().enumerate() {
+                if i % 2 == 0 {
+                    assert_eq!(out.to_bits(), expected[lo + i], "subset, {label}, row {i}");
+                } else {
+                    assert!(out.is_nan(), "subset, {label}: unlisted row {i} written");
+                }
+            }
         }
     }
 

@@ -20,6 +20,20 @@ use crate::error::SparseError;
 /// constructors): `row_ptr` has length `nrows + 1`, is non-decreasing, starts
 /// at 0 and ends at `nnz`; within each row, column indices are strictly
 /// increasing and `< ncols`.
+///
+/// The column bound is **load-bearing for memory safety**: the SpMV row
+/// kernel gathers `x[c]` without a bounds check on the strength of
+/// `c < ncols` and the `x.len() == ncols` assertion. It holds because the
+/// fields are private and nothing hands out `&mut` access to them, so the
+/// seven constructors in this file — `from_coo`, `from_raw`, `identity`,
+/// `extract_rows_filtered`, `extract_rows`, `principal_submatrix`,
+/// `transpose` — are the only producers of a value of this type
+/// (`from_dense` goes through `from_coo`; `Clone` copies a valid value).
+/// `from_raw` validates its untrusted arrays in every profile; the other six
+/// derive their indices from a range-checked [`CooMatrix`] or from an
+/// already valid matrix and re-run `validate` under `debug_assertions`, so a
+/// debug-profile test run checks every matrix it builds. A new constructor
+/// must do one or the other.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
@@ -43,6 +57,7 @@ impl CsrMatrix {
             col_idx,
             values,
         }
+        .sealed()
     }
 
     /// Builds a CSR matrix from raw arrays, validating all invariants.
@@ -76,6 +91,7 @@ impl CsrMatrix {
             col_idx: (0..n).collect(),
             values: vec![1.0; n],
         }
+        .sealed()
     }
 
     /// Builds from a dense row-major array (test helper; zeros are dropped).
@@ -125,6 +141,11 @@ impl CsrMatrix {
                     "row_ptr decreasing at row {r}"
                 )));
             }
+            if hi > self.col_idx.len() {
+                return Err(SparseError::InvalidCsr(format!(
+                    "row_ptr exceeds nnz at row {r}"
+                )));
+            }
             let mut prev: Option<usize> = None;
             for &c in &self.col_idx[lo..hi] {
                 if c >= self.ncols {
@@ -143,6 +164,18 @@ impl CsrMatrix {
             }
         }
         Ok(())
+    }
+
+    /// Debug-profile check of the type invariant, on the way out of every
+    /// constructor that does not validate unconditionally (see the type
+    /// docs).
+    fn sealed(self) -> Self {
+        debug_assert_eq!(
+            self.validate(),
+            Ok(()),
+            "constructor broke the CSR invariant"
+        );
+        self
     }
 
     /// Number of rows.
@@ -220,14 +253,8 @@ impl CsrMatrix {
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length != ncols");
         assert_eq!(y.len(), self.nrows, "spmv: y length != nrows");
-        #[allow(clippy::needless_range_loop)]
-        for r in 0..self.nrows {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            y[r] = acc;
+        for (out, w) in y.iter_mut().zip(self.row_ptr.windows(2)) {
+            *out = self.row_dot(w[0]..w[1], x, |_| false);
         }
     }
 
@@ -241,13 +268,9 @@ impl CsrMatrix {
         assert!(rows.end <= self.nrows, "spmv_rows: row range out of range");
         assert_eq!(x.len(), self.ncols, "spmv_rows: x length != ncols");
         assert_eq!(y.len(), rows.len(), "spmv_rows: y length != rows.len()");
-        for (out, r) in y.iter_mut().zip(rows) {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            *out = acc;
+        // `y` is `rows.len()` long, so the zip stops at row `rows.end`.
+        for (out, w) in y.iter_mut().zip(self.row_ptr[rows.start..].windows(2)) {
+            *out = self.row_dot(w[0]..w[1], x, |_| false);
         }
     }
 
@@ -272,12 +295,7 @@ impl CsrMatrix {
             "spmv_rows_subset: rows must be strictly increasing"
         );
         for &r in rows {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            y[r - offset] = acc;
+            y[r - offset] = self.row_dot(self.row_ptr[r]..self.row_ptr[r + 1], x, |_| false);
         }
     }
 
@@ -314,15 +332,38 @@ impl CsrMatrix {
         assert_eq!(x_full.len(), self.ncols, "spmv_rows_masked: x length");
         assert_eq!(y.len(), rows.len(), "spmv_rows_masked: y length");
         for (out, &r) in y.iter_mut().zip(rows.iter()) {
-            let (cols, vals) = self.row(r);
-            let mut acc = 0.0;
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                if !masked(c) {
-                    acc += v * x_full[c];
-                }
-            }
-            *out = acc;
+            *out = self.row_dot(self.row_ptr[r]..self.row_ptr[r + 1], x_full, &masked);
         }
+    }
+
+    /// The one CSR row kernel: `Σ v · x[c]` over the stored entries `entries`
+    /// (one row's `row_ptr` window) whose column `skip` does not reject,
+    /// accumulated in stored — ascending-column — order. Every SpMV entry
+    /// point of this type runs it, so they agree bit for bit by construction.
+    #[inline(always)]
+    fn row_dot(
+        &self,
+        entries: std::ops::Range<usize>,
+        x: &[f64],
+        skip: impl Fn(usize) -> bool,
+    ) -> f64 {
+        // Loop-invariant and already established by every caller's own
+        // `assert_eq!`, so it folds away once inlined; repeated here so that
+        // the `unsafe` below rests on this function and the type alone.
+        assert_eq!(x.len(), self.ncols, "row_dot: x length != ncols");
+        let (cols, vals) = (&self.col_idx[entries.clone()], &self.values[entries]);
+        let mut acc = 0.0;
+        for (&c, &v) in cols.iter().zip(vals) {
+            if !skip(c) {
+                // SAFETY: `c` is an element of `self.col_idx`, so
+                // `c < self.ncols` by the type invariant (fields private,
+                // every constructor in this file validated or sealed — see
+                // the type docs), and `x.len() == self.ncols` was asserted
+                // above.
+                acc += v * unsafe { *x.get_unchecked(c) };
+            }
+        }
+        acc
     }
 
     /// Extracts the rows `rows` restricted to the columns selected by
@@ -354,6 +395,7 @@ impl CsrMatrix {
             col_idx,
             values,
         }
+        .sealed()
     }
 
     /// Extracts the rows `rows` (sorted global indices) as a new
@@ -377,6 +419,7 @@ impl CsrMatrix {
             col_idx,
             values,
         }
+        .sealed()
     }
 
     /// Extracts the principal submatrix `A[idx, idx]` with rows *and* columns
@@ -420,6 +463,7 @@ impl CsrMatrix {
             col_idx,
             values,
         }
+        .sealed()
     }
 
     /// The main diagonal as a dense vector (missing entries are 0.0). Only
@@ -458,6 +502,7 @@ impl CsrMatrix {
             col_idx,
             values,
         }
+        .sealed()
     }
 
     /// Checks numeric symmetry to absolute tolerance `tol`.
@@ -652,6 +697,34 @@ mod tests {
     }
 
     #[test]
+    fn every_spmv_entry_point_rejects_a_short_x() {
+        // `row_dot` gathers `x[c]` unchecked on the strength of these
+        // assertions, so they must fire in every profile: this test is also
+        // run under `cargo test --release`.
+        let a = small();
+        let x = [1.0, 2.0];
+        type Call<'a> = &'a dyn Fn(&mut [f64]);
+        let calls: [(&str, Call); 4] = [
+            ("spmv_into", &|y| a.spmv_into(&x, y)),
+            ("spmv_rows_into", &|y| a.spmv_rows_into(0..3, &x, y)),
+            ("spmv_rows_subset_into", &|y| {
+                a.spmv_rows_subset_into(&[0, 1, 2], 0, &x, y)
+            }),
+            ("spmv_rows_masked_into", &|y| {
+                a.spmv_rows_masked_into(&[0, 1, 2], &x, |_| false, y)
+            }),
+        ];
+        for (name, call) in calls {
+            let mut y = [0.0; 3];
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&mut y)))
+                .expect_err(name);
+            let message = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(message.contains("x length"), "{name}: {message}");
+            assert_eq!(y, [0.0; 3], "{name} wrote before it checked");
+        }
+    }
+
+    #[test]
     fn extract_rows_filtered_splits_masked_spmv() {
         let a = small();
         let x = [1.0, 2.0, 3.0];
@@ -742,6 +815,8 @@ mod tests {
         assert!(bad.is_err()); // unsorted columns
         let bad = CsrMatrix::from_raw(1, 2, vec![0, 1], vec![5], vec![1.0]);
         assert!(bad.is_err()); // column out of range
+        let bad = CsrMatrix::from_raw(2, 2, vec![0, 5, 1], vec![0], vec![1.0]);
+        assert!(bad.is_err()); // row_ptr runs past nnz before it comes back
         let good = CsrMatrix::from_raw(1, 2, vec![0, 2], vec![0, 1], vec![1.0, 2.0]);
         assert!(good.is_ok());
     }

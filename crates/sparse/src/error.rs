@@ -7,24 +7,50 @@ use std::fmt;
 pub enum SparseError {
     /// An entry's row or column index is outside the matrix dimensions.
     IndexOutOfBounds {
+        /// Row index of the rejected entry.
         row: usize,
+        /// Column index of the rejected entry.
         col: usize,
+        /// Row count of the matrix.
         nrows: usize,
+        /// Column count of the matrix.
         ncols: usize,
     },
     /// A CSR invariant is violated (row pointers not monotone, lengths
     /// inconsistent, column indices unsorted or out of range).
     InvalidCsr(String),
     /// The matrix is not (numerically) symmetric where symmetry is required.
-    NotSymmetric { row: usize, col: usize, diff: f64 },
+    NotSymmetric {
+        /// Row of the first offending pair.
+        row: usize,
+        /// Column of the first offending pair.
+        col: usize,
+        /// `|A[row, col] − A[col, row]|`, above the tolerance.
+        diff: f64,
+    },
     /// Cholesky factorization hit a non-positive pivot: the matrix is not
     /// positive definite (or is ill-conditioned beyond `f64`).
-    NotPositiveDefinite { pivot_index: usize, pivot: f64 },
+    NotPositiveDefinite {
+        /// Row at which the factorization stopped.
+        pivot_index: usize,
+        /// The non-positive (or non-finite) value found there.
+        pivot: f64,
+    },
     /// A dimension mismatch between operands (e.g. SpMV with a wrong-length
     /// vector).
-    DimensionMismatch { expected: usize, found: usize },
+    DimensionMismatch {
+        /// The size the operation required.
+        expected: usize,
+        /// The size it was given.
+        found: usize,
+    },
     /// Matrix Market parse failure with a line number and message.
-    MatrixMarket { line: usize, msg: String },
+    MatrixMarket {
+        /// 1-based line of the input the parser stopped at.
+        line: usize,
+        /// What was wrong with it.
+        msg: String,
+    },
     /// Underlying I/O error (stringified so the error type stays `Clone`).
     Io(String),
 }
