@@ -15,7 +15,8 @@ pub enum Scale {
     Small,
     /// Default laptop scale.
     Default,
-    /// Closer to the paper's iteration counts; tens of minutes.
+    /// Closer to the paper's iteration counts; about seven minutes per
+    /// table on two cores.
     Large,
 }
 

@@ -148,25 +148,40 @@ impl AspmvPlan {
         let mut extra: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); n_ranks];
         let mut extra_recv: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
 
+        // Per designated destination of the current rank: what is left of
+        // `I(s, d)` from the current index on, and whether it holds that
+        // index. One buffer, refilled per rank.
+        let mut ahead: Vec<(&[usize], bool)> = Vec::with_capacity(phi);
         for (s, range) in partition.iter() {
             // Per-destination extra lists for this rank.
             let dests = buddies.out_buddies(s);
             let mut per_k: Vec<Vec<usize>> = vec![Vec::new(); phi];
+            ahead.clear();
+            ahead.extend(dests.iter().map(|&d| (plan.indices_to(s, d), false)));
             for i in range {
                 let m = plan.multiplicity(i) as usize;
+                // `i` ascends over exactly the indices `s` owns and every
+                // `I(s, d)` is an ascending subset of them, so "is `i` in
+                // `I(s, d)`" is a look at the head of what is left of it.
+                for (rest, hit) in &mut ahead {
+                    *hit = rest.first() == Some(&i);
+                    *rest = &rest[usize::from(*hit)..];
+                }
                 // g(i): how many designated destinations already receive i.
-                let g = dests
-                    .iter()
-                    .filter(|&&d| plan.indices_to(s, d).binary_search(&i).is_ok())
-                    .count();
-                for (k0, &d) in dests.iter().enumerate() {
+                let g = ahead.iter().filter(|(_, hit)| *hit).count();
+                for (k0, (_, hit)) in ahead.iter().enumerate() {
                     let k = k0 + 1; // paper's k is 1-based
-                    let already = plan.indices_to(s, d).binary_search(&i).is_ok();
-                    if !already && m.saturating_sub(g) <= phi - k {
+                    if !hit && m.saturating_sub(g) <= phi - k {
                         per_k[k0].push(i);
                     }
                 }
             }
+            debug_assert!(
+                ahead.iter().all(|(rest, _)| rest.is_empty()),
+                "rank {s} sends an index it does not own"
+            );
+            // `s` ascends and its destinations are distinct, so every
+            // `extra_recv[d]` grows sorted and duplicate-free.
             for (k0, idx) in per_k.into_iter().enumerate() {
                 if idx.is_empty() {
                     continue;
@@ -176,10 +191,6 @@ impl AspmvPlan {
                 extra_recv[d].push(s);
             }
             extra[s].sort_by_key(|(d, _)| *d);
-        }
-        for l in extra_recv.iter_mut() {
-            l.sort_unstable();
-            l.dedup();
         }
         AspmvPlan {
             buddies,
@@ -244,6 +255,74 @@ mod tests {
     use super::*;
     use esrcg_sparse::gen::{banded_spd, poisson1d, poisson3d};
     use esrcg_sparse::CsrMatrix;
+
+    /// The plan by the paper's rule, one membership search per (index,
+    /// destination) — how [`AspmvPlan::build`] worked before it walked
+    /// cursors.
+    fn build_by_definition(plan: &CommPlan, partition: &Partition, phi: usize) -> AspmvPlan {
+        let n_ranks = plan.n_ranks();
+        let buddies = BuddyMap::new(n_ranks, phi);
+        let mut extra: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); n_ranks];
+        let mut extra_recv: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
+        for (s, range) in partition.iter() {
+            let dests = buddies.out_buddies(s);
+            let mut per_k: Vec<Vec<usize>> = vec![Vec::new(); phi];
+            for i in range {
+                let m = plan.multiplicity(i) as usize;
+                let g = dests
+                    .iter()
+                    .filter(|&&d| plan.indices_to(s, d).binary_search(&i).is_ok())
+                    .count();
+                for (k0, &d) in dests.iter().enumerate() {
+                    let already = plan.indices_to(s, d).binary_search(&i).is_ok();
+                    if !already && m.saturating_sub(g) <= phi - (k0 + 1) {
+                        per_k[k0].push(i);
+                    }
+                }
+            }
+            for (k0, idx) in per_k.into_iter().enumerate() {
+                if idx.is_empty() {
+                    continue;
+                }
+                extra[s].push((dests[k0], idx));
+                extra_recv[dests[k0]].push(s);
+            }
+            extra[s].sort_by_key(|(d, _)| *d);
+        }
+        for l in extra_recv.iter_mut() {
+            l.sort_unstable();
+            l.dedup();
+        }
+        AspmvPlan {
+            buddies,
+            extra,
+            extra_recv,
+        }
+    }
+
+    #[test]
+    fn cursor_build_equals_the_definition() {
+        for (name, a, n_ranks) in crate::dist::plan::tests::adversarial_cases() {
+            let part = Partition::balanced(a.nrows(), n_ranks);
+            let plan = CommPlan::build(&a, &part);
+            let phis = [1, 2, n_ranks.saturating_sub(1)];
+            for phi in phis.into_iter().filter(|phi| (1..n_ranks).contains(phi)) {
+                let (aspmv, oracle) = (
+                    AspmvPlan::build(&plan, &part, phi),
+                    build_by_definition(&plan, &part, phi),
+                );
+                for s in 0..n_ranks {
+                    let at = format!("{name}, phi = {phi}, rank {s}");
+                    assert_eq!(aspmv.extras_of(s), oracle.extras_of(s), "{at}");
+                    assert_eq!(
+                        aspmv.extra_sources_of(s),
+                        oracle.extra_sources_of(s),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn eq1_destinations_alternate() {

@@ -40,19 +40,30 @@ impl CommPlan {
         let n = a.nrows();
 
         // For each receiving rank, the set of foreign columns its rows
-        // touch, grouped by owner. A flat dedup per rank keeps this O(nnz +
-        // n log n) without hash maps.
+        // touch, grouped by owner. `seen[c] == l + 1` marks a column rank `l`
+        // has already listed, so only first sightings are collected and the
+        // sort below runs over the unique list: O(nnz + halo log halo).
         let mut recvs: Vec<Vec<(usize, Vec<usize>)>> = Vec::with_capacity(n_ranks);
         let mut sends: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); n_ranks];
         let mut multiplicity = vec![0u32; n];
+        let mut seen = vec![0u32; n];
         for (l, range) in partition.iter() {
+            let stamp = u32::try_from(l + 1).expect("rank counts fit a u32, as multiplicities do");
             let mut foreign: Vec<usize> = Vec::new();
             for r in range.clone() {
+                // Columns ascend within a row, so the foreign ones are a
+                // prefix below the owned range and a suffix from its end.
                 let (cols, _) = a.row(r);
-                foreign.extend(cols.iter().copied().filter(|c| !range.contains(c)));
+                let below = cols.iter().take_while(|&&c| c < range.start);
+                let above = cols.iter().rev().take_while(|&&c| c >= range.end);
+                for &c in below.chain(above) {
+                    if seen[c] != stamp {
+                        seen[c] = stamp;
+                        foreign.push(c);
+                    }
+                }
             }
             foreign.sort_unstable();
-            foreign.dedup();
             let mut per_src: Vec<(usize, Vec<usize>)> = Vec::new();
             for g in foreign {
                 let owner = partition.owner_of(g);
@@ -63,14 +74,13 @@ impl CommPlan {
                 }
             }
             // `foreign` is globally sorted and ownership ranges are
-            // contiguous, so `per_src` is already sorted by source rank.
+            // contiguous, so `per_src` is already sorted by source rank —
+            // and `l` ascends, so every `sends[src]` is sorted by
+            // destination as it grows.
             for (src, idx) in &per_src {
                 sends[*src].push((l, idx.clone()));
             }
             recvs.push(per_src);
-        }
-        for s in sends.iter_mut() {
-            s.sort_by_key(|(dst, _)| *dst);
         }
         CommPlan {
             n_ranks,
@@ -119,9 +129,92 @@ impl CommPlan {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use esrcg_sparse::gen::{banded_spd, poisson1d, poisson2d};
+    use esrcg_sparse::gen::{banded_spd, poisson1d, poisson2d, random_spd_dense};
+
+    /// The plan by its definition — every foreign column occurrence of a
+    /// rank's rows collected, sorted and deduplicated — which is how
+    /// [`CommPlan::build`] worked before it stamped first sightings.
+    fn build_by_definition(a: &CsrMatrix, partition: &Partition) -> CommPlan {
+        let n_ranks = partition.n_ranks();
+        let mut recvs: Vec<Vec<(usize, Vec<usize>)>> = Vec::with_capacity(n_ranks);
+        let mut sends: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); n_ranks];
+        let mut multiplicity = vec![0u32; a.nrows()];
+        for (l, range) in partition.iter() {
+            let mut foreign: Vec<usize> = Vec::new();
+            for r in range.clone() {
+                let (cols, _) = a.row(r);
+                foreign.extend(cols.iter().copied().filter(|c| !range.contains(c)));
+            }
+            foreign.sort_unstable();
+            foreign.dedup();
+            let mut per_src: Vec<(usize, Vec<usize>)> = Vec::new();
+            for g in foreign {
+                let owner = partition.owner_of(g);
+                multiplicity[g] += 1;
+                match per_src.last_mut() {
+                    Some((src, idx)) if *src == owner => idx.push(g),
+                    _ => per_src.push((owner, vec![g])),
+                }
+            }
+            for (src, idx) in &per_src {
+                sends[*src].push((l, idx.clone()));
+            }
+            recvs.push(per_src);
+        }
+        for s in sends.iter_mut() {
+            s.sort_by_key(|(dst, _)| *dst);
+        }
+        CommPlan {
+            n_ranks,
+            sends,
+            recvs,
+            multiplicity,
+        }
+    }
+
+    /// Matrices × rank counts the stencil generators never produce: foreign
+    /// columns on both sides of every range, whole-suffix halos, bands wider
+    /// than a rank, no halo at all, empty trailing ranks, one rank.
+    pub(crate) fn adversarial_cases() -> Vec<(&'static str, CsrMatrix, usize)> {
+        let n = 23;
+        let mut arrow = vec![0.0; n * n];
+        for i in 0..n {
+            arrow[i * n + i] = n as f64;
+            arrow[i] = -1.0;
+            arrow[i * n] = -1.0;
+        }
+        arrow[0] = n as f64;
+        vec![
+            ("arrow", CsrMatrix::from_dense(n, n, &arrow), 5),
+            ("dense", random_spd_dense(40, 3), 7),
+            ("wide band", banded_spd(60, 17, 0.5, 9), 8),
+            ("identity", CsrMatrix::identity(20), 4),
+            ("n < n_ranks", poisson1d(3), 5),
+            ("one rank", poisson2d(5, 5), 1),
+            ("two ranks", banded_spd(30, 4, 0.7, 2), 2),
+        ]
+    }
+
+    #[test]
+    fn stamped_build_equals_the_definition() {
+        for (name, a, n_ranks) in adversarial_cases() {
+            let part = Partition::balanced(a.nrows(), n_ranks);
+            let (plan, oracle) = (CommPlan::build(&a, &part), build_by_definition(&a, &part));
+            for s in 0..n_ranks {
+                assert_eq!(plan.sends_of(s), oracle.sends_of(s), "{name}: sends of {s}");
+                assert_eq!(plan.recvs_of(s), oracle.recvs_of(s), "{name}: recvs of {s}");
+            }
+            for i in 0..a.nrows() {
+                assert_eq!(
+                    plan.multiplicity(i),
+                    oracle.multiplicity(i),
+                    "{name}: m({i})"
+                );
+            }
+        }
+    }
 
     #[test]
     fn tridiagonal_neighbors_exchange_boundary_entries() {

@@ -67,6 +67,16 @@ fn tri(n: usize) -> usize {
     n * (n + 1) / 2
 }
 
+/// The fewest uniform blocks of at most `max_block` rows covering a rank of
+/// `len` rows — `ceil(len / max_block)` of them, sizes differing by at most
+/// one — as two runs `(rows per block, blocks)`: the larger size first.
+fn block_runs(len: usize, max_block: usize) -> [(usize, usize); 2] {
+    let nb = len.div_ceil(max_block);
+    let base = len.checked_div(nb).unwrap_or(0);
+    let extra = len - base * nb;
+    [(base + 1, extra), (base, nb - extra)]
+}
+
 /// `lanes` consecutive blocks of `n` rows each, factored and stored
 /// lane-interleaved (see the module docs).
 #[derive(Debug, Clone)]
@@ -123,27 +133,24 @@ impl BlockJacobiPrecond {
             a.nrows(),
             "partition size must match the matrix"
         );
+        // The arena is sized once, from the partition alone: its length does
+        // not depend on the grouping (module docs).
+        let entries = partition
+            .iter()
+            .flat_map(|(_, range)| block_runs(range.len(), max_block))
+            .map(|(n, count)| tri(n) * count)
+            .sum();
         let mut groups = Vec::new();
-        let mut arena = Vec::new();
+        let mut arena = vec![0.0; entries];
+        let mut off = 0;
         // Dense scratch one block is assembled and factored in.
         let mut dense = vec![0.0; max_block * max_block];
         for (_, range) in partition.iter() {
-            let len = range.len();
-            if len == 0 {
-                continue;
-            }
-            // Fewest uniform blocks of size <= max_block covering `len` rows:
-            // nb = ceil(len / max_block), sizes differing by at most one —
-            // `extra` blocks of `base + 1` rows, then the rest of `base`.
-            let nb = len.div_ceil(max_block);
-            let (base, extra) = (len / nb, len % nb);
             let mut pos = range.start;
-            for (n, count) in [(base + 1, extra), (base, nb - extra)] {
+            for (n, count) in block_runs(range.len(), max_block) {
                 let mut left = count;
                 while left > 0 {
                     let lanes = left.min(W);
-                    let off = arena.len();
-                    arena.resize(off + tri(n) * lanes, 0.0);
                     for lane in 0..lanes {
                         let first = pos + lane * n;
                         factor_block(a, first, n, &mut dense)?;
@@ -157,12 +164,14 @@ impl BlockJacobiPrecond {
                         lanes,
                         off,
                     });
+                    off += tri(n) * lanes;
                     pos += n * lanes;
                     left -= lanes;
                 }
             }
             debug_assert_eq!(pos, range.end);
         }
+        debug_assert_eq!(off, arena.len());
         Ok(BlockJacobiPrecond {
             n: a.nrows(),
             groups,

@@ -1,9 +1,12 @@
 //! Coordinate-format (COO) matrix builder.
 //!
-//! COO is the assembly format: generators and the Matrix Market reader push
+//! COO is the assembly format for *unordered* input: the Matrix Market
+//! reader, the random generators and `CsrMatrix::from_dense` push
 //! `(row, col, value)` triplets in arbitrary order (duplicates allowed, summed
 //! on conversion) and the result is converted once to [`CsrMatrix`] for
-//! compute.
+//! compute — a bucket pass by row, then a sort within each row. Producers
+//! that already visit entries in row-and-column order (the structured
+//! generators) write CSR rows directly and never come through here.
 //!
 //! [`CsrMatrix`]: crate::csr::CsrMatrix
 
@@ -94,22 +97,75 @@ impl CooMatrix {
     /// `(row_ptr, col_idx, values)`. Duplicate positions are summed;
     /// explicitly stored zeros are kept (they carry sparsity-pattern
     /// information that matters for communication planning).
-    pub(crate) fn into_csr_arrays(mut self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-        // Sort by (row, col); stable sort keeps duplicate summation
-        // order-independent because addition order within a duplicate run is
-        // insertion order, which we then fold left-to-right.
-        self.entries.sort_by_key(|a| (a.0, a.1));
-
+    pub(crate) fn into_csr_arrays(self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        // Stable counting sort by row: count, prefix-sum, scatter. Within a
+        // row the triplets stay in insertion order.
         let mut row_ptr = vec![0usize; self.nrows + 1];
-        let mut col_idx = Vec::with_capacity(self.entries.len());
-        let mut values = Vec::with_capacity(self.entries.len());
-
+        for &(r, _, _) in &self.entries {
+            row_ptr[r + 1] += 1;
+        }
+        for i in 0..self.nrows {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let mut next = row_ptr.clone();
+        let mut col_idx = vec![0usize; self.entries.len()];
+        let mut values = vec![0.0f64; self.entries.len()];
         for &(r, c, v) in &self.entries {
+            col_idx[next[r]] = c;
+            values[next[r]] = v;
+            next[r] += 1;
+        }
+
+        // Row by row: stable sort by column, then fold each run of equal
+        // columns left to right — so duplicates are summed in insertion
+        // order — compacting towards the front (`out` never passes `lo`).
+        let mut row: Vec<(usize, f64)> = Vec::new();
+        let (mut lo, mut out) = (0, 0);
+        for r in 0..self.nrows {
+            let hi = row_ptr[r + 1];
+            row.clear();
+            row.extend(
+                col_idx[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(values[lo..hi].iter().copied()),
+            );
+            row.sort_by_key(|&(c, _)| c);
+            let row_start = out;
+            for &(c, v) in &row {
+                if out > row_start && col_idx[out - 1] == c {
+                    values[out - 1] += v;
+                } else {
+                    col_idx[out] = c;
+                    values[out] = v;
+                    out += 1;
+                }
+            }
+            row_ptr[r + 1] = out;
+            lo = hi;
+        }
+        col_idx.truncate(out);
+        values.truncate(out);
+        (row_ptr, col_idx, values)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::SplitMix64;
+
+    /// The conversion as one global stable sort over the triplets — what
+    /// [`CooMatrix::into_csr_arrays`] did before it bucketed by row, kept as
+    /// its oracle.
+    fn by_global_sort(mut coo: CooMatrix) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        coo.entries.sort_by_key(|a| (a.0, a.1));
+        let mut row_ptr = vec![0usize; coo.nrows + 1];
+        let mut col_idx = Vec::with_capacity(coo.entries.len());
+        let mut values = Vec::with_capacity(coo.entries.len());
+        for &(r, c, v) in &coo.entries {
             if let (Some(&lc), Some(lv)) = (col_idx.last(), values.last_mut()) {
-                // Merge a duplicate of the previous entry.
                 if !col_idx.is_empty() && row_ptr[r + 1] > 0 && lc == c {
-                    // Same row (row_ptr[r+1] already counts entries in row r)
-                    // and same column: accumulate.
                     *lv += v;
                     continue;
                 }
@@ -118,16 +174,45 @@ impl CooMatrix {
             values.push(v);
             row_ptr[r + 1] += 1;
         }
-        for i in 0..self.nrows {
+        for i in 0..coo.nrows {
             row_ptr[i + 1] += row_ptr[i];
         }
         (row_ptr, col_idx, values)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn bucketed_conversion_equals_the_global_sort_bit_for_bit() {
+        let mut rng = SplitMix64::new(21);
+        // (nrows, ncols, triplets): dense with duplicates, sparse with empty
+        // rows, a single row, a single column, and the 0 × 0 matrix.
+        let shapes = [
+            (6, 5, 200),
+            (40, 40, 60),
+            (1, 9, 30),
+            (9, 1, 30),
+            (7, 7, 0),
+            (0, 0, 0),
+        ];
+        for (nrows, ncols, triplets) in shapes {
+            let mut coo = CooMatrix::new(nrows, ncols);
+            for _ in 0..triplets {
+                let (r, c) = (rng.range_usize(0, nrows), rng.range_usize(0, ncols));
+                // Values of mixed magnitude make the summation order of a
+                // duplicate run visible in the bits; every fifth is an
+                // explicit zero.
+                let v = match rng.range_usize(0, 5) {
+                    0 => 0.0,
+                    k => rng.range_f64(-1.0, 1.0) * 10f64.powi(4 * k as i32 - 8),
+                };
+                coo.push(r, c, v).unwrap();
+            }
+            let (rp, ci, v) = coo.clone().into_csr_arrays();
+            let (rp0, ci0, v0) = by_global_sort(coo);
+            assert_eq!((rp, ci), (rp0, ci0), "{nrows}x{ncols}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&v), bits(&v0), "{nrows}x{ncols}");
+        }
+    }
 
     #[test]
     fn push_and_counts() {

@@ -25,15 +25,19 @@ use crate::error::SparseError;
 /// kernel gathers `x[c]` without a bounds check on the strength of
 /// `c < ncols` and the `x.len() == ncols` assertion. It holds because the
 /// fields are private and nothing hands out `&mut` access to them, so the
-/// seven constructors in this file — `from_coo`, `from_raw`, `identity`,
+/// eight constructors in this file — `from_coo`, `from_raw`, `identity`,
 /// `extract_rows_filtered`, `extract_rows`, `principal_submatrix`,
-/// `transpose` — are the only producers of a value of this type
+/// `transpose` and the crate-private row writer `CsrWriter` the structured
+/// generators emit through — are the only producers of a value of this type
 /// (`from_dense` goes through `from_coo`; `Clone` copies a valid value).
-/// `from_raw` validates its untrusted arrays in every profile; the other six
-/// derive their indices from a range-checked [`CooMatrix`] or from an
-/// already valid matrix and re-run `validate` under `debug_assertions`, so a
-/// debug-profile test run checks every matrix it builds. A new constructor
-/// must do one or the other.
+/// Two of them check in every profile: `from_raw` validates its untrusted
+/// arrays whole, and `CsrWriter::push` asserts `col < ncols` and strictly
+/// ascending columns entry by entry (`finish` asserts the row count), which
+/// is the whole invariant. The other six derive their indices from a
+/// range-checked [`CooMatrix`] or from an already valid matrix. All but
+/// `from_raw` re-run `validate` under `debug_assertions`, so a debug-profile
+/// test run checks every matrix it builds. A new constructor must do one or
+/// the other.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
@@ -613,6 +617,95 @@ impl CsrMatrix {
     }
 }
 
+/// Writes a [`CsrMatrix`] row by row, in order, straight into its three
+/// arrays — the constructor for producers that already visit entries in
+/// `(row, column)` order (the structured generators), which therefore need
+/// neither a triplet buffer nor a sort.
+///
+/// The arrays are allocated once, at the exact `nnz` the caller states; a
+/// caller that pushes more pays a growth `realloc`, which
+/// `tests/alloc_setup.rs` counts.
+pub(crate) struct CsrWriter {
+    nrows: usize,
+    ncols: usize,
+    /// The smallest column the open row still admits: one past its last.
+    min_col: usize,
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl CsrWriter {
+    /// A writer for an `nrows × ncols` matrix of exactly `nnz` entries.
+    pub(crate) fn with_capacity(nrows: usize, ncols: usize, nnz: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(nrows + 1);
+        row_ptr.push(0);
+        CsrWriter {
+            nrows,
+            ncols,
+            min_col: 0,
+            row_ptr,
+            col_idx: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Appends `(col, value)` to the open row and returns the entry's
+    /// position, for [`CsrWriter::set`].
+    ///
+    /// # Panics
+    /// Panics — in every profile, this is the check the un-checked SpMV
+    /// gather rests on — unless `col < ncols` and `col` is larger than the
+    /// open row's previous column.
+    #[inline]
+    pub(crate) fn push(&mut self, col: usize, value: f64) -> usize {
+        assert!(col < self.ncols, "CsrWriter: column {col} out of range");
+        assert!(
+            col >= self.min_col,
+            "CsrWriter: column {col} does not ascend within its row"
+        );
+        self.min_col = col + 1;
+        self.col_idx.push(col);
+        self.values.push(value);
+        self.col_idx.len() - 1
+    }
+
+    /// Overwrites the value at `pos` (as returned by [`CsrWriter::push`]):
+    /// how a generator fills a diagonal it can only sum up once the row's
+    /// last neighbour has been visited.
+    #[inline]
+    pub(crate) fn set(&mut self, pos: usize, value: f64) {
+        self.values[pos] = value;
+    }
+
+    /// Closes the open row and opens the next.
+    #[inline]
+    pub(crate) fn end_row(&mut self) {
+        self.min_col = 0;
+        self.row_ptr.push(self.col_idx.len());
+    }
+
+    /// The finished matrix.
+    ///
+    /// # Panics
+    /// Panics unless exactly `nrows` rows were closed.
+    pub(crate) fn finish(self) -> CsrMatrix {
+        assert_eq!(
+            self.row_ptr.len(),
+            self.nrows + 1,
+            "CsrWriter: rows written != nrows"
+        );
+        CsrMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            row_ptr: self.row_ptr,
+            col_idx: self.col_idx,
+            values: self.values,
+        }
+        .sealed()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,6 +814,68 @@ mod tests {
             let message = panic.downcast_ref::<String>().expect("formatted panic");
             assert!(message.contains("x length"), "{name}: {message}");
             assert_eq!(y, [0.0; 3], "{name} wrote before it checked");
+        }
+    }
+
+    #[test]
+    fn writer_builds_the_matrix_it_was_handed_row_by_row() {
+        let mut w = CsrWriter::with_capacity(3, 3, 7);
+        w.push(0, 4.0);
+        w.push(1, -1.0);
+        w.end_row();
+        w.push(0, -1.0);
+        let diag = w.push(1, 0.0);
+        w.push(2, -1.0);
+        w.set(diag, 4.0);
+        w.end_row();
+        w.push(1, -1.0);
+        w.push(2, 4.0);
+        w.end_row();
+        assert_eq!(w.finish(), small());
+        // Empty rows and an empty matrix are rows like any other.
+        let mut w = CsrWriter::with_capacity(2, 5, 0);
+        w.end_row();
+        w.end_row();
+        assert_eq!(w.finish().row_ptr(), &[0, 0, 0]);
+        assert_eq!(CsrWriter::with_capacity(0, 0, 0).finish().nnz(), 0);
+    }
+
+    #[test]
+    fn writer_rejects_what_would_break_the_invariant_in_every_profile() {
+        // `row_dot` gathers `x[c]` unchecked on the strength of these
+        // assertions, so they must fire in every profile: this test is also
+        // run under `cargo test --release`.
+        type Misuse<'a> = &'a dyn Fn(&mut CsrWriter);
+        let misuses: [(&str, &str, Misuse); 4] = [
+            ("column == ncols", "out of range", &|w| {
+                w.push(3, 1.0);
+            }),
+            ("equal column", "does not ascend", &|w| {
+                w.push(1, 1.0);
+                w.push(1, 1.0);
+            }),
+            ("descending column", "does not ascend", &|w| {
+                w.push(2, 1.0);
+                w.push(0, 1.0);
+            }),
+            ("a row too many", "rows written", &|w| {
+                w.end_row();
+                w.end_row();
+                w.end_row();
+            }),
+        ];
+        for (name, expected, misuse) in misuses {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut w = CsrWriter::with_capacity(2, 3, 4);
+                w.push(2, 1.0);
+                w.end_row(); // a new row may start below the previous row's last column
+                misuse(&mut w);
+                w.end_row();
+                w.finish()
+            }))
+            .expect_err(name);
+            let message = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(message.contains(expected), "{name}: {message}");
         }
     }
 

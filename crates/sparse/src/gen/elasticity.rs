@@ -7,8 +7,8 @@
 //! coupled by a symmetric 3×3 block, giving interior rows 3·27 = 81 stored
 //! entries. Block diagonal dominance makes the matrix SPD.
 
-use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
+use super::{neighbour, neighbourhood_entries, Neighbour, CENTRE, OFFSETS};
+use crate::csr::{CsrMatrix, CsrWriter};
 
 /// Generator parameters for [`elasticity3d_params`]; [`Default`] gives the
 /// calibrated `audikw_1` stand-in.
@@ -120,96 +120,188 @@ pub fn elasticity3d_params(nx: usize, ny: usize, nz: usize, p: ElasticityParams)
         "elasticity3d: anisotropy coefficients must be positive"
     );
     assert!(p.shift > 0.0, "elasticity3d: shift must be positive");
+    let dims = [nx, ny, nz];
     let npts = nx * ny * nz;
     let n = 3 * npts;
-    let pidx = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
-    let mut coo = CooMatrix::with_capacity(n, n, 81 * n / 2);
+    // A point with m in-range offsets (itself included) owns three rows of
+    // 3·(m − 1) + 1 entries.
+    let nnz = 9 * neighbourhood_entries(dims) - 6 * npts;
+    let mut out = CsrWriter::with_capacity(n, n, nnz);
     // Layered material coefficients (see stencil27): constant within
     // layer_nz-plane z-layers, jumping by up to 10^contrast between layers.
-    let kappa: Vec<f64> = (0..npts)
-        .map(|i| {
-            let z = i / (nx * ny);
-            material_coefficient(z / p.layer_nz, p.contrast)
-        })
-        .collect();
-    let shift = p.shift;
+    let kappa = |z: usize| material_coefficient(z / p.layer_nz, p.contrast);
+    // The 26 neighbour blocks, in the order the rows are written in (the
+    // centre's slot stays unused), and the absolute row sums each adds to
+    // the diagonal.
+    let mut blocks = [[[0.0; 3]; 3]; 27];
+    let mut rowsums = [[0.0; 3]; 27];
+    for o in (0..27).filter(|&o| o != CENTRE) {
+        let [dx, dy, dz] = OFFSETS[o];
+        blocks[o] = offdiag_block(&p, dx, dy, dz);
+        rowsums[o] = blocks[o].map(|bi| bi.iter().map(|v| v.abs()).sum());
+    }
     for z in 0..nz {
+        // Blocks and row sums scaled by the plane's coefficient: the
+        // geometric mean with an in-range neighbour's keeps symmetry; a
+        // "ghost" neighbour past a z-end uses the point's own.
+        let kz = kappa(z);
+        let (mut scaled, mut dominance) = (blocks, rowsums);
+        for o in 0..27 {
+            let zz = z as i64 + OFFSETS[o][2];
+            let scale = if (0..nz as i64).contains(&zz) {
+                (kz * kappa(zz as usize)).sqrt()
+            } else {
+                kz
+            };
+            scaled[o] = scaled[o].map(|bi| bi.map(|bij| scale * bij));
+            dominance[o] = dominance[o].map(|rowsum| scale * rowsum);
+        }
         for y in 0..ny {
             for x in 0..nx {
-                let pt = pidx(x, y, z);
-                // Accumulate the diagonal block as the dominance sum of the
-                // absolute values of all (coefficient-scaled) neighbor
-                // blocks, including out-of-domain ones, for strict
-                // definiteness at the boundary.
-                let mut diag = [[0.0f64; 3]; 3];
-                for (i, di) in diag.iter_mut().enumerate() {
-                    di[i] = shift * kappa[pt];
-                }
-                for dz in -1i64..=1 {
-                    for dy in -1i64..=1 {
-                        for dx in -1i64..=1 {
-                            if dx == 0 && dy == 0 && dz == 0 {
-                                continue;
+                let pt = (z * ny + y) * nx + x;
+                let landing: [Neighbour; 27] =
+                    std::array::from_fn(|o| neighbour(dims, [x, y, z], o));
+                for i in 0..3 {
+                    // The diagonal is the dominance sum of the absolute
+                    // values of all (coefficient-scaled) neighbor blocks,
+                    // plus shift · κ > 0: always a stored entry, at the
+                    // place where the centre offset comes up.
+                    let mut diag = p.shift * kz;
+                    let mut diag_pos = 0;
+                    for o in 0..27 {
+                        if o == CENTRE {
+                            diag_pos = out.push(3 * pt + i, 0.0);
+                            continue;
+                        }
+                        match landing[o] {
+                            Neighbour::Point(q) => {
+                                diag += dominance[o][i];
+                                for (j, &v) in scaled[o][i].iter().enumerate() {
+                                    out.push(3 * q + j, v);
+                                }
                             }
-                            let b = offdiag_block(&p, dx, dy, dz);
-                            let (xx, yy, zz) = (x as i64 + dx, y as i64 + dy, z as i64 + dz);
-                            let in_domain = xx >= 0
-                                && yy >= 0
-                                && zz >= 0
-                                && xx < nx as i64
-                                && yy < ny as i64
-                                && zz < nz as i64;
-                            // Geometric-mean coefficient keeps symmetry; a
-                            // boundary "ghost" neighbor uses the point's own
-                            // coefficient.
-                            let scale = if in_domain {
-                                let q = pidx(xx as usize, yy as usize, zz as usize);
-                                (kappa[pt] * kappa[q]).sqrt()
-                            } else {
-                                kappa[pt]
-                            };
-                            // Row-sum dominance contribution of this block.
                             // Out-of-domain neighbors contribute only when
                             // crossing the strong (z) axis: the structure is
                             // clamped at its z-ends and free on its sides
                             // (see stencil27 for why this matters for the
                             // spectrum).
-                            let z_crossing = zz < 0 || zz >= nz as i64;
-                            if in_domain || z_crossing {
-                                for i in 0..3 {
-                                    let rowsum: f64 = b[i].iter().map(|v| v.abs()).sum();
-                                    diag[i][i] += scale * rowsum;
-                                }
-                            }
-                            if !in_domain {
-                                continue;
-                            }
-                            let q = pidx(xx as usize, yy as usize, zz as usize);
-                            for (i, bi) in b.iter().enumerate() {
-                                for (j, &bij) in bi.iter().enumerate() {
-                                    coo.push(3 * pt + i, 3 * q + j, scale * bij)
-                                        .expect("in range");
-                                }
-                            }
+                            Neighbour::BeyondZ => diag += dominance[o][i],
+                            Neighbour::BeyondSide => {}
                         }
                     }
-                }
-                for (i, di) in diag.iter().enumerate() {
-                    for (j, &dij) in di.iter().enumerate() {
-                        if dij != 0.0 {
-                            coo.push(3 * pt + i, 3 * pt + j, dij).expect("in range");
-                        }
-                    }
+                    out.set(diag_pos, diag);
+                    out.end_row();
                 }
             }
         }
     }
-    CsrMatrix::from_coo(coo)
+    out.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coo::CooMatrix;
+
+    /// [`elasticity3d_params`] as it was while it assembled through
+    /// [`CooMatrix`]: the oracle the streamed rows must equal.
+    fn elasticity3d_coo(nx: usize, ny: usize, nz: usize, p: ElasticityParams) -> CsrMatrix {
+        use crate::gen::stencil::material_coefficient;
+        let npts = nx * ny * nz;
+        let n = 3 * npts;
+        let pidx = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
+        let mut coo = CooMatrix::with_capacity(n, n, 81 * n / 2);
+        let kappa: Vec<f64> = (0..npts)
+            .map(|i| {
+                let z = i / (nx * ny);
+                material_coefficient(z / p.layer_nz, p.contrast)
+            })
+            .collect();
+        let shift = p.shift;
+        for z in 0..nz {
+            for y in 0..ny {
+                for x in 0..nx {
+                    let pt = pidx(x, y, z);
+                    let mut diag = [[0.0f64; 3]; 3];
+                    for (i, di) in diag.iter_mut().enumerate() {
+                        di[i] = shift * kappa[pt];
+                    }
+                    for dz in -1i64..=1 {
+                        for dy in -1i64..=1 {
+                            for dx in -1i64..=1 {
+                                if dx == 0 && dy == 0 && dz == 0 {
+                                    continue;
+                                }
+                                let b = offdiag_block(&p, dx, dy, dz);
+                                let (xx, yy, zz) = (x as i64 + dx, y as i64 + dy, z as i64 + dz);
+                                let in_domain = xx >= 0
+                                    && yy >= 0
+                                    && zz >= 0
+                                    && xx < nx as i64
+                                    && yy < ny as i64
+                                    && zz < nz as i64;
+                                let scale = if in_domain {
+                                    let q = pidx(xx as usize, yy as usize, zz as usize);
+                                    (kappa[pt] * kappa[q]).sqrt()
+                                } else {
+                                    kappa[pt]
+                                };
+                                let z_crossing = zz < 0 || zz >= nz as i64;
+                                if in_domain || z_crossing {
+                                    for i in 0..3 {
+                                        let rowsum: f64 = b[i].iter().map(|v| v.abs()).sum();
+                                        diag[i][i] += scale * rowsum;
+                                    }
+                                }
+                                if !in_domain {
+                                    continue;
+                                }
+                                let q = pidx(xx as usize, yy as usize, zz as usize);
+                                for (i, bi) in b.iter().enumerate() {
+                                    for (j, &bij) in bi.iter().enumerate() {
+                                        coo.push(3 * pt + i, 3 * q + j, scale * bij)
+                                            .expect("in range");
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    for (i, di) in diag.iter().enumerate() {
+                        for (j, &dij) in di.iter().enumerate() {
+                            if dij != 0.0 {
+                                coo.push(3 * pt + i, 3 * pt + j, dij).expect("in range");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        CsrMatrix::from_coo(coo)
+    }
+
+    #[test]
+    fn streamed_rows_equal_the_coo_assembly() {
+        let skew = ElasticityParams {
+            aniso: [0.3, 0.7, 1.0],
+            contrast: 1.0,
+            layer_nz: 2,
+            shift: 1.0e-6,
+            rank_one: 0.2,
+        };
+        for p in [ElasticityParams::default(), skew] {
+            for nx in 1..=3 {
+                for ny in 1..=3 {
+                    for nz in 1..=4 {
+                        assert_eq!(
+                            elasticity3d_params(nx, ny, nz, p),
+                            elasticity3d_coo(nx, ny, nz, p),
+                            "{nx}x{ny}x{nz} {p:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn interior_row_has_81_entries() {

@@ -4,9 +4,12 @@
 //! problem class the paper's introduction motivates (heat conduction,
 //! elastic deformation). Dirichlet boundary conditions; the matrices are
 //! symmetric positive definite.
+//!
+//! Each row is written in ascending column order — lower neighbours
+//! slowest axis first, the diagonal, upper neighbours fastest axis first —
+//! straight into the CSR arrays, sized from the closed-form entry count.
 
-use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
+use crate::csr::{CsrMatrix, CsrWriter};
 
 /// 1-D Poisson matrix (`tridiag(-1, 2, -1)`, `n × n`).
 ///
@@ -14,14 +17,18 @@ use crate::csr::CsrMatrix;
 /// Panics if `n == 0`.
 pub fn poisson1d(n: usize) -> CsrMatrix {
     assert!(n > 0, "poisson1d: n must be positive");
-    let mut coo = CooMatrix::with_capacity(n, n, 3 * n);
+    let mut w = CsrWriter::with_capacity(n, n, n + 2 * (n - 1));
     for i in 0..n {
-        coo.push(i, i, 2.0).expect("in range");
-        if i + 1 < n {
-            coo.push_sym(i, i + 1, -1.0).expect("in range");
+        if i > 0 {
+            w.push(i - 1, -1.0);
         }
+        w.push(i, 2.0);
+        if i + 1 < n {
+            w.push(i + 1, -1.0);
+        }
+        w.end_row();
     }
-    CsrMatrix::from_coo(coo)
+    w.finish()
 }
 
 /// 2-D Poisson matrix (5-point stencil) on an `nx × ny` grid; `n = nx·ny`.
@@ -31,21 +38,28 @@ pub fn poisson1d(n: usize) -> CsrMatrix {
 pub fn poisson2d(nx: usize, ny: usize) -> CsrMatrix {
     assert!(nx > 0 && ny > 0, "poisson2d: grid dims must be positive");
     let n = nx * ny;
-    let idx = |x: usize, y: usize| y * nx + x;
-    let mut coo = CooMatrix::with_capacity(n, n, 5 * n);
+    let nnz = n + 2 * ((nx - 1) * ny + nx * (ny - 1));
+    let mut w = CsrWriter::with_capacity(n, n, nnz);
     for y in 0..ny {
         for x in 0..nx {
-            let i = idx(x, y);
-            coo.push(i, i, 4.0).expect("in range");
+            let i = y * nx + x;
+            if y > 0 {
+                w.push(i - nx, -1.0);
+            }
+            if x > 0 {
+                w.push(i - 1, -1.0);
+            }
+            w.push(i, 4.0);
             if x + 1 < nx {
-                coo.push_sym(i, idx(x + 1, y), -1.0).expect("in range");
+                w.push(i + 1, -1.0);
             }
             if y + 1 < ny {
-                coo.push_sym(i, idx(x, y + 1), -1.0).expect("in range");
+                w.push(i + nx, -1.0);
             }
+            w.end_row();
         }
     }
-    CsrMatrix::from_coo(coo)
+    w.finish()
 }
 
 /// 3-D Poisson matrix (7-point stencil) on an `nx × ny × nz` grid;
@@ -59,31 +73,118 @@ pub fn poisson3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
         "poisson3d: grid dims must be positive"
     );
     let n = nx * ny * nz;
-    let idx = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
-    let mut coo = CooMatrix::with_capacity(n, n, 7 * n);
+    let plane = nx * ny;
+    let nnz = n + 2 * ((nx - 1) * ny * nz + nx * (ny - 1) * nz + nx * ny * (nz - 1));
+    let mut w = CsrWriter::with_capacity(n, n, nnz);
     for z in 0..nz {
         for y in 0..ny {
             for x in 0..nx {
-                let i = idx(x, y, z);
-                coo.push(i, i, 6.0).expect("in range");
+                let i = (z * ny + y) * nx + x;
+                if z > 0 {
+                    w.push(i - plane, -1.0);
+                }
+                if y > 0 {
+                    w.push(i - nx, -1.0);
+                }
+                if x > 0 {
+                    w.push(i - 1, -1.0);
+                }
+                w.push(i, 6.0);
                 if x + 1 < nx {
-                    coo.push_sym(i, idx(x + 1, y, z), -1.0).expect("in range");
+                    w.push(i + 1, -1.0);
                 }
                 if y + 1 < ny {
-                    coo.push_sym(i, idx(x, y + 1, z), -1.0).expect("in range");
+                    w.push(i + nx, -1.0);
                 }
                 if z + 1 < nz {
-                    coo.push_sym(i, idx(x, y, z + 1), -1.0).expect("in range");
+                    w.push(i + plane, -1.0);
                 }
+                w.end_row();
             }
         }
     }
-    CsrMatrix::from_coo(coo)
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coo::CooMatrix;
+
+    /// The generators as they were while they assembled through
+    /// [`CooMatrix`]: the oracle the streamed rows must equal.
+    fn poisson1d_coo(n: usize) -> CsrMatrix {
+        let mut coo = CooMatrix::with_capacity(n, n, 3 * n);
+        for i in 0..n {
+            coo.push(i, i, 2.0).expect("in range");
+            if i + 1 < n {
+                coo.push_sym(i, i + 1, -1.0).expect("in range");
+            }
+        }
+        CsrMatrix::from_coo(coo)
+    }
+
+    fn poisson2d_coo(nx: usize, ny: usize) -> CsrMatrix {
+        let n = nx * ny;
+        let idx = |x: usize, y: usize| y * nx + x;
+        let mut coo = CooMatrix::with_capacity(n, n, 5 * n);
+        for y in 0..ny {
+            for x in 0..nx {
+                let i = idx(x, y);
+                coo.push(i, i, 4.0).expect("in range");
+                if x + 1 < nx {
+                    coo.push_sym(i, idx(x + 1, y), -1.0).expect("in range");
+                }
+                if y + 1 < ny {
+                    coo.push_sym(i, idx(x, y + 1), -1.0).expect("in range");
+                }
+            }
+        }
+        CsrMatrix::from_coo(coo)
+    }
+
+    fn poisson3d_coo(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
+        let n = nx * ny * nz;
+        let idx = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
+        let mut coo = CooMatrix::with_capacity(n, n, 7 * n);
+        for z in 0..nz {
+            for y in 0..ny {
+                for x in 0..nx {
+                    let i = idx(x, y, z);
+                    coo.push(i, i, 6.0).expect("in range");
+                    if x + 1 < nx {
+                        coo.push_sym(i, idx(x + 1, y, z), -1.0).expect("in range");
+                    }
+                    if y + 1 < ny {
+                        coo.push_sym(i, idx(x, y + 1, z), -1.0).expect("in range");
+                    }
+                    if z + 1 < nz {
+                        coo.push_sym(i, idx(x, y, z + 1), -1.0).expect("in range");
+                    }
+                }
+            }
+        }
+        CsrMatrix::from_coo(coo)
+    }
+
+    #[test]
+    fn streamed_rows_equal_the_coo_assembly() {
+        for n in 1..=6 {
+            assert_eq!(poisson1d(n), poisson1d_coo(n), "poisson1d({n})");
+        }
+        for nx in 1..=5 {
+            for ny in 1..=5 {
+                assert_eq!(poisson2d(nx, ny), poisson2d_coo(nx, ny), "{nx}x{ny}");
+                for nz in 1..=4 {
+                    assert_eq!(
+                        poisson3d(nx, ny, nz),
+                        poisson3d_coo(nx, ny, nz),
+                        "{nx}x{ny}x{nz}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn poisson1d_structure() {

@@ -12,8 +12,8 @@
 //! the matrix a realistic, preconditioner-resistant spectrum (the paper's
 //! reference runs need ~10⁴ iterations on the genuine matrix).
 
-use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
+use super::{neighbour, neighbourhood_entries, Neighbour, CENTRE, OFFSETS};
+use crate::csr::{CsrMatrix, CsrWriter};
 
 /// Generator parameters for [`stencil27_params`]; [`Default`] gives the
 /// calibrated `Emilia_923` stand-in.
@@ -137,67 +137,146 @@ pub fn stencil27_params(nx: usize, ny: usize, nz: usize, p: StencilParams) -> Cs
         "stencil27: anisotropy coefficients must be positive"
     );
     assert!(p.shift > 0.0, "stencil27: shift must be positive");
+    let dims = [nx, ny, nz];
     let n = nx * ny * nz;
-    let idx = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
-    let mut coo = CooMatrix::with_capacity(n, n, 27 * n);
+    let mut out = CsrWriter::with_capacity(n, n, neighbourhood_entries(dims));
     // Material coefficients are constant within z-layers of layer_nz planes
     // and jump by up to 10^contrast between layers — correlated (layered)
     // heterogeneity, as in a real reservoir model.
-    let kappa: Vec<f64> = (0..n)
-        .map(|i| {
-            let z = i / (nx * ny);
-            material_coefficient(z / p.layer_nz, p.contrast)
-        })
-        .collect();
+    let kappa = |z: usize| material_coefficient(z / p.layer_nz, p.contrast);
+    // The 26 neighbour weights, in the order the rows are written in (the
+    // centre's slot stays unused).
+    let mut weights = [0.0; 27];
+    for (o, wgt) in weights.iter_mut().enumerate().filter(|(o, _)| *o != CENTRE) {
+        let [dx, dy, dz] = OFFSETS[o];
+        *wgt = weight(&p.aniso, dx, dy, dz);
+    }
     for z in 0..nz {
+        // Everything an offset contributes depends on the point only through
+        // its plane: the entry of an in-range neighbour — geometric mean of
+        // the endpoint coefficients, which keeps the matrix symmetric — or,
+        // past a z-end, the ghost neighbour's share of the diagonal.
+        let kz = kappa(z);
+        let mut plane = weights;
+        for (o, w) in plane.iter_mut().enumerate() {
+            let zz = z as i64 + OFFSETS[o][2];
+            *w = if (0..nz as i64).contains(&zz) {
+                *w * (kz * kappa(zz as usize)).sqrt()
+            } else {
+                w.abs() * kz
+            };
+        }
         for y in 0..ny {
             for x in 0..nx {
-                let i = idx(x, y, z);
-                let mut diag = p.shift * kappa[i];
-                for dz in -1i64..=1 {
-                    for dy in -1i64..=1 {
-                        for dx in -1i64..=1 {
-                            if dx == 0 && dy == 0 && dz == 0 {
-                                continue;
-                            }
-                            let (xx, yy, zz) = (x as i64 + dx, y as i64 + dy, z as i64 + dz);
-                            if xx < 0
-                                || yy < 0
-                                || zz < 0
-                                || xx >= nx as i64
-                                || yy >= ny as i64
-                                || zz >= nz as i64
-                            {
-                                // Dirichlet only at the two ends of the
-                                // strong (z) axis — the bar is fixed there,
-                                // its sides are free (Neumann). Stiffening
-                                // the weak-axis boundaries would put an
-                                // artificial floor under the smallest
-                                // eigenvalues and make the problem too easy.
-                                if zz < 0 || zz >= nz as i64 {
-                                    diag += weight(&p.aniso, dx, dy, dz).abs() * kappa[i];
-                                }
-                                continue;
-                            }
-                            let j = idx(xx as usize, yy as usize, zz as usize);
-                            // Geometric mean of the endpoint coefficients
-                            // keeps the matrix symmetric.
-                            let w = weight(&p.aniso, dx, dy, dz) * (kappa[i] * kappa[j]).sqrt();
+                let i = (z * ny + y) * nx + x;
+                let mut diag = p.shift * kz;
+                // The diagonal's place is where the centre offset comes up;
+                // its value is known only after the last neighbour.
+                let mut diag_pos = 0;
+                for (o, &w) in plane.iter().enumerate() {
+                    if o == CENTRE {
+                        diag_pos = out.push(i, 0.0);
+                        continue;
+                    }
+                    match neighbour(dims, [x, y, z], o) {
+                        Neighbour::Point(j) => {
                             diag += w.abs();
-                            coo.push(i, j, w).expect("in range");
+                            out.push(j, w);
                         }
+                        // Dirichlet only at the two ends of the strong (z)
+                        // axis — the bar is fixed there, its sides are free
+                        // (Neumann). Stiffening the weak-axis boundaries
+                        // would put an artificial floor under the smallest
+                        // eigenvalues and make the problem too easy.
+                        Neighbour::BeyondZ => diag += w,
+                        Neighbour::BeyondSide => {}
                     }
                 }
-                coo.push(i, i, diag).expect("in range");
+                out.set(diag_pos, diag);
+                out.end_row();
             }
         }
     }
-    CsrMatrix::from_coo(coo)
+    out.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coo::CooMatrix;
+
+    /// [`stencil27_params`] as it was while it assembled through
+    /// [`CooMatrix`]: the oracle the streamed rows must equal.
+    fn stencil27_coo(nx: usize, ny: usize, nz: usize, p: StencilParams) -> CsrMatrix {
+        let n = nx * ny * nz;
+        let idx = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
+        let mut coo = CooMatrix::with_capacity(n, n, 27 * n);
+        let kappa: Vec<f64> = (0..n)
+            .map(|i| {
+                let z = i / (nx * ny);
+                material_coefficient(z / p.layer_nz, p.contrast)
+            })
+            .collect();
+        for z in 0..nz {
+            for y in 0..ny {
+                for x in 0..nx {
+                    let i = idx(x, y, z);
+                    let mut diag = p.shift * kappa[i];
+                    for dz in -1i64..=1 {
+                        for dy in -1i64..=1 {
+                            for dx in -1i64..=1 {
+                                if dx == 0 && dy == 0 && dz == 0 {
+                                    continue;
+                                }
+                                let (xx, yy, zz) = (x as i64 + dx, y as i64 + dy, z as i64 + dz);
+                                if xx < 0
+                                    || yy < 0
+                                    || zz < 0
+                                    || xx >= nx as i64
+                                    || yy >= ny as i64
+                                    || zz >= nz as i64
+                                {
+                                    if zz < 0 || zz >= nz as i64 {
+                                        diag += weight(&p.aniso, dx, dy, dz).abs() * kappa[i];
+                                    }
+                                    continue;
+                                }
+                                let j = idx(xx as usize, yy as usize, zz as usize);
+                                let w = weight(&p.aniso, dx, dy, dz) * (kappa[i] * kappa[j]).sqrt();
+                                diag += w.abs();
+                                coo.push(i, j, w).expect("in range");
+                            }
+                        }
+                    }
+                    coo.push(i, i, diag).expect("in range");
+                }
+            }
+        }
+        CsrMatrix::from_coo(coo)
+    }
+
+    #[test]
+    fn streamed_rows_equal_the_coo_assembly() {
+        let skew = StencilParams {
+            aniso: [0.5, 0.25, 2.0],
+            contrast: 1.5,
+            layer_nz: 1,
+            shift: 1.0e-6,
+        };
+        for p in [StencilParams::default(), skew] {
+            for nx in 1..=4 {
+                for ny in 1..=4 {
+                    for nz in 1..=5 {
+                        assert_eq!(
+                            stencil27_params(nx, ny, nz, p),
+                            stencil27_coo(nx, ny, nz, p),
+                            "{nx}x{ny}x{nz} {p:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn interior_row_has_27_entries() {
