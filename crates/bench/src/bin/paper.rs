@@ -23,8 +23,10 @@
 //!
 //! Absolute numbers depend on the cost model and scale; the *shapes* are
 //! the reproduction target: ESRP's failure-free overhead falls as T grows,
-//! and IMCR's reconstruction overhead stays far below ESRP's. (No recorded
-//! output is tracked yet; see ROADMAP.md, direction F.)
+//! and IMCR's reconstruction overhead stays far below ESRP's — asserted in
+//! `crates/bench/tests/paper_shapes.rs`. The output of `all --scale small
+//! --quiet --csv BENCH_paper_small` is tracked in `BENCH_paper_small/` and
+//! `cmp`-gated by CI (the larger scales are not; ROADMAP.md, direction F).
 
 use std::collections::HashMap;
 

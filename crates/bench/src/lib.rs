@@ -14,8 +14,9 @@
 //!    measure the *overhead with node failures* and the *reconstruction
 //!    overhead*.
 //!
-//! The `paper` binary drives this module. Its outputs are not tracked in the
-//! repository yet (ROADMAP.md, direction F, asks for a `BENCH_paper.json`).
+//! The `paper` binary drives this module. Its `--scale small` text and CSV
+//! output is tracked in `BENCH_paper_small/` and `cmp`-gated by CI; the
+//! `--scale default` twin is not tracked yet (ROADMAP.md, direction F).
 //! The `drills` binary runs the recovery-drill catalog of [`drills`] and
 //! gates it against `DRILLS.md`.
 //!
@@ -29,5 +30,5 @@ pub mod format;
 pub mod grid;
 pub mod scale;
 
-pub use grid::{run_table, CellResult, FailureCell, TableData, TableRow, TableSpec};
+pub use grid::{run_table, FailureCell, TableData, TableRow, TableSpec};
 pub use scale::Scale;

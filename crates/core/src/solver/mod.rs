@@ -208,6 +208,9 @@ impl SolverConfig {
         {
             return Err("tolerances must be positive".into());
         }
+        if self.inner_max_block == 0 {
+            return Err("inner_max_block must be at least 1".into());
+        }
         if let PcgVariant::SStep { s } = self.variant {
             if !matches!(s, 2 | 4 | 8) {
                 return Err(format!("s-step block size must be 2, 4, or 8 (got {s})"));
@@ -294,6 +297,9 @@ impl SharedProblem {
             return Err("b and x0 must match the matrix size".into());
         }
         cfg.validate(n_ranks)?;
+        if precond_spec == (PrecondSpec::BlockJacobi { max_block: 0 }) {
+            return Err("block Jacobi max_block must be at least 1".into());
+        }
         let part = Arc::new(Partition::balanced(a.nrows(), n_ranks));
         let plan = Arc::new(CommPlan::build(&a, &part));
         let row_split = Arc::new(RowSplitSet::build(&a, &part));

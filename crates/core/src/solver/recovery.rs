@@ -247,8 +247,7 @@ fn recover_esrp(
         );
     }
 
-    // --- Halo of the rolled-back x (and r, for cross-rank preconditioners)
-    let coupling = shared.precond.couples_across_ranks();
+    // --- Halo of the rolled-back x ----------------------------------------
     if !am_failed {
         let range = part.range(me);
         for (dst, gidx) in shared.plan.sends_of(me) {
@@ -256,20 +255,9 @@ fn recover_esrp(
                 let mut xs = ctx.take_f64s();
                 xs.extend(gidx.iter().map(|&g| st.x[g - range.start]));
                 ctx.send(*dst, Tag::RecoveryHalo.with(0), Payload::F64s(xs));
-                if coupling {
-                    let mut rs = ctx.take_f64s();
-                    rs.extend(gidx.iter().map(|&g| st.r[g - range.start]));
-                    ctx.send(*dst, Tag::RecoveryHalo.with(1), Payload::F64s(rs));
-                }
             }
         }
-    }
-    let mut r_full = if coupling && am_failed {
-        Some(vec![0.0f64; part.n()])
     } else {
-        None
-    };
-    if am_failed {
         for (src, gidx) in shared.plan.recvs_of(me) {
             if is_failed(*src) {
                 continue;
@@ -279,13 +267,6 @@ fn recover_esrp(
                 full[g] = v;
             }
             ctx.recycle_f64s(xs);
-            if let Some(rf) = r_full.as_mut() {
-                let rs = ctx.recv(*src, Tag::RecoveryHalo.with(1)).into_f64s();
-                for (&g, &v) in gidx.iter().zip(rs.iter()) {
-                    rf[g] = v;
-                }
-                ctx.recycle_f64s(rs);
-            }
         }
     }
 
@@ -295,15 +276,15 @@ fn recover_esrp(
         ctx.set_phase(Phase::RecoveryInner);
         let range = part.range(me);
         let nloc = range.len();
-        let my_idx: Vec<usize> = range.clone().collect();
 
         // Per-failure-domain cache: the I_f membership mask and the two
         // column-split extractions of my rows. Built once per domain
         // (static-data access, uncharged like the paper's safe-storage
         // reloads), reused by every later event with the same failure set.
-        let cache = domains
-            .entry(failed_sorted.to_vec())
-            .or_insert_with(|| DomainCache::build(&shared.a, part, &my_idx, failed_sorted));
+        let cache = domains.entry(failed_sorted.to_vec()).or_insert_with(|| {
+            let my_idx: Vec<usize> = range.clone().collect();
+            DomainCache::build(&shared.a, part, &my_idx, failed_sorted)
+        });
         debug_assert!(
             range.is_empty() || cache.in_failed_idx[range.start],
             "my own indices must be inside the failure domain"
@@ -315,18 +296,12 @@ fn recover_esrp(
         }
         ctx.charge_flops(2 * nloc as u64);
 
-        // Line 5: v = z_f − P[f, s] r_s (zero for node-local preconditioners).
-        scratch.v.copy_from_slice(&st.z);
-        if let Some(rf) = r_full.as_ref() {
-            let off = shared.precond.apply_offdiag(&my_idx, rf);
-            for (vi, oi) in scratch.v.iter_mut().zip(off.iter()) {
-                *vi -= oi;
-            }
-            ctx.charge_flops(nloc as u64);
-        }
-
-        // Line 6: solve P[f, f] r_f = v — exact for block-local operators.
-        st.r = shared.precond.solve_restricted(&my_idx, &scratch.v);
+        // Line 5: v = z_f − P[f, s] r_s = z_f — the preconditioner is
+        // node-local, so P[f, s] ≡ 0.
+        // Line 6: solve P[f, f] r_f = v — exact for block-diagonal operators.
+        shared
+            .precond
+            .solve_restricted(range.clone(), &st.z, &mut st.r);
         ctx.charge_flops(shared.precond.solve_restricted_flops(nloc));
 
         // Line 7: w = b_f − r_f − A[f, s] x_s. `full` carries the surviving

@@ -9,7 +9,7 @@
 //! (the parts below are crate-internal):
 //!
 //! * `RecoveryScratch` — the reconstruction vectors of paper Alg. 2
-//!   (`p^(ĵ−1)`, `p^(ĵ)`, coverage flags, `v`, `w`, the masked-SpMV output,
+//!   (`p^(ĵ−1)`, `p^(ĵ)`, coverage flags, `w`, the masked-SpMV output,
 //!   and the inner solve's five vectors plus its full-length gather buffer),
 //!   resized once and reused across failure events,
 //! * `DomainCache` — per failure domain (the sorted set of failed ranks):
@@ -57,7 +57,6 @@ pub(crate) struct RecoveryScratch {
     pub p_cur: Vec<f64>,
     pub cov_prev: Vec<bool>,
     pub cov_cur: Vec<bool>,
-    pub v: Vec<f64>,
     pub w: Vec<f64>,
     pub ax: Vec<f64>,
     /// Inner-solve vectors (`x`, `r`, `z`, `p`, `q`) over the local rows.
@@ -80,7 +79,6 @@ impl RecoveryScratch {
         self.cov_prev.resize(nloc, false);
         self.cov_cur.clear();
         self.cov_cur.resize(nloc, false);
-        resize_zeroed(&mut self.v, nloc);
         resize_zeroed(&mut self.w, nloc);
         resize_zeroed(&mut self.ax, nloc);
         resize_zeroed(&mut self.ix, nloc);

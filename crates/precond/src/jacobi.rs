@@ -40,14 +40,6 @@ impl Preconditioner for JacobiPrecond {
         self.diag.len()
     }
 
-    fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        assert_eq!(r.len(), self.n(), "jacobi: r length");
-        assert_eq!(z.len(), self.n(), "jacobi: z length");
-        for ((zi, ri), di) in z.iter_mut().zip(r.iter()).zip(self.inv_diag.iter()) {
-            *zi = ri * di;
-        }
-    }
-
     fn apply_local(&self, range: Range<usize>, r_local: &[f64], z_local: &mut [f64]) {
         assert_eq!(r_local.len(), range.len(), "jacobi: local r length");
         assert_eq!(z_local.len(), range.len(), "jacobi: local z length");
@@ -61,13 +53,14 @@ impl Preconditioner for JacobiPrecond {
         range.len() as u64
     }
 
-    fn solve_restricted(&self, idx: &[usize], v: &[f64]) -> Vec<f64> {
-        assert_eq!(idx.len(), v.len(), "jacobi: restricted lengths");
+    fn solve_restricted(&self, range: Range<usize>, v: &[f64], r_f: &mut [f64]) {
+        assert_eq!(v.len(), range.len(), "jacobi: restricted v length");
+        assert_eq!(r_f.len(), range.len(), "jacobi: restricted r_f length");
         // P_ff r_f = v  with  P = D⁻¹  ⇒  r_f = D_ff v.
-        idx.iter()
-            .zip(v.iter())
-            .map(|(&i, &vi)| self.diag[i] * vi)
-            .collect()
+        let diag = &self.diag[range];
+        for ((ri, vi), di) in r_f.iter_mut().zip(v.iter()).zip(diag.iter()) {
+            *ri = di * vi;
+        }
     }
 
     fn solve_restricted_flops(&self, idx_len: usize) -> u64 {
@@ -110,15 +103,14 @@ mod tests {
     fn restricted_solve_inverts_apply() {
         let a = poisson1d(5);
         let p = JacobiPrecond::new(&a).unwrap();
-        let idx = [1usize, 2, 3];
         // v = P_ff r_f  ⇒ solve_restricted(v) must return r_f.
         let r_f = [3.0, -1.0, 2.0];
-        let v: Vec<f64> = idx
-            .iter()
+        let v: Vec<f64> = (1..4)
             .zip(r_f.iter())
-            .map(|(&i, &ri)| ri / a.get(i, i))
+            .map(|(i, &ri)| ri / a.get(i, i))
             .collect();
-        let rec = p.solve_restricted(&idx, &v);
+        let mut rec = vec![0.0; 3];
+        p.solve_restricted(1..4, &v, &mut rec);
         assert!(max_abs_diff(&rec, &r_f) < 1e-15);
     }
 

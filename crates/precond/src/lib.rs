@@ -1,36 +1,30 @@
 //! Preconditioners for the ESRCG resilient PCG solver.
 //!
-//! The paper's experiments use a **block Jacobi** preconditioner with
-//! non-overlapping, node-local blocks of at most 10 rows (§5); its future
-//! work calls for "more appropriate preconditioners", so this crate also
-//! ships node-local **IC(0)** and **SSOR** (each rank factorizes/ sweeps its
-//! own diagonal block — additive-Schwarz style), plus **Jacobi** and
-//! **Identity**.
+//! The paper's experiments use one preconditioner: **block Jacobi** with
+//! non-overlapping, node-local blocks of at most 10 rows (§5). This crate
+//! ships it ([`BlockJacobiPrecond`]) together with the two trivial operators
+//! the tests compare it against, **Jacobi** and **Identity**.
 //!
-//! All shipped preconditioners are *node-local*: the operator never couples
-//! entries owned by different ranks, so the off-diagonal block `P[I_f, I\I_f]`
-//! of the ESR reconstruction (Alg. 2, line 5) is identically zero. The
-//! recovery code still evaluates the general term, guarded by
-//! [`Preconditioner::couples_across_ranks`], so a future cross-rank
-//! preconditioner only needs to implement [`Preconditioner::apply_offdiag`].
+//! The contract, stated once: a [`Preconditioner`] is a *node-local
+//! block-diagonal operator addressed by rank range*. `P` never couples
+//! entries owned by different ranks, so the off-diagonal block
+//! `P[I_f, I\I_f]` of the ESR reconstruction (Alg. 2, line 5) is identically
+//! zero and `v = z_f`; every `range` an entry point takes is a union of
+//! whole, adjacent rank ranges.
 //!
-//! The reconstruction solves `P[I_f, I_f] · r_f = v` (Alg. 2, line 6). For
-//! every preconditioner here, the restriction of the operator to a union of
-//! whole failed ranks is available in closed form (apply the underlying `M`
-//! blocks), so [`Preconditioner::solve_restricted`] is exact and cheap — the
-//! expensive part of recovery is the `A[I_f, I_f]` inner solve, exactly as
-//! the paper reports.
+//! The reconstruction then solves `P[I_f, I_f] · r_f = v` (Alg. 2, line 6)
+//! rank by rank. The restriction of the operator to a rank is available in
+//! closed form (apply the underlying `M` blocks), so
+//! [`Preconditioner::solve_restricted`] is exact and cheap — the expensive
+//! part of recovery is the `A[I_f, I_f]` inner solve, exactly as the paper
+//! reports.
 
 pub mod block_jacobi;
-pub mod ic0;
 pub mod jacobi;
 pub mod spec;
-pub mod ssor;
 pub mod traits;
 
 pub use block_jacobi::BlockJacobiPrecond;
-pub use ic0::Ic0Precond;
 pub use jacobi::JacobiPrecond;
 pub use spec::PrecondSpec;
-pub use ssor::SsorPrecond;
 pub use traits::{IdentityPrecond, Preconditioner};

@@ -5,9 +5,7 @@ use std::sync::Arc;
 use esrcg_sparse::{CsrMatrix, Partition, SparseError};
 
 use crate::block_jacobi::BlockJacobiPrecond;
-use crate::ic0::Ic0Precond;
 use crate::jacobi::JacobiPrecond;
-use crate::ssor::SsorPrecond;
 use crate::traits::{IdentityPrecond, Preconditioner};
 
 /// A preconditioner choice, resolvable against a matrix and partition.
@@ -23,13 +21,6 @@ pub enum PrecondSpec {
     BlockJacobi {
         /// Maximum rows per block (the paper uses 10).
         max_block: usize,
-    },
-    /// Node-local incomplete Cholesky with zero fill.
-    Ic0,
-    /// Node-local symmetric SOR with relaxation parameter `omega`.
-    Ssor {
-        /// Relaxation parameter in `(0, 2)`.
-        omega: f64,
     },
 }
 
@@ -55,8 +46,6 @@ impl PrecondSpec {
             PrecondSpec::BlockJacobi { max_block } => {
                 Arc::new(BlockJacobiPrecond::new(a, partition, max_block)?)
             }
-            PrecondSpec::Ic0 => Arc::new(Ic0Precond::new(a, partition)?),
-            PrecondSpec::Ssor { omega } => Arc::new(SsorPrecond::new(a, partition, omega)?),
         })
     }
 
@@ -66,8 +55,6 @@ impl PrecondSpec {
             PrecondSpec::Identity => "identity",
             PrecondSpec::Jacobi => "jacobi",
             PrecondSpec::BlockJacobi { .. } => "block-jacobi",
-            PrecondSpec::Ic0 => "ic0",
-            PrecondSpec::Ssor { .. } => "ssor",
         }
     }
 }
@@ -85,8 +72,6 @@ mod tests {
             PrecondSpec::Identity,
             PrecondSpec::Jacobi,
             PrecondSpec::BlockJacobi { max_block: 3 },
-            PrecondSpec::Ic0,
-            PrecondSpec::Ssor { omega: 1.1 },
         ] {
             let p = spec.build(&a, &part).unwrap();
             assert_eq!(p.n(), 16);

@@ -5,9 +5,11 @@ use std::ops::Range;
 /// A preconditioner for PCG, in the paper's operator form: `z = P r` where
 /// `P` represents the action of `M⁻¹` for some SPD matrix `M`.
 ///
-/// Implementations must be usable both sequentially (inner solves during
-/// recovery) and rank-locally in the distributed solver, and must expose the
-/// two restricted operations the ESR reconstruction (paper Alg. 2) needs.
+/// Every implementation is a **node-local block-diagonal operator addressed
+/// by rank range**: `P` never couples entries owned by different ranks, so a
+/// `range` argument is always a union of whole, adjacent rank ranges (and
+/// therefore of whole preconditioner blocks), and the slices passed with it
+/// are the *local* chunks of length `range.len()`.
 pub trait Preconditioner: Send + Sync {
     /// Global problem size.
     fn n(&self) -> usize;
@@ -16,47 +18,33 @@ pub trait Preconditioner: Send + Sync {
     ///
     /// # Panics
     /// Panics if `r.len() != n()` or `z.len() != n()`.
-    fn apply_into(&self, r: &[f64], z: &mut [f64]);
+    fn apply_into(&self, r: &[f64], z: &mut [f64]) {
+        self.apply_local(0..self.n(), r, z);
+    }
 
-    /// Node-local application: computes `z[range]` from `r[range]` where
-    /// both slices are the *local* chunks (length `range.len()`). Only
-    /// meaningful for node-local preconditioners; cross-rank implementations
-    /// must override [`Preconditioner::couples_across_ranks`] and the
-    /// distributed solver will then fall back to a gathered application.
+    /// Node-local application: computes `z[range]` from `r[range]`.
+    ///
+    /// # Panics
+    /// Panics if a slice's length differs from `range.len()`.
     fn apply_local(&self, range: Range<usize>, r_local: &[f64], z_local: &mut [f64]);
 
     /// Flop count of one [`Preconditioner::apply_local`] over `range`, for
     /// the cost model.
     fn apply_flops(&self, range: Range<usize>) -> u64;
 
-    /// Whether the operator couples entries owned by different ranks. When
-    /// `false` (all shipped implementations), `P[I_f, I\I_f] ≡ 0` and the
-    /// reconstruction skips the off-diagonal gather term.
-    fn couples_across_ranks(&self) -> bool {
-        false
-    }
-
-    /// Solves `P[idx, idx] · r_f = v` for `r_f` (Alg. 2, line 6). `idx` is
-    /// the sorted union of the failed ranks' index ranges; implementations
-    /// may assume it aligns with whole rank ranges (and therefore with
-    /// whole preconditioner blocks).
+    /// Solves `P[range, range] · r_f = v` for `r_f` (Alg. 2, line 6), the
+    /// inverse of [`Preconditioner::apply_local`] over the same `range`.
     ///
-    /// Since `P = M⁻¹` and all shipped preconditioners are block-diagonal
-    /// with blocks inside `idx`, this is simply `r_f = M[idx, idx] · v` —
-    /// exact, no iteration.
-    fn solve_restricted(&self, idx: &[usize], v: &[f64]) -> Vec<f64>;
+    /// Since `P = M⁻¹` is block-diagonal with every block inside `range`,
+    /// this is simply `r_f = M[range, range] · v` — exact, no iteration.
+    ///
+    /// # Panics
+    /// Panics if a slice's length differs from `range.len()`.
+    fn solve_restricted(&self, range: Range<usize>, v: &[f64], r_f: &mut [f64]);
 
     /// Flop count of one [`Preconditioner::solve_restricted`] on `idx_len`
     /// indices.
     fn solve_restricted_flops(&self, idx_len: usize) -> u64;
-
-    /// Computes `P[idx, I\idx] · r[I\idx]` — the off-diagonal term of
-    /// Alg. 2, line 5. `r_full` is a full-length vector whose entries inside
-    /// `idx` must be ignored. The default (correct for every node-local
-    /// preconditioner) returns zeros.
-    fn apply_offdiag(&self, idx: &[usize], _r_full: &[f64]) -> Vec<f64> {
-        vec![0.0; idx.len()]
-    }
 
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
@@ -80,12 +68,6 @@ impl Preconditioner for IdentityPrecond {
         self.n
     }
 
-    fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        assert_eq!(r.len(), self.n, "identity: r length");
-        assert_eq!(z.len(), self.n, "identity: z length");
-        z.copy_from_slice(r);
-    }
-
     fn apply_local(&self, range: Range<usize>, r_local: &[f64], z_local: &mut [f64]) {
         assert_eq!(r_local.len(), range.len(), "identity: local r length");
         z_local.copy_from_slice(r_local);
@@ -95,9 +77,9 @@ impl Preconditioner for IdentityPrecond {
         0
     }
 
-    fn solve_restricted(&self, idx: &[usize], v: &[f64]) -> Vec<f64> {
-        assert_eq!(idx.len(), v.len(), "identity: restricted lengths");
-        v.to_vec()
+    fn solve_restricted(&self, range: Range<usize>, v: &[f64], r_f: &mut [f64]) {
+        assert_eq!(v.len(), range.len(), "identity: restricted v length");
+        r_f.copy_from_slice(v);
     }
 
     fn solve_restricted_flops(&self, _idx_len: usize) -> u64 {
@@ -132,17 +114,9 @@ mod tests {
     #[test]
     fn identity_restricted_solve_is_copy() {
         let p = IdentityPrecond::new(5);
-        assert_eq!(p.solve_restricted(&[1, 2], &[8.0, 9.0]), vec![8.0, 9.0]);
-    }
-
-    #[test]
-    fn identity_offdiag_is_zero() {
-        let p = IdentityPrecond::new(5);
-        assert_eq!(
-            p.apply_offdiag(&[0, 1], &[1.0, 2.0, 3.0, 4.0, 5.0]),
-            vec![0.0, 0.0]
-        );
-        assert!(!p.couples_across_ranks());
+        let mut r_f = vec![0.0; 2];
+        p.solve_restricted(1..3, &[8.0, 9.0], &mut r_f);
+        assert_eq!(r_f, vec![8.0, 9.0]);
     }
 
     #[test]
