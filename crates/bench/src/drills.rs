@@ -1,5 +1,5 @@
-//! Recovery drills: named, repeatable failure-recovery rehearsals with a
-//! regression-gated baseline.
+//! Recovery drills: named, repeatable failure-recovery rehearsals held to a
+//! tracked byte-exact artifact.
 //!
 //! Each drill is a small, fully deterministic experiment exercising one
 //! recovery path end to end — fail-stop events, φ-wide bursts, failures
@@ -16,13 +16,10 @@
 //!
 //! clocked by the deterministic modeled clock, so the lines are
 //! **byte-identical** across repeated runs and across `--workers` counts.
-//! `DRILLS.md` tracks the baseline values; [`check_regressions`] fails any
-//! drill whose modeled recovery time regressed by more than
-//! [`REGRESSION_THRESHOLD`] over its baseline *unless* the drill has an
-//! entry in the `## Rationale` section — the paper trail for accepted
-//! regressions.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! The tracked `BENCH_drills.txt` is [`artifact_text`] of the whole catalog:
+//! `drills --check` and `tests/drills.rs` compare against it byte for byte,
+//! so a change that moves any modeled recovery number re-records the file
+//! on purpose (`DRILLS.md` says how).
 
 use esrcg_campaign::fleet::run_jobs;
 use esrcg_campaign::{FaultProcess, TraceBudget};
@@ -30,10 +27,6 @@ use esrcg_cluster::{validate_trace_json, TraceConfig};
 use esrcg_core::driver::{Experiment, MatrixSource, RunReport};
 use esrcg_core::solver::PcgVariant;
 use esrcg_core::{Resilience, Strategy};
-
-/// Recovery-time regression tolerance of the gate: latest may exceed the
-/// baseline by at most this fraction before a rationale is required.
-pub const REGRESSION_THRESHOLD: f64 = 0.20;
 
 /// The drill catalog, in the order the harness runs and reports them.
 pub const DRILLS: [&str; 12] = [
@@ -75,6 +68,12 @@ impl DrillOutcome {
             self.name, self.recovery_modeled_s, self.iters_overhead
         )
     }
+}
+
+/// The artifact lines of `outcomes`, one per line — what `drills` prints
+/// and `BENCH_drills.txt` tracks.
+pub fn artifact_text(outcomes: &[DrillOutcome]) -> String {
+    outcomes.iter().map(|o| o.artifact_line() + "\n").collect()
 }
 
 /// All drills share one small Poisson problem on 4 ranks: large enough
@@ -310,129 +309,4 @@ pub fn run_all(workers: usize) -> Result<Vec<DrillOutcome>, String> {
         .zip(DRILLS)
         .map(|(r, name)| r.unwrap_or_else(|panic| Err(format!("drill {name}: {panic}"))))
         .collect()
-}
-
-/// Parses the baseline table out of `DRILLS.md`: rows of
-/// `| <drill> | <recovery_modeled_s> | <iters_overhead> |`.
-pub fn parse_baselines(md: &str) -> BTreeMap<String, (f64, usize)> {
-    let mut out = BTreeMap::new();
-    for line in md.lines() {
-        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
-        // `| a | b | c |` splits into ["", a, b, c, ""].
-        if cells.len() < 5 {
-            continue;
-        }
-        let (name, rec, iters) = (cells[1], cells[2], cells[3]);
-        if let (Ok(rec), Ok(iters)) = (rec.parse::<f64>(), iters.parse::<usize>()) {
-            out.insert(name.to_string(), (rec, iters));
-        }
-    }
-    out
-}
-
-/// Drill names carrying an accepted-regression rationale: `- <drill>: ...`
-/// bullets under the `## Rationale` heading of `DRILLS.md`.
-pub fn rationales(md: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let mut in_section = false;
-    for line in md.lines() {
-        if let Some(h) = line.strip_prefix("## ") {
-            in_section = h.trim().eq_ignore_ascii_case("rationale");
-            continue;
-        }
-        if in_section {
-            if let Some(rest) = line.trim().strip_prefix("- ") {
-                if let Some((name, _)) = rest.split_once(':') {
-                    out.insert(name.trim().to_string());
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The regression gate's verdict over one harness run.
-#[derive(Debug, Clone, Default)]
-pub struct GateReport {
-    /// Hard failures: regressions past the threshold with no rationale,
-    /// and drills missing a baseline row.
-    pub failures: Vec<String>,
-    /// Regressions past the threshold that a rationale entry waives.
-    pub waived: Vec<String>,
-}
-
-impl GateReport {
-    /// True when nothing blocks.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Diffs `latest` against the baselines recorded in `md` (the tracked
-/// `DRILLS.md`). A drill fails the gate when its modeled recovery time
-/// exceeds baseline × (1 + `threshold`) and the `## Rationale` section has
-/// no entry for it; a missing baseline row is also a failure — the table
-/// must stay current with the catalog.
-pub fn check_regressions(md: &str, latest: &[DrillOutcome], threshold: f64) -> GateReport {
-    let baselines = parse_baselines(md);
-    let waivers = rationales(md);
-    let mut gate = GateReport::default();
-    for o in latest {
-        let Some(&(base_rec, _)) = baselines.get(o.name) else {
-            gate.failures.push(format!(
-                "{}: no baseline row in DRILLS.md (add one: {})",
-                o.name,
-                o.artifact_line()
-            ));
-            continue;
-        };
-        let limit = base_rec * (1.0 + threshold);
-        if o.recovery_modeled_s > limit {
-            let pct = 100.0 * (o.recovery_modeled_s - base_rec) / base_rec;
-            let msg = format!(
-                "{}: recovery_modeled_s {:.9} regressed {:+.1}% over baseline {:.9} \
-                 (threshold {:.0}%)",
-                o.name,
-                o.recovery_modeled_s,
-                pct,
-                base_rec,
-                100.0 * threshold
-            );
-            if waivers.contains(o.name) {
-                gate.waived.push(msg);
-            } else {
-                gate.failures.push(msg);
-            }
-        }
-    }
-    gate
-}
-
-/// Renders the baseline-vs-latest comparison table for the post-drill
-/// report (`DRILLS.md` template).
-pub fn comparison_table(md: &str, latest: &[DrillOutcome]) -> String {
-    use std::fmt::Write as _;
-    let baselines = parse_baselines(md);
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "| drill | baseline recovery_modeled_s | latest recovery_modeled_s | delta % | iters_overhead |"
-    );
-    let _ = writeln!(s, "|---|---:|---:|---:|---:|");
-    for o in latest {
-        let (base_txt, delta_txt) = match baselines.get(o.name) {
-            Some(&(b, _)) if b > 0.0 => (
-                format!("{b:.9}"),
-                format!("{:+.1}", 100.0 * (o.recovery_modeled_s - b) / b),
-            ),
-            Some(&(b, _)) => (format!("{b:.9}"), "-".to_string()),
-            None => ("-".to_string(), "-".to_string()),
-        };
-        let _ = writeln!(
-            s,
-            "| {} | {} | {:.9} | {} | {} |",
-            o.name, base_txt, o.recovery_modeled_s, delta_txt, o.iters_overhead
-        );
-    }
-    s
 }

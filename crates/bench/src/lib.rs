@@ -18,7 +18,7 @@
 //! output is tracked in `BENCH_paper_small/` and `cmp`-gated by CI; the
 //! `--scale default` twin is not tracked yet (ROADMAP.md, direction F).
 //! The `drills` binary runs the recovery-drill catalog of [`drills`] and
-//! gates it against `DRILLS.md`.
+//! compares its lines with the tracked `BENCH_drills.txt` byte for byte.
 //!
 //! Everything here reads the deterministic *modeled* clock. Host seconds —
 //! kernels, plan builds, whole solves — are measured by the standalone

@@ -1,17 +1,18 @@
 //! Experiment scale presets.
 //!
 //! The paper runs n ≈ 9.2·10⁵ matrices on 128 cluster nodes; this
-//! simulation defaults to n ≈ 3.7·10⁴ on 32 simulated ranks, which
+//! simulation defaults to n ≈ 3.7·10⁴ on 64 simulated ranks, which
 //! reproduces the table *shapes* in minutes on a laptop. `large` gets
-//! closer to the paper's C/T ratios at the cost of longer runs; `small` is
-//! for smoke-testing the harness.
+//! closer to the paper's C/T ratios at the cost of longer runs; `small`
+//! (16 ranks) is the scale of the tracked `BENCH_paper_small/` oracle.
 
 use esrcg_core::driver::MatrixSource;
 
 /// A scale preset: matrix sizes, rank count, repetitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Smoke-test scale (~1 minute for every artifact).
+    /// Smoke-test scale (about five seconds for every artifact on two
+    /// cores).
     Small,
     /// Default laptop scale.
     Default,

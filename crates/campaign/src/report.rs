@@ -15,7 +15,7 @@ use esrcg_cluster::{MetricsRollup, Phase};
 
 /// Schema identifier stamped into the JSON artifact. Bump on any change to
 /// the emitted structure.
-pub const SCHEMA: &str = "esrcg-campaign-v6";
+pub const SCHEMA: &str = "esrcg-campaign-v7";
 
 /// Normalizes `-0.0` to `+0.0` before fixed-precision rendering.
 ///
@@ -150,10 +150,11 @@ pub struct CellReport {
     /// Share of modeled time spent in recovery: `Σ recovery_time / t`,
     /// over converged runs.
     pub recovery_share: Option<Summary>,
-    /// Flight-recorder rollup absorbed over the cell's completed runs
-    /// (measured runs record at `TraceConfig::Spans`, so message counters
-    /// stay zero; spans, marks, recovery, and buffer-pool counters are
-    /// populated).
+    /// Flight-recorder rollup absorbed over the cell's completed runs.
+    /// Measured runs record at `TraceConfig::Spans`, so the message
+    /// counters are zero by construction (the runner asserts it) and the
+    /// JSON does not carry them; spans, marks, recovery, and buffer-pool
+    /// counters are populated.
     pub metrics: MetricsRollup,
 }
 
@@ -179,28 +180,18 @@ pub struct CampaignReport {
     pub run_traces: Vec<String>,
 }
 
-/// One measured run's flight-recorder rollup as a single JSON line (for the
-/// `--trace-out` JSONL export). Flat scalar counters plus per-phase seconds
-/// (non-zero phases only) and buffer-pool counters; fixed key order and
-/// precision, so the line is deterministic.
-pub fn run_trace_line(
-    cell: usize,
-    seed: u64,
-    converged: bool,
-    iterations: usize,
-    modeled_seconds: f64,
-    m: &MetricsRollup,
-) -> String {
-    let mut s = String::with_capacity(512);
+/// The members every JSON rendering of a [`MetricsRollup`] carries, without
+/// the enclosing braces: the rank-0 counters, per-phase spans and seconds
+/// (phases that ran only), and the buffer-pool counters. Fixed key order and
+/// precision on one line. The message counters are not rendered: both
+/// callers record at `TraceConfig::Spans`, where they are zero.
+fn write_rollup(s: &mut String, m: &MetricsRollup) {
     let _ = write!(
         s,
-        "{{\"cell\": {cell}, \"seed\": {seed}, \"converged\": {converged}, \
-         \"iterations\": {iterations}, \"modeled_seconds\": {:.9}, \
-         \"loop_trips\": {}, \"reductions\": {}, \"recovery_spans\": {}, \
+        "\"loop_trips\": {}, \"reductions\": {}, \"recovery_spans\": {}, \
          \"recovery_seconds\": {:.9}, \"failures\": {}, \
          \"checkpoint_rounds\": {}, \"storage_rounds\": {}, \
          \"tuner_decisions\": {}, \"phases\": [",
-        fmt_nonneg_zero(modeled_seconds),
         m.iterations,
         m.reductions,
         m.recovery_spans,
@@ -230,13 +221,35 @@ pub fn run_trace_line(
     let _ = write!(
         s,
         "], \"buffer_pool\": {{\"takes\": {}, \"hits\": {}, \"misses\": {}, \
-         \"recycles\": {}, \"high_water\": {}}}}}",
+         \"recycles\": {}, \"high_water\": {}}}",
         m.buffer_pool.takes,
         m.buffer_pool.hits,
         m.buffer_pool.misses(),
         m.buffer_pool.recycles,
         m.buffer_pool.high_water
     );
+}
+
+/// One measured run's flight-recorder rollup as a single JSON line (for the
+/// `--trace-out` JSONL export): the run's identity and outcome, then the
+/// rollup members exactly as a cell's `"metrics"` object carries them.
+pub fn run_trace_line(
+    cell: usize,
+    seed: u64,
+    converged: bool,
+    iterations: usize,
+    modeled_seconds: f64,
+    m: &MetricsRollup,
+) -> String {
+    let mut s = String::with_capacity(512);
+    let _ = write!(
+        s,
+        "{{\"cell\": {cell}, \"seed\": {seed}, \"converged\": {converged}, \
+         \"iterations\": {iterations}, \"modeled_seconds\": {:.9}, ",
+        fmt_nonneg_zero(modeled_seconds),
+    );
+    write_rollup(&mut s, m);
+    s.push('}');
     s
 }
 
@@ -348,12 +361,13 @@ impl CampaignReport {
                 opt_summary(&c.overhead, 6),
                 opt_summary(&c.recovery_share, 6),
             );
-            let _ = writeln!(
-                s,
-                "     \"metrics\": {}}}{}",
-                c.metrics.to_json("     "),
-                if i + 1 == self.cells.len() { "" } else { "," }
-            );
+            s.push_str("     \"metrics\": {");
+            write_rollup(&mut s, &c.metrics);
+            s.push_str(if i + 1 == self.cells.len() {
+                "}}\n"
+            } else {
+                "}},\n"
+            });
         }
         s.push_str("  ]\n}\n");
         s
@@ -531,7 +545,7 @@ mod tests {
         let a = r.to_json();
         let b = r.to_json();
         assert_eq!(a, b, "rendering is pure");
-        assert!(a.contains("\"schema\": \"esrcg-campaign-v6\""));
+        assert!(a.contains("\"schema\": \"esrcg-campaign-v7\""));
         assert!(a.contains("\"cost_model\": \"default\""));
         assert!(a.contains("\"format\": \"csr\""));
         assert!(a.contains("\"policy\": \"fixed\""));
@@ -556,6 +570,31 @@ mod tests {
         assert!(line.contains("\"reductions\": 200"));
         assert!(line.contains("\"buffer_pool\": {\"takes\": 0"));
         assert!(line.ends_with('}'));
+    }
+
+    #[test]
+    fn a_cells_metrics_and_a_run_line_render_the_rollup_with_the_same_bytes() {
+        let mut r = sample();
+        let m = &mut r.cells[0].metrics;
+        m.phase_spans[Phase::SpMV as usize] = 8;
+        m.phase_seconds[Phase::SpMV as usize] = 0.25;
+        m.phase_spans[Phase::RecoveryInner as usize] = 3;
+        m.phase_seconds[Phase::RecoveryInner as usize] = -0.0;
+        m.buffer_pool.takes = 9;
+        m.buffer_pool.hits = 7;
+        let mut rollup = String::new();
+        write_rollup(&mut rollup, m);
+        assert!(!rollup.contains('\n'));
+        assert!(rollup.starts_with("\"loop_trips\": 200, \"reductions\": 400, "));
+        assert!(rollup.contains(
+            "\"phases\": [{\"phase\": \"spmv\", \"spans\": 8, \"seconds\": 0.250000000}, \
+             {\"phase\": \"recovery-inner\", \"spans\": 3, \"seconds\": 0.000000000}], "
+        ));
+        assert!(rollup.ends_with("\"misses\": 2, \"recycles\": 0, \"high_water\": 0}"));
+        let line = run_trace_line(0, 11, true, 100, 0.0013, m);
+        assert!(line.ends_with(&format!("\"modeled_seconds\": 0.001300000, {rollup}}}")));
+        let js = r.to_json();
+        assert!(js.contains(&format!("     \"metrics\": {{{rollup}}}}}\n  ]\n")));
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn same_spec_compiles_identical_schedules() {
 fn aggregated_json_is_byte_identical_across_worker_counts() {
     let spec = test_spec();
     let reference = CampaignRunner::new(4).run(&spec).unwrap().to_json();
-    assert!(reference.contains("\"schema\": \"esrcg-campaign-v6\""));
+    assert!(reference.contains("\"schema\": \"esrcg-campaign-v7\""));
     assert!(
         reference.contains("\"variant\": \"pipelined\""),
         "pipelined cells reach the artifact"

@@ -364,23 +364,6 @@ impl Ctx {
         Some(msg.payload)
     }
 
-    /// Nonblocking probe: true if a message from `(from, tag)` has been
-    /// physically delivered (regardless of its modeled arrival time — a
-    /// matching [`Ctx::recv`] would return without suspending, though it
-    /// may still advance the modeled clock). Like [`Ctx::try_recv`], the
-    /// answer depends on how the host schedules ranks and must only steer
-    /// opportunistic work, never protocol decisions. A miss lets the other
-    /// ranks of this rank's worker run before it returns, so spinning on
-    /// the probe cannot starve the sender.
-    ///
-    /// # Panics
-    /// Panics on self-receives and unknown source ranks.
-    pub fn has_pending(&mut self, from: usize, tag: u64) -> bool {
-        assert_ne!(from, self.rank, "self-receive is a protocol bug");
-        assert!(from < self.size, "has_pending: unknown source rank {from}");
-        self.fabric.has_pending(self.rank, from, tag)
-    }
-
     /// Fresh sub-identifier for a collective round.
     fn next_seq(&mut self) -> u32 {
         self.coll_seq = self.coll_seq.wrapping_add(1);
@@ -527,61 +510,6 @@ impl Ctx {
             m >>= 1;
         }
         data
-    }
-
-    /// Broadcast `payload` from `root`; returns the payload on every rank.
-    pub fn bcast(&mut self, root: usize, payload: Option<Payload>) -> Payload {
-        assert!(root < self.size, "bcast: unknown root {root}");
-        let seq = self.next_seq();
-        let tag = Tag::Bcast.with(seq);
-        // Virtual ranks rotate `root` to 0 so the rank-0 tree applies.
-        let vrank = (self.rank + self.size - root) % self.size;
-        let top = self.size.next_power_of_two();
-        let lowbit = if vrank == 0 {
-            top
-        } else {
-            vrank & vrank.wrapping_neg()
-        };
-        let data = if vrank == 0 {
-            payload.expect("bcast: root must supply the payload")
-        } else {
-            let vsrc = vrank ^ lowbit;
-            let src = (vsrc + root) % self.size;
-            self.recv(src, tag)
-        };
-        let mut m = lowbit >> 1;
-        while m > 0 {
-            let vdst = vrank + m;
-            if vdst < self.size {
-                let dst = (vdst + root) % self.size;
-                let copy = self.buffers.clone_payload(&data);
-                self.send(dst, tag, copy);
-            }
-            m >>= 1;
-        }
-        data
-    }
-
-    /// Gathers one payload per rank at `root` (rank order). Non-roots return
-    /// an empty vector.
-    pub fn gather(&mut self, root: usize, payload: Payload) -> Vec<Payload> {
-        assert!(root < self.size, "gather: unknown root {root}");
-        let seq = self.next_seq();
-        let tag = Tag::Gather.with(seq);
-        if self.rank == root {
-            let mut out = Vec::with_capacity(self.size);
-            for src in 0..self.size {
-                if src == root {
-                    out.push(payload.clone());
-                } else {
-                    out.push(self.recv(src, tag));
-                }
-            }
-            out
-        } else {
-            self.send(root, tag, payload);
-            Vec::new()
-        }
     }
 
     /// Synchronizes all ranks and their logical clocks: after this call every

@@ -4,8 +4,9 @@
 //! The defaults are calibrated to a commodity cluster — the absolute values
 //! are not meant to match the paper's VSC3 testbed, only to put computation
 //! and communication in a realistic ratio so that overhead *shapes* (who
-//! wins, how overheads scale with φ and T) are preserved. The benchmark
-//! harness exposes all three knobs.
+//! wins, how overheads scale with φ and T) are preserved. The campaign
+//! harness sweeps the four named presets of [`CostModel::presets`]; the
+//! three fields stay public for anything else.
 
 /// Cost model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]

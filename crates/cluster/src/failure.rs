@@ -9,7 +9,7 @@
 /// A simulated node-failure event: `ranks` fail simultaneously at the start
 /// of iteration `at_iteration` (immediately after that iteration's matrix–
 /// vector product, matching the paper's reconstruction pre-conditions — see
-/// `DESIGN.md` §2.5).
+/// `ARCHITECTURE.md` §6, "The resilient loop and recovery data flow").
 ///
 /// The rank set is validated at construction (non-empty, duplicate-free)
 /// and kept **sorted**, so membership tests ([`FailureSpec::affects`]) are

@@ -9,7 +9,8 @@
 //! ordinary synchronous closure; a blocking [`Ctx::recv`] is where it yields
 //! its worker to other ranks.
 //!
-//! Two kinds of time are measured (see `DESIGN.md` §2.2):
+//! Two kinds of time are measured (see `ARCHITECTURE.md` §3, "Cluster
+//! runtime"):
 //!
 //! * **wall-clock** — real elapsed time of the run, and
 //! * **modeled time** — a deterministic α–β–γ cost model: sends advance a

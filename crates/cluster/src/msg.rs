@@ -12,8 +12,7 @@
 ///
 /// The solver's protocols only ever move a handful of shapes: raw `f64`
 /// vectors (halo exchange, checkpoints), `(global index, value)` pairs
-/// (redundant-copy recovery), index lists, single scalars, and empty
-/// control messages. An enum keeps the message layer simple and lets the
+/// (redundant-copy recovery), single scalars, and empty control messages. An enum keeps the message layer simple and lets the
 /// instrumentation compute payload sizes without serialization.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
@@ -23,8 +22,6 @@ pub enum Payload {
     Scalar(f64),
     /// A dense vector chunk.
     F64s(Vec<f64>),
-    /// A list of global indices.
-    Usizes(Vec<usize>),
     /// Sparse `(global index, value)` pairs (redundant copies).
     Pairs(Vec<(usize, f64)>),
 }
@@ -37,7 +34,6 @@ impl Payload {
             Payload::Empty => 0,
             Payload::Scalar(_) => 8,
             Payload::F64s(v) => 8 * v.len(),
-            Payload::Usizes(v) => 8 * v.len(),
             Payload::Pairs(v) => 16 * v.len(),
         }
     }
@@ -72,17 +68,6 @@ impl Payload {
         match self {
             Payload::Pairs(v) => v,
             other => panic!("protocol error: expected Pairs, got {other:?}"),
-        }
-    }
-
-    /// Unwraps a `Usizes` payload.
-    ///
-    /// # Panics
-    /// Panics if the payload has a different shape.
-    pub fn into_usizes(self) -> Vec<usize> {
-        match self {
-            Payload::Usizes(v) => v,
-            other => panic!("protocol error: expected Usizes, got {other:?}"),
         }
     }
 }
@@ -132,7 +117,6 @@ impl BufferPoolStats {
 #[derive(Debug, Default)]
 pub struct BufferPool {
     f64s: Vec<Vec<f64>>,
-    usizes: Vec<Vec<usize>>,
     pairs: Vec<Vec<(usize, f64)>>,
     stats: BufferPoolStats,
 }
@@ -178,11 +162,6 @@ impl BufferPool {
         Self::take(&mut self.f64s, &mut self.stats)
     }
 
-    /// An empty index buffer.
-    pub fn take_usizes(&mut self) -> Vec<usize> {
-        Self::take(&mut self.usizes, &mut self.stats)
-    }
-
     /// An empty `(index, value)` pair buffer.
     pub fn take_pairs(&mut self) -> Vec<(usize, f64)> {
         Self::take(&mut self.pairs, &mut self.stats)
@@ -191,13 +170,6 @@ impl BufferPool {
     /// Parks a consumed `f64` buffer for reuse.
     pub fn recycle_f64s(&mut self, v: Vec<f64>) {
         if Self::park(&mut self.f64s, v) {
-            self.note_recycle();
-        }
-    }
-
-    /// Parks a consumed index buffer for reuse.
-    pub fn recycle_usizes(&mut self, v: Vec<usize>) {
-        if Self::park(&mut self.usizes, v) {
             self.note_recycle();
         }
     }
@@ -215,39 +187,13 @@ impl BufferPool {
         match payload {
             Payload::Empty | Payload::Scalar(_) => {}
             Payload::F64s(v) => self.recycle_f64s(v),
-            Payload::Usizes(v) => self.recycle_usizes(v),
             Payload::Pairs(v) => self.recycle_pairs(v),
-        }
-    }
-
-    /// A deep copy of `payload` backed by pooled storage — what the
-    /// tree collectives use to forward one payload to several children
-    /// without allocating per child.
-    pub fn clone_payload(&mut self, payload: &Payload) -> Payload {
-        match payload {
-            Payload::Empty => Payload::Empty,
-            Payload::Scalar(s) => Payload::Scalar(*s),
-            Payload::F64s(v) => {
-                let mut c = self.take_f64s();
-                c.extend_from_slice(v);
-                Payload::F64s(c)
-            }
-            Payload::Usizes(v) => {
-                let mut c = self.take_usizes();
-                c.extend_from_slice(v);
-                Payload::Usizes(c)
-            }
-            Payload::Pairs(v) => {
-                let mut c = self.take_pairs();
-                c.extend_from_slice(v);
-                Payload::Pairs(c)
-            }
         }
     }
 
     /// Buffers currently parked across all shapes.
     pub fn parked(&self) -> usize {
-        self.f64s.len() + self.usizes.len() + self.pairs.len()
+        self.f64s.len() + self.pairs.len()
     }
 
     /// Reuse counters since construction.
@@ -294,7 +240,8 @@ pub enum Tag {
     Bcast = 2,
     /// Internal: barrier.
     Barrier = 3,
-    /// Internal: gather-to-root.
+    /// Reserved: no collective sends under it; the kind keeps its id so
+    /// the tag-kind tables (Perfetto names, `msgs_by_tag` slots) keep theirs.
     Gather = 4,
     /// Halo exchange for SpMV.
     Halo = 16,
@@ -347,7 +294,6 @@ mod tests {
         assert_eq!(Payload::Empty.bytes(), 0);
         assert_eq!(Payload::Scalar(1.0).bytes(), 8);
         assert_eq!(Payload::F64s(vec![0.0; 5]).bytes(), 40);
-        assert_eq!(Payload::Usizes(vec![1, 2]).bytes(), 16);
         assert_eq!(Payload::Pairs(vec![(1, 2.0)]).bytes(), 16);
     }
 
@@ -356,7 +302,6 @@ mod tests {
         assert_eq!(Payload::F64s(vec![1.0]).into_f64s(), vec![1.0]);
         assert_eq!(Payload::Scalar(2.5).into_scalar(), 2.5);
         assert_eq!(Payload::Pairs(vec![(3, 4.0)]).into_pairs(), vec![(3, 4.0)]);
-        assert_eq!(Payload::Usizes(vec![7]).into_usizes(), vec![7]);
     }
 
     #[test]
@@ -418,10 +363,9 @@ mod tests {
         pool.recycle(Payload::Scalar(1.0));
         assert_eq!(pool.parked(), 0, "bufferless shapes park nothing");
         pool.recycle(Payload::F64s(vec![1.0]));
-        pool.recycle(Payload::Usizes(vec![2]));
         pool.recycle(Payload::Pairs(vec![(3, 4.0)]));
-        assert_eq!(pool.parked(), 3);
-        assert!(pool.take_usizes().is_empty());
+        assert_eq!(pool.parked(), 2);
+        assert!(pool.take_f64s().is_empty());
         assert!(pool.take_pairs().is_empty());
         assert_eq!(pool.stats().hits, 2);
     }
@@ -448,10 +392,10 @@ mod tests {
         let mut pool = BufferPool::new();
         let a = pool.take_f64s(); // miss
         pool.recycle_f64s(vec![0.0; 8]);
-        pool.recycle_usizes(vec![1, 2]);
+        pool.recycle_pairs(vec![(1, 2.0)]);
         assert_eq!(pool.stats().recycles, 2);
         assert_eq!(pool.stats().high_water, 2);
-        let _ = pool.take_usizes(); // hit: one parked buffer leaves
+        let _ = pool.take_pairs(); // hit: one parked buffer leaves
         pool.recycle_f64s(vec![0.0; 8]);
         assert_eq!(
             pool.stats().high_water,
@@ -468,29 +412,6 @@ mod tests {
         assert_eq!(total.takes, 2 * s.takes);
         assert_eq!(total.recycles, 2 * s.recycles);
         assert_eq!(total.high_water, 2 * s.high_water);
-    }
-
-    #[test]
-    fn clone_payload_is_deep_and_pooled() {
-        let mut pool = BufferPool::new();
-        pool.recycle_f64s(vec![0.0; 16]);
-        let original = Payload::F64s(vec![1.0, 2.0]);
-        let copy = pool.clone_payload(&original);
-        assert_eq!(copy, original);
-        assert_eq!(pool.stats().hits, 1, "copy storage came from the pool");
-        assert_eq!(
-            pool.clone_payload(&Payload::Scalar(5.0)),
-            Payload::Scalar(5.0)
-        );
-        assert_eq!(
-            pool.clone_payload(&Payload::Pairs(vec![(1, 2.0)])),
-            Payload::Pairs(vec![(1, 2.0)])
-        );
-        assert_eq!(
-            pool.clone_payload(&Payload::Usizes(vec![7])),
-            Payload::Usizes(vec![7])
-        );
-        assert_eq!(pool.clone_payload(&Payload::Empty), Payload::Empty);
     }
 
     #[test]

@@ -289,20 +289,6 @@ impl Fabric {
         inbox.queue.remove(at).map(|(_, msg)| msg)
     }
 
-    /// Whether a message from `(from, tag)` has been delivered. On a miss
-    /// the rank yields to its worker's other runnable ranks first: a caller
-    /// spinning on this probe would otherwise starve the very sender it is
-    /// waiting for whenever both share a worker.
-    pub(crate) fn has_pending(&self, rank: usize, from: usize, tag: u64) -> bool {
-        let delivered = || lock(&self.mailboxes[rank]).position(from, tag).is_some();
-        if delivered() {
-            return true;
-        }
-        self.make_runnable(rank);
-        coro::suspend();
-        delivered()
-    }
-
     fn make_runnable(&self, rank: usize) {
         let worker = &self.workers[self.worker_of(rank)];
         let mut queue = lock(&worker.queue);
@@ -718,33 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn bcast_from_every_root() {
-        for n in SIZES {
-            for root in [0, n / 2, n - 1] {
-                let out = run_spmd(n, CostModel::default(), move |ctx| {
-                    let payload =
-                        (ctx.rank() == root).then(|| Payload::F64s(vec![42.0, root as f64]));
-                    ctx.bcast(root, payload).into_f64s()
-                });
-                for r in &out.results {
-                    assert_eq!(r, &vec![42.0, root as f64], "n={n} root={root}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let out = run_spmd(4, CostModel::default(), |ctx| {
-            let g = ctx.gather(2, Payload::Scalar(ctx.rank() as f64 * 10.0));
-            g.into_iter().map(Payload::into_scalar).collect::<Vec<_>>()
-        });
-        assert_eq!(out.results[2], vec![0.0, 10.0, 20.0, 30.0]);
-        assert!(out.results[0].is_empty());
-        assert!(out.results[3].is_empty());
-    }
-
-    #[test]
     fn out_of_order_tags_are_parked() {
         let out = run_spmd(2, CostModel::default(), |ctx| {
             if ctx.rank() == 0 {
@@ -763,26 +722,24 @@ mod tests {
 
     #[test]
     fn try_recv_is_a_zero_cost_fast_path() {
-        // Rank 0 sends, then both ranks sync clocks; rank 1 then spins until
-        // the probe sees the message and drains it with try_recv. The
-        // payload and clock must match what a blocking recv would produce.
+        // Rank 0 sends, then both ranks sync clocks; rank 1 then drains the
+        // message with try_recv. The payload and clock must match what a
+        // blocking recv would produce.
         let out = run_spmd(2, CostModel::default(), |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, Tag::Halo.with(3), Payload::Scalar(42.0));
                 ctx.barrier_sync_clock();
                 (0.0, 0.0)
             } else {
-                // The barrier synchronizes past the sender's injection time,
-                // so the message has both physically and logically arrived
-                // once the spin observes it.
+                // The barrier's broadcast reaches this rank from rank 0,
+                // which sent the halo message first: mailboxes are FIFO per
+                // sender and the broadcast arrives later on the modeled
+                // clock, so the message has physically and logically arrived.
                 ctx.barrier_sync_clock();
-                while !ctx.has_pending(0, Tag::Halo.with(3)) {
-                    std::hint::spin_loop();
-                }
                 let before = ctx.clock();
                 let v = ctx
                     .try_recv(0, Tag::Halo.with(3))
-                    .expect("probe saw the message")
+                    .expect("delivered ahead of the barrier's broadcast")
                     .into_scalar();
                 assert_eq!(ctx.clock(), before, "try_recv never advances the clock");
                 (v, ctx.stats().total_recv_wait())
@@ -800,30 +757,28 @@ mod tests {
     fn try_recv_returns_none_for_future_arrivals() {
         // A message whose modeled arrival lies ahead of the receiver's
         // clock must not be handed over by try_recv, even once physically
-        // delivered; the blocking recv then waits exactly the gap.
+        // delivered; the blocking recv then waits exactly the gap. Rank 0
+        // sends a long message and then an empty one: the empty one is
+        // injected later but lands first on the modeled clock, and mailboxes
+        // are FIFO per sender, so once rank 1 holds it the long message is
+        // delivered and still in rank 1's modeled future.
         let out = run_spmd(2, CostModel::default(), |ctx| {
+            let (long, short) = (Tag::Halo.with(9), Tag::Halo.with(10));
             if ctx.rank() == 0 {
-                // Run the clock forward so the arrival is far in rank 1's
-                // future.
-                ctx.charge_flops(10_000_000);
-                ctx.send(1, Tag::Halo.with(9), Payload::Scalar(7.0));
-                ctx.barrier();
+                ctx.send(1, long, Payload::F64s(vec![7.0; 4096]));
+                ctx.send(1, short, Payload::Empty);
                 0.0
             } else {
-                // Wait until delivery is certain (rank 0 sent before its
-                // barrier call), then probe.
-                while !ctx.has_pending(0, Tag::Halo.with(9)) {
-                    std::hint::spin_loop();
-                }
+                ctx.recv(0, short);
                 assert!(
-                    ctx.try_recv(0, Tag::Halo.with(9)).is_none(),
+                    ctx.try_recv(0, long).is_none(),
                     "arrival is in the modeled future"
                 );
                 let before = ctx.clock();
-                let v = ctx.recv(0, Tag::Halo.with(9)).into_scalar();
-                assert!(ctx.clock() > before, "blocking recv waited");
-                assert!(ctx.stats().total_recv_wait() > 0.0);
-                ctx.barrier();
+                let v = ctx.recv(0, long).into_f64s()[0];
+                let waited = ctx.clock() - before;
+                assert!(waited > 0.0, "blocking recv waited");
+                assert!(ctx.stats().total_recv_wait() >= waited);
                 v
             }
         });
@@ -1153,14 +1108,6 @@ mod tests {
                 let v = ctx.allreduce(&[1.0, 2.0, 3.0], ReduceOp::Sum);
                 assert_eq!(v, vec![4.0, 8.0, 12.0]);
                 ctx.recycle_f64s(v);
-                let b = ctx
-                    .bcast(
-                        round % ctx.size(),
-                        (ctx.rank() == round % ctx.size())
-                            .then(|| Payload::F64s(vec![round as f64])),
-                    )
-                    .into_f64s();
-                ctx.recycle_f64s(b);
             }
             let stats = ctx.buffer_stats();
             (stats, ctx.buffers().parked())
@@ -1339,8 +1286,8 @@ mod tests {
     #[test]
     fn worker_count_is_invisible_to_results_and_clocks() {
         // Uneven blocks (37 is prime), tree hops across every worker, an
-        // opportunistic try_recv drain and a has_pending spin: values and
-        // modeled clocks must not depend on how ranks share threads.
+        // opportunistic try_recv drain: values and modeled clocks must not
+        // depend on how ranks share threads.
         let run = |workers: usize| {
             watchdog(move || {
                 run_on(37, workers, |ctx| {
@@ -1351,7 +1298,6 @@ mod tests {
                         let tag = Tag::Halo.with(round);
                         ctx.charge_flops(100 * (1 + ctx.rank() as u64 % 3));
                         ctx.send(next, tag, Payload::Scalar(x));
-                        while !ctx.has_pending(prev, tag) {}
                         let got = match ctx.try_recv(prev, tag) {
                             Some(p) => p,
                             None => ctx.recv(prev, tag),

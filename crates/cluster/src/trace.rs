@@ -17,8 +17,8 @@
 //!   (one track per rank; phases and recoveries as complete `"X"` spans,
 //!   failures/iterations/collectives as `"i"` instants), and
 //! * [`MergedTrace::rollup`] — a [`MetricsRollup`] of per-phase span
-//!   counts/durations, message/byte counters by tag kind and peer, buffer
-//!   pool counters, and iterations-per-reduction.
+//!   counts/durations, message/byte counters by tag kind and peer, and
+//!   buffer pool counters (rendered to JSON by `esrcg-campaign`'s report).
 //!
 //! The default level is [`TraceConfig::Off`]: a single enum compare per hook,
 //! no allocation (the event `Vec` is never grown), and no effect whatsoever
@@ -576,8 +576,9 @@ fn fmt_us(seconds: f64) -> String {
     format!("{:.3}", seconds * 1e6 + 0.0)
 }
 
-/// Aggregated counters folded from a [`MergedTrace`]; deterministic and
-/// renderable into bench/campaign JSON.
+/// Aggregated counters folded from a [`MergedTrace`]; deterministic. The
+/// campaign report holds the one JSON rendering (a cell's `"metrics"`
+/// member and the `--trace-out` run lines).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRollup {
     /// Phase span counts by `Phase as usize`, summed across ranks.
@@ -619,15 +620,6 @@ pub struct MetricsRollup {
 }
 
 impl MetricsRollup {
-    /// Iterations per allreduce (0 when no reductions were recorded).
-    pub fn iterations_per_reduction(&self) -> f64 {
-        if self.reductions == 0 {
-            0.0
-        } else {
-            self.iterations as f64 / self.reductions as f64
-        }
-    }
-
     /// Accumulate another rollup into this one — how the campaign folds the
     /// per-run rollups of a cell into one per-cell aggregate. Every counter
     /// and duration is summed; `msgs_to_peer` is summed element-wise (grown
@@ -659,95 +651,6 @@ impl MetricsRollup {
             self.msgs_to_peer[dst] += m;
         }
         self.buffer_pool.absorb(&other.buffer_pool);
-    }
-
-    /// Render the rollup as a deterministic JSON object. `indent` is the
-    /// leading whitespace applied to each line of the object body; the
-    /// opening brace is not indented.
-    pub fn to_json(&self, indent: &str) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("{indent}  \"phases\": [\n"));
-        for (i, phase) in Phase::ALL.iter().enumerate() {
-            s.push_str(&format!(
-                "{indent}    {{\"phase\": \"{}\", \"spans\": {}, \"seconds\": {:.9}}}{}\n",
-                phase.name(),
-                self.phase_spans[i],
-                self.phase_seconds[i] + 0.0,
-                if i + 1 < N_PHASES { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!("{indent}  ],\n"));
-        s.push_str(&format!("{indent}  \"iterations\": {},\n", self.iterations));
-        s.push_str(&format!("{indent}  \"reductions\": {},\n", self.reductions));
-        s.push_str(&format!(
-            "{indent}  \"iterations_per_reduction\": {:.4},\n",
-            self.iterations_per_reduction() + 0.0
-        ));
-        s.push_str(&format!(
-            "{indent}  \"recovery_spans\": {},\n",
-            self.recovery_spans
-        ));
-        s.push_str(&format!(
-            "{indent}  \"recovery_seconds\": {:.9},\n",
-            self.recovery_seconds + 0.0
-        ));
-        s.push_str(&format!("{indent}  \"failures\": {},\n", self.failures));
-        s.push_str(&format!(
-            "{indent}  \"checkpoint_rounds\": {},\n",
-            self.checkpoint_rounds
-        ));
-        s.push_str(&format!(
-            "{indent}  \"storage_rounds\": {},\n",
-            self.storage_rounds
-        ));
-        s.push_str(&format!(
-            "{indent}  \"tuner_decisions\": {},\n",
-            self.tuner_decisions
-        ));
-        s.push_str(&format!("{indent}  \"sends\": {},\n", self.sends));
-        s.push_str(&format!("{indent}  \"recvs\": {},\n", self.recvs));
-        s.push_str(&format!(
-            "{indent}  \"recv_wait_seconds\": {:.9},\n",
-            self.recv_wait_seconds + 0.0
-        ));
-        s.push_str(&format!("{indent}  \"messages_by_tag\": [\n"));
-        let mut rows: Vec<String> = Vec::new();
-        for (slot, &kind) in TAG_KIND_IDS.iter().enumerate() {
-            if self.msgs_by_tag[slot] == 0 {
-                continue;
-            }
-            rows.push(format!(
-                "{indent}    {{\"tag\": \"{}\", \"msgs\": {}, \"bytes\": {}}}",
-                tag_kind_name(kind),
-                self.msgs_by_tag[slot],
-                self.bytes_by_tag[slot]
-            ));
-        }
-        s.push_str(&rows.join(",\n"));
-        if !rows.is_empty() {
-            s.push('\n');
-        }
-        s.push_str(&format!("{indent}  ],\n"));
-        s.push_str(&format!(
-            "{indent}  \"messages_to_peer\": [{}],\n",
-            self.msgs_to_peer
-                .iter()
-                .map(|m| m.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            "{indent}  \"buffer_pool\": {{\"takes\": {}, \"hits\": {}, \"misses\": {}, \
-             \"recycles\": {}, \"high_water\": {}}}\n",
-            self.buffer_pool.takes,
-            self.buffer_pool.hits,
-            self.buffer_pool.misses(),
-            self.buffer_pool.recycles,
-            self.buffer_pool.high_water
-        ));
-        s.push_str(&format!("{indent}}}"));
-        s
     }
 }
 
@@ -1197,9 +1100,9 @@ mod tests {
         assert_eq!(r.recvs, 2);
         assert_eq!(r.phase_spans[Phase::SpMV as usize], 2);
         assert_eq!(r.msgs_to_peer, vec![1, 1]);
-        assert_eq!(r.iterations_per_reduction(), 1.0);
-        let json = r.to_json("  ");
-        assert!(json.contains("\"tag\": \"halo\", \"msgs\": 2, \"bytes\": 160"));
+        let halo = tag_kind_slot(16);
+        assert_eq!(tag_kind_name(TAG_KIND_IDS[halo]), "halo");
+        assert_eq!((r.msgs_by_tag[halo], r.bytes_by_tag[halo]), (2, 160));
     }
 
     #[test]

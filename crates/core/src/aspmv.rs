@@ -27,7 +27,7 @@
 //!
 //! which reduces to the single-failure scheme at φ = 1 and guarantees at
 //! least φ non-owner copies (verified by a property test in the integration
-//! suite). See `DESIGN.md` §2.3.
+//! suite). See PAPER.md, row "§2.2, Eq. 1".
 
 use esrcg_sparse::Partition;
 

@@ -48,7 +48,8 @@ pub enum MatrixSource {
         /// Grid height.
         nz: usize,
     },
-    /// 27-point stencil — the `Emilia_923` stand-in (see `DESIGN.md` §4).
+    /// 27-point stencil — the `Emilia_923` stand-in (see PAPER.md, "What
+    /// the stand-ins do not reproduce").
     EmiliaLike {
         /// Grid width.
         nx: usize,
@@ -178,19 +179,14 @@ pub struct Experiment {
     rhs: RhsSpec,
     n_ranks: usize,
     precond: PrecondSpec,
-    strategy: Strategy,
-    policy: IntervalPolicy,
-    phi: usize,
-    rtol: f64,
-    max_iters: usize,
+    /// What the solver is configured with. Its `failures` stay empty until
+    /// [`Experiment::run`] materializes the two lists below.
+    cfg: SolverConfig,
     /// `(at_iteration, start_rank, count)` events — materialized into
     /// [`FailureSpec`]s once `n_ranks` is final.
     failure_blocks: Vec<(usize, usize, usize)>,
     failure_explicit: Vec<FailureSpec>,
     cost: CostModel,
-    backend: KernelBackend,
-    variant: PcgVariant,
-    spmv_format: SpmvFormat,
     trace: TraceConfig,
 }
 
@@ -203,17 +199,10 @@ impl Experiment {
             rhs: RhsSpec::FromKnownSolution,
             n_ranks: 8,
             precond: PrecondSpec::paper_default(),
-            strategy: Strategy::None,
-            policy: IntervalPolicy::Fixed,
-            phi: 0,
-            rtol: 1e-8,
-            max_iters: 200_000,
+            cfg: SolverConfig::new(Strategy::None, 0),
             failure_blocks: Vec::new(),
             failure_explicit: Vec::new(),
             cost: CostModel::default(),
-            backend: KernelBackend::default(),
-            variant: PcgVariant::default(),
-            spmv_format: SpmvFormat::default(),
             trace: TraceConfig::Off,
         }
     }
@@ -248,26 +237,26 @@ impl Experiment {
     /// adaptive Daly/Young interval tuning.
     pub fn strategy(mut self, s: impl Into<Resilience>) -> Self {
         let r = s.into();
-        self.strategy = r.strategy;
-        self.policy = r.policy;
+        self.cfg.strategy = r.strategy;
+        self.cfg.interval_policy = r.policy;
         self
     }
 
     /// Sets φ, the number of tolerated simultaneous failures.
     pub fn phi(mut self, phi: usize) -> Self {
-        self.phi = phi;
+        self.cfg.phi = phi;
         self
     }
 
     /// Sets the convergence tolerance.
     pub fn rtol(mut self, rtol: f64) -> Self {
-        self.rtol = rtol;
+        self.cfg.rtol = rtol;
         self
     }
 
     /// Sets the iteration cap.
     pub fn max_iters(mut self, m: usize) -> Self {
-        self.max_iters = m;
+        self.cfg.max_iters = m;
         self
     }
 
@@ -303,9 +292,9 @@ impl Experiment {
     /// each measured run with this baseline to report relative overheads.
     pub fn reference(&self) -> Experiment {
         let mut r = self.clone();
-        r.strategy = Strategy::None;
-        r.policy = IntervalPolicy::Fixed;
-        r.phi = 0;
+        r.cfg.strategy = Strategy::None;
+        r.cfg.interval_policy = IntervalPolicy::Fixed;
+        r.cfg.phi = 0;
         r.failure_blocks.clear();
         r.failure_explicit.clear();
         r
@@ -320,7 +309,7 @@ impl Experiment {
     /// Selects the kernel backend. All backends are bitwise identical (see
     /// [`esrcg_sparse::backend`]); this only changes wall-clock speed.
     pub fn backend(mut self, b: KernelBackend) -> Self {
-        self.backend = b;
+        self.cfg.backend = b;
         self
     }
 
@@ -330,7 +319,7 @@ impl Experiment {
     /// agree to rounding. [`Experiment::reference`] preserves the variant,
     /// so each run is compared against the matched baseline.
     pub fn variant(mut self, v: PcgVariant) -> Self {
-        self.variant = v;
+        self.cfg.variant = v;
         self
     }
 
@@ -351,7 +340,7 @@ impl Experiment {
     /// shared problem. [`Experiment::reference`] preserves the format, so
     /// overheads are always measured against a matched baseline.
     pub fn spmv_format(mut self, f: SpmvFormat) -> Self {
-        self.spmv_format = f;
+        self.cfg.spmv_format = f;
         self
     }
 
@@ -373,21 +362,14 @@ impl Experiment {
                 (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect()
             }
         };
-        let mut failures = self.failure_explicit.clone();
-        failures.extend(
+        let mut cfg = self.cfg;
+        cfg.failures = self.failure_explicit;
+        cfg.failures.extend(
             self.failure_blocks
                 .iter()
                 .map(|&(at, start, count)| FailureSpec::contiguous(at, start, count, self.n_ranks)),
         );
-        failures.sort_by_key(|f| f.at_iteration());
-        let mut cfg = SolverConfig::new(self.strategy, self.phi);
-        cfg.interval_policy = self.policy;
-        cfg.rtol = self.rtol;
-        cfg.max_iters = self.max_iters;
-        cfg.failures = failures;
-        cfg.backend = self.backend;
-        cfg.variant = self.variant;
-        cfg.spmv_format = self.spmv_format;
+        cfg.failures.sort_by_key(|f| f.at_iteration());
         let shared = Arc::new(SharedProblem::assemble_shared(
             a,
             b,
@@ -457,11 +439,11 @@ impl Experiment {
             trace: outcome.trace,
             metrics,
             x,
-            strategy: self.strategy,
-            policy: self.policy,
-            phi: self.phi,
+            strategy: shared.cfg.strategy,
+            policy: shared.cfg.interval_policy,
+            phi: shared.cfg.phi,
             n_ranks: self.n_ranks,
-            variant: self.variant,
+            variant: shared.cfg.variant,
         })
     }
 }

@@ -1,17 +1,16 @@
 //! Sequential preconditioned conjugate gradient (paper Alg. 1).
 //!
-//! This is the reference implementation used (a) to validate the distributed
-//! solver, and (b) as the inner solver of the ESR reconstruction (paper
-//! Alg. 2, lines 6 and 8, solved to a relative residual of 1e-14 in the
-//! paper's setup). It counts its own flops so the recovery path can charge
-//! them to the cost model.
+//! This is the reference implementation the tests validate the distributed
+//! solver against (`solver::tests`, `tests/determinism.rs`); it counts its
+//! own flops. It is *not* the inner solver of the ESR reconstruction: paper
+//! Alg. 2 line 8 is `distributed_inner_solve` in
+//! [`crate::solver::recovery`], a PCG over the replacement ranks.
 //!
 //! Everything here runs in a single address space — there is no halo
 //! exchange, so the split-phase SpMV scheduling of the distributed solver
 //! ([`crate::dist::halo`]) does not apply; its SpMV call sites go straight
-//! to the backend. The *distributed* inner solve of the recovery
-//! path (which does exchange halos between replacement ranks) lives in
-//! [`crate::solver::recovery`] and is split-phase like the outer loop.
+//! to the backend. The distributed inner solve does exchange halos between
+//! replacement ranks and is split-phase like the outer loop.
 
 use esrcg_precond::Preconditioner;
 use esrcg_sparse::{CsrMatrix, KernelBackend};

@@ -91,7 +91,7 @@ impl Recurrence for Classic {
         }
     }
 
-    fn advance(&mut self, ctx: &mut Ctx, node: &mut Node<'_>, j: usize) -> (usize, f64) {
+    fn advance(&mut self, ctx: &mut Ctx, node: &mut Node<'_>, _j: usize) -> (usize, f64) {
         let (shared, be, range) = (node.shared, node.be, node.range.clone());
         let nloc = range.len();
         let st = &mut node.st;
@@ -127,12 +127,6 @@ impl Recurrence for Classic {
         ctx.recycle_f64s(red);
         let beta = rz_new / st.rz;
         st.rz = rz_new;
-
-        // --- ESRP storage stage, first iteration: stash β** ---------------
-        if node.sched.storage_first(j) {
-            ctx.set_phase(Phase::Storage);
-            st.beta_ss = beta;
-        }
 
         // --- p = z + βp -----------------------------------------------------
         ctx.set_phase(Phase::VecOps);

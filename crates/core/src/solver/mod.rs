@@ -29,7 +29,7 @@ use crate::dist::halo::HaloExchange;
 use crate::dist::plan::CommPlan;
 use crate::strategy::{IntervalPolicy, Strategy};
 use recovery::{recover, RecoveryOutcome};
-use state::{checkpoint_blob_len, HeldCheckpoint, NodeState};
+use state::{checkpoint_blob_len, NodeState, Snapshot};
 pub use tuning::TuneEvent;
 use tuning::{IntervalSchedule, IntervalTuner};
 pub use workspace::SolverWorkspace;
@@ -529,10 +529,12 @@ impl Node<'_> {
         }
     }
 
-    /// ESRP storage stage, second iteration: the starred copies.
+    /// ESRP storage stage, second iteration: the starred copies of
+    /// `x, r, z, p` and β* = β^(j−1), which `beta_prev` holds entering
+    /// iteration `j`.
     fn star(&mut self, ctx: &mut Ctx, j: usize) {
         ctx.set_phase(Phase::Storage);
-        self.st.make_star(j);
+        self.st.take_snapshot(j, false);
         self.note_round();
     }
 
@@ -561,8 +563,7 @@ impl Node<'_> {
                         // star it so rollbacks to the anchor restore the same
                         // recurrence state the legacy storage stage would have.
                         ctx.set_phase(Phase::RecoveryReset);
-                        self.st.beta_ss = self.st.beta_prev;
-                        self.st.make_star(rec.resumed_at);
+                        self.st.take_snapshot(rec.resumed_at, false);
                     }
                     Strategy::Imcr { .. } => {
                         checkpoint_exchange(ctx, self.shared, &mut self.st, rec.resumed_at);
@@ -888,7 +889,7 @@ fn checkpoint_exchange(ctx: &mut Ctx, shared: &SharedProblem, st: &mut NodeState
     // Stage the blob in a pooled buffer: the whole round allocates nothing
     // at steady state.
     let mut blob = ctx.take_f64s();
-    st.checkpoint_blob_into(&mut blob);
+    st.checkpoint_blob_into(true, &mut blob);
     for &d in buddies.out_buddies(rank) {
         let mut copy = ctx.take_f64s();
         copy.extend_from_slice(&blob);
@@ -899,7 +900,7 @@ fn checkpoint_exchange(ctx: &mut Ctx, shared: &SharedProblem, st: &mut NodeState
         let data = ctx.recv(s, tag).into_f64s();
         let replaced = st.held_ckpts.insert(
             s,
-            HeldCheckpoint {
+            Snapshot {
                 iter: j,
                 blob: data,
             },
@@ -908,7 +909,7 @@ fn checkpoint_exchange(ctx: &mut Ctx, shared: &SharedProblem, st: &mut NodeState
             ctx.recycle_f64s(old.blob);
         }
     }
-    st.take_own_checkpoint(j);
+    st.take_snapshot(j, true);
 }
 
 #[cfg(test)]

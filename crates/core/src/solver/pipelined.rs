@@ -243,12 +243,6 @@ impl Recurrence for Pipelined {
         aux.pap = delta - beta * beta * aux.pap;
         st.rz = gamma_new;
 
-        // --- ESRP storage stage, first iteration: stash β** ---------------
-        if node.sched.storage_first(j) {
-            ctx.set_phase(Phase::Storage);
-            st.beta_ss = beta;
-        }
-
         // --- p = u + βp, s = w + βs, h = m + βh, g = n + βg ---------------
         ctx.set_phase(Phase::VecOps);
         be.axpby(1.0, &st.z, beta, &mut st.p);

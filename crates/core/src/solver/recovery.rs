@@ -79,17 +79,30 @@ pub(super) fn recover<R: Recurrence>(
         "FailureSpec guarantees a sorted, duplicate-free rank set"
     );
     let strategy = sched.strategy();
+    assert!(
+        strategy != Strategy::None,
+        "node failure injected into a run without a resilience strategy — \
+         an unprotected solver loses all progress (the paper's motivating case)"
+    );
+    // Survivors roll back to their local snapshot — ESRP's starred copies or
+    // their own IMCR checkpoint. ESR keeps none: its current state *is* the
+    // iteration-ĵ state.
+    if target.is_some() && !strategy.is_esr() && !event.affects(ctx.rank()) {
+        debug_assert_eq!(
+            st.snapshot.as_ref().map(|s| s.iter),
+            target,
+            "the snapshot must match the rollback target"
+        );
+        st.rollback_to_snapshot();
+    }
     let inner_iterations = match (strategy, target) {
-        (Strategy::None, _) => panic!(
-            "node failure injected into a run without a resilience strategy — \
-             an unprotected solver loses all progress (the paper's motivating case)"
-        ),
+        (Strategy::None, _) => unreachable!("asserted above"),
         (_, None) => {
             // No recovery point yet: restart the whole solve from x0 (static
-            // data is retrievable from safe storage; see DESIGN.md §2.4 — the
-            // paper's experiments never hit this case, ours test it). The
-            // s-step loop rebuilds its per-block basis workspace from
-            // definitions.
+            // data is retrievable from safe storage, PAPER.md's protocol
+            // table — the paper's experiments never hit this case, ours test
+            // it). The s-step loop rebuilds its per-block basis workspace
+            // from definitions.
             (*st, _, _) = rec.init(ctx, shared, full);
             0
         }
@@ -165,18 +178,10 @@ fn recover_esrp(
     let am_failed = failed_sorted.binary_search(&me).is_ok();
     let is_failed = |r: usize| failed_sorted.binary_search(&r).is_ok();
 
-    // --- Survivors roll back to the storage-stage state -------------------
+    // --- Survivors (rolled back by `recover`) drop what they captured past
+    // the storage-stage state ---------------------------------------------
     ctx.set_phase(Phase::RecoveryReset);
     if !am_failed {
-        if t > 1 {
-            debug_assert_eq!(
-                st.star.as_ref().map(|s| s.iter),
-                Some(jhat),
-                "starred copies must match the rollback target"
-            );
-            st.rollback_to_star();
-        }
-        // ESR (t == 1): the current state *is* the iteration-ĵ state.
         st.queue.purge_after(jhat);
     }
 
@@ -344,10 +349,9 @@ fn recover_esrp(
         st.beta_prev = beta;
         if t > 1 {
             // ĵ = mT+1 is a storage-stage end: re-establish the starred
-            // copies and β** so the replacement is indistinguishable from a
+            // copies so the replacement is indistinguishable from a
             // survivor when the loop re-executes iteration ĵ.
-            st.beta_ss = beta;
-            st.make_star(jhat);
+            st.take_snapshot(jhat, false);
         }
     }
 
@@ -355,7 +359,8 @@ fn recover_esrp(
 }
 
 /// IMCR recovery to the checkpoint of iteration `jc`: replacements fetch it
-/// from their first surviving buddy; survivors roll back locally.
+/// from their first surviving buddy; survivors have rolled back locally
+/// (in `recover`) and serve the copies they hold.
 fn recover_imcr(
     ctx: &mut Ctx,
     shared: &SharedProblem,
@@ -392,20 +397,10 @@ fn recover_imcr(
         st.restore_from_blob(&blob);
         ctx.recycle_f64s(blob);
         // The replacement's own rollback copy is its restored state.
-        st.take_own_checkpoint(jc);
+        st.take_snapshot(jc, true);
     }
-
-    ctx.set_phase(Phase::RecoveryReset);
-    if !am_failed {
-        debug_assert_eq!(
-            st.own_ckpt.as_ref().map(|c| c.iter),
-            Some(jc),
-            "survivor checkpoint must match the rollback target"
-        );
-        st.rollback_to_checkpoint();
-        // Held checkpoints for ranks that failed are kept: they are exactly
-        // the data just restored; newer held data cannot exist.
-    }
+    // Held checkpoints for ranks that failed are kept: they are exactly the
+    // data just restored; newer held data cannot exist.
 }
 
 /// Distributed PCG over the replacement subgroup for the inner system

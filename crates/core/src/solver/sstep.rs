@@ -130,10 +130,8 @@ impl Recurrence for SStep {
                 node.note_round();
             } else {
                 // --- ESRP storage stage falling in this window: starred
-                // copies. β^(j−1) is exactly the β* the per-iteration
-                // schedule would have promoted at its stage end, because
-                // the star lands on the block start rather than mid-stage.
-                node.st.beta_ss = node.st.beta_prev;
+                // copies, β* = β^(j−1) included — the star lands on the
+                // block start rather than mid-stage.
                 node.star(ctx, j);
             }
             self.last_protect = Some(j);

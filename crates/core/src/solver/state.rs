@@ -120,58 +120,17 @@ impl SStepAux {
     }
 }
 
-/// The pipelined part of an IMCR checkpoint: the extra recurrence vectors
-/// and replicated scalars that must roll back bitwise alongside
-/// `[x; r; z; p]`.
+/// One rollback copy of a node's dynamic state, tagged with the iteration
+/// it belongs to. ESRP's starred copies `x*, r*, z*, p*, β*` (paper §3: the
+/// state at the end of the last completed storage stage, duplicated locally
+/// so survivors roll back without communication), a node's own IMCR
+/// checkpoint, and an IMCR checkpoint held **for another rank** are all this:
+/// the paper's point that ESRP is checkpoint-restart whose remote copy is
+/// implicit. [`NodeState::checkpoint_blob_into`] defines the layout.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PipelinedCkptAux {
-    /// q ≡ s = Ap — recurrence state for the pipelined variant (plain
-    /// scratch for Classic, which is why the classic blob omits it).
-    pub q: Vec<f64>,
-    pub w: Vec<f64>,
-    pub h: Vec<f64>,
-    pub g: Vec<f64>,
-    /// γ = r·z at the checkpoint (the pipelined `rz`).
-    pub gamma: f64,
-    /// The recurrence pᵀAp at the checkpoint. Restored directly — it is
-    /// *not* recomputable bitwise from the vectors.
-    pub pap: f64,
-}
-
-/// The starred local copies of ESRP (paper §3): the state at the end of the
-/// last completed storage stage, duplicated locally by every node so that
-/// survivors can roll back without communication.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct StarCopies {
-    /// The iteration ĵ = mT+1 these copies belong to.
-    pub iter: usize,
-    pub x: Vec<f64>,
-    pub r: Vec<f64>,
-    pub z: Vec<f64>,
-    pub p: Vec<f64>,
-    /// β* = β^(ĵ−1), needed to reconstruct z at the replacement nodes.
-    pub beta_star: f64,
-}
-
-/// A node's own IMCR rollback copy (kept locally; the same data is also sent
-/// to the buddy ranks).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct OwnCheckpoint {
-    pub iter: usize,
-    pub x: Vec<f64>,
-    pub r: Vec<f64>,
-    pub z: Vec<f64>,
-    pub p: Vec<f64>,
-    pub beta_prev: f64,
-    /// Pipelined-variant extras (None for Classic checkpoints).
-    pub aux: Option<PipelinedCkptAux>,
-}
-
-/// A checkpoint this node holds **for another rank** (IMCR buddy storage):
-/// the owner's dynamic vectors and scalars concatenated
-/// ([`NodeState::checkpoint_blob_into`] defines the layout per variant).
-#[derive(Debug, Clone)]
-pub(crate) struct HeldCheckpoint {
+pub(crate) struct Snapshot {
+    /// The iteration the copied state belongs to (ĵ = mT+1 for the starred
+    /// copies, the checkpoint iteration for IMCR).
     pub iter: usize,
     /// [`checkpoint_blob_len`] values for the owner's `nloc`.
     pub blob: Vec<f64>,
@@ -209,17 +168,14 @@ pub(crate) struct NodeState {
     pub rz: f64,
     /// The replicated scalar β of the previous iteration.
     pub beta_prev: f64,
-    /// β** — the β stashed during the first iteration of the current
-    /// storage stage (promoted to β* during the second).
-    pub beta_ss: f64,
-    /// ESRP starred copies (None before the first completed storage stage).
-    pub star: Option<StarCopies>,
+    /// This node's local rollback copy: ESRP's starred copies or its own
+    /// IMCR checkpoint (None before the first completed storage stage or
+    /// checkpoint round, and for ESR, whose current state is the target).
+    pub snapshot: Option<Snapshot>,
     /// Redundant search-direction copies this node holds for others.
     pub queue: RedundancyQueue,
-    /// IMCR: own rollback copy.
-    pub own_ckpt: Option<OwnCheckpoint>,
     /// IMCR: checkpoints held for other ranks, keyed by owner rank.
-    pub held_ckpts: HashMap<usize, HeldCheckpoint>,
+    pub held_ckpts: HashMap<usize, Snapshot>,
     /// Pipelined-variant auxiliary state (None for Classic runs).
     pub aux: Option<Box<PipelinedAux>>,
 }
@@ -235,10 +191,8 @@ impl NodeState {
             q: vec![0.0; nloc],
             rz: 0.0,
             beta_prev: 0.0,
-            beta_ss: 0.0,
-            star: None,
+            snapshot: None,
             queue: RedundancyQueue::new(),
-            own_ckpt: None,
             held_ckpts: HashMap::new(),
             aux: None,
         }
@@ -262,10 +216,8 @@ impl NodeState {
         self.q.fill(0.0);
         self.rz = 0.0;
         self.beta_prev = 0.0;
-        self.beta_ss = 0.0;
-        self.star = None;
+        self.snapshot = None;
         self.queue.clear();
-        self.own_ckpt = None;
         self.held_ckpts.clear();
         if let Some(aux) = self.aux.as_mut() {
             aux.w.fill(0.0);
@@ -277,126 +229,73 @@ impl NodeState {
         }
     }
 
-    /// Takes the starred copies at iteration `iter` (ESRP storage stage,
-    /// second iteration): duplicates x, r, z, p and promotes β** → β*.
-    /// The previous stage's copies are overwritten in place, so only the
-    /// first stage (and the first after a [`NodeState::wipe`]) allocates.
-    pub fn make_star(&mut self, iter: usize) {
-        let star = self.star.get_or_insert_with(StarCopies::default);
-        star.iter = iter;
-        star.x.clone_from(&self.x);
-        star.r.clone_from(&self.r);
-        star.z.clone_from(&self.z);
-        star.p.clone_from(&self.p);
-        star.beta_star = self.beta_ss;
+    /// Records this node's local rollback copy at iteration `iter`. ESRP
+    /// passes `with_aux = false` — the starred copies are `x, r, z, p` and
+    /// β* = β^(ĵ−1) whatever the recurrence, so its per-node storage is
+    /// unchanged by pipelining; IMCR passes `true`, so a pipelined checkpoint
+    /// also carries `q(=s)`, `w`, `h`, `g`, γ and the recurrence pᵀAp and a
+    /// rollback restores the full recurrence bitwise. The previous copy is
+    /// overwritten in place, so only the first one (and the first after a
+    /// [`NodeState::wipe`]) allocates.
+    pub fn take_snapshot(&mut self, iter: usize, with_aux: bool) {
+        let mut snap = self.snapshot.take().unwrap_or_default();
+        snap.iter = iter;
+        self.checkpoint_blob_into(with_aux, &mut snap.blob);
+        self.snapshot = Some(snap);
     }
 
-    /// Rolls this node back to its starred copies (survivor side of ESRP
-    /// recovery).
+    /// Rolls this node back to its local rollback copy (survivor side of an
+    /// ESRP or IMCR recovery).
     ///
     /// # Panics
-    /// Panics if no starred copies exist — callers must have established
-    /// that a storage stage completed.
-    pub fn rollback_to_star(&mut self) {
-        let star = self
-            .star
-            .as_ref()
-            .expect("rollback requires starred copies");
-        self.x.copy_from_slice(&star.x);
-        self.r.copy_from_slice(&star.r);
-        self.z.copy_from_slice(&star.z);
-        self.p.copy_from_slice(&star.p);
-        self.beta_prev = star.beta_star;
+    /// Panics if there is none — callers must have established that a
+    /// storage stage or checkpoint round completed.
+    pub fn rollback_to_snapshot(&mut self) {
+        let snap = self.snapshot.take().expect("rollback requires a snapshot");
+        self.restore_from_blob(&snap.blob);
+        self.snapshot = Some(snap);
     }
 
-    /// Records the node's own IMCR checkpoint at iteration `iter`. For the
-    /// pipelined variant the checkpoint also carries `q(=s)`, `w`, `h`,
-    /// `g`, γ, and the recurrence pᵀAp, so a rollback restores the full
-    /// recurrence bitwise. Like [`NodeState::make_star`] it overwrites the
-    /// previous checkpoint in place.
-    pub fn take_own_checkpoint(&mut self, iter: usize) {
-        let c = self.own_ckpt.get_or_insert_with(OwnCheckpoint::default);
-        c.iter = iter;
-        c.x.clone_from(&self.x);
-        c.r.clone_from(&self.r);
-        c.z.clone_from(&self.z);
-        c.p.clone_from(&self.p);
-        c.beta_prev = self.beta_prev;
-        if let Some(a) = self.aux.as_ref() {
-            let ca = c.aux.get_or_insert_with(PipelinedCkptAux::default);
-            ca.q.clone_from(&self.q);
-            ca.w.clone_from(&a.w);
-            ca.h.clone_from(&a.h);
-            ca.g.clone_from(&a.g);
-            ca.gamma = self.rz;
-            ca.pap = a.pap;
-        }
-    }
-
-    /// Rolls this node back to its own IMCR checkpoint (survivor side).
-    ///
-    /// # Panics
-    /// Panics if no checkpoint exists, or if the checkpoint's variant does
-    /// not match the state's (protocol bug: a run never changes variant).
-    pub fn rollback_to_checkpoint(&mut self) {
-        let c = self
-            .own_ckpt
-            .as_ref()
-            .expect("rollback requires a checkpoint");
-        self.x.copy_from_slice(&c.x);
-        self.r.copy_from_slice(&c.r);
-        self.z.copy_from_slice(&c.z);
-        self.p.copy_from_slice(&c.p);
-        self.beta_prev = c.beta_prev;
-        match (self.aux.as_mut(), c.aux.as_ref()) {
-            (None, None) => {}
-            (Some(aux), Some(ca)) => {
-                self.q.copy_from_slice(&ca.q);
-                aux.w.copy_from_slice(&ca.w);
-                aux.h.copy_from_slice(&ca.h);
-                aux.g.copy_from_slice(&ca.g);
-                self.rz = ca.gamma;
-                aux.pap = ca.pap;
-            }
-            _ => panic!("checkpoint variant mismatch"),
-        }
-    }
-
-    /// Serializes the dynamic state for buddy checkpointing into a
-    /// caller-supplied buffer (cleared first) — lets the checkpoint path
-    /// stage into a pooled payload buffer instead of allocating per event.
-    /// The layout is [`checkpoint_blob_len`]'s: the classic part
-    /// `[x; r; z; p]`, the pipelined vectors `[q; w; h; g]` if any, then
-    /// the scalars (β, and for pipelined γ and pᵀAp).
-    pub fn checkpoint_blob_into(&self, blob: &mut Vec<f64>) {
+    /// Serializes the dynamic state into a caller-supplied buffer (cleared
+    /// first) — lets the checkpoint path stage into a pooled payload buffer
+    /// instead of allocating per event. The layout is
+    /// [`checkpoint_blob_len`]'s: the classic part `[x; r; z; p]`, the
+    /// pipelined vectors `[q; w; h; g]` if the state has them and `with_aux`
+    /// asks for them, then the scalars (β, and with the vectors γ and pᵀAp).
+    pub fn checkpoint_blob_into(&self, with_aux: bool, blob: &mut Vec<f64>) {
+        let aux = self.aux.as_ref().filter(|_| with_aux);
         blob.clear();
-        blob.reserve(checkpoint_blob_len(self.x.len(), self.aux.is_some()));
+        blob.reserve(checkpoint_blob_len(self.x.len(), aux.is_some()));
         blob.extend_from_slice(&self.x);
         blob.extend_from_slice(&self.r);
         blob.extend_from_slice(&self.z);
         blob.extend_from_slice(&self.p);
-        if let Some(aux) = self.aux.as_ref() {
+        if let Some(aux) = aux {
             blob.extend_from_slice(&self.q);
             blob.extend_from_slice(&aux.w);
             blob.extend_from_slice(&aux.h);
             blob.extend_from_slice(&aux.g);
         }
         blob.push(self.beta_prev);
-        if let Some(aux) = self.aux.as_ref() {
+        if let Some(aux) = aux {
             blob.push(self.rz);
             blob.push(aux.pap);
         }
     }
 
-    /// Restores the node's vectors and scalars from a checkpoint blob (the
-    /// layout of [`NodeState::checkpoint_blob_into`] for this variant).
+    /// Restores the node's vectors and scalars from a blob
+    /// [`NodeState::checkpoint_blob_into`] wrote. A classic-length blob on a
+    /// pipelined state restores `x, r, z, p, β` and leaves the auxiliary
+    /// recurrence state alone (`resync_after_rollback` rebuilds it).
     ///
     /// # Panics
-    /// Panics if the blob length does not match the variant's layout.
+    /// Panics if the blob length is neither layout's for this state.
     pub fn restore_from_blob(&mut self, blob: &[f64]) {
+        let nloc = self.x.len();
+        let with_aux = self.aux.is_some() && blob.len() != checkpoint_blob_len(nloc, false);
         assert_eq!(
             blob.len(),
-            checkpoint_blob_len(self.x.len(), self.aux.is_some()),
+            checkpoint_blob_len(nloc, with_aux),
             "checkpoint blob length mismatch"
         );
         // Read back in the order `checkpoint_blob_into` wrote.
@@ -410,17 +309,16 @@ impl NodeState {
         take(&mut self.r);
         take(&mut self.z);
         take(&mut self.p);
-        if let Some(aux) = self.aux.as_mut() {
+        let aux = self.aux.as_mut().filter(|_| with_aux);
+        if let Some(aux) = aux {
             take(&mut self.q);
             take(&mut aux.w);
             take(&mut aux.h);
             take(&mut aux.g);
-        }
-        self.beta_prev = rest[0];
-        if let Some(aux) = self.aux.as_mut() {
             self.rz = rest[1];
             aux.pap = rest[2];
         }
+        self.beta_prev = rest[0];
     }
 }
 
@@ -439,98 +337,6 @@ mod tests {
         st.rz = 1.5;
         st.beta_prev = 0.25;
         st
-    }
-
-    #[test]
-    fn wipe_zeroes_everything() {
-        let mut st = filled(3);
-        st.make_star(7);
-        st.take_own_checkpoint(5);
-        st.queue.push(7, vec![(0, 1.0)]);
-        st.held_ckpts.insert(
-            2,
-            HeldCheckpoint {
-                iter: 5,
-                blob: vec![1.0],
-            },
-        );
-        st.wipe();
-        assert!(st.x.iter().all(|&v| v == 0.0));
-        assert!(st.p.iter().all(|&v| v == 0.0));
-        assert_eq!(st.rz, 0.0);
-        assert_eq!(st.beta_prev, 0.0);
-        assert!(st.star.is_none());
-        assert!(st.queue.is_empty());
-        assert!(st.own_ckpt.is_none());
-        assert!(st.held_ckpts.is_empty());
-    }
-
-    #[test]
-    fn star_round_trip() {
-        let mut st = filled(4);
-        st.beta_ss = 0.75;
-        st.make_star(11);
-        // Mutate, then roll back.
-        st.x.fill(-1.0);
-        st.r.fill(-1.0);
-        st.z.fill(-1.0);
-        st.p.fill(-1.0);
-        st.beta_prev = 9.0;
-        st.rollback_to_star();
-        assert_eq!(st.x[2], 2.0);
-        assert_eq!(st.r[0], 10.0);
-        assert_eq!(st.z[3], 23.0);
-        assert_eq!(st.p[1], 31.0);
-        assert_eq!(st.beta_prev, 0.75, "beta* promoted from beta**");
-        assert_eq!(st.star.as_ref().unwrap().iter, 11);
-    }
-
-    #[test]
-    fn checkpoint_blob_round_trip() {
-        let st = filled(3);
-        let mut blob = vec![99.0; 2]; // stale contents must be cleared
-        st.checkpoint_blob_into(&mut blob);
-        assert_eq!(blob.len(), 13);
-        let mut st2 = NodeState::new(3);
-        st2.restore_from_blob(&blob);
-        assert_eq!(st2.x, st.x);
-        assert_eq!(st2.r, st.r);
-        assert_eq!(st2.z, st.z);
-        assert_eq!(st2.p, st.p);
-        assert_eq!(st2.beta_prev, st.beta_prev);
-    }
-
-    #[test]
-    fn blob_len_is_what_the_blob_writer_writes() {
-        let mut blob = Vec::new();
-        for nloc in [0, 1, 3, 7] {
-            let classic = filled(nloc);
-            classic.checkpoint_blob_into(&mut blob);
-            assert_eq!(
-                blob.len(),
-                checkpoint_blob_len(nloc, false),
-                "classic {nloc}"
-            );
-            let pipelined = filled_pipelined(nloc);
-            pipelined.checkpoint_blob_into(&mut blob);
-            assert_eq!(
-                blob.len(),
-                checkpoint_blob_len(nloc, true),
-                "pipelined {nloc}"
-            );
-        }
-    }
-
-    #[test]
-    fn own_checkpoint_round_trip() {
-        let mut st = filled(2);
-        st.take_own_checkpoint(20);
-        st.x.fill(0.0);
-        st.beta_prev = -1.0;
-        st.rollback_to_checkpoint();
-        assert_eq!(st.x, vec![0.0_f64, 1.0]);
-        assert_eq!(st.beta_prev, 0.25);
-        assert_eq!(st.own_ckpt.as_ref().unwrap().iter, 20);
     }
 
     fn filled_pipelined(nloc: usize) -> NodeState {
@@ -554,11 +360,171 @@ mod tests {
         st
     }
 
+    /// What a rollback may touch, as bits: the classic part `x, r, z, p, β`
+    /// and the rest `q, w, h, g, γ, pᵀAp`.
+    fn bits(st: &NodeState) -> (Vec<u64>, Vec<u64>) {
+        let bits = |vs: &[&[f64]]| vs.concat().iter().map(|v| v.to_bits()).collect();
+        let classic = bits(&[&st.x, &st.r, &st.z, &st.p, &[st.beta_prev]]);
+        let rest = match st.aux.as_ref() {
+            Some(aux) => bits(&[&st.q, &aux.w, &aux.h, &aux.g, &[st.rz, aux.pap]]),
+            None => bits(&[&st.q, &[st.rz]]),
+        };
+        (classic, rest)
+    }
+
+    /// Overwrites everything `bits` reads.
+    fn scramble(st: &mut NodeState) {
+        for v in [&mut st.x, &mut st.r, &mut st.z, &mut st.p, &mut st.q] {
+            v.fill(-1.0);
+        }
+        (st.beta_prev, st.rz) = (9.0, -9.0);
+        if let Some(aux) = st.aux.as_mut() {
+            for v in [&mut aux.w, &mut aux.h, &mut aux.g] {
+                v.fill(-1.0);
+            }
+            aux.pap = -9.0;
+        }
+    }
+
+    #[test]
+    fn wipe_zeroes_everything() {
+        let mut st = filled(3);
+        st.take_snapshot(7, false);
+        st.queue.push(7, vec![(0, 1.0)]);
+        st.held_ckpts.insert(
+            2,
+            Snapshot {
+                iter: 5,
+                blob: vec![1.0],
+            },
+        );
+        st.wipe();
+        assert!(st.x.iter().all(|&v| v == 0.0));
+        assert!(st.p.iter().all(|&v| v == 0.0));
+        assert_eq!(st.rz, 0.0);
+        assert_eq!(st.beta_prev, 0.0);
+        assert!(st.snapshot.is_none());
+        assert!(st.queue.is_empty());
+        assert!(st.held_ckpts.is_empty());
+    }
+
+    #[test]
+    fn star_round_trip() {
+        let mut st = filled(4);
+        st.take_snapshot(11, false);
+        // Mutate, then roll back.
+        st.x.fill(-1.0);
+        st.r.fill(-1.0);
+        st.z.fill(-1.0);
+        st.p.fill(-1.0);
+        st.beta_prev = 9.0;
+        st.rollback_to_snapshot();
+        assert_eq!(st.x[2], 2.0);
+        assert_eq!(st.r[0], 10.0);
+        assert_eq!(st.z[3], 23.0);
+        assert_eq!(st.p[1], 31.0);
+        assert_eq!(st.beta_prev, 0.25, "beta* is beta_prev at the star");
+        assert_eq!(st.snapshot.as_ref().unwrap().iter, 11);
+    }
+
+    #[test]
+    fn snapshot_round_trip_restores_the_state_bit_for_bit_in_both_layouts() {
+        for mut st in [filled(5), filled_pipelined(5)] {
+            let pipelined = st.aux.is_some();
+            let want = bits(&st);
+            st.take_snapshot(8, true);
+            let blob = &st.snapshot.as_ref().unwrap().blob;
+            assert_eq!(blob.len(), checkpoint_blob_len(5, pipelined));
+            scramble(&mut st);
+            let scrambled = bits(&st);
+            st.rollback_to_snapshot();
+            // The classic layout carries neither the scratch q nor r·z: the
+            // recurrence recomputes both.
+            let rest = if pipelined { want.1 } else { scrambled.1 };
+            assert_eq!(bits(&st), (want.0, rest), "pipelined = {pipelined}");
+            // Retaking overwrites in place: same buffer, new label.
+            let at = st.snapshot.as_ref().unwrap().blob.as_ptr();
+            st.take_snapshot(16, true);
+            let snap = st.snapshot.as_ref().unwrap();
+            assert_eq!((snap.iter, snap.blob.as_ptr()), (16, at));
+        }
+    }
+
+    #[test]
+    fn a_classic_snapshot_of_a_pipelined_state_leaves_the_aux_state_alone() {
+        // ESRP under the pipelined recurrence: the starred copies stay
+        // [x; r; z; p; β], and the rollback hands q, w, h, g, γ and pᵀAp to
+        // `resync_after_rollback` untouched.
+        let mut st = filled_pipelined(3);
+        let want = bits(&st);
+        st.take_snapshot(6, false);
+        let blob = &st.snapshot.as_ref().unwrap().blob;
+        assert_eq!(blob.len(), checkpoint_blob_len(3, false));
+        scramble(&mut st);
+        let scrambled = bits(&st);
+        st.rollback_to_snapshot();
+        assert_eq!(bits(&st), (want.0, scrambled.1));
+    }
+
+    #[test]
+    fn checkpoint_blob_round_trip() {
+        let st = filled(3);
+        let mut blob = vec![99.0; 2]; // stale contents must be cleared
+        st.checkpoint_blob_into(true, &mut blob);
+        assert_eq!(blob.len(), 13);
+        let mut st2 = NodeState::new(3);
+        st2.restore_from_blob(&blob);
+        assert_eq!(st2.x, st.x);
+        assert_eq!(st2.r, st.r);
+        assert_eq!(st2.z, st.z);
+        assert_eq!(st2.p, st.p);
+        assert_eq!(st2.beta_prev, st.beta_prev);
+    }
+
+    #[test]
+    fn blob_len_is_what_the_blob_writer_writes() {
+        let mut blob = Vec::new();
+        for nloc in [0, 1, 3, 7] {
+            let classic = filled(nloc);
+            classic.checkpoint_blob_into(true, &mut blob);
+            assert_eq!(
+                blob.len(),
+                checkpoint_blob_len(nloc, false),
+                "classic {nloc}"
+            );
+            let pipelined = filled_pipelined(nloc);
+            pipelined.checkpoint_blob_into(true, &mut blob);
+            assert_eq!(
+                blob.len(),
+                checkpoint_blob_len(nloc, true),
+                "pipelined {nloc}"
+            );
+            pipelined.checkpoint_blob_into(false, &mut blob);
+            assert_eq!(
+                blob.len(),
+                checkpoint_blob_len(nloc, false),
+                "pipelined {nloc} without the aux part"
+            );
+        }
+    }
+
+    #[test]
+    fn own_checkpoint_round_trip() {
+        let mut st = filled(2);
+        st.take_snapshot(20, true);
+        st.x.fill(0.0);
+        st.beta_prev = -1.0;
+        st.rollback_to_snapshot();
+        assert_eq!(st.x, vec![0.0_f64, 1.0]);
+        assert_eq!(st.beta_prev, 0.25);
+        assert_eq!(st.snapshot.as_ref().unwrap().iter, 20);
+    }
+
     #[test]
     fn pipelined_blob_round_trip() {
         let st = filled_pipelined(3);
         let mut blob = Vec::new();
-        st.checkpoint_blob_into(&mut blob);
+        st.checkpoint_blob_into(true, &mut blob);
         assert_eq!(blob.len(), 8 * 3 + 3);
         let mut st2 = NodeState::new_pipelined(3);
         st2.restore_from_blob(&blob);
@@ -573,12 +539,12 @@ mod tests {
     #[test]
     fn pipelined_checkpoint_round_trip_restores_scalars() {
         let mut st = filled_pipelined(2);
-        st.take_own_checkpoint(8);
+        st.take_snapshot(8, true);
         st.q.fill(-1.0);
         st.aux.as_mut().unwrap().w.fill(-1.0);
         st.rz = -9.0;
         st.aux.as_mut().unwrap().pap = -9.0;
-        st.rollback_to_checkpoint();
+        st.rollback_to_snapshot();
         assert_eq!(st.q, vec![40.0, 41.0]);
         assert_eq!(st.aux.as_ref().unwrap().w, vec![50.0, 51.0]);
         assert_eq!(st.rz, 1.5, "gamma restored from the checkpoint");
@@ -595,24 +561,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "blob length")]
-    fn pipelined_state_rejects_classic_blob() {
-        let st = filled(3);
-        let mut blob = Vec::new();
-        st.checkpoint_blob_into(&mut blob);
-        NodeState::new_pipelined(3).restore_from_blob(&blob);
-    }
-
-    #[test]
-    #[should_panic(expected = "starred copies")]
+    #[should_panic(expected = "requires a snapshot")]
     fn rollback_without_star_panics() {
-        NodeState::new(2).rollback_to_star();
+        NodeState::new(2).rollback_to_snapshot();
     }
 
     #[test]
     #[should_panic(expected = "blob length")]
     fn bad_blob_rejected() {
         NodeState::new(3).restore_from_blob(&[0.0; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "blob length")]
+    fn classic_state_rejects_pipelined_blob() {
+        let mut blob = Vec::new();
+        filled_pipelined(3).checkpoint_blob_into(true, &mut blob);
+        NodeState::new(3).restore_from_blob(&blob);
     }
 
     #[test]

@@ -92,21 +92,6 @@ impl IntervalSchedule {
         (jr >= t && jr.is_multiple_of(t)) || (jr > t && jr % t == 1)
     }
 
-    /// True when iteration `j` is the first iteration of an ESRP storage
-    /// stage (β** is stashed after β is computed).
-    pub(crate) fn storage_first(&self, j: usize) -> bool {
-        let Strategy::Esrp { t } = self.strategy else {
-            return false;
-        };
-        if t <= 1 {
-            return false;
-        }
-        let Some(jr) = self.rel(j) else {
-            return false;
-        };
-        jr >= t && jr.is_multiple_of(t)
-    }
-
     /// True when iteration `j` is the second iteration of an ESRP storage
     /// stage (starred copies are taken).
     pub(crate) fn storage_second(&self, j: usize) -> bool {
@@ -313,14 +298,12 @@ mod tests {
     fn anchored_schedule_reduces_to_legacy_at_anchor_zero() {
         let esr = IntervalSchedule::new(Strategy::esr());
         assert!(esr.augmented(0) && esr.augmented(7));
-        assert!((0..18).all(|j| !esr.storage_first(j) && !esr.storage_second(j)));
+        assert!((0..18).all(|j| !esr.storage_second(j)));
 
         let esrp = IntervalSchedule::new(Strategy::Esrp { t: 5 });
         let got: Vec<usize> = (0..18).filter(|&j| esrp.augmented(j)).collect();
         assert_eq!(got, vec![5, 6, 10, 11, 15, 16]);
-        let firsts: Vec<usize> = (0..18).filter(|&j| esrp.storage_first(j)).collect();
         let seconds: Vec<usize> = (0..18).filter(|&j| esrp.storage_second(j)).collect();
-        assert_eq!(firsts, vec![5, 10, 15]);
         assert_eq!(seconds, vec![6, 11, 16]);
 
         let imcr = IntervalSchedule::new(Strategy::Imcr { t: 4 });
@@ -340,9 +323,7 @@ mod tests {
         let got: Vec<usize> = (20..32).filter(|&j| s.augmented(j)).collect();
         // Stages at 21+3 = 24 (first) / 25 (second), 27 / 28, 30 / 31.
         assert_eq!(got, vec![24, 25, 27, 28, 30, 31]);
-        let firsts: Vec<usize> = (20..32).filter(|&j| s.storage_first(j)).collect();
         let seconds: Vec<usize> = (20..32).filter(|&j| s.storage_second(j)).collect();
-        assert_eq!(firsts, vec![24, 27, 30]);
         assert_eq!(seconds, vec![25, 28, 31]);
 
         let mut c = IntervalSchedule::new(Strategy::Imcr { t: 4 });

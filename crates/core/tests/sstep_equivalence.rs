@@ -152,7 +152,7 @@ fn sstep_recovers_mid_block_under_every_strategy() {
         assert_eq!(rec.failed_at, j_f, "{label}");
         assert!(!rec.full_restart, "{label}: a recovery point existed");
         assert!(
-            rec.resumed_at % s == 0 || rec.resumed_at == 0,
+            rec.resumed_at.is_multiple_of(s),
             "{label}: resumed at {} — must be an outer-step boundary",
             rec.resumed_at
         );

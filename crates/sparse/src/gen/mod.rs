@@ -6,8 +6,9 @@
 //! matrices with the same *structural character* — banded, stencil-like
 //! coupling with a controllable number of nonzeros per row — at configurable
 //! scale, which is what drives every quantity the paper measures (SpMV cost,
-//! ASpMV extra traffic, halo sizes, inner-system conditioning). See
-//! `DESIGN.md` §4 for the full substitution argument.
+//! ASpMV extra traffic, halo sizes, inner-system conditioning). PAPER.md,
+//! "What the stand-ins do not reproduce", lists what the substitution
+//! gives up.
 //!
 //! * [`poisson1d`] / [`poisson2d`] / [`poisson3d`] — classic 3/5/7-point
 //!   finite-difference Laplacians (always SPD),

@@ -26,8 +26,8 @@
 //!   interior compute (cached per matrix + partition, each class stored as
 //!   contiguous [`RowRuns`]),
 //! * [`gen`] — synthetic SPD problem generators standing in for the paper's
-//!   SuiteSparse test matrices (see `DESIGN.md` §4 for the substitution
-//!   argument),
+//!   SuiteSparse test matrices (PAPER.md, "What the stand-ins do not
+//!   reproduce", says what the substitution gives up),
 //! * [`mm`] — Matrix Market I/O so the genuine matrices can be used when
 //!   available,
 //! * [`rng`] — a tiny seeded PRNG (SplitMix64) for reproducible synthetic

@@ -4,7 +4,7 @@
 //! SuiteSparse collection in Matrix Market format. This reader/writer lets
 //! the benchmark harness run on the genuine matrices when a copy is
 //! available; the repository itself ships synthetic substitutes (see
-//! [`crate::gen`] and `DESIGN.md` §4).
+//! [`crate::gen`] and PAPER.md, "What the stand-ins do not reproduce").
 //!
 //! Supported: `matrix coordinate real {general|symmetric}` and
 //! `matrix coordinate pattern {general|symmetric}` (pattern entries get

@@ -8,7 +8,7 @@
 //! The paper's test matrices (`Emilia_923`, `audikw_1`) are structural-
 //! mechanics stiffness matrices; this example uses the `audikw_1` stand-in
 //! (3 displacement dofs per grid point, ≈ 81 nonzeros per row — see
-//! `DESIGN.md` §4) and exercises the scenario where ESRP shines in the
+//! PAPER.md, "What the stand-ins do not reproduce") and exercises the scenario where ESRP shines in the
 //! paper: **multiple simultaneous node failures** (a switch fault taking
 //! out a contiguous block of ranks), with φ = ψ = 3 redundant copies.
 

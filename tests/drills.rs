@@ -1,12 +1,9 @@
 //! The recovery-drill harness, end to end: every cataloged scenario runs,
-//! exercises the recovery path it names, emits byte-stable artifact
-//! lines across fleet worker counts, and the DRILLS.md regression gate
-//! trips on injected slowdowns unless a rationale entry waives them.
+//! exercises the recovery path it names, and emits artifact lines that are
+//! byte-stable across fleet worker counts and byte-equal to the tracked
+//! `BENCH_drills.txt`.
 
-use esrcg_bench::drills::{
-    check_regressions, comparison_table, parse_baselines, rationales, run_all, run_drill,
-    DrillOutcome, DRILLS, REGRESSION_THRESHOLD,
-};
+use esrcg_bench::drills::{artifact_text, run_all, run_drill, DrillOutcome, DRILLS};
 
 fn by_name<'a>(outcomes: &'a [DrillOutcome], name: &str) -> &'a DrillOutcome {
     outcomes
@@ -66,16 +63,9 @@ fn every_drill_exercises_its_named_recovery_path() {
 
 #[test]
 fn artifact_lines_are_byte_identical_across_worker_counts() {
-    let render = |outcomes: &[DrillOutcome]| {
-        outcomes
-            .iter()
-            .map(DrillOutcome::artifact_line)
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let reference = render(&run_all(1).expect("1 worker"));
+    let reference = artifact_text(&run_all(1).expect("1 worker"));
     for workers in [4usize, 8] {
-        let lines = render(&run_all(workers).expect("catalog runs"));
+        let lines = artifact_text(&run_all(workers).expect("catalog runs"));
         assert_eq!(reference, lines, "{workers} workers");
     }
     for name in DRILLS {
@@ -91,87 +81,12 @@ fn unknown_drills_are_rejected() {
     assert!(run_drill("no-such-drill").unwrap_err().contains("unknown"));
 }
 
+/// The modeled clock is deterministic, so the tracked file is an exact
+/// oracle: a change that moves any recovery number fails here (tier-1, not
+/// only CI) until `BENCH_drills.txt` is re-recorded on purpose.
 #[test]
-fn tracked_baselines_match_the_catalog() {
-    let md = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/DRILLS.md"))
-        .expect("DRILLS.md is tracked");
-    let baselines = parse_baselines(&md);
-    for name in DRILLS {
-        assert!(
-            baselines.contains_key(name),
-            "DRILLS.md has no baseline row for {name}"
-        );
-    }
-    assert_eq!(
-        baselines.len(),
-        DRILLS.len(),
-        "stale baseline rows for retired drills: {:?}",
-        baselines
-            .keys()
-            .filter(|k| !DRILLS.contains(&k.as_str()))
-            .collect::<Vec<_>>()
-    );
-}
-
-#[test]
-fn regression_gate_trips_without_a_rationale_and_waives_with_one() {
-    let md = "\
-# Drills
-
-| drill | recovery_modeled_s | iters_overhead |
-|---|---:|---:|
-| esr-single-fail-stop | 0.000100000 | 1 |
-| imcr-rollback | 0.000200000 | 4 |
-
-## Rationale
-
-- imcr-rollback: checkpoint spacing rework accepted +30% (2026-08-08)
-";
-    let mk = |name: &'static str, rec: f64| DrillOutcome {
-        name,
-        recovery_modeled_s: rec,
-        iters_overhead: 1,
-        recoveries: 1,
-        full_restarts: 0,
-    };
-
-    // Within threshold: clean pass.
-    let gate = check_regressions(
-        md,
-        &[mk("esr-single-fail-stop", 0.000110)],
-        REGRESSION_THRESHOLD,
-    );
-    assert!(gate.passed() && gate.waived.is_empty(), "{gate:?}");
-
-    // A 25% regression without a rationale: hard failure.
-    let gate = check_regressions(
-        md,
-        &[mk("esr-single-fail-stop", 0.000125)],
-        REGRESSION_THRESHOLD,
-    );
-    assert!(!gate.passed());
-    assert!(
-        gate.failures[0].contains("esr-single-fail-stop"),
-        "{gate:?}"
-    );
-    assert!(gate.failures[0].contains("+25.0%"), "{gate:?}");
-
-    // The same size regression on a drill with a rationale entry: waived.
-    let gate = check_regressions(md, &[mk("imcr-rollback", 0.000260)], REGRESSION_THRESHOLD);
-    assert!(gate.passed(), "{gate:?}");
-    assert_eq!(gate.waived.len(), 1);
-
-    // A drill with no baseline row at all: the table must stay current.
-    let gate = check_regressions(md, &[mk("esrp-pipelined", 0.0001)], REGRESSION_THRESHOLD);
-    assert!(!gate.passed());
-    assert!(gate.failures[0].contains("no baseline row"), "{gate:?}");
-
-    // Parsing helpers see exactly what the document says.
-    assert_eq!(parse_baselines(md).len(), 2);
-    assert!(rationales(md).contains("imcr-rollback"));
-    assert!(!rationales(md).contains("esr-single-fail-stop"));
-
-    // The comparison table renders deltas against the parsed baselines.
-    let table = comparison_table(md, &[mk("esr-single-fail-stop", 0.000125)]);
-    assert!(table.contains("| esr-single-fail-stop | 0.000100000 | 0.000125000 | +25.0 | 1 |"));
+fn tracked_artifact_is_reproduced_byte_for_byte() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_drills.txt");
+    let tracked = std::fs::read_to_string(path).expect("BENCH_drills.txt is tracked");
+    assert_eq!(artifact_text(&run_all(2).expect("catalog runs")), tracked);
 }
