@@ -38,7 +38,7 @@ fn the_small_grid_has_the_papers_shapes() {
     for phi in PHIS {
         // Failure-free: ESRP stores redundant copies in two iterations out
         // of T, ESR in every one — ff(T) = (2/T)·ff(ESR), falling with T.
-        // [φ = 1: 9.643 → 1.907 → 0.954 %; φ = 3: 18.35 → 3.63 → 1.81 %]
+        // [φ = 1: 3.432 → 0.679 → 0.339 %; φ = 3: 6.865 → 1.358 → 0.679 %]
         let esr = row("ESRP", 1, phi).failure_free;
         for pair in TS.windows(2) {
             let (prev, cur) = (row("ESRP", pair[0], phi), row("ESRP", pair[1], phi));
@@ -54,6 +54,21 @@ fn the_small_grid_has_the_papers_shapes() {
                 "phi {phi}, T = {}: {} vs the duty cycle's {duty}",
                 pair[1],
                 cur.failure_free
+            );
+        }
+
+        // The paper's thesis: the redundant copies ride the SpMV's own
+        // messages, a checkpoint round is traffic of its own, so at equal T
+        // and φ ESRP costs less failure-free than IMCR does.
+        // [T = 10, 20 at φ = 1: 0.679, 0.339 % against IMCR's 1.547,
+        // 0.773 %; at φ = 3: 1.358, 0.679 % against 2.228, 1.114 %]
+        for t in &TS[1..] {
+            let (esrp, imcr) = (row("ESRP", *t, phi), row("IMCR", *t, phi));
+            assert!(
+                esrp.failure_free < imcr.failure_free,
+                "phi {phi}, T = {t}: ESRP {} vs IMCR {}",
+                esrp.failure_free,
+                imcr.failure_free
             );
         }
 

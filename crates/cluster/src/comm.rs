@@ -10,6 +10,10 @@ use crate::spmd::Fabric;
 use crate::stats::{Phase, RankStats};
 use crate::trace::{InstantKind, TraceConfig, TraceEvent, TraceRecorder};
 
+/// Marks the wire tag of a handed-back buffer ([`Ctx::hand_back`]): above
+/// every [`Tag`] kind, so it can never match a protocol message.
+const HAND_BACK: u64 = 1 << 63;
+
 /// Reduction operators for [`Ctx::allreduce`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
@@ -173,14 +177,9 @@ impl Ctx {
         &self.stats
     }
 
-    /// This rank's payload buffer pool. Protocol code takes send buffers
-    /// from here and recycles consumed receive buffers back into it; the
-    /// collectives below do so automatically.
-    pub fn buffers(&mut self) -> &mut BufferPool {
-        &mut self.buffers
-    }
-
-    /// Shorthand for [`BufferPool::take_f64s`] on this rank's pool.
+    /// Shorthand for [`BufferPool::take_f64s`] on this rank's pool. Protocol
+    /// code takes send buffers from the pool and recycles consumed receive
+    /// buffers back into it; the collectives below do so automatically.
     pub fn take_f64s(&mut self) -> Vec<f64> {
         self.buffers.take_f64s()
     }
@@ -200,9 +199,31 @@ impl Ctx {
         self.buffers.recycle_pairs(v);
     }
 
-    /// Shorthand for [`BufferPool::recycle`] on this rank's pool.
-    pub fn recycle(&mut self, payload: Payload) {
-        self.buffers.recycle(payload);
+    /// Hands the consumed buffer of a message received under `tag` back to
+    /// its sender `to`, which [`Ctx::reclaim`]s it. A payload buffer moves
+    /// with its message, so traffic that flows one way between two ranks
+    /// would drain the sender's pool by one buffer per message and have it
+    /// allocate afresh for ever; recycling suffices wherever the two ranks
+    /// also exchange a message the other way. Host bookkeeping only: no
+    /// modeled time passes, nothing is counted or traced.
+    pub fn hand_back(&mut self, to: usize, tag: u64, buffer: Vec<f64>) {
+        let msg = Message {
+            tag: tag | HAND_BACK,
+            arrival: 0.0,
+            payload: Payload::F64s(buffer),
+        };
+        self.fabric.send(self.rank, to, msg);
+    }
+
+    /// Takes back the buffer of a message this rank sent to `from` under
+    /// `tag` and parks it in the pool, waiting on the host (not on the
+    /// modeled clock) until `from` has [`Ctx::hand_back`]ed it.
+    pub fn reclaim(&mut self, from: usize, tag: u64) {
+        let tag = tag | HAND_BACK;
+        let msg = self
+            .fabric
+            .recv(self.rank, from, tag, self.phase, self.clock);
+        self.buffers.recycle(msg.payload);
     }
 
     /// Buffer-reuse counters of this rank's pool.

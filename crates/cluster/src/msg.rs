@@ -245,7 +245,8 @@ pub enum Tag {
     Gather = 4,
     /// Halo exchange for SpMV.
     Halo = 16,
-    /// ASpMV redundant-copy extras.
+    /// ASpMV top-ups that stand alone: redundant copies for a designated
+    /// destination that receives no halo message to ride.
     Redundant = 17,
     /// IMCR checkpoint traffic.
     Checkpoint = 18,

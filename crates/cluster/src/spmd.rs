@@ -1110,7 +1110,7 @@ mod tests {
                 ctx.recycle_f64s(v);
             }
             let stats = ctx.buffer_stats();
-            (stats, ctx.buffers().parked())
+            (stats, stats.recycles - stats.hits)
         });
         for (rank, (stats, parked)) in out.results.iter().enumerate() {
             assert!(stats.takes > 0, "rank {rank} took buffers");
@@ -1125,6 +1125,45 @@ mod tests {
                 "rank {rank}: {parked} parked buffers (pool should stay small)"
             );
         }
+    }
+
+    #[test]
+    fn a_handed_back_buffer_keeps_one_way_traffic_off_the_allocator() {
+        // Rank 0 sends rank 1 a buffer per round and gets no message back.
+        // Recycled at the receiver, every send after the first few would
+        // find rank 0's pool empty; handed back, one buffer goes round and
+        // round — at no modeled cost, in no counter.
+        let tag = Tag::Redundant.bare();
+        let one_way = |hand_back: bool| {
+            run_spmd(2, CostModel::default(), move |ctx| {
+                for round in 0..30 {
+                    if ctx.rank() == 0 {
+                        let mut buf = ctx.take_f64s();
+                        buf.push(round as f64);
+                        ctx.send(1, tag, Payload::F64s(buf));
+                        if hand_back {
+                            ctx.reclaim(1, tag);
+                        }
+                    } else {
+                        let buf = ctx.recv(0, tag).into_f64s();
+                        assert_eq!(buf, [round as f64]);
+                        if hand_back {
+                            ctx.hand_back(0, tag, buf);
+                        } else {
+                            ctx.recycle_f64s(buf);
+                        }
+                    }
+                }
+                ctx.buffer_stats().misses()
+            })
+        };
+        let (drained, level) = (one_way(false), one_way(true));
+        assert_eq!(drained.results[0], 30, "every send allocated");
+        assert_eq!(level.results[0], 1, "one buffer circulates");
+        assert_eq!(level.modeled_time.to_bits(), drained.modeled_time.to_bits());
+        let (a, b) = (level.total_stats(), drained.total_stats());
+        assert_eq!((a.total_msgs(), a.total_bytes()), (30, 240));
+        assert_eq!((b.total_msgs(), b.total_bytes()), (30, 240));
     }
 
     #[test]

@@ -24,8 +24,13 @@ pub enum Phase {
     Precond = 3,
     /// Vector updates (axpy / copies) in the main loop.
     VecOps = 4,
-    /// ASpMV extras: redundant-copy traffic plus queue bookkeeping (ESR/ESRP
-    /// storage stages).
+    /// Redundant-copy work of the ESR/ESRP storage stages that is not part
+    /// of an SpMV: the ASpMV top-ups that stand alone (a designated
+    /// destination that is no halo peer — sent after the halo, drained
+    /// after the boundary rows), the explicit exchanges of the search
+    /// direction under the pipelined / s-step recurrences, and the starred
+    /// copies (local, no modeled time). A top-up that rides a halo message
+    /// is bytes of [`Phase::SpMV`].
     Storage = 5,
     /// IMCR checkpoint traffic to buddy nodes.
     Checkpoint = 6,

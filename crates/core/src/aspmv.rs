@@ -12,7 +12,14 @@
 //!   The same map chooses IMCR checkpoint buddies (paper §3.1 notes this
 //!   deliberate symmetry).
 //! * [`AspmvPlan`] — for each rank and each designated destination, the
-//!   extra entries `Rc(s,k)` to send on top of the SpMV traffic.
+//!   extra entries `Rc(s,k)` to send on top of the SpMV traffic. They are
+//!   no second protocol: the halo exchange runs over the augmented index
+//!   sets `I′(s,d) = I(s,d) ∪ Rc(s,k)`
+//!   ([`PlanView::augmented_by`](crate::dist::halo::PlanView::augmented_by)),
+//!   so a top-up travels inside the halo message its destination receives
+//!   anyway — behind the halo entries, as values in the order of the static
+//!   lists both ends hold — and only a designated destination that is no
+//!   halo peer gets a message of its own.
 //!
 //! ## Correction to the paper's send rule
 //!
@@ -138,6 +145,10 @@ pub struct AspmvPlan {
     extra: Vec<Vec<(usize, Vec<usize>)>>,
     /// `extra_recv[l]` = sorted source ranks that send extras to `l`.
     extra_recv: Vec<Vec<usize>>,
+    /// Entries of the longest message of one augmented exchange — the
+    /// capacity at which a pooled payload buffer never regrows, whichever
+    /// rank it migrates to.
+    longest_message: usize,
 }
 
 impl AspmvPlan {
@@ -147,6 +158,7 @@ impl AspmvPlan {
         let buddies = BuddyMap::new(n_ranks, phi);
         let mut extra: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); n_ranks];
         let mut extra_recv: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
+        let mut longest_message = 0;
 
         // Per designated destination of the current rank: what is left of
         // `I(s, d)` from the current index on, and whether it holds that
@@ -191,11 +203,17 @@ impl AspmvPlan {
                 extra_recv[d].push(s);
             }
             extra[s].sort_by_key(|(d, _)| *d);
+            let halo = plan.sends_of(s).iter().map(|(_, idx)| idx.len());
+            let topped_up = extra[s]
+                .iter()
+                .map(|(d, rc)| plan.indices_to(s, *d).len() + rc.len());
+            longest_message = halo.chain(topped_up).fold(longest_message, usize::max);
         }
         AspmvPlan {
             buddies,
             extra,
             extra_recv,
+            longest_message,
         }
     }
 
@@ -217,6 +235,20 @@ impl AspmvPlan {
     /// Ranks that send extras to `rank` (sorted).
     pub fn extra_sources_of(&self, rank: usize) -> &[usize] {
         &self.extra_recv[rank]
+    }
+
+    /// The sorted extras `Rc(s,k)` with `d(s,k) = d`; empty if `s` sends
+    /// `d` none.
+    pub(crate) fn extras_to(&self, s: usize, d: usize) -> &[usize] {
+        match self.extra[s].binary_search_by_key(&d, |(dst, _)| *dst) {
+            Ok(k) => &self.extra[s][k].1,
+            Err(_) => &[],
+        }
+    }
+
+    /// Entries of the longest message of one augmented exchange.
+    pub(crate) fn longest_message(&self) -> usize {
+        self.longest_message
     }
 
     /// Extra entries sent cluster-wide per ASpMV (the augmentation traffic
@@ -297,6 +329,7 @@ mod tests {
             buddies,
             extra,
             extra_recv,
+            longest_message: 0,
         }
     }
 
@@ -318,6 +351,62 @@ mod tests {
                         aspmv.extra_sources_of(s),
                         oracle.extra_sources_of(s),
                         "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_augmented_view_is_the_halo_plan_topped_up_peer_by_peer() {
+        use crate::dist::halo::{PeerLists, PlanView};
+        for (name, a, n_ranks) in crate::dist::plan::tests::adversarial_cases() {
+            let part = Partition::balanced(a.nrows(), n_ranks);
+            let plan = CommPlan::build(&a, &part);
+            let phis = [1, 2, n_ranks.saturating_sub(1)];
+            for phi in phis.into_iter().filter(|phi| (1..n_ranks).contains(phi)) {
+                let aspmv = AspmvPlan::build(&plan, &part, phi);
+                let view = PlanView::full(&plan).augmented_by(&aspmv);
+                let mut longest = 0;
+                for s in 0..n_ranks {
+                    let at = format!("{name}, phi = {phi}, rank {s}");
+                    // One message per halo peer or non-empty designated
+                    // destination, in destination order.
+                    let mut peers: Vec<usize> = plan.sends_of(s).iter().map(|(d, _)| *d).collect();
+                    peers.extend(aspmv.extras_of(s).iter().map(|(d, _)| *d));
+                    peers.sort_unstable();
+                    peers.dedup();
+                    let sends: Vec<PeerLists> = view.sends_of(s).collect();
+                    let got: Vec<usize> = sends.iter().map(|(d, ..)| *d).collect();
+                    assert_eq!(got, peers, "{at}");
+                    for &(d, halo, top_ups) in &sends {
+                        // I′(s,d): I(s,d), then the extras bound for d —
+                        // disjoint, so sorted together they are the union.
+                        assert_eq!(halo, plan.indices_to(s, d), "{at} → {d}");
+                        let extras = aspmv.extras_of(s).iter().find(|(dst, _)| *dst == d);
+                        assert_eq!(top_ups, extras.map_or(&[][..], |(_, rc)| rc), "{at} → {d}");
+                        let mut union = [halo, top_ups].concat();
+                        union.sort_unstable();
+                        assert!(union.windows(2).all(|w| w[0] < w[1]), "{at} → {d}");
+                        longest = longest.max(union.len());
+                        // The receive view mirrors the send view.
+                        let back = view.recvs_of(d).find(|(src, ..)| *src == s);
+                        assert_eq!(back, Some((s, halo, top_ups)), "{at} → {d}");
+                    }
+                    let recvs: Vec<PeerLists> = view.recvs_of(s).collect();
+                    assert!(recvs.windows(2).all(|w| w[0].0 < w[1].0), "{at}");
+                    for &(src, halo, top_ups) in &recvs {
+                        let sent = view.sends_of(src).find(|(d, ..)| *d == s);
+                        assert_eq!(sent, Some((s, halo, top_ups)), "{at} ← {src}");
+                    }
+                }
+                assert_eq!(aspmv.longest_message(), longest, "{name}, phi = {phi}");
+                // Every entry ends up on at least φ ranks besides its owner.
+                for i in 0..part.n() {
+                    let holders = aspmv.holders_of(i, &plan, &part);
+                    assert!(
+                        holders.len() > phi,
+                        "{name}, phi = {phi}: {i} on {holders:?}"
                     );
                 }
             }

@@ -15,35 +15,81 @@
 //! solver path calls it — it is the oracle the split-phase tests compare
 //! against, and the entry point of the `benchmark` package's halo probe.
 //!
-//! The exchange is generic over a [`PlanView`] — the full plan, or the plan
-//! restricted to the peers a predicate accepts — and over the wire tag, so
-//! sub-protocols running the same index sets among a rank subset under
-//! their own tag namespace (the recovery inner solve exchanging between
-//! replacements under `Tag::RecoveryInner`) reuse this exact code path
-//! instead of mirroring it.
+//! The exchange is generic over a [`PlanView`] — the full plan, the plan
+//! restricted to the peers a predicate accepts, either one topped up by an
+//! [`AspmvPlan`] — and over the wire tag, so one code path serves three
+//! exchanges: the SpMV halo, the **augmented** SpMV (the same exchange over
+//! `I′(s,d) = I(s,d) ∪ Rc(s,k)`, whose receives are captured as the
+//! redundant copies — under `Tag::Halo` / `Tag::Redundant` when the search
+//! direction rides the SpMV, under `Tag::PipelinedP` / `Tag::SStepBasis`
+//! when a recurrence ships it explicitly), and the recovery inner solve
+//! exchanging between replacements under `Tag::RecoveryInner`.
 
 use esrcg_cluster::{Ctx, Payload, Tag};
 use esrcg_sparse::Partition;
 
+use crate::aspmv::AspmvPlan;
 use crate::dist::plan::CommPlan;
 
 /// A borrowed view of a [`CommPlan`]: either the whole plan, or the plan
-/// restricted to the peers accepted by a filter predicate.
+/// restricted to the peers accepted by a filter predicate — and, for the
+/// augmented SpMV, either of them topped up by an [`AspmvPlan`].
 ///
 /// Filtering removes *peers*, never indices: an accepted peer's index list
 /// is used unchanged. That is exactly the structure of the recovery inner
 /// solve — the columns of `A[I_f₂, I_f₁]` are the plan's `I(f₁, f₂)` lists,
 /// and masking columns only removes non-failed owners (see
 /// [`crate::solver::recovery`]).
+///
+/// Topping up adds *indices*, and the peers that receive nothing else: one
+/// message carries `I(s,d)` and behind it the `Rc(s,k)` with `d(s,k) = d` —
+/// two static ascending lists, disjoint, nowhere stored merged (the plan
+/// data of an augmented exchange is the plan's and the [`AspmvPlan`]'s) —
+/// and a designated destination that is no halo peer gets a message of the
+/// second list alone.
 pub struct PlanView<'a> {
     plan: &'a CommPlan,
+    top_ups: Option<&'a AspmvPlan>,
     filter: Option<&'a dyn Fn(usize) -> bool>,
+}
+
+/// `(peer, halo indices, top-up indices)`: what one message of an exchange
+/// carries, in that order. Either list may be empty, never both.
+pub(crate) type PeerLists<'a> = (usize, &'a [usize], &'a [usize]);
+
+/// The union by peer of two `(peer, indices)` streams in ascending peer
+/// order.
+fn union_by_peer<'a>(
+    halo: impl Iterator<Item = (usize, &'a [usize])>,
+    top_ups: impl Iterator<Item = (usize, &'a [usize])>,
+) -> impl Iterator<Item = PeerLists<'a>> {
+    let (mut halo, mut top_ups) = (halo.peekable(), top_ups.peekable());
+    std::iter::from_fn(move || {
+        let peer = match (halo.peek(), top_ups.peek()) {
+            (Some((h, _)), Some((t, _))) => *h.min(t),
+            (Some((p, _)), None) | (None, Some((p, _))) => *p,
+            (None, None) => return None,
+        };
+        let halo = halo.next_if(|(p, _)| *p == peer);
+        let top_ups = top_ups.next_if(|(p, _)| *p == peer);
+        let list = |of_peer: Option<(usize, &'a [usize])>| of_peer.map_or(&[][..], |(_, l)| l);
+        Some((peer, list(halo), list(top_ups)))
+    })
+}
+
+/// A plan's `(peer, indices)` lists as a stream.
+fn lists(of_rank: &[(usize, Vec<usize>)]) -> impl Iterator<Item = (usize, &[usize])> {
+    of_rank.iter().map(|(peer, idx)| (*peer, &idx[..]))
 }
 
 impl<'a> PlanView<'a> {
     /// The unrestricted plan — what the regular SpMV halo uses.
     pub fn full(plan: &'a CommPlan) -> Self {
-        PlanView { plan, filter: None }
+        PlanView {
+            plan,
+            top_ups: None,
+            filter: None,
+        }
     }
 
     /// The plan restricted to peers for which `filter` returns true. The
@@ -52,7 +98,18 @@ impl<'a> PlanView<'a> {
     pub fn filtered(plan: &'a CommPlan, filter: &'a dyn Fn(usize) -> bool) -> Self {
         PlanView {
             plan,
+            top_ups: None,
             filter: Some(filter),
+        }
+    }
+
+    /// This view over the augmented index sets `I′(s,d) = I(s,d) ∪ Rc(s,k)`
+    /// of paper §2.2 — the exchange of the ASpMV. A filter applies to the
+    /// top-ups' peers as it does to the plan's.
+    pub fn augmented_by(self, top_ups: &'a AspmvPlan) -> Self {
+        PlanView {
+            top_ups: Some(top_ups),
+            ..self
         }
     }
 
@@ -61,22 +118,57 @@ impl<'a> PlanView<'a> {
         self.filter.is_none_or(|f| f(peer))
     }
 
-    /// The accepted sends of `rank`: `(destination, sorted global indices)`
-    /// pairs, in destination order.
-    pub fn sends_of(&self, rank: usize) -> impl Iterator<Item = &'a (usize, Vec<usize>)> + '_ {
-        self.plan
-            .sends_of(rank)
-            .iter()
-            .filter(move |(dst, _)| self.accepts(*dst))
+    /// The accepted sends of `rank`, in destination order.
+    pub fn sends_of(&self, rank: usize) -> impl Iterator<Item = PeerLists<'a>> + '_ {
+        let top_ups = self.top_ups.map(|t| lists(t.extras_of(rank)));
+        self.peers(lists(self.plan.sends_of(rank)), top_ups)
     }
 
-    /// The accepted receives of `rank`: `(source, sorted global indices)`
-    /// pairs, in source order.
-    pub fn recvs_of(&self, rank: usize) -> impl Iterator<Item = &'a (usize, Vec<usize>)> + '_ {
-        self.plan
-            .recvs_of(rank)
-            .iter()
-            .filter(move |(src, _)| self.accepts(*src))
+    /// The accepted receives of `rank`, in source order.
+    pub fn recvs_of(&self, rank: usize) -> impl Iterator<Item = PeerLists<'a>> + '_ {
+        let top_ups = self.top_ups.map(|t| {
+            let sources = t.extra_sources_of(rank).iter();
+            sources.map(move |&src| (src, t.extras_to(src, rank)))
+        });
+        self.peers(lists(self.plan.recvs_of(rank)), top_ups)
+    }
+
+    /// The accepted peers of `halo`, topped up if the view is.
+    fn peers<H, T>(&self, halo: H, top_ups: Option<T>) -> impl Iterator<Item = PeerLists<'a>> + '_
+    where
+        H: Iterator<Item = (usize, &'a [usize])> + 'a,
+        T: Iterator<Item = (usize, &'a [usize])> + 'a,
+    {
+        // A plain view — every SpMV that is not an ASpMV — has nothing to
+        // merge.
+        let (mut plain, mut topped_up) = match top_ups {
+            None => (Some(halo), None),
+            Some(top_ups) => (None, Some(union_by_peer(halo, top_ups))),
+        };
+        let peers = std::iter::from_fn(move || match (&mut plain, &mut topped_up) {
+            (Some(halo), _) => halo.next().map(|(peer, list)| (peer, list, &[][..])),
+            (_, Some(both)) => both.next(),
+            (None, None) => None,
+        });
+        peers.filter(move |(peer, ..)| self.accepts(*peer))
+    }
+
+    /// Whether the message `src` sends `dst` in an exchange over this view
+    /// (one that accepts them as each other's peers) goes unanswered. Only
+    /// a top-up can: the SpMV plan of a symmetric matrix pairs every halo
+    /// message with one the other way.
+    fn unanswered(&self, src: usize, dst: usize) -> bool {
+        self.top_ups.is_some_and(|t| {
+            self.plan.indices_to(dst, src).is_empty() && t.extras_to(dst, src).is_empty()
+        })
+    }
+
+    /// Entries a send buffer is reserved at: the longest message of an
+    /// augmented exchange, so that a buffer, which migrates from rank to
+    /// rank with the messages it carries, never regrows at a later hop
+    /// (0 for a plain view: halo buffers grow to what they carry).
+    fn longest_message(&self) -> usize {
+        self.top_ups.map_or(0, AspmvPlan::longest_message)
     }
 }
 
@@ -144,10 +236,13 @@ impl HaloExchange {
         assert_eq!(full.len(), part.n(), "halo: full vector length");
         full[range.clone()].copy_from_slice(local);
 
-        for (dst, gidx) in view.sends_of(me) {
+        for (dst, halo, top_ups) in view.sends_of(me) {
             let mut vals = ctx.take_f64s();
-            vals.extend(gidx.iter().map(|&g| local[g - range.start]));
-            ctx.send(*dst, tag, Payload::F64s(vals));
+            vals.reserve(view.longest_message());
+            for list in [halo, top_ups] {
+                vals.extend(list.iter().map(|&g| local[g - range.start]));
+            }
+            ctx.send(dst, tag, Payload::F64s(vals));
         }
         HaloExchange { tag }
     }
@@ -199,23 +294,42 @@ impl HaloExchange {
         mut captured: Option<&mut Vec<(usize, f64)>>,
     ) {
         let me = ctx.rank();
-        for (src, gidx) in view.recvs_of(me) {
-            let vals = match ctx.try_recv(*src, self.tag) {
+        for (src, halo, top_ups) in view.recvs_of(me) {
+            let vals = match ctx.try_recv(src, self.tag) {
                 Some(payload) => payload.into_f64s(),
-                None => ctx.recv(*src, self.tag).into_f64s(),
+                None => ctx.recv(src, self.tag).into_f64s(),
             };
             assert_eq!(
                 vals.len(),
-                gidx.len(),
+                halo.len() + top_ups.len(),
                 "halo: payload length mismatch from rank {src} (protocol violation)"
             );
-            for (&g, &v) in gidx.iter().zip(vals.iter()) {
-                full[g] = v;
-                if let Some(cap) = captured.as_deref_mut() {
-                    cap.push((g, v));
+            let (of_halo, of_top_ups) = vals.split_at(halo.len());
+            for (list, vals) in [(halo, of_halo), (top_ups, of_top_ups)] {
+                for (&g, &v) in list.iter().zip(vals) {
+                    full[g] = v;
+                    if let Some(cap) = captured.as_deref_mut() {
+                        cap.push((g, v));
+                    }
                 }
             }
-            ctx.recycle_f64s(vals);
+            // A payload buffer moves with its message. Between two ranks
+            // that both send, recycling here keeps either pool level; a
+            // message with no reply (an ASpMV top-up for a designated
+            // destination that is no halo peer) would move one buffer per
+            // exchange for good, so its buffer goes back to the sender.
+            if view.unanswered(src, me) {
+                ctx.hand_back(src, self.tag, vals);
+            } else {
+                ctx.recycle_f64s(vals);
+            }
+        }
+        if view.top_ups.is_some() {
+            for (dst, ..) in view.sends_of(me) {
+                if view.unanswered(me, dst) {
+                    ctx.reclaim(dst, self.tag);
+                }
+            }
         }
     }
 }
@@ -439,12 +553,13 @@ mod tests {
         let in_group = |r: usize| subgroup.contains(&r);
         let view = PlanView::filtered(&plan, &in_group);
         for rank in 0..4 {
-            for (dst, idx) in view.sends_of(rank) {
-                assert!(in_group(*dst));
-                assert_eq!(idx, &plan.indices_to(rank, *dst), "index lists unchanged");
+            for (dst, idx, top_ups) in view.sends_of(rank) {
+                assert!(in_group(dst));
+                assert_eq!(idx, plan.indices_to(rank, dst), "index lists unchanged");
+                assert!(top_ups.is_empty());
             }
-            for (src, _) in view.recvs_of(rank) {
-                assert!(in_group(*src));
+            for (src, ..) in view.recvs_of(rank) {
+                assert!(in_group(src));
             }
             // The full view is the identity.
             let full_view = PlanView::full(&plan);

@@ -64,9 +64,9 @@ impl Recurrence for Classic {
     /// copies on the second iteration of an ESRP storage stage.
     fn protect(&mut self, ctx: &mut Ctx, node: &mut Node<'_>, j: usize, _: bool) {
         ctx.set_phase(Phase::SpMV);
-        // The capture order is the blocking product's — halo receives in
-        // source order, then the extras — which the `dist_spmv` oracle
-        // test pins, so the redundancy queue never depends on the overlap.
+        // The captured copies are the blocking product's — the `dist_spmv`
+        // oracle test pins the set — and their order is fixed by the plan,
+        // so the redundancy queue never depends on the overlap.
         let mut captured = node.sched.augmented(j).then(|| node.capture_buffer());
         let NodeState { p, q, .. } = &mut node.st;
         dist_spmv(

@@ -25,7 +25,7 @@ use esrcg_sparse::{
 };
 
 use crate::aspmv::{AspmvPlan, BuddyMap};
-use crate::dist::halo::HaloExchange;
+use crate::dist::halo::{HaloExchange, PlanView};
 use crate::dist::plan::CommPlan;
 use crate::strategy::{IntervalPolicy, Strategy};
 use recovery::{recover, RecoveryOutcome};
@@ -248,11 +248,6 @@ pub struct SharedProblem {
     pub aspmv: Option<Arc<AspmvPlan>>,
     /// The buddy map (IMCR strategy).
     pub buddies: Option<Arc<BuddyMap>>,
-    /// Entries of the longest redundant-copy message any rank sends (a halo
-    /// index set or an ASpMV extras list; 0 without an augmentation plan) —
-    /// the capacity at which a pooled pair buffer never regrows, whichever
-    /// rank it migrates to.
-    pub(crate) max_pair_message: usize,
     /// Solver configuration.
     pub cfg: SolverConfig,
 }
@@ -315,13 +310,6 @@ impl SharedProblem {
             .strategy
             .uses_checkpoints()
             .then(|| Arc::new(BuddyMap::new(n_ranks, cfg.phi)));
-        let max_pair_message = aspmv.as_deref().map_or(0, |aspmv| {
-            (0..n_ranks)
-                .flat_map(|s| plan.sends_of(s).iter().chain(aspmv.extras_of(s)))
-                .map(|(_, idx)| idx.len())
-                .max()
-                .unwrap_or(0)
-        });
         Ok(SharedProblem {
             a,
             b: Arc::new(b),
@@ -333,9 +321,17 @@ impl SharedProblem {
             fmt_cache,
             aspmv,
             buddies,
-            max_pair_message,
             cfg,
         })
+    }
+
+    /// The exchange of the augmented SpMV, among the peers `view` accepts.
+    ///
+    /// # Panics
+    /// Panics under a strategy without an ASpMV plan.
+    fn augmented<'a>(&'a self, view: PlanView<'a>) -> PlanView<'a> {
+        let aspmv = self.aspmv.as_deref();
+        view.augmented_by(aspmv.expect("ESR/ESRP hold an ASpMV plan"))
     }
 }
 
@@ -377,10 +373,15 @@ pub struct NodeOutcome {
 /// this function to bit for bit (`exchange_halo`, then every owned row).
 ///
 /// A `captured` buffer makes this the augmented SpMV (ASpMV, paper §2.2.1)
-/// of iteration `tag_sub`: the halo receive path captures the redundant
-/// copies into it, in (source rank, index) order, and the extra
-/// redundant-copy traffic runs once the halo receives (and thus `captured`)
-/// are complete, between `finish` and the boundary rows.
+/// of iteration `tag_sub`: the same exchange over the augmented index sets
+/// ([`PlanView::augmented_by`]), its receive path capturing the redundant
+/// copies into the buffer. A top-up bound for a halo peer travels inside
+/// the halo message that peer receives anyway, in flight under the interior
+/// rows. A top-up for a designated destination that is no halo peer is a
+/// message of its own (`Tag::Redundant`, [`Phase::Storage`]): injected after
+/// the halo sends, and drained after the boundary rows — no row reads it,
+/// so it stays off the product's critical path. Capture order: the halo
+/// peers in source order, then the stand-alone sources in source order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dist_spmv(
     ctx: &mut Ctx,
@@ -393,30 +394,51 @@ pub(crate) fn dist_spmv(
     mut captured: Option<&mut Vec<(usize, f64)>>,
 ) {
     let rank = ctx.rank();
-    let range = shared.part.range(rank);
+    let (part, base) = (&*shared.part, &*shared.plan);
+    let range = part.range(rank);
     let split = shared.row_split.of(rank);
     // Non-CSR formats read their converted pieces from the shared cache;
     // flops stay charged from the CSR structure (2 × real nnz, format-
     // invariant), so the modeled clock is identical across formats.
     let pieces = shared.fmt_cache.as_deref().map(|c| c.of(rank));
-    let hx = HaloExchange::start(ctx, &shared.plan, &shared.part, local, tag_sub, full);
+    // Symmetric in the two ranks, so both ends of a message agree on which
+    // of the two exchanges it belongs to.
+    let halo_peer =
+        |p: usize| !base.indices_to(rank, p).is_empty() || !base.indices_to(p, rank).is_empty();
+    let stand_alone = |p: usize| !halo_peer(p);
+    let augmented = captured.is_some();
+    let halo = if augmented {
+        shared.augmented(PlanView::filtered(base, &halo_peer))
+    } else {
+        PlanView::full(base)
+    };
+    let top_ups = augmented.then(|| shared.augmented(PlanView::filtered(base, &stand_alone)));
+
+    let hx = HaloExchange::start_view(ctx, &halo, part, local, Tag::Halo.with(tag_sub), full);
+    let tx = top_ups.as_ref().map(|view| {
+        let spmv = ctx.set_phase(Phase::Storage);
+        let tag = Tag::Redundant.with(tag_sub);
+        let tx = HaloExchange::start_view(ctx, view, part, local, tag, full);
+        ctx.set_phase(spmv);
+        tx
+    });
     match pieces {
         Some(p) => be.spmv_fmt_into(&p.interior, full, q),
         None => be.spmv_row_runs_into(&shared.a, split.interior(), range.start, full, q),
     }
     ctx.charge_flops(split.interior_flops());
-    hx.finish(ctx, &shared.plan, full, captured.as_deref_mut());
-    if let Some(cap) = captured {
-        aspmv_extras(ctx, shared, local, range.start, tag_sub as usize, cap);
-        ctx.trace_instant(InstantKind::StorageRound, tag_sub as u64);
-        // The remaining rows stay accounted as SpMV.
-        ctx.set_phase(Phase::SpMV);
-    }
+    hx.finish_view(ctx, &halo, full, captured.as_deref_mut());
     match pieces {
         Some(p) => be.spmv_fmt_into(&p.boundary, full, q),
         None => be.spmv_row_runs_into(&shared.a, split.boundary(), range.start, full, q),
     }
     ctx.charge_flops(split.boundary_flops());
+    if let (Some(tx), Some(view)) = (tx, top_ups) {
+        let spmv = ctx.set_phase(Phase::Storage);
+        tx.finish_view(ctx, &view, full, captured);
+        ctx.trace_instant(InstantKind::StorageRound, tag_sub as u64);
+        ctx.set_phase(spmv);
+    }
 }
 
 /// A PCG recurrence plugged into [`resilient_loop`]. The loop owns the
@@ -594,15 +616,18 @@ fn analytic_round_cost_mean(ctx: &Ctx, shared: &SharedProblem, st: &NodeState) -
                 tuning::analytic_checkpoint_round_cost(&cost, shared.cfg.phi, blob_len)
             }
             Strategy::Esrp { .. } => {
-                let sends = shared.plan.sends_of(r).iter().map(|(_, g)| g.len());
-                let extras = shared
-                    .aspmv
-                    .as_ref()
-                    .map(|a| a.extras_of(r))
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|(_, g)| g.len());
-                tuning::analytic_storage_stage_cost(&cost, sends.chain(extras))
+                // Classic top-ups ride the SpMV's own exchange wherever their
+                // destination is a halo peer; pipelined / s-step ship the
+                // whole augmented exchange on top of their SpMVs.
+                let aspmv = shared.aspmv.as_ref().expect("ESRP has an ASpMV plan");
+                let classic = shared.cfg.variant == PcgVariant::Classic;
+                let rides = |d: usize| classic && !shared.plan.indices_to(r, d).is_empty();
+                let view = PlanView::full(&shared.plan).augmented_by(aspmv);
+                let messages = view.sends_of(r).map(|(d, halo, top_up)| {
+                    let shipped = if classic { 0 } else { halo.len() };
+                    (shipped + top_up.len(), rides(d))
+                });
+                tuning::analytic_storage_stage_cost(&cost, messages.filter(|m| m.0 > 0))
             }
             Strategy::None => 0.0,
         })
@@ -728,99 +753,35 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
     )
 }
 
-/// Sends `(global index, value)` pairs of `p_local` to each destination of
-/// `sends` under `tag`, then appends what arrives from `sources` (in that
-/// order) to `captured` — every redundant-copy exchange of the solver.
-/// Received buffers are recycled into this rank's pool, so pair buffers
-/// migrate from rank to rank; each is therefore sized for `max_message`,
-/// the longest message any rank sends, and never regrows at a later hop.
-#[allow(clippy::too_many_arguments)]
-fn exchange_pairs(
-    ctx: &mut Ctx,
-    p_local: &[f64],
-    range_start: usize,
-    tag: u64,
-    sends: &[(usize, Vec<usize>)],
-    sources: impl Iterator<Item = usize>,
-    max_message: usize,
-    captured: &mut Vec<(usize, f64)>,
-) {
-    for (dst, gidx) in sends {
-        let mut pairs = ctx.take_pairs();
-        pairs.reserve(max_message);
-        pairs.extend(gidx.iter().map(|&g| (g, p_local[g - range_start])));
-        ctx.send(*dst, tag, Payload::Pairs(pairs));
-    }
-    for src in sources {
-        let pairs = ctx.recv(src, tag).into_pairs();
-        captured.extend_from_slice(&pairs);
-        ctx.recycle_pairs(pairs);
-    }
-}
-
-/// Sends and receives explicit redundant copies of a search direction:
-/// the outer halo index sets plus the ASpMV extras, so the captured set
-/// (and hence the queue's coverage guarantee) matches the classic
-/// augmented SpMV exactly. Runs under [`Phase::Storage`]. The pipelined
-/// variant ships each iteration's p under [`Tag::PipelinedP`]; the s-step
-/// variant ships the block-start pair p^(ĵ−1)/p^(ĵ) under
-/// [`Tag::SStepBasis`] (a separate kind so the two copies of one block
-/// start cannot mix with the matrix-powers halo traffic), with `label`
-/// doubling as the tag sub and the queue iteration label.
+/// Sends and receives explicit redundant copies of a search direction: the
+/// augmented exchange — the one the classic ASpMV runs under `Tag::Halo` —
+/// blocking and under a tag of its own, so the captured set (and hence the
+/// queue's coverage guarantee) matches the classic augmented SpMV exactly.
+/// `full` is scratch: no row is computed from what lands in it. Runs under
+/// [`Phase::Storage`]. The pipelined variant ships each iteration's p under
+/// [`Tag::PipelinedP`]; the s-step variant ships the block-start pair
+/// p^(ĵ−1)/p^(ĵ) under [`Tag::SStepBasis`] (a separate kind so the two
+/// copies of one block start cannot mix with the matrix-powers halo
+/// traffic), with `label` doubling as the tag sub and the queue iteration
+/// label.
 fn capture_direction(
     ctx: &mut Ctx,
     shared: &SharedProblem,
     p_local: &[f64],
-    range_start: usize,
     label: usize,
     kind: Tag,
+    full: &mut [f64],
     captured: &mut Vec<(usize, f64)>,
 ) {
-    let rank = ctx.rank();
     ctx.set_phase(Phase::Storage);
     ctx.trace_instant(InstantKind::StorageRound, label as u64);
-    let sources = shared.plan.recvs_of(rank).iter().map(|(src, _)| *src);
-    let sends = shared.plan.sends_of(rank);
-    exchange_pairs(
+    let view = shared.augmented(PlanView::full(&shared.plan));
+    let tag = kind.with(label as u32);
+    HaloExchange::start_view(ctx, &view, &shared.part, p_local, tag, full).finish_view(
         ctx,
-        p_local,
-        range_start,
-        kind.with(label as u32),
-        sends,
-        sources,
-        shared.max_pair_message,
-        captured,
-    );
-    aspmv_extras(ctx, shared, p_local, range_start, label, captured);
-}
-
-/// Sends and receives the ASpMV extra redundant copies (paper §2.2.1) and
-/// appends everything received to `captured`.
-fn aspmv_extras(
-    ctx: &mut Ctx,
-    shared: &SharedProblem,
-    p_local: &[f64],
-    range_start: usize,
-    j: usize,
-    captured: &mut Vec<(usize, f64)>,
-) {
-    let aspmv = shared
-        .aspmv
-        .as_ref()
-        .expect("ASpMV iteration requires an augmentation plan");
-    let rank = ctx.rank();
-    ctx.set_phase(Phase::Storage);
-    let sources = aspmv.extra_sources_of(rank).iter().copied();
-    let sends = aspmv.extras_of(rank);
-    exchange_pairs(
-        ctx,
-        p_local,
-        range_start,
-        Tag::Redundant.with(j as u32),
-        sends,
-        sources,
-        shared.max_pair_message,
-        captured,
+        &view,
+        full,
+        Some(captured),
     );
 }
 
@@ -915,7 +876,6 @@ fn checkpoint_exchange(ctx: &mut Ctx, shared: &SharedProblem, st: &mut NodeState
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::halo::exchange_halo;
     use crate::pcg::pcg;
     use esrcg_cluster::{run_spmd, CostModel, FailureSpec};
     use esrcg_sparse::gen::poisson2d;
@@ -1083,9 +1043,9 @@ mod tests {
     type SpmvBits = (Vec<u64>, Vec<u64>, Vec<(usize, u64)>);
 
     /// Runs one distributed SpMV of `x` on every rank — [`dist_spmv`], or
-    /// the blocking oracle it is held to: [`exchange_halo`], then the ASpMV
-    /// extras, then every owned row through the sequential CSR kernel.
-    /// `capture` makes it the augmented product.
+    /// the blocking oracle it is held to: one blocking exchange over the
+    /// whole plan (topped up when `capture` makes it the augmented product),
+    /// then every owned row through the sequential CSR kernel.
     fn one_spmv(shared: &Arc<SharedProblem>, oracle: bool, capture: bool) -> (Vec<SpmvBits>, f64) {
         let n = shared.a.nrows();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
@@ -1096,13 +1056,15 @@ mod tests {
             let mut full = vec![0.0; n];
             let mut q = vec![f64::NAN; range.len()];
             let mut captured = Vec::new();
-            let mut cap = capture.then_some(&mut captured);
+            let cap = capture.then_some(&mut captured);
             if oracle {
-                let (plan, part) = (&shared.plan, &shared.part);
-                exchange_halo(ctx, plan, part, local, 7, &mut full, cap.as_deref_mut());
-                if let Some(cap) = cap {
-                    aspmv_extras(ctx, &shared, local, range.start, 7, cap);
+                let mut view = PlanView::full(&shared.plan);
+                if capture {
+                    view = shared.augmented(view);
                 }
+                let tag = Tag::Halo.with(7);
+                HaloExchange::start_view(ctx, &view, &shared.part, local, tag, &mut full)
+                    .finish_view(ctx, &view, &mut full, cap);
                 shared.a.spmv_rows_into(range.clone(), &full, &mut q);
                 ctx.charge_flops(shared.a.spmv_rows_flops(range));
             } else {
@@ -1126,8 +1088,10 @@ mod tests {
             (CsrMatrix::identity(24), 4), // empty plan: every row is interior
         ];
         let levels = [(0, Strategy::None), (2, Strategy::esr())];
+        let cost = CostModel::default();
         for (a, n_ranks) in cases {
             let n = a.nrows();
+            let mut t_plain_blocking = f64::NAN;
             for (phi, strategy) in levels.into_iter().filter(|&(phi, _)| phi < n_ranks) {
                 for fmt in [SpmvFormat::Csr, SpmvFormat::sell(), SpmvFormat::bcsr3()] {
                     let label = format!("n={n} ranks={n_ranks} phi={phi} {}", fmt.name());
@@ -1142,10 +1106,28 @@ mod tests {
                     for (rank, (g, w)) in got.iter().zip(&want).enumerate() {
                         assert_eq!(g.0, w.0, "{label}: q on rank {rank}");
                         assert_eq!(g.1, w.1, "{label}: full on rank {rank}");
-                        assert_eq!(g.2, w.2, "{label}: captured, in order, on rank {rank}");
+                        // The same copies (`aspmv.rs` holds the augmented
+                        // lists to halo ∪ extras); the oracle drains every
+                        // peer in source order, `dist_spmv` the halo peers
+                        // first.
+                        let (mut g, mut w) = (g.2.clone(), w.2.clone());
+                        g.sort_unstable();
+                        w.sort_unstable();
+                        assert_eq!(g, w, "{label}: captured on rank {rank}");
                     }
-                    let captures = want.iter().any(|w| !w.2.is_empty());
+                    let captures = got.iter().any(|g| !g.2.is_empty());
                     assert_eq!(captures, phi > 0, "{label}: the ASpMV captures copies");
+                    if let Some(aspmv) = shared.aspmv.as_deref() {
+                        // And it costs no more than the second protocol did
+                        // on top of the blocking halo: φ injections, then φ
+                        // pair messages of at most |Rc| entries.
+                        let rc = (0..n_ranks).flat_map(|s| aspmv.extras_of(s));
+                        let rc = rc.map(|(_, idx)| idx.len()).max().unwrap_or(0);
+                        let second = phi as f64 * (cost.alpha + cost.transfer_time(16 * rc));
+                        assert!(t_split <= t_plain_blocking + second, "{label}: {t_split}");
+                    } else {
+                        t_plain_blocking = t_oracle;
+                    }
                     // The overlap hides the halo wait under the interior
                     // rows; with neither halo nor extras the schedules cost
                     // the same, and the overlap never costs anything.

@@ -99,18 +99,18 @@ impl Recurrence for Pipelined {
     fn protect(&mut self, ctx: &mut Ctx, node: &mut Node<'_>, j: usize, _: bool) {
         // The pipelined SpMV communicates m = M⁻¹w, not p, so the ASpMV's
         // free halo ride of the search direction disappears. Augmented
-        // iterations therefore ship p explicitly over the same halo +
-        // extras index sets, keeping the redundancy queue's coverage
-        // guarantee (and its contents) identical to Classic's.
+        // iterations therefore ship p explicitly over the same augmented
+        // index sets, keeping the redundancy queue's coverage guarantee
+        // (and its contents) identical to Classic's.
         if node.sched.augmented(j) {
             let mut captured = node.capture_buffer();
             capture_direction(
                 ctx,
                 node.shared,
                 &node.st.p,
-                node.range.start,
                 j,
                 Tag::PipelinedP,
+                &mut node.full,
                 &mut captured,
             );
             node.push_capture(j, captured);

@@ -81,7 +81,7 @@ impl Recurrence for SStep {
         // --- Redundant copies of p^(j−1), p^(j) (explicit, block-aligned) --
         // The matrix-powers sweep communicates basis columns, not p, so —
         // as with the pipelined variant — augmented iterations ship the
-        // search directions explicitly over the halo + extras index sets.
+        // search directions explicitly over the augmented index sets.
         // Both block-start directions are captured so the reconstruction
         // (paper Alg. 2) finds p^(ĵ−1) and p^(ĵ) under its usual labels.
         // ESR (T = 1) protects every block start. ESRP (T > 1) protects
@@ -106,7 +106,6 @@ impl Recurrence for SStep {
             // recovery point); drop them so the re-executed captures leave
             // the queue identical to an undisturbed run's. No-op otherwise.
             node.st.queue.purge_after(j - 1);
-            let start = node.range.start;
             for label in [j - 1, j] {
                 let mut captured = node.capture_buffer();
                 let p = if label < j {
@@ -118,9 +117,9 @@ impl Recurrence for SStep {
                     ctx,
                     node.shared,
                     p,
-                    start,
                     label,
                     Tag::SStepBasis,
+                    &mut node.full,
                     &mut captured,
                 );
                 node.push_capture(label, captured);

@@ -27,14 +27,21 @@ pub(crate) fn analytic_checkpoint_round_cost(cost: &CostModel, phi: usize, blob_
 }
 
 /// The analytic α–β cost of one ESRP storage stage on one rank: two
-/// augmented iterations, each shipping `(global index, value)` pairs
-/// (16 bytes) over the given per-destination message sizes (the halo
-/// sends plus the redundancy extras).
-pub(crate) fn analytic_storage_stage_cost<I>(cost: &CostModel, pair_counts: I) -> f64
+/// augmented exchanges, each shipping the given messages of 8-byte values —
+/// `(entries, rides)` per message, where a message that *rides* a halo
+/// message the SpMV sends anyway (a classic top-up bound for a halo peer)
+/// adds its bytes but no latency, and one that stands alone (a top-up for a
+/// designated destination that is no halo peer; every message of the
+/// explicit exchange pipelined / s-step run) pays a full transfer.
+pub(crate) fn analytic_storage_stage_cost<I>(cost: &CostModel, messages: I) -> f64
 where
-    I: Iterator<Item = usize>,
+    I: Iterator<Item = (usize, bool)>,
 {
-    2.0 * pair_counts.map(|n| cost.transfer_time(n * 16)).sum::<f64>()
+    let per_exchange = messages.map(|(entries, rides)| {
+        let latency = if rides { 0.0 } else { cost.alpha };
+        latency + (entries * 8) as f64 * cost.seconds_per_byte
+    });
+    2.0 * per_exchange.sum::<f64>()
 }
 
 /// The storage/checkpoint schedule of a run: the current interval plus the
@@ -427,11 +434,17 @@ mod tests {
         let m = CostModel::comm_only(d.alpha, d.seconds_per_byte);
         assert_eq!(tuned_interval(imcr, m, c_of(&m)), 8);
 
-        // ESRP: a storage stage of two captures, each two 64-pair sends.
+        // ESRP: a storage stage of two exchanges, each with one top-up of
+        // 64 values riding a halo message and one standing alone — the
+        // rider adds its bytes and no latency.
         let esrp = Strategy::Esrp { t: 6 };
-        let c_of = |cost: &CostModel| analytic_storage_stage_cost(cost, [64, 64].into_iter());
+        let c_of = |cost: &CostModel| {
+            analytic_storage_stage_cost(cost, [(64, true), (64, false)].into_iter())
+        };
+        let rider = 512.0 * l.seconds_per_byte;
+        assert_eq!(c_of(&l), 2.0 * (rider + l.transfer_time(512)));
         assert_eq!(tuned_interval(esrp, d, c_of(&d)), 1);
-        assert_eq!(tuned_interval(esrp, l, c_of(&l)), 10);
+        assert_eq!(tuned_interval(esrp, l, c_of(&l)), 7);
         assert_eq!(tuned_interval(esrp, f, c_of(&f)), 6);
         assert_eq!(tuned_interval(esrp, m, c_of(&m)), 6);
     }

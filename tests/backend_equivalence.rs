@@ -332,8 +332,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 41,
-            modeled_bits: 0x3f6561c1df078422,
-            recoveries: &[(12, 12, 0x3f3f9b096901c408)],
+            modeled_bits: 0x3f63ac4b0aa8f2b6,
+            recoveries: &[(12, 12, 0x3f3fad16a4e9fc88)],
             intervals_after: &[],
             x_hash: 0x5df94cd43fda4ceb,
         },
@@ -345,8 +345,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 41,
-            modeled_bits: 0x3f63a3242e9c7e3b,
-            recoveries: &[(12, 12, 0x3f40df40413be84b)],
+            modeled_bits: 0x3f60dea95a3dece5,
+            recoveries: &[(12, 12, 0x3f40e919499b3253)],
             intervals_after: &[],
             x_hash: 0xf87c96effe09abdc,
         },
@@ -358,8 +358,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f6476df5a8b4d11,
-            recoveries: &[(12, 12, 0x3f3fbc5758432fdc)],
+            modeled_bits: 0x3f636ef0d73e261d,
+            recoveries: &[(12, 12, 0x3f3fbec96901c3f8)],
             intervals_after: &[],
             x_hash: 0x8f4ca11f5a7badf8,
         },
@@ -371,8 +371,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 42,
-            modeled_bits: 0x3f6e97afe465d62a,
-            recoveries: &[(12, 11, 0x3f5b2db3a38ff056)],
+            modeled_bits: 0x3f6d92dba33081c1,
+            recoveries: &[(12, 11, 0x3f5b2db3a38ff060)],
             intervals_after: &[],
             x_hash: 0xc7ae1b02529d4835,
         },
@@ -384,8 +384,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 42,
-            modeled_bits: 0x3f6ab97397cbb031,
-            recoveries: &[(12, 11, 0x3f5bbb1969ed7399)],
+            modeled_bits: 0x3f6992df56965bc8,
+            recoveries: &[(12, 11, 0x3f5bbb1969ed73a1)],
             intervals_after: &[],
             x_hash: 0x5ed75f9ca9c9228f,
         },
@@ -397,8 +397,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f6f8f2a442c65a0,
-            recoveries: &[(12, 8, 0x3f5b31ca6e5a5974)],
+            modeled_bits: 0x3f6e618c5da9ba44,
+            recoveries: &[(12, 8, 0x3f5b31ca6e5a597f)],
             intervals_after: &[],
             x_hash: 0xc75828b6168e0d3c,
         },
@@ -449,8 +449,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(18, 1, 1)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f6476df5a8b4d13,
-            recoveries: &[(18, 16, 0x3f3fbc5758433008)],
+            modeled_bits: 0x3f636ef0d73e261f,
+            recoveries: &[(18, 16, 0x3f3fbec96901c420)],
             intervals_after: &[],
             x_hash: 0xe955e466e1f10c5d,
         },
@@ -462,8 +462,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(18, 1, 2)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f6e2a4e1244e1ec,
-            recoveries: &[(18, 16, 0x3f5b2cc6f289fe44)],
+            modeled_bits: 0x3f6d03a0422d5cf9,
+            recoveries: &[(18, 16, 0x3f5b31ca6e5a5949)],
             intervals_after: &[],
             x_hash: 0x162a0df74588cf5f,
         },
@@ -488,7 +488,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(3, 0, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f6183f59436a5c2,
+            modeled_bits: 0x3f60ee94ced1ac4c,
             recoveries: &[(3, 0, 0x3f0682781cfac01c)],
             intervals_after: &[],
             x_hash: 0xec525586400599f5,
@@ -501,7 +501,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(3, 0, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f5afafc22336d47,
+            modeled_bits: 0x3f59141a97697a3c,
             recoveries: &[(3, 0, 0x3f10a84a063375c8)],
             intervals_after: &[],
             x_hash: 0x39c5c71d248ffa5f,
@@ -514,7 +514,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(3, 0, 1)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f602c75b7df32a9,
+            modeled_bits: 0x3f5ee3e247a6ef19,
             recoveries: &[(3, 0, 0x3f0705517647e373)],
             intervals_after: &[],
             x_hash: 0x182d3418dbc7be37,
@@ -566,9 +566,9 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 47,
-            modeled_bits: 0x3f6aa43c3178c896,
-            recoveries: &[(12, 11, 0x3f3fae6e3dd81f96), (25, 21, 0x3f3fbcb75843300c)],
-            intervals_after: &[5, 3],
+            modeled_bits: 0x3f69d62f0961525e,
+            recoveries: &[(12, 11, 0x3f3fae6e3dd81f90), (25, 21, 0x3f3fcec4942b689c)],
+            intervals_after: &[5, 1],
             x_hash: 0x4835ced1f94c28a9,
         },
         PinnedRun {
@@ -579,9 +579,9 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 47,
-            modeled_bits: 0x3f67275a3f373c1f,
-            recoveries: &[(12, 11, 0x3f40f110413be83e), (25, 21, 0x3f40f109a347cc08)],
-            intervals_after: &[5, 3],
+            modeled_bits: 0x3f662568f5a29da2,
+            recoveries: &[(12, 11, 0x3f40f110413be840), (25, 21, 0x3f40fae2aba7163c)],
+            intervals_after: &[5, 1],
             x_hash: 0x0fb03edc8e77d1f6,
         },
         PinnedRun {
@@ -592,9 +592,9 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f69fbf8641f8f39,
-            recoveries: &[(12, 8, 0x3f3fbec96901c3fc), (25, 24, 0x3f3fde0547849be8)],
-            intervals_after: &[5, 3],
+            modeled_bits: 0x3f692eaf357908a7,
+            recoveries: &[(12, 8, 0x3f3fbec96901c3f8), (25, 24, 0x3f3fe07758433010)],
+            intervals_after: &[5, 1],
             x_hash: 0xe7e4be4569c5ab16,
         },
         PinnedRun {
@@ -652,8 +652,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
                 failures: &[(12, 3, 1)],
                 iterations: 40,
                 total_loop_trips: 42,
-                modeled_bits: 0x3f64999edd443e16,
-                recoveries: &[(12, 11, 0x3f381354a835357c)],
+                modeled_bits: 0x3f640dc620341f3d,
+                recoveries: &[(12, 11, 0x3f381354a8353586)],
                 intervals_after: &[],
                 x_hash: 0xa8541255c7c74e9d,
             },

@@ -2,6 +2,8 @@
 //! reproducible results and modeled times regardless of thread scheduling,
 //! and the distributed solver must agree with the sequential reference.
 
+use esrcg::core::aspmv::AspmvPlan;
+use esrcg::core::dist::plan::CommPlan;
 use esrcg::core::pcg::pcg;
 use esrcg::prelude::*;
 use esrcg::sparse::vector::max_abs_diff;
@@ -133,10 +135,68 @@ fn phase_accounting_is_consistent() {
     assert!(total.flops[Phase::SpMV as usize] > 0);
     assert!(total.flops[Phase::Precond as usize] > 0);
     assert!(total.msgs_sent[Phase::Reduction as usize] > 0);
-    assert!(
-        total.msgs_sent[Phase::Storage as usize] > 0,
-        "ASpMV extras flowed"
+}
+
+#[test]
+fn the_redundant_copies_cost_exactly_their_bytes_on_the_wire() {
+    // Failure-free ESR against the reference, same SpMVs: every one of the
+    // C augmented iterations ships the plan's extra entries as 8-byte
+    // values — inside the halo messages wherever the designated destination
+    // is a halo peer, so only the stand-alone top-ups add messages, and
+    // those are what `Phase::Storage` counts.
+    let (n_ranks, phi) = (5, 2);
+    let run = |strategy: Strategy, phi: usize| {
+        Experiment::builder()
+            .matrix(matrix())
+            .n_ranks(n_ranks)
+            .strategy(strategy)
+            .phi(phi)
+            .run()
+            .expect("run")
+    };
+    let (plain, esrp, esr) = (
+        run(Strategy::None, 0),
+        run(Strategy::Esrp { t: 20 }, phi),
+        run(Strategy::esr(), phi),
     );
+    let a = matrix().build().expect("matrix");
+    let part = Partition::balanced(a.nrows(), n_ranks);
+    let plan = CommPlan::build(&a, &part);
+    let aspmv = AspmvPlan::build(&plan, &part, phi);
+    let stand_alone: Vec<usize> = (0..n_ranks)
+        .flat_map(|s| {
+            aspmv
+                .extras_of(s)
+                .iter()
+                .map(move |(d, rc)| (s, *d, rc.len()))
+        })
+        .filter(|&(s, d, _)| plan.indices_to(s, d).is_empty() && plan.indices_to(d, s).is_empty())
+        .map(|(_, _, entries)| entries)
+        .collect();
+    assert!(!stand_alone.is_empty() && stand_alone.len() < n_ranks * phi);
+
+    let c = esr.iterations as u64;
+    assert_eq!(plain.iterations as u64, c);
+    let (t_plain, t_esr) = (&plain.stats_total, &esr.stats_total);
+    assert_eq!(
+        t_esr.total_bytes() - t_plain.total_bytes(),
+        8 * aspmv.total_extra_traffic() as u64 * c
+    );
+    assert_eq!(
+        t_esr.total_msgs() - t_plain.total_msgs(),
+        stand_alone.len() as u64 * c
+    );
+    let storage = Phase::Storage as usize;
+    assert_eq!(t_esr.msgs_sent[storage], stand_alone.len() as u64 * c);
+    assert_eq!(
+        t_esr.bytes_sent[storage],
+        8 * stand_alone.iter().sum::<usize>() as u64 * c
+    );
+    assert_eq!(t_plain.msgs_sent[storage], 0);
+    // Hidden under the interior rows or not, it never comes for free in
+    // the other direction.
+    assert!(plain.modeled_time <= esrp.modeled_time);
+    assert!(esrp.modeled_time <= esr.modeled_time);
 }
 
 #[test]
