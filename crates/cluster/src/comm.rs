@@ -1,6 +1,7 @@
 //! The per-rank communication context: tag-matched point-to-point messaging
-//! plus deterministic tree collectives, with cost-model instrumentation and
-//! a per-rank [`BufferPool`] so steady-state traffic allocates nothing.
+//! plus deterministic collectives (a tree all-reduce, a dissemination clock
+//! barrier), with cost-model instrumentation and a per-rank [`BufferPool`]
+//! so steady-state traffic allocates nothing.
 
 use std::sync::Arc;
 
@@ -14,35 +15,7 @@ use crate::trace::{InstantKind, TraceConfig, TraceEvent, TraceRecorder};
 /// every [`Tag`] kind, so it can never match a protocol message.
 const HAND_BACK: u64 = 1 << 63;
 
-/// Reduction operators for [`Ctx::allreduce`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceOp {
-    /// Element-wise sum.
-    Sum,
-    /// Element-wise maximum.
-    Max,
-}
-
-impl ReduceOp {
-    #[inline]
-    fn combine(self, acc: &mut [f64], other: &[f64]) {
-        debug_assert_eq!(acc.len(), other.len(), "reduce: length mismatch");
-        match self {
-            ReduceOp::Sum => {
-                for (a, b) in acc.iter_mut().zip(other.iter()) {
-                    *a += b;
-                }
-            }
-            ReduceOp::Max => {
-                for (a, b) in acc.iter_mut().zip(other.iter()) {
-                    *a = a.max(*b);
-                }
-            }
-        }
-    }
-}
-
-/// An in-flight split-phase all-reduce started by [`Ctx::allreduce_start`].
+/// An in-flight split-phase sum-all-reduce started by [`Ctx::allreduce_start`].
 ///
 /// The handle owns this rank's partial accumulator (a pooled buffer) and
 /// remembers where in the binomial tree the rank stopped. Ranks that send at
@@ -59,7 +32,6 @@ impl ReduceOp {
 /// order; dropping a handle without finishing it deadlocks the tree.
 #[must_use = "every started reduction must be finished, or the tree deadlocks"]
 pub struct PendingReduce {
-    op: ReduceOp,
     len: usize,
     seq: u32,
     /// This rank's partial accumulator; `None` once it was forwarded up the
@@ -391,25 +363,25 @@ impl Ctx {
         self.coll_seq
     }
 
-    /// All-reduce over `vals` with operator `op`; every rank receives the
-    /// combined result. Implemented as a deterministic binomial reduce to
-    /// rank 0 followed by a binomial broadcast, so results are bitwise
+    /// Element-wise sum-all-reduce over `vals`; every rank receives the
+    /// sum. Implemented as a deterministic binomial reduce to rank 0
+    /// followed by a binomial broadcast, so results are bitwise
     /// reproducible and identical on all ranks.
     ///
     /// Every rank must call this the same number of times with equal-length
     /// inputs.
-    pub fn allreduce(&mut self, vals: &[f64], op: ReduceOp) -> Vec<f64> {
-        let pending = self.allreduce_start(vals, op);
+    pub fn allreduce(&mut self, vals: &[f64]) -> Vec<f64> {
+        let pending = self.allreduce_start(vals);
         self.allreduce_finish(pending)
     }
 
-    /// Starts a split-phase all-reduce and returns a [`PendingReduce`]
+    /// Starts a split-phase sum-all-reduce and returns a [`PendingReduce`]
     /// handle. Ranks whose first tree step is a send inject their
     /// contribution now (no receive dependency, so this is deterministic);
     /// all remaining tree traffic is driven by [`PendingReduce::finish`].
     /// Compute performed between the two calls hides the reduction latency
     /// on the modeled clock.
-    pub fn allreduce_start(&mut self, vals: &[f64], op: ReduceOp) -> PendingReduce {
+    pub fn allreduce_start(&mut self, vals: &[f64]) -> PendingReduce {
         let seq = self.next_seq();
         self.trace
             .instant(InstantKind::ReduceStart, seq as u64, self.clock);
@@ -419,23 +391,16 @@ impl Ctx {
         if self.size > 1 && self.rank & 1 != 0 {
             self.send(self.rank ^ 1, Tag::Reduce.with(seq), Payload::F64s(acc));
             return PendingReduce {
-                op,
                 len: vals.len(),
                 seq,
                 acc: None,
             };
         }
         PendingReduce {
-            op,
             len: vals.len(),
             seq,
             acc: Some(acc),
         }
-    }
-
-    /// Convenience sum variant of [`Ctx::allreduce_start`].
-    pub fn allreduce_sum_start(&mut self, vals: &[f64]) -> PendingReduce {
-        self.allreduce_start(vals, ReduceOp::Sum)
     }
 
     /// Completes a split-phase all-reduce (see [`PendingReduce::finish`]).
@@ -448,7 +413,7 @@ impl Ctx {
     }
 
     fn allreduce_finish_inner(&mut self, pending: PendingReduce) -> Vec<f64> {
-        let PendingReduce { op, len, seq, acc } = pending;
+        let PendingReduce { len, seq, acc } = pending;
         let tag = Tag::Reduce.with(seq);
         let mut acc = match acc {
             Some(acc) => acc,
@@ -471,7 +436,10 @@ impl Ctx {
                 // One flop per combined element.
                 self.stats.flops[self.phase as usize] += incoming.len() as u64;
                 self.advance(self.cost.compute_time(incoming.len() as u64));
-                op.combine(&mut acc, &incoming);
+                debug_assert_eq!(acc.len(), incoming.len(), "reduce: length mismatch");
+                for (a, b) in acc.iter_mut().zip(incoming.iter()) {
+                    *a += b;
+                }
                 self.buffers.recycle_f64s(incoming);
             }
             mask <<= 1;
@@ -479,22 +447,9 @@ impl Ctx {
         self.bcast_from_root(acc, len, seq)
     }
 
-    /// Convenience sum-all-reduce.
-    pub fn allreduce_sum(&mut self, vals: &[f64]) -> Vec<f64> {
-        self.allreduce(vals, ReduceOp::Sum)
-    }
-
     /// Convenience scalar sum-all-reduce (result buffer recycled in place).
     pub fn allreduce_sum_scalar(&mut self, val: f64) -> f64 {
-        let out = self.allreduce(&[val], ReduceOp::Sum);
-        let v = out[0];
-        self.buffers.recycle_f64s(out);
-        v
-    }
-
-    /// Convenience scalar max-all-reduce (result buffer recycled in place).
-    pub fn allreduce_max_scalar(&mut self, val: f64) -> f64 {
-        let out = self.allreduce(&[val], ReduceOp::Max);
+        let out = self.allreduce(&[val]);
         let v = out[0];
         self.buffers.recycle_f64s(out);
         v
@@ -533,17 +488,35 @@ impl Ctx {
         data
     }
 
-    /// Synchronizes all ranks and their logical clocks: after this call every
-    /// rank's clock equals the maximum clock across ranks. Returns that time.
+    /// Synchronizes all ranks and their logical clocks, and returns the
+    /// maximum clock with which any rank entered — the same bits on every
+    /// rank. Every rank leaves with its clock at or past that value.
+    ///
+    /// A dissemination barrier (the algorithm of MPICH's `MPI_Barrier`): in
+    /// round d = 1, 2, 4, … < N each rank sends the largest entering clock
+    /// it has seen to rank + d and folds in the one from rank − d (mod N).
+    /// After ⌈log₂N⌉ rounds every rank has heard, through some chain, from
+    /// every other, and a maximum is exact in any order. With equal entering
+    /// clocks the barrier costs ⌈log₂N⌉(2α + 8β), half the hops of a reduce
+    /// followed by a broadcast.
     pub fn barrier_sync_clock(&mut self) -> f64 {
-        let t = self.allreduce_max_scalar(self.clock);
+        let tag = Tag::Barrier.with(self.next_seq());
+        let mut t = self.clock;
+        let mut d = 1;
+        while d < self.size {
+            let to = (self.rank + d) % self.size;
+            let from = (self.rank + self.size - d) % self.size;
+            self.send(to, tag, Payload::Scalar(t));
+            t = t.max(self.recv(from, tag).into_scalar());
+            d <<= 1;
+        }
         self.advance_to(t);
         t
     }
 
     /// Plain barrier (no payload beyond the collective itself).
     pub fn barrier(&mut self) {
-        let out = self.allreduce(&[], ReduceOp::Sum);
+        let out = self.allreduce(&[]);
         self.buffers.recycle_f64s(out);
     }
 }

@@ -17,7 +17,7 @@
 //!   per-rank logical clock by a per-message latency plus a bandwidth term,
 //!   receives synchronize the receiver's clock with the message's arrival
 //!   time, and compute kernels charge flops at a configurable rate. Because
-//!   collectives are built from deterministic point-to-point trees, modeled
+//!   collectives are built from deterministic point-to-point rounds, modeled
 //!   time is bit-reproducible run to run, which is what lets the benchmark
 //!   harness regenerate the paper's *table shapes* on any machine.
 //!
@@ -38,7 +38,7 @@ pub mod spmd;
 pub mod stats;
 pub mod trace;
 
-pub use comm::{Ctx, PendingReduce, ReduceOp};
+pub use comm::{Ctx, PendingReduce};
 pub use cost::CostModel;
 pub use failure::FailureSpec;
 pub use msg::{BufferPool, BufferPoolStats, Payload, Tag};

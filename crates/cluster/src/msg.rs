@@ -238,7 +238,7 @@ pub enum Tag {
     Reduce = 1,
     /// Internal: broadcast tree traffic.
     Bcast = 2,
-    /// Internal: barrier.
+    /// Internal: clock-barrier rounds ([`crate::Ctx::barrier_sync_clock`]).
     Barrier = 3,
     /// Reserved: no collective sends under it; the kind keeps its id so
     /// the tag-kind tables (Perfetto names, `msgs_by_tag` slots) keep theirs.

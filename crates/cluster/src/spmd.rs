@@ -633,7 +633,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::ReduceOp;
     use crate::msg::{Payload, Tag};
     use std::time::{Duration, Instant};
 
@@ -668,21 +667,9 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_max_all_sizes() {
-        for n in SIZES {
-            let out = run_spmd(n, CostModel::default(), |ctx| {
-                ctx.allreduce_max_scalar(-(ctx.rank() as f64))
-            });
-            for &r in &out.results {
-                assert_eq!(r, 0.0);
-            }
-        }
-    }
-
-    #[test]
     fn allreduce_vector_valued() {
         let out = run_spmd(5, CostModel::default(), |ctx| {
-            ctx.allreduce(&[1.0, ctx.rank() as f64], ReduceOp::Sum)
+            ctx.allreduce(&[1.0, ctx.rank() as f64])
         });
         for r in &out.results {
             assert_eq!(r[0], 5.0);
@@ -851,11 +838,11 @@ mod tests {
         // modeled clock, on every rank and size.
         for n in SIZES {
             let blocking = run_spmd(n, CostModel::default(), |ctx| {
-                let v = ctx.allreduce(&[0.1 + ctx.rank() as f64 * 0.3, -1.5], ReduceOp::Sum);
+                let v = ctx.allreduce(&[0.1 + ctx.rank() as f64 * 0.3, -1.5]);
                 (v, ctx.clock())
             });
             let split = run_spmd(n, CostModel::default(), |ctx| {
-                let pending = ctx.allreduce_sum_start(&[0.1 + ctx.rank() as f64 * 0.3, -1.5]);
+                let pending = ctx.allreduce_start(&[0.1 + ctx.rank() as f64 * 0.3, -1.5]);
                 let v = pending.finish(ctx);
                 (v, ctx.clock())
             });
@@ -886,7 +873,7 @@ mod tests {
         for flops in [1u64, 1_000] {
             let out = run_spmd(2, cost, move |ctx| {
                 ctx.set_phase(Phase::Reduction);
-                let pending = ctx.allreduce_sum_start(&[ctx.rank() as f64]);
+                let pending = ctx.allreduce_start(&[ctx.rank() as f64]);
                 ctx.set_phase(Phase::SpMV);
                 ctx.charge_flops(flops); // overlapped compute
                 ctx.set_phase(Phase::Reduction);
@@ -908,7 +895,7 @@ mod tests {
         // predates the clock and `advance_to` is a no-op.
         let out = run_spmd(2, cost, move |ctx| {
             ctx.set_phase(Phase::Reduction);
-            let pending = ctx.allreduce_sum_start(&[ctx.rank() as f64]);
+            let pending = ctx.allreduce_start(&[ctx.rank() as f64]);
             ctx.set_phase(Phase::SpMV);
             ctx.charge_flops(1_000);
             ctx.set_phase(Phase::Reduction);
@@ -927,7 +914,7 @@ mod tests {
         // wait must land in the phase current at the finish call.
         let out = run_spmd(2, CostModel::default(), |ctx| {
             ctx.set_phase(Phase::SpMV);
-            let pending = ctx.allreduce_sum_start(&[1.0]);
+            let pending = ctx.allreduce_start(&[1.0]);
             ctx.set_phase(Phase::Reduction);
             let v = pending.finish(ctx);
             ctx.recycle_f64s(v);
@@ -954,7 +941,7 @@ mod tests {
                 ctx.set_phase(Phase::Reduction);
                 let mut x = ctx.rank() as f64;
                 for _ in 0..20 {
-                    let pending = ctx.allreduce_sum_start(&[x]);
+                    let pending = ctx.allreduce_start(&[x]);
                     ctx.set_phase(Phase::SpMV);
                     ctx.charge_flops(work);
                     ctx.set_phase(Phase::Reduction);
@@ -1064,17 +1051,44 @@ mod tests {
     }
 
     #[test]
+    fn allreduce_max_all_sizes() {
+        // The clock barrier is the tree's only max-allreduce. With entries
+        // skewed in a scrambled rank order, every rank returns the bits of
+        // the maximum entering clock and leaves at or past it.
+        for n in SIZES.into_iter().chain([16, 128]) {
+            let out = run_spmd(n, CostModel::default(), |ctx| {
+                ctx.charge_flops((ctx.rank() * 37 % ctx.size()) as u64 * 1_000);
+                let entry = ctx.clock();
+                let t = ctx.barrier_sync_clock();
+                (entry, t, ctx.clock())
+            });
+            let latest = out.results.iter().map(|r| r.0).fold(0.0, f64::max);
+            for (rank, &(_, t, exit)) in out.results.iter().enumerate() {
+                assert_eq!(t.to_bits(), latest.to_bits(), "n = {n}, rank {rank}");
+                assert!(
+                    exit >= t,
+                    "n = {n}, rank {rank}: left before the latest entry"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn barrier_sync_clock_equalizes() {
-        let out = run_spmd(4, CostModel::default(), |ctx| {
-            // Skew the clocks.
-            ctx.charge_flops(ctx.rank() as u64 * 1_000_000);
-            let t = ctx.barrier_sync_clock();
-            (t, ctx.clock())
-        });
-        let t0 = out.results[0].0;
-        for &(t, clock) in &out.results {
-            assert_eq!(t.to_bits(), t0.to_bits());
-            assert!(clock >= t);
+        for n in [1usize, 2, 3, 5, 16, 128] {
+            // Equal entries, communication only: ⌈log₂N⌉ rounds of one
+            // 8-byte message each way. Dyadic α and β keep every sum exact.
+            let (alpha, beta) = (2f64.powi(-20), 2f64.powi(-30));
+            let out = run_spmd(n, CostModel::comm_only(alpha, beta), |ctx| {
+                let t = ctx.barrier_sync_clock();
+                (t, ctx.clock())
+            });
+            let rounds = n.next_power_of_two().trailing_zeros() as f64;
+            let expected = rounds * (2.0 * alpha + 8.0 * beta);
+            for (rank, &(t, exit)) in out.results.iter().enumerate() {
+                assert_eq!(t, 0.0, "n = {n}, rank {rank}");
+                assert_eq!(exit.to_bits(), expected.to_bits(), "n = {n}, rank {rank}");
+            }
         }
     }
 
@@ -1105,7 +1119,7 @@ mod tests {
             for round in 0..50 {
                 let s = ctx.allreduce_sum_scalar(round as f64);
                 assert_eq!(s, 4.0 * round as f64);
-                let v = ctx.allreduce(&[1.0, 2.0, 3.0], ReduceOp::Sum);
+                let v = ctx.allreduce(&[1.0, 2.0, 3.0]);
                 assert_eq!(v, vec![4.0, 8.0, 12.0]);
                 ctx.recycle_f64s(v);
             }

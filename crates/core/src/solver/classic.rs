@@ -48,7 +48,7 @@ pub(super) fn init_state(
     let rr_loc = be.dot(&st.r, &st.r);
     ctx.charge_flops(6 * nloc as u64);
     let prev = ctx.set_phase(Phase::Reduction);
-    let red = ctx.allreduce_sum(&[bb_loc, rz_loc, rr_loc]);
+    let red = ctx.allreduce(&[bb_loc, rz_loc, rr_loc]);
     ctx.set_phase(prev);
     let (bnorm2, rr) = (red[0], red[2]);
     st.rz = red[1];
@@ -122,7 +122,7 @@ impl Recurrence for Classic {
         let rz_loc = be.dot(&st.r, &st.z);
         let rr_loc = be.dot(&st.r, &st.r);
         ctx.charge_flops(4 * nloc as u64);
-        let red = ctx.allreduce_sum(&[rz_loc, rr_loc]);
+        let red = ctx.allreduce(&[rz_loc, rr_loc]);
         let (rz_new, rr) = (red[0], red[1]);
         ctx.recycle_f64s(red);
         let beta = rz_new / st.rz;

@@ -819,7 +819,7 @@ fn drift_epilogue(
     let rr_loc = be.dot(&st.r, &st.r);
     ctx.charge_flops(5 * nloc as u64);
     ctx.set_phase(Phase::Reduction);
-    let red = ctx.allreduce_sum(&[rr_loc, tr_loc]);
+    let red = ctx.allreduce(&[rr_loc, tr_loc]);
     ctx.set_phase(Phase::Other);
     let rnorm = red[0].sqrt();
     let true_rnorm = red[1].sqrt();

@@ -67,7 +67,7 @@ impl Recurrence for Pipelined {
         let rr_loc = be.dot(&st.r, &st.r);
         ctx.charge_flops(8 * nloc as u64);
         let prev = ctx.set_phase(Phase::Reduction);
-        let pending = ctx.allreduce_sum_start(&[bb_loc, gamma_loc, delta_loc, rr_loc]);
+        let pending = ctx.allreduce_start(&[bb_loc, gamma_loc, delta_loc, rr_loc]);
 
         // h = M⁻¹w and g = Ah compute while the init reduction flies.
         ctx.set_phase(Phase::Precond);
@@ -176,7 +176,7 @@ impl Recurrence for Pipelined {
         let rz_loc = be.dot(&st.r, &st.z);
         let pq_loc = be.dot(&st.p, &st.q);
         ctx.charge_flops(4 * range.len() as u64);
-        let red = ctx.allreduce_sum(&[rz_loc, pq_loc]);
+        let red = ctx.allreduce(&[rz_loc, pq_loc]);
         st.rz = red[0];
         aux.pap = red[1];
         ctx.recycle_f64s(red);
@@ -221,7 +221,7 @@ impl Recurrence for Pipelined {
             )
         };
         ctx.charge_flops(6 * nloc as u64);
-        let pending = ctx.allreduce_sum_start(&[gamma_loc, delta_loc, rr_loc]);
+        let pending = ctx.allreduce_start(&[gamma_loc, delta_loc, rr_loc]);
 
         // --- m = M⁻¹w and n = Am while the reduction flies ----------------
         let mut aux = st.aux.take().expect("pipelined state");

@@ -19,8 +19,8 @@ use crate::solver::{Node, Recurrence, SharedProblem};
 use crate::strategy::Strategy;
 
 /// What a recovery did, as reported by every rank (identical everywhere
-/// except `inner_iterations`, which only the designated inner-solver rank
-/// knows; the driver takes the maximum over ranks).
+/// except `inner_iterations`, which every replacement knows and every
+/// survivor reports as 0; the driver takes the maximum over ranks).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryOutcome {
     /// The iteration at which the failure struck.
@@ -35,8 +35,8 @@ pub struct RecoveryOutcome {
     /// Modeled seconds spent in recovery (clock-synchronized across ranks,
     /// so identical on every rank).
     pub recovery_time: f64,
-    /// Iterations of the inner `A[I_f, I_f]` solve (designated rank only;
-    /// 0 elsewhere and for IMCR).
+    /// Iterations of the inner `A[I_f, I_f]` solve (on every replacement;
+    /// 0 on survivors and for IMCR).
     pub inner_iterations: usize,
 }
 
@@ -159,7 +159,7 @@ pub fn imcr_rollback_target(j_f: usize, t: usize) -> Option<usize> {
 }
 
 /// ESR/ESRP recovery (paper Alg. 2 + the ESRP rollback of §3) to iteration
-/// `jhat`; returns the inner-solve iteration count (designated rank only).
+/// `jhat`; returns the inner-solve iteration count (0 on survivors).
 #[allow(clippy::too_many_arguments)]
 fn recover_esrp(
     ctx: &mut Ctx,
@@ -336,8 +336,8 @@ fn recover_esrp(
         // so the union system is solved by a *distributed* PCG over the
         // replacement subgroup — each replacement owns its own rows, halo
         // entries travel between replacements over the same index sets as
-        // the outer SpMV plan, and dot products reduce linearly through the
-        // lowest failed rank. This mirrors the paper's recovery running on
+        // the outer SpMV plan, and dot products are all-gathered within the
+        // subgroup. This mirrors the paper's recovery running on
         // the replacement nodes (and is why its recovery cost scales with
         // the inner system rather than with the whole machine).
         inner_iterations =
@@ -411,8 +411,10 @@ fn recover_imcr(
 /// * Halo exchange between replacements reuses the outer SpMV plan's index
 ///   sets (the columns of `A[I_f2, I_f1]` are exactly the plan's
 ///   `I_{f1,f2}` lists — masking columns only removes non-failed owners).
-/// * Dot products reduce linearly through the lowest failed rank (ψ ≤ 8,
-///   so a tree buys nothing).
+/// * Dot products reduce by an all-gather over the subgroup
+///   ([`subgroup_allreduce`]): every replacement sends its partials to the
+///   ψ − 1 others and adds all ψ in sorted-rank order, one latency hop on
+///   the critical path where a gather at one rank and a fan-out take two.
 /// * Each replacement preconditions its own diagonal block with the cached
 ///   block Jacobi factorization (max block size per the config), matching
 ///   the paper's choice of the same preconditioner for the inner systems.
@@ -435,49 +437,13 @@ fn distributed_inner_solve(
     let be = shared.cfg.backend.subdivided(ctx.size());
     let range = part.range(me);
     let nloc = range.len();
-    let designated = failed_sorted[0];
     let is_failed = |r: usize| failed_sorted.binary_search(&r).is_ok();
-
-    // Sub-group reduction: linear gather at the designated rank (in sorted
-    // rank order, so the floating-point result is deterministic), then fan
-    // the result back out.
+    // One fresh tag per reduction and per halo round.
     let mut seq: u32 = 0;
-    macro_rules! subreduce {
-        ($vals:expr) => {{
-            seq += 1;
-            let tag = Tag::RecoveryInner.with(seq);
-            let vals: Vec<f64> = $vals;
-            if me == designated {
-                let mut acc = vals;
-                for &f in failed_sorted {
-                    if f == designated {
-                        continue;
-                    }
-                    let incoming = ctx.recv(f, tag).into_f64s();
-                    for (a, b) in acc.iter_mut().zip(incoming.iter()) {
-                        *a += b;
-                    }
-                    ctx.recycle_f64s(incoming);
-                }
-                seq += 1;
-                let tag2 = Tag::RecoveryInner.with(seq);
-                for &f in failed_sorted {
-                    if f == designated {
-                        continue;
-                    }
-                    let mut copy = ctx.take_f64s();
-                    copy.extend_from_slice(&acc);
-                    ctx.send(f, tag2, Payload::F64s(copy));
-                }
-                acc
-            } else {
-                ctx.send(designated, tag, Payload::F64s(vals));
-                seq += 1;
-                let tag2 = Tag::RecoveryInner.with(seq);
-                ctx.recv(designated, tag2).into_f64s()
-            }
-        }};
-    }
+    let mut next_tag = || {
+        seq += 1;
+        Tag::RecoveryInner.with(seq)
+    };
 
     // Halo exchange of the search direction among replacements: the outer
     // [`HaloExchange`], run over the plan *filtered to the replacement
@@ -497,13 +463,11 @@ fn distributed_inner_solve(
     inner_pre.apply_local(0..nloc, &scratch.ir, &mut scratch.iz);
     ctx.charge_flops(inner_pre.apply_flops(0..nloc));
     scratch.ip.copy_from_slice(&scratch.iz);
-    let reduced = subreduce!({
-        let mut v = ctx.take_f64s();
-        v.push(be.dot(&scratch.ir, &scratch.iz));
-        v.push(be.dot(&scratch.w, &scratch.w));
-        v.push(be.dot(&scratch.ir, &scratch.ir));
-        v
-    });
+    let mut v = ctx.take_f64s();
+    v.push(be.dot(&scratch.ir, &scratch.iz));
+    v.push(be.dot(&scratch.w, &scratch.w));
+    v.push(be.dot(&scratch.ir, &scratch.ir));
+    let reduced = subgroup_allreduce(ctx, failed_sorted, next_tag(), v);
     ctx.charge_flops(6 * nloc as u64);
     let (mut rz, wnorm2, rr0) = (reduced[0], reduced[1], reduced[2]);
     ctx.recycle_f64s(reduced);
@@ -514,8 +478,7 @@ fn distributed_inner_solve(
     while relres >= shared.cfg.inner_rtol && iterations < shared.cfg.inner_max_iters {
         // The inner operator application, scheduled like the outer SpMV:
         // interior rows compute while the subgroup halo is in flight.
-        seq += 1;
-        let halo_tag = Tag::RecoveryInner.with(seq);
+        let halo_tag = next_tag();
         let hx = HaloExchange::start_view(
             ctx,
             &inner_view,
@@ -541,11 +504,9 @@ fn distributed_inner_solve(
             &mut scratch.iq,
         );
         ctx.charge_flops(split.boundary_flops());
-        let pap_red = subreduce!({
-            let mut v = ctx.take_f64s();
-            v.push(be.dot(&scratch.ip, &scratch.iq));
-            v
-        });
+        let mut v = ctx.take_f64s();
+        v.push(be.dot(&scratch.ip, &scratch.iq));
+        let pap_red = subgroup_allreduce(ctx, failed_sorted, next_tag(), v);
         let pap = pap_red[0];
         ctx.recycle_f64s(pap_red);
         ctx.charge_flops(2 * nloc as u64);
@@ -563,12 +524,10 @@ fn distributed_inner_solve(
         ctx.charge_flops(4 * nloc as u64);
         inner_pre.apply_local(0..nloc, &scratch.ir, &mut scratch.iz);
         ctx.charge_flops(inner_pre.apply_flops(0..nloc));
-        let reduced = subreduce!({
-            let mut v = ctx.take_f64s();
-            v.push(be.dot(&scratch.ir, &scratch.iz));
-            v.push(be.dot(&scratch.ir, &scratch.ir));
-            v
-        });
+        let mut v = ctx.take_f64s();
+        v.push(be.dot(&scratch.ir, &scratch.iz));
+        v.push(be.dot(&scratch.ir, &scratch.ir));
+        let reduced = subgroup_allreduce(ctx, failed_sorted, next_tag(), v);
         ctx.charge_flops(4 * nloc as u64);
         let (rz_new, rr) = (reduced[0], reduced[1]);
         ctx.recycle_f64s(reduced);
@@ -580,6 +539,48 @@ fn distributed_inner_solve(
         relres = if wnorm > 0.0 { rr.sqrt() / wnorm } else { 0.0 };
     }
     iterations
+}
+
+/// Element-wise sum of every replacement's `mine` over the subgroup
+/// `failed_sorted`, as an all-gather: this rank sends its partials to the
+/// other ψ − 1 replacements under `tag`, then adds all ψ in `failed_sorted`
+/// order, starting from the first rank's values — the same operations in
+/// the same order on every member, so every member holds the same bits.
+/// With equal entry clocks the slowest member finishes after
+/// ψα + 8kβ for k values (nothing is sent at ψ = 1). Only members call
+/// this; the consumed receive buffers go back to the pool.
+fn subgroup_allreduce(
+    ctx: &mut Ctx,
+    failed_sorted: &[usize],
+    tag: u64,
+    mut mine: Vec<f64>,
+) -> Vec<f64> {
+    let me = ctx.rank();
+    for &f in failed_sorted {
+        if f != me {
+            let mut copy = ctx.take_f64s();
+            copy.extend_from_slice(&mine);
+            ctx.send(f, tag, Payload::F64s(copy));
+        }
+    }
+    let mut sum: Option<Vec<f64>> = None;
+    for &f in failed_sorted {
+        let part = if f == me {
+            std::mem::take(&mut mine)
+        } else {
+            ctx.recv(f, tag).into_f64s()
+        };
+        match &mut sum {
+            None => sum = Some(part),
+            Some(acc) => {
+                for (a, b) in acc.iter_mut().zip(part.iter()) {
+                    *a += b;
+                }
+                ctx.recycle_f64s(part);
+            }
+        }
+    }
+    sum.expect("only members of the subgroup call this")
 }
 
 #[cfg(test)]
@@ -615,6 +616,51 @@ mod tests {
         let t = 20;
         assert_eq!(esrp_rollback_target(2 * t, t), Some(t + 1));
         assert_eq!(esrp_rollback_target(2 * t + 1, t), Some(2 * t + 1));
+    }
+
+    #[test]
+    fn subgroup_allreduce_is_the_sorted_sum_at_one_hop() {
+        use esrcg_cluster::{run_spmd, CostModel};
+        // Dyadic α and β keep every clock sum exact; k = 3 values.
+        let (alpha, beta, k) = (2f64.powi(-20), 2f64.powi(-30), 3);
+        let partials = |rank: usize| -> Vec<f64> {
+            (0..k)
+                .map(|i| 0.1 + rank as f64 * 0.3 + i as f64 / 7.0)
+                .collect()
+        };
+        let subgroups: [&[usize]; 4] = [&[4], &[3, 4], &[0, 4, 9], &[1, 2, 3, 4, 5, 6, 7, 8]];
+        for group in subgroups {
+            let out = run_spmd(10, CostModel::comm_only(alpha, beta), |ctx| {
+                if group.binary_search(&ctx.rank()).is_err() {
+                    return None;
+                }
+                let mut mine = ctx.take_f64s();
+                mine.extend(partials(ctx.rank()));
+                let sum = subgroup_allreduce(ctx, group, Tag::RecoveryInner.with(1), mine);
+                Some((sum, ctx.clock()))
+            });
+            let mut expected = partials(group[0]);
+            for &f in &group[1..] {
+                for (a, b) in expected.iter_mut().zip(partials(f)) {
+                    *a += b;
+                }
+            }
+            let expected: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
+            let mut slowest = 0.0f64;
+            for &f in group {
+                let (sum, clock) = out.results[f].as_ref().expect("a member");
+                let bits: Vec<u64> = sum.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, expected, "ψ = {}, rank {f}", group.len());
+                slowest = slowest.max(*clock);
+            }
+            let psi = group.len();
+            let critical = if psi == 1 {
+                0.0
+            } else {
+                psi as f64 * alpha + 8.0 * k as f64 * beta
+            };
+            assert_eq!(slowest.to_bits(), critical.to_bits(), "ψ = {psi}");
+        }
     }
 
     #[test]

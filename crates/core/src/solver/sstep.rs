@@ -253,7 +253,7 @@ impl Recurrence for SStep {
         }
         debug_assert_eq!(buf.len(), n_dots);
         ctx.charge_flops(2 * n_dots as u64 * nloc as u64);
-        let pending = ctx.allreduce_sum_start(&buf);
+        let pending = ctx.allreduce_start(&buf);
         ctx.recycle_f64s(buf);
         let red = pending.finish(ctx);
         let rr0;

@@ -47,15 +47,16 @@ fn allocations_of(strategy: Strategy, variant: PcgVariant, max_iters: usize) -> 
     allocations
 }
 
-/// Allocations of one whole ESRP(20) solve of the probe under `format` in
-/// which rank 3 fails at each of the `failures` iterations.
-fn allocations_with_failures(format: SpmvFormat, failures: &[usize]) -> u64 {
+/// Allocations of one whole ESRP(20) solve of the probe at φ = `psi` under
+/// `format` in which ranks 3 … 3 + ψ − 1 fail at each of the `failures`
+/// iterations.
+fn allocations_with_failures(format: SpmvFormat, psi: usize, failures: &[usize]) -> u64 {
     let mut exp = probe()
         .strategy(Strategy::Esrp { t: 20 })
-        .phi(1)
+        .phi(psi)
         .spmv_format(format);
     for &at in failures {
-        exp = exp.failure_at(at, 3, 1);
+        exp = exp.failure_at(at, 3, psi);
     }
     let (allocations, report) = counted(exp);
     assert_eq!(report.recoveries.len(), failures.len());
@@ -90,14 +91,24 @@ fn iterations_past_the_warm_up_add_no_allocation() {
     // Whole-run counts wobble by ± 1 between identical runs, hence the slack.
     let run = allocations_with_failures;
     let csr = SpmvFormat::Csr;
-    let (none, one, two) = (run(csr, &[]), run(csr, &[50]), run(csr, &[50, 95]));
-    let (csr_first, csr_second) = (one - none, two - one);
-    assert!(
-        2 * csr_second < csr_first,
-        "a second event in the same failure domain allocated {csr_second} times, the first {csr_first}"
-    );
+    // Allocations of a first event and of a second one in the same failure
+    // domain. ψ = 2 sends the inner solve's reductions between the
+    // replacements, whose pooled copies must circulate too.
+    let events = |psi: usize| {
+        let none = run(csr, psi, &[]);
+        let one = run(csr, psi, &[50]);
+        (one - none, run(csr, psi, &[50, 95]) - one)
+    };
+    let (csr_first, csr_second) = events(1);
+    let (pair_first, pair_second) = events(2);
+    for (psi, first, second) in [(1, csr_first, csr_second), (2, pair_first, pair_second)] {
+        assert!(
+            2 * second < first,
+            "ψ = {psi}: a second event in the same failure domain allocated {second} times, the first {first}"
+        );
+    }
     for format in [SpmvFormat::sell(), SpmvFormat::bcsr3()] {
-        let first = run(format, &[50]) - run(format, &[]);
+        let first = run(format, 1, &[50]) - run(format, 1, &[]);
         assert!(
             first.abs_diff(csr_first) <= 2,
             "{}: the first recovery event allocated {first} times, {csr_first} under csr",
