@@ -336,8 +336,9 @@ fn recover_esrp(
         // so the union system is solved by a *distributed* PCG over the
         // replacement subgroup — each replacement owns its own rows, halo
         // entries travel between replacements over the same index sets as
-        // the outer SpMV plan, and dot products are all-gathered within the
-        // subgroup. This mirrors the paper's recovery running on
+        // the outer SpMV plan, and each iteration's dot products are fused
+        // into one all-gather within the subgroup (single-reduction PCG).
+        // This mirrors the paper's recovery running on
         // the replacement nodes (and is why its recovery cost scales with
         // the inner system rather than with the whole machine).
         inner_iterations =
@@ -408,6 +409,16 @@ fn recover_imcr(
 /// tolerance. Only the failed ranks call this; every one of them owns its
 /// original row range restricted to the columns in `I_f`.
 ///
+/// * The recurrence is single-reduction PCG (Chronopoulos–Gear, 1989): it
+///   carries `s = A p` beside `p`, applies the operator to `u = P r`
+///   instead of `p`, and fuses the iteration's dot products into **one**
+///   reduction of `(r·u, u·Au, r·r)`; `α = γ / (δ − βγ/α_old)` replaces
+///   `γ / pᵀAp`. One all-gather per iteration instead of two, for 2·nloc
+///   more flops (the `s` update) and one more operator application per
+///   solve. At ψ = 1 a reduction sends nothing, so there it costs slightly
+///   more than the textbook loop; at ψ ≥ 2 it saves ψα + 8kβ per iteration.
+///   A denominator ≤ 0 is a numerical breakdown: the current iterate is
+///   accepted.
 /// * Halo exchange between replacements reuses the outer SpMV plan's index
 ///   sets (the columns of `A[I_f2, I_f1]` are exactly the plan's
 ///   `I_{f1,f2}` lists — masking columns only removes non-failed owners).
@@ -415,6 +426,8 @@ fn recover_imcr(
 ///   ([`subgroup_allreduce`]): every replacement sends its partials to the
 ///   ψ − 1 others and adds all ψ in sorted-rank order, one latency hop on
 ///   the critical path where a gather at one rank and a fan-out take two.
+///   A solve of k iterations sends (ψ − 1)(k + 1) all-gather messages per
+///   replacement beside its k + 1 halo rounds.
 /// * Each replacement preconditions its own diagonal block with the cached
 ///   block Jacobi factorization (max block size per the config), matching
 ///   the paper's choice of the same preconditioner for the inner systems.
@@ -423,7 +436,8 @@ fn recover_imcr(
 ///   allocates nothing beyond message payloads.
 ///
 /// The right-hand side is read from `scratch.w`; the solution is left in
-/// `scratch.ix`. Returns the inner iteration count.
+/// `scratch.ix`. `scratch` must be freshly prepared (`p` and `s` zero).
+/// Returns the inner iteration count.
 fn distributed_inner_solve(
     ctx: &mut Ctx,
     shared: &SharedProblem,
@@ -432,11 +446,8 @@ fn distributed_inner_solve(
     cache: &DomainCache,
     inner_pre: &BlockJacobiPrecond,
 ) -> usize {
-    let me = ctx.rank();
-    let part = &*shared.part;
     let be = shared.cfg.backend.subdivided(ctx.size());
-    let range = part.range(me);
-    let nloc = range.len();
+    let nloc = scratch.w.len();
     let is_failed = |r: usize| failed_sorted.binary_search(&r).is_ok();
     // One fresh tag per reduction and per halo round.
     let mut seq: u32 = 0;
@@ -445,100 +456,92 @@ fn distributed_inner_solve(
         Tag::RecoveryInner.with(seq)
     };
 
-    // Halo exchange of the search direction among replacements: the outer
-    // [`HaloExchange`], run over the plan *filtered to the replacement
-    // subgroup* under the `Tag::RecoveryInner` namespace. Masking the
-    // columns of `A[I_own, I_f]` only removes non-failed owners, so an
-    // accepted peer's index list is the outer plan's, unchanged — which is
-    // exactly what [`PlanView::filtered`] expresses. The exchange scatters
-    // into the reusable gather buffer `scratch.p_full` (only `I_f`
-    // positions are read by the column-split SpMV), and its split-phase use
-    // below gives the inner solve the same overlap the outer SpMV gets.
+    // Halo exchange of `u` among replacements: the outer [`HaloExchange`],
+    // run over the plan *filtered to the replacement subgroup* under the
+    // `Tag::RecoveryInner` namespace. Masking the columns of
+    // `A[I_own, I_f]` only removes non-failed owners, so an accepted peer's
+    // index list is the outer plan's, unchanged — which is exactly what
+    // [`PlanView::filtered`] expresses.
     let inner_view = PlanView::filtered(&shared.plan, &is_failed);
-    let split = &cache.inner_split;
 
-    // PCG on the inner system, distributed over the replacements. All
-    // vectors are workspace buffers (`ix`, `ir`, `iz`, `ip`, `iq`).
-    scratch.ir.copy_from_slice(&scratch.w);
-    inner_pre.apply_local(0..nloc, &scratch.ir, &mut scratch.iz);
+    // Start: r = w, u = P r, q = A u, and one reduction of
+    // (r·u, u·q, w·w, r·r).
+    let RecoveryScratch {
+        w,
+        ix,
+        ir,
+        iz: u,
+        iq: q,
+        ip: p,
+        is: s,
+        u_full,
+        ..
+    } = scratch;
+    ir.copy_from_slice(w);
+    inner_pre.apply_local(0..nloc, ir, u);
     ctx.charge_flops(inner_pre.apply_flops(0..nloc));
-    scratch.ip.copy_from_slice(&scratch.iz);
+    inner_spmv(ctx, shared, cache, &inner_view, next_tag(), u, u_full, q);
     let mut v = ctx.take_f64s();
-    v.push(be.dot(&scratch.ir, &scratch.iz));
-    v.push(be.dot(&scratch.w, &scratch.w));
-    v.push(be.dot(&scratch.ir, &scratch.ir));
+    v.extend([be.dot(ir, u), be.dot(u, q), be.dot(w, w), be.dot(ir, ir)]);
     let reduced = subgroup_allreduce(ctx, failed_sorted, next_tag(), v);
-    ctx.charge_flops(6 * nloc as u64);
-    let (mut rz, wnorm2, rr0) = (reduced[0], reduced[1], reduced[2]);
+    ctx.charge_flops(8 * nloc as u64);
+    let (mut gamma, mut denom, wnorm2, rr0) = (reduced[0], reduced[1], reduced[2], reduced[3]);
     ctx.recycle_f64s(reduced);
     let wnorm = wnorm2.sqrt();
     let mut relres = if wnorm > 0.0 { rr0.sqrt() / wnorm } else { 0.0 };
+    // p = u and s = q on the first trip: β = 0 over the zeroed p and s.
+    let (mut alpha, mut beta) = (gamma / denom, 0.0);
 
     let mut iterations = 0usize;
     while relres >= shared.cfg.inner_rtol && iterations < shared.cfg.inner_max_iters {
-        // The inner operator application, scheduled like the outer SpMV:
-        // interior rows compute while the subgroup halo is in flight.
-        let halo_tag = next_tag();
-        let hx = HaloExchange::start_view(
-            ctx,
-            &inner_view,
-            part,
-            &scratch.ip,
-            halo_tag,
-            &mut scratch.p_full,
-        );
-        be.spmv_row_runs_into(
-            &cache.a_in,
-            split.interior(),
-            0,
-            &scratch.p_full,
-            &mut scratch.iq,
-        );
-        ctx.charge_flops(split.interior_flops());
-        hx.finish_view(ctx, &inner_view, &mut scratch.p_full, None);
-        be.spmv_row_runs_into(
-            &cache.a_in,
-            split.boundary(),
-            0,
-            &scratch.p_full,
-            &mut scratch.iq,
-        );
-        ctx.charge_flops(split.boundary_flops());
-        let mut v = ctx.take_f64s();
-        v.push(be.dot(&scratch.ip, &scratch.iq));
-        let pap_red = subgroup_allreduce(ctx, failed_sorted, next_tag(), v);
-        let pap = pap_red[0];
-        ctx.recycle_f64s(pap_red);
-        ctx.charge_flops(2 * nloc as u64);
-        if pap <= 0.0 {
+        if denom <= 0.0 {
             break; // numerical breakdown; accept the current iterate
         }
-        let alpha = rz / pap;
-        be.fused_axpy2(
-            alpha,
-            &scratch.ip,
-            &scratch.iq,
-            &mut scratch.ix,
-            &mut scratch.ir,
-        );
-        ctx.charge_flops(4 * nloc as u64);
-        inner_pre.apply_local(0..nloc, &scratch.ir, &mut scratch.iz);
+        be.axpby(1.0, u, beta, p);
+        be.axpby(1.0, q, beta, s);
+        be.fused_axpy2(alpha, p, s, ix, ir);
+        ctx.charge_flops(8 * nloc as u64);
+        inner_pre.apply_local(0..nloc, ir, u);
         ctx.charge_flops(inner_pre.apply_flops(0..nloc));
+        inner_spmv(ctx, shared, cache, &inner_view, next_tag(), u, u_full, q);
         let mut v = ctx.take_f64s();
-        v.push(be.dot(&scratch.ir, &scratch.iz));
-        v.push(be.dot(&scratch.ir, &scratch.ir));
+        v.extend([be.dot(ir, u), be.dot(u, q), be.dot(ir, ir)]);
         let reduced = subgroup_allreduce(ctx, failed_sorted, next_tag(), v);
-        ctx.charge_flops(4 * nloc as u64);
-        let (rz_new, rr) = (reduced[0], reduced[1]);
+        ctx.charge_flops(6 * nloc as u64);
+        let (gamma_new, delta, rr) = (reduced[0], reduced[1], reduced[2]);
         ctx.recycle_f64s(reduced);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        be.axpby(1.0, &scratch.iz, beta, &mut scratch.ip);
-        ctx.charge_flops(2 * nloc as u64);
+        beta = gamma_new / gamma;
+        denom = delta - beta * gamma_new / alpha;
+        alpha = gamma_new / denom;
+        gamma = gamma_new;
         iterations += 1;
         relres = if wnorm > 0.0 { rr.sqrt() / wnorm } else { 0.0 };
     }
     iterations
+}
+
+/// `q = A[I_own, I_f] u` for the inner solve, scheduled like the outer
+/// SpMV: the subgroup halo of `u` (gathered into `u_full`, of which only
+/// `I_f` positions are read) is in flight while the interior rows compute.
+#[allow(clippy::too_many_arguments)]
+fn inner_spmv(
+    ctx: &mut Ctx,
+    shared: &SharedProblem,
+    cache: &DomainCache,
+    view: &PlanView<'_>,
+    tag: u64,
+    u: &[f64],
+    u_full: &mut [f64],
+    q: &mut [f64],
+) {
+    let be = shared.cfg.backend.subdivided(ctx.size());
+    let split = &cache.inner_split;
+    let hx = HaloExchange::start_view(ctx, view, &shared.part, u, tag, u_full);
+    be.spmv_row_runs_into(&cache.a_in, split.interior(), 0, u_full, q);
+    ctx.charge_flops(split.interior_flops());
+    hx.finish_view(ctx, view, u_full, None);
+    be.spmv_row_runs_into(&cache.a_in, split.boundary(), 0, u_full, q);
+    ctx.charge_flops(split.boundary_flops());
 }
 
 /// Element-wise sum of every replacement's `mine` over the subgroup
@@ -660,6 +663,96 @@ mod tests {
                 psi as f64 * alpha + 8.0 * k as f64 * beta
             };
             assert_eq!(slowest.to_bits(), critical.to_bits(), "ψ = {psi}");
+        }
+    }
+
+    #[test]
+    fn inner_solve_is_sequential_pcg_at_one_all_gather_per_iteration() {
+        use crate::pcg::pcg;
+        use crate::solver::SolverConfig;
+        use esrcg_cluster::{run_spmd, CostModel};
+        use esrcg_precond::PrecondSpec;
+        use esrcg_sparse::gen::poisson3d;
+        use esrcg_sparse::Partition;
+        use std::sync::Arc;
+
+        let n_ranks = 8;
+        let a = poisson3d(8, 8, 8);
+        let n = a.nrows();
+        let cfg = SolverConfig::new(Strategy::esr(), 3);
+        let pre = PrecondSpec::paper_default();
+        let shared = SharedProblem::assemble(a, vec![1.0; n], vec![0.0; n], n_ranks, pre, cfg);
+        let shared = Arc::new(shared.expect("valid problem"));
+        let rhs = |g: usize| (g as f64 * 0.37).sin() + 0.5;
+        let subgroups: [&[usize]; 3] = [&[5], &[2, 3], &[1, 4, 6]];
+        for failed in subgroups {
+            let psi = failed.len();
+            let out = run_spmd(n_ranks, CostModel::default(), {
+                let shared = shared.clone();
+                move |ctx| {
+                    let me = ctx.rank();
+                    if failed.binary_search(&me).is_err() {
+                        return None;
+                    }
+                    let range = shared.part.range(me);
+                    let mut scratch = RecoveryScratch::default();
+                    scratch.prepare(range.len(), n);
+                    for (w, g) in scratch.w.iter_mut().zip(range.clone()) {
+                        *w = rhs(g);
+                    }
+                    let own: Vec<usize> = range.clone().collect();
+                    let cache = DomainCache::build(&shared.a, &shared.part, &own, failed);
+                    let inner = LocalInnerSolve::build(&shared, range);
+                    let sent = |ctx: &Ctx| ctx.stats().msgs_sent.iter().sum::<u64>();
+                    let before = sent(ctx);
+                    let k = distributed_inner_solve(
+                        ctx,
+                        &shared,
+                        failed,
+                        &mut scratch,
+                        &cache,
+                        &inner.precond,
+                    );
+                    Some((k, scratch.ix, sent(ctx) - before))
+                }
+            });
+
+            // The sequential oracle: PCG on A[I_f, I_f] with the same
+            // blocks — each failed rank's range cut by the inner block size.
+            let idx: Vec<usize> = failed.iter().flat_map(|&f| shared.part.range(f)).collect();
+            let a_ff = shared.a.principal_submatrix(&idx);
+            let mut offsets = vec![0];
+            for &f in failed {
+                offsets.push(offsets.last().unwrap() + shared.part.range(f).len());
+            }
+            let blocks = Partition::from_offsets(offsets);
+            let inner_pre =
+                BlockJacobiPrecond::new(&a_ff, &blocks, shared.cfg.inner_max_block).unwrap();
+            let w: Vec<f64> = idx.iter().map(|&g| rhs(g)).collect();
+            let (rtol, cap) = (shared.cfg.inner_rtol, shared.cfg.inner_max_iters);
+            let seq = pcg(&a_ff, &w, &vec![0.0; idx.len()], &inner_pre, rtol, cap);
+            assert!(seq.converged, "ψ = {psi}");
+
+            let mut x = Vec::new();
+            let k0 = out.results[failed[0]].as_ref().expect("a replacement").0;
+            let k_seq = seq.iterations;
+            assert!(k0.abs_diff(k_seq) <= 1, "ψ = {psi}: {k0} vs {k_seq}");
+            let rounds = k0 as u64 + 1;
+            for &f in failed {
+                let (k, ix, sent) = out.results[f].as_ref().expect("a replacement");
+                assert_eq!(*k, k0, "ψ = {psi}: k is replicated");
+                // One halo round per operator application (k + 1 of them),
+                // one all-gather to the ψ − 1 others per reduction.
+                let peers = shared.plan.sends_of(f).iter();
+                let halo = peers.filter(|(d, _)| failed.contains(d)).count() as u64;
+                let gathers = (psi as u64 - 1) * rounds;
+                assert_eq!(*sent, halo * rounds + gathers, "ψ = {psi}, rank {f}");
+                x.extend_from_slice(ix);
+            }
+            let diff = x.iter().zip(&seq.x).map(|(a, b)| (a - b) * (a - b));
+            let norm = seq.x.iter().map(|v| v * v).sum::<f64>().sqrt();
+            let rel = diff.sum::<f64>().sqrt() / norm;
+            assert!(rel < 1e-12, "ψ = {psi}: relative difference {rel:e}");
         }
     }
 

@@ -10,7 +10,7 @@
 //!
 //! * `RecoveryScratch` — the reconstruction vectors of paper Alg. 2
 //!   (`p^(ĵ−1)`, `p^(ĵ)`, coverage flags, `w`, the masked-SpMV output,
-//!   and the inner solve's five vectors plus its full-length gather buffer),
+//!   and the inner solve's six vectors plus its full-length gather buffer),
 //!   resized once and reused across failure events,
 //! * `DomainCache` — per failure domain (the sorted set of failed ranks):
 //!   the membership mask of `I_f` and the two column-split row extractions
@@ -59,14 +59,17 @@ pub(crate) struct RecoveryScratch {
     pub cov_cur: Vec<bool>,
     pub w: Vec<f64>,
     pub ax: Vec<f64>,
-    /// Inner-solve vectors (`x`, `r`, `z`, `p`, `q`) over the local rows.
+    /// Inner-solve vectors over the local rows: `x`, `r`, `z ≡ u = P r`,
+    /// `q = A u`, `p`, and `s = A p`, which the single-reduction recurrence
+    /// carries instead of recomputing.
     pub ix: Vec<f64>,
     pub ir: Vec<f64>,
     pub iz: Vec<f64>,
-    pub ip: Vec<f64>,
     pub iq: Vec<f64>,
-    /// Full-length gather buffer for the inner halo exchange.
-    pub p_full: Vec<f64>,
+    pub ip: Vec<f64>,
+    pub is: Vec<f64>,
+    /// Full-length gather buffer for the inner halo exchange of `u`.
+    pub u_full: Vec<f64>,
 }
 
 impl RecoveryScratch {
@@ -84,9 +87,10 @@ impl RecoveryScratch {
         resize_zeroed(&mut self.ix, nloc);
         resize_zeroed(&mut self.ir, nloc);
         resize_zeroed(&mut self.iz, nloc);
-        resize_zeroed(&mut self.ip, nloc);
         resize_zeroed(&mut self.iq, nloc);
-        resize_zeroed(&mut self.p_full, n);
+        resize_zeroed(&mut self.ip, nloc);
+        resize_zeroed(&mut self.is, nloc);
+        resize_zeroed(&mut self.u_full, n);
     }
 }
 
@@ -107,7 +111,7 @@ pub(crate) struct DomainCache {
     pub a_in: CsrMatrix,
     /// Interior/boundary split of `a_in`'s (local) rows with respect to
     /// this rank's own global column range: interior rows of the inner
-    /// SpMV read only the rank's own `p` chunk and can compute while the
+    /// SpMV read only the rank's own `u` chunk and can compute while the
     /// replacement-subgroup halo is in flight.
     pub inner_split: RowSplit,
 }
@@ -186,7 +190,7 @@ mod tests {
         let mut s = RecoveryScratch::default();
         s.prepare(5, 20);
         assert_eq!(s.p_prev.len(), 5);
-        assert_eq!(s.p_full.len(), 20);
+        assert_eq!(s.u_full.len(), 20);
         s.p_prev[0] = 3.0;
         s.cov_cur[4] = true;
         s.prepare(5, 20);
@@ -194,7 +198,7 @@ mod tests {
         assert!(!s.cov_cur[4]);
         s.prepare(7, 10);
         assert_eq!(s.ax.len(), 7);
-        assert_eq!(s.p_full.len(), 10);
+        assert_eq!(s.u_full.len(), 10);
     }
 
     #[test]

@@ -11,12 +11,17 @@
 //! column-split operators, the inner preconditioner — but a bounded number
 //! of times that does not depend on the outer SpMV's storage format, and a
 //! second event in the same failure domain reuses what the first one built.
+//! The inner reconstruction solve's loop allocates nothing: an event whose
+//! inner solve runs more iterations allocates exactly as often.
 //!
 //! One test per binary on purpose: the counter is process-wide.
 
 mod counting_alloc;
 
+use esrcg::cluster::run_spmd;
+use esrcg::core::solver::{solve_node, SharedProblem, SolverConfig};
 use esrcg::prelude::*;
+use esrcg::sparse::gen::poisson2d;
 use esrcg::sparse::SpmvFormat;
 
 /// The probe: Poisson2d 64², 8 ranks (converges at iteration 119).
@@ -63,6 +68,26 @@ fn allocations_with_failures(format: SpmvFormat, psi: usize, failures: &[usize])
     allocations
 }
 
+/// Allocations of one ESR solve of the probe at φ = 2 in which ranks 3 and
+/// 4 fail at iteration 50, with the inner solve run to `inner_rtol`, and the
+/// replacements' inner iteration count. Assembly is not counted.
+fn esr_event_with_inner_rtol(inner_rtol: f64) -> (u64, usize) {
+    let a = poisson2d(64, 64);
+    let n = a.nrows();
+    let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.137).sin() + 0.5).collect();
+    let b = a.spmv(&x_true);
+    let mut cfg = SolverConfig::new(Strategy::esr(), 2);
+    cfg.inner_rtol = inner_rtol;
+    cfg.failures = vec![FailureSpec::contiguous(50, 3, 2, 8)];
+    let pre = PrecondSpec::paper_default();
+    let shared = SharedProblem::assemble(a, b, vec![0.0; n], 8, pre, cfg).expect("probe");
+    let before = counting_alloc::allocations();
+    let out = run_spmd(8, CostModel::default(), |ctx| solve_node(ctx, &shared));
+    let allocations = counting_alloc::allocations() - before;
+    assert!(out.results.iter().all(|o| o.converged));
+    (allocations, out.results[3].recoveries[0].inner_iterations)
+}
+
 #[test]
 fn iterations_past_the_warm_up_add_no_allocation() {
     allocations_of(Strategy::None, PcgVariant::Classic, 80); // one-time lookups
@@ -107,6 +132,15 @@ fn iterations_past_the_warm_up_add_no_allocation() {
             "ψ = {psi}: a second event in the same failure domain allocated {second} times, the first {first}"
         );
     }
+    // The inner loop allocates nothing: more inner iterations, same count.
+    esr_event_with_inner_rtol(1e-14); // one-time lookups
+    let (tight, tight_iters) = esr_event_with_inner_rtol(1e-14);
+    let (loose, loose_iters) = esr_event_with_inner_rtol(1e-10);
+    assert!(loose_iters < tight_iters, "{loose_iters} vs {tight_iters}");
+    assert_eq!(
+        tight, loose,
+        "an inner solve of {tight_iters} iterations allocated {tight} times, of {loose_iters} {loose}"
+    );
     for format in [SpmvFormat::sell(), SpmvFormat::bcsr3()] {
         let first = run(format, 1, &[50]) - run(format, 1, &[]);
         assert!(

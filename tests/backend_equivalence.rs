@@ -318,10 +318,15 @@ struct PinnedRun {
 /// purpose since — when the ASpMV's copies began riding the halo, and when
 /// the inner solve's reductions became a subgroup all-gather and the
 /// recovery barriers a dissemination barrier — each time with every other
-/// field asserted unchanged and every clock lower. The solution, both iteration counts,
-/// the modeled clock, every recovery's resume point and modeled cost and
-/// the tuner's decisions must not move. A mismatch prints the observed row
-/// in table syntax.
+/// field asserted unchanged and every clock lower. The inner solve's
+/// single-reduction recurrence re-recorded the ESR/ESRP reconstruction rows
+/// once more: their `x_hash` moved (the inner solve rounds differently and
+/// nothing else reads `x`), ψ = 2 recoveries 15–16 % cheaper, ψ = 1
+/// recoveries 4.3–4.7 % dearer, every count, resume point and tuner
+/// decision unchanged, every IMCR and full-restart row untouched. The
+/// solution, both iteration counts, the modeled clock, every recovery's
+/// resume point and modeled cost and the tuner's decisions must not move.
+/// A mismatch prints the observed row in table syntax.
 #[test]
 fn failure_runs_reproduce_the_recorded_bits() {
     const SSTEP4: PcgVariant = PcgVariant::SStep { s: 4 };
@@ -337,10 +342,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 41,
-            modeled_bits: 0x3f63931784572353,
-            recoveries: &[(12, 12, 0x3f3f48488ba2beec)],
+            modeled_bits: 0x3f63c14bdb5cffc2,
+            recoveries: &[(12, 12, 0x3f405cf5a1e8d146)],
             intervals_after: &[],
-            x_hash: 0x5df94cd43fda4ceb,
+            x_hash: 0xe85dcc71a8e877e9,
         },
         PinnedRun {
             name: "pipelined esr mid-run",
@@ -350,10 +355,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 41,
-            modeled_bits: 0x3f60c575d3ec1d80,
-            recoveries: &[(12, 12, 0x3f40b6b23cf79383)],
+            modeled_bits: 0x3f60f3aa2af1f9ed,
+            recoveries: &[(12, 12, 0x3f416f83990f0549)],
             intervals_after: &[],
-            x_hash: 0xf87c96effe09abdc,
+            x_hash: 0xf7f4a1fb9d3ef258,
         },
         PinnedRun {
             name: "sstep4 esr mid-run",
@@ -363,10 +368,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f6355a7a96f4fa6,
-            recoveries: &[(12, 12, 0x3f3f59fb4fba865c)],
+            modeled_bits: 0x3f6383dc00752c18,
+            recoveries: &[(12, 12, 0x3f4065cf03f4b4fe)],
             intervals_after: &[],
-            x_hash: 0x8f4ca11f5a7badf8,
+            x_hash: 0x4104631bf8d0aab2,
         },
         PinnedRun {
             name: "classic esrp5 mid-run",
@@ -376,10 +381,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 42,
-            modeled_bits: 0x3f6a483b66220c3c,
-            recoveries: &[(12, 11, 0x3f54b1a6afc4d496)],
+            modeled_bits: 0x3f68ab4b8c5e69b3,
+            recoveries: &[(12, 11, 0x3f5177c6fc3d8f40)],
             intervals_after: &[],
-            x_hash: 0xc7ae1b02529d4835,
+            x_hash: 0xc9326f072cfa43f7,
         },
         PinnedRun {
             name: "pipelined esrp5 mid-run",
@@ -389,10 +394,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 42,
-            modeled_bits: 0x3f6645f71987e64b,
-            recoveries: &[(12, 11, 0x3f553a7c762257b9)],
+            modeled_bits: 0x3f64a9073fc443c4,
+            recoveries: &[(12, 11, 0x3f52009cc29b125f)],
             intervals_after: &[],
-            x_hash: 0x5ed75f9ca9c9228f,
+            x_hash: 0x3495a5e4c8a80e3c,
         },
         PinnedRun {
             name: "sstep4 esrp5 mid-run",
@@ -402,10 +407,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f6b14e0bb36102f,
-            recoveries: &[(12, 8, 0x3f54b1a6afc4d497)],
+            modeled_bits: 0x3f6977f0e1726d93,
+            recoveries: &[(12, 8, 0x3f5177c6fc3d8f41)],
             intervals_after: &[],
-            x_hash: 0xc75828b6168e0d3c,
+            x_hash: 0x71f9e7b1c81d199e,
         },
         PinnedRun {
             name: "classic imcr5 mid-run",
@@ -454,10 +459,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(18, 1, 1)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f6355a7a96f4fa8,
-            recoveries: &[(18, 16, 0x3f3f59fb4fba8684)],
+            modeled_bits: 0x3f6383dc00752c1e,
+            recoveries: &[(18, 16, 0x3f4065cf03f4b522)],
             intervals_after: &[],
-            x_hash: 0xe955e466e1f10c5d,
+            x_hash: 0x3d7c687df547a7f5,
         },
         PinnedRun {
             name: "sstep4 esrp5 mid-block",
@@ -467,10 +472,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(18, 1, 2)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f69b6f89fb9b2e3,
-            recoveries: &[(18, 16, 0x3f54b1aeafc4d483)],
+            modeled_bits: 0x3f681a08c5f61056,
+            recoveries: &[(18, 16, 0x3f5177cefc3d8f45)],
             intervals_after: &[],
-            x_hash: 0x162a0df74588cf5f,
+            x_hash: 0x5420801647398efa,
         },
         PinnedRun {
             name: "sstep4 imcr5 mid-block",
@@ -571,10 +576,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 47,
-            modeled_bits: 0x3f6988919a770ee0,
-            recoveries: &[(12, 11, 0x3f3f49a02490e1f4), (25, 21, 0x3f3f59fb4fba869c)],
+            modeled_bits: 0x3f69e4fa4882c7c2,
+            recoveries: &[(12, 11, 0x3f405da16e5fe2ca), (25, 21, 0x3f4065cf03f4b506)],
             intervals_after: &[5, 1],
-            x_hash: 0x4835ced1f94c28a9,
+            x_hash: 0x624dc24ec1269248,
         },
         PinnedRun {
             name: "pipelined esrp5 adaptive two-event",
@@ -584,10 +589,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 47,
-            modeled_bits: 0x3f65d5a12e356139,
-            recoveries: &[(12, 11, 0x3f40bea934984972), (25, 21, 0x3f40b7d4a762c180)],
+            modeled_bits: 0x3f663209dc411a1e,
+            recoveries: &[(12, 11, 0x3f41777a90afbb36), (25, 21, 0x3f4170a6037a3364)],
             intervals_after: &[5, 1],
-            x_hash: 0x0fb03edc8e77d1f6,
+            x_hash: 0xf3b599bd74542c05,
         },
         PinnedRun {
             name: "sstep4 esrp5 adaptive two-event",
@@ -597,10 +602,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f68d7ec1f11be16,
-            recoveries: &[(12, 8, 0x3f3f59fb4fba8658), (25, 24, 0x3f3f23db4fba8698)],
+            modeled_bits: 0x3f693454cd1d76f5,
+            recoveries: &[(12, 8, 0x3f4065cf03f4b4fa), (25, 24, 0x3f404abf03f4b4fa)],
             intervals_after: &[5, 1],
-            x_hash: 0xe7e4be4569c5ab16,
+            x_hash: 0xf24c2ea2e2a10c97,
         },
         PinnedRun {
             name: "classic imcr5 adaptive two-event",
@@ -657,10 +662,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
                 failures: &[(12, 3, 1)],
                 iterations: 40,
                 total_loop_trips: 42,
-                modeled_bits: 0x3f63f49987019156,
-                recoveries: &[(12, 11, 0x3f37d06e0ceaecba)],
+                modeled_bits: 0x3f6416729fb714da,
+                recoveries: &[(12, 11, 0x3f38df36d29708e6)],
                 intervals_after: &[],
-                x_hash: 0xa8541255c7c74e9d,
+                x_hash: 0x3a4cdada55f4272e,
             },
         ),
         (
