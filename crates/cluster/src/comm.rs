@@ -161,16 +161,6 @@ impl Ctx {
         self.buffers.recycle_f64s(v);
     }
 
-    /// Shorthand for [`BufferPool::take_pairs`] on this rank's pool.
-    pub fn take_pairs(&mut self) -> Vec<(usize, f64)> {
-        self.buffers.take_pairs()
-    }
-
-    /// Shorthand for [`BufferPool::recycle_pairs`] on this rank's pool.
-    pub fn recycle_pairs(&mut self, v: Vec<(usize, f64)>) {
-        self.buffers.recycle_pairs(v);
-    }
-
     /// Hands the consumed buffer of a message received under `tag` back to
     /// its sender `to`, which [`Ctx::reclaim`]s it. A payload buffer moves
     /// with its message, so traffic that flows one way between two ranks
@@ -210,8 +200,9 @@ impl Ctx {
         self.trace.instant(kind, arg, self.clock);
     }
 
-    /// Records one recovery episode as a span between the entry and exit
-    /// barrier clocks of `recover()`. A no-op unless tracing is enabled.
+    /// Records this rank's part of one recovery episode as a span from the
+    /// clock the entry barrier of `recover()` agreed on to the rank's own
+    /// clock when its part ended. A no-op unless tracing is enabled.
     #[inline]
     pub fn trace_recovery_span(&mut self, start: f64, end: f64) {
         self.trace.recovery(start, end);

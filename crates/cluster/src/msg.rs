@@ -11,30 +11,28 @@
 /// Typed message payloads exchanged between ranks.
 ///
 /// The solver's protocols only ever move a handful of shapes: raw `f64`
-/// vectors (halo exchange, checkpoints), `(global index, value)` pairs
-/// (redundant-copy recovery), single scalars, and empty control messages. An enum keeps the message layer simple and lets the
-/// instrumentation compute payload sizes without serialization.
+/// vectors (halo exchange, checkpoints, the recovery gather), single
+/// scalars, and empty control messages. An enum keeps the message layer
+/// simple and lets the instrumentation compute payload sizes without
+/// serialization.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// No data (barriers, acknowledgements).
     Empty,
-    /// A single scalar (e.g. the replicated β during recovery).
+    /// A single scalar (e.g. a clock-barrier round).
     Scalar(f64),
     /// A dense vector chunk.
     F64s(Vec<f64>),
-    /// Sparse `(global index, value)` pairs (redundant copies).
-    Pairs(Vec<(usize, f64)>),
 }
 
 impl Payload {
     /// Payload size in bytes, as charged by the cost model. Matches what a
-    /// compact wire encoding would carry (8 bytes per scalar/index).
+    /// compact wire encoding would carry (8 bytes per value).
     pub fn bytes(&self) -> usize {
         match self {
             Payload::Empty => 0,
             Payload::Scalar(_) => 8,
             Payload::F64s(v) => 8 * v.len(),
-            Payload::Pairs(v) => 16 * v.len(),
         }
     }
 
@@ -59,20 +57,9 @@ impl Payload {
             other => panic!("protocol error: expected Scalar, got {other:?}"),
         }
     }
-
-    /// Unwraps a `Pairs` payload.
-    ///
-    /// # Panics
-    /// Panics if the payload has a different shape.
-    pub fn into_pairs(self) -> Vec<(usize, f64)> {
-        match self {
-            Payload::Pairs(v) => v,
-            other => panic!("protocol error: expected Pairs, got {other:?}"),
-        }
-    }
 }
 
-/// Most parked buffers a [`BufferPool`] keeps per shape; beyond this,
+/// Most parked buffers a [`BufferPool`] keeps; beyond this,
 /// recycled buffers are simply dropped (a backstop against pathological
 /// protocols hoarding memory, not a limit any solver phase reaches).
 const MAX_POOLED: usize = 64;
@@ -80,14 +67,14 @@ const MAX_POOLED: usize = 64;
 /// Reuse counters of a [`BufferPool`] (see [`BufferPool::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferPoolStats {
-    /// Buffers requested via the `take_*` methods.
+    /// Buffers requested via [`BufferPool::take_f64s`].
     pub takes: u64,
     /// Takes served from the free list (the rest allocated fresh).
     pub hits: u64,
     /// Buffers successfully parked by the `recycle*` methods (zero-capacity
     /// and overflow buffers are dropped, not counted).
     pub recycles: u64,
-    /// Most buffers parked across all shapes at any point.
+    /// Most buffers parked at any point.
     pub high_water: u64,
 }
 
@@ -107,17 +94,17 @@ impl BufferPoolStats {
     }
 }
 
-/// Per-rank free lists of payload backing buffers.
+/// Per-rank free list of payload backing buffers.
 ///
-/// `take_*` hands out an **empty** buffer (pooled capacity when available,
-/// fresh otherwise); `recycle*` parks a consumed buffer for the next take.
+/// `take_f64s` hands out an **empty** buffer (pooled capacity when
+/// available, fresh otherwise); `recycle*` parks a consumed buffer for the
+/// next take.
 /// Every [`crate::Ctx`] owns one, so the hot communication paths — halo
 /// exchange, tree collectives, redundant-copy and checkpoint traffic —
 /// reuse payload storage instead of allocating per message.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     f64s: Vec<Vec<f64>>,
-    pairs: Vec<Vec<(usize, f64)>>,
     stats: BufferPoolStats,
 }
 
@@ -127,11 +114,12 @@ impl BufferPool {
         Self::default()
     }
 
-    fn take<T>(list: &mut Vec<Vec<T>>, stats: &mut BufferPoolStats) -> Vec<T> {
-        stats.takes += 1;
-        match list.pop() {
+    /// An empty `f64` buffer (pooled capacity when available).
+    pub fn take_f64s(&mut self) -> Vec<f64> {
+        self.stats.takes += 1;
+        match self.f64s.pop() {
             Some(mut v) => {
-                stats.hits += 1;
+                self.stats.hits += 1;
                 v.clear();
                 v
             }
@@ -139,45 +127,16 @@ impl BufferPool {
         }
     }
 
-    fn park<T>(list: &mut Vec<Vec<T>>, mut v: Vec<T>) -> bool {
-        if list.len() < MAX_POOLED && v.capacity() > 0 {
-            v.clear();
-            list.push(v);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn note_recycle(&mut self) {
-        self.stats.recycles += 1;
-        let parked = self.parked() as u64;
-        if parked > self.stats.high_water {
-            self.stats.high_water = parked;
-        }
-    }
-
-    /// An empty `f64` buffer (pooled capacity when available).
-    pub fn take_f64s(&mut self) -> Vec<f64> {
-        Self::take(&mut self.f64s, &mut self.stats)
-    }
-
-    /// An empty `(index, value)` pair buffer.
-    pub fn take_pairs(&mut self) -> Vec<(usize, f64)> {
-        Self::take(&mut self.pairs, &mut self.stats)
-    }
-
     /// Parks a consumed `f64` buffer for reuse.
-    pub fn recycle_f64s(&mut self, v: Vec<f64>) {
-        if Self::park(&mut self.f64s, v) {
-            self.note_recycle();
-        }
-    }
-
-    /// Parks a consumed pair buffer for reuse.
-    pub fn recycle_pairs(&mut self, v: Vec<(usize, f64)>) {
-        if Self::park(&mut self.pairs, v) {
-            self.note_recycle();
+    pub fn recycle_f64s(&mut self, mut v: Vec<f64>) {
+        if self.f64s.len() < MAX_POOLED && v.capacity() > 0 {
+            v.clear();
+            self.f64s.push(v);
+            self.stats.recycles += 1;
+            let parked = self.parked() as u64;
+            if parked > self.stats.high_water {
+                self.stats.high_water = parked;
+            }
         }
     }
 
@@ -187,13 +146,12 @@ impl BufferPool {
         match payload {
             Payload::Empty | Payload::Scalar(_) => {}
             Payload::F64s(v) => self.recycle_f64s(v),
-            Payload::Pairs(v) => self.recycle_pairs(v),
         }
     }
 
-    /// Buffers currently parked across all shapes.
+    /// Buffers currently parked.
     pub fn parked(&self) -> usize {
-        self.f64s.len() + self.pairs.len()
+        self.f64s.len()
     }
 
     /// Reuse counters since construction.
@@ -250,12 +208,10 @@ pub enum Tag {
     Redundant = 17,
     /// IMCR checkpoint traffic.
     Checkpoint = 18,
-    /// Recovery: redundant-copy retrieval.
+    /// Recovery: the ESR/ESRP gather — one message per (survivor,
+    /// replacement) pair carrying the redundant copies of `p^(ĵ−1)` and
+    /// `p^(ĵ)`, the `x` halo and, from one survivor, the replicated scalars.
     RecoveryCopies = 19,
-    /// Recovery: halo of starred/current vectors.
-    RecoveryHalo = 20,
-    /// Recovery: replicated scalars (β).
-    RecoveryScalar = 21,
     /// Recovery: checkpoint retrieval (IMCR).
     RecoveryCkpt = 22,
     /// Recovery: inner-solve scatter/gather.
@@ -295,14 +251,12 @@ mod tests {
         assert_eq!(Payload::Empty.bytes(), 0);
         assert_eq!(Payload::Scalar(1.0).bytes(), 8);
         assert_eq!(Payload::F64s(vec![0.0; 5]).bytes(), 40);
-        assert_eq!(Payload::Pairs(vec![(1, 2.0)]).bytes(), 16);
     }
 
     #[test]
     fn unwrap_helpers() {
         assert_eq!(Payload::F64s(vec![1.0]).into_f64s(), vec![1.0]);
         assert_eq!(Payload::Scalar(2.5).into_scalar(), 2.5);
-        assert_eq!(Payload::Pairs(vec![(3, 4.0)]).into_pairs(), vec![(3, 4.0)]);
     }
 
     #[test]
@@ -322,8 +276,6 @@ mod tests {
             Tag::Redundant,
             Tag::Checkpoint,
             Tag::RecoveryCopies,
-            Tag::RecoveryHalo,
-            Tag::RecoveryScalar,
             Tag::RecoveryCkpt,
             Tag::RecoveryInner,
             Tag::PipelinedP,
@@ -364,10 +316,10 @@ mod tests {
         pool.recycle(Payload::Scalar(1.0));
         assert_eq!(pool.parked(), 0, "bufferless shapes park nothing");
         pool.recycle(Payload::F64s(vec![1.0]));
-        pool.recycle(Payload::Pairs(vec![(3, 4.0)]));
+        pool.recycle(Payload::F64s(vec![2.0, 3.0]));
         assert_eq!(pool.parked(), 2);
         assert!(pool.take_f64s().is_empty());
-        assert!(pool.take_pairs().is_empty());
+        assert!(pool.take_f64s().is_empty());
         assert_eq!(pool.stats().hits, 2);
     }
 
@@ -393,10 +345,10 @@ mod tests {
         let mut pool = BufferPool::new();
         let a = pool.take_f64s(); // miss
         pool.recycle_f64s(vec![0.0; 8]);
-        pool.recycle_pairs(vec![(1, 2.0)]);
+        pool.recycle_f64s(vec![1.0; 2]);
         assert_eq!(pool.stats().recycles, 2);
         assert_eq!(pool.stats().high_water, 2);
-        let _ = pool.take_pairs(); // hit: one parked buffer leaves
+        let _ = pool.take_f64s(); // hit: one parked buffer leaves
         pool.recycle_f64s(vec![0.0; 8]);
         assert_eq!(
             pool.stats().high_water,

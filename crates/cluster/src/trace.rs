@@ -96,8 +96,6 @@ pub fn tag_kind_name(kind: u32) -> &'static str {
         17 => "redundant",
         18 => "checkpoint",
         19 => "recovery-copies",
-        20 => "recovery-halo",
-        21 => "recovery-scalar",
         22 => "recovery-ckpt",
         23 => "recovery-inner",
         24 => "pipelined-p",
@@ -107,7 +105,7 @@ pub fn tag_kind_name(kind: u32) -> &'static str {
 }
 
 /// Number of distinct tag-kind slots the rollup tracks (indexed densely).
-const TAG_KIND_IDS: [u32; 15] = [1, 2, 3, 4, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 0];
+const TAG_KIND_IDS: [u32; 13] = [1, 2, 3, 4, 16, 17, 18, 19, 22, 23, 24, 25, 0];
 
 fn tag_kind_slot(kind: u32) -> usize {
     TAG_KIND_IDS
@@ -131,12 +129,14 @@ pub enum TraceEvent {
         /// Clock at which it left.
         end: f64,
     },
-    /// One recovery episode, bracketed by the entry/exit barriers of
-    /// `recover()`; `end - start` is the per-failure `recovery_time`.
+    /// This rank's part of one recovery episode: from the clock the entry
+    /// barrier of `recover()` agreed on to the rank's own clock when its
+    /// part ended. The longest of an episode's spans across ranks is the
+    /// per-failure `recovery_time`.
     RecoverySpan {
-        /// Clock after the entry barrier.
+        /// The agreed clock of the entry barrier (the same on every rank).
         start: f64,
-        /// Clock after the exit barrier.
+        /// This rank's clock when its part of the recovery ended.
         end: f64,
     },
     /// A logical point event.
@@ -399,20 +399,25 @@ impl MergedTrace {
         self.ranks.iter().map(|r| r.events.len()).sum()
     }
 
-    /// Sum of recovery span durations on rank 0, folded from `0.0` in event
-    /// order — the same fold the driver uses over `recoveries`, so for a
-    /// traced run this is bitwise equal to the reported recovery modeled
-    /// time.
+    /// Sum over recovery episodes of the episode's longest span across
+    /// ranks, folded from `0.0` in event order — the per-event maximum and
+    /// the fold the driver uses over `recoveries`, so for a traced run this
+    /// is bitwise equal to the reported recovery modeled time.
     pub fn recovery_seconds(&self) -> f64 {
-        let mut total = 0.0;
-        if let Some(rt) = self.ranks.first() {
-            for ev in &rt.events {
-                if let TraceEvent::RecoverySpan { start, end } = ev {
-                    total += end - start;
+        let mut longest: Vec<f64> = Vec::new();
+        for rt in &self.ranks {
+            let spans = rt.events.iter().filter_map(|ev| match ev {
+                TraceEvent::RecoverySpan { start, end } => Some(end - start),
+                _ => None,
+            });
+            for (event, span) in spans.enumerate() {
+                match longest.get_mut(event) {
+                    Some(max) => *max = max.max(span),
+                    None => longest.push(span),
                 }
             }
         }
-        total
+        longest.iter().fold(0.0, |total, span| total + span)
     }
 
     /// Render Chrome/Perfetto trace-event JSON: one `pid 0` process, one
@@ -504,14 +509,16 @@ impl MergedTrace {
     /// [`MetricsRollup`].
     ///
     /// Replicated logical events — iterations, reductions, failures,
-    /// checkpoint/storage rounds, tuner decisions, recovery spans — are
-    /// counted on rank 0 only (every rank records the same ones). Phase
-    /// spans/durations and message counters are summed across ranks, like
-    /// `RankStats` totals.
+    /// checkpoint/storage rounds, tuner decisions, recovery episodes — are
+    /// counted on rank 0 only (every rank records the same ones); an
+    /// episode's duration is its longest span across ranks
+    /// ([`MergedTrace::recovery_seconds`]). Phase spans/durations and
+    /// message counters are summed across ranks, like `RankStats` totals.
     pub fn rollup(&self, pools: &[BufferPoolStats]) -> MetricsRollup {
         let n_ranks = self.ranks.len();
         let mut r = MetricsRollup {
             msgs_to_peer: vec![0; n_ranks],
+            recovery_seconds: self.recovery_seconds(),
             ..MetricsRollup::default()
         };
         for (i, rt) in self.ranks.iter().enumerate() {
@@ -523,10 +530,9 @@ impl MergedTrace {
                         r.phase_spans[p] += 1;
                         r.phase_seconds[p] += end - start;
                     }
-                    TraceEvent::RecoverySpan { start, end } => {
+                    TraceEvent::RecoverySpan { .. } => {
                         if canonical {
                             r.recovery_spans += 1;
-                            r.recovery_seconds += end - start;
                         }
                     }
                     TraceEvent::Instant { kind, .. } => {
@@ -592,8 +598,8 @@ pub struct MetricsRollup {
     pub reductions: u64,
     /// Recovery episodes (rank 0).
     pub recovery_spans: u64,
-    /// Recovery span durations summed in event order on rank 0; bitwise equal
-    /// to the run's reported recovery modeled time.
+    /// Each episode's longest span across ranks, summed in event order;
+    /// bitwise equal to the run's reported recovery modeled time.
     pub recovery_seconds: f64,
     /// Failure triggers (rank 0).
     pub failures: u64,
@@ -1069,9 +1075,10 @@ mod tests {
                     arg: 0,
                     at: 0.6,
                 },
+                // Each rank's part of the episode ends at its own clock.
                 TraceEvent::RecoverySpan {
                     start: 1.0,
-                    end: 1.5,
+                    end: 1.5 + 0.25 * rank as f64,
                 },
                 TraceEvent::Send {
                     peer: 1 - rank,
@@ -1095,7 +1102,8 @@ mod tests {
         assert_eq!(r.iterations, 1);
         assert_eq!(r.reductions, 1);
         assert_eq!(r.recovery_spans, 1);
-        assert_eq!(r.recovery_seconds, 0.5);
+        assert_eq!(r.recovery_seconds, 0.75, "the episode's longest span");
+        assert_eq!(trace.recovery_seconds(), 0.75);
         assert_eq!(r.sends, 2);
         assert_eq!(r.recvs, 2);
         assert_eq!(r.phase_spans[Phase::SpMV as usize], 2);

@@ -390,21 +390,19 @@ impl Experiment {
         }
         let first = &outcome.results[0];
         // Aggregate per-event recovery reports: everything except the
+        // recovery time (each rank's part ends on its own clock) and the
         // inner-solve iteration count is identical across ranks; take the
-        // per-event maximum of the latter.
+        // per-event maximum of those two.
         let recoveries: Vec<_> = first
             .recoveries
             .iter()
             .enumerate()
             .map(|(e, rec)| {
                 let mut rec = rec.clone();
-                rec.inner_iterations = outcome
-                    .results
-                    .iter()
-                    .filter_map(|o| o.recoveries.get(e))
-                    .map(|r| r.inner_iterations)
-                    .max()
-                    .unwrap_or(0);
+                for r in outcome.results.iter().filter_map(|o| o.recoveries.get(e)) {
+                    rec.recovery_time = rec.recovery_time.max(r.recovery_time);
+                    rec.inner_iterations = rec.inner_iterations.max(r.inner_iterations);
+                }
                 rec
             })
             .collect();

@@ -8,6 +8,7 @@
 //! recovery must fall back to the previous stage's pair (paper §3).
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// One stored redundant copy: the entries this rank received during the
 /// ASpMV of iteration `iter`.
@@ -109,32 +110,23 @@ impl RedundancyQueue {
         self.slots.clear();
     }
 
-    /// The entries held for iteration `iter` whose global index lies within
-    /// `lo..hi` — what a survivor contributes when the ranks owning
-    /// `lo..hi` failed.
-    pub fn entries_in_range(&self, iter: usize, lo: usize, hi: usize) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        self.entries_in_range_into(iter, lo, hi, &mut out);
-        out
-    }
-
-    /// [`Self::entries_in_range`] appending into a caller-supplied buffer
-    /// (typically a pooled payload buffer) instead of allocating.
-    pub fn entries_in_range_into(
+    /// Appends to `out` the values held for iteration `iter` whose global
+    /// index lies within `owned` — what a survivor contributes when the rank
+    /// owning `owned` failed — in capture order, which is the order of the
+    /// owner's static send lists. Returns false, appending nothing, if no
+    /// slot holds `iter`.
+    pub fn values_in_range_into(
         &self,
         iter: usize,
-        lo: usize,
-        hi: usize,
-        out: &mut Vec<(usize, f64)>,
-    ) {
-        if let Some(s) = self.slot(iter) {
-            out.extend(
-                s.entries
-                    .iter()
-                    .copied()
-                    .filter(|&(g, _)| g >= lo && g < hi),
-            );
-        }
+        owned: Range<usize>,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        let Some(s) = self.slot(iter) else {
+            return false;
+        };
+        let of_owner = s.entries.iter().filter(|(g, _)| owned.contains(g));
+        out.extend(of_owner.map(|&(_, v)| v));
+        true
     }
 
     /// Total stored pairs across slots (memory footprint metric).
@@ -237,10 +229,13 @@ mod tests {
     #[test]
     fn entries_in_range_filters() {
         let mut q = RedundancyQueue::new();
-        q.push(7, vec![(3, 0.3), (10, 1.0), (11, 1.1), (25, 2.5)]);
-        assert_eq!(q.entries_in_range(7, 10, 20), vec![(10, 1.0), (11, 1.1)]);
-        assert!(q.entries_in_range(8, 0, 100).is_empty(), "missing slot");
-        assert!(q.entries_in_range(7, 50, 60).is_empty());
+        q.push(7, vec![(3, 0.3), (11, 1.1), (25, 2.5), (10, 1.0)]);
+        let mut out = vec![-1.0];
+        assert!(q.values_in_range_into(7, 10..20, &mut out));
+        assert_eq!(out, vec![-1.0, 1.1, 1.0], "appended in capture order");
+        assert!(!q.values_in_range_into(8, 0..100, &mut out), "missing slot");
+        assert!(q.values_in_range_into(7, 50..60, &mut out));
+        assert_eq!(out.len(), 3);
     }
 
     #[test]

@@ -485,19 +485,14 @@ trait Recurrence {
     /// IMCR rollback (every rank copied a checkpoint back) and false after
     /// an ESR/ESRP reconstruction.
     ///
-    /// Classic blobs carry β but not r·z, so the replicated scalar is
-    /// recomputed in both cases — after IMCR from bitwise-restored r and
-    /// z, giving back the exact checkpoint-time value. SStep rolls back to
-    /// a block start, where its state is exactly classic-shaped (x, r, z,
-    /// p, β) and the transient Krylov block is definitionally empty — the
-    /// next outer step rebuilds the basis from definitions, so it takes the
-    /// same path.
-    fn resync_after_rollback(&mut self, ctx: &mut Ctx, node: &mut Node<'_>, _bitwise: bool) {
-        let st = &mut node.st;
-        let rz_loc = node.be.dot(&st.r, &st.z);
-        ctx.charge_flops(2 * st.r.len() as u64);
-        st.rz = ctx.allreduce_sum_scalar(rz_loc);
-    }
+    /// Nothing is left to do for a classic-shaped state (x, r, z, p, β and
+    /// the replicated r·z): the recovery restored r·z with the rest — from
+    /// the snapshot, or on a replacement from the gather or the fetched
+    /// checkpoint. SStep rolls back to a block start, where its state is
+    /// exactly classic-shaped and the transient Krylov block is
+    /// definitionally empty — the next outer step rebuilds the basis from
+    /// definitions.
+    fn resync_after_rollback(&mut self, _ctx: &mut Ctx, _node: &mut Node<'_>, _bitwise: bool) {}
 
     /// Called once the loop has resumed at `out.resumed_at` and the tuner
     /// has had its say, outside the recovery's timed span.
@@ -863,6 +858,7 @@ fn checkpoint_exchange(ctx: &mut Ctx, shared: &SharedProblem, st: &mut NodeState
             s,
             Snapshot {
                 iter: j,
+                rz: st.rz,
                 blob: data,
             },
         );

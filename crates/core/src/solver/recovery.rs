@@ -8,19 +8,26 @@
 //! `(source, tag)`, and the participants derive identical protocol decisions
 //! from shared static data, so the exchange is deterministic and cannot
 //! deadlock (sends never block).
+//!
+//! After the entry barrier — the agreement on the failed set — a
+//! replacement receives exactly one round of messages: one gather message
+//! from each survivor with something to send it (ESR/ESRP) or its
+//! checkpoint from one buddy (IMCR). Nothing synchronizes after that; each
+//! rank's part of the recovery ends on its own clock.
 
 use esrcg_cluster::{Ctx, Payload, Phase, Tag};
 use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
 
 use crate::dist::halo::{HaloExchange, PlanView};
-use crate::solver::state::NodeState;
+use crate::solver::state::{checkpoint_blob_len, NodeState};
 use crate::solver::workspace::{DomainCache, LocalInnerSolve, RecoveryScratch, SolverWorkspace};
 use crate::solver::{Node, Recurrence, SharedProblem};
 use crate::strategy::Strategy;
 
 /// What a recovery did, as reported by every rank (identical everywhere
-/// except `inner_iterations`, which every replacement knows and every
-/// survivor reports as 0; the driver takes the maximum over ranks).
+/// except `recovery_time`, which ends on each rank's own clock, and
+/// `inner_iterations`, which every replacement knows and every survivor
+/// reports as 0; the driver takes the maximum of both over ranks).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryOutcome {
     /// The iteration at which the failure struck.
@@ -32,8 +39,8 @@ pub struct RecoveryOutcome {
     pub wasted_iterations: usize,
     /// True if no recovery point existed and the solver restarted from x⁰.
     pub full_restart: bool,
-    /// Modeled seconds spent in recovery (clock-synchronized across ranks,
-    /// so identical on every rank).
+    /// Modeled seconds from the agreed start of the recovery to the end of
+    /// this rank's part of it; the maximum over ranks is the event's cost.
     pub recovery_time: f64,
     /// Iterations of the inner `A[I_f, I_f]` solve (on every replacement;
     /// 0 on survivors and for IMCR).
@@ -48,8 +55,7 @@ pub struct RecoveryOutcome {
 /// protected — its protection events all land on outer-step boundaries, so
 /// mid-block failures resume at the enclosing outer step. `None` means no
 /// recovery point exists yet. Returns the outcome; afterwards every rank's
-/// state corresponds to iteration `outcome.resumed_at` and `st.rz` is
-/// current.
+/// state corresponds to iteration `outcome.resumed_at`, `st.rz` included.
 pub(super) fn recover<R: Recurrence>(
     ctx: &mut Ctx,
     node: &mut Node<'_>,
@@ -66,8 +72,9 @@ pub(super) fn recover<R: Recurrence>(
         sched,
         ..
     } = &mut *node;
-    // Attribute the entry barrier (and everything until the strategy sets a
-    // finer recovery phase) to RecoveryReset rather than the caller's
+    // The entry barrier is the agreement on the failed set and defines the
+    // recovery's start. Attribute it (and everything until the strategy
+    // sets a finer recovery phase) to RecoveryReset rather than the caller's
     // compute phase — otherwise SpMV/Storage silently absorb the
     // synchronization cost of the failure, and the interval tuner reads a
     // polluted Storage time.
@@ -85,8 +92,8 @@ pub(super) fn recover<R: Recurrence>(
          an unprotected solver loses all progress (the paper's motivating case)"
     );
     // Survivors roll back to their local snapshot — ESRP's starred copies or
-    // their own IMCR checkpoint. ESR keeps none: its current state *is* the
-    // iteration-ĵ state.
+    // their own IMCR checkpoint, r·z included. ESR keeps none: its current
+    // state *is* the iteration-ĵ state.
     if target.is_some() && !strategy.is_esr() && !event.affects(ctx.rank()) {
         debug_assert_eq!(
             st.snapshot.as_ref().map(|s| s.iter),
@@ -115,12 +122,13 @@ pub(super) fn recover<R: Recurrence>(
         }
     };
     if target.is_some() {
-        // --- All ranks: re-establish the replicated scalars (and whatever
-        // else the recurrence carries) for the rollback iteration ---------
+        // --- All ranks: whatever else the recurrence carries -------------
         ctx.set_phase(Phase::RecoveryReset);
         rec.resync_after_rollback(ctx, node, matches!(strategy, Strategy::Imcr { .. }));
     }
-    let t_end = ctx.barrier_sync_clock();
+    // Each rank's part ends on its own clock; the next iteration's
+    // reductions synchronize the ranks anyway.
+    let t_end = ctx.clock();
     ctx.trace_recovery_span(t_start, t_end);
     let resumed_at = target.unwrap_or(0);
     RecoveryOutcome {
@@ -175,8 +183,9 @@ fn recover_esrp(
     let me = ctx.rank();
     let n_ranks = ctx.size();
     let be = shared.cfg.backend.subdivided(n_ranks);
-    let am_failed = failed_sorted.binary_search(&me).is_ok();
     let is_failed = |r: usize| failed_sorted.binary_search(&r).is_ok();
+    let am_failed = is_failed(me);
+    let range = part.range(me);
 
     // --- Survivors (rolled back by `recover`) drop what they captured past
     // the storage-stage state ---------------------------------------------
@@ -185,101 +194,97 @@ fn recover_esrp(
         st.queue.purge_after(jhat);
     }
 
-    // --- Replacements retrieve β^(ĵ−1) from the lowest surviving rank -----
+    // --- One gather round: each survivor sends each replacement at most one
+    // message of what it holds for it, values only -----------------------
+    // Both ends derive the layout from static plans. Survivor s captured f's
+    // entries I′(f,s) = I(f,s) ++ Rc(f→s) in every ASpMV, in that order
+    // (`finish_view` scatters the halo list, then the top-ups), so its slot
+    // filtered to f's range is the values over I′(f,s). The message is
+    // [p^(ĵ−1) over I′(f,s) | p^(ĵ) over I′(f,s) | x over I(s,f) | root
+    // only: β^(ĵ−1), r·z^(ĵ)], and s sends it only if some part is
+    // non-empty.
     ctx.set_phase(Phase::RecoveryGather);
+    let plan = &*shared.plan;
+    let aspmv = shared
+        .aspmv
+        .as_deref()
+        .expect("ESR/ESRP hold an ASpMV plan");
+    let copies = |f: usize, s: usize| (plan.indices_to(f, s), aspmv.extras_to(f, s));
     let scalar_root = (0..n_ranks)
         .find(|&r| !is_failed(r))
         .expect("at least one rank survives");
-    if me == scalar_root {
-        for &f in failed_sorted {
-            ctx.send(f, Tag::RecoveryScalar.bare(), Payload::Scalar(st.beta_prev));
-        }
-    }
-    let beta = if am_failed {
-        ctx.recv(scalar_root, Tag::RecoveryScalar.bare())
-            .into_scalar()
-    } else {
-        st.beta_prev
+    let sends = |s: usize, f: usize| {
+        let (halo, extras) = copies(f, s);
+        s == scalar_root
+            || !halo.is_empty()
+            || !extras.is_empty()
+            || !plan.indices_to(s, f).is_empty()
     };
-
-    // --- Redundant copies of p^(ĵ−1), p^(ĵ) flow to the replacements ------
-    // Every survivor scans its queue for entries owned by each failed rank;
-    // replacements assemble their chunks (in reusable workspace buffers) and
-    // verify full coverage.
+    let tag = Tag::RecoveryCopies.bare();
     let SolverWorkspace {
         scratch,
         domains,
         local_inner,
     } = ws;
-    if am_failed {
-        scratch.prepare(part.local_len(me), part.n());
-    }
+    let mut scalars = None;
     if !am_failed {
-        for &f in failed_sorted {
-            let fr = part.range(f);
-            let mut prev = ctx.take_pairs();
-            st.queue
-                .entries_in_range_into(jhat - 1, fr.start, fr.end, &mut prev);
-            ctx.send(f, Tag::RecoveryCopies.with(0), Payload::Pairs(prev));
-            let mut cur = ctx.take_pairs();
-            st.queue
-                .entries_in_range_into(jhat, fr.start, fr.end, &mut cur);
-            ctx.send(f, Tag::RecoveryCopies.with(1), Payload::Pairs(cur));
+        for &f in failed_sorted.iter().filter(|&&f| sends(me, f)) {
+            let mut msg = ctx.take_f64s();
+            for iter in [jhat - 1, jhat] {
+                assert!(
+                    st.queue.values_in_range_into(iter, part.range(f), &mut msg),
+                    "survivor {me} holds no copy of p^({iter}) for the rollback to {jhat}"
+                );
+            }
+            let x_halo = plan.indices_to(me, f).iter();
+            msg.extend(x_halo.map(|&g| st.x[g - range.start]));
+            if me == scalar_root {
+                msg.extend([st.beta_prev, st.rz]);
+            }
+            ctx.send(f, tag, Payload::F64s(msg));
         }
     } else {
-        let range = part.range(me);
-        for src in 0..n_ranks {
-            if src == me || is_failed(src) {
-                continue;
+        scratch.prepare(range.len(), part.n());
+        for src in (0..n_ranks).filter(|&s| !is_failed(s) && sends(s, me)) {
+            let msg = ctx.recv(src, tag).into_f64s();
+            let (halo, extras) = copies(me, src);
+            let x_halo = plan.indices_to(src, me);
+            let m = halo.len() + extras.len();
+            let root = if src == scalar_root { 2 } else { 0 };
+            assert_eq!(
+                msg.len(),
+                2 * m + x_halo.len() + root,
+                "recovery gather: payload length mismatch from rank {src} (protocol violation)"
+            );
+            let (prev, rest) = msg.split_at(m);
+            let (cur, rest) = rest.split_at(m);
+            let (xs, rest) = rest.split_at(x_halo.len());
+            for (k, &g) in halo.iter().chain(extras).enumerate() {
+                let l = g - range.start;
+                scratch.p_prev[l] = prev[k];
+                scratch.p_cur[l] = cur[k];
+                scratch.cov[l] = true;
             }
-            for (sel, target, cov) in [
-                (0u32, &mut scratch.p_prev, &mut scratch.cov_prev),
-                (1u32, &mut scratch.p_cur, &mut scratch.cov_cur),
-            ] {
-                let pairs = ctx.recv(src, Tag::RecoveryCopies.with(sel)).into_pairs();
-                for &(g, v) in &pairs {
-                    debug_assert!(range.contains(&g), "copy outside my range");
-                    target[g - range.start] = v;
-                    cov[g - range.start] = true;
-                }
-                ctx.recycle_pairs(pairs);
+            for (&g, &v) in x_halo.iter().zip(xs) {
+                full[g] = v;
             }
+            if let [beta, rz] = *rest {
+                scalars = Some((beta, rz));
+            }
+            ctx.recycle_f64s(msg);
         }
         assert!(
-            scratch.cov_prev.iter().all(|&c| c) && scratch.cov_cur.iter().all(|&c| c),
+            scratch.cov.iter().all(|&c| c),
             "insufficient redundancy: some entries of the lost search directions \
              survive on no rank (phi too small for this failure?)"
         );
     }
 
-    // --- Halo of the rolled-back x ----------------------------------------
-    if !am_failed {
-        let range = part.range(me);
-        for (dst, gidx) in shared.plan.sends_of(me) {
-            if is_failed(*dst) {
-                let mut xs = ctx.take_f64s();
-                xs.extend(gidx.iter().map(|&g| st.x[g - range.start]));
-                ctx.send(*dst, Tag::RecoveryHalo.with(0), Payload::F64s(xs));
-            }
-        }
-    } else {
-        for (src, gidx) in shared.plan.recvs_of(me) {
-            if is_failed(*src) {
-                continue;
-            }
-            let xs = ctx.recv(*src, Tag::RecoveryHalo.with(0)).into_f64s();
-            for (&g, &v) in gidx.iter().zip(xs.iter()) {
-                full[g] = v;
-            }
-            ctx.recycle_f64s(xs);
-        }
-    }
-
     // --- Reconstruction math (paper Alg. 2) on the replacements -----------
     let mut inner_iterations = 0usize;
     if am_failed {
+        let (beta, rz) = scalars.expect("the scalar root sends β and r·z");
         ctx.set_phase(Phase::RecoveryInner);
-        let range = part.range(me);
         let nloc = range.len();
 
         // Per-failure-domain cache: the I_f membership mask and the two
@@ -348,6 +353,7 @@ fn recover_esrp(
         // Restore the rest of the replacement's state for iteration ĵ.
         st.p.copy_from_slice(&scratch.p_cur);
         st.beta_prev = beta;
+        st.rz = rz;
         if t > 1 {
             // ĵ = mT+1 is a storage-stage end: re-establish the starred
             // copies so the replacement is indistinguishable from a
@@ -361,7 +367,9 @@ fn recover_esrp(
 
 /// IMCR recovery to the checkpoint of iteration `jc`: replacements fetch it
 /// from their first surviving buddy; survivors have rolled back locally
-/// (in `recover`) and serve the copies they hold.
+/// (in `recover`) and serve the copies they hold. The pipelined blob layout
+/// carries the replicated `r·z` at `jc`; behind a classic-shaped blob the
+/// buddy appends it from the held copy.
 fn recover_imcr(
     ctx: &mut Ctx,
     shared: &SharedProblem,
@@ -372,6 +380,8 @@ fn recover_imcr(
     let me = ctx.rank();
     let am_failed = failed_sorted.binary_search(&me).is_ok();
     let buddies = shared.buddies.as_ref().expect("IMCR requires a buddy map");
+    // The recurrence is shared config: every rank's state has the same shape.
+    let blob_has_rz = st.aux.is_some();
 
     ctx.set_phase(Phase::RecoveryGather);
     if !am_failed {
@@ -385,6 +395,9 @@ fn recover_imcr(
                 assert_eq!(held.iter, jc, "held checkpoint must be the newest");
                 let mut copy = ctx.take_f64s();
                 copy.extend_from_slice(&held.blob);
+                if !blob_has_rz {
+                    copy.push(held.rz);
+                }
                 ctx.send(f, Tag::RecoveryCkpt.with(f as u32), Payload::F64s(copy));
             }
         }
@@ -392,11 +405,21 @@ fn recover_imcr(
         let sender = buddies
             .first_surviving_buddy(me, failed_sorted)
             .expect("at least one buddy survives when psi <= phi");
-        let blob = ctx
+        let msg = ctx
             .recv(sender, Tag::RecoveryCkpt.with(me as u32))
             .into_f64s();
-        st.restore_from_blob(&blob);
-        ctx.recycle_f64s(blob);
+        let appended = usize::from(!blob_has_rz);
+        assert_eq!(
+            msg.len(),
+            checkpoint_blob_len(st.x.len(), blob_has_rz) + appended,
+            "checkpoint fetch: payload length mismatch from rank {sender} (protocol violation)"
+        );
+        let (blob, rz) = msg.split_at(msg.len() - appended);
+        st.restore_from_blob(blob);
+        if let [rz] = *rz {
+            st.rz = rz;
+        }
+        ctx.recycle_f64s(msg);
         // The replacement's own rollback copy is its restored state.
         st.take_snapshot(jc, true);
     }
@@ -753,6 +776,175 @@ mod tests {
             let norm = seq.x.iter().map(|v| v * v).sum::<f64>().sqrt();
             let rel = diff.sum::<f64>().sqrt() / norm;
             assert!(rel < 1e-12, "ψ = {psi}: relative difference {rel:e}");
+        }
+    }
+
+    #[test]
+    fn a_recovery_is_one_round_of_messages_after_the_agreement() {
+        use crate::aspmv::{AspmvPlan, BuddyMap};
+        use crate::dist::plan::CommPlan;
+        use crate::driver::{Experiment, MatrixSource};
+        use esrcg_cluster::{CostModel, InstantKind, TraceConfig, TraceEvent};
+        use esrcg_sparse::gen::poisson2d;
+        use esrcg_sparse::Partition;
+
+        // Dyadic α and β keep every clock sum exact; compute is free.
+        let (alpha, beta) = (2f64.powi(-20), 2f64.powi(-30));
+        let (n_ranks, phi) = (4, 2);
+        let a = poisson2d(16, 16);
+        let part = Partition::balanced(a.nrows(), n_ranks);
+        let plan = CommPlan::build(&a, &part);
+        let aspmv = AspmvPlan::build(&plan, &part, phi);
+        let buddies = BuddyMap::new(n_ranks, phi);
+        let kind = |t: Tag| t as u32;
+        // `(peer, tag kind, bytes, clock after the injection)` of a send.
+        type Sent = (usize, u32, usize, f64);
+        for strategy in [Strategy::esr(), Strategy::Imcr { t: 5 }] {
+            for psi in [1, 2] {
+                let label = format!("{strategy} ψ = {psi}");
+                let report = Experiment::builder()
+                    .matrix(MatrixSource::Poisson2d { nx: 16, ny: 16 })
+                    .n_ranks(n_ranks)
+                    .strategy(strategy)
+                    .phi(phi)
+                    .cost_model(CostModel::comm_only(alpha, beta))
+                    .failure_at(12, 1, psi)
+                    .trace(TraceConfig::Full)
+                    .run()
+                    .expect("run");
+                let failed: Vec<usize> = (1..1 + psi).collect();
+                let root = 0;
+                // What survivor `s` sends replacement `f`, in values (None:
+                // no message): ESR the need-to-know gather, IMCR the blob
+                // and r·z from the first surviving buddy.
+                let gather = |s: usize, f: usize| -> Option<usize> {
+                    if matches!(strategy, Strategy::Imcr { .. }) {
+                        let nloc = part.range(f).len();
+                        let sender = buddies.first_surviving_buddy(f, &failed);
+                        return (sender == Some(s)).then(|| checkpoint_blob_len(nloc, false) + 1);
+                    }
+                    let copies = plan.indices_to(f, s).len() + aspmv.extras_to(f, s).len();
+                    let x_halo = plan.indices_to(s, f).len();
+                    let scalars = if s == root { 2 } else { 0 };
+                    let values = 2 * copies + x_halo + scalars;
+                    (values > 0).then_some(values)
+                };
+                let gather_kind = match strategy {
+                    Strategy::Imcr { .. } => kind(Tag::RecoveryCkpt),
+                    _ => kind(Tag::RecoveryCopies),
+                };
+
+                // Each rank's events from the failure to the end of its part
+                // of the recovery, and its clock leaving the entry barrier.
+                let trace = report.trace.as_ref().expect("traced run");
+                let window = |r: usize| -> &[TraceEvent] {
+                    let events = &trace.ranks[r].events;
+                    let failure = events.iter().position(|ev| {
+                        matches!(
+                            ev,
+                            TraceEvent::Instant {
+                                kind: InstantKind::FailureTrigger,
+                                ..
+                            }
+                        )
+                    });
+                    let span = events
+                        .iter()
+                        .position(|ev| matches!(ev, TraceEvent::RecoverySpan { .. }));
+                    &events[failure.expect("a failure")..=span.expect("a recovery span")]
+                };
+                let span_end = |r: usize| match window(r).last() {
+                    Some(TraceEvent::RecoverySpan { end, .. }) => *end,
+                    _ => unreachable!(),
+                };
+                // The clock after the last receive of kind `k` on rank `r`.
+                let last_recv = |r: usize, k: u32| {
+                    window(r).iter().rev().find_map(|ev| match ev {
+                        TraceEvent::Recv { tag_kind, at, .. } if *tag_kind == k => Some(*at),
+                        _ => None,
+                    })
+                };
+                let barrier_exit = |r: usize| last_recv(r, kind(Tag::Barrier)).expect("a barrier");
+
+                let mut completion = vec![0.0f64; n_ranks];
+                for &f in &failed {
+                    completion[f] = barrier_exit(f);
+                }
+                for r in 0..n_ranks {
+                    let sends: Vec<Sent> = window(r)
+                        .iter()
+                        .filter_map(|ev| match ev {
+                            TraceEvent::Send {
+                                peer,
+                                tag_kind,
+                                bytes,
+                                at,
+                            } => Some((*peer, *tag_kind, *bytes, *at)),
+                            _ => None,
+                        })
+                        .collect();
+                    // The entry barrier's ⌈log₂N⌉ rounds and no collective
+                    // after it.
+                    let collectives = [Tag::Reduce, Tag::Bcast, Tag::Barrier].map(kind);
+                    let (sync, rest): (Vec<&Sent>, Vec<&Sent>) =
+                        sends.iter().partition(|m| collectives.contains(&m.1));
+                    assert_eq!(sync.len(), 2, "{label}, rank {r}: entry barrier only");
+                    assert!(sync.iter().all(|m| m.1 == kind(Tag::Barrier)), "{label}");
+                    assert!(
+                        rest.iter().all(|m| m.3 > barrier_exit(r)),
+                        "{label}, rank {r}: nothing is sent before the agreement"
+                    );
+                    if failed.contains(&r) {
+                        // A replacement sends only inner-solve traffic to
+                        // the other replacements.
+                        let inner =
+                            |m: &&Sent| m.1 == kind(Tag::RecoveryInner) && failed.contains(&m.0);
+                        assert!(rest.iter().all(inner), "{label}, rank {r}");
+                        continue;
+                    }
+                    // A survivor sends each replacement at most one message,
+                    // exactly where it has something to send, values only,
+                    // injected right after the agreement.
+                    let mut k = 0;
+                    for &f in &failed {
+                        let to_f: Vec<_> = rest.iter().filter(|m| m.0 == f).collect();
+                        match gather(r, f) {
+                            None => assert!(to_f.is_empty(), "{label}: {r} → {f}"),
+                            Some(values) => {
+                                assert_eq!(to_f.len(), 1, "{label}: {r} → {f}");
+                                let &&(_, tag_kind, bytes, at) = to_f[0];
+                                assert_eq!((tag_kind, bytes), (gather_kind, 8 * values), "{label}");
+                                k += 1;
+                                let sent = barrier_exit(r) + k as f64 * alpha;
+                                assert_eq!(at.to_bits(), sent.to_bits(), "{label}: {r} → {f}");
+                                let arrival = sent + alpha + bytes as f64 * beta;
+                                completion[f] = completion[f].max(arrival);
+                            }
+                        }
+                    }
+                    assert_eq!(rest.len(), k, "{label}: survivor {r} sends only the gather");
+                    let done = barrier_exit(r) + k as f64 * alpha;
+                    assert_eq!(span_end(r).to_bits(), done.to_bits(), "{label}, rank {r}");
+                }
+                // The gather completes one hop after the senders' agreement;
+                // a lone replacement (its inner solve sends nothing) or an
+                // IMCR replacement is done right then.
+                for &f in &failed {
+                    let done = last_recv(f, gather_kind).expect("a gather");
+                    assert_eq!(done.to_bits(), completion[f].to_bits(), "{label}, rank {f}");
+                    if psi == 1 || matches!(strategy, Strategy::Imcr { .. }) {
+                        assert_eq!(span_end(f).to_bits(), done.to_bits(), "{label}, rank {f}");
+                    }
+                }
+                // The reported cost is the latest rank's end.
+                let t_start = match window(0).last() {
+                    Some(TraceEvent::RecoverySpan { start, .. }) => *start,
+                    _ => unreachable!(),
+                };
+                let latest = (0..n_ranks).map(span_end).fold(0.0, f64::max);
+                let reported = report.recoveries[0].recovery_time;
+                assert_eq!(reported.to_bits(), (latest - t_start).to_bits(), "{label}");
+            }
         }
     }
 

@@ -121,7 +121,8 @@ impl SStepAux {
 }
 
 /// One rollback copy of a node's dynamic state, tagged with the iteration
-/// it belongs to. ESRP's starred copies `x*, r*, z*, p*, β*` (paper §3: the
+/// it belongs to and the replicated `r·z` there. ESRP's starred copies
+/// `x*, r*, z*, p*, β*` (paper §3: the
 /// state at the end of the last completed storage stage, duplicated locally
 /// so survivors roll back without communication), a node's own IMCR
 /// checkpoint, and an IMCR checkpoint held **for another rank** are all this:
@@ -132,6 +133,10 @@ pub(crate) struct Snapshot {
     /// The iteration the copied state belongs to (ĵ = mT+1 for the starred
     /// copies, the checkpoint iteration for IMCR).
     pub iter: usize,
+    /// The replicated `r·z` at `iter` — the same on every rank, so a copy
+    /// held for another rank records the holder's own. Kept beside the
+    /// blob, whose layout (and hence the checkpoint traffic) it leaves alone.
+    pub rz: f64,
     /// [`checkpoint_blob_len`] values for the owner's `nloc`.
     pub blob: Vec<f64>,
 }
@@ -240,12 +245,13 @@ impl NodeState {
     pub fn take_snapshot(&mut self, iter: usize, with_aux: bool) {
         let mut snap = self.snapshot.take().unwrap_or_default();
         snap.iter = iter;
+        snap.rz = self.rz;
         self.checkpoint_blob_into(with_aux, &mut snap.blob);
         self.snapshot = Some(snap);
     }
 
     /// Rolls this node back to its local rollback copy (survivor side of an
-    /// ESRP or IMCR recovery).
+    /// ESRP or IMCR recovery), the replicated `r·z` included.
     ///
     /// # Panics
     /// Panics if there is none — callers must have established that a
@@ -253,6 +259,7 @@ impl NodeState {
     pub fn rollback_to_snapshot(&mut self) {
         let snap = self.snapshot.take().expect("rollback requires a snapshot");
         self.restore_from_blob(&snap.blob);
+        self.rz = snap.rz;
         self.snapshot = Some(snap);
     }
 
@@ -286,7 +293,8 @@ impl NodeState {
     /// Restores the node's vectors and scalars from a blob
     /// [`NodeState::checkpoint_blob_into`] wrote. A classic-length blob on a
     /// pipelined state restores `x, r, z, p, β` and leaves the auxiliary
-    /// recurrence state alone (`resync_after_rollback` rebuilds it).
+    /// recurrence state alone (`resync_after_rollback` rebuilds it); only
+    /// the pipelined layout carries `r·z`.
     ///
     /// # Panics
     /// Panics if the blob length is neither layout's for this state.
@@ -361,13 +369,13 @@ mod tests {
     }
 
     /// What a rollback may touch, as bits: the classic part `x, r, z, p, β`
-    /// and the rest `q, w, h, g, γ, pᵀAp`.
+    /// with the replicated `r·z`, and the rest `q, w, h, g, pᵀAp`.
     fn bits(st: &NodeState) -> (Vec<u64>, Vec<u64>) {
         let bits = |vs: &[&[f64]]| vs.concat().iter().map(|v| v.to_bits()).collect();
-        let classic = bits(&[&st.x, &st.r, &st.z, &st.p, &[st.beta_prev]]);
+        let classic = bits(&[&st.x, &st.r, &st.z, &st.p, &[st.beta_prev, st.rz]]);
         let rest = match st.aux.as_ref() {
-            Some(aux) => bits(&[&st.q, &aux.w, &aux.h, &aux.g, &[st.rz, aux.pap]]),
-            None => bits(&[&st.q, &[st.rz]]),
+            Some(aux) => bits(&[&st.q, &aux.w, &aux.h, &aux.g, &[aux.pap]]),
+            None => bits(&[&st.q]),
         };
         (classic, rest)
     }
@@ -395,6 +403,7 @@ mod tests {
             2,
             Snapshot {
                 iter: 5,
+                rz: 1.5,
                 blob: vec![1.0],
             },
         );
@@ -418,12 +427,14 @@ mod tests {
         st.z.fill(-1.0);
         st.p.fill(-1.0);
         st.beta_prev = 9.0;
+        st.rz = -9.0;
         st.rollback_to_snapshot();
         assert_eq!(st.x[2], 2.0);
         assert_eq!(st.r[0], 10.0);
         assert_eq!(st.z[3], 23.0);
         assert_eq!(st.p[1], 31.0);
         assert_eq!(st.beta_prev, 0.25, "beta* is beta_prev at the star");
+        assert_eq!(st.rz, 1.5, "r·z is the replicated value at the star");
         assert_eq!(st.snapshot.as_ref().unwrap().iter, 11);
     }
 
@@ -438,8 +449,8 @@ mod tests {
             scramble(&mut st);
             let scrambled = bits(&st);
             st.rollback_to_snapshot();
-            // The classic layout carries neither the scratch q nor r·z: the
-            // recurrence recomputes both.
+            // The classic layout leaves the scratch q alone: the recurrence
+            // recomputes it. r·z comes back from the snapshot in both.
             let rest = if pipelined { want.1 } else { scrambled.1 };
             assert_eq!(bits(&st), (want.0, rest), "pipelined = {pipelined}");
             // Retaking overwrites in place: same buffer, new label.
@@ -453,8 +464,8 @@ mod tests {
     #[test]
     fn a_classic_snapshot_of_a_pipelined_state_leaves_the_aux_state_alone() {
         // ESRP under the pipelined recurrence: the starred copies stay
-        // [x; r; z; p; β], and the rollback hands q, w, h, g, γ and pᵀAp to
-        // `resync_after_rollback` untouched.
+        // [x; r; z; p; β] beside r·z, and the rollback hands q, w, h, g and
+        // pᵀAp to `resync_after_rollback` untouched.
         let mut st = filled_pipelined(3);
         let want = bits(&st);
         st.take_snapshot(6, false);

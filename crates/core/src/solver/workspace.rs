@@ -9,7 +9,7 @@
 //! (the parts below are crate-internal):
 //!
 //! * `RecoveryScratch` — the reconstruction vectors of paper Alg. 2
-//!   (`p^(ĵ−1)`, `p^(ĵ)`, coverage flags, `w`, the masked-SpMV output,
+//!   (`p^(ĵ−1)`, `p^(ĵ)`, their coverage flags, `w`, the masked-SpMV output,
 //!   and the inner solve's six vectors plus its full-length gather buffer),
 //!   resized once and reused across failure events,
 //! * `DomainCache` — per failure domain (the sorted set of failed ranks):
@@ -55,8 +55,9 @@ impl SolverWorkspace {
 pub(crate) struct RecoveryScratch {
     pub p_prev: Vec<f64>,
     pub p_cur: Vec<f64>,
-    pub cov_prev: Vec<bool>,
-    pub cov_cur: Vec<bool>,
+    /// Which entries of `p_prev` and `p_cur` a survivor supplied (every
+    /// gather message carries both copies of the same entries).
+    pub cov: Vec<bool>,
     pub w: Vec<f64>,
     pub ax: Vec<f64>,
     /// Inner-solve vectors over the local rows: `x`, `r`, `z ≡ u = P r`,
@@ -78,10 +79,8 @@ impl RecoveryScratch {
     pub fn prepare(&mut self, nloc: usize, n: usize) {
         resize_zeroed(&mut self.p_prev, nloc);
         resize_zeroed(&mut self.p_cur, nloc);
-        self.cov_prev.clear();
-        self.cov_prev.resize(nloc, false);
-        self.cov_cur.clear();
-        self.cov_cur.resize(nloc, false);
+        self.cov.clear();
+        self.cov.resize(nloc, false);
         resize_zeroed(&mut self.w, nloc);
         resize_zeroed(&mut self.ax, nloc);
         resize_zeroed(&mut self.ix, nloc);
@@ -192,10 +191,10 @@ mod tests {
         assert_eq!(s.p_prev.len(), 5);
         assert_eq!(s.u_full.len(), 20);
         s.p_prev[0] = 3.0;
-        s.cov_cur[4] = true;
+        s.cov[4] = true;
         s.prepare(5, 20);
         assert_eq!(s.p_prev[0], 0.0, "re-prepared buffers are zeroed");
-        assert!(!s.cov_cur[4]);
+        assert!(!s.cov[4]);
         s.prepare(7, 10);
         assert_eq!(s.ax.len(), 7);
         assert_eq!(s.u_full.len(), 10);

@@ -324,6 +324,19 @@ struct PinnedRun {
 /// nothing else reads `x`), ψ = 2 recoveries 15–16 % cheaper, ψ = 1
 /// recoveries 4.3–4.7 % dearer, every count, resume point and tuner
 /// decision unchanged, every IMCR and full-restart row untouched. The
+/// one-round recovery protocol (one gather message per survivor and
+/// replacement, `r·z` restored instead of re-reduced, no exit barrier)
+/// re-recorded every row: every modeled clock lower, every recovery cost
+/// lower or (full restarts, pipelined IMCR) unchanged, every iteration
+/// count, loop trip and resume point unchanged. The classic and pipelined
+/// IMCR solutions kept their bits, the s-step IMCR rows now return the
+/// failure-free solution (0x182d…, as the full restarts do), and the s-step
+/// ESR/ESRP rows and the classic ESRP two-event row moved their `x_hash`
+/// (`r·z` is now the undisturbed run's value). The s-step ESRP two-event
+/// row's second tuner decision moved 1 → 5: survivors now wait for the
+/// replacement in the first protection round after a recovery, where the
+/// exit barrier used to absorb that wait, and the tuner measures the
+/// round's cost. The
 /// solution, both iteration counts, the modeled clock, every recovery's
 /// resume point and modeled cost and the tuner's decisions must not move.
 /// A mismatch prints the observed row in table syntax.
@@ -342,8 +355,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 41,
-            modeled_bits: 0x3f63c14bdb5cffc2,
-            recoveries: &[(12, 12, 0x3f405cf5a1e8d146)],
+            modeled_bits: 0x3f638e0824e6c7c2,
+            recoveries: &[(12, 12, 0x3f3fd966007ec51c)],
             intervals_after: &[],
             x_hash: 0xe85dcc71a8e877e9,
         },
@@ -355,8 +368,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 41,
-            modeled_bits: 0x3f60f3aa2af1f9ed,
-            recoveries: &[(12, 12, 0x3f416f83990f0549)],
+            modeled_bits: 0x3f60dcafb780e90a,
+            recoveries: &[(12, 12, 0x3f4167bca16e4f5b)],
             intervals_after: &[],
             x_hash: 0xf7f4a1fb9d3ef258,
         },
@@ -368,10 +381,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f6383dc00752c18,
-            recoveries: &[(12, 12, 0x3f4065cf03f4b4fe)],
+            modeled_bits: 0x3f6354ce07e7218f,
+            recoveries: &[(12, 12, 0x3f3feb18c4968c88)],
             intervals_after: &[],
-            x_hash: 0x4104631bf8d0aab2,
+            x_hash: 0x5805c2605951f4ca,
         },
         PinnedRun {
             name: "classic esrp5 mid-run",
@@ -381,8 +394,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 42,
-            modeled_bits: 0x3f68ab4b8c5e69b3,
-            recoveries: &[(12, 11, 0x3f5177c6fc3d8f40)],
+            modeled_bits: 0x3f6874b336ca74b2,
+            recoveries: &[(12, 11, 0x3f512c4440571111)],
             intervals_after: &[],
             x_hash: 0xc9326f072cfa43f7,
         },
@@ -394,8 +407,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 42,
-            modeled_bits: 0x3f64a9073fc443c4,
-            recoveries: &[(12, 11, 0x3f52009cc29b125f)],
+            modeled_bits: 0x3f64885c16ca4f7a,
+            recoveries: &[(12, 11, 0x3f51e957dbb8f096)],
             intervals_after: &[],
             x_hash: 0x3495a5e4c8a80e3c,
         },
@@ -407,10 +420,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f6977f0e1726d93,
-            recoveries: &[(12, 8, 0x3f5177c6fc3d8f41)],
+            modeled_bits: 0x3f693ea8498b1f80,
+            recoveries: &[(12, 8, 0x3f512c4440571110)],
             intervals_after: &[],
-            x_hash: 0x71f9e7b1c81d199e,
+            x_hash: 0x34d2526aea9daef4,
         },
         PinnedRun {
             name: "classic imcr5 mid-run",
@@ -420,8 +433,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 43,
-            modeled_bits: 0x3f616d7cb5e2f2e3,
-            recoveries: &[(12, 10, 0x3f03127e2382a290)],
+            modeled_bits: 0x3f6146c891a83c44,
+            recoveries: &[(12, 10, 0x3ef9178705ee2c00)],
             intervals_after: &[],
             x_hash: 0xec525586400599f5,
         },
@@ -433,7 +446,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 43,
-            modeled_bits: 0x3f5a54c5516bfb2f,
+            modeled_bits: 0x3f5a21e73554427f,
             recoveries: &[(12, 10, 0x3f03cf9cdc443910)],
             intervals_after: &[],
             x_hash: 0x39c5c71d248ffa5f,
@@ -446,10 +459,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f5ed51c2fada087,
-            recoveries: &[(12, 12, 0x3f0287e802c466f0)],
+            modeled_bits: 0x3f5e87b3e738333c,
+            recoveries: &[(12, 12, 0x3ef8025ac471b4c0)],
             intervals_after: &[],
-            x_hash: 0x39b4e732650e459d,
+            x_hash: 0x182d3418dbc7be37,
         },
         PinnedRun {
             name: "sstep4 esr mid-block",
@@ -459,10 +472,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(18, 1, 1)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f6383dc00752c1e,
-            recoveries: &[(18, 16, 0x3f4065cf03f4b522)],
+            modeled_bits: 0x3f6354ce07e72195,
+            recoveries: &[(18, 16, 0x3f3feb18c4968cd4)],
             intervals_after: &[],
-            x_hash: 0x3d7c687df547a7f5,
+            x_hash: 0x105595ccb0ded4e8,
         },
         PinnedRun {
             name: "sstep4 esrp5 mid-block",
@@ -472,10 +485,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(18, 1, 2)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f681a08c5f61056,
-            recoveries: &[(18, 16, 0x3f5177cefc3d8f45)],
+            modeled_bits: 0x3f67e0c02e0ec240,
+            recoveries: &[(18, 16, 0x3f512c4c40571115)],
             intervals_after: &[],
-            x_hash: 0x5420801647398efa,
+            x_hash: 0x925dfff87deff337,
         },
         PinnedRun {
             name: "sstep4 imcr5 mid-block",
@@ -485,10 +498,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(18, 1, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f60cac6ca59219d,
-            recoveries: &[(18, 12, 0x3f0395577ccfc5d0)],
+            modeled_bits: 0x3f60a412a61e6af7,
+            recoveries: &[(18, 12, 0x3efa1d39b8887280)],
             intervals_after: &[],
-            x_hash: 0x39b4e732650e459d,
+            x_hash: 0x182d3418dbc7be37,
         },
         PinnedRun {
             name: "classic esrp5 full restart",
@@ -498,7 +511,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(3, 0, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f60d561487fdce7,
+            modeled_bits: 0x3f60c05492f6f981,
             recoveries: &[(3, 0, 0x3f035c0752c0d344)],
             intervals_after: &[],
             x_hash: 0xec525586400599f5,
@@ -511,7 +524,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(3, 0, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f58d0cc9325257e,
+            modeled_bits: 0x3f58af36a3e3b9a3,
             recoveries: &[(3, 0, 0x3f0d1bb3c8219fe0)],
             intervals_after: &[],
             x_hash: 0x39c5c71d248ffa5f,
@@ -524,7 +537,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(3, 0, 1)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f5eb17b3b03504b,
+            modeled_bits: 0x3f5e8761cff18978,
             recoveries: &[(3, 0, 0x3f03dee0ac0df69f)],
             intervals_after: &[],
             x_hash: 0x182d3418dbc7be37,
@@ -537,7 +550,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(3, 0, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f61adb5ab325996,
+            modeled_bits: 0x3f6198a8f5a9762f,
             recoveries: &[(3, 0, 0x3f035c0752c0d344)],
             intervals_after: &[],
             x_hash: 0xec525586400599f5,
@@ -550,7 +563,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(3, 0, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f5a97f36b0daf44,
+            modeled_bits: 0x3f5a765d7bcc4368,
             recoveries: &[(3, 0, 0x3f0d1bb3c8219fe0)],
             intervals_after: &[],
             x_hash: 0x39c5c71d248ffa5f,
@@ -563,7 +576,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(3, 0, 1)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f5ea9ebf4f7ed04,
+            modeled_bits: 0x3f5e7fd289e62631,
             recoveries: &[(3, 0, 0x3f03dee0ac0df69f)],
             intervals_after: &[],
             x_hash: 0x182d3418dbc7be37,
@@ -576,10 +589,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 47,
-            modeled_bits: 0x3f69e4fa4882c7c2,
-            recoveries: &[(12, 11, 0x3f405da16e5fe2ca), (25, 21, 0x3f4065cf03f4b506)],
+            modeled_bits: 0x3f6984d6f2017e27,
+            recoveries: &[(12, 11, 0x3f3fdabd996ce824), (25, 21, 0x3f3feb18c4968cc0)],
             intervals_after: &[5, 1],
-            x_hash: 0x624dc24ec1269248,
+            x_hash: 0x60269ddc40055dd9,
         },
         PinnedRun {
             name: "pipelined esrp5 adaptive two-event",
@@ -589,8 +602,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 47,
-            modeled_bits: 0x3f663209dc411a1e,
-            recoveries: &[(12, 11, 0x3f41777a90afbb36), (25, 21, 0x3f4170a6037a3364)],
+            modeled_bits: 0x3f6610b62f1780ca,
+            recoveries: &[(12, 11, 0x3f416fb3990f054a), (25, 21, 0x3f4168df0bd97d80)],
             intervals_after: &[5, 1],
             x_hash: 0xf3b599bd74542c05,
         },
@@ -602,10 +615,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f693454cd1d76f5,
-            recoveries: &[(12, 8, 0x3f4065cf03f4b4fa), (25, 24, 0x3f404abf03f4b4fa)],
-            intervals_after: &[5, 1],
-            x_hash: 0xf24c2ea2e2a10c97,
+            modeled_bits: 0x3f68b71f032b1c76,
+            recoveries: &[(12, 8, 0x3f3feb18c4968c84), (25, 24, 0x3f3fac7ce613b4e8)],
+            intervals_after: &[5, 5],
+            x_hash: 0xb8deabb6968cc364,
         },
         PinnedRun {
             name: "classic imcr5 adaptive two-event",
@@ -615,8 +628,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f626b55fc1cb566,
-            recoveries: &[(12, 10, 0x3f03127e2382a290), (25, 25, 0x3f0287e802c46700)],
+            modeled_bits: 0x3f6219b7f5bf1aa8,
+            recoveries: &[(12, 10, 0x3ef9178705ee2c00), (25, 25, 0x3ef8025ac471b4c0)],
             intervals_after: &[5, 3],
             x_hash: 0xec525586400599f5,
         },
@@ -628,7 +641,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f5c6b0d7ba59bd0,
+            modeled_bits: 0x3f5c0e2df47c1c4d,
             recoveries: &[(12, 10, 0x3f03cf9cdc443910), (25, 25, 0x3f03cf9cdc443940)],
             intervals_after: &[5, 4],
             x_hash: 0x39c5c71d248ffa5f,
@@ -641,10 +654,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f60625d2de0f529,
-            recoveries: &[(12, 12, 0x3f0287e802c466f0), (25, 24, 0x3f0395577ccfc5e0)],
+            modeled_bits: 0x3f6010bf27835a69,
+            recoveries: &[(12, 12, 0x3ef8025ac471b4c0), (25, 24, 0x3efa1d39b8887280)],
             intervals_after: &[5, 3],
-            x_hash: 0xd3438606383ab730,
+            x_hash: 0x182d3418dbc7be37,
         },
     ];
     // Rank counts that neither 2 nor 4 scheduler workers divide, so worker
@@ -662,8 +675,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
                 failures: &[(12, 3, 1)],
                 iterations: 40,
                 total_loop_trips: 42,
-                modeled_bits: 0x3f6416729fb714da,
-                recoveries: &[(12, 11, 0x3f38df36d29708e6)],
+                modeled_bits: 0x3f63d679925c0d7c,
+                recoveries: &[(12, 11, 0x3f379a0d55fff852)],
                 intervals_after: &[],
                 x_hash: 0x3a4cdada55f4272e,
             },
@@ -678,7 +691,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
                 failures: &[(12, 5, 1)],
                 iterations: 40,
                 total_loop_trips: 43,
-                modeled_bits: 0x3f5b046a8f2e8701,
+                modeled_bits: 0x3f5abf14c3aa3111,
                 recoveries: &[(12, 10, 0x3efe2905cbe0adb0)],
                 intervals_after: &[],
                 x_hash: 0x165fa5c733195817,
