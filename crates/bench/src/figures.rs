@@ -4,7 +4,7 @@
 
 use std::fmt::Write as _;
 
-use esrcg_core::queue::RedundancyQueue;
+use esrcg_core::queue::{Capture, RedundancyQueue};
 use esrcg_core::solver::recovery::esrp_rollback_target;
 
 use crate::grid::TableData;
@@ -190,7 +190,7 @@ pub fn render_figure1(t: usize) -> String {
         let first = j % t == 0 && j >= t;
         let second = j % t == 1 && j > t;
         if first || second {
-            q.push(j, vec![]);
+            q.push(j, Capture::default());
         }
         let mut cells: Vec<String> = q.iters().iter().map(|i| format!("p'({i})")).collect();
         while cells.len() < 3 {

@@ -30,6 +30,7 @@ use esrcg_sparse::Partition;
 
 use crate::aspmv::AspmvPlan;
 use crate::dist::plan::CommPlan;
+use crate::queue::Capture;
 
 /// A borrowed view of a [`CommPlan`]: either the whole plan, or the plan
 /// restricted to the peers accepted by a filter predicate — and, for the
@@ -256,10 +257,10 @@ impl HaloExchange {
     ///   falls back to the blocking [`Ctx::recv`] otherwise. Both paths
     ///   yield the same payload and the same clock, so the fast path can
     ///   never change a result or a modeled time.
-    /// * When `captured` is provided, every received `(global index,
-    ///   value)` pair is appended to it, in (source rank, index) order —
-    ///   this is how the ASpMV records the redundant copies it stores in
-    ///   the [`crate::queue::RedundancyQueue`].
+    /// * When `captured` is provided, each received payload is appended to
+    ///   it whole with its source ([`Capture::record`]) — this is how the
+    ///   ASpMV records the redundant copies it stores in the
+    ///   [`crate::queue::RedundancyQueue`].
     ///
     /// Entries of `full` that are neither owned nor received keep their
     /// previous contents; callers must only read positions their rows
@@ -275,7 +276,7 @@ impl HaloExchange {
         ctx: &mut Ctx,
         plan: &CommPlan,
         full: &mut [f64],
-        captured: Option<&mut Vec<(usize, f64)>>,
+        captured: Option<&mut Capture>,
     ) {
         self.finish_view(ctx, &PlanView::full(plan), full, captured);
     }
@@ -291,7 +292,7 @@ impl HaloExchange {
         ctx: &mut Ctx,
         view: &PlanView<'_>,
         full: &mut [f64],
-        mut captured: Option<&mut Vec<(usize, f64)>>,
+        mut captured: Option<&mut Capture>,
     ) {
         let me = ctx.rank();
         for (src, halo, top_ups) in view.recvs_of(me) {
@@ -304,14 +305,11 @@ impl HaloExchange {
                 halo.len() + top_ups.len(),
                 "halo: payload length mismatch from rank {src} (protocol violation)"
             );
-            let (of_halo, of_top_ups) = vals.split_at(halo.len());
-            for (list, vals) in [(halo, of_halo), (top_ups, of_top_ups)] {
-                for (&g, &v) in list.iter().zip(vals) {
-                    full[g] = v;
-                    if let Some(cap) = captured.as_deref_mut() {
-                        cap.push((g, v));
-                    }
-                }
+            for (&g, &v) in halo.iter().chain(top_ups).zip(&vals) {
+                full[g] = v;
+            }
+            if let Some(cap) = captured.as_deref_mut() {
+                cap.record(src, &vals);
             }
             // A payload buffer moves with its message. Between two ranks
             // that both send, recycling here keeps either pool level; a
@@ -351,7 +349,7 @@ pub fn exchange_halo(
     local: &[f64],
     tag_sub: u32,
     full: &mut [f64],
-    captured: Option<&mut Vec<(usize, f64)>>,
+    captured: Option<&mut Capture>,
 ) {
     HaloExchange::start(ctx, plan, part, local, tag_sub, full).finish(ctx, plan, full, captured);
 }
@@ -510,10 +508,10 @@ mod tests {
     }
 
     #[test]
-    fn captured_pairs_record_received_halo() {
+    fn captured_values_are_the_owners_entries_per_source() {
         let a = Arc::new(poisson2d(6, 6));
         let n = a.nrows();
-        let x: Arc<Vec<f64>> = Arc::new((0..n).map(|i| i as f64).collect());
+        let x: Arc<Vec<f64>> = Arc::new((0..n).map(|i| (i as f64 * 0.3).sin()).collect());
         let part = Arc::new(Partition::balanced(n, 3));
         let plan = Arc::new(CommPlan::build(&a, &part));
         let out = run_spmd(3, CostModel::default(), {
@@ -521,7 +519,7 @@ mod tests {
             move |ctx| {
                 let range = part.range(ctx.rank());
                 let mut full = vec![0.0; part.n()];
-                let mut captured = Vec::new();
+                let mut captured = Capture::default();
                 exchange_halo(
                     ctx,
                     &plan,
@@ -534,13 +532,15 @@ mod tests {
                 captured
             }
         });
-        for (l, captured) in out.results.iter().enumerate() {
-            let expected: usize = plan.recvs_of(l).iter().map(|(_, idx)| idx.len()).sum();
-            assert_eq!(captured.len(), expected, "rank {l}");
-            for &(g, v) in captured {
-                assert_eq!(v, g as f64, "captured value is the owner's entry");
-                assert_ne!(part.owner_of(g), l, "captured entries are foreign");
+        for (me, captured) in out.results.iter().enumerate() {
+            // Each source's slice is its entries over I(src, me), in source
+            // order, and nothing else is stored.
+            let mut expected = Capture::default();
+            for src in (0..3).filter(|&s| !plan.indices_to(s, me).is_empty()) {
+                let owned: Vec<f64> = plan.indices_to(src, me).iter().map(|&g| x[g]).collect();
+                expected.record(src, &owned);
             }
+            assert_eq!(*captured, expected, "rank {me}");
         }
     }
 

@@ -27,6 +27,7 @@ use esrcg_sparse::{
 use crate::aspmv::{AspmvPlan, BuddyMap};
 use crate::dist::halo::{HaloExchange, PlanView};
 use crate::dist::plan::CommPlan;
+use crate::queue::Capture;
 use crate::strategy::{IntervalPolicy, Strategy};
 use recovery::{recover, RecoveryOutcome};
 use state::{checkpoint_blob_len, NodeState, Snapshot};
@@ -391,7 +392,7 @@ pub(crate) fn dist_spmv(
     tag_sub: u32,
     full: &mut [f64],
     q: &mut [f64],
-    mut captured: Option<&mut Vec<(usize, f64)>>,
+    mut captured: Option<&mut Capture>,
 ) {
     let rank = ctx.rank();
     let (part, base) = (&*shared.part, &*shared.plan);
@@ -521,21 +522,21 @@ struct Node<'a> {
     /// The capture buffer the redundancy queue last handed back; the next
     /// capture fills it, so augmented iterations stop allocating once the
     /// queue is full.
-    spare: Vec<(usize, f64)>,
+    spare: Capture,
     /// ‖b‖₂².
     bnorm2: f64,
 }
 
 impl Node<'_> {
     /// An empty buffer for the next redundant-copy capture.
-    fn capture_buffer(&mut self) -> Vec<(usize, f64)> {
+    fn capture_buffer(&mut self) -> Capture {
         let mut buf = std::mem::take(&mut self.spare);
         buf.clear();
         buf
     }
 
     /// Queues the copies captured for iteration `iter`.
-    fn push_capture(&mut self, iter: usize, captured: Vec<(usize, f64)>) {
+    fn push_capture(&mut self, iter: usize, captured: Capture) {
         self.spare = self.st.queue.push(iter, captured).unwrap_or_default();
     }
 
@@ -672,7 +673,7 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
         ws: SolverWorkspace::new(),
         sched: IntervalSchedule::new(cfg.strategy),
         tuner: IntervalTuner::for_policy(cfg.interval_policy),
-        spare: Vec::new(),
+        spare: Capture::default(),
         bnorm2,
     };
 
@@ -766,7 +767,7 @@ fn capture_direction(
     label: usize,
     kind: Tag,
     full: &mut [f64],
-    captured: &mut Vec<(usize, f64)>,
+    captured: &mut Capture,
 ) {
     ctx.set_phase(Phase::Storage);
     ctx.trace_instant(InstantKind::StorageRound, label as u64);
@@ -1035,8 +1036,9 @@ mod tests {
         }
     }
 
-    /// One rank's `(q, full, captured)` after a distributed SpMV, as bits.
-    type SpmvBits = (Vec<u64>, Vec<u64>, Vec<(usize, u64)>);
+    /// One rank's `q` and `full` after a distributed SpMV, as bits, and its
+    /// capture.
+    type SpmvBits = (Vec<u64>, Vec<u64>, Capture);
 
     /// Runs one distributed SpMV of `x` on every rank — [`dist_spmv`], or
     /// the blocking oracle it is held to: one blocking exchange over the
@@ -1051,7 +1053,7 @@ mod tests {
             let local = &x[range.clone()];
             let mut full = vec![0.0; n];
             let mut q = vec![f64::NAN; range.len()];
-            let mut captured = Vec::new();
+            let mut captured = Capture::default();
             let cap = capture.then_some(&mut captured);
             if oracle {
                 let mut view = PlanView::full(&shared.plan);
@@ -1068,8 +1070,7 @@ mod tests {
                 dist_spmv(ctx, &shared, be, local, 7, &mut full, &mut q, cap);
             }
             let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
-            let captured = captured.into_iter().map(|(g, v)| (g, v.to_bits()));
-            (bits(q), bits(full), captured.collect())
+            (bits(q), bits(full), captured)
         });
         (out.results, out.modeled_time)
     }
@@ -1099,19 +1100,28 @@ mod tests {
                     assert_eq!(shared.fmt_cache.is_some(), !fmt.is_csr(), "{label}");
                     let (want, t_oracle) = one_spmv(&shared, true, phi > 0);
                     let (got, t_split) = one_spmv(&shared, false, phi > 0);
+                    // What `src` sends `me` in an ASpMV: I(src,me) ++ Rc(src→me).
+                    let copies = |src, me| {
+                        shared.aspmv.as_deref().map_or(0, |aspmv| {
+                            shared.plan.indices_to(src, me).len() + aspmv.extras_to(src, me).len()
+                        })
+                    };
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     for (rank, (g, w)) in got.iter().zip(&want).enumerate() {
                         assert_eq!(g.0, w.0, "{label}: q on rank {rank}");
                         assert_eq!(g.1, w.1, "{label}: full on rank {rank}");
-                        // The same copies (`aspmv.rs` holds the augmented
-                        // lists to halo ∪ extras); the oracle drains every
-                        // peer in source order, `dist_spmv` the halo peers
-                        // first.
-                        let (mut g, mut w) = (g.2.clone(), w.2.clone());
-                        g.sort_unstable();
-                        w.sort_unstable();
-                        assert_eq!(g, w, "{label}: captured on rank {rank}");
+                        // The same copies per source, though the oracle
+                        // drains every peer in source order and `dist_spmv`
+                        // the halo peers first. A capture takes one message
+                        // per source, so these slices are all it holds.
+                        for src in 0..n_ranks {
+                            let (g, w) = (g.2.sent_by(src), w.2.sent_by(src));
+                            let at = format!("{label}: captured on rank {rank} from {src}");
+                            assert_eq!(bits(g), bits(w), "{at}");
+                            assert_eq!(g.len(), copies(src, rank), "{at}");
+                        }
                     }
-                    let captures = got.iter().any(|g| !g.2.is_empty());
+                    let captures = got.iter().any(|g| g.2 != Capture::default());
                     assert_eq!(captures, phi > 0, "{label}: the ASpMV captures copies");
                     if let Some(aspmv) = shared.aspmv.as_deref() {
                         // And it costs no more than the second protocol did

@@ -196,13 +196,12 @@ fn recover_esrp(
 
     // --- One gather round: each survivor sends each replacement at most one
     // message of what it holds for it, values only -----------------------
-    // Both ends derive the layout from static plans. Survivor s captured f's
-    // entries I′(f,s) = I(f,s) ++ Rc(f→s) in every ASpMV, in that order
-    // (`finish_view` scatters the halo list, then the top-ups), so its slot
-    // filtered to f's range is the values over I′(f,s). The message is
-    // [p^(ĵ−1) over I′(f,s) | p^(ĵ) over I′(f,s) | x over I(s,f) | root
-    // only: β^(ĵ−1), r·z^(ĵ)], and s sends it only if some part is
-    // non-empty.
+    // Both ends derive the layout from static plans. Survivor s captured the
+    // message f sent it in every ASpMV whole: the values over I′(f,s) =
+    // I(f,s) ++ Rc(f→s), in that order, which its queue returns by source.
+    // The message is [p^(ĵ−1) over I′(f,s) | p^(ĵ) over I′(f,s) | x over
+    // I(s,f) | root only: β^(ĵ−1), r·z^(ĵ)], and s sends it only if some
+    // part is non-empty.
     ctx.set_phase(Phase::RecoveryGather);
     let plan = &*shared.plan;
     let aspmv = shared
@@ -231,10 +230,10 @@ fn recover_esrp(
         for &f in failed_sorted.iter().filter(|&&f| sends(me, f)) {
             let mut msg = ctx.take_f64s();
             for iter in [jhat - 1, jhat] {
-                assert!(
-                    st.queue.values_in_range_into(iter, part.range(f), &mut msg),
-                    "survivor {me} holds no copy of p^({iter}) for the rollback to {jhat}"
-                );
+                let held = st.queue.received(iter, f).unwrap_or_else(|| {
+                    panic!("survivor {me} holds no copy of p^({iter}) for the rollback to {jhat}")
+                });
+                msg.extend_from_slice(held);
             }
             let x_halo = plan.indices_to(me, f).iter();
             msg.extend(x_halo.map(|&g| st.x[g - range.start]));

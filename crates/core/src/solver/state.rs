@@ -398,7 +398,9 @@ mod tests {
     fn wipe_zeroes_everything() {
         let mut st = filled(3);
         st.take_snapshot(7, false);
-        st.queue.push(7, vec![(0, 1.0)]);
+        let mut captured = crate::queue::Capture::default();
+        captured.record(2, &[1.0]);
+        st.queue.push(7, captured);
         st.held_ckpts.insert(
             2,
             Snapshot {
@@ -414,6 +416,7 @@ mod tests {
         assert_eq!(st.beta_prev, 0.0);
         assert!(st.snapshot.is_none());
         assert!(st.queue.is_empty());
+        assert_eq!(st.queue.received(7, 2), None, "the copies are lost");
         assert!(st.held_ckpts.is_empty());
     }
 

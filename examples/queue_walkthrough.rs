@@ -11,7 +11,7 @@
 //! would have to roll back if a node failure struck at that moment — and
 //! why the queue needs *three* slots, not two.
 
-use esrcg::core::queue::RedundancyQueue;
+use esrcg::core::queue::{Capture, RedundancyQueue};
 use esrcg::core::solver::recovery::esrp_rollback_target;
 
 fn fmt_queue(q: &RedundancyQueue) -> String {
@@ -33,7 +33,7 @@ fn main() {
         let is_first = j % t == 0 && j >= t;
         let is_second = j % t == 1 && j > t;
         if is_first || is_second {
-            q.push(j, vec![]);
+            q.push(j, Capture::default());
         }
 
         let rollback = esrp_rollback_target(j, t)

@@ -11,7 +11,7 @@
 //! column-split operators, the inner preconditioner — but a bounded number
 //! of times that does not depend on the outer SpMV's storage format, and a
 //! second event in the same failure domain reuses what the first one built
-//! (and allocates no more than a pinned count).
+//! (each event allocates no more than a pinned count).
 //! The inner reconstruction solve's loop allocates nothing: an event whose
 //! inner solve runs more iterations allocates exactly as often.
 //!
@@ -127,21 +127,21 @@ fn iterations_past_the_warm_up_add_no_allocation() {
     };
     let (csr_first, csr_second) = events(1);
     let (pair_first, pair_second) = events(2);
-    // The second event's allocations are pinned at their count under the
-    // four-message recovery protocol (pair-shaped copies, a separate scalar
-    // and x-halo message): one gather message per survivor and replacement
-    // may only lower them.
-    for (psi, first, second, pin) in [
-        (1, csr_first, csr_second, 50),
-        (2, pair_first, pair_second, 78),
+    // Both events are pinned at their counts with the queue storing values
+    // and one slice per source (with `(index, value)` pairs they were
+    // 125 / 23 at ψ = 1 and 242 / 50 at ψ = 2); a change may only lower
+    // them.
+    for (psi, first, second, pins) in [
+        (1, csr_first, csr_second, (110, 13)),
+        (2, pair_first, pair_second, (206, 26)),
     ] {
         assert!(
             2 * second < first,
             "ψ = {psi}: a second event in the same failure domain allocated {second} times, the first {first}"
         );
         assert!(
-            second <= pin,
-            "ψ = {psi}: a second event allocated {second} times, more than the pinned {pin}"
+            first <= pins.0 && second <= pins.1,
+            "ψ = {psi}: the events allocated {first} / {second} times, more than the pinned {pins:?}"
         );
     }
     // The inner loop allocates nothing: more inner iterations, same count.

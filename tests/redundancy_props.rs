@@ -9,7 +9,7 @@
 
 use esrcg::core::aspmv::{AspmvPlan, BuddyMap};
 use esrcg::core::dist::plan::CommPlan;
-use esrcg::core::queue::RedundancyQueue;
+use esrcg::core::queue::{Capture, RedundancyQueue};
 use esrcg::sparse::gen::banded_spd;
 use esrcg::sparse::rng::SplitMix64;
 use esrcg::sparse::{CsrMatrix, Partition};
@@ -95,21 +95,57 @@ fn buddy_map_laws() {
 }
 
 /// The queue holds at most three slots, keeps them ordered, and its
-/// consecutive-pair search matches a brute-force scan.
+/// consecutive-pair search matches a brute-force scan. Under random pushes,
+/// same-iteration re-pushes, rollbacks and node losses it agrees with a
+/// plain list model: a held slot returns each source's values (empty for a
+/// source that sent nothing), a slot that is gone returns `None`, and the
+/// capture that leaves by eviction or replacement comes back intact.
 #[test]
 fn queue_laws() {
+    // Version `v` of iteration `j`'s capture: one message from rank 3, then
+    // one from rank j % 3 (ranks 4 and up send nothing).
+    let capture = |j: usize, v: usize| {
+        let mut c = Capture::default();
+        c.record(3, &[j as f64]);
+        c.record(j % 3, &[j as f64, v as f64]);
+        c
+    };
     let mut rng = SplitMix64::new(0xC7);
-    for _case in 0..CASES {
-        let len = rng.range_usize(1, 24);
-        let mut iters: Vec<usize> = (0..len).map(|_| rng.range_usize(0, 40)).collect();
-        iters.sort_unstable();
-        iters.dedup();
+    for case in 0..CASES {
         let mut q = RedundancyQueue::new();
-        for &j in &iters {
-            q.push(j, vec![(j, j as f64)]);
-            assert!(q.len() <= 3);
+        let mut model: Vec<(usize, usize)> = Vec::new(); // (iteration, version)
+        for v in 0..rng.range_usize(1, 24) {
+            let newest = model.last().map(|&(j, _)| j);
+            match rng.range_usize(0, 10) {
+                0 => {
+                    let to = rng.range_usize(0, newest.unwrap_or(0) + 1);
+                    q.purge_after(to);
+                    model.retain(|&(j, _)| j <= to);
+                }
+                1 => {
+                    q.clear();
+                    model.clear();
+                }
+                _ => {
+                    let j = newest.unwrap_or(0) + rng.range_usize(0, 3);
+                    let left = q.push(j, capture(j, v));
+                    let expect = if newest == Some(j) {
+                        let (_, old) = model.pop().expect("a newest slot");
+                        Some(capture(j, old))
+                    } else if model.len() == 3 {
+                        let (old_j, old) = model.remove(0);
+                        Some(capture(old_j, old))
+                    } else {
+                        None
+                    };
+                    model.push((j, v));
+                    assert_eq!(left, expect, "case {case}: what left the queue");
+                }
+            }
             let held = q.iters();
+            assert!(held.len() <= 3);
             assert!(held.windows(2).all(|w| w[0] < w[1]), "unsorted: {held:?}");
+            assert_eq!(held, model.iter().map(|&(j, _)| j).collect::<Vec<_>>());
             // Brute-force consecutive pair.
             let expect = held
                 .windows(2)
@@ -117,6 +153,16 @@ fn queue_laws() {
                 .find(|w| w[0] + 1 == w[1])
                 .map(|w| w[1]);
             assert_eq!(q.latest_consecutive_pair(), expect);
+            for j in 0..held.last().map_or(0, |&j| j + 2) {
+                match model.iter().find(|&&(i, _)| i == j) {
+                    Some(&(_, v)) => {
+                        assert_eq!(q.received(j, 3), Some(&[j as f64][..]));
+                        assert_eq!(q.received(j, j % 3), Some(&[j as f64, v as f64][..]));
+                        assert_eq!(q.received(j, 4), Some(&[][..]), "held, nothing from 4");
+                    }
+                    None => assert_eq!(q.received(j, 3), None, "case {case}: {j} not held"),
+                }
+            }
         }
     }
 }
