@@ -97,7 +97,7 @@ fn outcome(name: &'static str, report: &RunReport) -> Result<DrillOutcome, Strin
     }
     Ok(DrillOutcome {
         name,
-        recovery_modeled_s: report.recoveries.iter().map(|r| r.recovery_time).sum(),
+        recovery_modeled_s: report.recovery_seconds(),
         iters_overhead: report.total_loop_trips.saturating_sub(report.iterations),
         recoveries: report.recoveries.len(),
         full_restarts: report.recoveries.iter().filter(|r| r.full_restart).count(),
@@ -309,4 +309,20 @@ pub fn run_all(workers: usize) -> Result<Vec<DrillOutcome>, String> {
         .zip(DRILLS)
         .map(|(r, name)| r.unwrap_or_else(|panic| Err(format!("drill {name}: {panic}"))))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failure_free_outcome_renders_a_positive_zero() {
+        let report = base(Strategy::Esrp { t: 5 }, 1).run().expect("runs");
+        assert!(report.recoveries.is_empty());
+        let line = outcome("failure-free", &report).unwrap().artifact_line();
+        assert_eq!(
+            line,
+            "drill=failure-free recovery_modeled_s=0.000000000 iters_overhead=0"
+        );
+    }
 }

@@ -196,7 +196,7 @@ pub fn run_table(spec: &TableSpec) -> TableData {
                             .run()
                             .expect("failure run");
                         assert!(report.converged, "{sname} T={t} phi={phi} {location}");
-                        let r = report.recovery.as_ref().expect("failure processed");
+                        let r = report.recoveries.first().expect("failure processed");
                         ovh.push(report.overhead_vs(t0_rep));
                         rec.push(report.reconstruction_overhead_vs(t0_rep));
                         wasted.push(r.wasted_iterations);

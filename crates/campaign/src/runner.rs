@@ -67,14 +67,7 @@ impl RunOutcome {
             iterations: r.iterations,
             modeled_time: r.modeled_time,
             events_triggered: r.recoveries.len(),
-            // Normalize the empty sum: `Sum for f64` folds from -0.0,
-            // which would otherwise print as "-0.000000".
-            recovery_time: crate::report::fmt_nonneg_zero(
-                r.recoveries
-                    .iter()
-                    .map(|rec| rec.recovery_time)
-                    .sum::<f64>(),
-            ),
+            recovery_time: r.recovery_seconds(),
             wasted_iterations: r.recoveries.iter().map(|rec| rec.wasted_iterations).sum(),
             full_restarts: r.recoveries.iter().filter(|rec| rec.full_restart).count(),
         }

@@ -84,11 +84,6 @@ impl FailureSpec {
     pub fn affects(&self, rank: usize) -> bool {
         self.ranks.binary_search(&rank).is_ok()
     }
-
-    /// True if the event triggers at iteration `j`.
-    pub fn triggers_at(&self, j: usize) -> bool {
-        self.at_iteration == j
-    }
 }
 
 #[cfg(test)]
@@ -102,8 +97,6 @@ mod tests {
         assert_eq!(f.count(), 3);
         assert!(f.affects(3));
         assert!(!f.affects(5));
-        assert!(f.triggers_at(100));
-        assert!(!f.triggers_at(99));
         assert_eq!(f.at_iteration(), 100);
     }
 

@@ -87,12 +87,6 @@ impl Phase {
             Phase::RecoveryGather | Phase::RecoveryInner | Phase::RecoveryReset
         )
     }
-
-    /// True for the phases that exist only because resilience is enabled
-    /// (redundancy storage and checkpointing, but not recovery).
-    pub fn is_resilience_overhead(self) -> bool {
-        matches!(self, Phase::Storage | Phase::Checkpoint)
-    }
 }
 
 impl fmt::Display for Phase {
@@ -132,11 +126,6 @@ impl Default for RankStats {
 }
 
 impl RankStats {
-    /// Total flops over all phases.
-    pub fn total_flops(&self) -> u64 {
-        self.flops.iter().sum()
-    }
-
     /// Total messages sent over all phases.
     pub fn total_msgs(&self) -> u64 {
         self.msgs_sent.iter().sum()
@@ -207,9 +196,6 @@ mod tests {
         assert!(Phase::RecoveryInner.is_recovery());
         assert!(Phase::RecoveryReset.is_recovery());
         assert!(!Phase::SpMV.is_recovery());
-        assert!(Phase::Storage.is_resilience_overhead());
-        assert!(Phase::Checkpoint.is_resilience_overhead());
-        assert!(!Phase::RecoveryInner.is_resilience_overhead());
     }
 
     #[test]
@@ -222,7 +208,6 @@ mod tests {
         a.modeled_time[Phase::SpMV as usize] = 1.0;
         a.recv_wait[Phase::SpMV as usize] = 0.25;
 
-        assert_eq!(a.total_flops(), 10);
         assert_eq!(a.total_msgs(), 2);
         assert_eq!(a.total_bytes(), 16);
         assert_eq!(a.phase_time(Phase::SpMV), 1.0);

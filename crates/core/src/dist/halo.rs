@@ -4,10 +4,10 @@
 //! buffer, each receive returns one, so the per-iteration exchange is
 //! allocation-free at steady state.
 //!
-//! The exchange is **split-phase**: [`HaloExchange::start`] copies the
+//! The exchange is **split-phase**: [`HaloExchange::start_view`] copies the
 //! owned chunk into the gather buffer and fires all sends, then the caller
 //! computes whatever does not depend on the halo (interior SpMV rows, see
-//! [`esrcg_sparse::RowSplit`]), then [`HaloExchange::finish`] drains the
+//! [`esrcg_sparse::RowSplit`]), then [`HaloExchange::finish_view`] drains the
 //! receives. On the modeled clock, receives synchronize to each message's
 //! arrival time instead of adding a wait, so a split-phase SpMV pays
 //! `max(halo transfer, interior compute)` where the blocking form pays the
@@ -173,10 +173,10 @@ impl<'a> PlanView<'a> {
     }
 }
 
-/// An in-flight halo exchange: [`HaloExchange::start`] has fired the sends,
-/// [`HaloExchange::finish`] must drain the receives before any boundary row
-/// is computed. Holds no borrows — only the wire tag — so the caller is
-/// free to use the context and the gather buffer in between.
+/// An in-flight halo exchange: [`HaloExchange::start_view`] has fired the
+/// sends, [`HaloExchange::finish_view`] must drain the receives before any
+/// boundary row is computed. Holds no borrows — only the wire tag — so the
+/// caller is free to use the context and the gather buffer in between.
 #[must_use = "a started halo exchange must be finished, or its receives leak into later iterations"]
 #[derive(Debug)]
 pub struct HaloExchange {
@@ -184,41 +184,16 @@ pub struct HaloExchange {
 }
 
 impl HaloExchange {
-    /// Starts the exchange: copies `local` (this rank's owned chunk) into
-    /// `full` at the rank's own range and sends every `(dst, indices)` pair
-    /// of the plan under `Tag::Halo.with(tag_sub)`. Sends never block.
-    /// `tag_sub` is typically the iteration number, so halo rounds of
-    /// different iterations can never be confused.
+    /// Starts the exchange over `view` under the wire `tag`: copies `local`
+    /// (this rank's owned chunk) into `full` at the rank's own range and
+    /// sends every accepted `(dst, indices)` pair of the view. Sends never
+    /// block. The tag's sub-field is typically the iteration number, so
+    /// halo rounds of different iterations can never be confused.
     ///
     /// Send buffers come from the rank's pool, so after the first few
     /// rounds the per-iteration exchange allocates nothing (buffers
     /// circulate between ranks: the receiver recycles what this send hands
     /// over, and vice versa).
-    ///
-    /// # Panics
-    /// Panics if `local` does not match the rank's range length or `full`
-    /// the global size.
-    pub fn start(
-        ctx: &mut Ctx,
-        plan: &CommPlan,
-        part: &Partition,
-        local: &[f64],
-        tag_sub: u32,
-        full: &mut [f64],
-    ) -> HaloExchange {
-        Self::start_view(
-            ctx,
-            &PlanView::full(plan),
-            part,
-            local,
-            Tag::Halo.with(tag_sub),
-            full,
-        )
-    }
-
-    /// [`HaloExchange::start`], generalized over a [`PlanView`] and a full
-    /// wire `tag`: the caller picks the peer subset and the tag namespace.
-    /// Protocol and cost are otherwise identical to the regular halo start.
     ///
     /// # Panics
     /// Panics if `local` does not match the rank's range length or `full`
@@ -248,8 +223,10 @@ impl HaloExchange {
         HaloExchange { tag }
     }
 
-    /// Finishes the exchange: drains the receives in source-rank order
-    /// (deterministic capture order) and scatters them into `full`.
+    /// Finishes the exchange: drains the receives of the sources `view`
+    /// accepts, in source-rank order (deterministic capture order), and
+    /// scatters them into `full`. The view must accept the same peers the
+    /// matching [`HaloExchange::start_view`] accepted, or receives leak.
     ///
     /// * Each receive first probes [`Ctx::try_recv`] — a message that
     ///   arrived (physically and on the modeled clock) while the caller was
@@ -271,22 +248,6 @@ impl HaloExchange {
     /// Panics if a received payload does not match the plan's index list —
     /// a wrong-length halo payload is a protocol violation, checked in
     /// release builds too.
-    pub fn finish(
-        self,
-        ctx: &mut Ctx,
-        plan: &CommPlan,
-        full: &mut [f64],
-        captured: Option<&mut Capture>,
-    ) {
-        self.finish_view(ctx, &PlanView::full(plan), full, captured);
-    }
-
-    /// [`HaloExchange::finish`], generalized over a [`PlanView`]: drains
-    /// only the accepted sources. The view must accept the same peers the
-    /// matching [`HaloExchange::start_view`] accepted, or receives leak.
-    ///
-    /// # Panics
-    /// Panics if a received payload does not match the plan's index list.
     pub fn finish_view(
         self,
         ctx: &mut Ctx,
@@ -333,11 +294,11 @@ impl HaloExchange {
 }
 
 /// Exchanges halo entries of a distributed vector and scatters them into
-/// `full`, a full-length scratch vector — the blocking composition of
-/// [`HaloExchange::start`] and [`HaloExchange::finish`] (see there for the
-/// protocol details). The oracle of the split-phase tests (this module's
-/// and `solver`'s) and the `benchmark` probe's entry point; the solver
-/// itself always overlaps.
+/// `full`, a full-length scratch vector — the blocking exchange over the
+/// whole plan under `Tag::Halo.with(tag_sub)`: [`HaloExchange::start_view`]
+/// then [`HaloExchange::finish_view`] (see there for the protocol details).
+/// The oracle of the split-phase tests (this module's and `solver`'s) and
+/// the `benchmark` probe's entry point; the solver itself always overlaps.
 ///
 /// # Panics
 /// Panics if `local` does not match the rank's range length, or on protocol
@@ -351,7 +312,9 @@ pub fn exchange_halo(
     full: &mut [f64],
     captured: Option<&mut Capture>,
 ) {
-    HaloExchange::start(ctx, plan, part, local, tag_sub, full).finish(ctx, plan, full, captured);
+    let view = PlanView::full(plan);
+    HaloExchange::start_view(ctx, &view, part, local, Tag::Halo.with(tag_sub), full)
+        .finish_view(ctx, &view, full, captured);
 }
 
 #[cfg(test)]
@@ -409,10 +372,11 @@ mod tests {
                     let rs = split.of(ctx.rank());
                     let mut full = vec![0.0; part.n()];
                     let mut y = vec![0.0; range.len()];
-                    let hx =
-                        HaloExchange::start(ctx, &plan, &part, &x[range.clone()], 0, &mut full);
+                    let (view, tag) = (PlanView::full(&plan), Tag::Halo.with(0));
+                    let local = &x[range.clone()];
+                    let hx = HaloExchange::start_view(ctx, &view, &part, local, tag, &mut full);
                     a.spmv_rows_subset_into(&rs.interior().to_vec(), range.start, &full, &mut y);
-                    hx.finish(ctx, &plan, &mut full, None);
+                    hx.finish_view(ctx, &view, &mut full, None);
                     a.spmv_rows_subset_into(&rs.boundary().to_vec(), range.start, &full, &mut y);
                     y
                 }
@@ -449,15 +413,16 @@ mod tests {
                     let mut y = vec![0.0; range.len()];
                     if split_phase {
                         let rs = split.of(ctx.rank());
-                        let hx =
-                            HaloExchange::start(ctx, &plan, &part, &x[range.clone()], 0, &mut full);
+                        let (view, tag) = (PlanView::full(&plan), Tag::Halo.with(0));
+                        let local = &x[range.clone()];
+                        let hx = HaloExchange::start_view(ctx, &view, &part, local, tag, &mut full);
                         a.spmv_rows_subset_into(
                             &rs.interior().to_vec(),
                             range.start,
                             &full,
                             &mut y,
                         );
-                        hx.finish(ctx, &plan, &mut full, None);
+                        hx.finish_view(ctx, &view, &mut full, None);
                         a.spmv_rows_subset_into(
                             &rs.boundary().to_vec(),
                             range.start,

@@ -80,13 +80,11 @@ pub enum MatrixSource {
     },
     /// A Matrix Market file (e.g. the genuine SuiteSparse matrices).
     File(std::path::PathBuf),
-    /// A caller-supplied matrix.
-    Custom(CsrMatrix),
-    /// A caller-supplied matrix behind a shared handle — what batch
-    /// drivers (the campaign fleet) use so hundreds of runs of the same
-    /// problem share one materialized matrix instead of deep-copying it
-    /// per run ([`MatrixSource::build_arc`] is then a refcount bump).
-    Shared(std::sync::Arc<CsrMatrix>),
+    /// A caller-supplied matrix behind a shared handle, so batch drivers
+    /// (the campaign fleet) run hundreds of solves of the same problem
+    /// from one materialized matrix instead of deep-copying it per run
+    /// ([`MatrixSource::build_arc`] is then a refcount bump).
+    Shared(Arc<CsrMatrix>),
 }
 
 impl MatrixSource {
@@ -110,7 +108,6 @@ impl MatrixSource {
             MatrixSource::File(path) => {
                 esrcg_sparse::mm::read_matrix_market_file(path).map_err(|e| e.to_string())?
             }
-            MatrixSource::Custom(a) => a.clone(),
             MatrixSource::Shared(a) => (**a).clone(),
         })
     }
@@ -139,7 +136,6 @@ impl MatrixSource {
             MatrixSource::AudikwLike { .. } => "audikw-like",
             MatrixSource::BandedSpd { .. } => "banded-spd",
             MatrixSource::File(_) => "file",
-            MatrixSource::Custom(_) => "custom",
             MatrixSource::Shared(_) => "shared",
         }
     }
@@ -268,17 +264,10 @@ impl Experiment {
         self
     }
 
-    /// Adds an explicit failure event.
-    pub fn failure_spec(mut self, f: FailureSpec) -> Self {
-        self.failure_explicit.push(f);
-        self
-    }
-
     /// Replaces the whole failure schedule with `specs` — batch
     /// construction for callers that compile schedules programmatically
     /// (the campaign engine's fault-trace compiler). Any events previously
-    /// added through [`Experiment::failure_at`] or
-    /// [`Experiment::failure_spec`] are discarded.
+    /// added through [`Experiment::failure_at`] are discarded.
     pub fn failures(mut self, specs: Vec<FailureSpec>) -> Self {
         self.failure_blocks.clear();
         self.failure_explicit = specs;
@@ -406,11 +395,7 @@ impl Experiment {
                 rec
             })
             .collect();
-        let recovery = recoveries.first().cloned();
-        let mut stats_total = RankStats::default();
-        for s in &outcome.stats {
-            stats_total.merge(s);
-        }
+        let stats_total = outcome.total_stats();
         // Tuner decisions are replicated; report rank 0's copy.
         let tuning = first.tuning.clone();
         let buffer_stats_total = outcome.total_buffer_stats();
@@ -427,7 +412,6 @@ impl Experiment {
             true_relres: first.true_relres,
             residual_drift: first.residual_drift,
             modeled_time: outcome.modeled_time,
-            recovery,
             recoveries,
             tuning,
             per_rank_stats: outcome.stats,
@@ -437,11 +421,6 @@ impl Experiment {
             trace: outcome.trace,
             metrics,
             x,
-            strategy: shared.cfg.strategy,
-            policy: shared.cfg.interval_policy,
-            phi: shared.cfg.phi,
-            n_ranks: self.n_ranks,
-            variant: shared.cfg.variant,
         })
     }
 }
@@ -463,9 +442,6 @@ pub struct RunReport {
     pub residual_drift: f64,
     /// Deterministic modeled runtime (seconds).
     pub modeled_time: f64,
-    /// First recovery event's details (convenience accessor for the
-    /// paper's single-event experiments; `None` if no failure triggered).
-    pub recovery: Option<RecoveryOutcome>,
     /// All recovery events, in trigger order.
     pub recoveries: Vec<RecoveryOutcome>,
     /// Interval-tuner decisions, one per failure event under the adaptive
@@ -487,16 +463,6 @@ pub struct RunReport {
     pub metrics: Option<MetricsRollup>,
     /// The assembled global solution.
     pub x: Vec<f64>,
-    /// Echo of the strategy.
-    pub strategy: Strategy,
-    /// Echo of the interval policy.
-    pub policy: IntervalPolicy,
-    /// Echo of φ.
-    pub phi: usize,
-    /// Echo of the rank count.
-    pub n_ranks: usize,
-    /// Echo of the PCG recurrence variant.
-    pub variant: PcgVariant,
 }
 
 impl RunReport {
@@ -506,10 +472,18 @@ impl RunReport {
         (self.modeled_time - t0) / t0
     }
 
+    /// Modeled recovery time summed over all events, folded from `+0.0`
+    /// so a run without a failure reports `0`, never `-0`.
+    pub fn recovery_seconds(&self) -> f64 {
+        self.recoveries
+            .iter()
+            .fold(0.0, |acc, r| acc + r.recovery_time)
+    }
+
     /// Modeled recovery time (summed over all events) relative to a
     /// reference time (the paper's "reconstruction overhead" column).
     pub fn reconstruction_overhead_vs(&self, t0: f64) -> f64 {
-        self.recoveries.iter().map(|r| r.recovery_time).sum::<f64>() / t0
+        self.recovery_seconds() / t0
     }
 
     /// Renders the recorded trace as Chrome/Perfetto trace-event JSON
@@ -534,7 +508,7 @@ mod tests {
         assert!(report.iterations > 0);
         assert!(report.modeled_time > 0.0);
         assert!(report.true_relres < 1e-7);
-        assert!(report.recovery.is_none());
+        assert!(report.recoveries.is_empty());
         assert_eq!(report.x.len(), 100);
     }
 
@@ -558,7 +532,7 @@ mod tests {
             .run()
             .unwrap();
         assert!(report.converged);
-        let rec = report.recovery.clone().expect("failure processed");
+        let rec = report.recoveries.first().expect("failure processed");
         assert_eq!(rec.failed_at, jf);
         assert!(rec.inner_iterations > 0, "inner solve aggregated");
         assert!(report.modeled_time > reference.modeled_time);
@@ -655,7 +629,6 @@ mod tests {
             .failure_at(12, 0, 1);
         let baseline = protected.reference().run().unwrap();
         assert!(baseline.converged);
-        assert_eq!(baseline.strategy, Strategy::None);
         assert!(baseline.recoveries.is_empty(), "no failures in a baseline");
         // The baseline is the plain reference of the same problem.
         let plain = Experiment::builder()
@@ -702,8 +675,7 @@ mod tests {
         let path = dir.join("m.mtx");
         esrcg_sparse::mm::write_matrix_market_file(&a, &path).unwrap();
         let from_file = MatrixSource::File(path.clone()).build().unwrap();
-        let custom = MatrixSource::Custom(a.clone()).build().unwrap();
-        assert_eq!(from_file, custom);
+        assert_eq!(from_file, a);
         std::fs::remove_file(&path).ok();
     }
 
@@ -715,19 +687,19 @@ mod tests {
         let handle = src.build_arc().unwrap();
         assert!(Arc::ptr_eq(&a, &handle), "build_arc is a refcount bump");
         assert_eq!(src.build().unwrap(), *a, "build still yields the matrix");
-        // A run from the shared handle matches the owned-matrix run
-        // bitwise (same problem, same trajectory).
+        // A run from the shared handle matches the run of the generated
+        // matrix bitwise (same problem, same trajectory).
         let shared_run = Experiment::builder()
             .matrix(MatrixSource::Shared(a.clone()))
             .n_ranks(4)
             .run()
             .unwrap();
-        let custom_run = Experiment::builder()
-            .matrix(MatrixSource::Custom((*a).clone()))
+        let generated_run = Experiment::builder()
+            .matrix(MatrixSource::Poisson2d { nx: 8, ny: 8 })
             .n_ranks(4)
             .run()
             .unwrap();
-        assert_eq!(shared_run.x, custom_run.x);
-        assert_eq!(shared_run.iterations, custom_run.iterations);
+        assert_eq!(shared_run.x, generated_run.x);
+        assert_eq!(shared_run.iterations, generated_run.iterations);
     }
 }

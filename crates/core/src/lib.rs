@@ -9,8 +9,9 @@
 //!   for the inner solves of the recovery path,
 //! * [`dist`] — the distributed solver substrate: communication plans derived
 //!   from the matrix sparsity pattern and the split-phase halo-exchange SpMV
-//!   (`HaloExchange::start`/`finish` overlapping communication with interior
-//!   rows; the blocking wrapper `exchange_halo` is the tests' oracle),
+//!   (`HaloExchange::start_view`/`finish_view` overlapping communication
+//!   with interior rows; the blocking wrapper `exchange_halo` is the tests'
+//!   oracle),
 //! * [`aspmv`] — the *augmented* sparse matrix–vector product (paper §2.2):
 //!   redundant-copy destinations d(s,k) (Eq. 1), entry multiplicities m(i),
 //!   g(i), and the extra-send sets Rc(s,k),

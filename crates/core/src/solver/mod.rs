@@ -256,28 +256,13 @@ pub struct SharedProblem {
 impl SharedProblem {
     /// Assembles the shared problem: partitions the matrix, builds the
     /// communication plan, the preconditioner, and the strategy-specific
-    /// redundancy plans.
+    /// redundancy plans. The matrix handle is shared, not copied, so batch
+    /// drivers (the campaign fleet) can assemble many problems from one
+    /// materialized matrix.
     ///
     /// # Errors
     /// Returns configuration errors as strings and factorization failures
     /// as [`SparseError`] (stringified).
-    pub fn assemble(
-        a: CsrMatrix,
-        b: Vec<f64>,
-        x0: Vec<f64>,
-        n_ranks: usize,
-        precond_spec: PrecondSpec,
-        cfg: SolverConfig,
-    ) -> Result<Self, String> {
-        Self::assemble_shared(Arc::new(a), b, x0, n_ranks, precond_spec, cfg)
-    }
-
-    /// [`SharedProblem::assemble`] over an already-shared matrix handle —
-    /// no copy is taken, so batch drivers (the campaign fleet) can
-    /// assemble many problems from one materialized matrix.
-    ///
-    /// # Errors
-    /// Same as [`SharedProblem::assemble`].
     pub fn assemble_shared(
         a: Arc<CsrMatrix>,
         b: Vec<f64>,
@@ -890,8 +875,8 @@ mod tests {
         let b = a.spmv(&x_true);
         let mut cfg = SolverConfig::new(strategy, phi);
         cfg.failures = failure.into_iter().collect();
-        SharedProblem::assemble(
-            a,
+        SharedProblem::assemble_shared(
+            Arc::new(a),
             b,
             vec![0.0; n],
             n_ranks,
@@ -1095,7 +1080,14 @@ mod tests {
                     let mut cfg = SolverConfig::new(strategy, phi);
                     cfg.spmv_format = fmt;
                     let (b, x0, pre) = (vec![1.0; n], vec![0.0; n], PrecondSpec::paper_default());
-                    let shared = SharedProblem::assemble(a.clone(), b, x0, n_ranks, pre, cfg);
+                    let shared = SharedProblem::assemble_shared(
+                        Arc::new(a.clone()),
+                        b,
+                        x0,
+                        n_ranks,
+                        pre,
+                        cfg,
+                    );
                     let shared = Arc::new(shared.expect("valid problem"));
                     assert_eq!(shared.fmt_cache.is_some(), !fmt.is_csr(), "{label}");
                     let (want, t_oracle) = one_spmv(&shared, true, phi > 0);
@@ -1167,8 +1159,8 @@ mod tests {
         ] {
             let mut cfg = SolverConfig::new(Strategy::None, 0);
             cfg.spmv_format = fmt;
-            let shared = SharedProblem::assemble(
-                a.clone(),
+            let shared = SharedProblem::assemble_shared(
+                Arc::new(a.clone()),
                 b.clone(),
                 vec![0.0; n],
                 4,

@@ -703,7 +703,14 @@ mod tests {
         let n = a.nrows();
         let cfg = SolverConfig::new(Strategy::esr(), 3);
         let pre = PrecondSpec::paper_default();
-        let shared = SharedProblem::assemble(a, vec![1.0; n], vec![0.0; n], n_ranks, pre, cfg);
+        let shared = SharedProblem::assemble_shared(
+            Arc::new(a),
+            vec![1.0; n],
+            vec![0.0; n],
+            n_ranks,
+            pre,
+            cfg,
+        );
         let shared = Arc::new(shared.expect("valid problem"));
         let rhs = |g: usize| (g as f64 * 0.37).sin() + 0.5;
         let subgroups: [&[usize]; 3] = [&[5], &[2, 3], &[1, 4, 6]];

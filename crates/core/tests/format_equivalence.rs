@@ -103,7 +103,7 @@ fn formats_match_csr_bitwise_through_recoveries() {
     ] {
         let reference = run(&matrix, 4, 1, SpmvFormat::Csr, Some((strategy, c / 2)));
         assert!(reference.converged, "{label}: reference converged");
-        let rec = reference.recovery.as_ref().expect("failure processed");
+        let rec = reference.recoveries.first().expect("failure processed");
         assert_eq!(rec.failed_at, c / 2, "{label}");
         assert!(!rec.full_restart, "{label}: a recovery point existed");
         for format in formats() {
@@ -111,7 +111,7 @@ fn formats_match_csr_bitwise_through_recoveries() {
                 let report = run(&matrix, 4, threads, format, Some((strategy, c / 2)));
                 let what = format!("{label} @ 4r/{threads}t/{}", format.name());
                 assert_bitwise(&reference, &report, &what);
-                let rec = report.recovery.as_ref().expect("failure processed");
+                let rec = report.recoveries.first().expect("failure processed");
                 assert_eq!(rec.failed_at, c / 2, "{what}");
                 assert!(!rec.full_restart, "{what}");
             }

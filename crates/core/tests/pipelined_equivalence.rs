@@ -105,7 +105,7 @@ fn pipelined_recovers_under_every_strategy() {
             .run()
             .expect("experiment runs");
         assert!(report.converged, "{label}: pipelined run converged");
-        let rec = report.recovery.as_ref().expect("failure processed");
+        let rec = report.recoveries.first().expect("failure processed");
         assert_eq!(rec.failed_at, c / 2, "{label}");
         assert!(!rec.full_restart, "{label}: a recovery point existed");
         assert!(rec.recovery_time > 0.0, "{label}");
@@ -151,7 +151,7 @@ fn pipelined_full_restart_before_first_recovery_point() {
         .run()
         .expect("experiment runs");
     assert!(report.converged);
-    let rec = report.recovery.as_ref().unwrap();
+    let rec = report.recoveries.first().unwrap();
     assert!(rec.full_restart);
     assert_eq!(rec.resumed_at, 0);
 }

@@ -148,7 +148,7 @@ fn sstep_recovers_mid_block_under_every_strategy() {
             .run()
             .expect("experiment runs");
         assert!(report.converged, "{label}: s-step run converged");
-        let rec = report.recovery.as_ref().expect("failure processed");
+        let rec = report.recoveries.first().expect("failure processed");
         assert_eq!(rec.failed_at, j_f, "{label}");
         assert!(!rec.full_restart, "{label}: a recovery point existed");
         assert!(
@@ -199,7 +199,7 @@ fn sstep_full_restart_before_first_recovery_point() {
         .run()
         .expect("experiment runs");
     assert!(report.converged);
-    let rec = report.recovery.as_ref().unwrap();
+    let rec = report.recoveries.first().unwrap();
     assert!(rec.full_restart);
     assert_eq!(rec.resumed_at, 0);
 }

@@ -4,8 +4,8 @@
 //! Beyond the usual SpMV, this module provides the operations the exact state
 //! reconstruction (ESR) recovery path needs:
 //!
-//! * [`CsrMatrix::extract_rows`] — the rows `A[I_f, :]` owned by failed ranks
-//!   (column indices stay global),
+//! * [`CsrMatrix::extract_rows_filtered`] — the rows `A[I_f, :]` owned by
+//!   failed ranks restricted to a column subset (column indices stay global),
 //! * [`CsrMatrix::principal_submatrix`] — the inner-system matrix `A[I_f, I_f]`
 //!   with columns remapped to local indices,
 //! * [`CsrMatrix::spmv_rows_masked`] — the off-diagonal product
@@ -25,15 +25,15 @@ use crate::error::SparseError;
 /// kernel gathers `x[c]` without a bounds check on the strength of
 /// `c < ncols` and the `x.len() == ncols` assertion. It holds because the
 /// fields are private and nothing hands out `&mut` access to them, so the
-/// eight constructors in this file — `from_coo`, `from_raw`, `identity`,
-/// `extract_rows_filtered`, `extract_rows`, `principal_submatrix`,
-/// `transpose` and the crate-private row writer `CsrWriter` the structured
-/// generators emit through — are the only producers of a value of this type
+/// seven constructors in this file — `from_coo`, `from_raw`, `identity`,
+/// `extract_rows_filtered`, `principal_submatrix`, `transpose` and the
+/// crate-private row writer `CsrWriter` the structured generators emit
+/// through — are the only producers of a value of this type
 /// (`from_dense` goes through `from_coo`; `Clone` copies a valid value).
 /// Two of them check in every profile: `from_raw` validates its untrusted
 /// arrays whole, and `CsrWriter::push` asserts `col < ncols` and strictly
 /// ascending columns entry by entry (`finish` asserts the row count), which
-/// is the whole invariant. The other six derive their indices from a
+/// is the whole invariant. The other five derive their indices from a
 /// range-checked [`CooMatrix`] or from an already valid matrix. All but
 /// `from_raw` re-run `validate` under `debug_assertions`, so a debug-profile
 /// test run checks every matrix it builds. A new constructor must do one or
@@ -390,30 +390,6 @@ impl CsrMatrix {
                     values.push(v);
                 }
             }
-            row_ptr.push(col_idx.len());
-        }
-        CsrMatrix {
-            nrows: rows.len(),
-            ncols: self.ncols,
-            row_ptr,
-            col_idx,
-            values,
-        }
-        .sealed()
-    }
-
-    /// Extracts the rows `rows` (sorted global indices) as a new
-    /// `rows.len() × ncols` matrix; column indices stay global.
-    pub fn extract_rows(&self, rows: &[usize]) -> CsrMatrix {
-        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
-        row_ptr.push(0);
-        let nnz: usize = rows.iter().map(|&r| self.row_nnz(r)).sum();
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for &r in rows {
-            let (cols, vals) = self.row(r);
-            col_idx.extend_from_slice(cols);
-            values.extend_from_slice(vals);
             row_ptr.push(col_idx.len());
         }
         CsrMatrix {
@@ -893,18 +869,6 @@ mod tests {
         // The two complementary filters partition the entries.
         let keep_even = a.extract_rows_filtered(&rows, |c| c % 2 == 0);
         assert_eq!(keep_odd.nnz() + keep_even.nnz(), a.nnz());
-    }
-
-    #[test]
-    fn extract_rows_keeps_global_columns() {
-        let a = small();
-        let sub = a.extract_rows(&[0, 2]);
-        assert_eq!(sub.nrows(), 2);
-        assert_eq!(sub.ncols(), 3);
-        assert_eq!(sub.get(0, 1), -1.0);
-        assert_eq!(sub.get(1, 1), -1.0);
-        assert_eq!(sub.get(1, 2), 4.0);
-        sub.validate().unwrap();
     }
 
     #[test]

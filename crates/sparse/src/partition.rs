@@ -95,20 +95,6 @@ impl Partition {
         p - 1
     }
 
-    /// All global indices owned by the given set of ranks, sorted. The rank
-    /// list does not need to be sorted or contiguous; this is `I_f` for a
-    /// failure set `f`.
-    pub fn indices_of_ranks(&self, ranks: &[usize]) -> Vec<usize> {
-        let mut sorted: Vec<usize> = ranks.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut out = Vec::new();
-        for s in sorted {
-            out.extend(self.range(s));
-        }
-        out
-    }
-
     /// Iterator over `(rank, range)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
         (0..self.n_ranks()).map(move |s| (s, self.range(s)))
@@ -168,14 +154,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn owner_of_out_of_range_panics() {
         Partition::balanced(5, 2).owner_of(5);
-    }
-
-    #[test]
-    fn indices_of_ranks_unions_and_sorts() {
-        let p = Partition::balanced(9, 3);
-        assert_eq!(p.indices_of_ranks(&[2, 0]), vec![0, 1, 2, 6, 7, 8]);
-        assert_eq!(p.indices_of_ranks(&[1, 1]), vec![3, 4, 5]);
-        assert!(p.indices_of_ranks(&[]).is_empty());
     }
 
     #[test]

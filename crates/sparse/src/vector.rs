@@ -112,19 +112,6 @@ pub fn sub_into(a: &[f64], b: &[f64], out: &mut [f64]) {
     }
 }
 
-/// `out ← a + b`.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn add_into(a: &[f64], b: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), b.len(), "add_into: length mismatch");
-    assert_eq!(a.len(), out.len(), "add_into: output length mismatch");
-    for ((o, x), y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *o = x + y;
-    }
-}
-
 /// Largest absolute component difference `max_i |a_i - b_i|`.
 ///
 /// Returns 0.0 for empty slices.
@@ -138,32 +125,6 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .zip(b.iter())
         .map(|(x, y)| (x - y).abs())
         .fold(0.0_f64, f64::max)
-}
-
-/// Euclidean distance `‖a - b‖₂`.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dist2: length mismatch");
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
-}
-
-/// Flop count of a dot product of length `n` (used by the cost model).
-#[inline]
-pub const fn dot_flops(n: usize) -> u64 {
-    2 * n as u64
-}
-
-/// Flop count of an axpy of length `n` (used by the cost model).
-#[inline]
-pub const fn axpy_flops(n: usize) -> u64 {
-    2 * n as u64
 }
 
 #[cfg(test)]
@@ -223,26 +184,17 @@ mod tests {
         let mut out = [0.0; 2];
         sub_into(&[5.0, 7.0], &[2.0, 3.0], &mut out);
         assert_eq!(out, [3.0, 4.0]);
-        add_into(&[5.0, 7.0], &[2.0, 3.0], &mut out);
-        assert_eq!(out, [7.0, 10.0]);
     }
 
     #[test]
     fn max_abs_diff_and_dist2() {
         assert_eq!(max_abs_diff(&[1.0, 5.0], &[2.0, 3.0]), 2.0);
         assert_eq!(max_abs_diff(&[], &[]), 0.0);
-        assert_eq!(dist2(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn dot_length_mismatch_panics() {
         dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn flop_counts() {
-        assert_eq!(dot_flops(10), 20);
-        assert_eq!(axpy_flops(10), 20);
     }
 }

@@ -67,7 +67,7 @@ fn main() {
         let j_f = paper_failure_iteration(c, t);
         let withf = run(strategy, phi, Some((j_f, 0, 1)));
         assert!(withf.converged);
-        let rec = withf.recovery.as_ref().expect("recovered");
+        let rec = withf.recoveries.first().expect("recovered");
         println!(
             "{name} {:>14.2} {:>16.2} {:>16.2} {:>8}",
             100.0 * ff.overhead_vs(t0),

@@ -75,7 +75,7 @@ fn main() {
             .run()
             .expect("failure run");
         assert!(wf.converged);
-        let wasted = wf.recovery.as_ref().unwrap().wasted_iterations;
+        let wasted = wf.recoveries.first().unwrap().wasted_iterations;
         println!(
             "{t:>5} {:>16.3} {:>16.3} {:>14}",
             100.0 * ff.overhead_vs(t0),

@@ -48,7 +48,10 @@ fn main() {
         .expect("resilient run");
     assert!(report.converged);
 
-    let rec = report.recovery.as_ref().expect("the failure was recovered");
+    let rec = report
+        .recoveries
+        .first()
+        .expect("the failure was recovered");
     println!(
         "esrp(T={t}): converged in {} iterations ({} loop trips including redone work)",
         report.iterations, report.total_loop_trips

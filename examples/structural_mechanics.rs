@@ -58,7 +58,7 @@ fn main() {
                 .run()
                 .expect("resilient run");
             assert!(report.converged, "{name} at {loc_name}");
-            let rec = report.recovery.as_ref().unwrap();
+            let rec = report.recoveries.first().unwrap();
             println!(
                 "{name} ψ={phi} @{loc_name}: overhead {:+.2} %, reconstruction {:.2} %, \
                  resumed at {} ({} wasted), inner iters {}",

@@ -39,7 +39,7 @@
 //!     .run()
 //!     .expect("experiment runs");
 //! assert!(report.converged);
-//! let recovery = report.recovery.as_ref().expect("failure was recovered");
+//! let recovery = report.recoveries.first().expect("failure was recovered");
 //! assert_eq!(recovery.failed_at, 12);
 //! ```
 

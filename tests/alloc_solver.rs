@@ -19,6 +19,8 @@
 
 mod counting_alloc;
 
+use std::sync::Arc;
+
 use esrcg::cluster::run_spmd;
 use esrcg::core::solver::{solve_node, SharedProblem, SolverConfig};
 use esrcg::prelude::*;
@@ -81,7 +83,8 @@ fn esr_event_with_inner_rtol(inner_rtol: f64) -> (u64, usize) {
     cfg.inner_rtol = inner_rtol;
     cfg.failures = vec![FailureSpec::contiguous(50, 3, 2, 8)];
     let pre = PrecondSpec::paper_default();
-    let shared = SharedProblem::assemble(a, b, vec![0.0; n], 8, pre, cfg).expect("probe");
+    let shared =
+        SharedProblem::assemble_shared(Arc::new(a), b, vec![0.0; n], 8, pre, cfg).expect("probe");
     let before = counting_alloc::allocations();
     let out = run_spmd(8, CostModel::default(), |ctx| solve_node(ctx, &shared));
     let allocations = counting_alloc::allocations() - before;

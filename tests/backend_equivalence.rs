@@ -162,7 +162,7 @@ fn distributed_resilient_run_bit_identical_across_backends() {
             reference.modeled_time.to_bits(),
             "par({t}): modeled time"
         );
-        assert_eq!(r.recovery, reference.recovery, "par({t})");
+        assert_eq!(r.recoveries, reference.recoveries, "par({t})");
     }
 }
 

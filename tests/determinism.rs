@@ -37,7 +37,7 @@ fn repeated_runs_are_bitwise_identical() {
         "modeled time bitwise identical"
     );
     assert_eq!(a.iterations, b.iterations);
-    assert_eq!(a.recovery, b.recovery);
+    assert_eq!(a.recoveries, b.recoveries);
     assert_eq!(a.residual_drift.to_bits(), b.residual_drift.to_bits());
 }
 

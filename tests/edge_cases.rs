@@ -43,7 +43,7 @@ fn failure_at_first_storage_iteration_falls_back_a_stage() {
     let t = 10;
     assert!(2 * t < c, "C = {c} too small for this scenario");
     let run = esrp_failure_at(t, 2 * t);
-    let rec = run.recovery.expect("recovery happened");
+    let rec = run.recoveries.first().expect("recovery happened");
     assert_eq!(rec.resumed_at, t + 1, "paper's Fig. 1 example");
     assert_eq!(rec.wasted_iterations, t - 1);
     assert!(run.converged);
@@ -58,7 +58,7 @@ fn failure_at_second_storage_iteration_wastes_nothing() {
     let t = 10;
     assert!(2 * t + 1 < c);
     let run = esrp_failure_at(t, 2 * t + 1);
-    let rec = run.recovery.expect("recovery happened");
+    let rec = run.recoveries.first().expect("recovery happened");
     assert_eq!(rec.resumed_at, 2 * t + 1);
     assert_eq!(rec.wasted_iterations, 0);
     assert!(run.converged);
@@ -73,7 +73,7 @@ fn failure_just_before_storage_stage_is_worst_case() {
     let j_f = 3 * t - 1;
     assert!(j_f < c);
     let run = esrp_failure_at(t, j_f);
-    let rec = run.recovery.expect("recovery happened");
+    let rec = run.recoveries.first().expect("recovery happened");
     assert_eq!(rec.resumed_at, 2 * t + 1);
     assert_eq!(rec.wasted_iterations, t - 2);
     assert!(run.converged);
@@ -89,7 +89,7 @@ fn esrp_failure_before_first_stage_restarts() {
         // Stage (10, 11) completes at iteration 11; failures at j <= 10 have
         // no recovery point.
         let run = esrp_failure_at(t, j_f);
-        let rec = run.recovery.expect("recovery happened");
+        let rec = run.recoveries.first().expect("recovery happened");
         assert!(rec.full_restart, "j_f = {j_f}");
         assert_eq!(rec.resumed_at, 0);
         assert!(run.converged);
@@ -109,7 +109,7 @@ fn imcr_failure_before_first_checkpoint_restarts() {
         .failure_at(7, 0, 1)
         .run()
         .expect("failure run");
-    let rec = run.recovery.expect("recovery happened");
+    let rec = run.recoveries.first().expect("recovery happened");
     assert!(rec.full_restart);
     assert!(run.converged);
     assert_eq!(run.x, reference.x);
@@ -128,7 +128,7 @@ fn imcr_failure_exactly_at_checkpoint_wastes_nothing() {
         .failure_at(2 * t, 3, 1)
         .run()
         .expect("failure run");
-    let rec = run.recovery.expect("recovery happened");
+    let rec = run.recoveries.first().expect("recovery happened");
     assert_eq!(rec.resumed_at, 2 * t);
     assert_eq!(rec.wasted_iterations, 0);
 }
@@ -137,7 +137,7 @@ fn imcr_failure_exactly_at_checkpoint_wastes_nothing() {
 #[test]
 fn esr_recovers_at_iteration_one() {
     let run = esrp_failure_at(1, 1);
-    let rec = run.recovery.expect("recovery happened");
+    let rec = run.recoveries.first().expect("recovery happened");
     assert!(!rec.full_restart);
     assert_eq!(rec.resumed_at, 1);
     assert!(run.converged);
@@ -147,7 +147,7 @@ fn esr_recovers_at_iteration_one() {
 #[test]
 fn esr_failure_at_iteration_zero_restarts() {
     let run = esrp_failure_at(1, 0);
-    let rec = run.recovery.expect("recovery happened");
+    let rec = run.recoveries.first().expect("recovery happened");
     assert!(rec.full_restart);
     assert!(run.converged);
 }
@@ -169,7 +169,7 @@ fn failure_near_convergence() {
 fn interval_longer_than_solve_restarts() {
     let c = reference().iterations;
     let run = esrp_failure_at(10 * c, c / 2);
-    let rec = run.recovery.expect("recovery happened");
+    let rec = run.recoveries.first().expect("recovery happened");
     assert!(rec.full_restart);
     assert!(run.converged);
 }
@@ -181,5 +181,5 @@ fn failure_beyond_convergence_never_triggers() {
     let c = reference().iterations;
     let run = esrp_failure_at(5, c + 100);
     assert!(run.converged);
-    assert!(run.recovery.is_none());
+    assert!(run.recoveries.is_empty());
 }

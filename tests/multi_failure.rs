@@ -86,7 +86,7 @@ fn esr_handles_multiple_failures_every_iteration_storage() {
     let (reference, run) = run_case(Strategy::esr(), 8, 3, 5, 3);
     assert!(run.converged);
     assert_eq!(run.iterations, reference.iterations);
-    let rec = run.recovery.expect("recovery happened");
+    let rec = run.recoveries.first().expect("recovery happened");
     assert_eq!(rec.wasted_iterations, 0);
 }
 
@@ -127,8 +127,8 @@ fn recovery_cost_grows_with_psi() {
             .run()
             .expect("failure run");
         let rec = run
-            .recovery
-            .as_ref()
+            .recoveries
+            .first()
             .expect("recovery happened")
             .recovery_time;
         assert!(

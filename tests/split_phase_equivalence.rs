@@ -5,6 +5,8 @@
 //! product bit for bit is pinned one level down, by the `dist_spmv` oracle
 //! test in `esrcg-core`'s `solver` module.
 
+use std::sync::Arc;
+
 use esrcg::prelude::*;
 use esrcg::sparse::CsrMatrix;
 
@@ -61,7 +63,7 @@ fn all_interior_ranks_solve_with_no_halo_wait() {
     // A block-diagonal (here: diagonal) matrix has an empty communication
     // plan: every rank's rows are interior and the boundary pass is a no-op.
     let run = Experiment::builder()
-        .matrix(MatrixSource::Custom(CsrMatrix::identity(24)))
+        .matrix(MatrixSource::Shared(Arc::new(CsrMatrix::identity(24))))
         .rhs(RhsSpec::Ones)
         .n_ranks(4)
         .run()

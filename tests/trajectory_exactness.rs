@@ -82,7 +82,7 @@ fn esrp_recovery_rejoins_the_reference_trajectory() {
             "T = {t}: solution deviates by {}",
             max_abs_diff(&run.x, &reference.x)
         );
-        let rec = run.recovery.expect("recovery happened");
+        let rec = run.recoveries.first().expect("recovery happened");
         assert!(!rec.full_restart);
         assert_eq!(rec.failed_at, j_f);
         assert_eq!(rec.wasted_iterations, j_f - rec.resumed_at);
@@ -123,7 +123,7 @@ fn esr_reconstruction_wastes_no_iterations() {
         .failure_at(c / 2, 0, 1)
         .run()
         .expect("failure run");
-    let rec = run.recovery.expect("recovery happened");
+    let rec = run.recoveries.first().expect("recovery happened");
     assert_eq!(
         rec.wasted_iterations, 0,
         "ESR reconstructs the failure iteration itself"
