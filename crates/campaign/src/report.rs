@@ -7,27 +7,17 @@
 //! and the renderers use fixed-precision formatting, so the emitted bytes
 //! are identical across repeated runs and across fleet worker counts. Wall
 //! time and host facts are deliberately **absent**: they belong on stderr,
-//! not in the artifact.
+//! not in the artifact. Strings and floats render through
+//! [`esrcg_cluster::json`]; this module holds only the layout templates.
 
 use std::fmt::Write as _;
 
+use esrcg_cluster::json::{self, fixed};
 use esrcg_cluster::{MetricsRollup, Phase};
 
 /// Schema identifier stamped into the JSON artifact. Bump on any change to
 /// the emitted structure.
 pub const SCHEMA: &str = "esrcg-campaign-v7";
-
-/// Normalizes `-0.0` to `+0.0` before fixed-precision rendering.
-///
-/// An IEEE-754 sum that cancels to zero can carry a negative sign (e.g. an
-/// empty reduction folded with `-0.0`), and `format!("{:.6}", -0.0)` prints
-/// `-0.000000` — a byte difference that breaks the bitwise-reproducibility
-/// contract of the BENCH artifacts without changing any value. Every float
-/// a report renders goes through here first.
-#[inline]
-pub(crate) fn fmt_nonneg_zero(v: f64) -> f64 {
-    v + 0.0
-}
 
 /// Order statistics of one metric over a cell's runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,11 +56,10 @@ impl Summary {
 
     fn json(&self, precision: usize) -> String {
         format!(
-            "{{\"min\": {:.p$}, \"median\": {:.p$}, \"max\": {:.p$}}}",
-            fmt_nonneg_zero(self.min),
-            fmt_nonneg_zero(self.median),
-            fmt_nonneg_zero(self.max),
-            p = precision
+            "{{\"min\": {}, \"median\": {}, \"max\": {}}}",
+            fixed(self.min, precision),
+            fixed(self.median, precision),
+            fixed(self.max, precision)
         )
     }
 }
@@ -150,11 +139,8 @@ pub struct CellReport {
     /// Share of modeled time spent in recovery: `Σ recovery_time / t`,
     /// over converged runs.
     pub recovery_share: Option<Summary>,
-    /// Flight-recorder rollup absorbed over the cell's completed runs.
-    /// Measured runs record at `TraceConfig::Spans`, so the message
-    /// counters are zero by construction (the runner asserts it) and the
-    /// JSON does not carry them; spans, marks, recovery, and buffer-pool
-    /// counters are populated.
+    /// Flight-recorder rollup absorbed over the cell's completed runs
+    /// (spans, marks, recovery and buffer-pool counters).
     pub metrics: MetricsRollup,
 }
 
@@ -183,19 +169,18 @@ pub struct CampaignReport {
 /// The members every JSON rendering of a [`MetricsRollup`] carries, without
 /// the enclosing braces: the rank-0 counters, per-phase spans and seconds
 /// (phases that ran only), and the buffer-pool counters. Fixed key order and
-/// precision on one line. The message counters are not rendered: both
-/// callers record at `TraceConfig::Spans`, where they are zero.
+/// precision on one line.
 fn write_rollup(s: &mut String, m: &MetricsRollup) {
     let _ = write!(
         s,
         "\"loop_trips\": {}, \"reductions\": {}, \"recovery_spans\": {}, \
-         \"recovery_seconds\": {:.9}, \"failures\": {}, \
+         \"recovery_seconds\": {}, \"failures\": {}, \
          \"checkpoint_rounds\": {}, \"storage_rounds\": {}, \
          \"tuner_decisions\": {}, \"phases\": [",
         m.iterations,
         m.reductions,
         m.recovery_spans,
-        fmt_nonneg_zero(m.recovery_seconds),
+        fixed(m.recovery_seconds, 9),
         m.failures,
         m.checkpoint_rounds,
         m.storage_rounds,
@@ -212,10 +197,10 @@ fn write_rollup(s: &mut String, m: &MetricsRollup) {
         first = false;
         let _ = write!(
             s,
-            "{{\"phase\": \"{}\", \"spans\": {}, \"seconds\": {:.9}}}",
+            "{{\"phase\": \"{}\", \"spans\": {}, \"seconds\": {}}}",
             phase.name(),
             m.phase_spans[i],
-            fmt_nonneg_zero(m.phase_seconds[i])
+            fixed(m.phase_seconds[i], 9)
         );
     }
     let _ = write!(
@@ -245,30 +230,12 @@ pub fn run_trace_line(
     let _ = write!(
         s,
         "{{\"cell\": {cell}, \"seed\": {seed}, \"converged\": {converged}, \
-         \"iterations\": {iterations}, \"modeled_seconds\": {:.9}, ",
-        fmt_nonneg_zero(modeled_seconds),
+         \"iterations\": {iterations}, \"modeled_seconds\": {}, ",
+        fixed(modeled_seconds, 9),
     );
     write_rollup(&mut s, m);
     s.push('}');
     s
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn opt_summary(s: &Option<Summary>, precision: usize) -> String {
@@ -293,14 +260,14 @@ impl CampaignReport {
             let _ = writeln!(
                 s,
                 "    {{\"problem\": {}, \"n\": {}, \"n_ranks\": {}, \
-                 \"variant\": {}, \"cost_model\": {}, \"t0_seconds\": {:.9}, \
+                 \"variant\": {}, \"cost_model\": {}, \"t0_seconds\": {}, \
                  \"iterations\": {}}}{}",
-                json_str(&b.problem),
+                json::str(&b.problem),
                 b.n,
                 b.n_ranks,
-                json_str(&b.variant),
-                json_str(&b.cost_model),
-                fmt_nonneg_zero(b.t0),
+                json::str(&b.variant),
+                json::str(&b.cost_model),
+                fixed(b.t0, 9),
                 b.c,
                 if i + 1 == self.baselines.len() {
                     ""
@@ -321,7 +288,7 @@ impl CampaignReport {
             let errors = c
                 .errors
                 .iter()
-                .map(|e| json_str(e))
+                .map(|e| json::str(e).to_string())
                 .collect::<Vec<_>>()
                 .join(", ");
             let _ = writeln!(
@@ -329,15 +296,15 @@ impl CampaignReport {
                 "    {{\"problem\": {}, \"n_ranks\": {}, \"variant\": {}, \
                  \"cost_model\": {}, \"format\": {}, \"strategy\": {}, \
                  \"policy\": {}, \"phi\": {}, \"process\": {}, \"seeds\": [{}],",
-                json_str(&c.problem),
+                json::str(&c.problem),
                 c.n_ranks,
-                json_str(&c.variant),
-                json_str(&c.cost_model),
-                json_str(&c.format),
-                json_str(&c.strategy),
-                json_str(&c.policy),
+                json::str(&c.variant),
+                json::str(&c.cost_model),
+                json::str(&c.format),
+                json::str(&c.strategy),
+                json::str(&c.policy),
                 c.phi,
-                json_str(&c.process),
+                json::str(&c.process),
                 seeds
             );
             let _ = writeln!(
@@ -398,13 +365,13 @@ impl CampaignReport {
         for b in &self.baselines {
             let _ = writeln!(
                 s,
-                "| {} | {} | {} | {} | {} | {:.3} | {} |",
+                "| {} | {} | {} | {} | {} | {} | {} |",
                 b.problem,
                 b.n,
                 b.n_ranks,
                 b.variant,
                 b.cost_model,
-                fmt_nonneg_zero(b.t0 * 1e3),
+                fixed(b.t0 * 1e3, 3),
                 b.c
             );
         }
@@ -430,10 +397,10 @@ impl CampaignReport {
         for c in &self.cells {
             let pct = |s: &Option<Summary>| match s {
                 Some(s) => format!(
-                    "{:.2} [{:.2}, {:.2}]",
-                    fmt_nonneg_zero(100.0 * s.median),
-                    fmt_nonneg_zero(100.0 * s.min),
-                    fmt_nonneg_zero(100.0 * s.max)
+                    "{} [{}, {}]",
+                    fixed(100.0 * s.median, 2),
+                    fixed(100.0 * s.min, 2),
+                    fixed(100.0 * s.max, 2)
                 ),
                 None => "-".to_string(),
             };
@@ -599,7 +566,10 @@ mod tests {
 
     #[test]
     fn json_escapes_strings() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        let mut r = sample();
+        r.cells[0].errors = vec!["seed 11: \"x\" \\ failed\n".into()];
+        let js = r.to_json();
+        assert!(js.contains("\"errors\": [\"seed 11: \\\"x\\\" \\\\ failed\\n\"]"));
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl RunOutcome {
             // Measured runs record at `TraceConfig::Spans`, so the rollup is
             // always present; keep the fallback total so a future Off-level
             // path degrades to zeros instead of panicking.
-            metrics: r.metrics.clone().unwrap_or_default(),
+            metrics: r.metrics().unwrap_or_default(),
             converged: r.converged,
             iterations: r.iterations,
             modeled_time: r.modeled_time,
@@ -484,12 +484,6 @@ mod tests {
         for cell in &reference.cells {
             assert!(cell.metrics.iterations > 0);
             assert!(cell.metrics.reductions > 0);
-            // The JSON renderings drop the message counters; this is why.
-            let m = &cell.metrics;
-            assert_eq!(m.sends + m.recvs, 0, "Spans level records no messages");
-            assert_eq!(m.recv_wait_seconds, 0.0);
-            let by_tag = m.msgs_by_tag.iter().chain(&m.bytes_by_tag);
-            assert!(by_tag.chain(&m.msgs_to_peer).all(|&count| count == 0));
             if cell.events_triggered > 0 {
                 assert_eq!(cell.metrics.recovery_spans as usize, cell.events_triggered);
                 assert!(cell.metrics.recovery_seconds > 0.0);

@@ -33,6 +33,7 @@ pub mod comm;
 mod coro;
 pub mod cost;
 pub mod failure;
+pub mod json;
 pub mod msg;
 pub mod spmd;
 pub mod stats;
@@ -45,6 +46,6 @@ pub use msg::{BufferPool, BufferPoolStats, Payload, Tag};
 pub use spmd::{run_spmd, run_spmd_traced, SpmdOutcome};
 pub use stats::{Phase, RankStats, N_PHASES};
 pub use trace::{
-    check_phase_coverage, check_recovery_attribution, tag_kind_name, validate_trace_json,
-    InstantKind, MergedTrace, MetricsRollup, RankTrace, TraceConfig, TraceEvent, TraceRecorder,
+    validate_trace_json, InstantKind, MergedTrace, MetricsRollup, RankTrace, TraceConfig,
+    TraceEvent, TraceRecorder,
 };

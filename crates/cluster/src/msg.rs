@@ -199,7 +199,7 @@ pub enum Tag {
     /// Internal: clock-barrier rounds ([`crate::Ctx::barrier_sync_clock`]).
     Barrier = 3,
     /// Reserved: no collective sends under it; the kind keeps its id so
-    /// the tag-kind tables (Perfetto names, `msgs_by_tag` slots) keep theirs.
+    /// the tag-kind names in traces and drill reports keep theirs.
     Gather = 4,
     /// Halo exchange for SpMV.
     Halo = 16,

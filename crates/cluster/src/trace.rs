@@ -17,13 +17,18 @@
 //!   (one track per rank; phases and recoveries as complete `"X"` spans,
 //!   failures/iterations/collectives as `"i"` instants), and
 //! * [`MergedTrace::rollup`] — a [`MetricsRollup`] of per-phase span
-//!   counts/durations, message/byte counters by tag kind and peer, and
+//!   counts/durations, the replicated logical marks, recovery time and
 //!   buffer pool counters (rendered to JSON by `esrcg-campaign`'s report).
+//!
+//! Per-message detail lives in the `Full` level's send/receive events
+//! only; the per-phase message and byte totals live in
+//! [`RankStats`](crate::RankStats).
 //!
 //! The default level is [`TraceConfig::Off`]: a single enum compare per hook,
 //! no allocation (the event `Vec` is never grown), and no effect whatsoever
 //! on the modeled clock — tracing at any level never advances time.
 
+use crate::json::{self, Value};
 use crate::msg::BufferPoolStats;
 use crate::stats::{Phase, N_PHASES};
 
@@ -102,16 +107,6 @@ pub fn tag_kind_name(kind: u32) -> &'static str {
         25 => "sstep-basis",
         _ => "other",
     }
-}
-
-/// Number of distinct tag-kind slots the rollup tracks (indexed densely).
-const TAG_KIND_IDS: [u32; 13] = [1, 2, 3, 4, 16, 17, 18, 19, 22, 23, 24, 25, 0];
-
-fn tag_kind_slot(kind: u32) -> usize {
-    TAG_KIND_IDS
-        .iter()
-        .position(|&k| k == kind)
-        .unwrap_or(TAG_KIND_IDS.len() - 1)
 }
 
 /// One recorded event. All timestamps are modeled-clock seconds.
@@ -423,9 +418,11 @@ impl MergedTrace {
     /// Render Chrome/Perfetto trace-event JSON: one `pid 0` process, one
     /// `tid` per rank, phases/recoveries as complete (`"X"`) spans and
     /// everything else as thread-scoped (`"i"`) instants. Timestamps are
-    /// modeled-clock microseconds with fixed three-decimal formatting, so the
-    /// output is byte-stable wherever the event stream is.
+    /// modeled-clock microseconds with fixed three-decimal formatting
+    /// ([`json::fixed`]), so the output is byte-stable wherever the event
+    /// stream is.
     pub fn to_perfetto_json(&self) -> String {
+        let us = |seconds: f64| json::fixed(seconds * 1e6, 3);
         let mut out = String::with_capacity(256 + self.event_count() * 96);
         out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [");
         let mut first = true;
@@ -456,20 +453,20 @@ impl MergedTrace {
                         "{{\"name\": \"{}\", \"cat\": \"phase\", \"ph\": \"X\", \"pid\": 0, \
                          \"tid\": {tid}, \"ts\": {}, \"dur\": {}}}",
                         phase.name(),
-                        fmt_us(*start),
-                        fmt_us(end - start)
+                        us(*start),
+                        us(end - start)
                     ),
                     TraceEvent::RecoverySpan { start, end } => format!(
                         "{{\"name\": \"recovery\", \"cat\": \"recovery\", \"ph\": \"X\", \
                          \"pid\": 0, \"tid\": {tid}, \"ts\": {}, \"dur\": {}}}",
-                        fmt_us(*start),
-                        fmt_us(end - start)
+                        us(*start),
+                        us(end - start)
                     ),
                     TraceEvent::Instant { kind, arg, at } => format!(
                         "{{\"name\": \"{}\", \"cat\": \"mark\", \"ph\": \"i\", \"s\": \"t\", \
                          \"pid\": 0, \"tid\": {tid}, \"ts\": {}, \"args\": {{\"v\": {arg}}}}}",
                         kind.name(),
-                        fmt_us(*at)
+                        us(*at)
                     ),
                     TraceEvent::Send {
                         peer,
@@ -480,7 +477,7 @@ impl MergedTrace {
                         "{{\"name\": \"send\", \"cat\": \"msg\", \"ph\": \"i\", \"s\": \"t\", \
                          \"pid\": 0, \"tid\": {tid}, \"ts\": {}, \"args\": {{\"peer\": {peer}, \
                          \"tag\": \"{}\", \"bytes\": {bytes}}}}}",
-                        fmt_us(*at),
+                        us(*at),
                         tag_kind_name(*tag_kind)
                     ),
                     TraceEvent::Recv {
@@ -493,9 +490,9 @@ impl MergedTrace {
                         "{{\"name\": \"recv\", \"cat\": \"msg\", \"ph\": \"i\", \"s\": \"t\", \
                          \"pid\": 0, \"tid\": {tid}, \"ts\": {}, \"args\": {{\"peer\": {peer}, \
                          \"tag\": \"{}\", \"bytes\": {bytes}, \"wait_us\": {}}}}}",
-                        fmt_us(*at),
+                        us(*at),
                         tag_kind_name(*tag_kind),
-                        fmt_us(*wait)
+                        us(*wait)
                     ),
                 };
                 emit(&mut out, &mut first, line);
@@ -512,12 +509,11 @@ impl MergedTrace {
     /// checkpoint/storage rounds, tuner decisions, recovery episodes — are
     /// counted on rank 0 only (every rank records the same ones); an
     /// episode's duration is its longest span across ranks
-    /// ([`MergedTrace::recovery_seconds`]). Phase spans/durations and
-    /// message counters are summed across ranks, like `RankStats` totals.
+    /// ([`MergedTrace::recovery_seconds`]). Phase spans and durations are
+    /// summed across ranks, like `RankStats` totals; send and receive
+    /// events are not rolled up.
     pub fn rollup(&self, pools: &[BufferPoolStats]) -> MetricsRollup {
-        let n_ranks = self.ranks.len();
         let mut r = MetricsRollup {
-            msgs_to_peer: vec![0; n_ranks],
             recovery_seconds: self.recovery_seconds(),
             ..MetricsRollup::default()
         };
@@ -548,24 +544,7 @@ impl MergedTrace {
                             }
                         }
                     }
-                    TraceEvent::Send {
-                        peer,
-                        tag_kind,
-                        bytes,
-                        ..
-                    } => {
-                        r.sends += 1;
-                        let slot = tag_kind_slot(*tag_kind);
-                        r.msgs_by_tag[slot] += 1;
-                        r.bytes_by_tag[slot] += *bytes as u64;
-                        if *peer < r.msgs_to_peer.len() {
-                            r.msgs_to_peer[*peer] += 1;
-                        }
-                    }
-                    TraceEvent::Recv { wait, .. } => {
-                        r.recvs += 1;
-                        r.recv_wait_seconds += wait;
-                    }
+                    TraceEvent::Send { .. } | TraceEvent::Recv { .. } => {}
                 }
             }
         }
@@ -576,16 +555,10 @@ impl MergedTrace {
     }
 }
 
-/// Format modeled seconds as microseconds with fixed 3-decimal precision
-/// (nanosecond resolution), normalizing `-0.0` to `0.0`.
-fn fmt_us(seconds: f64) -> String {
-    format!("{:.3}", seconds * 1e6 + 0.0)
-}
-
 /// Aggregated counters folded from a [`MergedTrace`]; deterministic. The
 /// campaign report holds the one JSON rendering (a cell's `"metrics"`
-/// member and the `--trace-out` run lines).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// member and the `--trace-out` run lines), and it renders every field.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MetricsRollup {
     /// Phase span counts by `Phase as usize`, summed across ranks.
     pub phase_spans: [u64; N_PHASES],
@@ -609,18 +582,6 @@ pub struct MetricsRollup {
     pub storage_rounds: u64,
     /// Tuner interval changes (rank 0).
     pub tuner_decisions: u64,
-    /// Point-to-point sends across all ranks (`Full` traces only).
-    pub sends: u64,
-    /// Point-to-point receive completions across all ranks (`Full` only).
-    pub recvs: u64,
-    /// Modeled receive wait summed across all ranks (`Full` only).
-    pub recv_wait_seconds: f64,
-    /// Message counts per tag-kind slot (see [`tag_kind_name`]).
-    pub msgs_by_tag: [u64; TAG_KIND_IDS.len()],
-    /// Payload bytes per tag-kind slot.
-    pub bytes_by_tag: [u64; TAG_KIND_IDS.len()],
-    /// Sends addressed to each destination rank, summed over sources.
-    pub msgs_to_peer: Vec<u64>,
     /// Buffer-pool counters summed across ranks.
     pub buffer_pool: BufferPoolStats,
 }
@@ -628,8 +589,7 @@ pub struct MetricsRollup {
 impl MetricsRollup {
     /// Accumulate another rollup into this one — how the campaign folds the
     /// per-run rollups of a cell into one per-cell aggregate. Every counter
-    /// and duration is summed; `msgs_to_peer` is summed element-wise (grown
-    /// to the longer rank count); buffer-pool counters are absorbed.
+    /// and duration is summed; buffer-pool counters are absorbed.
     pub fn absorb(&mut self, other: &MetricsRollup) {
         for p in 0..N_PHASES {
             self.phase_spans[p] += other.phase_spans[p];
@@ -643,47 +603,21 @@ impl MetricsRollup {
         self.checkpoint_rounds += other.checkpoint_rounds;
         self.storage_rounds += other.storage_rounds;
         self.tuner_decisions += other.tuner_decisions;
-        self.sends += other.sends;
-        self.recvs += other.recvs;
-        self.recv_wait_seconds += other.recv_wait_seconds;
-        for slot in 0..TAG_KIND_IDS.len() {
-            self.msgs_by_tag[slot] += other.msgs_by_tag[slot];
-            self.bytes_by_tag[slot] += other.bytes_by_tag[slot];
-        }
-        if self.msgs_to_peer.len() < other.msgs_to_peer.len() {
-            self.msgs_to_peer.resize(other.msgs_to_peer.len(), 0);
-        }
-        for (dst, &m) in other.msgs_to_peer.iter().enumerate() {
-            self.msgs_to_peer[dst] += m;
-        }
         self.buffer_pool.absorb(&other.buffer_pool);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Trace-event JSON validation (serde stand-in: the workspace is
-// dependency-free, so this is a minimal hand-rolled structural parser).
-// ---------------------------------------------------------------------------
-
 /// Validate a Perfetto trace-event JSON document structurally: well-formed
-/// JSON, a top-level object with a `"traceEvents"` array, and every event an
-/// object carrying a string `"name"`, a `"ph"` in `{"X","i","M"}`, integer
-/// `"pid"`/`"tid"`, a numeric `"ts"` (except metadata events), and — for
-/// `"X"` spans — a numeric `"dur"`. Returns the number of events validated.
+/// JSON (to the strict grammar of [`json`]), a top-level object with a
+/// `"traceEvents"` array, and every event an object carrying a string
+/// `"name"`, a `"ph"` in `{"X","i","M"}`, integer `"pid"`/`"tid"`, a
+/// numeric `"ts"` (except metadata events), and — for `"X"` spans — a
+/// numeric `"dur"`. Returns the number of events validated.
 pub fn validate_trace_json(text: &str) -> Result<usize, String> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let doc = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    let JsonValue::Object(fields) = doc else {
+    let Value::Object(fields) = json::parse(text)? else {
         return Err("top level is not an object".into());
     };
-    let Some(JsonValue::Array(events)) = fields
+    let Some(Value::Array(events)) = fields
         .iter()
         .find(|(k, _)| k == "traceEvents")
         .map(|(_, v)| v)
@@ -691,16 +625,16 @@ pub fn validate_trace_json(text: &str) -> Result<usize, String> {
         return Err("missing \"traceEvents\" array".into());
     };
     for (i, ev) in events.iter().enumerate() {
-        let JsonValue::Object(f) = ev else {
+        let Value::Object(f) = ev else {
             return Err(format!("event {i} is not an object"));
         };
         let get = |key: &str| f.iter().find(|(k, _)| k == key).map(|(_, v)| v);
         match get("name") {
-            Some(JsonValue::String(_)) => {}
+            Some(Value::String(_)) => {}
             _ => return Err(format!("event {i}: missing string \"name\"")),
         }
         let ph = match get("ph") {
-            Some(JsonValue::String(s)) => s.as_str(),
+            Some(Value::String(s)) => s.as_str(),
             _ => return Err(format!("event {i}: missing string \"ph\"")),
         };
         if !matches!(ph, "X" | "i" | "M") {
@@ -708,194 +642,24 @@ pub fn validate_trace_json(text: &str) -> Result<usize, String> {
         }
         for key in ["pid", "tid"] {
             match get(key) {
-                Some(JsonValue::Number(n)) if n.fract() == 0.0 && *n >= 0.0 => {}
+                Some(Value::Number(n)) if n.fract() == 0.0 && *n >= 0.0 => {}
                 _ => return Err(format!("event {i}: missing integer \"{key}\"")),
             }
         }
         if ph != "M" {
             match get("ts") {
-                Some(JsonValue::Number(n)) if n.is_finite() => {}
+                Some(Value::Number(n)) if n.is_finite() => {}
                 _ => return Err(format!("event {i}: missing numeric \"ts\"")),
             }
         }
         if ph == "X" {
             match get("dur") {
-                Some(JsonValue::Number(n)) if n.is_finite() && *n >= 0.0 => {}
+                Some(Value::Number(n)) if n.is_finite() && *n >= 0.0 => {}
                 _ => return Err(format!("event {i}: missing non-negative \"dur\"")),
             }
         }
     }
     Ok(events.len())
-}
-
-enum JsonValue {
-    Null,
-    Bool,
-    Number(f64),
-    String(String),
-    Array(Vec<JsonValue>),
-    Object(Vec<(String, JsonValue)>),
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
-            b'"' => Ok(JsonValue::String(self.parse_string()?)),
-            b't' => self.parse_lit("true", JsonValue::Bool),
-            b'f' => self.parse_lit("false", JsonValue::Bool),
-            b'n' => self.parse_lit("null", JsonValue::Null),
-            _ => self.parse_number(),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(
-                self.bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(JsonValue::Number)
-            .ok_or_else(|| format!("invalid number at byte {start}"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
-                    }
-                }
-                _ => out.push(b as char),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1055,7 +819,31 @@ mod tests {
     }
 
     #[test]
-    fn rollup_counts_replicated_events_once_and_messages_everywhere() {
+    fn validator_rejects_numbers_and_strings_json_does_not_allow() {
+        let doc = |name: &str, ts: &str| {
+            format!("{{\"traceEvents\": [{{\"name\": {name}, \"ph\": \"i\", \"pid\": 0, \"tid\": 0, \"ts\": {ts}}}]}}")
+        };
+        assert_eq!(
+            validate_trace_json(&doc("\"a\\u0041\\t\"", "-1.5e-3")),
+            Ok(1)
+        );
+        let probes = [
+            ("\"a\"", "+1"),
+            ("\"a\"", ".5"),
+            ("\"a\"", "1."),
+            ("\"a\"", "01"),
+            ("\"raw\ttab\"", "1"),
+            ("\"raw\nnewline\"", "1"),
+            ("\"\\u+041\"", "1"),
+        ];
+        for (name, ts) in probes {
+            let text = doc(name, ts);
+            assert!(validate_trace_json(&text).is_err(), "{text:?} is not JSON");
+        }
+    }
+
+    #[test]
+    fn rollup_counts_replicated_events_once() {
         let mk_rank = |rank: usize| RankTrace {
             rank,
             final_clock: 2.0,
@@ -1104,13 +892,7 @@ mod tests {
         assert_eq!(r.recovery_spans, 1);
         assert_eq!(r.recovery_seconds, 0.75, "the episode's longest span");
         assert_eq!(trace.recovery_seconds(), 0.75);
-        assert_eq!(r.sends, 2);
-        assert_eq!(r.recvs, 2);
         assert_eq!(r.phase_spans[Phase::SpMV as usize], 2);
-        assert_eq!(r.msgs_to_peer, vec![1, 1]);
-        let halo = tag_kind_slot(16);
-        assert_eq!(tag_kind_name(TAG_KIND_IDS[halo]), "halo");
-        assert_eq!((r.msgs_by_tag[halo], r.bytes_by_tag[halo]), (2, 160));
     }
 
     #[test]
@@ -1119,7 +901,6 @@ mod tests {
             iterations: 3,
             reductions: 6,
             recovery_seconds: 0.5,
-            msgs_to_peer: vec![1],
             ..MetricsRollup::default()
         };
         a.phase_seconds[Phase::SpMV as usize] = 1.0;
@@ -1127,7 +908,6 @@ mod tests {
             iterations: 2,
             reductions: 4,
             recovery_seconds: 0.25,
-            msgs_to_peer: vec![2, 7],
             ..MetricsRollup::default()
         };
         b.phase_seconds[Phase::SpMV as usize] = 0.5;
@@ -1137,7 +917,6 @@ mod tests {
         assert_eq!(a.reductions, 10);
         assert_eq!(a.recovery_seconds, 0.75);
         assert_eq!(a.phase_seconds[Phase::SpMV as usize], 1.5);
-        assert_eq!(a.msgs_to_peer, vec![3, 7]);
         assert_eq!(a.buffer_pool.takes, 10);
     }
 }

@@ -399,10 +399,6 @@ impl Experiment {
         // Tuner decisions are replicated; report rank 0's copy.
         let tuning = first.tuning.clone();
         let buffer_stats_total = outcome.total_buffer_stats();
-        let metrics = outcome
-            .trace
-            .as_ref()
-            .map(|t| t.rollup(&outcome.buffer_stats));
 
         Ok(RunReport {
             converged: outcome.results.iter().all(|o| o.converged),
@@ -419,7 +415,6 @@ impl Experiment {
             per_rank_buffer_stats: outcome.buffer_stats,
             buffer_stats_total,
             trace: outcome.trace,
-            metrics,
             x,
         })
     }
@@ -456,11 +451,9 @@ pub struct RunReport {
     /// All ranks' buffer-pool counters absorbed into one.
     pub buffer_stats_total: BufferPoolStats,
     /// The merged flight-recorder trace (`None` under [`TraceConfig::Off`]).
-    /// Render with [`RunReport::trace_json`] for Perfetto.
+    /// Render with [`RunReport::trace_json`] for Perfetto, roll up with
+    /// [`RunReport::metrics`].
     pub trace: Option<MergedTrace>,
-    /// Metrics rollup derived from the trace (`None` under
-    /// [`TraceConfig::Off`]).
-    pub metrics: Option<MetricsRollup>,
     /// The assembled global solution.
     pub x: Vec<f64>,
 }
@@ -490,6 +483,15 @@ impl RunReport {
     /// (one track per rank). `None` under [`TraceConfig::Off`].
     pub fn trace_json(&self) -> Option<String> {
         self.trace.as_ref().map(MergedTrace::to_perfetto_json)
+    }
+
+    /// The trace's metrics rollup, with the per-rank buffer-pool counters
+    /// absorbed ([`MergedTrace::rollup`]). `None` under
+    /// [`TraceConfig::Off`].
+    pub fn metrics(&self) -> Option<MetricsRollup> {
+        self.trace
+            .as_ref()
+            .map(|t| t.rollup(&self.per_rank_buffer_stats))
     }
 }
 

@@ -254,7 +254,7 @@ mod tests {
         for (ri, bi) in rr.iter_mut().zip(b.iter()) {
             *ri = bi - *ri;
         }
-        let relres = esrcg_sparse::vector::norm2(&rr) / (n as f64).sqrt();
+        let relres = esrcg_sparse::vector::dot(&rr, &rr).sqrt() / (n as f64).sqrt();
         assert!(relres < 1e-7, "true relres {relres}");
     }
 

@@ -8,7 +8,7 @@
 //! contains a full trigger → reconstruct → reset recovery window plus the
 //! re-executed block.
 
-use esrcg_cluster::{validate_trace_json, TraceConfig};
+use esrcg_cluster::{validate_trace_json, TraceConfig, TraceEvent};
 use esrcg_core::driver::{Experiment, MatrixSource, RhsSpec};
 use esrcg_core::solver::PcgVariant;
 use esrcg_core::{RunReport, Strategy};
@@ -72,7 +72,7 @@ fn recovery_spans_sum_bitwise_to_reported_recovery_time() {
         reported.to_bits(),
         "trace recovery spans vs RunReport recovery time"
     );
-    let metrics = report.metrics.as_ref().expect("rollup present");
+    let metrics = report.metrics().expect("rollup present");
     assert_eq!(metrics.recovery_seconds.to_bits(), reported.to_bits());
     assert_eq!(metrics.recovery_spans as usize, report.recoveries.len());
     assert_eq!(metrics.failures as usize, report.recoveries.len());
@@ -87,17 +87,34 @@ fn recovery_spans_sum_bitwise_to_reported_recovery_time() {
 fn spans_are_a_prefix_filter_of_full() {
     let spans = probe(1, TraceConfig::Spans);
     let full = probe(1, TraceConfig::Full);
-    let ms = spans.metrics.as_ref().unwrap();
-    let mf = full.metrics.as_ref().unwrap();
+    let ms = spans.metrics().unwrap();
+    let mf = full.metrics().unwrap();
     assert_eq!(ms.phase_spans, mf.phase_spans);
     assert_eq!(ms.iterations, mf.iterations);
     assert_eq!(ms.recovery_spans, mf.recovery_spans);
     for (a, b) in ms.phase_seconds.iter().zip(mf.phase_seconds.iter()) {
         assert_eq!(a.to_bits(), b.to_bits(), "phase seconds agree bitwise");
     }
-    assert_eq!(ms.sends, 0, "Spans records no message events");
-    assert!(mf.sends > 0, "Full records message events");
-    assert!(mf.recvs > 0);
+    // (sends, receives) recorded across all ranks.
+    let messages = |r: &RunReport| {
+        let mut n = (0, 0);
+        for ev in r
+            .trace
+            .iter()
+            .flat_map(|t| &t.ranks)
+            .flat_map(|rt| &rt.events)
+        {
+            match ev {
+                TraceEvent::Send { .. } => n.0 += 1,
+                TraceEvent::Recv { .. } => n.1 += 1,
+                _ => {}
+            }
+        }
+        n
+    };
+    assert_eq!(messages(&spans), (0, 0), "Spans records no message events");
+    let (sends, recvs) = messages(&full);
+    assert!(sends > 0 && recvs > 0, "Full records message events");
 }
 
 /// `TraceConfig::Off` is a branch-only no-op: the run's trajectory, modeled
@@ -108,7 +125,7 @@ fn off_recorder_is_bitwise_zero_overhead() {
     let off = probe(1, TraceConfig::Off);
     let full = probe(1, TraceConfig::Full);
     assert!(off.trace.is_none());
-    assert!(off.metrics.is_none());
+    assert!(off.metrics().is_none());
     assert_eq!(off.iterations, full.iterations);
     assert_eq!(off.total_loop_trips, full.total_loop_trips);
     assert_eq!(off.modeled_time.to_bits(), full.modeled_time.to_bits());
@@ -147,7 +164,7 @@ fn buffer_pool_counters_surface_in_the_report() {
     assert!(total.takes > 0, "steady-state traffic takes buffers");
     assert!(total.hits > 0, "the pool recycles");
     assert_eq!(total.misses(), total.takes - total.hits);
-    let metrics = report.metrics.as_ref().unwrap();
+    let metrics = report.metrics().unwrap();
     assert_eq!(metrics.buffer_pool.takes, total.takes);
     assert_eq!(metrics.buffer_pool.recycles, total.recycles);
     assert_eq!(metrics.buffer_pool.high_water, total.high_water);

@@ -24,13 +24,13 @@
 //!   split is also load-balanced. The split-phase product
 //!   ([`KernelBackend::spmv_row_runs_into`]) is the same kernel applied to
 //!   each contiguous run of a [`crate::split::RowRuns`].
-//! * Reductions (`dot`, `norm2`) use the fixed-block tree of
+//! * Reductions (`dot`) use the fixed-block tree of
 //!   [`crate::vector::REDUCTION_BLOCK`]: threads compute the partial sums of
 //!   whole blocks (the same partials the sequential kernel forms), and the
 //!   final combine adds block partials in ascending block order on one
 //!   thread. The grouping depends only on the compile-time block size, never
 //!   on the thread count.
-//! * Elementwise kernels (`axpy`, `axpby`, `scale`) have no cross-element
+//! * Elementwise kernels (`axpby`, `fused_axpy2`) have no cross-element
 //!   data flow at all.
 //!
 //! Whether a call dispatches at all is decided by constants —
@@ -128,8 +128,8 @@ where
 /// paths are bit-identical.
 pub const PARALLEL_CUTOFF: usize = 8192;
 
-/// Minimum vector length before a *streaming* kernel (`dot`, `axpy`,
-/// `axpby`, `fused_axpy2`, `scale`, `sub_into`) dispatches in parallel.
+/// Minimum vector length before a *streaming* kernel (`dot`, `axpby`,
+/// `fused_axpy2`) dispatches in parallel.
 /// These kernels move 16–32 bytes per element and do one or two flops on
 /// them, so waking the parked workers (≈ 40 µs on the 2-core bench host)
 /// costs more than the sweep itself until the vectors are far longer than
@@ -262,13 +262,6 @@ impl KernelBackend {
         assert_eq!(x.len(), a.ncols(), "spmv: x length != ncols");
         assert_eq!(y.len(), a.nrows(), "spmv: y length != nrows");
         self.spmv_rows_into(a, 0..a.nrows(), x, y);
-    }
-
-    /// `y = A x` (allocating convenience wrapper).
-    pub fn spmv(&self, a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; a.nrows()];
-        self.spmv_into(a, x, &mut y);
-        y
     }
 
     /// `y[i - rows.start] = Σ_k A[i, k] x[k]` for `i` in `rows` — the
@@ -481,24 +474,7 @@ impl KernelBackend {
         total
     }
 
-    /// Euclidean norm `‖a‖₂` (via [`KernelBackend::dot`]).
-    pub fn norm2(&self, a: &[f64]) -> f64 {
-        self.dot(a, a).sqrt()
-    }
-
     // --- Elementwise kernels ------------------------------------------------
-
-    /// `y ← y + alpha·x`.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != y.len()`.
-    pub fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-        let n = y.len();
-        self.par_zip(n, x, &[], y, &mut [], move |xc, _, yc, _| {
-            vector::axpy(alpha, xc, yc)
-        });
-    }
 
     /// `y ← alpha·x + beta·y`.
     ///
@@ -525,27 +501,6 @@ impl KernelBackend {
         assert_eq!(r.len(), n, "fused_axpy2: r length mismatch");
         self.par_zip(n, p, q, x, r, move |pc, qc, xc, rc| {
             vector::fused_axpy2(alpha, pc, qc, xc, rc)
-        });
-    }
-
-    /// `x ← alpha·x`.
-    pub fn scale(&self, alpha: f64, x: &mut [f64]) {
-        let n = x.len();
-        self.par_zip(n, &[], &[], x, &mut [], move |_, _, xc, _| {
-            vector::scale(alpha, xc)
-        });
-    }
-
-    /// `out ← a - b`.
-    ///
-    /// # Panics
-    /// Panics if lengths differ.
-    pub fn sub_into(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        assert_eq!(a.len(), b.len(), "sub_into: length mismatch");
-        assert_eq!(a.len(), out.len(), "sub_into: output length mismatch");
-        let n = out.len();
-        self.par_zip(n, a, b, out, &mut [], |ac, bc, oc, _| {
-            vector::sub_into(ac, bc, oc)
         });
     }
 
@@ -676,19 +631,23 @@ mod tests {
         // nnz cutoff, so the parallel path genuinely dispatches.
         let a = poisson2d(250, 250);
         let x: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.1).sin()).collect();
+        let spmv = |be: KernelBackend, a: &CsrMatrix, x: &[f64]| {
+            let mut y = vec![0.0; a.nrows()];
+            be.spmv_into(a, x, &mut y);
+            y
+        };
         let reference = a.spmv(&x);
         for t in [1usize, 2, 5, 8] {
-            let be = KernelBackend::parallel(t);
-            let got = be.spmv(&a, &x);
+            let got = spmv(KernelBackend::parallel(t), &a, &x);
             assert_eq!(got, reference, "t={t}");
         }
-        assert_eq!(KernelBackend::Sequential.spmv(&a, &x), reference);
+        assert_eq!(spmv(KernelBackend::Sequential, &a, &x), reference);
         // Below the nnz cutoff the parallel backend falls back to the
         // sequential kernel — bitwise harmless by construction.
         let small = poisson2d(120, 120);
         let xs: Vec<f64> = (0..small.nrows()).map(|i| (i as f64 * 0.2).cos()).collect();
         assert_eq!(
-            KernelBackend::parallel(8).spmv(&small, &xs),
+            spmv(KernelBackend::parallel(8), &small, &xs),
             small.spmv(&xs)
         );
     }
@@ -942,20 +901,9 @@ mod tests {
             let be = KernelBackend::parallel(t);
             let mut y1 = y0.clone();
             let mut y2 = y0.clone();
-            vector::axpy(0.37, &x, &mut y1);
-            be.axpy(0.37, &x, &mut y2);
-            assert_eq!(y1, y2, "axpy t={t}");
             vector::axpby(1.5, &x, -0.25, &mut y1);
             be.axpby(1.5, &x, -0.25, &mut y2);
             assert_eq!(y1, y2, "axpby t={t}");
-            vector::scale(0.9, &mut y1);
-            be.scale(0.9, &mut y2);
-            assert_eq!(y1, y2, "scale t={t}");
-            let mut o1 = vec![0.0; n];
-            let mut o2 = vec![0.0; n];
-            vector::sub_into(&x, &y1, &mut o1);
-            be.sub_into(&x, &y2, &mut o2);
-            assert_eq!(o1, o2, "sub_into t={t}");
             let (p, q) = vecs(n, 13);
             let (mut x1, mut r1) = vecs(n, 17);
             let (mut x2, mut r2) = (x1.clone(), r1.clone());

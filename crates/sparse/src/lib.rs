@@ -32,7 +32,7 @@
 //!   available,
 //! * [`rng`] — a tiny seeded PRNG (SplitMix64) for reproducible synthetic
 //!   workloads (the build carries no external dependencies),
-//! * [`vector`] — the dense vector kernels (dot, axpy, norms, the fused PCG
+//! * [`vector`] — the dense vector kernels (dot, axpby, the fused PCG
 //!   update) used by PCG, all following the fixed-block deterministic
 //!   reduction contract documented there.
 //!

@@ -8,7 +8,7 @@
 //!
 //! # Deterministic reduction contract
 //!
-//! Every reduction ([`dot`], and through it [`norm2`] and
+//! Every reduction ([`dot`] and
 //! [`crate::backend::KernelBackend::dot`]) sums in **fixed blocks** of
 //! [`REDUCTION_BLOCK`] elements: element products accumulate sequentially
 //! within a block, and block partial sums accumulate sequentially in block
@@ -42,24 +42,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     total
 }
 
-/// Euclidean norm `‖a‖₂`.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// `y ← y + alpha * x`.
-///
-/// # Panics
-/// Panics if `x.len() != y.len()`.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
 /// `y ← alpha * x + beta * y`.
 ///
 /// # Panics
@@ -73,7 +55,7 @@ pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
 }
 
 /// The fused PCG iterate update: `x ← x + alpha·p` and `r ← r − alpha·q`
-/// in one pass. Elementwise identical to two [`axpy`] calls, but touches
+/// in one pass. Elementwise identical to two axpy sweeps, but touches
 /// the four vectors in a single sweep (one loop, better locality on the
 /// solver's hottest vector update).
 ///
@@ -88,27 +70,6 @@ pub fn fused_axpy2(alpha: f64, p: &[f64], q: &[f64], x: &mut [f64], r: &mut [f64
     for i in 0..n {
         x[i] += alpha * p[i];
         r[i] -= alpha * q[i];
-    }
-}
-
-/// `x ← alpha * x`.
-#[inline]
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        *xi *= alpha;
-    }
-}
-
-/// `out ← a - b`.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn sub_into(a: &[f64], b: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), b.len(), "sub_into: length mismatch");
-    assert_eq!(a.len(), out.len(), "sub_into: output length mismatch");
-    for ((o, x), y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *o = x - y;
     }
 }
 
@@ -138,20 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn norm2_is_sqrt_of_self_dot() {
-        let v = [3.0, 4.0];
-        assert_eq!(norm2(&v), 5.0);
-        assert_eq!(norm2(&[]), 0.0);
-    }
-
-    #[test]
-    fn axpy_updates_in_place() {
-        let mut y = [1.0, 1.0];
-        axpy(2.0, &[10.0, 20.0], &mut y);
-        assert_eq!(y, [21.0, 41.0]);
-    }
-
-    #[test]
     fn axpby_combines() {
         let mut y = [1.0, 2.0];
         axpby(3.0, &[1.0, 1.0], -1.0, &mut y);
@@ -165,25 +112,13 @@ mod tests {
         let mut x1 = [10.0, 20.0, 30.0];
         let mut r1 = [1.0, 2.0, 3.0];
         let (mut x2, mut r2) = (x1, r1);
-        axpy(0.75, &p, &mut x1);
-        axpy(-0.75, &q, &mut r1);
+        for i in 0..3 {
+            x1[i] += 0.75 * p[i];
+            r1[i] += -0.75 * q[i];
+        }
         fused_axpy2(0.75, &p, &q, &mut x2, &mut r2);
         assert_eq!(x1, x2);
         assert_eq!(r1, r2);
-    }
-
-    #[test]
-    fn scale_in_place() {
-        let mut x = [2.0, -4.0];
-        scale(0.5, &mut x);
-        assert_eq!(x, [1.0, -2.0]);
-    }
-
-    #[test]
-    fn sub_and_add_into() {
-        let mut out = [0.0; 2];
-        sub_into(&[5.0, 7.0], &[2.0, 3.0], &mut out);
-        assert_eq!(out, [3.0, 4.0]);
     }
 
     #[test]
