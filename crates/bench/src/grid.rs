@@ -4,6 +4,7 @@
 
 use esrcg_core::driver::{paper_failure_iteration, Experiment, MatrixSource, RhsSpec};
 use esrcg_core::strategy::Strategy;
+use esrcg_core::InnerTolerance;
 
 /// One table's configuration.
 #[derive(Debug, Clone)]
@@ -109,6 +110,16 @@ pub fn run_table(spec: &TableSpec) -> TableData {
     let a = spec.matrix.build_arc().expect("matrix builds");
     let n = a.nrows();
     let matrix = MatrixSource::Shared(a);
+    // Every solve of the grid: the paper's problem, and its inner solve run
+    // to the paper's 1e-14, so the tables measure the paper's
+    // reconstruction cost.
+    let paper_run = |seed: u64| {
+        Experiment::builder()
+            .matrix(matrix.clone())
+            .rhs(RhsSpec::Random { seed })
+            .n_ranks(spec.n_ranks)
+            .inner_tolerance(InnerTolerance::Paper)
+    };
 
     // --- Reference runs: one per repetition seed ---------------------------
     let mut refs = Vec::with_capacity(spec.reps);
@@ -116,12 +127,7 @@ pub fn run_table(spec: &TableSpec) -> TableData {
     let mut drift_reference = None;
     for rep in 0..spec.reps {
         let seed = spec.seed + rep as u64;
-        let report = Experiment::builder()
-            .matrix(matrix.clone())
-            .rhs(RhsSpec::Random { seed })
-            .n_ranks(spec.n_ranks)
-            .run()
-            .expect("reference run");
+        let report = paper_run(seed).run().expect("reference run");
         assert!(report.converged, "reference must converge");
         progress(&format!(
             "reference rep {rep}: C = {}, t0 = {:.3} ms",
@@ -160,10 +166,7 @@ pub fn run_table(spec: &TableSpec) -> TableData {
                 // Failure-free overhead, median over reps.
                 let mut ff = Vec::with_capacity(spec.reps);
                 for &(seed, _, t0_rep) in &refs {
-                    let report = Experiment::builder()
-                        .matrix(matrix.clone())
-                        .rhs(RhsSpec::Random { seed })
-                        .n_ranks(spec.n_ranks)
+                    let report = paper_run(seed)
                         .strategy(strategy)
                         .phi(phi)
                         .run()
@@ -186,10 +189,7 @@ pub fn run_table(spec: &TableSpec) -> TableData {
                     let mut inner = Vec::with_capacity(spec.reps);
                     for &(seed, c_rep, t0_rep) in &refs {
                         let j_f = paper_failure_iteration(c_rep, t);
-                        let report = Experiment::builder()
-                            .matrix(matrix.clone())
-                            .rhs(RhsSpec::Random { seed })
-                            .n_ranks(spec.n_ranks)
+                        let report = paper_run(seed)
                             .strategy(strategy)
                             .phi(phi)
                             .failure_at(j_f, start, phi)

@@ -26,7 +26,9 @@ use esrcg_sparse::gen;
 use esrcg_sparse::{CsrMatrix, KernelBackend, SpmvFormat};
 
 use crate::solver::recovery::RecoveryOutcome;
-use crate::solver::{solve_node, PcgVariant, SharedProblem, SolverConfig, TuneEvent};
+use crate::solver::{
+    solve_node, InnerTolerance, PcgVariant, SharedProblem, SolverConfig, TuneEvent,
+};
 use crate::strategy::{IntervalPolicy, Resilience, Strategy};
 
 /// Where the system matrix comes from.
@@ -188,7 +190,9 @@ pub struct Experiment {
 
 impl Experiment {
     /// Starts a builder with paper defaults: block Jacobi (max block 10),
-    /// rtol 1e-8, 8 ranks, no resilience, no failure.
+    /// rtol 1e-8, 8 ranks, no resilience, no failure — except that the
+    /// inner reconstruction solve stops at η = 0.01 of the outer target
+    /// ([`Experiment::inner_tolerance`]).
     pub fn builder() -> Experiment {
         Experiment {
             matrix: MatrixSource::Poisson2d { nx: 16, ny: 16 },
@@ -253,6 +257,14 @@ impl Experiment {
     /// Sets the iteration cap.
     pub fn max_iters(mut self, m: usize) -> Self {
         self.cfg.max_iters = m;
+        self
+    }
+
+    /// Sets when the inner reconstruction solve stops (default:
+    /// [`InnerTolerance::OfOuter`]; the paper's rule is
+    /// [`InnerTolerance::Paper`]).
+    pub fn inner_tolerance(mut self, t: InnerTolerance) -> Self {
+        self.cfg.inner_tol = t;
         self
     }
 
@@ -619,6 +631,22 @@ mod tests {
         cfg.inner_max_block = 0;
         let err = cfg.validate(4).unwrap_err();
         assert!(err.contains("inner_max_block must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn a_tolerance_must_be_positive_and_finite() {
+        // An infinite rtol would stop the solve at iteration 0, "converged".
+        let base = || {
+            Experiment::builder()
+                .matrix(MatrixSource::Poisson2d { nx: 4, ny: 4 })
+                .n_ranks(4)
+                .strategy(Strategy::esr())
+                .phi(1)
+        };
+        for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -1.0] {
+            let err = base().rtol(v).run().expect_err("rtol");
+            assert!(err.contains("must be positive and finite"), "{v}: {err}");
+        }
     }
 
     #[test]

@@ -302,8 +302,9 @@ mod tests {
 
     #[test]
     fn inner_solve_tolerance_reachable() {
-        // The recovery path solves to 1e-14; verify that's attainable on the
-        // kind of principal submatrices it sees.
+        // The paper's recovery path (`InnerTolerance::Paper`) solves to
+        // 1e-14; verify that's attainable on the kind of principal
+        // submatrices it sees.
         let a = random_spd_dense(30, 5);
         let part = Partition::balanced(30, 1);
         let p = PrecondSpec::paper_default().build(&a, &part).unwrap();

@@ -21,8 +21,13 @@ use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
 use crate::dist::halo::{HaloExchange, PlanView};
 use crate::solver::state::{checkpoint_blob_len, NodeState};
 use crate::solver::workspace::{DomainCache, LocalInnerSolve, RecoveryScratch, SolverWorkspace};
-use crate::solver::{Node, Recurrence, SharedProblem};
+use crate::solver::{InnerTolerance, Node, Recurrence, SharedProblem};
 use crate::strategy::Strategy;
+
+/// Relative target of the inner solve under [`InnerTolerance::Paper`].
+const PAPER_INNER_RTOL: f64 = 1e-14;
+/// Share η of the outer target under [`InnerTolerance::OfOuter`].
+const ETA: f64 = 0.01;
 
 /// What a recovery did, as reported by every rank (identical everywhere
 /// except `recovery_time`, which ends on each rank's own clock, and
@@ -70,6 +75,7 @@ pub(super) fn recover<R: Recurrence>(
         ws,
         full,
         sched,
+        bnorm2,
         ..
     } = &mut *node;
     // The entry barrier is the agreement on the failed set and defines the
@@ -114,7 +120,7 @@ pub(super) fn recover<R: Recurrence>(
             0
         }
         (Strategy::Esrp { t }, Some(jhat)) => {
-            recover_esrp(ctx, shared, st, ws, full, jhat, t, failed)
+            recover_esrp(ctx, shared, st, ws, full, jhat, t, failed, *bnorm2)
         }
         (Strategy::Imcr { .. }, Some(jc)) => {
             recover_imcr(ctx, shared, st, jc, failed);
@@ -168,6 +174,8 @@ pub fn imcr_rollback_target(j_f: usize, t: usize) -> Option<usize> {
 
 /// ESR/ESRP recovery (paper Alg. 2 + the ESRP rollback of §3) to iteration
 /// `jhat`; returns the inner-solve iteration count (0 on survivors).
+/// `bnorm2` is ‖b‖₂², the same bits on every rank, so every replacement
+/// stops an [`InnerTolerance::OfOuter`] solve at the same iteration.
 #[allow(clippy::too_many_arguments)]
 fn recover_esrp(
     ctx: &mut Ctx,
@@ -178,6 +186,7 @@ fn recover_esrp(
     jhat: usize,
     t: usize,
     failed_sorted: &[usize],
+    bnorm2: f64,
 ) -> usize {
     let part = &*shared.part;
     let me = ctx.rank();
@@ -345,8 +354,15 @@ fn recover_esrp(
         // This mirrors the paper's recovery running on
         // the replacement nodes (and is why its recovery cost scales with
         // the inner system rather than with the whole machine).
-        inner_iterations =
-            distributed_inner_solve(ctx, shared, failed_sorted, scratch, cache, inner_pre);
+        inner_iterations = distributed_inner_solve(
+            ctx,
+            shared,
+            failed_sorted,
+            scratch,
+            cache,
+            inner_pre,
+            bnorm2,
+        );
         st.x.copy_from_slice(&scratch.ix);
 
         // Restore the rest of the replacement's state for iteration ĵ.
@@ -456,6 +472,9 @@ fn recover_imcr(
 /// * The inner operator `A[I_own, I_f]` is the cached column split
 ///   `cache.a_in`; every vector lives in [`RecoveryScratch`] — the loop
 ///   allocates nothing beyond message payloads.
+/// * The loop stops by `shared.cfg.inner_tol` on the `r·r` every iteration
+///   already reduces: below `1e-14 · ‖w‖` for `Paper`, at or below
+///   `η · rtol · ‖b‖` for `OfOuter` (`bnorm2` = ‖b‖₂²).
 ///
 /// The right-hand side is read from `scratch.w`; the solution is left in
 /// `scratch.ix`. `scratch` must be freshly prepared (`p` and `s` zero).
@@ -467,6 +486,7 @@ fn distributed_inner_solve(
     scratch: &mut RecoveryScratch,
     cache: &DomainCache,
     inner_pre: &BlockJacobiPrecond,
+    bnorm2: f64,
 ) -> usize {
     let be = shared.cfg.backend.subdivided(ctx.size());
     let nloc = scratch.w.len();
@@ -510,12 +530,16 @@ fn distributed_inner_solve(
     let (mut gamma, mut denom, wnorm2, rr0) = (reduced[0], reduced[1], reduced[2], reduced[3]);
     ctx.recycle_f64s(reduced);
     let wnorm = wnorm2.sqrt();
-    let mut relres = if wnorm > 0.0 { rr0.sqrt() / wnorm } else { 0.0 };
+    let unconverged = |rr: f64| match shared.cfg.inner_tol {
+        InnerTolerance::Paper => wnorm > 0.0 && rr.sqrt() / wnorm >= PAPER_INNER_RTOL,
+        InnerTolerance::OfOuter => rr > (ETA * shared.cfg.rtol).powi(2) * bnorm2,
+    };
+    let mut keep_going = unconverged(rr0);
     // p = u and s = q on the first trip: β = 0 over the zeroed p and s.
     let (mut alpha, mut beta) = (gamma / denom, 0.0);
 
     let mut iterations = 0usize;
-    while relres >= shared.cfg.inner_rtol && iterations < shared.cfg.inner_max_iters {
+    while keep_going && iterations < shared.cfg.inner_max_iters {
         if denom <= 0.0 {
             break; // numerical breakdown; accept the current iterate
         }
@@ -537,7 +561,7 @@ fn distributed_inner_solve(
         alpha = gamma_new / denom;
         gamma = gamma_new;
         iterations += 1;
-        relres = if wnorm > 0.0 { rr.sqrt() / wnorm } else { 0.0 };
+        keep_going = unconverged(rr);
     }
     iterations
 }
@@ -701,7 +725,9 @@ mod tests {
         let n_ranks = 8;
         let a = poisson3d(8, 8, 8);
         let n = a.nrows();
-        let cfg = SolverConfig::new(Strategy::esr(), 3);
+        // The oracle below is a relative solve.
+        let mut cfg = SolverConfig::new(Strategy::esr(), 3);
+        cfg.inner_tol = InnerTolerance::Paper;
         let pre = PrecondSpec::paper_default();
         let shared = SharedProblem::assemble_shared(
             Arc::new(a),
@@ -741,6 +767,7 @@ mod tests {
                         &mut scratch,
                         &cache,
                         &inner.precond,
+                        n as f64, // ‖b‖₂², unread by the paper's rule
                     );
                     Some((k, scratch.ix, sent(ctx) - before))
                 }
@@ -758,7 +785,7 @@ mod tests {
             let inner_pre =
                 BlockJacobiPrecond::new(&a_ff, &blocks, shared.cfg.inner_max_block).unwrap();
             let w: Vec<f64> = idx.iter().map(|&g| rhs(g)).collect();
-            let (rtol, cap) = (shared.cfg.inner_rtol, shared.cfg.inner_max_iters);
+            let (rtol, cap) = (PAPER_INNER_RTOL, shared.cfg.inner_max_iters);
             let seq = pcg(&a_ff, &w, &vec![0.0; idx.len()], &inner_pre, rtol, cap);
             assert!(seq.converged, "ψ = {psi}");
 

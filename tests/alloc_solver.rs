@@ -22,7 +22,7 @@ mod counting_alloc;
 use std::sync::Arc;
 
 use esrcg::cluster::run_spmd;
-use esrcg::core::solver::{solve_node, SharedProblem, SolverConfig};
+use esrcg::core::solver::{solve_node, InnerTolerance, SharedProblem, SolverConfig};
 use esrcg::prelude::*;
 use esrcg::sparse::gen::poisson2d;
 use esrcg::sparse::SpmvFormat;
@@ -72,15 +72,15 @@ fn allocations_with_failures(format: SpmvFormat, psi: usize, failures: &[usize])
 }
 
 /// Allocations of one ESR solve of the probe at φ = 2 in which ranks 3 and
-/// 4 fail at iteration 50, with the inner solve run to `inner_rtol`, and the
-/// replacements' inner iteration count. Assembly is not counted.
-fn esr_event_with_inner_rtol(inner_rtol: f64) -> (u64, usize) {
+/// 4 fail at iteration 50, with the inner solve stopped by `inner_tol`, and
+/// the replacements' inner iteration count. Assembly is not counted.
+fn esr_event_with_inner_tol(inner_tol: InnerTolerance) -> (u64, usize) {
     let a = poisson2d(64, 64);
     let n = a.nrows();
     let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.137).sin() + 0.5).collect();
     let b = a.spmv(&x_true);
     let mut cfg = SolverConfig::new(Strategy::esr(), 2);
-    cfg.inner_rtol = inner_rtol;
+    cfg.inner_tol = inner_tol;
     cfg.failures = vec![FailureSpec::contiguous(50, 3, 2, 8)];
     let pre = PrecondSpec::paper_default();
     let shared =
@@ -148,9 +148,9 @@ fn iterations_past_the_warm_up_add_no_allocation() {
         );
     }
     // The inner loop allocates nothing: more inner iterations, same count.
-    esr_event_with_inner_rtol(1e-14); // one-time lookups
-    let (tight, tight_iters) = esr_event_with_inner_rtol(1e-14);
-    let (loose, loose_iters) = esr_event_with_inner_rtol(1e-10);
+    esr_event_with_inner_tol(InnerTolerance::Paper); // one-time lookups
+    let (tight, tight_iters) = esr_event_with_inner_tol(InnerTolerance::Paper);
+    let (loose, loose_iters) = esr_event_with_inner_tol(InnerTolerance::OfOuter);
     assert!(loose_iters < tight_iters, "{loose_iters} vs {tight_iters}");
     assert_eq!(
         tight, loose,

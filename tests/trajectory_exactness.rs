@@ -74,8 +74,9 @@ fn esrp_recovery_rejoins_the_reference_trajectory() {
             .expect("failure run");
         assert!(run.converged, "T = {t}");
         // Same trajectory: identical iteration count, solution equal to the
-        // reference up to the 1e-14 inner-solve tolerance amplified by the
-        // remaining iterations.
+        // reference up to the inner solve's error δ_f, which nothing after
+        // the recovery reads: at the default `InnerTolerance::OfOuter`,
+        // ‖δ_f‖ ≤ 0.01 · ‖A⁻¹‖ · rtol · ‖b‖.
         assert_eq!(run.iterations, c, "T = {t}");
         assert!(
             max_abs_diff(&run.x, &reference.x) < 1e-6,
