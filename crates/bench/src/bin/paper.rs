@@ -26,14 +26,10 @@
 //! and IMCR's reconstruction overhead stays far below ESRP's — asserted in
 //! `crates/bench/tests/paper_shapes.rs`. The output of `all --scale small
 //! --quiet --csv BENCH_paper_small` is tracked in `BENCH_paper_small/` and
-//! `cmp`-gated by CI (the larger scales are not; ROADMAP.md, direction F).
+//! compared byte for byte under `cargo test` and in CI (the larger scales
+//! are not; ROADMAP.md, direction F).
 
-use std::collections::HashMap;
-
-use esrcg_bench::figures::{render_figure, render_figure1};
-use esrcg_bench::format::{render_csv, render_drift_table, render_overhead_table};
-use esrcg_bench::grid::{run_table, TableData, TableSpec};
-use esrcg_bench::Scale;
+use esrcg_bench::{render_paper, Scale};
 
 struct Options {
     artifact: String,
@@ -93,23 +89,6 @@ fn usage() -> String {
         .to_string()
 }
 
-fn spec_for(opt: &Options, which: &str) -> TableSpec {
-    let (label, matrix) = match which {
-        "emilia" => ("emilia-like", opt.scale.emilia()),
-        _ => ("audikw-like", opt.scale.audikw()),
-    };
-    TableSpec {
-        label: label.to_string(),
-        matrix,
-        n_ranks: opt.ranks.unwrap_or_else(|| opt.scale.n_ranks()),
-        t_values: opt.scale.t_values(),
-        phi_values: opt.scale.phi_values(),
-        reps: opt.reps.unwrap_or_else(|| opt.scale.reps()),
-        seed: opt.seed,
-        progress: !opt.quiet,
-    }
-}
-
 fn main() {
     let opt = match parse_args() {
         Ok(o) => o,
@@ -118,65 +97,26 @@ fn main() {
             std::process::exit(2);
         }
     };
-
-    let needs: Vec<&str> = match opt.artifact.as_str() {
-        "table2" | "fig2" => vec!["emilia"],
-        "table3" | "fig3" => vec!["audikw"],
-        "table4" | "all" => vec!["emilia", "audikw"],
-        "fig1" => vec![],
-        other => {
-            eprintln!("unknown artifact '{other}'\n{}", usage());
-            std::process::exit(2);
-        }
+    // Each grid the artifact needs runs once; the artifacts share the data.
+    let spec = |which: &str| {
+        let mut spec = opt.scale.table_spec(which);
+        spec.n_ranks = opt.ranks.unwrap_or(spec.n_ranks);
+        spec.reps = opt.reps.unwrap_or(spec.reps);
+        spec.seed = opt.seed;
+        spec.progress = !opt.quiet;
+        spec
     };
-
-    // Run each needed grid once; artifacts share the data.
-    let mut grids: HashMap<&str, TableData> = HashMap::new();
-    for which in needs {
-        let spec = spec_for(&opt, which);
-        eprintln!(
-            "running {} grid (scale {:?}, {} ranks, {} reps; this is the slow part)...",
-            spec.label, opt.scale, spec.n_ranks, spec.reps
-        );
-        let data = run_table(&spec);
-        if let Some(dir) = &opt.csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
-            let path = format!("{dir}/{}.csv", spec.label);
-            std::fs::write(&path, render_csv(&data)).expect("write csv");
+    let Some((stdout, csvs)) = render_paper(&opt.artifact, spec) else {
+        eprintln!("unknown artifact '{}'\n{}", opt.artifact, usage());
+        std::process::exit(2);
+    };
+    if let Some(dir) = &opt.csv_dir {
+        std::fs::create_dir_all(dir).expect("create csv dir");
+        for (label, csv) in csvs {
+            let path = format!("{dir}/{label}.csv");
+            std::fs::write(&path, csv).expect("write csv");
             eprintln!("wrote {path}");
         }
-        grids.insert(which, data);
     }
-
-    let artifact = opt.artifact.as_str();
-    if artifact == "fig1" || artifact == "all" {
-        println!("=== Figure 1: redundancy-queue evolution ===\n");
-        println!("{}", render_figure1(20));
-    }
-    if artifact == "table2" || artifact == "all" {
-        println!("=== Table 2: overheads, Emilia_923 stand-in ===\n");
-        println!("{}", render_overhead_table(&grids["emilia"]));
-    }
-    if artifact == "table3" || artifact == "all" {
-        println!("=== Table 3: overheads, audikw_1 stand-in ===\n");
-        println!("{}", render_overhead_table(&grids["audikw"]));
-    }
-    if artifact == "table4" || artifact == "all" {
-        println!("=== Table 4: residual drift ===\n");
-        let tables: Vec<&TableData> = ["emilia", "audikw"]
-            .iter()
-            .filter_map(|k| grids.get(k))
-            .collect();
-        println!("{}", render_drift_table(&tables));
-    }
-    if artifact == "fig2" || artifact == "all" {
-        println!("=== Figure 2: Emilia_923 stand-in ===\n");
-        println!("{}", render_figure(&grids["emilia"], false));
-        println!("{}", render_figure(&grids["emilia"], true));
-    }
-    if artifact == "fig3" || artifact == "all" {
-        println!("=== Figure 3: audikw_1 stand-in ===\n");
-        println!("{}", render_figure(&grids["audikw"], false));
-        println!("{}", render_figure(&grids["audikw"], true));
-    }
+    print!("{stdout}");
 }

@@ -4,7 +4,7 @@
 
 use esrcg_core::driver::{paper_failure_iteration, Experiment, MatrixSource, RhsSpec};
 use esrcg_core::strategy::Strategy;
-use esrcg_core::InnerTolerance;
+use esrcg_core::Reconstruction;
 
 /// One table's configuration.
 #[derive(Debug, Clone)]
@@ -110,15 +110,15 @@ pub fn run_table(spec: &TableSpec) -> TableData {
     let a = spec.matrix.build_arc().expect("matrix builds");
     let n = a.nrows();
     let matrix = MatrixSource::Shared(a);
-    // Every solve of the grid: the paper's problem, and its inner solve run
-    // to the paper's 1e-14, so the tables measure the paper's
-    // reconstruction cost.
+    // Every solve of the grid: the paper's problem, and its reconstruction
+    // run as Alg. 2 — at once, to the paper's 1e-14 — so the tables measure
+    // the paper's reconstruction cost.
     let paper_run = |seed: u64| {
         Experiment::builder()
             .matrix(matrix.clone())
             .rhs(RhsSpec::Random { seed })
             .n_ranks(spec.n_ranks)
-            .inner_tolerance(InnerTolerance::Paper)
+            .reconstruction(Reconstruction::Paper)
     };
 
     // --- Reference runs: one per repetition seed ---------------------------

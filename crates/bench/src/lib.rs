@@ -14,9 +14,11 @@
 //!    measure the *overhead with node failures* and the *reconstruction
 //!    overhead*.
 //!
-//! The `paper` binary drives this module. Its `--scale small` text and CSV
-//! output is tracked in `BENCH_paper_small/` and `cmp`-gated by CI; the
-//! `--scale default` twin is not tracked yet (ROADMAP.md, direction F).
+//! The `paper` binary prints and writes what [`render_paper`] renders. Its
+//! `--scale small` text and CSV output is tracked in `BENCH_paper_small/`
+//! and compared byte for byte under `cargo test`
+//! (`crates/bench/tests/paper_small.rs`) and in CI; the `--scale default`
+//! twin is not tracked yet (ROADMAP.md, direction F).
 //! The `drills` binary runs the recovery-drill catalog of [`drills`] and
 //! compares its lines with the tracked `BENCH_drills.txt` byte for byte.
 //!
@@ -24,11 +26,13 @@
 //! kernels, plan builds, whole solves — are measured by the standalone
 //! `benchmark/` package and nowhere else.
 
+mod artifacts;
 pub mod drills;
-pub mod figures;
-pub mod format;
+mod figures;
+mod format;
 pub mod grid;
 pub mod scale;
 
+pub use artifacts::render_paper;
 pub use grid::{run_table, FailureCell, TableData, TableRow, TableSpec};
 pub use scale::Scale;

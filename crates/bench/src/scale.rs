@@ -8,6 +8,8 @@
 
 use esrcg_core::driver::MatrixSource;
 
+use crate::grid::TableSpec;
+
 /// A scale preset: matrix sizes, rank count, repetitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -32,8 +34,28 @@ impl Scale {
         }
     }
 
+    /// The grid `which` — `emilia` (the `Emilia_923` stand-in, labelled
+    /// `emilia-like`) or `audikw` (`audikw-like`) — at this scale: its
+    /// ranks, intervals, φ values and repetitions, RHS seed 1, progress on.
+    pub fn table_spec(self, which: &str) -> TableSpec {
+        let (label, matrix) = match which {
+            "emilia" => ("emilia-like", self.emilia()),
+            _ => ("audikw-like", self.audikw()),
+        };
+        TableSpec {
+            label: label.to_string(),
+            matrix,
+            n_ranks: self.n_ranks(),
+            t_values: self.t_values(),
+            phi_values: self.phi_values(),
+            reps: self.reps(),
+            seed: 1,
+            progress: true,
+        }
+    }
+
     /// The `Emilia_923` stand-in at this scale (Tables 2, 4; Fig. 2).
-    pub fn emilia(&self) -> MatrixSource {
+    fn emilia(&self) -> MatrixSource {
         match self {
             Scale::Small => MatrixSource::EmiliaLike {
                 nx: 8,
@@ -54,7 +76,7 @@ impl Scale {
     }
 
     /// The `audikw_1` stand-in at this scale (Tables 3, 4; Fig. 3).
-    pub fn audikw(&self) -> MatrixSource {
+    fn audikw(&self) -> MatrixSource {
         match self {
             Scale::Small => MatrixSource::AudikwLike {
                 nx: 4,
@@ -76,7 +98,7 @@ impl Scale {
 
     /// Simulated cluster size (the paper uses 128 nodes; 64 keeps the
     /// φ = 8 failure block a comparably small fraction of the machine).
-    pub fn n_ranks(&self) -> usize {
+    fn n_ranks(&self) -> usize {
         match self {
             Scale::Small => 16,
             Scale::Default => 64,
@@ -87,7 +109,7 @@ impl Scale {
     /// Repetitions per cell. The paper repeats ≥ 5 times against machine
     /// noise; our modeled time is deterministic, so repetitions only vary
     /// the right-hand-side seed and one repetition is already meaningful.
-    pub fn reps(&self) -> usize {
+    fn reps(&self) -> usize {
         match self {
             Scale::Small | Scale::Default => 1,
             Scale::Large => 3,
@@ -96,7 +118,7 @@ impl Scale {
 
     /// Checkpoint intervals to test: the paper's {1 (=ESR), 20, 50, 100}.
     /// At small scale C is short, so the largest interval is dropped.
-    pub fn t_values(&self) -> Vec<usize> {
+    fn t_values(&self) -> Vec<usize> {
         match self {
             Scale::Small => vec![1, 10, 20],
             _ => vec![1, 20, 50, 100],
@@ -104,7 +126,7 @@ impl Scale {
     }
 
     /// Redundancy levels φ to test (the paper's {1, 3, 8}).
-    pub fn phi_values(&self) -> Vec<usize> {
+    fn phi_values(&self) -> Vec<usize> {
         match self {
             Scale::Small => vec![1, 3],
             _ => vec![1, 3, 8],

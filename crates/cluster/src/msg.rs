@@ -210,7 +210,9 @@ pub enum Tag {
     Checkpoint = 18,
     /// Recovery: the ESR/ESRP gather — one message per (survivor,
     /// replacement) pair carrying the redundant copies of `p^(ĵ−1)` and
-    /// `p^(ĵ)`, the `x` halo and, from one survivor, the replicated scalars.
+    /// `p^(ĵ)`, the `x` halo (none when the event defers its `x`) and, from
+    /// one survivor, the replicated scalars — and the deferred end solve's
+    /// one `x` halo message per (survivor, pending halo peer) pair.
     RecoveryCopies = 19,
     /// Recovery: checkpoint retrieval (IMCR).
     RecoveryCkpt = 22,

@@ -394,25 +394,48 @@ impl MergedTrace {
         self.ranks.iter().map(|r| r.events.len()).sum()
     }
 
-    /// Sum over recovery episodes of the episode's longest span across
-    /// ranks, folded from `0.0` in event order — the per-event maximum and
-    /// the fold the driver uses over `recoveries`, so for a traced run this
-    /// is bitwise equal to the reported recovery modeled time.
+    /// Sum over recovery episodes of the episode's longest per-rank span
+    /// sum, folded from `0.0` in event order. An episode is a rank's
+    /// recovery spans after the k-th `FailureTrigger`: the event's own span
+    /// and, on the run's last event, the deferred end solve's. Each rank's
+    /// spans are summed in recording order, then the maximum is taken over
+    /// ranks — the additions, maxima and fold the driver makes over
+    /// `recoveries`, so for a traced run this is bitwise equal to the
+    /// reported recovery modeled time.
     pub fn recovery_seconds(&self) -> f64 {
+        self.episode_seconds()
+            .iter()
+            .fold(0.0, |total, episode| total + episode)
+    }
+
+    /// Per recovery episode, the longest per-rank sum of its spans (see
+    /// [`MergedTrace::recovery_seconds`]). A span before any trigger opens
+    /// the first episode.
+    fn episode_seconds(&self) -> Vec<f64> {
         let mut longest: Vec<f64> = Vec::new();
         for rt in &self.ranks {
-            let spans = rt.events.iter().filter_map(|ev| match ev {
-                TraceEvent::RecoverySpan { start, end } => Some(end - start),
-                _ => None,
-            });
-            for (event, span) in spans.enumerate() {
-                match longest.get_mut(event) {
-                    Some(max) => *max = max.max(span),
-                    None => longest.push(span),
+            let mut sums: Vec<f64> = Vec::new();
+            for ev in &rt.events {
+                match ev {
+                    TraceEvent::Instant {
+                        kind: InstantKind::FailureTrigger,
+                        ..
+                    } => sums.push(0.0),
+                    TraceEvent::RecoverySpan { start, end } => match sums.last_mut() {
+                        Some(sum) => *sum += end - start,
+                        None => sums.push(end - start),
+                    },
+                    _ => {}
+                }
+            }
+            for (episode, sum) in sums.into_iter().enumerate() {
+                match longest.get_mut(episode) {
+                    Some(max) => *max = max.max(sum),
+                    None => longest.push(sum),
                 }
             }
         }
-        longest.iter().fold(0.0, |total, span| total + span)
+        longest
     }
 
     /// Render Chrome/Perfetto trace-event JSON: one `pid 0` process, one
@@ -506,14 +529,15 @@ impl MergedTrace {
     /// [`MetricsRollup`].
     ///
     /// Replicated logical events — iterations, reductions, failures,
-    /// checkpoint/storage rounds, tuner decisions, recovery episodes — are
-    /// counted on rank 0 only (every rank records the same ones); an
-    /// episode's duration is its longest span across ranks
-    /// ([`MergedTrace::recovery_seconds`]). Phase spans and durations are
+    /// checkpoint/storage rounds, tuner decisions — are counted on rank 0
+    /// only (every rank records the same ones); recovery episodes are
+    /// counted once each, and an episode's duration is its longest per-rank
+    /// span sum ([`MergedTrace::recovery_seconds`]). Phase spans and durations are
     /// summed across ranks, like `RankStats` totals; send and receive
     /// events are not rolled up.
     pub fn rollup(&self, pools: &[BufferPoolStats]) -> MetricsRollup {
         let mut r = MetricsRollup {
+            recovery_spans: self.episode_seconds().len() as u64,
             recovery_seconds: self.recovery_seconds(),
             ..MetricsRollup::default()
         };
@@ -525,11 +549,6 @@ impl MergedTrace {
                         let p = *phase as usize;
                         r.phase_spans[p] += 1;
                         r.phase_seconds[p] += end - start;
-                    }
-                    TraceEvent::RecoverySpan { .. } => {
-                        if canonical {
-                            r.recovery_spans += 1;
-                        }
                     }
                     TraceEvent::Instant { kind, .. } => {
                         if canonical {
@@ -544,7 +563,9 @@ impl MergedTrace {
                             }
                         }
                     }
-                    TraceEvent::Send { .. } | TraceEvent::Recv { .. } => {}
+                    TraceEvent::RecoverySpan { .. }
+                    | TraceEvent::Send { .. }
+                    | TraceEvent::Recv { .. } => {}
                 }
             }
         }
@@ -569,9 +590,9 @@ pub struct MetricsRollup {
     pub iterations: u64,
     /// Allreduces posted on rank 0.
     pub reductions: u64,
-    /// Recovery episodes (rank 0).
+    /// Recovery episodes: one per failure event.
     pub recovery_spans: u64,
-    /// Each episode's longest span across ranks, summed in event order;
+    /// Each episode's longest per-rank span sum, summed in event order;
     /// bitwise equal to the run's reported recovery modeled time.
     pub recovery_seconds: f64,
     /// Failure triggers (rank 0).

@@ -116,6 +116,12 @@ impl CommPlan {
         }
     }
 
+    /// Whether ranks `a` and `b` exchange SpMV halo traffic, in either
+    /// direction: an edge of the plan's peer graph.
+    pub(crate) fn are_peers(&self, a: usize, b: usize) -> bool {
+        !self.indices_to(a, b).is_empty() || !self.indices_to(b, a).is_empty()
+    }
+
     /// The paper's `m(i)`: how many distinct non-owner ranks receive entry
     /// `i` during one regular SpMV.
     pub fn multiplicity(&self, i: usize) -> u32 {

@@ -27,7 +27,7 @@ use esrcg_sparse::{CsrMatrix, KernelBackend, SpmvFormat};
 
 use crate::solver::recovery::RecoveryOutcome;
 use crate::solver::{
-    solve_node, InnerTolerance, PcgVariant, SharedProblem, SolverConfig, TuneEvent,
+    solve_node, PcgVariant, Reconstruction, SharedProblem, SolverConfig, TuneEvent,
 };
 use crate::strategy::{IntervalPolicy, Resilience, Strategy};
 
@@ -191,8 +191,8 @@ pub struct Experiment {
 impl Experiment {
     /// Starts a builder with paper defaults: block Jacobi (max block 10),
     /// rtol 1e-8, 8 ranks, no resilience, no failure — except that the
-    /// inner reconstruction solve stops at η = 0.01 of the outer target
-    /// ([`Experiment::inner_tolerance`]).
+    /// reconstruction of `x` is deferred and stops at η = 0.01 of the outer
+    /// target ([`Experiment::reconstruction`]).
     pub fn builder() -> Experiment {
         Experiment {
             matrix: MatrixSource::Poisson2d { nx: 16, ny: 16 },
@@ -260,11 +260,11 @@ impl Experiment {
         self
     }
 
-    /// Sets when the inner reconstruction solve stops (default:
-    /// [`InnerTolerance::OfOuter`]; the paper's rule is
-    /// [`InnerTolerance::Paper`]).
-    pub fn inner_tolerance(mut self, t: InnerTolerance) -> Self {
-        self.cfg.inner_tol = t;
+    /// Sets when and how tightly the lost block of `x` is solved for
+    /// (default: [`Reconstruction::Deferred`]; the paper's rule is
+    /// [`Reconstruction::Paper`]).
+    pub fn reconstruction(mut self, rule: Reconstruction) -> Self {
+        self.cfg.reconstruction = rule;
         self
     }
 
@@ -393,7 +393,8 @@ impl Experiment {
         // Aggregate per-event recovery reports: everything except the
         // recovery time (each rank's part ends on its own clock) and the
         // inner-solve iteration count is identical across ranks; take the
-        // per-event maximum of those two.
+        // per-event maximum of those two. A deferred end solve is already
+        // in each rank's last event.
         let recoveries: Vec<_> = first
             .recoveries
             .iter()

@@ -29,7 +29,7 @@ use crate::dist::halo::{HaloExchange, PlanView};
 use crate::dist::plan::CommPlan;
 use crate::queue::Capture;
 use crate::strategy::{IntervalPolicy, Strategy};
-use recovery::{recover, RecoveryOutcome};
+use recovery::{reconstruct_pending, recover, RecoveryOutcome};
 use state::{checkpoint_blob_len, NodeState, Snapshot};
 pub use tuning::TuneEvent;
 use tuning::{IntervalSchedule, IntervalTuner};
@@ -89,28 +89,36 @@ impl PcgVariant {
     }
 }
 
-/// When the inner reconstruction solve `A[I_f, I_f] x_f = w` (paper Alg. 2,
-/// line 8) stops.
+/// How the replacements of an ESR/ESRP event get their lost block of `x`
+/// back (paper Alg. 2, lines 7–8: `w = b_f − r_f − A[f, s] x_s`, then solve
+/// `A[I_f, I_f] x_f = w`).
 ///
-/// Nothing after a recovery reads `x`: the state the outer loop carries is
-/// rebuilt from the redundant copies of `p`, from β and from
-/// `P[f,f] r_f = z_f`. So the inner error δ_f of `x_f` rides along unchanged
-/// to the end of the solve, whose true residual becomes
-/// `b − A x* − A[:, f] δ_f`. The paper's target relative to ‖w‖ is one
-/// choice; [`InnerTolerance::OfOuter`] sizes the inner residual against the
-/// outer target instead. By Cauchy interlacing λ_min(A_ff) ≥ λ_min(A), so
-/// ‖δ_f‖ ≤ η · ‖A⁻¹‖ · rtol · ‖b‖: one reconstruction adds at most η times
-/// the forward error the outer tolerance already admits. Under either rule
-/// the inner solve also stops at [`SolverConfig::inner_max_iters`].
+/// Nothing after a recovery reads `x` until the epilogue: the state the
+/// outer loop carries is rebuilt from the redundant copies of `p`, from β and
+/// from `P[f,f] r_f = z_f`. So the inner error δ_f of `x_f` rides along
+/// unchanged to the end of the solve, and the solve itself can wait there.
+/// By Cauchy interlacing λ_min(A_KK) ≥ λ_min(A), so an inner solve stopped
+/// at ‖w − A_KK x_K‖ ≤ η · rtol · ‖b‖ leaves ‖δ_K‖ ≤ η · ‖A⁻¹‖ · rtol · ‖b‖:
+/// η times the forward error the outer tolerance already admits. Under
+/// either rule the inner solve also stops at
+/// [`SolverConfig::inner_max_iters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InnerTolerance {
-    /// The paper's rule: stop when ‖w − A_ff x_f‖ < 1e-14 · ‖w‖. The
-    /// reproduction tables run it, so that they measure the paper's
-    /// reconstruction cost.
+pub enum Reconstruction {
+    /// The paper's rule: every event solves for `x_f` at once and stops when
+    /// ‖w − A_ff x_f‖ < 1e-14 · ‖w‖. The reproduction tables run it, so that
+    /// they measure the paper's reconstruction cost.
     Paper,
-    /// Stop when ‖w − A_ff x_f‖ ≤ η · rtol · ‖b‖, with η = 0.01 and `rtol`
-    /// the outer tolerance ([`SolverConfig::rtol`]).
-    OfOuter,
+    /// An event with ψ ≥ 2, or whose failed ranks are pending or neighbour a
+    /// pending rank in the plan's peer graph, runs only lines 1–6 and adds
+    /// its ranks to the pending set U. At exit from the loop each connected
+    /// component K of U solves `A_KK x_K = b_K − r_K − A_{K,S} x_S` from the
+    /// final `r` and the survivors' final `x`, the components concurrently,
+    /// to ‖w − A_KK x_K‖ ≤ η · rtol · ‖b‖ (η = 0.01, `rtol` the outer
+    /// tolerance [`SolverConfig::rtol`]). A lone replacement with no pending
+    /// neighbour solves at once, to the same target: its inner solve sends no
+    /// message, while a deferred one would join a subgroup that pays a halo
+    /// round and an all-gather per inner iteration. A full restart empties U.
+    Deferred,
 }
 
 /// Solver configuration: strategy, redundancy level, tolerances, and the
@@ -137,12 +145,15 @@ pub struct SolverConfig {
     /// rank count is at most φ (and, for full redundancy-coverage
     /// guarantees, consecutive events are separated by a completed storage
     /// stage / checkpoint round — the round re-executed right after a
-    /// rollback already repopulates the redundant copies).
+    /// rollback already repopulates the redundant copies). Under
+    /// [`Reconstruction::Deferred`] an event may strike ranks that are
+    /// still pending from an earlier one: their `x` is solved for once, at
+    /// the end, whatever the number of events that hit them.
     pub failures: Vec<esrcg_cluster::FailureSpec>,
-    /// When the inner reconstruction solve stops. [`SolverConfig::new`]
-    /// picks [`InnerTolerance::OfOuter`]; the paper's rule is
-    /// [`InnerTolerance::Paper`].
-    pub inner_tol: InnerTolerance,
+    /// When and how tightly the lost block of `x` is solved for.
+    /// [`SolverConfig::new`] picks [`Reconstruction::Deferred`]; the paper's
+    /// rule is [`Reconstruction::Paper`].
+    pub reconstruction: Reconstruction,
     /// Iteration cap of the inner solve.
     pub inner_max_iters: usize,
     /// Block size of the inner solve's block Jacobi preconditioner
@@ -167,8 +178,8 @@ pub struct SolverConfig {
 
 impl SolverConfig {
     /// Paper-default tolerances for the given strategy and φ, except for
-    /// the inner solve, which stops at η = 0.01 of the outer target
-    /// ([`InnerTolerance::OfOuter`]).
+    /// the reconstruction of `x`, which is deferred and stops at η = 0.01 of
+    /// the outer target ([`Reconstruction::Deferred`]).
     pub fn new(strategy: Strategy, phi: usize) -> Self {
         SolverConfig {
             strategy,
@@ -177,7 +188,7 @@ impl SolverConfig {
             rtol: 1e-8,
             max_iters: 200_000,
             failures: Vec::new(),
-            inner_tol: InnerTolerance::OfOuter,
+            reconstruction: Reconstruction::Deferred,
             inner_max_iters: 100_000,
             inner_max_block: 10,
             backend: KernelBackend::default(),
@@ -416,8 +427,7 @@ pub(crate) fn dist_spmv(
     let pieces = shared.fmt_cache.as_deref().map(|c| c.of(rank));
     // Symmetric in the two ranks, so both ends of a message agree on which
     // of the two exchanges it belongs to.
-    let halo_peer =
-        |p: usize| !base.indices_to(rank, p).is_empty() || !base.indices_to(p, rank).is_empty();
+    let halo_peer = |p: usize| base.are_peers(rank, p);
     let stand_alone = |p: usize| !halo_peer(p);
     let augmented = captured.is_some();
     let halo = if augmented {
@@ -537,6 +547,9 @@ struct Node<'a> {
     spare: Capture,
     /// ‖b‖₂².
     bnorm2: f64,
+    /// The sorted pending set U: ranks whose `x` a deferred ESR/ESRP event
+    /// left unreconstructed ([`Reconstruction::Deferred`]). Replicated.
+    pending: Vec<usize>,
 }
 
 impl Node<'_> {
@@ -687,6 +700,7 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
         tuner: IntervalTuner::for_policy(cfg.interval_policy),
         spare: Capture::default(),
         bnorm2,
+        pending: Vec::new(),
     };
 
     let mut j: usize = 0;
@@ -750,6 +764,13 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
         j += advanced;
     }
 
+    if !node.pending.is_empty() {
+        // The deferred reconstruction is one more span of the last event.
+        let (seconds, inner_iterations) = reconstruct_pending(ctx, &mut node);
+        let last = recoveries.last_mut().expect("a pending rank failed");
+        last.recovery_time += seconds;
+        last.inner_iterations += inner_iterations;
+    }
     drift_epilogue(
         ctx,
         node,

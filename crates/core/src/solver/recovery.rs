@@ -14,6 +14,11 @@
 //! from each survivor with something to send it (ESR/ESRP) or its
 //! checkpoint from one buddy (IMCR). Nothing synchronizes after that; each
 //! rank's part of the recovery ends on its own clock.
+//!
+//! Under [`Reconstruction::Deferred`] an ESR/ESRP event with ψ ≥ 2, or next
+//! to a pending rank, stops after Alg. 2 line 6 and leaves its ranks
+//! pending; `reconstruct_pending` solves for the pending ranks' `x` once,
+//! when the loop exits.
 
 use esrcg_cluster::{Ctx, Payload, Phase, Tag};
 use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
@@ -21,12 +26,12 @@ use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
 use crate::dist::halo::{HaloExchange, PlanView};
 use crate::solver::state::{checkpoint_blob_len, NodeState};
 use crate::solver::workspace::{DomainCache, LocalInnerSolve, RecoveryScratch, SolverWorkspace};
-use crate::solver::{InnerTolerance, Node, Recurrence, SharedProblem};
+use crate::solver::{Node, Reconstruction, Recurrence, SharedProblem};
 use crate::strategy::Strategy;
 
-/// Relative target of the inner solve under [`InnerTolerance::Paper`].
+/// Relative target of the inner solve under [`Reconstruction::Paper`].
 const PAPER_INNER_RTOL: f64 = 1e-14;
-/// Share η of the outer target under [`InnerTolerance::OfOuter`].
+/// Share η of the outer target under [`Reconstruction::Deferred`].
 const ETA: f64 = 0.01;
 
 /// What a recovery did, as reported by every rank (identical everywhere
@@ -48,7 +53,8 @@ pub struct RecoveryOutcome {
     /// this rank's part of it; the maximum over ranks is the event's cost.
     pub recovery_time: f64,
     /// Iterations of the inner `A[I_f, I_f]` solve (on every replacement;
-    /// 0 on survivors and for IMCR).
+    /// 0 on survivors and for IMCR). A deferred event solves nothing; the
+    /// end solve's iterations are added to the run's last event.
     pub inner_iterations: usize,
 }
 
@@ -76,6 +82,7 @@ pub(super) fn recover<R: Recurrence>(
         full,
         sched,
         bnorm2,
+        pending,
         ..
     } = &mut *node;
     // The entry barrier is the agreement on the failed set and defines the
@@ -115,12 +122,21 @@ pub(super) fn recover<R: Recurrence>(
             // data is retrievable from safe storage, PAPER.md's protocol
             // table — the paper's experiments never hit this case, ours test
             // it). The s-step loop rebuilds its per-block basis workspace
-            // from definitions.
+            // from definitions. Every rank's `x` is x⁰ again: nothing is
+            // pending any more.
             (*st, _, _) = rec.init(ctx, shared, full);
+            pending.clear();
             0
         }
         (Strategy::Esrp { t }, Some(jhat)) => {
-            recover_esrp(ctx, shared, st, ws, full, jhat, t, failed, *bnorm2)
+            let defer = defers(shared, pending, failed);
+            if defer {
+                pending.extend_from_slice(failed);
+                pending.sort_unstable();
+                pending.dedup();
+            }
+            let solve = (!defer).then_some(*bnorm2);
+            recover_esrp(ctx, shared, st, ws, full, jhat, t, failed, solve)
         }
         (Strategy::Imcr { .. }, Some(jc)) => {
             recover_imcr(ctx, shared, st, jc, failed);
@@ -172,10 +188,27 @@ pub fn imcr_rollback_target(j_f: usize, t: usize) -> Option<usize> {
     (m >= 1).then(|| m * t)
 }
 
+/// Whether the ESR/ESRP event on `failed_sorted` leaves its `x` for the end
+/// solve ([`Reconstruction::Deferred`]): when ψ ≥ 2, or when a failed rank
+/// is pending or a halo peer of a pending rank. A lone replacement with no
+/// pending neighbour reconstructs at once: every `x` its rows read is valid,
+/// and its inner solve sends no message.
+fn defers(shared: &SharedProblem, pending: &[usize], failed_sorted: &[usize]) -> bool {
+    let touches_pending = |&f: &usize| {
+        let mut pending = pending.iter();
+        pending.any(|&u| u == f || shared.plan.are_peers(u, f))
+    };
+    shared.cfg.reconstruction == Reconstruction::Deferred
+        && (failed_sorted.len() >= 2 || failed_sorted.iter().any(touches_pending))
+}
+
 /// ESR/ESRP recovery (paper Alg. 2 + the ESRP rollback of §3) to iteration
-/// `jhat`; returns the inner-solve iteration count (0 on survivors).
-/// `bnorm2` is ‖b‖₂², the same bits on every rank, so every replacement
-/// stops an [`InnerTolerance::OfOuter`] solve at the same iteration.
+/// `jhat`; returns the inner-solve iteration count (0 on survivors and for
+/// a deferred event). `solve` is `Some(‖b‖₂²)` when the replacements solve
+/// for their `x` now (lines 7–8) — the same bits on every rank, so every
+/// replacement stops a [`Reconstruction::Deferred`] solve at the same
+/// iteration — and `None` when the event defers it: then the gather carries
+/// no `x` and the replacements stop after line 6.
 #[allow(clippy::too_many_arguments)]
 fn recover_esrp(
     ctx: &mut Ctx,
@@ -186,12 +219,11 @@ fn recover_esrp(
     jhat: usize,
     t: usize,
     failed_sorted: &[usize],
-    bnorm2: f64,
+    solve: Option<f64>,
 ) -> usize {
     let part = &*shared.part;
     let me = ctx.rank();
     let n_ranks = ctx.size();
-    let be = shared.cfg.backend.subdivided(n_ranks);
     let is_failed = |r: usize| failed_sorted.binary_search(&r).is_ok();
     let am_failed = is_failed(me);
     let range = part.range(me);
@@ -210,7 +242,7 @@ fn recover_esrp(
     // I(f,s) ++ Rc(f→s), in that order, which its queue returns by source.
     // The message is [p^(ĵ−1) over I′(f,s) | p^(ĵ) over I′(f,s) | x over
     // I(s,f) | root only: β^(ĵ−1), r·z^(ĵ)], and s sends it only if some
-    // part is non-empty.
+    // part is non-empty. A deferred event sends no `x` part.
     ctx.set_phase(Phase::RecoveryGather);
     let plan = &*shared.plan;
     let aspmv = shared
@@ -221,19 +253,16 @@ fn recover_esrp(
     let scalar_root = (0..n_ranks)
         .find(|&r| !is_failed(r))
         .expect("at least one rank survives");
+    let x_halo = |s: usize, f: usize| match solve {
+        Some(_) => plan.indices_to(s, f),
+        None => &[],
+    };
     let sends = |s: usize, f: usize| {
         let (halo, extras) = copies(f, s);
-        s == scalar_root
-            || !halo.is_empty()
-            || !extras.is_empty()
-            || !plan.indices_to(s, f).is_empty()
+        s == scalar_root || !halo.is_empty() || !extras.is_empty() || !x_halo(s, f).is_empty()
     };
     let tag = Tag::RecoveryCopies.bare();
-    let SolverWorkspace {
-        scratch,
-        domains,
-        local_inner,
-    } = ws;
+    let scratch = &mut ws.scratch;
     let mut scalars = None;
     if !am_failed {
         for &f in failed_sorted.iter().filter(|&&f| sends(me, f)) {
@@ -244,8 +273,7 @@ fn recover_esrp(
                 });
                 msg.extend_from_slice(held);
             }
-            let x_halo = plan.indices_to(me, f).iter();
-            msg.extend(x_halo.map(|&g| st.x[g - range.start]));
+            msg.extend(x_halo(me, f).iter().map(|&g| st.x[g - range.start]));
             if me == scalar_root {
                 msg.extend([st.beta_prev, st.rz]);
             }
@@ -256,7 +284,7 @@ fn recover_esrp(
         for src in (0..n_ranks).filter(|&s| !is_failed(s) && sends(s, me)) {
             let msg = ctx.recv(src, tag).into_f64s();
             let (halo, extras) = copies(me, src);
-            let x_halo = plan.indices_to(src, me);
+            let x_halo = x_halo(src, me);
             let m = halo.len() + extras.len();
             let root = if src == scalar_root { 2 } else { 0 };
             assert_eq!(
@@ -294,19 +322,7 @@ fn recover_esrp(
         let (beta, rz) = scalars.expect("the scalar root sends β and r·z");
         ctx.set_phase(Phase::RecoveryInner);
         let nloc = range.len();
-
-        // Per-failure-domain cache: the I_f membership mask and the two
-        // column-split extractions of my rows. Built once per domain
-        // (static-data access, uncharged like the paper's safe-storage
-        // reloads), reused by every later event with the same failure set.
-        let cache = domains.entry(failed_sorted.to_vec()).or_insert_with(|| {
-            let my_idx: Vec<usize> = range.clone().collect();
-            DomainCache::build(&shared.a, part, &my_idx, failed_sorted)
-        });
-        debug_assert!(
-            range.is_empty() || cache.in_failed_idx[range.start],
-            "my own indices must be inside the failure domain"
-        );
+        let scratch = &ws.scratch;
 
         // Line 4: z_f = p^(ĵ)_f − β^(ĵ−1) p^(ĵ−1)_f.
         for i in 0..nloc {
@@ -322,51 +338,14 @@ fn recover_esrp(
             .solve_restricted(range.clone(), &st.z, &mut st.r);
         ctx.charge_flops(shared.precond.solve_restricted_flops(nloc));
 
-        // Line 7: w = b_f − r_f − A[f, s] x_s. `full` carries the surviving
-        // x at exactly the halo positions my rows read; the cached
-        // column-split `a_off` is `A[f, s]` as a branch-free SpMV.
-        be.spmv_into(&cache.a_off, full, &mut scratch.ax);
-        ctx.charge_flops(cache.a_off.spmv_flops());
-        for i in 0..nloc {
-            scratch.w[i] = shared.b[range.start + i] - st.r[i] - scratch.ax[i];
+        // Lines 7–8, unless the event leaves them to the end solve.
+        if let Some(bnorm2) = solve {
+            let (r, x) = (&st.r, &mut st.x);
+            inner_iterations = solve_lost_x(ctx, shared, ws, failed_sorted, full, r, x, bnorm2);
         }
-        ctx.charge_flops(2 * nloc as u64);
-
-        // The inner preconditioner depends only on my own rows; the
-        // simulator factors it at most once per solve (the factorization is
-        // deterministic, so reuse cannot change results). The *model* still
-        // charges the factorization on every event: a real replacement node
-        // is fresh hardware and must re-factor.
-        if local_inner.is_none() {
-            *local_inner = Some(LocalInnerSolve::build(shared, range.clone()));
-        }
-        ctx.charge_flops(
-            (shared.cfg.inner_max_block * shared.cfg.inner_max_block) as u64 * nloc as u64,
-        );
-        let inner_pre = &local_inner.as_ref().expect("just built").precond;
-
-        // Line 8: solve A[I_f, I_f] x_f = w. The failed ranks' rows couple,
-        // so the union system is solved by a *distributed* PCG over the
-        // replacement subgroup — each replacement owns its own rows, halo
-        // entries travel between replacements over the same index sets as
-        // the outer SpMV plan, and each iteration's dot products are fused
-        // into one all-gather within the subgroup (single-reduction PCG).
-        // This mirrors the paper's recovery running on
-        // the replacement nodes (and is why its recovery cost scales with
-        // the inner system rather than with the whole machine).
-        inner_iterations = distributed_inner_solve(
-            ctx,
-            shared,
-            failed_sorted,
-            scratch,
-            cache,
-            inner_pre,
-            bnorm2,
-        );
-        st.x.copy_from_slice(&scratch.ix);
 
         // Restore the rest of the replacement's state for iteration ĵ.
-        st.p.copy_from_slice(&scratch.p_cur);
+        st.p.copy_from_slice(&ws.scratch.p_cur);
         st.beta_prev = beta;
         st.rz = rz;
         if t > 1 {
@@ -378,6 +357,165 @@ fn recover_esrp(
     }
 
     inner_iterations
+}
+
+/// Alg. 2 lines 7–8 on one member of the subgroup `group` — the failed ranks
+/// of an event, or a component of the pending set at the end:
+/// `w = b_own − r_own − A[own, ∖group] x`, reading the `x` of the ranks
+/// outside `group` from `full`, then the subgroup solve of `A_gg x_g = w`,
+/// whose share of the solution lands in `x`. `ws.scratch` must be freshly
+/// prepared. Returns the inner iteration count.
+#[allow(clippy::too_many_arguments)]
+fn solve_lost_x(
+    ctx: &mut Ctx,
+    shared: &SharedProblem,
+    ws: &mut SolverWorkspace,
+    group: &[usize],
+    full: &[f64],
+    r: &[f64],
+    x: &mut [f64],
+    bnorm2: f64,
+) -> usize {
+    let range = shared.part.range(ctx.rank());
+    let nloc = range.len();
+    let be = shared.cfg.backend.subdivided(ctx.size());
+    let SolverWorkspace {
+        scratch,
+        domains,
+        local_inner,
+    } = ws;
+
+    // Per-subgroup cache: the I_g membership mask and the two column-split
+    // extractions of my rows. Built once per subgroup (static-data access,
+    // uncharged like the paper's safe-storage reloads), reused by every
+    // later solve over the same ranks.
+    let cache = domains.entry(group.to_vec()).or_insert_with(|| {
+        let my_idx: Vec<usize> = range.clone().collect();
+        DomainCache::build(&shared.a, &shared.part, &my_idx, group)
+    });
+    debug_assert!(
+        range.is_empty() || cache.in_failed_idx[range.start],
+        "my own indices must be inside the subgroup's domain"
+    );
+
+    // Line 7: w = b_f − r_f − A[f, s] x_s. `full` carries the surviving
+    // x at exactly the halo positions my rows read; the cached
+    // column-split `a_off` is `A[f, s]` as a branch-free SpMV.
+    be.spmv_into(&cache.a_off, full, &mut scratch.ax);
+    ctx.charge_flops(cache.a_off.spmv_flops());
+    let rhs = shared.b[range.clone()].iter().zip(r).zip(&scratch.ax);
+    for (w, ((&b, &r), &ax)) in scratch.w.iter_mut().zip(rhs) {
+        *w = b - r - ax;
+    }
+    ctx.charge_flops(2 * nloc as u64);
+
+    // The inner preconditioner depends only on my own rows; the
+    // simulator factors it at most once per solve (the factorization is
+    // deterministic, so reuse cannot change results). The *model* still
+    // charges the factorization on every inner solve: a real replacement
+    // node is fresh hardware and must re-factor.
+    if local_inner.is_none() {
+        *local_inner = Some(LocalInnerSolve::build(shared, range.clone()));
+    }
+    ctx.charge_flops(
+        (shared.cfg.inner_max_block * shared.cfg.inner_max_block) as u64 * nloc as u64,
+    );
+    let inner_pre = &local_inner.as_ref().expect("just built").precond;
+
+    // Line 8: solve A[I_f, I_f] x_f = w. The failed ranks' rows couple,
+    // so the union system is solved by a *distributed* PCG over the
+    // replacement subgroup — each replacement owns its own rows, halo
+    // entries travel between replacements over the same index sets as
+    // the outer SpMV plan, and each iteration's dot products are fused
+    // into one all-gather within the subgroup (single-reduction PCG).
+    // This mirrors the paper's recovery running on
+    // the replacement nodes (and is why its recovery cost scales with
+    // the inner system rather than with the whole machine).
+    let k = distributed_inner_solve(ctx, shared, group, scratch, cache, inner_pre, bnorm2);
+    x.copy_from_slice(&scratch.ix);
+    k
+}
+
+/// The connected component of `me` in the plan's peer graph restricted to
+/// the pending set, sorted.
+fn component_of(shared: &SharedProblem, pending: &[usize], me: usize) -> Vec<usize> {
+    let mut component = Vec::with_capacity(pending.len());
+    component.push(me);
+    let mut next = 0;
+    while let Some(&u) = component.get(next) {
+        next += 1;
+        for &v in pending {
+            if !component.contains(&v) && shared.plan.are_peers(u, v) {
+                component.push(v);
+            }
+        }
+    }
+    component.sort_unstable();
+    component
+}
+
+/// The deferred reconstruction ([`Reconstruction::Deferred`]), run by every
+/// rank when the loop exits with a non-empty pending set U. Each survivor
+/// sends each pending halo peer k one values-only message of its `x` over
+/// `I(s,k)`; then each connected component K of U in the plan's peer graph
+/// solves `A_KK x_K = b_K − r_K − A_{K,S} x_S` from the final recurrence `r`
+/// over the subgroup K (Alg. 2 lines 7–8). Components share no rank and no
+/// message, so they solve concurrently. Each rank records one recovery span
+/// from its clock at the loop's exit; returns the span's length and this
+/// rank's inner iteration count (0 on survivors).
+pub(super) fn reconstruct_pending(ctx: &mut Ctx, node: &mut Node<'_>) -> (f64, usize) {
+    let Node {
+        shared,
+        st,
+        ws,
+        full,
+        bnorm2,
+        pending,
+        ..
+    } = node;
+    let plan = &*shared.plan;
+    let me = ctx.rank();
+    let range = shared.part.range(me);
+    let is_pending = |r: &usize| pending.binary_search(r).is_ok();
+    let t_start = ctx.clock();
+    ctx.set_phase(Phase::RecoveryGather);
+    let tag = Tag::RecoveryCopies.bare();
+    let mut inner_iterations = 0;
+    if !is_pending(&me) {
+        for &k in pending.iter() {
+            let idx = plan.indices_to(me, k);
+            if !idx.is_empty() {
+                let mut msg = ctx.take_f64s();
+                msg.extend(idx.iter().map(|&g| st.x[g - range.start]));
+                ctx.send(k, tag, Payload::F64s(msg));
+            }
+        }
+    } else {
+        for s in (0..ctx.size()).filter(|s| !is_pending(s)) {
+            let idx = plan.indices_to(s, me);
+            if idx.is_empty() {
+                continue;
+            }
+            let msg = ctx.recv(s, tag).into_f64s();
+            assert_eq!(
+                msg.len(),
+                idx.len(),
+                "end solve: payload length mismatch from rank {s} (protocol violation)"
+            );
+            for (&g, &v) in idx.iter().zip(&msg) {
+                full[g] = v;
+            }
+            ctx.recycle_f64s(msg);
+        }
+        let component = component_of(shared, pending, me);
+        ctx.set_phase(Phase::RecoveryInner);
+        ws.scratch.prepare(range.len(), shared.part.n());
+        let (r, x) = (&st.r, &mut st.x);
+        inner_iterations = solve_lost_x(ctx, shared, ws, &component, full, r, x, *bnorm2);
+    }
+    let t_end = ctx.clock();
+    ctx.trace_recovery_span(t_start, t_end);
+    (t_end - t_start, inner_iterations)
 }
 
 /// IMCR recovery to the checkpoint of iteration `jc`: replacements fetch it
@@ -444,8 +582,9 @@ fn recover_imcr(
 
 /// Distributed PCG over the replacement subgroup for the inner system
 /// `A[I_f, I_f] x_f = w` (paper Alg. 2, line 8), to the configured inner
-/// tolerance. Only the failed ranks call this; every one of them owns its
-/// original row range restricted to the columns in `I_f`.
+/// tolerance. Only the members of the subgroup `failed_sorted` — an event's
+/// failed ranks, or a component of the pending set — call this; every one
+/// of them owns its original row range restricted to the columns in `I_f`.
 ///
 /// * The recurrence is single-reduction PCG (Chronopoulos–Gear, 1989): it
 ///   carries `s = A p` beside `p`, applies the operator to `u = P r`
@@ -472,9 +611,9 @@ fn recover_imcr(
 /// * The inner operator `A[I_own, I_f]` is the cached column split
 ///   `cache.a_in`; every vector lives in [`RecoveryScratch`] — the loop
 ///   allocates nothing beyond message payloads.
-/// * The loop stops by `shared.cfg.inner_tol` on the `r·r` every iteration
-///   already reduces: below `1e-14 · ‖w‖` for `Paper`, at or below
-///   `η · rtol · ‖b‖` for `OfOuter` (`bnorm2` = ‖b‖₂²).
+/// * The loop stops by `shared.cfg.reconstruction` on the `r·r` every
+///   iteration already reduces: below `1e-14 · ‖w‖` for `Paper`, at or below
+///   `η · rtol · ‖b‖` for `Deferred` (`bnorm2` = ‖b‖₂²).
 ///
 /// The right-hand side is read from `scratch.w`; the solution is left in
 /// `scratch.ix`. `scratch` must be freshly prepared (`p` and `s` zero).
@@ -530,9 +669,9 @@ fn distributed_inner_solve(
     let (mut gamma, mut denom, wnorm2, rr0) = (reduced[0], reduced[1], reduced[2], reduced[3]);
     ctx.recycle_f64s(reduced);
     let wnorm = wnorm2.sqrt();
-    let unconverged = |rr: f64| match shared.cfg.inner_tol {
-        InnerTolerance::Paper => wnorm > 0.0 && rr.sqrt() / wnorm >= PAPER_INNER_RTOL,
-        InnerTolerance::OfOuter => rr > (ETA * shared.cfg.rtol).powi(2) * bnorm2,
+    let unconverged = |rr: f64| match shared.cfg.reconstruction {
+        Reconstruction::Paper => wnorm > 0.0 && rr.sqrt() / wnorm >= PAPER_INNER_RTOL,
+        Reconstruction::Deferred => rr > (ETA * shared.cfg.rtol).powi(2) * bnorm2,
     };
     let mut keep_going = unconverged(rr0);
     // p = u and s = q on the first trip: β = 0 over the zeroed p and s.
@@ -727,7 +866,7 @@ mod tests {
         let n = a.nrows();
         // The oracle below is a relative solve.
         let mut cfg = SolverConfig::new(Strategy::esr(), 3);
-        cfg.inner_tol = InnerTolerance::Paper;
+        cfg.reconstruction = Reconstruction::Paper;
         let pre = PrecondSpec::paper_default();
         let shared = SharedProblem::assemble_shared(
             Arc::new(a),
@@ -847,9 +986,12 @@ mod tests {
                     .expect("run");
                 let failed: Vec<usize> = (1..1 + psi).collect();
                 let root = 0;
+                // ESR defers a ψ = 2 event's `x` to the end solve.
+                let deferred = psi == 2 && strategy.is_esr();
                 // What survivor `s` sends replacement `f`, in values (None:
-                // no message): ESR the need-to-know gather, IMCR the blob
-                // and r·z from the first surviving buddy.
+                // no message): ESR the need-to-know gather — without the `x`
+                // halo when the event defers — IMCR the blob and r·z from
+                // the first surviving buddy.
                 let gather = |s: usize, f: usize| -> Option<usize> {
                     if matches!(strategy, Strategy::Imcr { .. }) {
                         let nloc = part.range(f).len();
@@ -857,7 +999,11 @@ mod tests {
                         return (sender == Some(s)).then(|| checkpoint_blob_len(nloc, false) + 1);
                     }
                     let copies = plan.indices_to(f, s).len() + aspmv.extras_to(f, s).len();
-                    let x_halo = plan.indices_to(s, f).len();
+                    let x_halo = if deferred {
+                        0
+                    } else {
+                        plan.indices_to(s, f).len()
+                    };
                     let scalars = if s == root { 2 } else { 0 };
                     let values = 2 * copies + x_halo + scalars;
                     (values > 0).then_some(values)
@@ -929,10 +1075,12 @@ mod tests {
                     );
                     if failed.contains(&r) {
                         // A replacement sends only inner-solve traffic to
-                        // the other replacements.
+                        // the other replacements, and nothing when the event
+                        // defers its `x`.
                         let inner =
                             |m: &&Sent| m.1 == kind(Tag::RecoveryInner) && failed.contains(&m.0);
                         assert!(rest.iter().all(inner), "{label}, rank {r}");
+                        assert!(!deferred || rest.is_empty(), "{label}, rank {r}");
                         continue;
                     }
                     // A survivor sends each replacement at most one message,
@@ -960,23 +1108,86 @@ mod tests {
                     assert_eq!(span_end(r).to_bits(), done.to_bits(), "{label}, rank {r}");
                 }
                 // The gather completes one hop after the senders' agreement;
-                // a lone replacement (its inner solve sends nothing) or an
-                // IMCR replacement is done right then.
+                // a lone replacement (its inner solve sends nothing), a
+                // deferring one or an IMCR replacement is done right then.
                 for &f in &failed {
                     let done = last_recv(f, gather_kind).expect("a gather");
                     assert_eq!(done.to_bits(), completion[f].to_bits(), "{label}, rank {f}");
-                    if psi == 1 || matches!(strategy, Strategy::Imcr { .. }) {
+                    if psi == 1 || deferred || matches!(strategy, Strategy::Imcr { .. }) {
                         assert_eq!(span_end(f).to_bits(), done.to_bits(), "{label}, rank {f}");
                     }
                 }
-                // The reported cost is the latest rank's end.
-                let t_start = match window(0).last() {
-                    Some(TraceEvent::RecoverySpan { start, .. }) => *start,
-                    _ => unreachable!(),
+
+                // Each rank's recovery spans: the event's, then the end
+                // solve's when the event deferred.
+                let spans = |r: usize| -> Vec<(f64, f64)> {
+                    let events = trace.ranks[r].events.iter();
+                    let spans = events.filter_map(|ev| match ev {
+                        TraceEvent::RecoverySpan { start, end } => Some((*start, *end)),
+                        _ => None,
+                    });
+                    spans.collect()
                 };
-                let latest = (0..n_ranks).map(span_end).fold(0.0, f64::max);
+                for r in 0..n_ranks {
+                    assert_eq!(
+                        spans(r).len(),
+                        1 + usize::from(deferred),
+                        "{label}, rank {r}"
+                    );
+                }
+                if deferred {
+                    // The end solve: every survivor sends each pending halo
+                    // peer exactly one values-only message of its `x` over
+                    // I(s,k), the k-th one at its loop exit + kα; after that
+                    // only the pending ranks' inner traffic among themselves.
+                    for r in 0..n_ranks {
+                        let (start, end) = spans(r)[1];
+                        let events = trace.ranks[r].events.iter();
+                        let sends: Vec<Sent> = events
+                            .filter_map(|ev| match ev {
+                                TraceEvent::Send {
+                                    peer,
+                                    tag_kind,
+                                    bytes,
+                                    at,
+                                } if *at > start && *at <= end => {
+                                    Some((*peer, *tag_kind, *bytes, *at))
+                                }
+                                _ => None,
+                            })
+                            .collect();
+                        if failed.contains(&r) {
+                            let inner =
+                                |m: &Sent| m.1 == kind(Tag::RecoveryInner) && failed.contains(&m.0);
+                            assert!(!sends.is_empty(), "{label}, rank {r}: the end solve");
+                            assert!(sends.iter().all(inner), "{label}, rank {r}");
+                            continue;
+                        }
+                        let peers = failed
+                            .iter()
+                            .filter(|&&f| !plan.indices_to(r, f).is_empty());
+                        let expected: Vec<Sent> = peers
+                            .enumerate()
+                            .map(|(k, &f)| {
+                                let bytes = 8 * plan.indices_to(r, f).len();
+                                let at = start + (k + 1) as f64 * alpha;
+                                (f, kind(Tag::RecoveryCopies), bytes, at)
+                            })
+                            .collect();
+                        let bits = |v: &[Sent]| -> Vec<(usize, u32, usize, u64)> {
+                            v.iter().map(|m| (m.0, m.1, m.2, m.3.to_bits())).collect()
+                        };
+                        assert_eq!(bits(&sends), bits(&expected), "{label}, rank {r}");
+                        let done = start + expected.len() as f64 * alpha;
+                        assert_eq!(end.to_bits(), done.to_bits(), "{label}, rank {r}");
+                    }
+                }
+                // The reported cost is the latest rank's sum of spans.
+                let latest = (0..n_ranks)
+                    .map(|r| spans(r).iter().fold(0.0, |sum, (s, e)| sum + (e - s)))
+                    .fold(0.0, f64::max);
                 let reported = report.recoveries[0].recovery_time;
-                assert_eq!(reported.to_bits(), (latest - t_start).to_bits(), "{label}");
+                assert_eq!(reported.to_bits(), latest.to_bits(), "{label}");
             }
         }
     }

@@ -11,9 +11,11 @@
 //! column-split operators, the inner preconditioner — but a bounded number
 //! of times that does not depend on the outer SpMV's storage format, and a
 //! second event in the same failure domain reuses what the first one built
-//! (each event allocates no more than a pinned count).
+//! (each event allocates no more than a pinned count; a deferred event's
+//! count includes the end solve).
 //! The inner reconstruction solve's loop allocates nothing: an event whose
-//! inner solve runs more iterations allocates exactly as often.
+//! inner solve runs more iterations (`Reconstruction::Paper` against
+//! `Reconstruction::Deferred`) allocates exactly as often.
 //!
 //! One test per binary on purpose: the counter is process-wide.
 
@@ -22,7 +24,7 @@ mod counting_alloc;
 use std::sync::Arc;
 
 use esrcg::cluster::run_spmd;
-use esrcg::core::solver::{solve_node, InnerTolerance, SharedProblem, SolverConfig};
+use esrcg::core::solver::{solve_node, Reconstruction, SharedProblem, SolverConfig};
 use esrcg::prelude::*;
 use esrcg::sparse::gen::poisson2d;
 use esrcg::sparse::SpmvFormat;
@@ -71,17 +73,18 @@ fn allocations_with_failures(format: SpmvFormat, psi: usize, failures: &[usize])
     allocations
 }
 
-/// Allocations of one ESR solve of the probe at φ = 2 in which ranks 3 and
-/// 4 fail at iteration 50, with the inner solve stopped by `inner_tol`, and
-/// the replacements' inner iteration count. Assembly is not counted.
-fn esr_event_with_inner_tol(inner_tol: InnerTolerance) -> (u64, usize) {
+/// Allocations of one ESR solve of the probe at φ = 1 in which rank 3 fails
+/// at iteration 50, with its `x` reconstructed by `rule` — at once under
+/// both rules, since nothing is pending — and the replacement's inner
+/// iteration count. Assembly is not counted.
+fn esr_event_under(rule: Reconstruction) -> (u64, usize) {
     let a = poisson2d(64, 64);
     let n = a.nrows();
     let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.137).sin() + 0.5).collect();
     let b = a.spmv(&x_true);
-    let mut cfg = SolverConfig::new(Strategy::esr(), 2);
-    cfg.inner_tol = inner_tol;
-    cfg.failures = vec![FailureSpec::contiguous(50, 3, 2, 8)];
+    let mut cfg = SolverConfig::new(Strategy::esr(), 1);
+    cfg.reconstruction = rule;
+    cfg.failures = vec![FailureSpec::contiguous(50, 3, 1, 8)];
     let pre = PrecondSpec::paper_default();
     let shared =
         SharedProblem::assemble_shared(Arc::new(a), b, vec![0.0; n], 8, pre, cfg).expect("probe");
@@ -133,10 +136,12 @@ fn iterations_past_the_warm_up_add_no_allocation() {
     // Both events are pinned at their counts with the queue storing values
     // and one slice per source (with `(index, value)` pairs they were
     // 125 / 23 at ψ = 1 and 242 / 50 at ψ = 2); a change may only lower
-    // them.
+    // them. A ψ = 2 event defers its `x` to the end solve, which the first
+    // event's count carries: its `x` halo round and the component (206 / 26
+    // when each event solved at once).
     for (psi, first, second, pins) in [
         (1, csr_first, csr_second, (110, 13)),
-        (2, pair_first, pair_second, (206, 26)),
+        (2, pair_first, pair_second, (217, 22)),
     ] {
         assert!(
             2 * second < first,
@@ -148,9 +153,9 @@ fn iterations_past_the_warm_up_add_no_allocation() {
         );
     }
     // The inner loop allocates nothing: more inner iterations, same count.
-    esr_event_with_inner_tol(InnerTolerance::Paper); // one-time lookups
-    let (tight, tight_iters) = esr_event_with_inner_tol(InnerTolerance::Paper);
-    let (loose, loose_iters) = esr_event_with_inner_tol(InnerTolerance::OfOuter);
+    esr_event_under(Reconstruction::Paper); // one-time lookups
+    let (tight, tight_iters) = esr_event_under(Reconstruction::Paper);
+    let (loose, loose_iters) = esr_event_under(Reconstruction::Deferred);
     assert!(loose_iters < tight_iters, "{loose_iters} vs {tight_iters}");
     assert_eq!(
         tight, loose,

@@ -337,6 +337,12 @@ struct PinnedRun {
 /// `x_hash` moved (the inner error stays in `x`), every recovery 22–27 %
 /// cheaper, every modeled clock 3.5–9.7 % lower, every count, resume point
 /// and tuner decision unchanged, every IMCR and full-restart row untouched.
+/// Deferring a ψ ≥ 2 event's `x` to one solve at the end
+/// (`Reconstruction::Deferred`) re-recorded the four ψ = 2 ESRP rows: their
+/// `x_hash` moved, every modeled clock 0.21–0.27 % (≈ 6 µs) higher, every
+/// recovery (the event plus the end solve) 0.47–0.75 % dearer, every count
+/// and resume point unchanged; every ψ = 1, IMCR, full-restart and
+/// two-event row untouched.
 /// The
 /// solution, both iteration counts, the modeled clock, every recovery's
 /// resume point and modeled cost and the tuner's decisions must not move.
@@ -395,10 +401,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 42,
-            modeled_bits: 0x3f6677f85f7e0370,
-            recoveries: &[(12, 11, 0x3f4a659d237c5c6e)],
+            modeled_bits: 0x3f66849599368c04,
+            recoveries: &[(12, 11, 0x3f4a97f20a5e7c98)],
             intervals_after: &[],
-            x_hash: 0x3976ddd07356e6d9,
+            x_hash: 0x798ecad1c61a7e52,
         },
         PinnedRun {
             name: "pipelined esrp5 mid-run",
@@ -408,10 +414,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 42,
-            modeled_bits: 0x3f628ba13f7dde3c,
-            recoveries: &[(12, 11, 0x3f4bdfc45a401b78)],
+            modeled_bits: 0x3f629842793666ae,
+            recoveries: &[(12, 11, 0x3f4c0162498186c8)],
             intervals_after: &[],
-            x_hash: 0x0637cf7e4814941d,
+            x_hash: 0x30522c4ecda72440,
         },
         PinnedRun {
             name: "sstep4 esrp5 mid-run",
@@ -421,10 +427,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f6741ed723eae2b,
-            recoveries: &[(12, 8, 0x3f4a659d237c5c6c)],
+            modeled_bits: 0x3f674ead3062620f,
+            recoveries: &[(12, 8, 0x3f4a93d101111854)],
             intervals_after: &[],
-            x_hash: 0x386d87c5c97d7155,
+            x_hash: 0x5f33d8e885509f2b,
         },
         PinnedRun {
             name: "classic imcr5 mid-run",
@@ -486,10 +492,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(18, 1, 2)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f65e40556c250ec,
-            recoveries: &[(18, 16, 0x3f4a65ad237c5c76)],
+            modeled_bits: 0x3f65f0c514e604cf,
+            recoveries: &[(18, 16, 0x3f4a93e101111880)],
             intervals_after: &[],
-            x_hash: 0x23b946e632be49cc,
+            x_hash: 0xc9e0155606d65998,
         },
         PinnedRun {
             name: "sstep4 imcr5 mid-block",

@@ -83,10 +83,24 @@ fn unknown_drills_are_rejected() {
 
 /// The modeled clock is deterministic, so the tracked file is an exact
 /// oracle: a change that moves any recovery number fails here (tier-1, not
-/// only CI) until `BENCH_drills.txt` is re-recorded on purpose.
+/// only CI), naming the first differing line, until `BENCH_drills.txt` is
+/// re-recorded on purpose.
 #[test]
 fn tracked_artifact_is_reproduced_byte_for_byte() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_drills.txt");
     let tracked = std::fs::read_to_string(path).expect("BENCH_drills.txt is tracked");
-    assert_eq!(artifact_text(&run_all(2).expect("catalog runs")), tracked);
+    let got = artifact_text(&run_all(2).expect("catalog runs"));
+    let (mut want_lines, mut got_lines) = (tracked.lines(), got.lines());
+    for line in 1.. {
+        match (want_lines.next(), got_lines.next()) {
+            (Some(w), Some(g)) if w == g => {}
+            (None, None) => break,
+            (w, g) => panic!(
+                "BENCH_drills.txt:{line} differs\n  expected: {}\n  got:      {}",
+                w.unwrap_or("<end of file>"),
+                g.unwrap_or("<end of file>")
+            ),
+        }
+    }
+    assert_eq!(got, tracked, "the line endings differ");
 }

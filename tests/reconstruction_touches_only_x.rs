@@ -3,39 +3,35 @@
 //! Everything else a recovery rebuilds — `r`, `z`, `p`, β, `r·z`, the
 //! queue, the starred copies — comes from the redundant copies of `p`, from
 //! β and from `P[f,f] r_f = z_f`, and nothing in the outer loop reads `x`.
-//! So solving the same failing problem under another inner stopping rule
+//! So solving for the lost `x` under another rule — to the paper's 1e-14 at
+//! once (`Reconstruction::Paper`), or once at the end to η of the outer
+//! target (`Reconstruction::Deferred`; ψ = 2 defers, ψ = 1 solves at once) —
 //! must leave the outer trajectory bit for bit where it was: iteration
 //! counts, the recurrence residual and every recovery's resume point. Only
-//! the solution differs, by the inner error δ_f, and the rule derived from
-//! the outer target (`InnerTolerance::OfOuter`) keeps it small next to what
-//! the outer tolerance admits.
+//! the solution differs, by the inner error δ, which the deferred rule keeps
+//! small next to what the outer tolerance admits.
 
 use std::sync::Arc;
 
 use esrcg::cluster::{run_spmd, CostModel, FailureSpec};
-use esrcg::core::solver::{solve_node, InnerTolerance, NodeOutcome, SharedProblem, SolverConfig};
+use esrcg::core::solver::{solve_node, NodeOutcome, Reconstruction, SharedProblem, SolverConfig};
 use esrcg::prelude::*;
 use esrcg::sparse::gen::poisson3d;
 
 const N_RANKS: usize = 4;
 
 /// One solve of Poisson3d 12³ on four ranks: with `psi > 0`, ranks 1 … ψ
-/// fail at iteration 12 and the inner solve stops by `inner_tol`. Rank 0's
+/// fail at iteration 12 and their `x` is reconstructed by `rule`. Rank 0's
 /// outcome, carrying the whole solution and the replacements' inner
 /// iteration count.
-fn solve(
-    variant: PcgVariant,
-    strategy: Strategy,
-    psi: usize,
-    inner_tol: InnerTolerance,
-) -> NodeOutcome {
+fn solve(variant: PcgVariant, strategy: Strategy, psi: usize, rule: Reconstruction) -> NodeOutcome {
     let a = Arc::new(poisson3d(12, 12, 12));
     let n = a.nrows();
     let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.137).sin() + 0.5).collect();
     let b = a.spmv(&x_true);
     let mut cfg = SolverConfig::new(strategy, 2);
     cfg.variant = variant;
-    cfg.inner_tol = inner_tol;
+    cfg.reconstruction = rule;
     if psi > 0 {
         cfg.failures = vec![FailureSpec::contiguous(12, 1, psi, N_RANKS)];
     }
@@ -76,10 +72,10 @@ fn a_looser_inner_solve_moves_x_and_nothing_else() {
         PcgVariant::SStep { s: 4 },
     ] {
         for strategy in [Strategy::esr(), Strategy::Esrp { t: 5 }] {
-            let undisturbed = solve(variant, strategy, 0, InnerTolerance::OfOuter);
+            let undisturbed = solve(variant, strategy, 0, Reconstruction::Deferred);
             for psi in [1, 2] {
                 let label = format!("{} {strategy} ψ = {psi}", variant.name());
-                let runs = [InnerTolerance::Paper, InnerTolerance::OfOuter]
+                let runs = [Reconstruction::Paper, Reconstruction::Deferred]
                     .map(|tol| solve(variant, strategy, psi, tol));
                 let [tight, eta] = &runs;
                 let events = |o: &NodeOutcome| -> Vec<(usize, usize, usize)> {
