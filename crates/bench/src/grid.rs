@@ -4,7 +4,7 @@
 
 use esrcg_core::driver::{paper_failure_iteration, Experiment, MatrixSource, RhsSpec};
 use esrcg_core::strategy::Strategy;
-use esrcg_core::Reconstruction;
+use esrcg_core::RecoveryRule;
 
 /// One table's configuration.
 #[derive(Debug, Clone)]
@@ -118,7 +118,7 @@ pub fn run_table(spec: &TableSpec) -> TableData {
             .matrix(matrix.clone())
             .rhs(RhsSpec::Random { seed })
             .n_ranks(spec.n_ranks)
-            .reconstruction(Reconstruction::Paper)
+            .recovery_rule(RecoveryRule::Paper)
     };
 
     // --- Reference runs: one per repetition seed ---------------------------

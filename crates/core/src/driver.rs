@@ -26,9 +26,7 @@ use esrcg_sparse::gen;
 use esrcg_sparse::{CsrMatrix, KernelBackend, SpmvFormat};
 
 use crate::solver::recovery::RecoveryOutcome;
-use crate::solver::{
-    solve_node, PcgVariant, Reconstruction, SharedProblem, SolverConfig, TuneEvent,
-};
+use crate::solver::{solve_node, PcgVariant, RecoveryRule, SharedProblem, SolverConfig, TuneEvent};
 use crate::strategy::{IntervalPolicy, Resilience, Strategy};
 
 /// Where the system matrix comes from.
@@ -190,9 +188,10 @@ pub struct Experiment {
 
 impl Experiment {
     /// Starts a builder with paper defaults: block Jacobi (max block 10),
-    /// rtol 1e-8, 8 ranks, no resilience, no failure — except that the
-    /// reconstruction of `x` is deferred and stops at η = 0.01 of the outer
-    /// target ([`Experiment::reconstruction`]).
+    /// rtol 1e-8, 8 ranks, no resilience, no failure — except for the
+    /// recovery: the reconstruction of `x` is deferred and stops at η = 0.01
+    /// of the outer target, and a rollback's redo replays the logged
+    /// reductions ([`Experiment::recovery_rule`]).
     pub fn builder() -> Experiment {
         Experiment {
             matrix: MatrixSource::Poisson2d { nx: 16, ny: 16 },
@@ -260,11 +259,12 @@ impl Experiment {
         self
     }
 
-    /// Sets when and how tightly the lost block of `x` is solved for
-    /// (default: [`Reconstruction::Deferred`]; the paper's rule is
-    /// [`Reconstruction::Paper`]).
-    pub fn reconstruction(mut self, rule: Reconstruction) -> Self {
-        self.cfg.reconstruction = rule;
+    /// Sets when and how tightly the lost block of `x` is solved for, and
+    /// whether a rollback's redo replays the logged reductions (default:
+    /// [`RecoveryRule::Extended`]; the paper's rule is
+    /// [`RecoveryRule::Paper`]).
+    pub fn recovery_rule(mut self, rule: RecoveryRule) -> Self {
+        self.cfg.recovery_rule = rule;
         self
     }
 

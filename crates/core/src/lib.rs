@@ -56,5 +56,5 @@ pub mod solver;
 pub mod strategy;
 
 pub use driver::{Experiment, RunReport};
-pub use solver::{PcgVariant, Reconstruction, TuneEvent};
+pub use solver::{PcgVariant, RecoveryRule, TuneEvent};
 pub use strategy::{IntervalPolicy, Resilience, Strategy};

@@ -302,7 +302,7 @@ mod tests {
 
     #[test]
     fn inner_solve_tolerance_reachable() {
-        // The paper's recovery path (`Reconstruction::Paper`) solves to
+        // The paper's recovery path (`RecoveryRule::Paper`) solves to
         // 1e-14; verify that's attainable on the kind of principal
         // submatrices it sees.
         let a = random_spd_dense(30, 5);

@@ -7,7 +7,8 @@ use esrcg_cluster::{Ctx, Phase};
 use super::state::NodeState;
 use super::{dist_spmv, Node, Recurrence, SharedProblem, INIT_TAG};
 
-/// Two blocking reductions per iteration (pᵀAp, then the fused rz/rr).
+/// Two blocking reductions per iteration (pᵀAp, then the fused rz/rr), both
+/// through the node's reduction log.
 pub(super) struct Classic;
 
 /// Initializes (or re-initializes) the PCG state from the static data:
@@ -100,7 +101,9 @@ impl Recurrence for Classic {
         ctx.set_phase(Phase::Reduction);
         let pq_loc = be.dot(&st.p, &st.q);
         ctx.charge_flops(2 * nloc as u64);
-        let pap = ctx.allreduce_sum_scalar(pq_loc);
+        let red = node.log.allreduce(ctx, &[pq_loc]);
+        let pap = red[0];
+        ctx.recycle_f64s(red);
         assert!(
             pap > 0.0,
             "pᵀAp = {pap} ≤ 0: matrix not SPD to working precision"
@@ -122,7 +125,7 @@ impl Recurrence for Classic {
         let rz_loc = be.dot(&st.r, &st.z);
         let rr_loc = be.dot(&st.r, &st.r);
         ctx.charge_flops(4 * nloc as u64);
-        let red = ctx.allreduce(&[rz_loc, rr_loc]);
+        let red = node.log.allreduce(ctx, &[rz_loc, rr_loc]);
         let (rz_new, rr) = (red[0], red[1]);
         ctx.recycle_f64s(red);
         let beta = rz_new / st.rz;

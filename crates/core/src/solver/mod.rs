@@ -10,6 +10,7 @@
 mod classic;
 mod pipelined;
 pub mod recovery;
+mod reduction_log;
 mod sstep;
 pub mod state;
 pub mod tuning;
@@ -30,6 +31,7 @@ use crate::dist::plan::CommPlan;
 use crate::queue::Capture;
 use crate::strategy::{IntervalPolicy, Strategy};
 use recovery::{reconstruct_pending, recover, RecoveryOutcome};
+use reduction_log::ReductionLog;
 use state::{checkpoint_blob_len, NodeState, Snapshot};
 pub use tuning::TuneEvent;
 use tuning::{IntervalSchedule, IntervalTuner};
@@ -89,9 +91,10 @@ impl PcgVariant {
     }
 }
 
-/// How the replacements of an ESR/ESRP event get their lost block of `x`
-/// back (paper Alg. 2, lines 7–8: `w = b_f − r_f − A[f, s] x_s`, then solve
-/// `A[I_f, I_f] x_f = w`).
+/// How a recovery gives the solve back its state: how the replacements of an
+/// ESR/ESRP event get their lost block of `x` back (paper Alg. 2, lines 7–8:
+/// `w = b_f − r_f − A[f, s] x_s`, then solve `A[I_f, I_f] x_f = w`), and
+/// what the iterations an ESRP or IMCR rollback redoes pay.
 ///
 /// Nothing after a recovery reads `x` until the epilogue: the state the
 /// outer loop carries is rebuilt from the redundant copies of `p`, from β and
@@ -102,11 +105,17 @@ impl PcgVariant {
 /// η times the forward error the outer tolerance already admits. Under
 /// either rule the inner solve also stops at
 /// [`SolverConfig::inner_max_iters`].
+///
+/// The redo starts from the state the original trips started from — bitwise
+/// after an IMCR rollback, exactly in exact arithmetic after an ESRP one — so
+/// its reductions would reduce to values every rank received before the
+/// failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reconstruction {
+pub enum RecoveryRule {
     /// The paper's rule: every event solves for `x_f` at once and stops when
-    /// ‖w − A_ff x_f‖ < 1e-14 · ‖w‖. The reproduction tables run it, so that
-    /// they measure the paper's reconstruction cost.
+    /// ‖w − A_ff x_f‖ < 1e-14 · ‖w‖, and the redo re-runs every reduction.
+    /// The reproduction tables run it, so that they measure the paper's
+    /// reconstruction and redo costs.
     Paper,
     /// An event with ψ ≥ 2, or whose failed ranks are pending or neighbour a
     /// pending rank in the plan's peer graph, runs only lines 1–6 and adds
@@ -118,7 +127,15 @@ pub enum Reconstruction {
     /// neighbour solves at once, to the same target: its inner solve sends no
     /// message, while a deferred one would join a subgroup that pays a halo
     /// round and an all-gather per inner iteration. A full restart empties U.
-    Deferred,
+    ///
+    /// Every rank logs the loop's reduction results since the current
+    /// rollback target, and the trips a rollback redoes take them from the
+    /// log instead of the tree: a redone trip pays its SpMV halo and its
+    /// local flops, and the first reduction past the failure point runs
+    /// live. A replacement receives the logged values in the recovery
+    /// round's one message from the rank that sends it scalars. ESR redoes
+    /// nothing and a full restart replays nothing.
+    Extended,
 }
 
 /// Solver configuration: strategy, redundancy level, tolerances, and the
@@ -146,14 +163,15 @@ pub struct SolverConfig {
     /// guarantees, consecutive events are separated by a completed storage
     /// stage / checkpoint round — the round re-executed right after a
     /// rollback already repopulates the redundant copies). Under
-    /// [`Reconstruction::Deferred`] an event may strike ranks that are
+    /// [`RecoveryRule::Extended`] an event may strike ranks that are
     /// still pending from an earlier one: their `x` is solved for once, at
     /// the end, whatever the number of events that hit them.
     pub failures: Vec<esrcg_cluster::FailureSpec>,
-    /// When and how tightly the lost block of `x` is solved for.
-    /// [`SolverConfig::new`] picks [`Reconstruction::Deferred`]; the paper's
-    /// rule is [`Reconstruction::Paper`].
-    pub reconstruction: Reconstruction,
+    /// When and how tightly the lost block of `x` is solved for, and whether
+    /// a rollback's redo replays the logged reductions.
+    /// [`SolverConfig::new`] picks [`RecoveryRule::Extended`]; the paper's
+    /// rule is [`RecoveryRule::Paper`].
+    pub recovery_rule: RecoveryRule,
     /// Iteration cap of the inner solve.
     pub inner_max_iters: usize,
     /// Block size of the inner solve's block Jacobi preconditioner
@@ -178,8 +196,9 @@ pub struct SolverConfig {
 
 impl SolverConfig {
     /// Paper-default tolerances for the given strategy and φ, except for
-    /// the reconstruction of `x`, which is deferred and stops at η = 0.01 of
-    /// the outer target ([`Reconstruction::Deferred`]).
+    /// the recovery: the reconstruction of `x` is deferred and stops at
+    /// η = 0.01 of the outer target, and a rollback's redo replays the logged
+    /// reductions ([`RecoveryRule::Extended`]).
     pub fn new(strategy: Strategy, phi: usize) -> Self {
         SolverConfig {
             strategy,
@@ -188,7 +207,7 @@ impl SolverConfig {
             rtol: 1e-8,
             max_iters: 200_000,
             failures: Vec::new(),
-            reconstruction: Reconstruction::Deferred,
+            recovery_rule: RecoveryRule::Extended,
             inner_max_iters: 100_000,
             inner_max_block: 10,
             backend: KernelBackend::default(),
@@ -491,6 +510,15 @@ trait Recurrence {
         j..j + 1
     }
 
+    /// `(trips, values)` the [`ReductionLog`] holds at most when no rollback
+    /// reaches back more than `t` iterations. A classic-shaped trip logs
+    /// three values (pᵀAp, then r·z and r·r; pipelined: γ, δ and r·r), and
+    /// the log keeps the trips from the rollback target to the current one:
+    /// at most `t + 1`.
+    fn log_bound(&self, t: usize) -> (usize, usize) {
+        (t + 1, 3 * (t + 1))
+    }
+
     /// The recurrence's protection events for the trip starting at `j` —
     /// redundant copies of the search direction, starred copies — run
     /// before the failure check. `checkpointed` tells whether the loop just
@@ -548,8 +576,11 @@ struct Node<'a> {
     /// ‖b‖₂².
     bnorm2: f64,
     /// The sorted pending set U: ranks whose `x` a deferred ESR/ESRP event
-    /// left unreconstructed ([`Reconstruction::Deferred`]). Replicated.
+    /// left unreconstructed ([`RecoveryRule::Extended`]). Replicated.
     pending: Vec<usize>,
+    /// The loop's reduction results since the rollback target, which a
+    /// rollback's redo replays ([`RecoveryRule::Extended`]). Replicated.
+    log: ReductionLog,
 }
 
 impl Node<'_> {
@@ -689,6 +720,12 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
     let (st, bnorm2, rr0) = rec.init(ctx, shared, &mut full);
     assert!(bnorm2 > 0.0, "zero right-hand side: x = 0 is the solution");
     let mut relres = (rr0 / bnorm2).sqrt();
+    // A rollback redoes work only where an interval above 1 can be in play.
+    let longest = cfg
+        .interval_policy
+        .max_interval(cfg.strategy.interval().unwrap_or(0));
+    let logs = cfg.recovery_rule == RecoveryRule::Extended && longest > 1;
+    let (trips, values) = rec.log_bound(longest);
     let mut node = Node {
         shared,
         be: cfg.backend.subdivided(ctx.size()),
@@ -701,6 +738,7 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
         spare: Capture::default(),
         bnorm2,
         pending: Vec::new(),
+        log: ReductionLog::new(logs, trips, values),
     };
 
     let mut j: usize = 0;
@@ -733,6 +771,8 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
             node.note_round();
         }
         rec.protect(ctx, &mut node, j, checkpointed);
+        let target = rec.rollback_target(&node.sched, j);
+        node.log.begin_trip(j, target);
 
         // --- Failure injection + recovery (anywhere inside the window) ----
         if let Some(event) = cfg.failures.get(next_event) {
@@ -742,9 +782,13 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
                 ctx.trace_instant(InstantKind::FailureTrigger, j_f as u64);
                 if event.affects(rank) {
                     node.st.wipe();
+                    node.log.clear();
                 }
-                let target = rec.rollback_target(&node.sched, j);
                 let out = recover(ctx, &mut node, &mut rec, j_f, target, event);
+                if !out.full_restart {
+                    // The redo replays the log up to this trip.
+                    node.log.replay_until(j);
+                }
                 j = out.resumed_at;
                 tuning.extend(node.retune_after_recovery(ctx, &out, total_loop_trips));
                 rec.resumed(ctx, &mut node, &out);

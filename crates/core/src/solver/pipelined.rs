@@ -221,7 +221,9 @@ impl Recurrence for Pipelined {
             )
         };
         ctx.charge_flops(6 * nloc as u64);
-        let pending = ctx.allreduce_start(&[gamma_loc, delta_loc, rr_loc]);
+        let pending = node
+            .log
+            .allreduce_start(ctx, &[gamma_loc, delta_loc, rr_loc]);
 
         // --- m = M⁻¹w and n = Am while the reduction flies ----------------
         let mut aux = st.aux.take().expect("pipelined state");
@@ -236,7 +238,7 @@ impl Recurrence for Pipelined {
 
         // --- Complete the recurrence scalars ------------------------------
         ctx.set_phase(Phase::Reduction);
-        let red = pending.finish(ctx);
+        let red = pending.finish(ctx, &mut node.log);
         let (gamma_new, delta, rr) = (red[0], red[1], red[2]);
         ctx.recycle_f64s(red);
         let beta = gamma_new / st.rz;

@@ -15,23 +15,27 @@
 //! checkpoint from one buddy (IMCR). Nothing synchronizes after that; each
 //! rank's part of the recovery ends on its own clock.
 //!
-//! Under [`Reconstruction::Deferred`] an ESR/ESRP event with ψ ≥ 2, or next
+//! Under [`RecoveryRule::Extended`] an ESR/ESRP event with ψ ≥ 2, or next
 //! to a pending rank, stops after Alg. 2 line 6 and leaves its ranks
 //! pending; `reconstruct_pending` solves for the pending ranks' `x` once,
-//! when the loop exits.
+//! when the loop exits. The same rule ships the survivors' reduction log
+//! since the rollback target to each replacement, behind the ESRP scalar
+//! root's β and `r·z` or the IMCR buddy's blob, so that the redo replays
+//! it on every rank.
 
 use esrcg_cluster::{Ctx, Payload, Phase, Tag};
 use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
 
 use crate::dist::halo::{HaloExchange, PlanView};
+use crate::solver::reduction_log::ReductionLog;
 use crate::solver::state::{checkpoint_blob_len, NodeState};
 use crate::solver::workspace::{DomainCache, LocalInnerSolve, RecoveryScratch, SolverWorkspace};
-use crate::solver::{Node, Reconstruction, Recurrence, SharedProblem};
+use crate::solver::{Node, RecoveryRule, Recurrence, SharedProblem};
 use crate::strategy::Strategy;
 
-/// Relative target of the inner solve under [`Reconstruction::Paper`].
+/// Relative target of the inner solve under [`RecoveryRule::Paper`].
 const PAPER_INNER_RTOL: f64 = 1e-14;
-/// Share η of the outer target under [`Reconstruction::Deferred`].
+/// Share η of the outer target under [`RecoveryRule::Extended`].
 const ETA: f64 = 0.01;
 
 /// What a recovery did, as reported by every rank (identical everywhere
@@ -45,7 +49,11 @@ pub struct RecoveryOutcome {
     /// The iteration the solver resumed from (ĵ for ESRP, the checkpoint
     /// iteration for IMCR, 0 for a full restart).
     pub resumed_at: usize,
-    /// Iterations that must be redone: `failed_at - resumed_at`.
+    /// Iterations that must be redone: `failed_at - resumed_at`. Under
+    /// [`RecoveryRule::Extended`] the redo replays the loop's logged
+    /// reductions: a redone iteration pays its SpMV halo and its local
+    /// flops, not its allreduces. Under [`RecoveryRule::Paper`] it is a full
+    /// iteration.
     pub wasted_iterations: usize,
     /// True if no recovery point existed and the solver restarted from x⁰.
     pub full_restart: bool,
@@ -83,6 +91,7 @@ pub(super) fn recover<R: Recurrence>(
         sched,
         bnorm2,
         pending,
+        log,
         ..
     } = &mut *node;
     // The entry barrier is the agreement on the failed set and defines the
@@ -115,6 +124,11 @@ pub(super) fn recover<R: Recurrence>(
         );
         st.rollback_to_snapshot();
     }
+    // Survivors replay what they logged since the target; a replacement
+    // receives it in the recovery round.
+    if !event.affects(ctx.rank()) {
+        log.rewind(target);
+    }
     let inner_iterations = match (strategy, target) {
         (Strategy::None, _) => unreachable!("asserted above"),
         (_, None) => {
@@ -136,10 +150,10 @@ pub(super) fn recover<R: Recurrence>(
                 pending.dedup();
             }
             let solve = (!defer).then_some(*bnorm2);
-            recover_esrp(ctx, shared, st, ws, full, jhat, t, failed, solve)
+            recover_esrp(ctx, shared, st, ws, log, full, jhat, t, failed, solve)
         }
         (Strategy::Imcr { .. }, Some(jc)) => {
-            recover_imcr(ctx, shared, st, jc, failed);
+            recover_imcr(ctx, shared, st, log, jc, failed);
             0
         }
     };
@@ -189,7 +203,7 @@ pub fn imcr_rollback_target(j_f: usize, t: usize) -> Option<usize> {
 }
 
 /// Whether the ESR/ESRP event on `failed_sorted` leaves its `x` for the end
-/// solve ([`Reconstruction::Deferred`]): when ψ ≥ 2, or when a failed rank
+/// solve ([`RecoveryRule::Extended`]): when ψ ≥ 2, or when a failed rank
 /// is pending or a halo peer of a pending rank. A lone replacement with no
 /// pending neighbour reconstructs at once: every `x` its rows read is valid,
 /// and its inner solve sends no message.
@@ -198,7 +212,7 @@ fn defers(shared: &SharedProblem, pending: &[usize], failed_sorted: &[usize]) ->
         let mut pending = pending.iter();
         pending.any(|&u| u == f || shared.plan.are_peers(u, f))
     };
-    shared.cfg.reconstruction == Reconstruction::Deferred
+    shared.cfg.recovery_rule == RecoveryRule::Extended
         && (failed_sorted.len() >= 2 || failed_sorted.iter().any(touches_pending))
 }
 
@@ -206,15 +220,18 @@ fn defers(shared: &SharedProblem, pending: &[usize], failed_sorted: &[usize]) ->
 /// `jhat`; returns the inner-solve iteration count (0 on survivors and for
 /// a deferred event). `solve` is `Some(‖b‖₂²)` when the replacements solve
 /// for their `x` now (lines 7–8) — the same bits on every rank, so every
-/// replacement stops a [`Reconstruction::Deferred`] solve at the same
+/// replacement stops a [`RecoveryRule::Extended`] solve at the same
 /// iteration — and `None` when the event defers it: then the gather carries
-/// no `x` and the replacements stop after line 6.
+/// no `x` and the replacements stop after line 6. The scalar root ships its
+/// reduction log's replay behind β and `r·z`; each replacement refills its
+/// `log` from it.
 #[allow(clippy::too_many_arguments)]
 fn recover_esrp(
     ctx: &mut Ctx,
     shared: &SharedProblem,
     st: &mut NodeState,
     ws: &mut SolverWorkspace,
+    log: &mut ReductionLog,
     full: &mut [f64],
     jhat: usize,
     t: usize,
@@ -241,8 +258,9 @@ fn recover_esrp(
     // message f sent it in every ASpMV whole: the values over I′(f,s) =
     // I(f,s) ++ Rc(f→s), in that order, which its queue returns by source.
     // The message is [p^(ĵ−1) over I′(f,s) | p^(ĵ) over I′(f,s) | x over
-    // I(s,f) | root only: β^(ĵ−1), r·z^(ĵ)], and s sends it only if some
-    // part is non-empty. A deferred event sends no `x` part.
+    // I(s,f) | root only: β^(ĵ−1), r·z^(ĵ), the reduction log since ĵ], and
+    // s sends it only if some part is non-empty. A deferred event sends no
+    // `x` part.
     ctx.set_phase(Phase::RecoveryGather);
     let plan = &*shared.plan;
     let aspmv = shared
@@ -276,6 +294,7 @@ fn recover_esrp(
             msg.extend(x_halo(me, f).iter().map(|&g| st.x[g - range.start]));
             if me == scalar_root {
                 msg.extend([st.beta_prev, st.rz]);
+                msg.extend_from_slice(log.replay_values());
             }
             ctx.send(f, tag, Payload::F64s(msg));
         }
@@ -286,10 +305,10 @@ fn recover_esrp(
             let (halo, extras) = copies(me, src);
             let x_halo = x_halo(src, me);
             let m = halo.len() + extras.len();
-            let root = if src == scalar_root { 2 } else { 0 };
-            assert_eq!(
-                msg.len(),
-                2 * m + x_halo.len() + root,
+            let fixed = 2 * m + x_halo.len() + if src == scalar_root { 2 } else { 0 };
+            // Only the root's message carries the log, of any length.
+            assert!(
+                msg.len() == fixed || (src == scalar_root && msg.len() > fixed),
                 "recovery gather: payload length mismatch from rank {src} (protocol violation)"
             );
             let (prev, rest) = msg.split_at(m);
@@ -304,8 +323,9 @@ fn recover_esrp(
             for (&g, &v) in x_halo.iter().zip(xs) {
                 full[g] = v;
             }
-            if let [beta, rz] = *rest {
+            if let [beta, rz, ref logged @ ..] = *rest {
                 scalars = Some((beta, rz));
+                log.refill(logged);
             }
             ctx.recycle_f64s(msg);
         }
@@ -454,7 +474,7 @@ fn component_of(shared: &SharedProblem, pending: &[usize], me: usize) -> Vec<usi
     component
 }
 
-/// The deferred reconstruction ([`Reconstruction::Deferred`]), run by every
+/// The deferred reconstruction ([`RecoveryRule::Extended`]), run by every
 /// rank when the loop exits with a non-empty pending set U. Each survivor
 /// sends each pending halo peer k one values-only message of its `x` over
 /// `I(s,k)`; then each connected component K of U in the plan's peer graph
@@ -522,11 +542,13 @@ pub(super) fn reconstruct_pending(ctx: &mut Ctx, node: &mut Node<'_>) -> (f64, u
 /// from their first surviving buddy; survivors have rolled back locally
 /// (in `recover`) and serve the copies they hold. The pipelined blob layout
 /// carries the replicated `r·z` at `jc`; behind a classic-shaped blob the
-/// buddy appends it from the held copy.
+/// buddy appends it from the held copy. Last come the buddy's reduction log
+/// since `jc`, which the replacement refills its `log` from.
 fn recover_imcr(
     ctx: &mut Ctx,
     shared: &SharedProblem,
     st: &mut NodeState,
+    log: &mut ReductionLog,
     jc: usize,
     failed_sorted: &[usize],
 ) {
@@ -551,6 +573,7 @@ fn recover_imcr(
                 if !blob_has_rz {
                     copy.push(held.rz);
                 }
+                copy.extend_from_slice(log.replay_values());
                 ctx.send(f, Tag::RecoveryCkpt.with(f as u32), Payload::F64s(copy));
             }
         }
@@ -562,16 +585,18 @@ fn recover_imcr(
             .recv(sender, Tag::RecoveryCkpt.with(me as u32))
             .into_f64s();
         let appended = usize::from(!blob_has_rz);
-        assert_eq!(
-            msg.len(),
-            checkpoint_blob_len(st.x.len(), blob_has_rz) + appended,
+        let fixed = checkpoint_blob_len(st.x.len(), blob_has_rz) + appended;
+        assert!(
+            msg.len() >= fixed,
             "checkpoint fetch: payload length mismatch from rank {sender} (protocol violation)"
         );
-        let (blob, rz) = msg.split_at(msg.len() - appended);
+        let (blob, rest) = msg.split_at(fixed - appended);
+        let (rz, logged) = rest.split_at(appended);
         st.restore_from_blob(blob);
         if let [rz] = *rz {
             st.rz = rz;
         }
+        log.refill(logged);
         ctx.recycle_f64s(msg);
         // The replacement's own rollback copy is its restored state.
         st.take_snapshot(jc, true);
@@ -611,9 +636,9 @@ fn recover_imcr(
 /// * The inner operator `A[I_own, I_f]` is the cached column split
 ///   `cache.a_in`; every vector lives in [`RecoveryScratch`] — the loop
 ///   allocates nothing beyond message payloads.
-/// * The loop stops by `shared.cfg.reconstruction` on the `r·r` every
+/// * The loop stops by `shared.cfg.recovery_rule` on the `r·r` every
 ///   iteration already reduces: below `1e-14 · ‖w‖` for `Paper`, at or below
-///   `η · rtol · ‖b‖` for `Deferred` (`bnorm2` = ‖b‖₂²).
+///   `η · rtol · ‖b‖` for `Extended` (`bnorm2` = ‖b‖₂²).
 ///
 /// The right-hand side is read from `scratch.w`; the solution is left in
 /// `scratch.ix`. `scratch` must be freshly prepared (`p` and `s` zero).
@@ -669,9 +694,9 @@ fn distributed_inner_solve(
     let (mut gamma, mut denom, wnorm2, rr0) = (reduced[0], reduced[1], reduced[2], reduced[3]);
     ctx.recycle_f64s(reduced);
     let wnorm = wnorm2.sqrt();
-    let unconverged = |rr: f64| match shared.cfg.reconstruction {
-        Reconstruction::Paper => wnorm > 0.0 && rr.sqrt() / wnorm >= PAPER_INNER_RTOL,
-        Reconstruction::Deferred => rr > (ETA * shared.cfg.rtol).powi(2) * bnorm2,
+    let unconverged = |rr: f64| match shared.cfg.recovery_rule {
+        RecoveryRule::Paper => wnorm > 0.0 && rr.sqrt() / wnorm >= PAPER_INNER_RTOL,
+        RecoveryRule::Extended => rr > (ETA * shared.cfg.rtol).powi(2) * bnorm2,
     };
     let mut keep_going = unconverged(rr0);
     // p = u and s = q on the first trip: β = 0 over the zeroed p and s.
@@ -866,7 +891,7 @@ mod tests {
         let n = a.nrows();
         // The oracle below is a relative solve.
         let mut cfg = SolverConfig::new(Strategy::esr(), 3);
-        cfg.reconstruction = Reconstruction::Paper;
+        cfg.recovery_rule = RecoveryRule::Paper;
         let pre = PrecondSpec::paper_default();
         let shared = SharedProblem::assemble_shared(
             Arc::new(a),
@@ -971,7 +996,11 @@ mod tests {
         let kind = |t: Tag| t as u32;
         // `(peer, tag kind, bytes, clock after the injection)` of a send.
         type Sent = (usize, u32, usize, f64);
-        for strategy in [Strategy::esr(), Strategy::Imcr { t: 5 }] {
+        for strategy in [
+            Strategy::esr(),
+            Strategy::Esrp { t: 5 },
+            Strategy::Imcr { t: 5 },
+        ] {
             for psi in [1, 2] {
                 let label = format!("{strategy} ψ = {psi}");
                 let report = Experiment::builder()
@@ -986,17 +1015,23 @@ mod tests {
                     .expect("run");
                 let failed: Vec<usize> = (1..1 + psi).collect();
                 let root = 0;
-                // ESR defers a ψ = 2 event's `x` to the end solve.
-                let deferred = psi == 2 && strategy.is_esr();
+                // ESR/ESRP defer a ψ = 2 event's `x` to the end solve.
+                let deferred = psi == 2 && strategy.uses_aspmv();
+                // The reduction log since the rollback target: three values
+                // per redone classic trip (pᵀAp, r·z, r·r). ESR redoes none.
+                let logged = 3 * report.recoveries[0].wasted_iterations;
+                assert_eq!(logged == 0, strategy.is_esr(), "{label}");
                 // What survivor `s` sends replacement `f`, in values (None:
-                // no message): ESR the need-to-know gather — without the `x`
-                // halo when the event defers — IMCR the blob and r·z from
+                // no message): ESR/ESRP the need-to-know gather — without the
+                // `x` halo when the event defers, the root's with the log
+                // behind its scalars — IMCR the blob, r·z and the log from
                 // the first surviving buddy.
                 let gather = |s: usize, f: usize| -> Option<usize> {
                     if matches!(strategy, Strategy::Imcr { .. }) {
                         let nloc = part.range(f).len();
                         let sender = buddies.first_surviving_buddy(f, &failed);
-                        return (sender == Some(s)).then(|| checkpoint_blob_len(nloc, false) + 1);
+                        let values = checkpoint_blob_len(nloc, false) + 1 + logged;
+                        return (sender == Some(s)).then_some(values);
                     }
                     let copies = plan.indices_to(f, s).len() + aspmv.extras_to(f, s).len();
                     let x_halo = if deferred {
@@ -1004,7 +1039,7 @@ mod tests {
                     } else {
                         plan.indices_to(s, f).len()
                     };
-                    let scalars = if s == root { 2 } else { 0 };
+                    let scalars = if s == root { 2 + logged } else { 0 };
                     let values = 2 * copies + x_halo + scalars;
                     (values > 0).then_some(values)
                 };

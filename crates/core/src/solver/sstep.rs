@@ -69,6 +69,15 @@ impl Recurrence for SStep {
         j..(j + self.s).min(max_iters)
     }
 
+    /// One Gram block per outer step. A rollback target lies at most
+    /// `t + s − 1` iterations before the current block start, and a block
+    /// normally covers `s` of them (a basis breakdown truncates it, and the
+    /// log then grows).
+    fn log_bound(&self, t: usize) -> (usize, usize) {
+        let trips = t.div_ceil(self.s) + 1;
+        (trips, trips * gram_len(self.s))
+    }
+
     fn protect(&mut self, ctx: &mut Ctx, node: &mut Node<'_>, j: usize, checkpointed: bool) {
         let mut window = self.window(j, node.shared.cfg.max_iters);
         // Checkpoints land on the block start, so the blob stays
@@ -229,7 +238,7 @@ impl Recurrence for SStep {
         // [G = VᵀW | upper(H = WᵀW) | Vᵀr₀ | Wᵀr₀ | r₀·r₀] in a pooled
         // buffer; started and finished through the split-phase reduce path.
         ctx.set_phase(Phase::Reduction);
-        let n_dots = nv * nw + nw * (nw + 1) / 2 + nv + nw + 1;
+        let n_dots = gram_len(s);
         let mut buf = ctx.take_f64s();
         {
             let SStepAux { v, w, .. } = &self.aux;
@@ -253,9 +262,9 @@ impl Recurrence for SStep {
         }
         debug_assert_eq!(buf.len(), n_dots);
         ctx.charge_flops(2 * n_dots as u64 * nloc as u64);
-        let pending = ctx.allreduce_start(&buf);
+        let pending = node.log.allreduce_start(ctx, &buf);
         ctx.recycle_f64s(buf);
-        let red = pending.finish(ctx);
+        let red = pending.finish(ctx, &mut node.log);
         let rr0;
         {
             let SStepAux { g, h, vr, wr, .. } = &mut self.aux;
@@ -436,6 +445,13 @@ impl Recurrence for SStep {
 
         (i_exec, relres)
     }
+}
+
+/// The length of one outer step's fused Gram reduction
+/// `[G = VᵀW | upper(H = WᵀW) | Vᵀr₀ | Wᵀr₀ | r₀·r₀]`.
+fn gram_len(s: usize) -> usize {
+    let (nv, nw) = (2 * s + 1, 2 * s - 1);
+    nv * nw + nw * (nw + 1) / 2 + nv + nw + 1
 }
 
 /// Σ_u c_u·m(u) over the nonzero coordinates, accumulated in index order.

@@ -14,8 +14,8 @@
 //! (each event allocates no more than a pinned count; a deferred event's
 //! count includes the end solve).
 //! The inner reconstruction solve's loop allocates nothing: an event whose
-//! inner solve runs more iterations (`Reconstruction::Paper` against
-//! `Reconstruction::Deferred`) allocates exactly as often.
+//! inner solve runs more iterations (`RecoveryRule::Paper` against
+//! `RecoveryRule::Extended`) allocates exactly as often.
 //!
 //! One test per binary on purpose: the counter is process-wide.
 
@@ -24,7 +24,7 @@ mod counting_alloc;
 use std::sync::Arc;
 
 use esrcg::cluster::run_spmd;
-use esrcg::core::solver::{solve_node, Reconstruction, SharedProblem, SolverConfig};
+use esrcg::core::solver::{solve_node, RecoveryRule, SharedProblem, SolverConfig};
 use esrcg::prelude::*;
 use esrcg::sparse::gen::poisson2d;
 use esrcg::sparse::SpmvFormat;
@@ -77,13 +77,13 @@ fn allocations_with_failures(format: SpmvFormat, psi: usize, failures: &[usize])
 /// at iteration 50, with its `x` reconstructed by `rule` — at once under
 /// both rules, since nothing is pending — and the replacement's inner
 /// iteration count. Assembly is not counted.
-fn esr_event_under(rule: Reconstruction) -> (u64, usize) {
+fn esr_event_under(rule: RecoveryRule) -> (u64, usize) {
     let a = poisson2d(64, 64);
     let n = a.nrows();
     let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.137).sin() + 0.5).collect();
     let b = a.spmv(&x_true);
     let mut cfg = SolverConfig::new(Strategy::esr(), 1);
-    cfg.reconstruction = rule;
+    cfg.recovery_rule = rule;
     cfg.failures = vec![FailureSpec::contiguous(50, 3, 1, 8)];
     let pre = PrecondSpec::paper_default();
     let shared =
@@ -153,9 +153,9 @@ fn iterations_past_the_warm_up_add_no_allocation() {
         );
     }
     // The inner loop allocates nothing: more inner iterations, same count.
-    esr_event_under(Reconstruction::Paper); // one-time lookups
-    let (tight, tight_iters) = esr_event_under(Reconstruction::Paper);
-    let (loose, loose_iters) = esr_event_under(Reconstruction::Deferred);
+    esr_event_under(RecoveryRule::Paper); // one-time lookups
+    let (tight, tight_iters) = esr_event_under(RecoveryRule::Paper);
+    let (loose, loose_iters) = esr_event_under(RecoveryRule::Extended);
     assert!(loose_iters < tight_iters, "{loose_iters} vs {tight_iters}");
     assert_eq!(
         tight, loose,

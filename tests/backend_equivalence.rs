@@ -338,11 +338,19 @@ struct PinnedRun {
 /// cheaper, every modeled clock 3.5–9.7 % lower, every count, resume point
 /// and tuner decision unchanged, every IMCR and full-restart row untouched.
 /// Deferring a ψ ≥ 2 event's `x` to one solve at the end
-/// (`Reconstruction::Deferred`) re-recorded the four ψ = 2 ESRP rows: their
+/// (`RecoveryRule::Extended`) re-recorded the four ψ = 2 ESRP rows: their
 /// `x_hash` moved, every modeled clock 0.21–0.27 % (≈ 6 µs) higher, every
 /// recovery (the event plus the end solve) 0.47–0.75 % dearer, every count
 /// and resume point unchanged; every ψ = 1, IMCR, full-restart and
-/// two-event row untouched.
+/// two-event row untouched. Replaying the logged reductions in a rollback's
+/// redo (`RecoveryRule::Extended`) re-recorded the thirteen ESRP/IMCR rows
+/// with a non-empty redo window: every modeled clock 0.44–5.12 % lower,
+/// every recovery cost unchanged or up to 0.8 µs dearer (the logged values
+/// ride the root's or the buddy's message), every iteration count, loop
+/// trip and resume point unchanged, every IMCR `x_hash` unchanged; the
+/// pipelined ESRP two-event row's second tuner decision moved 1 → 3 (its
+/// first redo no longer reduces, so the tuner's measured time per trip
+/// fell); every ESR and full-restart row untouched.
 /// The
 /// solution, both iteration counts, the modeled clock, every recovery's
 /// resume point and modeled cost and the tuner's decisions must not move.
@@ -401,8 +409,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 42,
-            modeled_bits: 0x3f66849599368c04,
-            recoveries: &[(12, 11, 0x3f4a97f20a5e7c98)],
+            modeled_bits: 0x3f66479941aff894,
+            recoveries: &[(12, 11, 0x3f4a97f20a5e7ca4)],
             intervals_after: &[],
             x_hash: 0x798ecad1c61a7e52,
         },
@@ -414,10 +422,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 42,
-            modeled_bits: 0x3f629842793666ae,
-            recoveries: &[(12, 11, 0x3f4c0162498186c8)],
+            modeled_bits: 0x3f628338275c6582,
+            recoveries: &[(12, 11, 0x3f4c0192498186ce)],
             intervals_after: &[],
-            x_hash: 0x30522c4ecda72440,
+            x_hash: 0x7e5bb88ef4d83870,
         },
         PinnedRun {
             name: "sstep4 esrp5 mid-run",
@@ -427,10 +435,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 2)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f674ead3062620f,
-            recoveries: &[(12, 8, 0x3f4a93d101111854)],
+            modeled_bits: 0x3f672e5303a0f42a,
+            recoveries: &[(12, 8, 0x3f4a9a9101111854)],
             intervals_after: &[],
-            x_hash: 0x5f33d8e885509f2b,
+            x_hash: 0x47038f6e5945629c,
         },
         PinnedRun {
             name: "classic imcr5 mid-run",
@@ -440,8 +448,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 43,
-            modeled_bits: 0x3f6146c891a83c44,
-            recoveries: &[(12, 10, 0x3ef9178705ee2c00)],
+            modeled_bits: 0x3f60c88e24b2e7ed,
+            recoveries: &[(12, 10, 0x3ef9238705ee2c00)],
             intervals_after: &[],
             x_hash: 0xec525586400599f5,
         },
@@ -453,8 +461,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 43,
-            modeled_bits: 0x3f5a21e73554427f,
-            recoveries: &[(12, 10, 0x3f03cf9cdc443910)],
+            modeled_bits: 0x3f59bcd6f64b87da,
+            recoveries: &[(12, 10, 0x3f03d59cdc443910)],
             intervals_after: &[],
             x_hash: 0x39c5c71d248ffa5f,
         },
@@ -505,8 +513,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(18, 1, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f60a412a61e6af7,
-            recoveries: &[(18, 12, 0x3efa1d39b8887280)],
+            modeled_bits: 0x3f607f3e20da0425,
+            recoveries: &[(18, 12, 0x3efaf539b8887280)],
             intervals_after: &[],
             x_hash: 0x182d3418dbc7be37,
         },
@@ -596,10 +604,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 47,
-            modeled_bits: 0x3f676afee23e1a43,
+            modeled_bits: 0x3f66381554f0946c,
             recoveries: &[(12, 11, 0x3f37735d5a5f5860), (25, 21, 0x3f3783b88588fd4c)],
             intervals_after: &[5, 1],
-            x_hash: 0x8e89777850189bca,
+            x_hash: 0x8987ea9c010ba0c2,
         },
         PinnedRun {
             name: "pipelined esrp5 adaptive two-event",
@@ -609,10 +617,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 47,
-            modeled_bits: 0x3f63f6de1f541d08,
+            modeled_bits: 0x3f630b30341e2e9c,
             recoveries: &[(12, 11, 0x3f3a7806f3107af3), (25, 21, 0x3f3a6a5dd8a56b34)],
-            intervals_after: &[5, 1],
-            x_hash: 0x2afc5269fd6aed66,
+            intervals_after: &[5, 3],
+            x_hash: 0x658419e44ff50281,
         },
         PinnedRun {
             name: "sstep4 esrp5 adaptive two-event",
@@ -622,10 +630,10 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f66b1f6a53e0153,
-            recoveries: &[(12, 8, 0x3f382936143b42e8), (25, 24, 0x3f37451ca7062578)],
+            modeled_bits: 0x3f66901d13175ee4,
+            recoveries: &[(12, 8, 0x3f382936143b42e8), (25, 24, 0x3f37451ca7062580)],
             intervals_after: &[5, 5],
-            x_hash: 0xae7f49206b853f28,
+            x_hash: 0x7136bfd7d02cce32,
         },
         PinnedRun {
             name: "classic imcr5 adaptive two-event",
@@ -635,8 +643,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f6219b7f5bf1aa8,
-            recoveries: &[(12, 10, 0x3ef9178705ee2c00), (25, 25, 0x3ef8025ac471b4c0)],
+            modeled_bits: 0x3f619b7d88c9c651,
+            recoveries: &[(12, 10, 0x3ef9238705ee2c00), (25, 25, 0x3ef8025ac471b4c0)],
             intervals_after: &[5, 3],
             x_hash: 0xec525586400599f5,
         },
@@ -648,8 +656,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f5c0e2df47c1c4d,
-            recoveries: &[(12, 10, 0x3f03cf9cdc443910), (25, 25, 0x3f03cf9cdc443940)],
+            modeled_bits: 0x3f5ba91db57361a8,
+            recoveries: &[(12, 10, 0x3f03d59cdc443910), (25, 25, 0x3f03cf9cdc443940)],
             intervals_after: &[5, 4],
             x_hash: 0x39c5c71d248ffa5f,
         },
@@ -682,7 +690,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
                 failures: &[(12, 3, 1)],
                 iterations: 40,
                 total_loop_trips: 42,
-                modeled_bits: 0x3f63223176b96fbb,
+                modeled_bits: 0x3f62dc357a9cedee,
                 recoveries: &[(12, 11, 0x3f31f7cc78eb09c6)],
                 intervals_after: &[],
                 x_hash: 0x4a781c9531bdaeae,
@@ -698,8 +706,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
                 failures: &[(12, 5, 1)],
                 iterations: 40,
                 total_loop_trips: 43,
-                modeled_bits: 0x3f5abf14c3aa3111,
-                recoveries: &[(12, 10, 0x3efe2905cbe0adb0)],
+                modeled_bits: 0x3f5a22b67a0e3952,
+                recoveries: &[(12, 10, 0x3efe3505cbe0adb0)],
                 intervals_after: &[],
                 x_hash: 0x165fa5c733195817,
             },

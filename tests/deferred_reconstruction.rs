@@ -1,16 +1,20 @@
-//! Deferred reconstruction (`Reconstruction::Deferred`): an ESR/ESRP event
+//! Deferred reconstruction (`RecoveryRule::Extended`): an ESR/ESRP event
 //! with ψ ≥ 2, or one that strikes a pending rank or a halo peer of one,
 //! stops after Alg. 2 line 6 and leaves its ranks pending; when the loop
 //! exits, each connected component of the pending set solves for its `x`
 //! once, from the final residual and the survivors' final `x`.
 //!
 //! What the rule must keep:
-//! * every outer bit of the paper's rule (iterations, loop trips, the
-//!   recurrence residual, every resume point), the final `x` within 1e-9 of
-//!   the failure-free run and the true residual within 10 · rtol;
-//! * the survivors' own `x` bit for bit — ESRP survivors roll back their
-//!   own starred `x*`, ESR survivors keep theirs;
-//! * IMCR bit for bit;
+//! * the paper's rule's iterations, loop trips and resume points, the final
+//!   `x` within 1e-9 of the failure-free run and the true residual within
+//!   10 · rtol;
+//! * where no rollback redoes an iteration, every outer bit of the paper's
+//!   rule (the recurrence residual too) and the survivors' own `x` bit for
+//!   bit — ESRP survivors roll back their own starred `x*`, ESR survivors
+//!   keep theirs. A redo replays the logged reductions under this rule and
+//!   re-runs them under the paper's, so an ESRP run with one matches the
+//!   paper's in its counts, not its bits (`tests/redo_replays_reductions.rs`);
+//! * IMCR's `x` bit for bit, with nothing deferred;
 //! * the pending set: a full restart leaves nothing pending, a pending rank
 //!   that fails again adds nothing, a lone failure next to a pending rank
 //!   defers and merges (and one with no pending neighbour solves at once);
@@ -21,7 +25,7 @@
 
 use esrcg::cluster::{Tag, TraceEvent};
 use esrcg::core::dist::plan::CommPlan;
-use esrcg::core::Reconstruction;
+use esrcg::core::RecoveryRule;
 use esrcg::prelude::*;
 use esrcg::sparse::gen::poisson2d;
 use esrcg::sparse::vector::max_abs_diff;
@@ -56,12 +60,12 @@ fn run(
     variant: PcgVariant,
     strategy: Strategy,
     events: &[Event],
-    rule: Reconstruction,
+    rule: RecoveryRule,
 ) -> RunReport {
     let mut exp = experiment(n_ranks, variant)
         .strategy(strategy)
         .phi(2)
-        .reconstruction(rule)
+        .recovery_rule(rule)
         .trace(TraceConfig::Full);
     for &(at, start, psi) in events {
         exp = exp.failure_at(at, start, psi);
@@ -80,7 +84,7 @@ fn run(
 
 /// Both rules on the same events.
 fn both(n_ranks: usize, strategy: Strategy, events: &[Event]) -> [RunReport; 2] {
-    [Reconstruction::Paper, Reconstruction::Deferred]
+    [RecoveryRule::Paper, RecoveryRule::Extended]
         .map(|rule| run(n_ranks, PcgVariant::Classic, strategy, events, rule))
 }
 
@@ -186,8 +190,10 @@ fn assert_end_solve(report: &RunReport, components: &[&[usize]], label: &str) {
     }
 }
 
-/// The deferred run keeps every outer bit of the paper's, lands within the
-/// bounds, and leaves the never-failed ranks' `x` bit for bit.
+/// The deferred run keeps the paper's counts and resume points and lands
+/// within the bounds; where no event redoes an iteration it also keeps every
+/// outer bit of the paper's and leaves the never-failed ranks' `x` bit for
+/// bit.
 fn assert_outer_bits_and_bounds(
     paper: &RunReport,
     deferred: &RunReport,
@@ -197,12 +203,19 @@ fn assert_outer_bits_and_bounds(
 ) {
     assert_eq!(deferred.iterations, paper.iterations, "{label}");
     assert_eq!(deferred.total_loop_trips, paper.total_loop_trips, "{label}");
+    let redoes = |r: &RunReport| {
+        let mut recs = r.recoveries.iter();
+        recs.any(|e| !e.full_restart && e.wasted_iterations > 0)
+    };
+    let bitwise = !redoes(paper);
     let relres = |r: &RunReport| r.final_relres.to_bits();
-    assert_eq!(
-        relres(deferred),
-        relres(paper),
-        "{label}: recurrence residual"
-    );
+    if bitwise {
+        assert_eq!(
+            relres(deferred),
+            relres(paper),
+            "{label}: recurrence residual"
+        );
+    }
     let points = |r: &RunReport| -> Vec<(usize, usize, usize, bool)> {
         let recs = r.recoveries.iter();
         recs.map(|e| {
@@ -225,7 +238,7 @@ fn assert_outer_bits_and_bounds(
     );
     let n_ranks = deferred.per_rank_stats.len();
     let part = Partition::balanced(deferred.x.len(), n_ranks);
-    for &s in survivors {
+    for &s in survivors.iter().filter(|_| bitwise) {
         let own = part.range(s);
         let bits = |r: &RunReport| {
             r.x[own.clone()]
@@ -251,7 +264,7 @@ fn deferring_moves_x_alone_and_keeps_it_within_the_bounds() {
         assert_eq!(reference.iterations, 45);
         for strategy in [Strategy::esr(), ESRP] {
             let label = format!("{} {strategy}", variant.name());
-            let [paper, deferred] = [Reconstruction::Paper, Reconstruction::Deferred]
+            let [paper, deferred] = [RecoveryRule::Paper, RecoveryRule::Extended]
                 .map(|rule| run(4, variant, strategy, &events, rule));
             assert_outer_bits_and_bounds(&paper, &deferred, &reference, &[0], &label);
             assert!(
@@ -353,14 +366,20 @@ fn a_lone_failure_next_to_a_pending_rank_defers_and_merges() {
 
 #[test]
 fn imcr_is_untouched() {
+    // Nothing of IMCR's is deferred: the same solution bit for bit, the same
+    // resume points and no end solve. Only its redo is cheaper: it replays
+    // the logged reductions.
     let [paper, deferred] = both(4, Strategy::Imcr { t: 5 }, &[(12, 1, 2), (25, 3, 1)]);
-    assert_eq!(
-        deferred.modeled_time.to_bits(),
-        paper.modeled_time.to_bits()
-    );
-    assert_eq!(deferred.recoveries, paper.recoveries);
     assert_eq!(deferred.x, paper.x);
-    assert_eq!(deferred.trace_json(), paper.trace_json());
+    assert_eq!(deferred.iterations, paper.iterations);
+    assert_eq!(deferred.total_loop_trips, paper.total_loop_trips);
+    let points = |r: &RunReport| -> Vec<(usize, usize, usize)> {
+        let recs = r.recoveries.iter();
+        recs.map(|e| (e.failed_at, e.resumed_at, e.inner_iterations))
+            .collect()
+    };
+    assert_eq!(points(&deferred), points(&paper));
+    assert!(deferred.modeled_time < paper.modeled_time);
     assert!(end_traffic(&deferred).is_none());
 }
 

@@ -4,17 +4,20 @@
 //! queue, the starred copies — comes from the redundant copies of `p`, from
 //! β and from `P[f,f] r_f = z_f`, and nothing in the outer loop reads `x`.
 //! So solving for the lost `x` under another rule — to the paper's 1e-14 at
-//! once (`Reconstruction::Paper`), or once at the end to η of the outer
-//! target (`Reconstruction::Deferred`; ψ = 2 defers, ψ = 1 solves at once) —
-//! must leave the outer trajectory bit for bit where it was: iteration
-//! counts, the recurrence residual and every recovery's resume point. Only
-//! the solution differs, by the inner error δ, which the deferred rule keeps
-//! small next to what the outer tolerance admits.
+//! once (`RecoveryRule::Paper`), or once at the end to η of the outer
+//! target (`RecoveryRule::Extended`; ψ = 2 defers, ψ = 1 solves at once) —
+//! must leave the outer trajectory where it was: iteration counts and every
+//! recovery's resume point, and where no rollback redoes an iteration (ESR)
+//! the recurrence residual bit for bit. (An ESRP redo replays the logged
+//! reductions under `RecoveryRule::Extended` and re-runs them under the
+//! paper's rule, which rounds differently.) Only the solution differs, by
+//! the inner error δ, which the deferred rule keeps small next to what the
+//! outer tolerance admits.
 
 use std::sync::Arc;
 
 use esrcg::cluster::{run_spmd, CostModel, FailureSpec};
-use esrcg::core::solver::{solve_node, NodeOutcome, Reconstruction, SharedProblem, SolverConfig};
+use esrcg::core::solver::{solve_node, NodeOutcome, RecoveryRule, SharedProblem, SolverConfig};
 use esrcg::prelude::*;
 use esrcg::sparse::gen::poisson3d;
 
@@ -24,14 +27,14 @@ const N_RANKS: usize = 4;
 /// fail at iteration 12 and their `x` is reconstructed by `rule`. Rank 0's
 /// outcome, carrying the whole solution and the replacements' inner
 /// iteration count.
-fn solve(variant: PcgVariant, strategy: Strategy, psi: usize, rule: Reconstruction) -> NodeOutcome {
+fn solve(variant: PcgVariant, strategy: Strategy, psi: usize, rule: RecoveryRule) -> NodeOutcome {
     let a = Arc::new(poisson3d(12, 12, 12));
     let n = a.nrows();
     let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.137).sin() + 0.5).collect();
     let b = a.spmv(&x_true);
     let mut cfg = SolverConfig::new(strategy, 2);
     cfg.variant = variant;
-    cfg.reconstruction = rule;
+    cfg.recovery_rule = rule;
     if psi > 0 {
         cfg.failures = vec![FailureSpec::contiguous(12, 1, psi, N_RANKS)];
     }
@@ -72,10 +75,10 @@ fn a_looser_inner_solve_moves_x_and_nothing_else() {
         PcgVariant::SStep { s: 4 },
     ] {
         for strategy in [Strategy::esr(), Strategy::Esrp { t: 5 }] {
-            let undisturbed = solve(variant, strategy, 0, Reconstruction::Deferred);
+            let undisturbed = solve(variant, strategy, 0, RecoveryRule::Extended);
             for psi in [1, 2] {
                 let label = format!("{} {strategy} ψ = {psi}", variant.name());
-                let runs = [Reconstruction::Paper, Reconstruction::Deferred]
+                let runs = [RecoveryRule::Paper, RecoveryRule::Extended]
                     .map(|tol| solve(variant, strategy, psi, tol));
                 let [tight, eta] = &runs;
                 let events = |o: &NodeOutcome| -> Vec<(usize, usize, usize)> {
@@ -90,11 +93,13 @@ fn a_looser_inner_solve_moves_x_and_nothing_else() {
                     assert!(o.converged, "{label}");
                     assert_eq!(o.iterations, tight.iterations, "{label}");
                     assert_eq!(o.total_loop_trips, tight.total_loop_trips, "{label}");
-                    assert_eq!(
-                        o.final_relres.to_bits(),
-                        tight.final_relres.to_bits(),
-                        "{label}: recurrence residual"
-                    );
+                    if tight.recoveries[0].wasted_iterations == 0 {
+                        assert_eq!(
+                            o.final_relres.to_bits(),
+                            tight.final_relres.to_bits(),
+                            "{label}: recurrence residual"
+                        );
+                    }
                     assert_eq!(events(o), events(tight), "{label}");
                     assert!(o.true_relres <= 10.0 * rtol, "{label}: {}", o.true_relres);
                 }

@@ -75,7 +75,7 @@ fn esrp_recovery_rejoins_the_reference_trajectory() {
         assert!(run.converged, "T = {t}");
         // Same trajectory: identical iteration count, solution equal to the
         // reference up to the inner solve's error δ_f, which nothing after
-        // the recovery reads: at the default `Reconstruction::Deferred`,
+        // the recovery reads: at the default `RecoveryRule::Extended`,
         // ‖δ_f‖ ≤ 0.01 · ‖A⁻¹‖ · rtol · ‖b‖.
         assert_eq!(run.iterations, c, "T = {t}");
         assert!(
