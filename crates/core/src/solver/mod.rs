@@ -510,13 +510,13 @@ trait Recurrence {
         j..j + 1
     }
 
-    /// `(trips, values)` the [`ReductionLog`] holds at most when no rollback
+    /// The values the [`ReductionLog`] holds at most when no rollback
     /// reaches back more than `t` iterations. A classic-shaped trip logs
     /// three values (pᵀAp, then r·z and r·r; pipelined: γ, δ and r·r), and
     /// the log keeps the trips from the rollback target to the current one:
     /// at most `t + 1`.
-    fn log_bound(&self, t: usize) -> (usize, usize) {
-        (t + 1, 3 * (t + 1))
+    fn log_bound(&self, t: usize) -> usize {
+        3 * (t + 1)
     }
 
     /// The recurrence's protection events for the trip starting at `j` —
@@ -725,7 +725,6 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
         .interval_policy
         .max_interval(cfg.strategy.interval().unwrap_or(0));
     let logs = cfg.recovery_rule == RecoveryRule::Extended && longest > 1;
-    let (trips, values) = rec.log_bound(longest);
     let mut node = Node {
         shared,
         be: cfg.backend.subdivided(ctx.size()),
@@ -738,7 +737,7 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
         spare: Capture::default(),
         bnorm2,
         pending: Vec::new(),
-        log: ReductionLog::new(logs, trips, values),
+        log: ReductionLog::new(logs, rec.log_bound(longest)),
     };
 
     let mut j: usize = 0;
@@ -782,13 +781,10 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
                 ctx.trace_instant(InstantKind::FailureTrigger, j_f as u64);
                 if event.affects(rank) {
                     node.st.wipe();
-                    node.log.clear();
                 }
+                // The redo replays the log up to this trip.
+                node.log.roll_back(j, target, event.affects(rank));
                 let out = recover(ctx, &mut node, &mut rec, j_f, target, event);
-                if !out.full_restart {
-                    // The redo replays the log up to this trip.
-                    node.log.replay_until(j);
-                }
                 j = out.resumed_at;
                 tuning.extend(node.retune_after_recovery(ctx, &out, total_loop_trips));
                 rec.resumed(ctx, &mut node, &out);

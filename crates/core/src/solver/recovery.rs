@@ -124,11 +124,6 @@ pub(super) fn recover<R: Recurrence>(
         );
         st.rollback_to_snapshot();
     }
-    // Survivors replay what they logged since the target; a replacement
-    // receives it in the recovery round.
-    if !event.affects(ctx.rank()) {
-        log.rewind(target);
-    }
     let inner_iterations = match (strategy, target) {
         (Strategy::None, _) => unreachable!("asserted above"),
         (_, None) => {

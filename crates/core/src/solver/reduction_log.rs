@@ -15,10 +15,12 @@
 //! 1998), applied to the replicated scalars of CG.
 //!
 //! The log holds the values since the rollback target of the trip in
-//! progress, flat, plus one mark per trip. A survivor rewinds its own log
-//! at a rollback; a replacement, whose log went with its memory, receives
-//! the same values inside the recovery round's one message from the rank
-//! that already sends it scalars.
+//! progress, flat. A target only ever advances to the trip it is set in (a
+//! storage stage, a checkpoint, a protected block start, a resume point), so
+//! what the log held before that trip is what no rollback reaches any more.
+//! At a rollback a survivor replays its own log; a replacement, whose log
+//! went with its memory, receives the same values inside the recovery
+//! round's one message from the rank that already sends it scalars.
 //!
 //! [`RecoveryRule::Extended`]: crate::solver::RecoveryRule::Extended
 
@@ -29,10 +31,11 @@ use esrcg_cluster::{Ctx, PendingReduce};
 #[derive(Debug, Default)]
 pub(crate) struct ReductionLog {
     enabled: bool,
-    /// The logged results, flat, in call order.
+    /// The logged results since `since`, flat, in call order.
     values: Vec<f64>,
-    /// `(trip start, offset into values)` of every trip still logged.
-    marks: Vec<(usize, usize)>,
+    /// The trip the log starts at: the rollback target of the trip in
+    /// progress, or that trip itself when there is none.
+    since: usize,
     /// The next value a replayed reduction takes; `values.len()` when live.
     cursor: usize,
     /// The trip start at which the replay must be used up: the trip the
@@ -62,16 +65,15 @@ impl LoggedReduce {
 }
 
 impl ReductionLog {
-    /// A log sized for `trips` trips of `values` logged values in all, so
-    /// the loop never grows it; disabled (and empty) unless `enabled`.
-    pub(crate) fn new(enabled: bool, trips: usize, values: usize) -> Self {
+    /// A log sized for `values` logged values, so the loop never grows it;
+    /// disabled (and empty) unless `enabled`.
+    pub(crate) fn new(enabled: bool, values: usize) -> Self {
         if !enabled {
             return ReductionLog::default();
         }
         ReductionLog {
             enabled,
             values: Vec::with_capacity(values),
-            marks: Vec::with_capacity(trips),
             ..ReductionLog::default()
         }
     }
@@ -81,8 +83,8 @@ impl ReductionLog {
     }
 
     /// Opens trip `j`, whose failure would roll back to `target`: drops what
-    /// no rollback can reach any more and marks where trip `j`'s values
-    /// begin. Asserts that a replay lasts exactly until the failure's trip.
+    /// no rollback can reach any more. Asserts that a replay lasts exactly
+    /// until the failure's trip.
     pub(crate) fn begin_trip(&mut self, j: usize, target: Option<usize>) {
         if !self.enabled {
             return;
@@ -102,43 +104,36 @@ impl ReductionLog {
                 );
             }
         }
-        let keep = target.unwrap_or(j);
-        let first = self.marks.partition_point(|&(trip, _)| trip < keep);
-        let off = self.marks.get(first).map_or(self.cursor, |&(_, at)| at);
-        if first > 0 || off > 0 {
-            self.values.drain(..off);
-            self.marks.drain(..first);
-            for mark in &mut self.marks {
-                mark.1 -= off;
-            }
-            self.cursor -= off;
+        let since = target.unwrap_or(j);
+        if since != self.since {
+            assert_eq!(since, j, "reduction log: a target advances to its own trip");
+            self.values.drain(..self.cursor);
+            self.cursor = 0;
+            self.since = since;
         }
-        self.marks.push((j, self.cursor));
     }
 
-    /// A failed rank's log goes with its memory.
-    pub(crate) fn clear(&mut self) {
-        self.values.clear();
-        self.marks.clear();
-        self.cursor = 0;
-        self.replay_until = None;
-    }
-
-    /// A survivor's rollback to `target`: the values logged since then
-    /// become the replay. A full restart (`None`) replays nothing.
-    pub(crate) fn rewind(&mut self, target: Option<usize>) {
+    /// A failure struck the trip starting at `trip`, which rolls back to
+    /// `target`; `lost` tells whether this rank failed. A survivor's replay
+    /// becomes what it logged since the target. A failed rank's log went
+    /// with its memory: it receives the same values in the recovery round
+    /// ([`ReductionLog::refill`]). Either way the replay must last exactly
+    /// until `trip`. A full restart (`None`) replays nothing.
+    pub(crate) fn roll_back(&mut self, trip: usize, target: Option<usize>, lost: bool) {
         if !self.enabled {
             return;
         }
-        let Some(target) = target else {
-            self.clear();
-            return;
-        };
-        let at = self.marks.iter().find(|&&(trip, _)| trip == target);
-        let &(_, off) = at.expect("reduction log: the rollback target is logged");
-        self.values.drain(..off);
-        self.marks.clear();
+        if lost || target.is_none() {
+            self.values.clear();
+        } else {
+            assert_eq!(
+                target,
+                Some(self.since),
+                "reduction log: the target is logged"
+            );
+        }
         self.cursor = 0;
+        self.replay_until = target.map(|_| trip);
     }
 
     /// A replacement's replay: the values a survivor shipped in the
@@ -148,18 +143,8 @@ impl ReductionLog {
             self.enabled || values.is_empty(),
             "reduction log: logged values shipped under the paper's rule"
         );
-        if self.enabled {
-            self.clear();
-            self.values.extend_from_slice(values);
-        }
-    }
-
-    /// The replay, rewound or refilled, must last exactly until the trip
-    /// starting at `until`: the one the failure struck in.
-    pub(crate) fn replay_until(&mut self, until: usize) {
-        if self.enabled {
-            self.replay_until = Some(until);
-        }
+        debug_assert!(self.values.is_empty(), "refilled after `roll_back`");
+        self.values.extend_from_slice(values);
     }
 
     /// The values the next replay takes: since the rollback target on a
@@ -214,7 +199,7 @@ mod tests {
         // the third trip to 0, and the replay of trips 0 and 1 without a
         // message.
         let out = run_spmd(2, CostModel::default(), |ctx| {
-            let mut log = ReductionLog::new(true, 4, 4);
+            let mut log = ReductionLog::new(true, 4);
             let mut seen = Vec::new();
             let mut trip = |ctx: &mut Ctx, log: &mut ReductionLog, j: usize, target| {
                 log.begin_trip(j, target);
@@ -225,8 +210,7 @@ mod tests {
             trip(ctx, &mut log, 0, Some(0));
             trip(ctx, &mut log, 1, Some(0));
             log.begin_trip(2, Some(0));
-            log.rewind(Some(0));
-            log.replay_until(2);
+            log.roll_back(2, Some(0), false);
             assert_eq!(log.replay_values(), [1.0, 3.0]);
             let sent = ctx.stats().msgs_sent.iter().sum::<u64>();
             trip(ctx, &mut log, 0, Some(0));
@@ -245,21 +229,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "values left at trip")]
     fn a_replay_must_be_used_up_at_the_failure_trip() {
-        let mut log = ReductionLog::new(true, 4, 4);
+        let mut log = ReductionLog::new(true, 4);
         log.begin_trip(3, Some(3));
+        log.roll_back(3, Some(3), true);
         log.refill(&[1.0]);
-        log.replay_until(3);
         log.begin_trip(3, Some(3));
     }
 
     #[test]
     fn a_disabled_log_keeps_nothing() {
-        let mut log = ReductionLog::new(false, 4, 4);
+        let mut log = ReductionLog::new(false, 4);
         log.begin_trip(0, Some(0));
         log.record(&[1.0]);
+        log.roll_back(5, Some(0), false);
         log.refill(&[]);
-        log.rewind(Some(0));
-        log.replay_until(5);
-        assert!(log.replay_values().is_empty() && log.marks.is_empty());
+        assert!(log.replay_values().is_empty() && log.values.capacity() == 0);
     }
 }

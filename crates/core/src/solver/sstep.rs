@@ -73,9 +73,8 @@ impl Recurrence for SStep {
     /// `t + s − 1` iterations before the current block start, and a block
     /// normally covers `s` of them (a basis breakdown truncates it, and the
     /// log then grows).
-    fn log_bound(&self, t: usize) -> (usize, usize) {
-        let trips = t.div_ceil(self.s) + 1;
-        (trips, trips * gram_len(self.s))
+    fn log_bound(&self, t: usize) -> usize {
+        (t.div_ceil(self.s) + 1) * gram_len(self.s)
     }
 
     fn protect(&mut self, ctx: &mut Ctx, node: &mut Node<'_>, j: usize, checkpointed: bool) {
