@@ -782,7 +782,9 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
                 if event.affects(rank) {
                     node.st.wipe();
                 }
-                // The redo replays the log up to this trip.
+                // A survivor keeps its log since the target, a failed rank
+                // refills it in the recovery round; the redo replays it up
+                // to this trip.
                 node.log.roll_back(j, target, event.affects(rank));
                 let out = recover(ctx, &mut node, &mut rec, j_f, target, event);
                 j = out.resumed_at;
