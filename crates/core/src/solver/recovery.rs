@@ -18,10 +18,11 @@
 //! Under [`RecoveryRule::Extended`] an ESR/ESRP event with ψ ≥ 2, or next
 //! to a pending rank, stops after Alg. 2 line 6 and leaves its ranks
 //! pending; `reconstruct_pending` solves for the pending ranks' `x` once,
-//! when the loop exits. The same rule ships the survivors' reduction log
-//! since the rollback target to each replacement, behind the ESRP scalar
-//! root's β and `r·z` or the IMCR buddy's blob, so that the redo replays
-//! it on every rank.
+//! when the loop exits, a multi-rank component by pipelined PCG at one
+//! message round per inner iteration. The same rule ships the survivors'
+//! reduction log since the rollback target to each replacement, behind the
+//! ESRP scalar root's β and `r·z` or the IMCR buddy's blob, so that the
+//! redo replays it on every rank.
 
 use esrcg_cluster::{Ctx, Payload, Phase, Tag};
 use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
@@ -445,7 +446,13 @@ fn solve_lost_x(
     // into one all-gather within the subgroup (single-reduction PCG).
     // This mirrors the paper's recovery running on
     // the replacement nodes (and is why its recovery cost scales with
-    // the inner system rather than with the whole machine).
+    // the inner system rather than with the whole machine). A multi-rank
+    // group under the extended rule runs the pipelined recurrence instead,
+    // whose partials ride the halo message: one message round per
+    // iteration.
+    if shared.cfg.recovery_rule == RecoveryRule::Extended && group.len() >= 2 {
+        return fused_inner_solve(ctx, shared, group, scratch, cache, inner_pre, bnorm2, x);
+    }
     let k = distributed_inner_solve(ctx, shared, group, scratch, cache, inner_pre, bnorm2);
     x.copy_from_slice(&scratch.ix);
     k
@@ -602,9 +609,12 @@ fn recover_imcr(
 
 /// Distributed PCG over the replacement subgroup for the inner system
 /// `A[I_f, I_f] x_f = w` (paper Alg. 2, line 8), to the configured inner
-/// tolerance. Only the members of the subgroup `failed_sorted` — an event's
-/// failed ranks, or a component of the pending set — call this; every one
-/// of them owns its original row range restricted to the columns in `I_f`.
+/// tolerance: every solve under [`RecoveryRule::Paper`], and a one-rank
+/// group's under [`RecoveryRule::Extended`] (a multi-rank end-solve
+/// component runs [`fused_inner_solve`]). Only the members of the subgroup
+/// `failed_sorted` — an event's failed ranks, or a component of the pending
+/// set — call this; every one of them owns its original row range
+/// restricted to the columns in `I_f`.
 ///
 /// * The recurrence is single-reduction PCG (Chronopoulos–Gear, 1989): it
 ///   carries `s = A p` beside `p`, applies the operator to `u = P r`
@@ -624,7 +634,8 @@ fn recover_imcr(
 ///   ψ − 1 others and adds all ψ in sorted-rank order, one latency hop on
 ///   the critical path where a gather at one rank and a fan-out take two.
 ///   A solve of k iterations sends (ψ − 1)(k + 1) all-gather messages per
-///   replacement beside its k + 1 halo rounds.
+///   replacement beside its k + 1 halo rounds: two dependent message rounds
+///   per iteration, `(halo peers + ψ − 1)(k + 1)` messages in all.
 /// * Each replacement preconditions its own diagonal block with the cached
 ///   block Jacobi factorization (max block size per the config), matching
 ///   the paper's choice of the same preconditioner for the inner systems.
@@ -721,6 +732,162 @@ fn distributed_inner_solve(
         gamma = gamma_new;
         iterations += 1;
         keep_going = unconverged(rr);
+    }
+    iterations
+}
+
+/// Preconditioned pipelined CG (Ghysels–Vanroose, the recurrence of
+/// `pipelined.rs`) over the subgroup `group` for the inner system
+/// `A[I_K, I_K] x_K = w`: the end solve of a multi-rank component under
+/// [`RecoveryRule::Extended`]. It computes the iteration's dot products
+/// before its operator application, so their partials ride the halo
+/// message: **one** message round per iteration where
+/// [`distributed_inner_solve`] needs a halo round and then an all-gather.
+///
+/// * Set-up: `r = w`, `u = P r`, `q = A u` (one subgroup halo round of `u`).
+/// * Round i: the local partials `(r·u, q·u, r·r)` and `m = P q`; one
+///   `Tag::RecoveryInner` message to every other member, `[3 partials | m
+///   over I(me,d)]`, or the partials alone to a member that is no halo
+///   peer; the interior rows of `A m` while the messages fly; the receives
+///   drained in `group` order (`try_recv`, then `recv`), summing the
+///   partials from the first member's — the same operations in the same
+///   order on every member, so all hold the same bits and stop on the same
+///   round — and then the boundary rows.
+/// * The round's `r·r` at or below `η · rtol · ‖b‖` accepts `x_i`, and so
+///   does round `inner_max_iters`. Otherwise β = γ_i/γ_{i−1}, pᵀAp = δ −
+///   β²·pᵀAp_old and α = γ_i/pᵀAp; a pᵀAp ≤ 0 or a non-finite α is a
+///   numerical breakdown and accepts `x_i` too. The eight updates `p = u +
+///   βp, s = q + βs, h = m + βh, g = Am + βg, x += αp, r −= αs, u −= αh,
+///   q −= αg` cost 8·nloc flops per iteration more than the single-reduction
+///   loop, which is why a one-rank group, which sends nothing, keeps that
+///   loop.
+///
+/// A solve of k iterations sends `(halo peers in K) + (|K| − 1)(k + 1)`
+/// messages per member, and every received payload goes back to the pool.
+/// The recurrence's four vectors beyond the single-reduction loop's allocate
+/// nothing: `m` lives in the gather buffer's own range, which its halo
+/// exchange needs anyway, `A m` in `ax` (spent once line 7 is), `h` in `w`
+/// once `r = w` has read it, and `g` in `ix`, because the solution is
+/// written straight into `x`. Only members call this, with `|K| ≥ 2`;
+/// `scratch` must be freshly prepared. Returns the inner iteration count.
+#[allow(clippy::too_many_arguments)]
+fn fused_inner_solve(
+    ctx: &mut Ctx,
+    shared: &SharedProblem,
+    group: &[usize],
+    scratch: &mut RecoveryScratch,
+    cache: &DomainCache,
+    inner_pre: &BlockJacobiPrecond,
+    bnorm2: f64,
+    x: &mut [f64],
+) -> usize {
+    let be = shared.cfg.backend.subdivided(ctx.size());
+    let me = ctx.rank();
+    let range = shared.part.range(me);
+    let nloc = range.len();
+    let plan = &*shared.plan;
+    let split = &cache.inner_split;
+    let is_member = |r: usize| group.binary_search(&r).is_ok();
+    let mut seq: u32 = 0;
+    let mut next_tag = || {
+        seq += 1;
+        Tag::RecoveryInner.with(seq)
+    };
+    let RecoveryScratch {
+        w: h,
+        ax: am,
+        ix: g,
+        ir: r,
+        iz: u,
+        iq: q,
+        ip: p,
+        is: s,
+        u_full: m_full,
+        ..
+    } = scratch;
+
+    // Set-up: r = w, u = P r, q = A u; x, p, s, h and g start at zero.
+    r.copy_from_slice(h);
+    h.fill(0.0);
+    x.fill(0.0);
+    inner_pre.apply_local(0..nloc, r, u);
+    ctx.charge_flops(inner_pre.apply_flops(0..nloc));
+    let inner_view = PlanView::filtered(plan, &is_member);
+    inner_spmv(ctx, shared, cache, &inner_view, next_tag(), u, m_full, q);
+
+    let target = (ETA * shared.cfg.rtol).powi(2) * bnorm2;
+    let (mut gamma, mut pap) = (0.0, 0.0);
+    let mut iterations = 0usize;
+    loop {
+        let mine = [be.dot(r, u), be.dot(q, u), be.dot(r, r)];
+        ctx.charge_flops(6 * nloc as u64);
+        inner_pre.apply_local(0..nloc, q, &mut m_full[range.clone()]);
+        ctx.charge_flops(inner_pre.apply_flops(0..nloc));
+
+        // One message to every other member; `m` rides it to halo peers.
+        let tag = next_tag();
+        for &d in group.iter().filter(|&&d| d != me) {
+            let mut msg = ctx.take_f64s();
+            msg.extend(mine);
+            msg.extend(plan.indices_to(me, d).iter().map(|&i| m_full[i]));
+            ctx.send(d, tag, Payload::F64s(msg));
+        }
+        be.spmv_row_runs_into(&cache.a_in, split.interior(), 0, m_full, am);
+        ctx.charge_flops(split.interior_flops());
+        let mut sum: Option<[f64; 3]> = None;
+        for &src in group {
+            let part = if src == me {
+                mine
+            } else {
+                let msg = match ctx.try_recv(src, tag) {
+                    Some(payload) => payload.into_f64s(),
+                    None => ctx.recv(src, tag).into_f64s(),
+                };
+                let halo = plan.indices_to(src, me);
+                assert_eq!(
+                    msg.len(),
+                    3 + halo.len(),
+                    "end solve: payload length mismatch from rank {src} (protocol violation)"
+                );
+                for (&i, &v) in halo.iter().zip(&msg[3..]) {
+                    m_full[i] = v;
+                }
+                let part = [msg[0], msg[1], msg[2]];
+                ctx.recycle_f64s(msg);
+                part
+            };
+            sum = Some(match sum {
+                None => part,
+                Some([a, b, c]) => [a + part[0], b + part[1], c + part[2]],
+            });
+        }
+        be.spmv_row_runs_into(&cache.a_in, split.boundary(), 0, m_full, am);
+        ctx.charge_flops(split.boundary_flops());
+
+        let [gamma_new, delta, rr] = sum.expect("the group holds this rank");
+        if rr <= target || iterations == shared.cfg.inner_max_iters {
+            break;
+        }
+        let beta = if iterations == 0 {
+            0.0
+        } else {
+            gamma_new / gamma
+        };
+        pap = delta - beta * beta * pap;
+        let alpha = gamma_new / pap;
+        if pap <= 0.0 || !alpha.is_finite() {
+            break; // numerical breakdown; accept the current iterate
+        }
+        gamma = gamma_new;
+        be.axpby(1.0, u, beta, p);
+        be.axpby(1.0, q, beta, s);
+        be.axpby(1.0, &m_full[range.clone()], beta, h);
+        be.axpby(1.0, am, beta, g);
+        be.fused_axpy2(alpha, p, s, x, r);
+        be.axpby(-alpha, h, 1.0, u);
+        be.axpby(-alpha, g, 1.0, q);
+        ctx.charge_flops(16 * nloc as u64);
+        iterations += 1;
     }
     iterations
 }
@@ -1218,6 +1385,212 @@ mod tests {
                     .fold(0.0, f64::max);
                 let reported = report.recoveries[0].recovery_time;
                 assert_eq!(reported.to_bits(), latest.to_bits(), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn end_solve_is_one_message_round_per_inner_iteration() {
+        use crate::dist::plan::CommPlan;
+        use crate::driver::{Experiment, MatrixSource};
+        use esrcg_cluster::{TraceConfig, TraceEvent};
+        use esrcg_sparse::gen::poisson2d;
+        use esrcg_sparse::Partition;
+
+        // 64 rows a rank: each rank's halo peers are its neighbours.
+        let n_ranks = 4;
+        let a = poisson2d(16, 16);
+        let plan = CommPlan::build(&a, &Partition::balanced(a.nrows(), n_ranks));
+        // The component {1, …, ψ}: a pair, and a chain whose middle member
+        // has two halo peers in it.
+        for psi in [2, 3] {
+            let component: Vec<usize> = (1..1 + psi).collect();
+            for rule in [RecoveryRule::Paper, RecoveryRule::Extended] {
+                let label = format!("ψ = {psi}, {rule:?}");
+                let report = Experiment::builder()
+                    .matrix(MatrixSource::Poisson2d { nx: 16, ny: 16 })
+                    .n_ranks(n_ranks)
+                    .strategy(Strategy::Esrp { t: 5 })
+                    .phi(psi)
+                    .recovery_rule(rule)
+                    .failure_at(12, 1, psi)
+                    .trace(TraceConfig::Full)
+                    .run()
+                    .expect("run");
+                // One event: its own solve under `Paper`, the end solve's
+                // under `Extended`.
+                let k = report.recoveries[0].inner_iterations as u64;
+                let trace = report.trace.as_ref().expect("traced run");
+                for &f in &component {
+                    let events = trace.ranks[f].events.iter();
+                    let spans: Vec<(f64, f64)> = events
+                        .filter_map(|ev| match ev {
+                            TraceEvent::RecoverySpan { start, end } => Some((*start, *end)),
+                            _ => None,
+                        })
+                        .collect();
+                    // `Paper` solves in the event's span, `Extended` in the
+                    // end solve's.
+                    let (start, end) = *spans.last().expect("a recovery span");
+                    let deferred = rule == RecoveryRule::Extended;
+                    assert_eq!(spans.len(), 1 + usize::from(deferred), "{label}, rank {f}");
+                    let inner = trace.ranks[f].events.iter().filter(|ev| {
+                        matches!(ev, TraceEvent::Send { tag_kind, at, .. }
+                            if *tag_kind == Tag::RecoveryInner as u32 && *at > start && *at <= end)
+                    });
+                    let sent = inner.count() as u64;
+                    let peers = component.iter().filter(|&&d| plan.are_peers(f, d)).count() as u64;
+                    let others = psi as u64 - 1;
+                    let expected = match rule {
+                        // A halo round per operator application and an
+                        // all-gather per reduction, k + 1 of each.
+                        RecoveryRule::Paper => (peers + others) * (k + 1),
+                        // One halo round of `u`, then one message to every
+                        // other member per round.
+                        RecoveryRule::Extended => peers + others * (k + 1),
+                    };
+                    assert_eq!(sent, expected, "{label}, rank {f}, k = {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn end_solve_is_sequential_pcg_at_one_round_per_iteration() {
+        use crate::pcg::pcg;
+        use crate::solver::SolverConfig;
+        use esrcg_cluster::{run_spmd, CostModel};
+        use esrcg_precond::PrecondSpec;
+        use esrcg_sparse::gen::poisson3d;
+        use esrcg_sparse::Partition;
+        use std::sync::Arc;
+
+        let n_ranks = 8;
+        let a = Arc::new(poisson3d(8, 8, 8));
+        let n = a.nrows();
+        let problem = |inner_max_iters: usize| {
+            let mut cfg = SolverConfig::new(Strategy::esr(), 3);
+            cfg.inner_max_iters = inner_max_iters;
+            let pre = PrecondSpec::paper_default();
+            let shared = SharedProblem::assemble_shared(
+                a.clone(),
+                vec![1.0; n],
+                vec![0.0; n],
+                n_ranks,
+                pre,
+                cfg,
+            );
+            Arc::new(shared.expect("valid problem"))
+        };
+        let shared = problem(SolverConfig::new(Strategy::esr(), 3).inner_max_iters);
+        assert_eq!(shared.cfg.recovery_rule, RecoveryRule::Extended);
+        // The solve of `group` on right-hand side `rhs` to `bnorm2`, on every
+        // member: (k, x, messages sent).
+        let solve = |shared: &Arc<SharedProblem>,
+                     group: &'static [usize],
+                     rhs: fn(usize) -> f64,
+                     bnorm2: f64| {
+            let shared = shared.clone();
+            run_spmd(n_ranks, CostModel::default(), move |ctx| {
+                let me = ctx.rank();
+                if group.binary_search(&me).is_err() {
+                    return None;
+                }
+                let range = shared.part.range(me);
+                let mut scratch = RecoveryScratch::default();
+                scratch.prepare(range.len(), n);
+                for (w, g) in scratch.w.iter_mut().zip(range.clone()) {
+                    *w = rhs(g);
+                }
+                let own: Vec<usize> = range.clone().collect();
+                let cache = DomainCache::build(&shared.a, &shared.part, &own, group);
+                let inner = LocalInnerSolve::build(&shared, range.clone());
+                let sent = |ctx: &Ctx| ctx.stats().msgs_sent.iter().sum::<u64>();
+                let before = sent(ctx);
+                let mut x = vec![f64::NAN; range.len()];
+                let k = fused_inner_solve(
+                    ctx,
+                    &shared,
+                    group,
+                    &mut scratch,
+                    &cache,
+                    &inner.precond,
+                    bnorm2,
+                    &mut x,
+                );
+                Some((k, x, sent(ctx) - before))
+            })
+            .results
+        };
+        // What each member sends in a solve of k iterations.
+        let messages = |group: &[usize], f: usize, k: usize| {
+            let peers = group
+                .iter()
+                .filter(|&&d| shared.plan.are_peers(f, d))
+                .count();
+            (peers + (group.len() - 1) * (k + 1)) as u64
+        };
+        let rhs: fn(usize) -> f64 = |g| (g as f64 * 0.37).sin() + 0.5;
+        // A chain of two, a chain of three, and three members of which no
+        // two are halo peers (their messages carry the partials alone).
+        let groups: [&'static [usize]; 3] = [&[2, 3], &[1, 2, 3], &[1, 4, 6]];
+        for group in groups {
+            let psi = group.len();
+            // The oracle: PCG on A[I_K, I_K] with the same blocks, stopped
+            // at the same ‖r‖ as the fused solve's η · rtol · ‖b‖.
+            let idx: Vec<usize> = group.iter().flat_map(|&f| shared.part.range(f)).collect();
+            let a_kk = shared.a.principal_submatrix(&idx);
+            let mut offsets = vec![0];
+            for &f in group {
+                offsets.push(offsets.last().unwrap() + shared.part.range(f).len());
+            }
+            let blocks = Partition::from_offsets(offsets);
+            let inner_pre =
+                BlockJacobiPrecond::new(&a_kk, &blocks, shared.cfg.inner_max_block).unwrap();
+            let w: Vec<f64> = idx.iter().map(|&g| rhs(g)).collect();
+            let rtol = 1e-12;
+            let wnorm2 = w.iter().map(|v| v * v).sum::<f64>();
+            let bnorm2 = wnorm2 * (rtol / (ETA * shared.cfg.rtol)).powi(2);
+            let cap = shared.cfg.inner_max_iters;
+            let seq = pcg(&a_kk, &w, &vec![0.0; idx.len()], &inner_pre, rtol, cap);
+            assert!(seq.converged, "ψ = {psi}");
+
+            let out = solve(&shared, group, rhs, bnorm2);
+            let k0 = out[group[0]].as_ref().expect("a member").0;
+            assert!(
+                k0.abs_diff(seq.iterations) <= 1,
+                "ψ = {psi}: {k0} vs {}",
+                seq.iterations
+            );
+            let mut x = Vec::new();
+            for &f in group {
+                let (k, xf, sent) = out[f].as_ref().expect("a member");
+                assert_eq!(*k, k0, "ψ = {psi}: k is replicated");
+                assert_eq!(*sent, messages(group, f, k0), "ψ = {psi}, rank {f}");
+                x.extend_from_slice(xf);
+            }
+            let diff = x.iter().zip(&seq.x).map(|(a, b)| (a - b) * (a - b));
+            let norm = seq.x.iter().map(|v| v * v).sum::<f64>().sqrt();
+            let rel = diff.sum::<f64>().sqrt() / norm;
+            assert!(rel < 1e-9, "ψ = {psi}: relative difference {rel:e}");
+
+            // A breakdown accepts the current iterate: on w = 0 against an
+            // unreachable target the first round's pᵀAp is 0, so x = 0.
+            let out = solve(&shared, group, |_| 0.0, -1.0);
+            for &f in group {
+                let (k, xf, sent) = out[f].as_ref().expect("a member");
+                assert_eq!(*k, 0, "ψ = {psi}, rank {f}");
+                assert!(xf.iter().all(|&v| v == 0.0), "ψ = {psi}, rank {f}");
+                assert_eq!(*sent, messages(group, f, 0), "ψ = {psi}, rank {f}");
+            }
+            // So does the iteration cap.
+            let capped = problem(3);
+            let out = solve(&capped, group, rhs, -1.0);
+            for &f in group {
+                let (k, xf, sent) = out[f].as_ref().expect("a member");
+                assert_eq!(*k, 3, "ψ = {psi}, rank {f}");
+                assert!(xf.iter().all(|v| v.is_finite()), "ψ = {psi}, rank {f}");
+                assert_eq!(*sent, messages(group, f, 3), "ψ = {psi}, rank {f}");
             }
         }
     }

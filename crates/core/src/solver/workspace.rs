@@ -62,14 +62,18 @@ pub(crate) struct RecoveryScratch {
     pub ax: Vec<f64>,
     /// Inner-solve vectors over the local rows: `x`, `r`, `z ≡ u = P r`,
     /// `q = A u`, `p`, and `s = A p`, which the single-reduction recurrence
-    /// carries instead of recomputing.
+    /// carries instead of recomputing. The pipelined end-solve recurrence
+    /// writes its `x` straight into the caller's and keeps its `g = A h` in
+    /// `ix`; its `h = P s` takes `w` once `r = w` has read it, and its
+    /// `A m` takes `ax`.
     pub ix: Vec<f64>,
     pub ir: Vec<f64>,
     pub iz: Vec<f64>,
     pub iq: Vec<f64>,
     pub ip: Vec<f64>,
     pub is: Vec<f64>,
-    /// Full-length gather buffer for the inner halo exchange of `u`.
+    /// Full-length gather buffer for the inner halo exchange of `u` (of
+    /// `m = P q` in the pipelined recurrence, whose own range holds `m`).
     pub u_full: Vec<f64>,
 }
 
