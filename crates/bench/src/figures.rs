@@ -5,7 +5,6 @@
 use std::fmt::Write as _;
 
 use esrcg_core::queue::{Capture, RedundancyQueue};
-use esrcg_core::solver::recovery::esrp_rollback_target;
 
 use crate::grid::TableData;
 
@@ -196,7 +195,10 @@ pub fn render_figure1(t: usize) -> String {
         while cells.len() < 3 {
             cells.insert(0, "_".into());
         }
-        let rollback = esrp_rollback_target(j, t)
+        // The newest consecutive pair the queue holds is the ĵ a recovery
+        // reconstructs.
+        let rollback = q
+            .latest_consecutive_pair()
             .map(|jh| jh.to_string())
             .unwrap_or_else(|| "restart".into());
         let note = if first {

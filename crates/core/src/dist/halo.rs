@@ -17,13 +17,14 @@
 //!
 //! The exchange is generic over a [`PlanView`] — the full plan, the plan
 //! restricted to the peers a predicate accepts, either one topped up by an
-//! [`AspmvPlan`] — and over the wire tag, so one code path serves three
-//! exchanges: the SpMV halo, the **augmented** SpMV (the same exchange over
-//! `I′(s,d) = I(s,d) ∪ Rc(s,k)`, whose receives are captured as the
-//! redundant copies — under `Tag::Halo` / `Tag::Redundant` when the search
-//! direction rides the SpMV, under `Tag::PipelinedP` / `Tag::SStepBasis`
-//! when a recurrence ships it explicitly), and the recovery inner solve
-//! exchanging between replacements under `Tag::RecoveryInner`.
+//! [`AspmvPlan`] — and over the wire tag, so one code path serves both
+//! exchanges of the outer loop: the SpMV halo and the **augmented** SpMV
+//! (the same exchange over `I′(s,d) = I(s,d) ∪ Rc(s,k)`, whose receives are
+//! captured as the redundant copies — under `Tag::Halo` / `Tag::Redundant`
+//! when the search direction rides the SpMV, under `Tag::PipelinedP` /
+//! `Tag::SStepBasis` when a recurrence ships it explicitly). The recovery
+//! inner solve reads the same index lists in its own member rounds, which
+//! carry dot partials too ([`crate::solver::recovery`]).
 
 use esrcg_cluster::{Ctx, Payload, Tag};
 use esrcg_sparse::Partition;
@@ -37,10 +38,7 @@ use crate::queue::Capture;
 /// augmented SpMV, either of them topped up by an [`AspmvPlan`].
 ///
 /// Filtering removes *peers*, never indices: an accepted peer's index list
-/// is used unchanged. That is exactly the structure of the recovery inner
-/// solve — the columns of `A[I_f₂, I_f₁]` are the plan's `I(f₁, f₂)` lists,
-/// and masking columns only removes non-failed owners (see
-/// [`crate::solver::recovery`]).
+/// is used unchanged.
 ///
 /// Topping up adds *indices*, and the peers that receive nothing else: one
 /// message carries `I(s,d)` and behind it the `Rc(s,k)` with `d(s,k) = d` —
@@ -539,9 +537,9 @@ mod tests {
     #[test]
     fn subgroup_exchange_under_a_custom_tag_matches_the_plan_subset() {
         // A filtered exchange among ranks {0, 1} of a 3-rank cluster under
-        // the RecoveryInner namespace — the recovery inner solve's shape:
-        // only subgroup members run the exchange (with the group predicate
-        // as the peer filter), outsiders are not involved at all. Accepted
+        // a tag namespace of its own: only subgroup members run the
+        // exchange (with the group predicate as the peer filter), outsiders
+        // are not involved at all. Accepted
         // peers exchange exactly the plan's index lists; entries owned by
         // rank 2 stay untouched.
         let a = Arc::new(poisson2d(6, 6));

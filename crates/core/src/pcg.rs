@@ -3,7 +3,7 @@
 //! This is the reference implementation the tests validate the distributed
 //! solver against (`solver::tests`, `tests/determinism.rs`); it counts its
 //! own flops. It is *not* the inner solver of the ESR reconstruction: paper
-//! Alg. 2 line 8 is `distributed_inner_solve` in
+//! Alg. 2 line 8 is `solve_lost_x` in
 //! [`crate::solver::recovery`], a PCG over the replacement ranks.
 //!
 //! Everything here runs in a single address space — there is no halo

@@ -27,10 +27,9 @@
 use esrcg_cluster::{Ctx, Payload, Phase, Tag};
 use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
 
-use crate::dist::halo::{HaloExchange, PlanView};
 use crate::solver::reduction_log::ReductionLog;
 use crate::solver::state::{checkpoint_blob_len, NodeState};
-use crate::solver::workspace::{DomainCache, LocalInnerSolve, RecoveryScratch, SolverWorkspace};
+use crate::solver::workspace::{inner_precond, DomainCache, RecoveryScratch, SolverWorkspace};
 use crate::solver::{Node, RecoveryRule, Recurrence, SharedProblem};
 use crate::strategy::Strategy;
 
@@ -173,31 +172,6 @@ pub(super) fn recover<R: Recurrence>(
     }
 }
 
-/// The rollback target ĵ for ESR/ESRP given the failure iteration.
-///
-/// * ESR (`t == 1`): the ASpMV of iteration `j_f` has already pushed
-///   `p'(j_f)`, so ĵ = j_f as long as `p'(j_f − 1)` exists (`j_f >= 1`).
-/// * ESRP (`t >= 3`): the last *complete* storage stage (mT, mT+1) with
-///   `mT + 1 <= j_f` gives ĵ = mT + 1; none exists before the first stage.
-pub fn esrp_rollback_target(j_f: usize, t: usize) -> Option<usize> {
-    if t == 1 {
-        (j_f >= 1).then_some(j_f)
-    } else {
-        if j_f == 0 {
-            return None;
-        }
-        let m = (j_f - 1) / t;
-        (m >= 1).then(|| m * t + 1)
-    }
-}
-
-/// The rollback target for IMCR: the newest checkpoint iteration `mT <= j_f`
-/// (checkpoints start at `T`).
-pub fn imcr_rollback_target(j_f: usize, t: usize) -> Option<usize> {
-    let m = j_f / t;
-    (m >= 1).then(|| m * t)
-}
-
 /// Whether the ESR/ESRP event on `failed_sorted` leaves its `x` for the end
 /// solve ([`RecoveryRule::Extended`]): when ψ ≥ 2, or when a failed rank
 /// is pending or a halo peer of a pending rank. A lone replacement with no
@@ -295,7 +269,7 @@ fn recover_esrp(
             ctx.send(f, tag, Payload::F64s(msg));
         }
     } else {
-        scratch.prepare(range.len(), part.n());
+        scratch.prepare(range.len());
         for src in (0..n_ranks).filter(|&s| !is_failed(s) && sends(s, me)) {
             let msg = ctx.recv(src, tag).into_f64s();
             let (halo, extras) = copies(me, src);
@@ -381,13 +355,29 @@ fn recover_esrp(
 /// outside `group` from `full`, then the subgroup solve of `A_gg x_g = w`,
 /// whose share of the solution lands in `x`. `ws.scratch` must be freshly
 /// prepared. Returns the inner iteration count.
+///
+/// Line 8 couples the members' rows, so the union system is solved by a
+/// *distributed* PCG over `group`, as the paper's recovery runs on the
+/// replacement nodes (which is why its cost scales with the inner system
+/// rather than with the whole machine). Each member owns its own rows and
+/// preconditions its own diagonal block with block Jacobi of the
+/// configured inner block size, the paper's choice for the inner systems
+/// too. All messages are member rounds ([`InnerSystem::round`]).
+///
+/// The set-up both recurrences share — `r = w`, `u = P r`, `q = A u` — runs
+/// here; then a multi-rank group under [`RecoveryRule::Extended`] runs the
+/// pipelined recurrence ([`pipelined_inner_pcg`], one round per
+/// iteration), every other solve the single-reduction one
+/// ([`single_reduction_inner_pcg`], two). Line 7 is the last reader of the
+/// survivors' `x` in `full`: from then on `full` is the rounds' gather
+/// buffer, and every later SpMV refills the positions it reads.
 #[allow(clippy::too_many_arguments)]
 fn solve_lost_x(
     ctx: &mut Ctx,
     shared: &SharedProblem,
     ws: &mut SolverWorkspace,
     group: &[usize],
-    full: &[f64],
+    full: &mut [f64],
     r: &[f64],
     x: &mut [f64],
     bnorm2: f64,
@@ -398,21 +388,21 @@ fn solve_lost_x(
     let SolverWorkspace {
         scratch,
         domains,
-        local_inner,
+        inner_precond: pre,
     } = ws;
+    debug_assert!(
+        range.is_empty() || group.contains(&shared.part.owner_of(range.start)),
+        "my own indices must be inside the subgroup's domain"
+    );
 
-    // Per-subgroup cache: the I_g membership mask and the two column-split
-    // extractions of my rows. Built once per subgroup (static-data access,
-    // uncharged like the paper's safe-storage reloads), reused by every
-    // later solve over the same ranks.
+    // Per-subgroup cache: the two column-split extractions of my rows.
+    // Built once per subgroup (static-data access, uncharged like the
+    // paper's safe-storage reloads), reused by every later solve over the
+    // same ranks.
     let cache = domains.entry(group.to_vec()).or_insert_with(|| {
         let my_idx: Vec<usize> = range.clone().collect();
         DomainCache::build(&shared.a, &shared.part, &my_idx, group)
     });
-    debug_assert!(
-        range.is_empty() || cache.in_failed_idx[range.start],
-        "my own indices must be inside the subgroup's domain"
-    );
 
     // Line 7: w = b_f − r_f − A[f, s] x_s. `full` carries the surviving
     // x at exactly the halo positions my rows read; the cached
@@ -430,32 +420,30 @@ fn solve_lost_x(
     // deterministic, so reuse cannot change results). The *model* still
     // charges the factorization on every inner solve: a real replacement
     // node is fresh hardware and must re-factor.
-    if local_inner.is_none() {
-        *local_inner = Some(LocalInnerSolve::build(shared, range.clone()));
-    }
+    let pre = pre.get_or_insert_with(|| inner_precond(shared, range.clone()));
     ctx.charge_flops(
         (shared.cfg.inner_max_block * shared.cfg.inner_max_block) as u64 * nloc as u64,
     );
-    let inner_pre = &local_inner.as_ref().expect("just built").precond;
 
-    // Line 8: solve A[I_f, I_f] x_f = w. The failed ranks' rows couple,
-    // so the union system is solved by a *distributed* PCG over the
-    // replacement subgroup — each replacement owns its own rows, halo
-    // entries travel between replacements over the same index sets as
-    // the outer SpMV plan, and each iteration's dot products are fused
-    // into one all-gather within the subgroup (single-reduction PCG).
-    // This mirrors the paper's recovery running on
-    // the replacement nodes (and is why its recovery cost scales with
-    // the inner system rather than with the whole machine). A multi-rank
-    // group under the extended rule runs the pipelined recurrence instead,
-    // whose partials ride the halo message: one message round per
-    // iteration.
+    // Set-up: x = 0, r = w, u = P r in `full`'s own range, q = A u.
+    x.fill(0.0);
+    scratch.ir.copy_from_slice(&scratch.w);
+    pre.apply_local(0..nloc, &scratch.ir, &mut full[range]);
+    ctx.charge_flops(pre.apply_flops(0..nloc));
+    let sys = InnerSystem {
+        shared,
+        group,
+        cache,
+        pre,
+        bnorm2,
+    };
+    let mut seq = 0;
+    sys.round(ctx, &mut seq, [], Some((full, &mut scratch.iq)));
     if shared.cfg.recovery_rule == RecoveryRule::Extended && group.len() >= 2 {
-        return fused_inner_solve(ctx, shared, group, scratch, cache, inner_pre, bnorm2, x);
+        pipelined_inner_pcg(ctx, &sys, &mut seq, scratch, full, x)
+    } else {
+        single_reduction_inner_pcg(ctx, &sys, &mut seq, scratch, full, x)
     }
-    let k = distributed_inner_solve(ctx, shared, group, scratch, cache, inner_pre, bnorm2);
-    x.copy_from_slice(&scratch.ix);
-    k
 }
 
 /// The connected component of `me` in the plan's peer graph restricted to
@@ -531,7 +519,7 @@ pub(super) fn reconstruct_pending(ctx: &mut Ctx, node: &mut Node<'_>) -> (f64, u
         }
         let component = component_of(shared, pending, me);
         ctx.set_phase(Phase::RecoveryInner);
-        ws.scratch.prepare(range.len(), shared.part.n());
+        ws.scratch.prepare(range.len());
         let (r, x) = (&st.r, &mut st.x);
         inner_iterations = solve_lost_x(ctx, shared, ws, &component, full, r, x, *bnorm2);
     }
@@ -607,102 +595,166 @@ fn recover_imcr(
     // data just restored; newer held data cannot exist.
 }
 
-/// Distributed PCG over the replacement subgroup for the inner system
-/// `A[I_f, I_f] x_f = w` (paper Alg. 2, line 8), to the configured inner
-/// tolerance: every solve under [`RecoveryRule::Paper`], and a one-rank
-/// group's under [`RecoveryRule::Extended`] (a multi-rank end-solve
-/// component runs [`fused_inner_solve`]). Only the members of the subgroup
-/// `failed_sorted` — an event's failed ranks, or a component of the pending
-/// set — call this; every one of them owns its original row range
-/// restricted to the columns in `I_f`.
+/// What the inner solve's recurrences and rounds read besides their
+/// vectors: the problem, the member group, the group's cached operator,
+/// this rank's inner preconditioner and the stop rule's ‖b‖₂².
+struct InnerSystem<'a> {
+    shared: &'a SharedProblem,
+    group: &'a [usize],
+    cache: &'a DomainCache,
+    pre: &'a BlockJacobiPrecond,
+    bnorm2: f64,
+}
+
+impl InnerSystem<'_> {
+    /// One member round under the next `Tag::RecoveryInner` tag (`seq`
+    /// counts a solve's rounds). `spmv` is `Some((full, av))` when the
+    /// round carries a vector `v`, which sits in `full`'s own range:
+    ///
+    /// 1. this member sends every other member one message, `[K partials |
+    ///    v over I(me,d)]`, and nothing when both parts are empty;
+    /// 2. the interior rows of `av = A[I_own, I_f] v` compute while the
+    ///    messages fly;
+    /// 3. the receives drain in `group` order (`try_recv`, then `recv`),
+    ///    the halo values landing in `full` at `I(src, me)`;
+    /// 4. the partials are summed starting from the first member's — the
+    ///    same additions in the same order on every member, so all hold the
+    ///    same bits and stop on the same round;
+    /// 5. the boundary rows compute.
+    ///
+    /// The index lists are the outer SpMV plan's: the columns of
+    /// `A[I_f₂, I_f₁]` are exactly its `I(f₁, f₂)` lists. Only the SpMV's
+    /// flops are charged, the partials' stay with the caller. With equal
+    /// entry clocks a round of partials alone ends after ψα + 8Kβ on the
+    /// slowest member (nothing is sent at ψ = 1). Every received payload
+    /// goes back to the pool.
+    fn round<const K: usize>(
+        &self,
+        ctx: &mut Ctx,
+        seq: &mut u32,
+        mine: [f64; K],
+        mut spmv: Option<(&mut [f64], &mut [f64])>,
+    ) -> [f64; K] {
+        *seq += 1;
+        let tag = Tag::RecoveryInner.with(*seq);
+        let me = ctx.rank();
+        let be = self.shared.cfg.backend.subdivided(ctx.size());
+        let plan = &*self.shared.plan;
+        let (a_in, split) = (&self.cache.a_in, &self.cache.inner_split);
+        let with_v = spmv.is_some();
+        let halo = |src: usize, dst: usize| {
+            if with_v {
+                plan.indices_to(src, dst)
+            } else {
+                &[]
+            }
+        };
+        for &d in self.group.iter().filter(|&&d| d != me) {
+            let idx = halo(me, d);
+            if K == 0 && idx.is_empty() {
+                continue;
+            }
+            let mut msg = ctx.take_f64s();
+            msg.extend(mine);
+            if let Some((full, _)) = &spmv {
+                msg.extend(idx.iter().map(|&i| full[i]));
+            }
+            ctx.send(d, tag, Payload::F64s(msg));
+        }
+        if let Some((full, av)) = &mut spmv {
+            be.spmv_row_runs_into(a_in, split.interior(), 0, full, av);
+            ctx.charge_flops(split.interior_flops());
+        }
+        let mut sum: Option<[f64; K]> = None;
+        for &src in self.group {
+            let part = if src == me {
+                mine
+            } else {
+                let idx = halo(src, me);
+                if K == 0 && idx.is_empty() {
+                    continue;
+                }
+                let msg = match ctx.try_recv(src, tag) {
+                    Some(payload) => payload.into_f64s(),
+                    None => ctx.recv(src, tag).into_f64s(),
+                };
+                assert_eq!(
+                    msg.len(),
+                    K + idx.len(),
+                    "inner solve: payload length mismatch from rank {src} (protocol violation)"
+                );
+                if let Some((full, _)) = &mut spmv {
+                    for (&i, &v) in idx.iter().zip(&msg[K..]) {
+                        full[i] = v;
+                    }
+                }
+                let part = std::array::from_fn(|k| msg[k]);
+                ctx.recycle_f64s(msg);
+                part
+            };
+            sum = Some(match sum {
+                None => part,
+                Some(acc) => std::array::from_fn(|k| acc[k] + part[k]),
+            });
+        }
+        if let Some((full, av)) = spmv {
+            be.spmv_row_runs_into(a_in, split.boundary(), 0, full, av);
+            ctx.charge_flops(split.boundary_flops());
+        }
+        sum.expect("the group holds this rank")
+    }
+}
+
+/// Single-reduction PCG (Chronopoulos–Gear, 1989) for the inner system
+/// from [`solve_lost_x`]'s set-up: every solve under [`RecoveryRule::Paper`]
+/// and a one-rank group's under [`RecoveryRule::Extended`].
 ///
-/// * The recurrence is single-reduction PCG (Chronopoulos–Gear, 1989): it
-///   carries `s = A p` beside `p`, applies the operator to `u = P r`
-///   instead of `p`, and fuses the iteration's dot products into **one**
-///   reduction of `(r·u, u·Au, r·r)`; `α = γ / (δ − βγ/α_old)` replaces
-///   `γ / pᵀAp`. One all-gather per iteration instead of two, for 2·nloc
-///   more flops (the `s` update) and one more operator application per
-///   solve. At ψ = 1 a reduction sends nothing, so there it costs slightly
-///   more than the textbook loop; at ψ ≥ 2 it saves ψα + 8kβ per iteration.
-///   A denominator ≤ 0 is a numerical breakdown: the current iterate is
-///   accepted.
-/// * Halo exchange between replacements reuses the outer SpMV plan's index
-///   sets (the columns of `A[I_f2, I_f1]` are exactly the plan's
-///   `I_{f1,f2}` lists — masking columns only removes non-failed owners).
-/// * Dot products reduce by an all-gather over the subgroup
-///   ([`subgroup_allreduce`]): every replacement sends its partials to the
-///   ψ − 1 others and adds all ψ in sorted-rank order, one latency hop on
-///   the critical path where a gather at one rank and a fan-out take two.
-///   A solve of k iterations sends (ψ − 1)(k + 1) all-gather messages per
-///   replacement beside its k + 1 halo rounds: two dependent message rounds
-///   per iteration, `(halo peers + ψ − 1)(k + 1)` messages in all.
-/// * Each replacement preconditions its own diagonal block with the cached
-///   block Jacobi factorization (max block size per the config), matching
-///   the paper's choice of the same preconditioner for the inner systems.
-/// * The inner operator `A[I_own, I_f]` is the cached column split
-///   `cache.a_in`; every vector lives in [`RecoveryScratch`] — the loop
-///   allocates nothing beyond message payloads.
+/// * The recurrence carries `s = A p` beside `p`, applies the operator to
+///   `u = P r` instead of `p`, and fuses the iteration's dot products into
+///   **one** round of the partials `(r·u, u·Au, r·r)`; `α = γ / (δ −
+///   βγ/α_old)` replaces `γ / pᵀAp`. Two rounds per iteration — the halo of
+///   `u`, then the partials — instead of three, for 2·nloc more flops (the
+///   `s` update) and one more operator application per solve. At ψ = 1 a
+///   round sends nothing, so there it costs slightly more than the textbook
+///   loop; at ψ ≥ 2 it saves ψα + 24β per iteration. A denominator ≤ 0 is
+///   a numerical breakdown: the current iterate is accepted.
+/// * A solve of k iterations sends `(halo peers + ψ − 1)(k + 1)` messages
+///   per member.
 /// * The loop stops by `shared.cfg.recovery_rule` on the `r·r` every
 ///   iteration already reduces: below `1e-14 · ‖w‖` for `Paper`, at or below
-///   `η · rtol · ‖b‖` for `Extended` (`bnorm2` = ‖b‖₂²).
+///   `η · rtol · ‖b‖` for `Extended`.
 ///
-/// The right-hand side is read from `scratch.w`; the solution is left in
-/// `scratch.ix`. `scratch` must be freshly prepared (`p` and `s` zero).
-/// Returns the inner iteration count.
-fn distributed_inner_solve(
+/// `u` lives in `full`'s own range. Returns the inner iteration count.
+fn single_reduction_inner_pcg(
     ctx: &mut Ctx,
-    shared: &SharedProblem,
-    failed_sorted: &[usize],
+    sys: &InnerSystem<'_>,
+    seq: &mut u32,
     scratch: &mut RecoveryScratch,
-    cache: &DomainCache,
-    inner_pre: &BlockJacobiPrecond,
-    bnorm2: f64,
+    full: &mut [f64],
+    x: &mut [f64],
 ) -> usize {
+    let shared = sys.shared;
     let be = shared.cfg.backend.subdivided(ctx.size());
-    let nloc = scratch.w.len();
-    let is_failed = |r: usize| failed_sorted.binary_search(&r).is_ok();
-    // One fresh tag per reduction and per halo round.
-    let mut seq: u32 = 0;
-    let mut next_tag = || {
-        seq += 1;
-        Tag::RecoveryInner.with(seq)
-    };
-
-    // Halo exchange of `u` among replacements: the outer [`HaloExchange`],
-    // run over the plan *filtered to the replacement subgroup* under the
-    // `Tag::RecoveryInner` namespace. Masking the columns of
-    // `A[I_own, I_f]` only removes non-failed owners, so an accepted peer's
-    // index list is the outer plan's, unchanged — which is exactly what
-    // [`PlanView::filtered`] expresses.
-    let inner_view = PlanView::filtered(&shared.plan, &is_failed);
-
-    // Start: r = w, u = P r, q = A u, and one reduction of
-    // (r·u, u·q, w·w, r·r).
+    let own = shared.part.range(ctx.rank());
+    let nloc = own.len();
     let RecoveryScratch {
         w,
-        ix,
-        ir,
-        iz: u,
+        ir: r,
         iq: q,
         ip: p,
         is: s,
-        u_full,
         ..
     } = scratch;
-    ir.copy_from_slice(w);
-    inner_pre.apply_local(0..nloc, ir, u);
-    ctx.charge_flops(inner_pre.apply_flops(0..nloc));
-    inner_spmv(ctx, shared, cache, &inner_view, next_tag(), u, u_full, q);
-    let mut v = ctx.take_f64s();
-    v.extend([be.dot(ir, u), be.dot(u, q), be.dot(w, w), be.dot(ir, ir)]);
-    let reduced = subgroup_allreduce(ctx, failed_sorted, next_tag(), v);
+
+    // One round of (r·u, u·q, w·w, r·r) closes the set-up.
+    let u = &full[own.clone()];
+    let mine = [be.dot(r, u), be.dot(u, q), be.dot(w, w), be.dot(r, r)];
+    let [mut gamma, mut denom, wnorm2, rr0] = sys.round(ctx, seq, mine, None);
     ctx.charge_flops(8 * nloc as u64);
-    let (mut gamma, mut denom, wnorm2, rr0) = (reduced[0], reduced[1], reduced[2], reduced[3]);
-    ctx.recycle_f64s(reduced);
     let wnorm = wnorm2.sqrt();
     let unconverged = |rr: f64| match shared.cfg.recovery_rule {
         RecoveryRule::Paper => wnorm > 0.0 && rr.sqrt() / wnorm >= PAPER_INNER_RTOL,
-        RecoveryRule::Extended => rr > (ETA * shared.cfg.rtol).powi(2) * bnorm2,
+        RecoveryRule::Extended => rr > (ETA * shared.cfg.rtol).powi(2) * sys.bnorm2,
     };
     let mut keep_going = unconverged(rr0);
     // p = u and s = q on the first trip: β = 0 over the zeroed p and s.
@@ -713,19 +765,17 @@ fn distributed_inner_solve(
         if denom <= 0.0 {
             break; // numerical breakdown; accept the current iterate
         }
-        be.axpby(1.0, u, beta, p);
+        be.axpby(1.0, &full[own.clone()], beta, p);
         be.axpby(1.0, q, beta, s);
-        be.fused_axpy2(alpha, p, s, ix, ir);
+        be.fused_axpy2(alpha, p, s, x, r);
         ctx.charge_flops(8 * nloc as u64);
-        inner_pre.apply_local(0..nloc, ir, u);
-        ctx.charge_flops(inner_pre.apply_flops(0..nloc));
-        inner_spmv(ctx, shared, cache, &inner_view, next_tag(), u, u_full, q);
-        let mut v = ctx.take_f64s();
-        v.extend([be.dot(ir, u), be.dot(u, q), be.dot(ir, ir)]);
-        let reduced = subgroup_allreduce(ctx, failed_sorted, next_tag(), v);
+        sys.pre.apply_local(0..nloc, r, &mut full[own.clone()]);
+        ctx.charge_flops(sys.pre.apply_flops(0..nloc));
+        sys.round(ctx, seq, [], Some((full, q)));
+        let u = &full[own.clone()];
+        let mine = [be.dot(r, u), be.dot(u, q), be.dot(r, r)];
+        let [gamma_new, delta, rr] = sys.round(ctx, seq, mine, None);
         ctx.charge_flops(6 * nloc as u64);
-        let (gamma_new, delta, rr) = (reduced[0], reduced[1], reduced[2]);
-        ctx.recycle_f64s(reduced);
         beta = gamma_new / gamma;
         denom = delta - beta * gamma_new / alpha;
         alpha = gamma_new / denom;
@@ -737,22 +787,14 @@ fn distributed_inner_solve(
 }
 
 /// Preconditioned pipelined CG (Ghysels–Vanroose, the recurrence of
-/// `pipelined.rs`) over the subgroup `group` for the inner system
-/// `A[I_K, I_K] x_K = w`: the end solve of a multi-rank component under
-/// [`RecoveryRule::Extended`]. It computes the iteration's dot products
-/// before its operator application, so their partials ride the halo
-/// message: **one** message round per iteration where
-/// [`distributed_inner_solve`] needs a halo round and then an all-gather.
+/// `pipelined.rs`) for the inner system from [`solve_lost_x`]'s set-up: the
+/// end solve of a multi-rank component under [`RecoveryRule::Extended`]. It
+/// computes the iteration's dot products before its operator application,
+/// so their partials ride the halo message: **one** round per iteration
+/// where [`single_reduction_inner_pcg`] needs two.
 ///
-/// * Set-up: `r = w`, `u = P r`, `q = A u` (one subgroup halo round of `u`).
-/// * Round i: the local partials `(r·u, q·u, r·r)` and `m = P q`; one
-///   `Tag::RecoveryInner` message to every other member, `[3 partials | m
-///   over I(me,d)]`, or the partials alone to a member that is no halo
-///   peer; the interior rows of `A m` while the messages fly; the receives
-///   drained in `group` order (`try_recv`, then `recv`), summing the
-///   partials from the first member's — the same operations in the same
-///   order on every member, so all hold the same bits and stop on the same
-///   round — and then the boundary rows.
+/// * Round i carries the local partials `(r·u, q·u, r·r)` and `m = P q`
+///   (written into `full`'s own range), and leaves `A m`.
 /// * The round's `r·r` at or below `η · rtol · ‖b‖` accepts `x_i`, and so
 ///   does round `inner_max_iters`. Otherwise β = γ_i/γ_{i−1}, pᵀAp = δ −
 ///   β²·pᵀAp_old and α = γ_i/pᵀAp; a pᵀAp ≤ 0 or a non-finite α is a
@@ -763,108 +805,46 @@ fn distributed_inner_solve(
 ///   loop.
 ///
 /// A solve of k iterations sends `(halo peers in K) + (|K| − 1)(k + 1)`
-/// messages per member, and every received payload goes back to the pool.
-/// The recurrence's four vectors beyond the single-reduction loop's allocate
-/// nothing: `m` lives in the gather buffer's own range, which its halo
-/// exchange needs anyway, `A m` in `ax` (spent once line 7 is), `h` in `w`
-/// once `r = w` has read it, and `g` in `ix`, because the solution is
-/// written straight into `x`. Only members call this, with `|K| ≥ 2`;
-/// `scratch` must be freshly prepared. Returns the inner iteration count.
-#[allow(clippy::too_many_arguments)]
-fn fused_inner_solve(
+/// messages per member. The recurrence's vectors beyond the
+/// single-reduction loop's allocate nothing: `u` moves to `iu` because `m`
+/// takes its place in `full`, `A m` lives in `ax` (spent once line 7 is),
+/// `h` in `w` once `r = w` has read it, and `g` in `ig`. Returns the inner
+/// iteration count.
+fn pipelined_inner_pcg(
     ctx: &mut Ctx,
-    shared: &SharedProblem,
-    group: &[usize],
+    sys: &InnerSystem<'_>,
+    seq: &mut u32,
     scratch: &mut RecoveryScratch,
-    cache: &DomainCache,
-    inner_pre: &BlockJacobiPrecond,
-    bnorm2: f64,
+    full: &mut [f64],
     x: &mut [f64],
 ) -> usize {
+    let shared = sys.shared;
     let be = shared.cfg.backend.subdivided(ctx.size());
-    let me = ctx.rank();
-    let range = shared.part.range(me);
-    let nloc = range.len();
-    let plan = &*shared.plan;
-    let split = &cache.inner_split;
-    let is_member = |r: usize| group.binary_search(&r).is_ok();
-    let mut seq: u32 = 0;
-    let mut next_tag = || {
-        seq += 1;
-        Tag::RecoveryInner.with(seq)
-    };
+    let own = shared.part.range(ctx.rank());
+    let nloc = own.len();
     let RecoveryScratch {
         w: h,
         ax: am,
-        ix: g,
         ir: r,
-        iz: u,
         iq: q,
         ip: p,
         is: s,
-        u_full: m_full,
+        iu: u,
+        ig: g,
         ..
     } = scratch;
-
-    // Set-up: r = w, u = P r, q = A u; x, p, s, h and g start at zero.
-    r.copy_from_slice(h);
+    u.copy_from_slice(&full[own.clone()]);
     h.fill(0.0);
-    x.fill(0.0);
-    inner_pre.apply_local(0..nloc, r, u);
-    ctx.charge_flops(inner_pre.apply_flops(0..nloc));
-    let inner_view = PlanView::filtered(plan, &is_member);
-    inner_spmv(ctx, shared, cache, &inner_view, next_tag(), u, m_full, q);
 
-    let target = (ETA * shared.cfg.rtol).powi(2) * bnorm2;
+    let target = (ETA * shared.cfg.rtol).powi(2) * sys.bnorm2;
     let (mut gamma, mut pap) = (0.0, 0.0);
     let mut iterations = 0usize;
     loop {
         let mine = [be.dot(r, u), be.dot(q, u), be.dot(r, r)];
         ctx.charge_flops(6 * nloc as u64);
-        inner_pre.apply_local(0..nloc, q, &mut m_full[range.clone()]);
-        ctx.charge_flops(inner_pre.apply_flops(0..nloc));
-
-        // One message to every other member; `m` rides it to halo peers.
-        let tag = next_tag();
-        for &d in group.iter().filter(|&&d| d != me) {
-            let mut msg = ctx.take_f64s();
-            msg.extend(mine);
-            msg.extend(plan.indices_to(me, d).iter().map(|&i| m_full[i]));
-            ctx.send(d, tag, Payload::F64s(msg));
-        }
-        be.spmv_row_runs_into(&cache.a_in, split.interior(), 0, m_full, am);
-        ctx.charge_flops(split.interior_flops());
-        let mut sum: Option<[f64; 3]> = None;
-        for &src in group {
-            let part = if src == me {
-                mine
-            } else {
-                let msg = match ctx.try_recv(src, tag) {
-                    Some(payload) => payload.into_f64s(),
-                    None => ctx.recv(src, tag).into_f64s(),
-                };
-                let halo = plan.indices_to(src, me);
-                assert_eq!(
-                    msg.len(),
-                    3 + halo.len(),
-                    "end solve: payload length mismatch from rank {src} (protocol violation)"
-                );
-                for (&i, &v) in halo.iter().zip(&msg[3..]) {
-                    m_full[i] = v;
-                }
-                let part = [msg[0], msg[1], msg[2]];
-                ctx.recycle_f64s(msg);
-                part
-            };
-            sum = Some(match sum {
-                None => part,
-                Some([a, b, c]) => [a + part[0], b + part[1], c + part[2]],
-            });
-        }
-        be.spmv_row_runs_into(&cache.a_in, split.boundary(), 0, m_full, am);
-        ctx.charge_flops(split.boundary_flops());
-
-        let [gamma_new, delta, rr] = sum.expect("the group holds this rank");
+        sys.pre.apply_local(0..nloc, q, &mut full[own.clone()]);
+        ctx.charge_flops(sys.pre.apply_flops(0..nloc));
+        let [gamma_new, delta, rr] = sys.round(ctx, seq, mine, Some((full, am)));
         if rr <= target || iterations == shared.cfg.inner_max_iters {
             break;
         }
@@ -881,7 +861,7 @@ fn fused_inner_solve(
         gamma = gamma_new;
         be.axpby(1.0, u, beta, p);
         be.axpby(1.0, q, beta, s);
-        be.axpby(1.0, &m_full[range.clone()], beta, h);
+        be.axpby(1.0, &full[own.clone()], beta, h);
         be.axpby(1.0, am, beta, g);
         be.fused_axpy2(alpha, p, s, x, r);
         be.axpby(-alpha, h, 1.0, u);
@@ -892,127 +872,115 @@ fn fused_inner_solve(
     iterations
 }
 
-/// `q = A[I_own, I_f] u` for the inner solve, scheduled like the outer
-/// SpMV: the subgroup halo of `u` (gathered into `u_full`, of which only
-/// `I_f` positions are read) is in flight while the interior rows compute.
-#[allow(clippy::too_many_arguments)]
-fn inner_spmv(
-    ctx: &mut Ctx,
-    shared: &SharedProblem,
-    cache: &DomainCache,
-    view: &PlanView<'_>,
-    tag: u64,
-    u: &[f64],
-    u_full: &mut [f64],
-    q: &mut [f64],
-) {
-    let be = shared.cfg.backend.subdivided(ctx.size());
-    let split = &cache.inner_split;
-    let hx = HaloExchange::start_view(ctx, view, &shared.part, u, tag, u_full);
-    be.spmv_row_runs_into(&cache.a_in, split.interior(), 0, u_full, q);
-    ctx.charge_flops(split.interior_flops());
-    hx.finish_view(ctx, view, u_full, None);
-    be.spmv_row_runs_into(&cache.a_in, split.boundary(), 0, u_full, q);
-    ctx.charge_flops(split.boundary_flops());
-}
-
-/// Element-wise sum of every replacement's `mine` over the subgroup
-/// `failed_sorted`, as an all-gather: this rank sends its partials to the
-/// other ψ − 1 replacements under `tag`, then adds all ψ in `failed_sorted`
-/// order, starting from the first rank's values — the same operations in
-/// the same order on every member, so every member holds the same bits.
-/// With equal entry clocks the slowest member finishes after
-/// ψα + 8kβ for k values (nothing is sent at ψ = 1). Only members call
-/// this; the consumed receive buffers go back to the pool.
-fn subgroup_allreduce(
-    ctx: &mut Ctx,
-    failed_sorted: &[usize],
-    tag: u64,
-    mut mine: Vec<f64>,
-) -> Vec<f64> {
-    let me = ctx.rank();
-    for &f in failed_sorted {
-        if f != me {
-            let mut copy = ctx.take_f64s();
-            copy.extend_from_slice(&mine);
-            ctx.send(f, tag, Payload::F64s(copy));
-        }
-    }
-    let mut sum: Option<Vec<f64>> = None;
-    for &f in failed_sorted {
-        let part = if f == me {
-            std::mem::take(&mut mine)
-        } else {
-            ctx.recv(f, tag).into_f64s()
-        };
-        match &mut sum {
-            None => sum = Some(part),
-            Some(acc) => {
-                for (a, b) in acc.iter_mut().zip(part.iter()) {
-                    *a += b;
-                }
-                ctx.recycle_f64s(part);
-            }
-        }
-    }
-    sum.expect("only members of the subgroup call this")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn esrp_rollback_targets() {
-        // ESR: roll back to the failure iteration itself.
-        assert_eq!(esrp_rollback_target(0, 1), None);
-        assert_eq!(esrp_rollback_target(1, 1), Some(1));
-        assert_eq!(esrp_rollback_target(57, 1), Some(57));
+    use esrcg_cluster::{run_spmd, CostModel};
 
-        // ESRP T = 5: stages complete at 6, 11, 16, ...
-        let t = 5;
-        assert_eq!(esrp_rollback_target(0, t), None);
-        assert_eq!(esrp_rollback_target(5, t), None, "stage at 5 incomplete");
-        assert_eq!(esrp_rollback_target(6, t), Some(6));
-        assert_eq!(esrp_rollback_target(9, t), Some(6));
-        assert_eq!(
-            esrp_rollback_target(10, t),
-            Some(6),
-            "failure at the first storage iteration falls back a stage"
-        );
-        assert_eq!(esrp_rollback_target(11, t), Some(11));
-        assert_eq!(esrp_rollback_target(14, t), Some(11));
+    /// Runs [`solve_lost_x`] on every member of `group` with `w = rhs` over
+    /// the member's rows (`full` is zero off the group, so line 7 leaves
+    /// `b − r`): `(k, x, messages sent)` per member, `None` elsewhere.
+    fn solve_on(
+        shared: &SharedProblem,
+        group: &[usize],
+        rhs: fn(usize) -> f64,
+        bnorm2: f64,
+    ) -> Vec<Option<(usize, Vec<f64>, u64)>> {
+        let out = run_spmd(shared.part.n_ranks(), CostModel::default(), |ctx| {
+            let me = ctx.rank();
+            if group.binary_search(&me).is_err() {
+                return None;
+            }
+            let range = shared.part.range(me);
+            let mut ws = SolverWorkspace::new();
+            ws.scratch.prepare(range.len());
+            let r: Vec<f64> = range.clone().map(|g| shared.b[g] - rhs(g)).collect();
+            let mut full = vec![0.0; shared.part.n()];
+            let mut x = vec![f64::NAN; range.len()];
+            let sent = |ctx: &Ctx| ctx.stats().msgs_sent.iter().sum::<u64>();
+            let before = sent(ctx);
+            let k = solve_lost_x(ctx, shared, &mut ws, group, &mut full, &r, &mut x, bnorm2);
+            Some((k, x, sent(ctx) - before))
+        });
+        out.results
     }
 
     #[test]
-    fn paper_example_rollback() {
-        // Paper §3: failure right after the queue gains p'(2T) recovers the
-        // state for iteration T+1.
-        let t = 20;
-        assert_eq!(esrp_rollback_target(2 * t, t), Some(t + 1));
-        assert_eq!(esrp_rollback_target(2 * t + 1, t), Some(2 * t + 1));
-    }
+    fn a_member_round_is_the_sorted_sum_at_one_hop() {
+        use crate::solver::SolverConfig;
+        use esrcg_precond::PrecondSpec;
+        use esrcg_sparse::gen::poisson2d;
+        use std::sync::Arc;
 
-    #[test]
-    fn subgroup_allreduce_is_the_sorted_sum_at_one_hop() {
-        use esrcg_cluster::{run_spmd, CostModel};
-        // Dyadic α and β keep every clock sum exact; k = 3 values.
+        // Dyadic α and β keep every clock sum exact; k = 3 values. Ten rows
+        // a rank: each rank's halo peers are its neighbours.
         let (alpha, beta, k) = (2f64.powi(-20), 2f64.powi(-30), 3);
-        let partials = |rank: usize| -> Vec<f64> {
-            (0..k)
-                .map(|i| 0.1 + rank as f64 * 0.3 + i as f64 / 7.0)
-                .collect()
+        let n_ranks = 10;
+        let a = poisson2d(10, 10);
+        let n = a.nrows();
+        let cfg = SolverConfig::new(Strategy::esr(), 3);
+        let pre = PrecondSpec::paper_default();
+        let shared = SharedProblem::assemble_shared(
+            Arc::new(a),
+            vec![1.0; n],
+            vec![0.0; n],
+            n_ranks,
+            pre,
+            cfg,
+        )
+        .expect("valid problem");
+        let plan = &*shared.plan;
+        let partials = |rank: usize| -> [f64; 3] {
+            std::array::from_fn(|i| 0.1 + rank as f64 * 0.3 + i as f64 / 7.0)
         };
+        let v = |g: usize| (g as f64 * 0.37).sin();
         let subgroups: [&[usize]; 4] = [&[4], &[3, 4], &[0, 4, 9], &[1, 2, 3, 4, 5, 6, 7, 8]];
         for group in subgroups {
-            let out = run_spmd(10, CostModel::comm_only(alpha, beta), |ctx| {
-                if group.binary_search(&ctx.rank()).is_err() {
+            let psi = group.len();
+            let out = run_spmd(n_ranks, CostModel::comm_only(alpha, beta), |ctx| {
+                let me = ctx.rank();
+                if group.binary_search(&me).is_err() {
                     return None;
                 }
-                let mut mine = ctx.take_f64s();
-                mine.extend(partials(ctx.rank()));
-                let sum = subgroup_allreduce(ctx, group, Tag::RecoveryInner.with(1), mine);
-                Some((sum, ctx.clock()))
+                let range = shared.part.range(me);
+                let own: Vec<usize> = range.clone().collect();
+                let cache = DomainCache::build(&shared.a, &shared.part, &own, group);
+                let pre = inner_precond(&shared, range.clone());
+                let sys = InnerSystem {
+                    shared: &shared,
+                    group,
+                    cache: &cache,
+                    pre: &pre,
+                    bnorm2: 0.0,
+                };
+                let mut seq = 0;
+                let sent = |ctx: &Ctx| ctx.stats().msgs_sent.iter().sum::<u64>();
+                // The partials alone.
+                let sum = sys.round(ctx, &mut seq, partials(me), None);
+                let clock = ctx.clock();
+                // The partials and a vector, then the vector alone.
+                let mut full = vec![f64::NAN; n];
+                for g in range.clone() {
+                    full[g] = v(g);
+                }
+                let mut av = vec![f64::NAN; range.len()];
+                let before = sent(ctx);
+                let both = sys.round(ctx, &mut seq, partials(me), Some((&mut full, &mut av)));
+                let with_partials = sent(ctx) - before;
+                let mut av_alone = vec![f64::NAN; range.len()];
+                let [] = sys.round(ctx, &mut seq, [], Some((&mut full, &mut av_alone)));
+                let alone = sent(ctx) - before - with_partials;
+                let a_in_v = cache.a_in.spmv(&(0..n).map(v).collect::<Vec<_>>());
+                Some((
+                    sum,
+                    clock,
+                    both,
+                    full,
+                    [av, av_alone],
+                    a_in_v,
+                    [with_partials, alone],
+                ))
             });
             let mut expected = partials(group[0]);
             for &f in &group[1..] {
@@ -1020,15 +988,29 @@ mod tests {
                     *a += b;
                 }
             }
-            let expected: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
+            let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
             let mut slowest = 0.0f64;
             for &f in group {
-                let (sum, clock) = out.results[f].as_ref().expect("a member");
-                let bits: Vec<u64> = sum.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bits, expected, "ψ = {}, rank {f}", group.len());
+                let (sum, clock, both, full, avs, a_in_v, sent) =
+                    out.results[f].as_ref().expect("a member");
+                assert_eq!(bits(sum), bits(&expected), "ψ = {psi}, rank {f}");
+                assert_eq!(bits(both), bits(&expected), "ψ = {psi}, rank {f}");
                 slowest = slowest.max(*clock);
+                // One message to every other member when partials ride it,
+                // one to every halo peer among them when the vector rides
+                // alone; the halo values land at I(src, me), and both rounds
+                // leave A[I_own, I_f] v.
+                let peers = group.iter().filter(|&&d| plan.are_peers(f, d)).count();
+                assert_eq!(*sent, [psi as u64 - 1, peers as u64], "ψ = {psi}, rank {f}");
+                for &src in group.iter().filter(|&&src| src != f) {
+                    for &g in plan.indices_to(src, f) {
+                        assert_eq!(full[g].to_bits(), v(g).to_bits(), "ψ = {psi}: {src} → {f}");
+                    }
+                }
+                for av in avs {
+                    assert_eq!(bits(av), bits(a_in_v), "ψ = {psi}, rank {f}");
+                }
             }
-            let psi = group.len();
             let critical = if psi == 1 {
                 0.0
             } else {
@@ -1042,7 +1024,6 @@ mod tests {
     fn inner_solve_is_sequential_pcg_at_one_all_gather_per_iteration() {
         use crate::pcg::pcg;
         use crate::solver::SolverConfig;
-        use esrcg_cluster::{run_spmd, CostModel};
         use esrcg_precond::PrecondSpec;
         use esrcg_sparse::gen::poisson3d;
         use esrcg_sparse::Partition;
@@ -1068,36 +1049,8 @@ mod tests {
         let subgroups: [&[usize]; 3] = [&[5], &[2, 3], &[1, 4, 6]];
         for failed in subgroups {
             let psi = failed.len();
-            let out = run_spmd(n_ranks, CostModel::default(), {
-                let shared = shared.clone();
-                move |ctx| {
-                    let me = ctx.rank();
-                    if failed.binary_search(&me).is_err() {
-                        return None;
-                    }
-                    let range = shared.part.range(me);
-                    let mut scratch = RecoveryScratch::default();
-                    scratch.prepare(range.len(), n);
-                    for (w, g) in scratch.w.iter_mut().zip(range.clone()) {
-                        *w = rhs(g);
-                    }
-                    let own: Vec<usize> = range.clone().collect();
-                    let cache = DomainCache::build(&shared.a, &shared.part, &own, failed);
-                    let inner = LocalInnerSolve::build(&shared, range);
-                    let sent = |ctx: &Ctx| ctx.stats().msgs_sent.iter().sum::<u64>();
-                    let before = sent(ctx);
-                    let k = distributed_inner_solve(
-                        ctx,
-                        &shared,
-                        failed,
-                        &mut scratch,
-                        &cache,
-                        &inner.precond,
-                        n as f64, // ‖b‖₂², unread by the paper's rule
-                    );
-                    Some((k, scratch.ix, sent(ctx) - before))
-                }
-            });
+            // ‖b‖₂² is unread by the paper's rule.
+            let out = solve_on(&shared, failed, rhs, n as f64);
 
             // The sequential oracle: PCG on A[I_f, I_f] with the same
             // blocks — each failed rank's range cut by the inner block size.
@@ -1116,15 +1069,15 @@ mod tests {
             assert!(seq.converged, "ψ = {psi}");
 
             let mut x = Vec::new();
-            let k0 = out.results[failed[0]].as_ref().expect("a replacement").0;
+            let k0 = out[failed[0]].as_ref().expect("a replacement").0;
             let k_seq = seq.iterations;
             assert!(k0.abs_diff(k_seq) <= 1, "ψ = {psi}: {k0} vs {k_seq}");
             let rounds = k0 as u64 + 1;
             for &f in failed {
-                let (k, ix, sent) = out.results[f].as_ref().expect("a replacement");
+                let (k, ix, sent) = out[f].as_ref().expect("a replacement");
                 assert_eq!(*k, k0, "ψ = {psi}: k is replicated");
                 // One halo round per operator application (k + 1 of them),
-                // one all-gather to the ψ − 1 others per reduction.
+                // one round of partials to the ψ − 1 others per reduction.
                 let peers = shared.plan.sends_of(f).iter();
                 let halo = peers.filter(|(d, _)| failed.contains(d)).count() as u64;
                 let gathers = (psi as u64 - 1) * rounds;
@@ -1442,8 +1395,8 @@ mod tests {
                     let peers = component.iter().filter(|&&d| plan.are_peers(f, d)).count() as u64;
                     let others = psi as u64 - 1;
                     let expected = match rule {
-                        // A halo round per operator application and an
-                        // all-gather per reduction, k + 1 of each.
+                        // A halo round per operator application and a
+                        // round of partials per reduction, k + 1 of each.
                         RecoveryRule::Paper => (peers + others) * (k + 1),
                         // One halo round of `u`, then one message to every
                         // other member per round.
@@ -1459,7 +1412,6 @@ mod tests {
     fn end_solve_is_sequential_pcg_at_one_round_per_iteration() {
         use crate::pcg::pcg;
         use crate::solver::SolverConfig;
-        use esrcg_cluster::{run_spmd, CostModel};
         use esrcg_precond::PrecondSpec;
         use esrcg_sparse::gen::poisson3d;
         use esrcg_sparse::Partition;
@@ -1484,44 +1436,6 @@ mod tests {
         };
         let shared = problem(SolverConfig::new(Strategy::esr(), 3).inner_max_iters);
         assert_eq!(shared.cfg.recovery_rule, RecoveryRule::Extended);
-        // The solve of `group` on right-hand side `rhs` to `bnorm2`, on every
-        // member: (k, x, messages sent).
-        let solve = |shared: &Arc<SharedProblem>,
-                     group: &'static [usize],
-                     rhs: fn(usize) -> f64,
-                     bnorm2: f64| {
-            let shared = shared.clone();
-            run_spmd(n_ranks, CostModel::default(), move |ctx| {
-                let me = ctx.rank();
-                if group.binary_search(&me).is_err() {
-                    return None;
-                }
-                let range = shared.part.range(me);
-                let mut scratch = RecoveryScratch::default();
-                scratch.prepare(range.len(), n);
-                for (w, g) in scratch.w.iter_mut().zip(range.clone()) {
-                    *w = rhs(g);
-                }
-                let own: Vec<usize> = range.clone().collect();
-                let cache = DomainCache::build(&shared.a, &shared.part, &own, group);
-                let inner = LocalInnerSolve::build(&shared, range.clone());
-                let sent = |ctx: &Ctx| ctx.stats().msgs_sent.iter().sum::<u64>();
-                let before = sent(ctx);
-                let mut x = vec![f64::NAN; range.len()];
-                let k = fused_inner_solve(
-                    ctx,
-                    &shared,
-                    group,
-                    &mut scratch,
-                    &cache,
-                    &inner.precond,
-                    bnorm2,
-                    &mut x,
-                );
-                Some((k, x, sent(ctx) - before))
-            })
-            .results
-        };
         // What each member sends in a solve of k iterations.
         let messages = |group: &[usize], f: usize, k: usize| {
             let peers = group
@@ -1555,7 +1469,7 @@ mod tests {
             let seq = pcg(&a_kk, &w, &vec![0.0; idx.len()], &inner_pre, rtol, cap);
             assert!(seq.converged, "ψ = {psi}");
 
-            let out = solve(&shared, group, rhs, bnorm2);
+            let out = solve_on(&shared, group, rhs, bnorm2);
             let k0 = out[group[0]].as_ref().expect("a member").0;
             assert!(
                 k0.abs_diff(seq.iterations) <= 1,
@@ -1576,7 +1490,7 @@ mod tests {
 
             // A breakdown accepts the current iterate: on w = 0 against an
             // unreachable target the first round's pᵀAp is 0, so x = 0.
-            let out = solve(&shared, group, |_| 0.0, -1.0);
+            let out = solve_on(&shared, group, |_| 0.0, -1.0);
             for &f in group {
                 let (k, xf, sent) = out[f].as_ref().expect("a member");
                 assert_eq!(*k, 0, "ψ = {psi}, rank {f}");
@@ -1585,7 +1499,7 @@ mod tests {
             }
             // So does the iteration cap.
             let capped = problem(3);
-            let out = solve(&capped, group, rhs, -1.0);
+            let out = solve_on(&capped, group, rhs, -1.0);
             for &f in group {
                 let (k, xf, sent) = out[f].as_ref().expect("a member");
                 assert_eq!(*k, 3, "ψ = {psi}, rank {f}");
@@ -1593,14 +1507,5 @@ mod tests {
                 assert_eq!(*sent, messages(group, f, 3), "ψ = {psi}, rank {f}");
             }
         }
-    }
-
-    #[test]
-    fn imcr_rollback_targets() {
-        assert_eq!(imcr_rollback_target(0, 20), None);
-        assert_eq!(imcr_rollback_target(19, 20), None);
-        assert_eq!(imcr_rollback_target(20, 20), Some(20));
-        assert_eq!(imcr_rollback_target(39, 20), Some(20));
-        assert_eq!(imcr_rollback_target(40, 20), Some(40));
     }
 }

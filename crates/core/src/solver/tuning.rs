@@ -14,7 +14,7 @@
 
 use esrcg_cluster::{CostModel, Ctx, Phase};
 
-use crate::solver::recovery::{esrp_rollback_target, imcr_rollback_target, RecoveryOutcome};
+use crate::solver::recovery::RecoveryOutcome;
 use crate::strategy::{IntervalPolicy, Strategy};
 
 /// The analytic α–β cost of one IMCR checkpoint round on one rank: `φ`
@@ -128,41 +128,33 @@ impl IntervalSchedule {
     }
 
     /// The rollback target for a failure at `j_f` under the current
-    /// schedule. With anchor 0 this is exactly
-    /// [`esrp_rollback_target`] / [`imcr_rollback_target`]; with a
-    /// positive anchor `a`, storage stages complete at `a + mT + 1` and
-    /// checkpoints live at `a + mT`, and the anchor itself is the earliest
+    /// schedule, `None` when no recovery point exists yet.
+    ///
+    /// * ESR (`t == 1`): the ASpMV of iteration `j_f` has already pushed
+    ///   `p'(j_f)`, so ĵ = j_f as long as `p'(j_f − 1)` exists (`j_f ≥ 1`),
+    ///   whatever the anchor.
+    /// * ESRP (`t ≥ 3`): the last *complete* storage stage; stages complete
+    ///   at `a + mT + 1` for anchor `a`, so ĵ = a + mT + 1 for the largest
+    ///   `m ≥ 1` with `a + mT + 1 ≤ j_f`.
+    /// * IMCR: the newest checkpoint, at `a + mT ≤ j_f` for `m ≥ 1`.
+    ///
+    /// Before the first stage or checkpoint a positive anchor is itself the
     /// recovery point (its protection data was re-established when the
-    /// interval changed).
+    /// interval changed); anchor 0 has none.
     pub(crate) fn rollback_target(&self, j_f: usize) -> Option<usize> {
+        let (t, stage_end) = match self.strategy {
+            Strategy::None => return None,
+            Strategy::Esrp { t: 1 } => return (j_f >= 1).then_some(j_f),
+            Strategy::Esrp { t } => (t, 1),
+            Strategy::Imcr { t } => (t, 0),
+        };
+        // The largest m with a + mT + stage_end ≤ j_f.
+        let m = self.rel(j_f)?.saturating_sub(stage_end) / t;
         let a = self.anchor;
-        match self.strategy {
-            Strategy::None => None,
-            Strategy::Esrp { t: 1 } => esrp_rollback_target(j_f, 1),
-            Strategy::Esrp { t } => {
-                if a == 0 {
-                    return esrp_rollback_target(j_f, t);
-                }
-                let jr = self.rel(j_f)?;
-                let m = if jr == 0 { 0 } else { (jr - 1) / t };
-                if m >= 1 {
-                    Some(a + m * t + 1)
-                } else {
-                    Some(a)
-                }
-            }
-            Strategy::Imcr { t } => {
-                if a == 0 {
-                    return imcr_rollback_target(j_f, t);
-                }
-                let jr = self.rel(j_f)?;
-                let m = jr / t;
-                if m >= 1 {
-                    Some(a + m * t)
-                } else {
-                    Some(a)
-                }
-            }
+        if m >= 1 {
+            Some(a + m * t + stage_end)
+        } else {
+            (a > 0).then_some(a)
         }
     }
 
@@ -340,17 +332,50 @@ mod tests {
     }
 
     #[test]
-    fn anchored_rollback_targets() {
-        // Anchor 0 delegates to the legacy arithmetic.
-        let s = IntervalSchedule::new(Strategy::Esrp { t: 5 });
-        for j in 0..30 {
-            assert_eq!(s.rollback_target(j), esrp_rollback_target(j, 5));
-        }
-        let c = IntervalSchedule::new(Strategy::Imcr { t: 4 });
-        for j in 0..30 {
-            assert_eq!(c.rollback_target(j), imcr_rollback_target(j, 4));
-        }
+    fn esrp_rollback_targets() {
+        // ESR: roll back to the failure iteration itself.
+        let e = IntervalSchedule::new(Strategy::esr());
+        assert_eq!(e.rollback_target(0), None);
+        assert_eq!(e.rollback_target(1), Some(1));
+        assert_eq!(e.rollback_target(57), Some(57));
 
+        // ESRP T = 5: stages complete at 6, 11, 16, ...
+        let s = IntervalSchedule::new(Strategy::Esrp { t: 5 });
+        assert_eq!(s.rollback_target(0), None);
+        assert_eq!(s.rollback_target(5), None, "stage at 5 incomplete");
+        assert_eq!(s.rollback_target(6), Some(6));
+        assert_eq!(s.rollback_target(9), Some(6));
+        assert_eq!(
+            s.rollback_target(10),
+            Some(6),
+            "failure at the first storage iteration falls back a stage"
+        );
+        assert_eq!(s.rollback_target(11), Some(11));
+        assert_eq!(s.rollback_target(14), Some(11));
+    }
+
+    #[test]
+    fn paper_example_rollback() {
+        // Paper §3: failure right after the queue gains p'(2T) recovers the
+        // state for iteration T+1.
+        let t = 20;
+        let s = IntervalSchedule::new(Strategy::Esrp { t });
+        assert_eq!(s.rollback_target(2 * t), Some(t + 1));
+        assert_eq!(s.rollback_target(2 * t + 1), Some(2 * t + 1));
+    }
+
+    #[test]
+    fn imcr_rollback_targets() {
+        let c = IntervalSchedule::new(Strategy::Imcr { t: 20 });
+        assert_eq!(c.rollback_target(0), None);
+        assert_eq!(c.rollback_target(19), None);
+        assert_eq!(c.rollback_target(20), Some(20));
+        assert_eq!(c.rollback_target(39), Some(20));
+        assert_eq!(c.rollback_target(40), Some(40));
+    }
+
+    #[test]
+    fn anchored_rollback_targets() {
         // Re-anchored ESRP: stages complete at a + mT + 1; the anchor is
         // the fallback before the first completed stage.
         let mut s = IntervalSchedule::new(Strategy::Esrp { t: 5 });

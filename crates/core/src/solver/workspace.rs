@@ -10,18 +10,19 @@
 //!
 //! * `RecoveryScratch` — the reconstruction vectors of paper Alg. 2
 //!   (`p^(ĵ−1)`, `p^(ĵ)`, their coverage flags, `w`, the masked-SpMV output,
-//!   and the inner solve's six vectors plus its full-length gather buffer),
-//!   resized once and reused across failure events,
+//!   and the inner solve's vectors over the local rows), resized once and
+//!   reused across failure events; the inner solve's halo rounds gather
+//!   into the node's own full-length vector,
 //! * `DomainCache` — per failure domain (the sorted set of failed ranks):
-//!   the membership mask of `I_f` and the two column-split row extractions
-//!   `A[I_own, I\I_f]` / `A[I_own, I_f]`, which turn every masked SpMV of
-//!   the recovery into a plain CSR SpMV with no per-entry branch (always
-//!   CSR, whatever `SolverConfig::spmv_format` the outer SpMV runs: these
-//!   operators live for one failure domain, and the format contract makes
-//!   the choice invisible in every iterate and every modeled second),
-//! * `LocalInnerSolve` — the rank's own principal submatrix block-Jacobi
-//!   preconditioner for the inner system, which depends only on the rank's
-//!   row range and is therefore factored at most once per solve.
+//!   the two column-split row extractions `A[I_own, I\I_f]` /
+//!   `A[I_own, I_f]`, which turn every masked SpMV of the recovery into a
+//!   plain CSR SpMV with no per-entry branch (always CSR, whatever
+//!   `SolverConfig::spmv_format` the outer SpMV runs: these operators live
+//!   for one failure domain, and the format contract makes the choice
+//!   invisible in every iterate and every modeled second),
+//! * `inner_precond` — the block-Jacobi factorization of the rank's own
+//!   principal submatrix, which depends only on the rank's row range and
+//!   is therefore factored at most once per solve.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -40,7 +41,7 @@ pub struct SolverWorkspace {
     /// Cached structures keyed by the sorted failed-rank set.
     pub(crate) domains: HashMap<Vec<usize>, DomainCache>,
     /// The rank-local inner-solve preconditioner (built on first use).
-    pub(crate) local_inner: Option<LocalInnerSolve>,
+    pub(crate) inner_precond: Option<BlockJacobiPrecond>,
 }
 
 impl SolverWorkspace {
@@ -60,40 +61,37 @@ pub(crate) struct RecoveryScratch {
     pub cov: Vec<bool>,
     pub w: Vec<f64>,
     pub ax: Vec<f64>,
-    /// Inner-solve vectors over the local rows: `x`, `r`, `z ≡ u = P r`,
-    /// `q = A u`, `p`, and `s = A p`, which the single-reduction recurrence
-    /// carries instead of recomputing. The pipelined end-solve recurrence
-    /// writes its `x` straight into the caller's and keeps its `g = A h` in
-    /// `ix`; its `h = P s` takes `w` once `r = w` has read it, and its
-    /// `A m` takes `ax`.
-    pub ix: Vec<f64>,
+    /// Inner-solve vectors over the local rows: `r`, `q = A u`, `p`, and
+    /// `s = A p`, which both recurrences carry. Both write their `x`
+    /// straight into the caller's, and the vector a round exchanges (`u =
+    /// P r`, the pipelined recurrence's `m = P q`) sits in the own range of
+    /// the node's full-length vector. The pipelined recurrence keeps its
+    /// `u` in `iu` and its `g = A h` in `ig`; its `h = P s` takes `w` once
+    /// `r = w` has read it, and its `A m` takes `ax`.
     pub ir: Vec<f64>,
-    pub iz: Vec<f64>,
     pub iq: Vec<f64>,
     pub ip: Vec<f64>,
     pub is: Vec<f64>,
-    /// Full-length gather buffer for the inner halo exchange of `u` (of
-    /// `m = P q` in the pipelined recurrence, whose own range holds `m`).
-    pub u_full: Vec<f64>,
+    pub iu: Vec<f64>,
+    pub ig: Vec<f64>,
 }
 
 impl RecoveryScratch {
-    /// Sizes every buffer for a rank owning `nloc` rows of an `n`-row
-    /// problem and zeroes the ones recovery reads before writing.
-    pub fn prepare(&mut self, nloc: usize, n: usize) {
+    /// Sizes every buffer for a rank owning `nloc` rows and zeroes the ones
+    /// recovery reads before writing.
+    pub fn prepare(&mut self, nloc: usize) {
         resize_zeroed(&mut self.p_prev, nloc);
         resize_zeroed(&mut self.p_cur, nloc);
         self.cov.clear();
         self.cov.resize(nloc, false);
         resize_zeroed(&mut self.w, nloc);
         resize_zeroed(&mut self.ax, nloc);
-        resize_zeroed(&mut self.ix, nloc);
         resize_zeroed(&mut self.ir, nloc);
-        resize_zeroed(&mut self.iz, nloc);
         resize_zeroed(&mut self.iq, nloc);
         resize_zeroed(&mut self.ip, nloc);
         resize_zeroed(&mut self.is, nloc);
-        resize_zeroed(&mut self.u_full, n);
+        resize_zeroed(&mut self.iu, nloc);
+        resize_zeroed(&mut self.ig, nloc);
     }
 }
 
@@ -104,8 +102,6 @@ fn resize_zeroed(v: &mut Vec<f64>, n: usize) {
 
 /// Cached per-failure-domain structures (see module docs).
 pub(crate) struct DomainCache {
-    /// `in_failed_idx[g]` ⇔ global index `g` is owned by a failed rank.
-    pub in_failed_idx: Vec<bool>,
     /// `A[I_own, I \ I_f]` with global columns — the off-diagonal term of
     /// Alg. 2 line 7 as a branch-free SpMV.
     pub a_off: CsrMatrix,
@@ -129,14 +125,9 @@ impl DomainCache {
         own_rows: &[usize],
         failed_sorted: &[usize],
     ) -> Self {
-        let mut in_failed_idx = vec![false; part.n()];
-        for &f in failed_sorted {
-            for i in part.range(f) {
-                in_failed_idx[i] = true;
-            }
-        }
-        let a_off = a.extract_rows_filtered(own_rows, |c| !in_failed_idx[c]);
-        let a_in = a.extract_rows_filtered(own_rows, |c| in_failed_idx[c]);
+        let failed = |c: usize| failed_sorted.binary_search(&part.owner_of(c)).is_ok();
+        let a_off = a.extract_rows_filtered(own_rows, |c| !failed(c));
+        let a_in = a.extract_rows_filtered(own_rows, failed);
         // `a_in` keeps global column indices but compacts rows to
         // 0..own_rows.len(); the owned rows are contiguous (a rank's
         // partition range), so the owned column range is just the list's
@@ -153,7 +144,6 @@ impl DomainCache {
         };
         let inner_split = RowSplit::build(&a_in, 0..a_in.nrows(), own_cols);
         DomainCache {
-            in_failed_idx,
             a_off,
             a_in,
             inner_split,
@@ -161,26 +151,18 @@ impl DomainCache {
     }
 }
 
-/// The factored block-Jacobi preconditioner of the rank's own principal
-/// submatrix, reused by every inner solve this rank participates in.
-pub(crate) struct LocalInnerSolve {
-    pub precond: BlockJacobiPrecond,
-}
-
-impl LocalInnerSolve {
-    /// Factors the preconditioner for the own-rows principal submatrix.
-    ///
-    /// # Panics
-    /// Panics if the principal submatrix is not SPD (impossible for an SPD
-    /// system matrix).
-    pub fn build(shared: &SharedProblem, own_range: Range<usize>) -> Self {
-        let my_rows: Vec<usize> = own_range.collect();
-        let a_local = shared.a.principal_submatrix(&my_rows);
-        let local_part = Partition::balanced(my_rows.len(), 1);
-        let precond = BlockJacobiPrecond::new(&a_local, &local_part, shared.cfg.inner_max_block)
-            .expect("principal submatrix of an SPD matrix is SPD");
-        LocalInnerSolve { precond }
-    }
+/// Factors the block-Jacobi preconditioner of the rank's own principal
+/// submatrix, which every inner solve this rank takes part in reuses.
+///
+/// # Panics
+/// Panics if the principal submatrix is not SPD (impossible for an SPD
+/// system matrix).
+pub(crate) fn inner_precond(shared: &SharedProblem, own_range: Range<usize>) -> BlockJacobiPrecond {
+    let my_rows: Vec<usize> = own_range.collect();
+    let a_local = shared.a.principal_submatrix(&my_rows);
+    let local_part = Partition::balanced(my_rows.len(), 1);
+    BlockJacobiPrecond::new(&a_local, &local_part, shared.cfg.inner_max_block)
+        .expect("principal submatrix of an SPD matrix is SPD")
 }
 
 #[cfg(test)]
@@ -191,17 +173,16 @@ mod tests {
     #[test]
     fn scratch_prepare_sizes_and_zeroes() {
         let mut s = RecoveryScratch::default();
-        s.prepare(5, 20);
+        s.prepare(5);
         assert_eq!(s.p_prev.len(), 5);
-        assert_eq!(s.u_full.len(), 20);
+        assert_eq!(s.ig.len(), 5);
         s.p_prev[0] = 3.0;
         s.cov[4] = true;
-        s.prepare(5, 20);
+        s.prepare(5);
         assert_eq!(s.p_prev[0], 0.0, "re-prepared buffers are zeroed");
         assert!(!s.cov[4]);
-        s.prepare(7, 10);
+        s.prepare(7);
         assert_eq!(s.ax.len(), 7);
-        assert_eq!(s.u_full.len(), 10);
     }
 
     #[test]
@@ -210,18 +191,16 @@ mod tests {
         let part = Partition::balanced(36, 4); // 9 rows per rank
         let own_rows: Vec<usize> = part.range(1).collect();
         let cache = DomainCache::build(&a, &part, &own_rows, &[1, 3]);
-        // Mask marks exactly the rows of ranks 1 and 3.
-        let marked: Vec<usize> = (0..36).filter(|&i| cache.in_failed_idx[i]).collect();
-        let expected: Vec<usize> = (9..18).chain(27..36).collect();
-        assert_eq!(marked, expected);
+        // The failure domain is exactly the rows of ranks 1 and 3.
+        let failed = |c: usize| (9..18).contains(&c) || (27..36).contains(&c);
         // The split partitions each row's entries.
         let total: usize = own_rows.iter().map(|&r| a.row_nnz(r)).sum();
         assert_eq!(cache.a_off.nnz() + cache.a_in.nnz(), total);
         // SpMV equivalence with the masked kernel.
         let x: Vec<f64> = (0..36).map(|i| (i as f64 * 0.31).cos()).collect();
-        let off = a.spmv_rows_masked(&own_rows, &x, |c| cache.in_failed_idx[c]);
+        let off = a.spmv_rows_masked(&own_rows, &x, failed);
         assert_eq!(cache.a_off.spmv(&x), off);
-        let inn = a.spmv_rows_masked(&own_rows, &x, |c| !cache.in_failed_idx[c]);
+        let inn = a.spmv_rows_masked(&own_rows, &x, |c| !failed(c));
         assert_eq!(cache.a_in.spmv(&x), inn);
         // The inner split partitions a_in's rows, and interior rows read
         // only this rank's own column range.

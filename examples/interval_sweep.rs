@@ -49,12 +49,6 @@ fn main() {
     );
     let mut storage_cost_per_stage = 0.0f64;
     for t in [1usize, 5, 10, 20, 50, 100] {
-        if esrcg::core::solver::recovery::esrp_rollback_target(paper_failure_iteration(c, t), t)
-            .is_none()
-        {
-            println!("{t:>5}  (skipped: no complete storage stage before the failure at this C)");
-            continue;
-        }
         let ff = Experiment::builder()
             .matrix(matrix.clone())
             .rhs(RhsSpec::Random { seed: 9 })
@@ -74,6 +68,10 @@ fn main() {
             .failure_at(j_f, 0, phi)
             .run()
             .expect("failure run");
+        if wf.recoveries.first().unwrap().full_restart {
+            println!("{t:>5}  (skipped: no complete storage stage before the failure at this C)");
+            continue;
+        }
         assert!(wf.converged);
         let wasted = wf.recoveries.first().unwrap().wasted_iterations;
         println!(

@@ -12,7 +12,6 @@
 //! why the queue needs *three* slots, not two.
 
 use esrcg::core::queue::{Capture, RedundancyQueue};
-use esrcg::core::solver::recovery::esrp_rollback_target;
 
 fn fmt_queue(q: &RedundancyQueue) -> String {
     let mut cells: Vec<String> = q.iters().iter().map(|j| format!("p'({j})")).collect();
@@ -36,13 +35,13 @@ fn main() {
             q.push(j, Capture::default());
         }
 
-        let rollback = esrp_rollback_target(j, t)
+        // The newest consecutive pair is the ĵ a recovery reconstructs: the
+        // last complete storage stage (mT, mT+1) with mT + 1 <= j.
+        let stage = (j >= 1 && (j - 1) / t >= 1).then(|| (j - 1) / t * t + 1);
+        assert_eq!(q.latest_consecutive_pair(), stage, "queue and stages agree");
+        let rollback = stage
             .map(|jh| jh.to_string())
             .unwrap_or_else(|| "restart".to_string());
-        // Cross-check the analytic rollback target against the queue state.
-        if let Some(pair) = q.latest_consecutive_pair() {
-            assert_eq!(pair.to_string(), rollback, "queue and formula agree");
-        }
 
         let note = if is_first {
             "storage stage begins: ASpMV pushes, β** stashed"

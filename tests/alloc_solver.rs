@@ -138,10 +138,12 @@ fn iterations_past_the_warm_up_add_no_allocation() {
     // 125 / 23 at ψ = 1 and 242 / 50 at ψ = 2); a change may only lower
     // them. A ψ = 2 event defers its `x` to the end solve, which the first
     // event's count carries: its `x` halo round and the component (206 / 26
-    // when each event solved at once).
+    // when each event solved at once). The inner rounds gather into the
+    // node's own full-length vector and sum their partials in place (110 /
+    // 13 and 217 / 22 with a second gather buffer and pooled partials).
     for (psi, first, second, pins) in [
-        (1, csr_first, csr_second, (110, 13)),
-        (2, pair_first, pair_second, (217, 22)),
+        (1, csr_first, csr_second, (108, 13)),
+        (2, pair_first, pair_second, (213, 22)),
     ] {
         assert!(
             2 * second < first,

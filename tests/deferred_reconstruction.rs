@@ -185,7 +185,7 @@ fn assert_end_solve(report: &RunReport, components: &[&[usize]], label: &str) {
                 );
                 assert_eq!(sent.is_empty(), component.len() == 1, "{label}: rank {r}");
                 for &peer in component.iter().filter(|&&p| p != r) {
-                    // The all-gather reaches every member of the component.
+                    // The member rounds reach every member of the component.
                     assert!(sent.iter().any(|m| m.0 == peer), "{label}: {r} → {peer}");
                 }
             }
