@@ -62,7 +62,7 @@ pub struct DrillOutcome {
 
 impl DrillOutcome {
     /// The tracked artifact line (deterministic bytes).
-    pub fn artifact_line(&self) -> String {
+    pub(crate) fn artifact_line(&self) -> String {
         format!(
             "drill={} recovery_modeled_s={:.9} iters_overhead={}",
             self.name, self.recovery_modeled_s, self.iters_overhead

@@ -10,7 +10,7 @@ use crate::grid::TableData;
 
 /// One series point of Figs. 2/3: median overhead for (strategy, T, φ).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FigPoint {
+pub(crate) struct FigPoint {
     /// Cluster (checkpoint interval).
     pub t: usize,
     /// Line within the cluster.
@@ -27,7 +27,7 @@ pub struct FigPoint {
 /// `with_failures` selects panel (b) (overheads under ψ = φ failures,
 /// medians over both locations) versus panel (a) (failure-free). As in the
 /// paper, the ESR line repeats the ESRP T = 1 result in every T cluster.
-pub fn figure_series(data: &TableData, with_failures: bool) -> Vec<FigPoint> {
+pub(crate) fn figure_series(data: &TableData, with_failures: bool) -> Vec<FigPoint> {
     let mut points = Vec::new();
     let mut ts: Vec<usize> = data.rows.iter().filter(|r| r.t > 1).map(|r| r.t).collect();
     ts.sort_unstable();
@@ -70,7 +70,7 @@ pub fn figure_series(data: &TableData, with_failures: bool) -> Vec<FigPoint> {
 
 /// Renders a Fig. 2/3 panel as text: clusters by T, lines per strategy,
 /// φ markers left to right, plus a crude log-scale ASCII chart.
-pub fn render_figure(data: &TableData, with_failures: bool) -> String {
+pub(crate) fn render_figure(data: &TableData, with_failures: bool) -> String {
     let points = figure_series(data, with_failures);
     let mut out = String::new();
     let panel = if with_failures {
@@ -172,7 +172,7 @@ pub fn render_figure(data: &TableData, with_failures: bool) -> String {
 
 /// Renders the paper's Fig. 1: the queue-state evolution over iterations
 /// for a checkpoint interval `t`, with the rollback target per iteration.
-pub fn render_figure1(t: usize) -> String {
+pub(crate) fn render_figure1(t: usize) -> String {
     assert!(
         t >= 3,
         "ESRP requires T >= 3 (T = 1 is ESR, T = 2 is rejected)"

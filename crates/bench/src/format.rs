@@ -7,7 +7,7 @@ use crate::grid::TableData;
 /// Renders a [`TableData`] in the layout of the paper's Tables 2/3:
 /// failure-free overhead, overhead with node failures, and reconstruction
 /// overhead, by strategy × T × φ × location.
-pub fn render_overhead_table(data: &TableData) -> String {
+pub(crate) fn render_overhead_table(data: &TableData) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -106,7 +106,7 @@ pub fn render_overhead_table(data: &TableData) -> String {
 }
 
 /// Renders the paper's Table 4 (residual drift) for a set of workloads.
-pub fn render_drift_table(tables: &[&TableData]) -> String {
+pub(crate) fn render_drift_table(tables: &[&TableData]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -131,7 +131,7 @@ pub fn render_drift_table(tables: &[&TableData]) -> String {
 }
 
 /// Renders the grid as CSV (one line per strategy × T × φ × location).
-pub fn render_csv(data: &TableData) -> String {
+pub(crate) fn render_csv(data: &TableData) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -250,7 +250,7 @@ impl TableData {
     }
 
     /// Median drift over all failure runs (Table 4 "Median").
-    pub fn drift_median(&self) -> f64 {
+    pub(crate) fn drift_median(&self) -> f64 {
         let mut d = self.failure_drifts.clone();
         median_f64(&mut d)
     }
@@ -258,7 +258,7 @@ impl TableData {
     /// Minimum drift over all failure runs (Table 4 "Minimum" — the
     /// greatest accuracy loss, since more negative means a larger true
     /// residual).
-    pub fn drift_min(&self) -> f64 {
+    pub(crate) fn drift_min(&self) -> f64 {
         self.failure_drifts
             .iter()
             .copied()

@@ -30,8 +30,8 @@ mod artifacts;
 pub mod drills;
 mod figures;
 mod format;
-pub mod grid;
-pub mod scale;
+mod grid;
+mod scale;
 
 pub use artifacts::render_paper;
 pub use grid::{run_table, FailureCell, TableData, TableRow, TableSpec};

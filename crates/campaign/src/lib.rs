@@ -6,18 +6,18 @@
 //! This crate turns that single-shot reproduction into a
 //! throughput-oriented resilience-evaluation service, in three layers:
 //!
-//! 1. **Trace generation** ([`trace`]) — seeded stochastic
+//! 1. **Trace generation** (`trace`) — seeded stochastic
 //!    [`FaultProcess`] models (independent exponential faults, correlated
 //!    contiguous *bursts* per the paper's switch-fault rationale, and the
 //!    paper's worst case as a degenerate process) compiled into sorted,
 //!    solver-valid failure schedules against a planned iteration budget.
-//! 2. **Fleet execution** ([`spec`], [`fleet`], [`runner`]) — a
+//! 2. **Fleet execution** (`spec`, [`fleet`], `runner`) — a
 //!    declarative [`CampaignSpec`] matrix (problems × strategies × φ ×
 //!    rank counts × trace seeds) with a budget-aware enumerator, drained
 //!    through a bounded worker set with per-job panic isolation and
 //!    results in deterministic enumeration order, independent of
 //!    scheduling.
-//! 3. **Reporting** ([`report`]) — per-cell resilience statistics against
+//! 3. **Reporting** (`report`) — per-cell resilience statistics against
 //!    the matched failure-free baseline (overhead, recovery-time share,
 //!    iteration and modeled-time distributions, convergence failures),
 //!    emitted as schema-versioned JSON (`BENCH_campaign.json`) plus a
@@ -44,12 +44,12 @@
 //! [`CampaignSpec`]: spec::CampaignSpec
 
 pub mod fleet;
-pub mod report;
-pub mod runner;
-pub mod spec;
-pub mod trace;
+mod report;
+mod runner;
+mod spec;
+mod trace;
 
-pub use report::{BaselineReport, CampaignReport, CellReport, Summary, SCHEMA};
+pub use report::{BaselineReport, CampaignReport, CellReport, Summary};
 pub use runner::CampaignRunner;
 pub use spec::{CampaignSpec, CellPlan, Enumeration, ProblemSpec};
 pub use trace::{FaultProcess, TraceBudget};

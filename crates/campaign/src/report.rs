@@ -17,7 +17,7 @@ use esrcg_cluster::{MetricsRollup, Phase};
 
 /// Schema identifier stamped into the JSON artifact. Bump on any change to
 /// the emitted structure.
-pub const SCHEMA: &str = "esrcg-campaign-v7";
+pub(crate) const SCHEMA: &str = "esrcg-campaign-v7";
 
 /// Order statistics of one metric over a cell's runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -159,7 +159,7 @@ pub struct CampaignReport {
     pub skipped_combos: usize,
     /// Runs cut by the campaign budget.
     pub dropped_runs: usize,
-    /// One [`run_trace_line`] per completed measured run, in enumeration
+    /// One `run_trace_line` per completed measured run, in enumeration
     /// order — the JSONL body `campaign --trace-out` writes. Errored runs
     /// contribute no line (their errors live in the cell report), so the
     /// stream is byte-identical across fleet worker counts.
@@ -218,7 +218,7 @@ fn write_rollup(s: &mut String, m: &MetricsRollup) {
 /// One measured run's flight-recorder rollup as a single JSON line (for the
 /// `--trace-out` JSONL export): the run's identity and outcome, then the
 /// rollup members exactly as a cell's `"metrics"` object carries them.
-pub fn run_trace_line(
+pub(crate) fn run_trace_line(
     cell: usize,
     seed: u64,
     converged: bool,

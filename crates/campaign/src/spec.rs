@@ -149,7 +149,7 @@ impl CampaignSpec {
     /// Returns the first problem found: an empty axis, a duplicate problem
     /// name, an invalid strategy or fault process, or a non-positive
     /// tolerance.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.problems.is_empty() {
             return Err("campaign needs at least one problem".into());
         }
@@ -275,7 +275,7 @@ impl CampaignSpec {
     /// for the skipping, collapsing, and truncation rules).
     ///
     /// # Errors
-    /// Returns [`CampaignSpec::validate`] failures.
+    /// Returns `CampaignSpec::validate` failures.
     pub fn enumerate(&self) -> Result<Enumeration, String> {
         self.validate()?;
         let mut cells = Vec::new();

@@ -101,7 +101,7 @@ impl FaultProcess {
     /// True if the compiled trace depends on the seed. Deterministic
     /// processes collapse all seeds of a cell into one run (see the
     /// enumerator).
-    pub fn is_stochastic(&self) -> bool {
+    pub(crate) fn is_stochastic(&self) -> bool {
         matches!(
             self,
             FaultProcess::Exponential { .. } | FaultProcess::Burst { .. }
@@ -113,7 +113,7 @@ impl FaultProcess {
     /// # Errors
     /// Returns a description of the first problem (non-positive or
     /// non-finite MTBF / mean width).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match *self {
             FaultProcess::None | FaultProcess::PaperWorstCase => Ok(()),
             FaultProcess::Exponential { mtbf } => {

@@ -25,7 +25,7 @@ const HAND_BACK: u64 = 1 << 63;
 /// [`PendingReduce::finish`]. Receives synchronize to arrival times
 /// (`advance_to`), so a reduction whose latency is covered by the compute
 /// between `start` and `finish` costs
-/// [`CostModel::overlapped_time`](crate::cost::CostModel::overlapped_time),
+/// `CostModel::overlapped_time`,
 /// exactly as the split-phase halo exchange realizes it for the SpMV.
 ///
 /// Every rank must `start` and `finish` the same collectives in the same
@@ -138,25 +138,19 @@ impl Ctx {
         std::mem::replace(&mut self.phase, phase)
     }
 
-    /// The phase currently being attributed.
-    #[inline]
-    pub fn phase(&self) -> Phase {
-        self.phase
-    }
-
     /// Immutable view of this rank's counters.
     pub fn stats(&self) -> &RankStats {
         &self.stats
     }
 
-    /// Shorthand for [`BufferPool::take_f64s`] on this rank's pool. Protocol
+    /// Shorthand for `BufferPool::take_f64s` on this rank's pool. Protocol
     /// code takes send buffers from the pool and recycles consumed receive
     /// buffers back into it; the collectives below do so automatically.
     pub fn take_f64s(&mut self) -> Vec<f64> {
         self.buffers.take_f64s()
     }
 
-    /// Shorthand for [`BufferPool::recycle_f64s`] on this rank's pool.
+    /// Shorthand for `BufferPool::recycle_f64s` on this rank's pool.
     pub fn recycle_f64s(&mut self, v: Vec<f64>) {
         self.buffers.recycle_f64s(v);
     }
@@ -326,7 +320,7 @@ impl Ctx {
 
     /// Nonblocking receive: returns the next message from `(from, tag)` if
     /// it has been physically delivered **and** has already arrived on this
-    /// rank's modeled clock (see [`Message::has_arrived`]), so completing
+    /// rank's modeled clock (see `Message::has_arrived`), so completing
     /// it costs no modeled time. Returns `None` otherwise.
     ///
     /// FIFO order per `(source, tag)` is preserved across `try_recv` and

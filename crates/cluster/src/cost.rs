@@ -67,7 +67,7 @@ impl CostModel {
     /// The named presets benches and campaigns can sweep, in canonical
     /// order: `default`, `latency-dominated`, `compute-only`, `comm-only`
     /// (the parameterized constructors evaluated at the default rates).
-    pub fn presets() -> [CostModel; 4] {
+    pub(crate) fn presets() -> [CostModel; 4] {
         let d = CostModel::default();
         [
             d,
@@ -119,13 +119,13 @@ impl CostModel {
 
     /// Sender-side injection overhead per message.
     #[inline]
-    pub fn injection_time(&self) -> f64 {
+    pub(crate) fn injection_time(&self) -> f64 {
         self.alpha
     }
 
     /// Time to execute `flops` floating-point operations.
     #[inline]
-    pub fn compute_time(&self, flops: u64) -> f64 {
+    pub(crate) fn compute_time(&self, flops: u64) -> f64 {
         flops as f64 * self.seconds_per_flop
     }
 
@@ -137,7 +137,8 @@ impl CostModel {
     /// check the clock against this closed form
     /// (`overlapped_stage_cost_matches_the_closed_form` in `spmd.rs`).
     #[inline]
-    pub fn overlapped_time(&self, bytes: usize, flops: u64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn overlapped_time(&self, bytes: usize, flops: u64) -> f64 {
         self.transfer_time(bytes).max(self.compute_time(flops))
     }
 }

@@ -32,7 +32,7 @@ impl FailureSpec {
     /// # Errors
     /// Returns a description of the problem for an empty rank set or a
     /// duplicated rank.
-    pub fn new(at_iteration: usize, mut ranks: Vec<usize>) -> Result<Self, String> {
+    pub(crate) fn new(at_iteration: usize, mut ranks: Vec<usize>) -> Result<Self, String> {
         if ranks.is_empty() {
             return Err("failure must affect at least one rank".into());
         }

@@ -26,26 +26,26 @@
 //! their own replacement nodes ([`FailureSpec`]).
 //!
 //! Message payloads move by value through the mailboxes; each rank's
-//! [`BufferPool`] recycles consumed payload buffers so steady-state traffic
+//! `BufferPool` recycles consumed payload buffers so steady-state traffic
 //! (halo rounds, collectives, checkpoints) allocates nothing per message.
 
-pub mod comm;
+mod comm;
 mod coro;
-pub mod cost;
-pub mod failure;
+mod cost;
+mod failure;
 pub mod json;
-pub mod msg;
-pub mod spmd;
-pub mod stats;
-pub mod trace;
+mod msg;
+mod spmd;
+mod stats;
+mod trace;
 
 pub use comm::{Ctx, PendingReduce};
 pub use cost::CostModel;
 pub use failure::FailureSpec;
-pub use msg::{BufferPool, BufferPoolStats, Payload, Tag};
+pub use msg::{BufferPoolStats, Payload, Tag};
 pub use spmd::{run_spmd, run_spmd_traced, SpmdOutcome};
 pub use stats::{Phase, RankStats, N_PHASES};
 pub use trace::{
     validate_trace_json, InstantKind, MergedTrace, MetricsRollup, RankTrace, TraceConfig,
-    TraceEvent, TraceRecorder,
+    TraceEvent,
 };

@@ -28,7 +28,7 @@ pub enum Payload {
 impl Payload {
     /// Payload size in bytes, as charged by the cost model. Matches what a
     /// compact wire encoding would carry (8 bytes per value).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         match self {
             Payload::Empty => 0,
             Payload::Scalar(_) => 8,
@@ -51,7 +51,7 @@ impl Payload {
     ///
     /// # Panics
     /// Panics if the payload has a different shape.
-    pub fn into_scalar(self) -> f64 {
+    pub(crate) fn into_scalar(self) -> f64 {
         match self {
             Payload::Scalar(v) => v,
             other => panic!("protocol error: expected Scalar, got {other:?}"),
@@ -64,10 +64,10 @@ impl Payload {
 /// protocols hoarding memory, not a limit any solver phase reaches).
 const MAX_POOLED: usize = 64;
 
-/// Reuse counters of a [`BufferPool`] (see [`BufferPool::stats`]).
+/// Reuse counters of a `BufferPool` (see `BufferPool::stats`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferPoolStats {
-    /// Buffers requested via [`BufferPool::take_f64s`].
+    /// Buffers requested via `BufferPool::take_f64s`.
     pub takes: u64,
     /// Takes served from the free list (the rest allocated fresh).
     pub hits: u64,
@@ -103,19 +103,19 @@ impl BufferPoolStats {
 /// exchange, tree collectives, redundant-copy and checkpoint traffic —
 /// reuse payload storage instead of allocating per message.
 #[derive(Debug, Default)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     f64s: Vec<Vec<f64>>,
     stats: BufferPoolStats,
 }
 
 impl BufferPool {
     /// An empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// An empty `f64` buffer (pooled capacity when available).
-    pub fn take_f64s(&mut self) -> Vec<f64> {
+    pub(crate) fn take_f64s(&mut self) -> Vec<f64> {
         self.stats.takes += 1;
         match self.f64s.pop() {
             Some(mut v) => {
@@ -128,7 +128,7 @@ impl BufferPool {
     }
 
     /// Parks a consumed `f64` buffer for reuse.
-    pub fn recycle_f64s(&mut self, mut v: Vec<f64>) {
+    pub(crate) fn recycle_f64s(&mut self, mut v: Vec<f64>) {
         if self.f64s.len() < MAX_POOLED && v.capacity() > 0 {
             v.clear();
             self.f64s.push(v);
@@ -142,7 +142,7 @@ impl BufferPool {
 
     /// Parks whatever backing buffer `payload` carries (no-op for the
     /// bufferless shapes).
-    pub fn recycle(&mut self, payload: Payload) {
+    pub(crate) fn recycle(&mut self, payload: Payload) {
         match payload {
             Payload::Empty | Payload::Scalar(_) => {}
             Payload::F64s(v) => self.recycle_f64s(v),
@@ -150,19 +150,19 @@ impl BufferPool {
     }
 
     /// Buffers currently parked.
-    pub fn parked(&self) -> usize {
+    pub(crate) fn parked(&self) -> usize {
         self.f64s.len()
     }
 
     /// Reuse counters since construction.
-    pub fn stats(&self) -> BufferPoolStats {
+    pub(crate) fn stats(&self) -> BufferPoolStats {
         self.stats
     }
 }
 
 /// An in-flight message.
 #[derive(Debug, Clone)]
-pub struct Message {
+pub(crate) struct Message {
     /// Matching tag (see [`Tag`]).
     pub tag: u64,
     /// Modeled arrival time at the receiver (sender clock at injection plus
@@ -178,7 +178,7 @@ impl Message {
     /// This is the condition `Ctx::try_recv` checks before handing a
     /// physically delivered message over at zero modeled cost.
     #[inline]
-    pub fn has_arrived(&self, now: f64) -> bool {
+    pub(crate) fn has_arrived(&self, now: f64) -> bool {
         self.arrival <= now
     }
 }

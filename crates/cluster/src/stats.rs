@@ -81,7 +81,7 @@ impl Phase {
     }
 
     /// True for the three recovery phases.
-    pub fn is_recovery(self) -> bool {
+    pub(crate) fn is_recovery(self) -> bool {
         matches!(
             self,
             Phase::RecoveryGather | Phase::RecoveryInner | Phase::RecoveryReset
@@ -163,7 +163,7 @@ impl RankStats {
     }
 
     /// Element-wise accumulation (for aggregating across ranks).
-    pub fn merge(&mut self, other: &RankStats) {
+    pub(crate) fn merge(&mut self, other: &RankStats) {
         for i in 0..N_PHASES {
             self.flops[i] += other.flops[i];
             self.msgs_sent[i] += other.msgs_sent[i];

@@ -50,7 +50,7 @@ pub enum TraceConfig {
 impl TraceConfig {
     /// True unless the level is [`TraceConfig::Off`].
     #[inline]
-    pub fn enabled(self) -> bool {
+    pub(crate) fn enabled(self) -> bool {
         !matches!(self, TraceConfig::Off)
     }
 }
@@ -77,7 +77,7 @@ pub enum InstantKind {
 
 impl InstantKind {
     /// Stable kebab-case name used in rendered artifacts.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             InstantKind::Iteration => "iteration",
             InstantKind::FailureTrigger => "failure",
@@ -91,7 +91,7 @@ impl InstantKind {
 }
 
 /// Stable name for a wire-tag kind (`tag >> 32`), mirroring [`crate::Tag`].
-pub fn tag_kind_name(kind: u32) -> &'static str {
+pub(crate) fn tag_kind_name(kind: u32) -> &'static str {
     match kind {
         1 => "reduce",
         2 => "bcast",
@@ -115,7 +115,7 @@ pub enum TraceEvent {
     /// A contiguous interval during which the rank was in `phase`.
     /// Phase spans tile the rank's timeline exactly: the first span starts at
     /// bitwise `0.0`, each span starts where the previous ended, and the last
-    /// span ends at the rank's final clock ([`check_phase_coverage`]).
+    /// span ends at the rank's final clock (`check_phase_coverage`).
     PhaseSpan {
         /// The phase the rank was in.
         phase: Phase,
@@ -149,7 +149,7 @@ pub enum TraceEvent {
     Send {
         /// Destination rank.
         peer: usize,
-        /// High 32 bits of the message tag (see [`tag_kind_name`]).
+        /// High 32 bits of the message tag (see `tag_kind_name`).
         tag_kind: u32,
         /// Payload size.
         bytes: usize,
@@ -162,7 +162,7 @@ pub enum TraceEvent {
     Recv {
         /// Source rank.
         peer: usize,
-        /// High 32 bits of the message tag (see [`tag_kind_name`]).
+        /// High 32 bits of the message tag (see `tag_kind_name`).
         tag_kind: u32,
         /// Payload size.
         bytes: usize,
@@ -181,7 +181,7 @@ pub enum TraceEvent {
 /// `start == end`). [`TraceRecorder::finish`] closes the final span at the
 /// rank's final clock.
 #[derive(Debug)]
-pub struct TraceRecorder {
+pub(crate) struct TraceRecorder {
     level: TraceConfig,
     events: Vec<TraceEvent>,
     open_phase: Phase,
@@ -190,7 +190,7 @@ pub struct TraceRecorder {
 
 impl TraceRecorder {
     /// A recorder starting in `Phase::Setup` at clock `0.0`.
-    pub fn new(level: TraceConfig) -> Self {
+    pub(crate) fn new(level: TraceConfig) -> Self {
         TraceRecorder {
             level,
             events: Vec::new(),
@@ -201,13 +201,13 @@ impl TraceRecorder {
 
     /// The configured capture level.
     #[inline]
-    pub fn level(&self) -> TraceConfig {
+    pub(crate) fn level(&self) -> TraceConfig {
         self.level
     }
 
     /// Record a phase transition at `clock`, closing the open span.
     #[inline]
-    pub fn on_phase(&mut self, phase: Phase, clock: f64) {
+    pub(crate) fn on_phase(&mut self, phase: Phase, clock: f64) {
         if !self.level.enabled() || phase == self.open_phase {
             return;
         }
@@ -224,7 +224,7 @@ impl TraceRecorder {
 
     /// Record a logical instant (at `Spans` and above).
     #[inline]
-    pub fn instant(&mut self, kind: InstantKind, arg: u64, clock: f64) {
+    pub(crate) fn instant(&mut self, kind: InstantKind, arg: u64, clock: f64) {
         if self.level.enabled() {
             self.events.push(TraceEvent::Instant {
                 kind,
@@ -236,7 +236,7 @@ impl TraceRecorder {
 
     /// Record a recovery span (at `Spans` and above).
     #[inline]
-    pub fn recovery(&mut self, start: f64, end: f64) {
+    pub(crate) fn recovery(&mut self, start: f64, end: f64) {
         if self.level.enabled() {
             self.events.push(TraceEvent::RecoverySpan { start, end });
         }
@@ -244,7 +244,7 @@ impl TraceRecorder {
 
     /// Record a point-to-point send (at `Full` only).
     #[inline]
-    pub fn send(&mut self, peer: usize, tag: u64, bytes: usize, clock: f64) {
+    pub(crate) fn send(&mut self, peer: usize, tag: u64, bytes: usize, clock: f64) {
         if self.level == TraceConfig::Full {
             self.events.push(TraceEvent::Send {
                 peer,
@@ -257,7 +257,7 @@ impl TraceRecorder {
 
     /// Record a point-to-point receive completion (at `Full` only).
     #[inline]
-    pub fn recv(&mut self, peer: usize, tag: u64, bytes: usize, wait: f64, clock: f64) {
+    pub(crate) fn recv(&mut self, peer: usize, tag: u64, bytes: usize, wait: f64, clock: f64) {
         if self.level == TraceConfig::Full {
             self.events.push(TraceEvent::Recv {
                 peer,
@@ -271,7 +271,7 @@ impl TraceRecorder {
 
     /// Close the open phase span at the rank's final clock and return the
     /// event log.
-    pub fn finish(mut self, clock: f64) -> Vec<TraceEvent> {
+    pub(crate) fn finish(mut self, clock: f64) -> Vec<TraceEvent> {
         if self.level.enabled() && clock > self.open_start {
             self.events.push(TraceEvent::PhaseSpan {
                 phase: self.open_phase,
@@ -306,7 +306,7 @@ pub struct MergedTrace {
 /// bitwise `0.0`, each span to start bitwise where the previous ended, and
 /// the last span to end bitwise at `final_clock`. Dropped zero-width spans
 /// cannot break this (they satisfied `start == end`).
-pub fn check_phase_coverage(events: &[TraceEvent], final_clock: f64) -> Result<(), String> {
+pub(crate) fn check_phase_coverage(events: &[TraceEvent], final_clock: f64) -> Result<(), String> {
     let mut cursor = 0.0f64;
     for ev in events {
         if let TraceEvent::PhaseSpan { phase, start, end } = ev {
@@ -339,7 +339,7 @@ pub fn check_phase_coverage(events: &[TraceEvent], final_clock: f64) -> Result<(
 /// replays the setup phases inside its recovery window, so this check only
 /// holds for runs whose failures all found a recovery point (which is what
 /// the determinism tests and the trace-replay drill assert).
-pub fn check_recovery_attribution(events: &[TraceEvent]) -> Result<(), String> {
+pub(crate) fn check_recovery_attribution(events: &[TraceEvent]) -> Result<(), String> {
     let recoveries: Vec<(f64, f64)> = events
         .iter()
         .filter_map(|ev| match ev {
@@ -380,7 +380,7 @@ impl MergedTrace {
         Ok(())
     }
 
-    /// Run [`check_recovery_attribution`] on every rank (see its caveat on
+    /// Run `check_recovery_attribution` on every rank (see its caveat on
     /// full restarts).
     pub fn validate_recovery_attribution(&self) -> Result<(), String> {
         for rt in &self.ranks {
@@ -390,7 +390,7 @@ impl MergedTrace {
     }
 
     /// Total number of recorded events across ranks.
-    pub fn event_count(&self) -> usize {
+    pub(crate) fn event_count(&self) -> usize {
         self.ranks.iter().map(|r| r.events.len()).sum()
     }
 

@@ -15,7 +15,7 @@
 //!   extra entries `Rc(s,k)` to send on top of the SpMV traffic. They are
 //!   no second protocol: the halo exchange runs over the augmented index
 //!   sets `I′(s,d) = I(s,d) ∪ Rc(s,k)`
-//!   ([`PlanView::augmented_by`](crate::dist::halo::PlanView::augmented_by)),
+//!   (`PlanView::augmented_by`),
 //!   so a top-up travels inside the halo message its destination receives
 //!   anyway — behind the halo entries, as values in the order of the static
 //!   lists both ends hold — and only a designated destination that is no
@@ -53,7 +53,7 @@ pub struct BuddyMap {
 
 /// Paper Eq. 1: `d(s,k) = (s + ⌈k/2⌉) mod N` for odd `k`,
 /// `(s − k/2) mod N` for even `k`.
-pub fn designated_destination(s: usize, k: usize, n_ranks: usize) -> usize {
+pub(crate) fn designated_destination(s: usize, k: usize, n_ranks: usize) -> usize {
     debug_assert!(k >= 1, "k is 1-based");
     if k % 2 == 1 {
         (s + k.div_ceil(2)) % n_ranks
@@ -130,7 +130,7 @@ impl BuddyMap {
     /// `None` if all of them failed (impossible for `|failed| <= phi` since
     /// the buddies are φ distinct ranks other than `s`... unless `s` itself
     /// is counted; callers pass the full failure set).
-    pub fn first_surviving_buddy(&self, s: usize, failed: &[usize]) -> Option<usize> {
+    pub(crate) fn first_surviving_buddy(&self, s: usize, failed: &[usize]) -> Option<usize> {
         self.out[s].iter().copied().find(|d| !failed.contains(d))
     }
 }
@@ -233,7 +233,7 @@ impl AspmvPlan {
     }
 
     /// Ranks that send extras to `rank` (sorted).
-    pub fn extra_sources_of(&self, rank: usize) -> &[usize] {
+    pub(crate) fn extra_sources_of(&self, rank: usize) -> &[usize] {
         &self.extra_recv[rank]
     }
 

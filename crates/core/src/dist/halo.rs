@@ -1,13 +1,13 @@
 //! The halo exchange: materializes a full-length input vector on every rank
 //! before a distributed SpMV, following a [`CommPlan`]. Payload buffers are
-//! pooled ([`esrcg_cluster::BufferPool`]): each send takes a recycled
+//! pooled (`esrcg_cluster::BufferPool`): each send takes a recycled
 //! buffer, each receive returns one, so the per-iteration exchange is
 //! allocation-free at steady state.
 //!
-//! The exchange is **split-phase**: [`HaloExchange::start_view`] copies the
+//! The exchange is **split-phase**: `HaloExchange::start_view` copies the
 //! owned chunk into the gather buffer and fires all sends, then the caller
 //! computes whatever does not depend on the halo (interior SpMV rows, see
-//! [`esrcg_sparse::RowSplit`]), then [`HaloExchange::finish_view`] drains the
+//! [`esrcg_sparse::RowSplit`]), then `HaloExchange::finish_view` drains the
 //! receives. On the modeled clock, receives synchronize to each message's
 //! arrival time instead of adding a wait, so a split-phase SpMV pays
 //! `max(halo transfer, interior compute)` where the blocking form pays the
@@ -15,7 +15,7 @@
 //! solver path calls it — it is the oracle the split-phase tests compare
 //! against, and the entry point of the `benchmark` package's halo probe.
 //!
-//! The exchange is generic over a [`PlanView`] — the full plan, the plan
+//! The exchange is generic over a `PlanView` — the full plan, the plan
 //! restricted to the peers a predicate accepts, either one topped up by an
 //! [`AspmvPlan`] — and over the wire tag, so one code path serves both
 //! exchanges of the outer loop: the SpMV halo and the **augmented** SpMV
@@ -24,7 +24,7 @@
 //! when the search direction rides the SpMV, under `Tag::PipelinedP` /
 //! `Tag::SStepBasis` when a recurrence ships it explicitly). The recovery
 //! inner solve reads the same index lists in its own member rounds, which
-//! carry dot partials too ([`crate::solver::recovery`]).
+//! carry dot partials too (`crate::solver::recovery`).
 
 use esrcg_cluster::{Ctx, Payload, Tag};
 use esrcg_sparse::Partition;
@@ -46,7 +46,7 @@ use crate::queue::Capture;
 /// data of an augmented exchange is the plan's and the [`AspmvPlan`]'s) —
 /// and a designated destination that is no halo peer gets a message of the
 /// second list alone.
-pub struct PlanView<'a> {
+pub(crate) struct PlanView<'a> {
     plan: &'a CommPlan,
     top_ups: Option<&'a AspmvPlan>,
     filter: Option<&'a dyn Fn(usize) -> bool>,
@@ -83,7 +83,7 @@ fn lists(of_rank: &[(usize, Vec<usize>)]) -> impl Iterator<Item = (usize, &[usiz
 
 impl<'a> PlanView<'a> {
     /// The unrestricted plan — what the regular SpMV halo uses.
-    pub fn full(plan: &'a CommPlan) -> Self {
+    pub(crate) fn full(plan: &'a CommPlan) -> Self {
         PlanView {
             plan,
             top_ups: None,
@@ -94,7 +94,7 @@ impl<'a> PlanView<'a> {
     /// The plan restricted to peers for which `filter` returns true. The
     /// calling rank itself never appears as a peer, so the predicate is
     /// only consulted for remote ranks.
-    pub fn filtered(plan: &'a CommPlan, filter: &'a dyn Fn(usize) -> bool) -> Self {
+    pub(crate) fn filtered(plan: &'a CommPlan, filter: &'a dyn Fn(usize) -> bool) -> Self {
         PlanView {
             plan,
             top_ups: None,
@@ -105,7 +105,7 @@ impl<'a> PlanView<'a> {
     /// This view over the augmented index sets `I′(s,d) = I(s,d) ∪ Rc(s,k)`
     /// of paper §2.2 — the exchange of the ASpMV. A filter applies to the
     /// top-ups' peers as it does to the plan's.
-    pub fn augmented_by(self, top_ups: &'a AspmvPlan) -> Self {
+    pub(crate) fn augmented_by(self, top_ups: &'a AspmvPlan) -> Self {
         PlanView {
             top_ups: Some(top_ups),
             ..self
@@ -118,13 +118,13 @@ impl<'a> PlanView<'a> {
     }
 
     /// The accepted sends of `rank`, in destination order.
-    pub fn sends_of(&self, rank: usize) -> impl Iterator<Item = PeerLists<'a>> + '_ {
+    pub(crate) fn sends_of(&self, rank: usize) -> impl Iterator<Item = PeerLists<'a>> + '_ {
         let top_ups = self.top_ups.map(|t| lists(t.extras_of(rank)));
         self.peers(lists(self.plan.sends_of(rank)), top_ups)
     }
 
     /// The accepted receives of `rank`, in source order.
-    pub fn recvs_of(&self, rank: usize) -> impl Iterator<Item = PeerLists<'a>> + '_ {
+    pub(crate) fn recvs_of(&self, rank: usize) -> impl Iterator<Item = PeerLists<'a>> + '_ {
         let top_ups = self.top_ups.map(|t| {
             let sources = t.extra_sources_of(rank).iter();
             sources.map(move |&src| (src, t.extras_to(src, rank)))
@@ -177,7 +177,7 @@ impl<'a> PlanView<'a> {
 /// caller is free to use the context and the gather buffer in between.
 #[must_use = "a started halo exchange must be finished, or its receives leak into later iterations"]
 #[derive(Debug)]
-pub struct HaloExchange {
+pub(crate) struct HaloExchange {
     tag: u64,
 }
 
@@ -196,7 +196,7 @@ impl HaloExchange {
     /// # Panics
     /// Panics if `local` does not match the rank's range length or `full`
     /// the global size.
-    pub fn start_view(
+    pub(crate) fn start_view(
         ctx: &mut Ctx,
         view: &PlanView<'_>,
         part: &Partition,
@@ -246,7 +246,7 @@ impl HaloExchange {
     /// Panics if a received payload does not match the plan's index list —
     /// a wrong-length halo payload is a protocol violation, checked in
     /// release builds too.
-    pub fn finish_view(
+    pub(crate) fn finish_view(
         self,
         ctx: &mut Ctx,
         view: &PlanView<'_>,
@@ -293,8 +293,8 @@ impl HaloExchange {
 
 /// Exchanges halo entries of a distributed vector and scatters them into
 /// `full`, a full-length scratch vector — the blocking exchange over the
-/// whole plan under `Tag::Halo.with(tag_sub)`: [`HaloExchange::start_view`]
-/// then [`HaloExchange::finish_view`] (see there for the protocol details).
+/// whole plan under `Tag::Halo.with(tag_sub)`: `HaloExchange::start_view`
+/// then `HaloExchange::finish_view` (see there for the protocol details).
 /// The oracle of the split-phase tests (this module's and `solver`'s) and
 /// the `benchmark` probe's entry point; the solver itself always overlaps.
 ///

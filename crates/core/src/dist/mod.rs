@@ -5,7 +5,7 @@
 //! then needs, on each rank, the input-vector entries for every column its
 //! rows touch. [`plan::CommPlan`] precomputes exactly that traffic — which
 //! global indices each rank sends to and receives from each other rank —
-//! once per matrix, and [`halo::HaloExchange`] executes it each iteration.
+//! once per matrix, and `halo::HaloExchange` executes it each iteration.
 //!
 //! The plan is also the substrate of the ASpMV augmentation
 //! ([`crate::aspmv`]): the paper's multiplicities `m(i)` count how many

@@ -91,19 +91,19 @@ impl CommPlan {
     }
 
     /// Number of ranks.
-    pub fn n_ranks(&self) -> usize {
+    pub(crate) fn n_ranks(&self) -> usize {
         self.n_ranks
     }
 
     /// The sends of `rank`: `(destination, sorted global indices)`, sorted
     /// by destination.
-    pub fn sends_of(&self, rank: usize) -> &[(usize, Vec<usize>)] {
+    pub(crate) fn sends_of(&self, rank: usize) -> &[(usize, Vec<usize>)] {
         &self.sends[rank]
     }
 
     /// The receives of `rank`: `(source, sorted global indices)`, sorted by
     /// source.
-    pub fn recvs_of(&self, rank: usize) -> &[(usize, Vec<usize>)] {
+    pub(crate) fn recvs_of(&self, rank: usize) -> &[(usize, Vec<usize>)] {
         &self.recvs[rank]
     }
 
@@ -124,7 +124,7 @@ impl CommPlan {
 
     /// The paper's `m(i)`: how many distinct non-owner ranks receive entry
     /// `i` during one regular SpMV.
-    pub fn multiplicity(&self, i: usize) -> u32 {
+    pub(crate) fn multiplicity(&self, i: usize) -> u32 {
         self.multiplicity[i]
     }
 

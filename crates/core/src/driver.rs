@@ -26,7 +26,8 @@ use esrcg_sparse::gen;
 use esrcg_sparse::{CsrMatrix, KernelBackend, SpmvFormat};
 
 use crate::solver::recovery::RecoveryOutcome;
-use crate::solver::{solve_node, PcgVariant, RecoveryRule, SharedProblem, SolverConfig, TuneEvent};
+use crate::solver::tuning::TuneEvent;
+use crate::solver::{solve_node, PcgVariant, RecoveryRule, SharedProblem, SolverConfig};
 use crate::strategy::{IntervalPolicy, Resilience, Strategy};
 
 /// Where the system matrix comes from.
@@ -91,8 +92,8 @@ impl MatrixSource {
     /// Materializes the matrix.
     ///
     /// # Errors
-    /// Returns I/O and parse failures for [`MatrixSource::File`]
-    /// (stringified).
+    /// Returns I/O and parse failures for [`MatrixSource::File`], and the
+    /// first asymmetric pair of a file PCG cannot solve (stringified).
     pub fn build(&self) -> Result<CsrMatrix, String> {
         Ok(match self {
             MatrixSource::Poisson2d { nx, ny } => gen::poisson2d(*nx, *ny),
@@ -106,7 +107,10 @@ impl MatrixSource {
                 seed,
             } => gen::banded_spd(*n, *bandwidth, *density, *seed),
             MatrixSource::File(path) => {
-                esrcg_sparse::mm::read_matrix_market_file(path).map_err(|e| e.to_string())?
+                let a =
+                    esrcg_sparse::mm::read_matrix_market_file(path).map_err(|e| e.to_string())?;
+                a.check_symmetric(0.0).map_err(|e| e.to_string())?;
+                a
             }
             MatrixSource::Shared(a) => (**a).clone(),
         })
@@ -128,7 +132,8 @@ impl MatrixSource {
     }
 
     /// Short name for reports.
-    pub fn name(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             MatrixSource::Poisson2d { .. } => "poisson2d",
             MatrixSource::Poisson3d { .. } => "poisson3d",
@@ -336,7 +341,7 @@ impl Experiment {
     }
 
     /// Selects the SpMV storage format (default: [`SpmvFormat::Csr`]).
-    /// All formats are bitwise identical (see [`esrcg_sparse::format`]);
+    /// All formats are bitwise identical (see `esrcg_sparse::format`);
     /// non-CSR formats are converted once per problem and cached in the
     /// shared problem. [`Experiment::reference`] preserves the format, so
     /// overheads are always measured against a matched baseline.
@@ -708,6 +713,24 @@ mod tests {
         let from_file = MatrixSource::File(path.clone()).build().unwrap();
         assert_eq!(from_file, a);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_non_symmetric_file_is_rejected() {
+        let dir = std::env::temp_dir().join("esrcg_driver_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("general.mtx");
+        let text = "%%MatrixMarket matrix coordinate real general\n\
+                    2 2 4\n1 1 4.0\n1 2 1.0\n2 1 2.0\n2 2 4.0\n";
+        std::fs::write(&path, text).unwrap();
+        let err = Experiment::builder()
+            .matrix(MatrixSource::File(path.clone()))
+            .n_ranks(1)
+            .run()
+            .unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("not symmetric"), "{err}");
+        assert!(err.contains("A[0,1]") || err.contains("A[1,0]"), "{err}");
     }
 
     #[test]

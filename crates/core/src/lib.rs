@@ -23,7 +23,7 @@
 //!   with the ESR reconstruction (paper Alg. 2) and IMCR recovery; its hot
 //!   paths run on a selectable [`esrcg_sparse::KernelBackend`]
 //!   (`SolverConfig::backend`) and reuse per-rank
-//!   [`solver::SolverWorkspace`] buffers and per-failure-domain caches
+//!   `solver::SolverWorkspace` buffers and per-failure-domain caches
 //!   instead of allocating per iteration or per recovery,
 //! * [`driver`] — the experiment driver that runs reference/failure-free/
 //!   failure experiments and reports the paper's overhead metrics.
@@ -56,5 +56,6 @@ pub mod solver;
 pub mod strategy;
 
 pub use driver::{Experiment, RunReport};
-pub use solver::{PcgVariant, RecoveryRule, TuneEvent};
+pub use solver::tuning::TuneEvent;
+pub use solver::{PcgVariant, RecoveryRule};
 pub use strategy::{IntervalPolicy, Resilience, Strategy};

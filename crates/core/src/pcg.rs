@@ -4,7 +4,7 @@
 //! solver against (`solver::tests`, `tests/determinism.rs`); it counts its
 //! own flops. It is *not* the inner solver of the ESR reconstruction: paper
 //! Alg. 2 line 8 is `solve_lost_x` in
-//! [`crate::solver::recovery`], a PCG over the replacement ranks.
+//! `crate::solver::recovery`, a PCG over the replacement ranks.
 //!
 //! Everything here runs in a single address space — there is no halo
 //! exchange, so the split-phase SpMV scheduling of the distributed solver

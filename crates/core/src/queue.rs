@@ -53,7 +53,7 @@ pub struct RedundancyQueue {
 }
 
 /// Queue capacity: the paper's three slots.
-pub const QUEUE_DEPTH: usize = 3;
+pub(crate) const QUEUE_DEPTH: usize = 3;
 
 impl RedundancyQueue {
     /// An empty queue (`Q = [_, _, _]` in the paper's notation).
@@ -89,12 +89,14 @@ impl RedundancyQueue {
     }
 
     /// Number of occupied slots (≤ 3).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// True if no slot is occupied.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
 

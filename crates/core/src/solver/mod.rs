@@ -9,12 +9,12 @@
 
 mod classic;
 mod pipelined;
-pub mod recovery;
+pub(crate) mod recovery;
 mod reduction_log;
 mod sstep;
-pub mod state;
-pub mod tuning;
-pub mod workspace;
+pub(crate) mod state;
+pub(crate) mod tuning;
+pub(crate) mod workspace;
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -33,9 +33,9 @@ use crate::strategy::{IntervalPolicy, Strategy};
 use recovery::{reconstruct_pending, recover, RecoveryOutcome};
 use reduction_log::ReductionLog;
 use state::{checkpoint_blob_len, NodeState, Snapshot};
-pub use tuning::TuneEvent;
+use tuning::TuneEvent;
 use tuning::{IntervalSchedule, IntervalTuner};
-pub use workspace::SolverWorkspace;
+use workspace::SolverWorkspace;
 
 /// Halo-exchange tag used during (re)initialization.
 const INIT_TAG: u32 = u32::MAX - 1;
@@ -125,8 +125,8 @@ pub enum RecoveryRule {
     /// to ‖w − A_KK x_K‖ ≤ η · rtol · ‖b‖ (η = 0.01, `rtol` the outer
     /// tolerance [`SolverConfig::rtol`]). A lone replacement with no pending
     /// neighbour solves at once, to the same target: its inner solve sends no
-    /// message, while a deferred one would join a subgroup that pays a halo
-    /// round and an all-gather per inner iteration. A full restart empties U.
+    /// message, while a deferred one would join a component that pays one
+    /// member round per inner iteration. A full restart empties U.
     ///
     /// Every rank logs the loop's reduction results since the current
     /// rollback target, and the trips a rollback redoes take them from the
@@ -147,7 +147,7 @@ pub struct SolverConfig {
     /// How the strategy's interval T evolves over the run: held fixed
     /// (the default, bitwise-legacy behavior) or re-tuned to the measured
     /// Daly/Young optimum at recovery points (see
-    /// [`tuning::IntervalTuner`](crate::solver::tuning)).
+    /// `tuning::IntervalTuner`).
     pub interval_policy: IntervalPolicy,
     /// Number of simultaneous node failures to tolerate (φ). Ignored for
     /// `Strategy::None`.
@@ -188,7 +188,7 @@ pub struct SolverConfig {
     pub variant: PcgVariant,
     /// Which storage format the SpMV hot loops use. Defaults to
     /// [`SpmvFormat::Csr`]; all formats are bitwise identical (see
-    /// [`esrcg_sparse::format`]), so this only changes speed, never
+    /// `esrcg_sparse::format`), so this only changes speed, never
     /// results. Non-CSR formats are converted once per problem into the
     /// [`SharedProblem`]'s format cache.
     pub spmv_format: SpmvFormat,
@@ -220,7 +220,7 @@ impl SolverConfig {
     ///
     /// # Errors
     /// Returns a human-readable description of the first problem found.
-    pub fn validate(&self, n_ranks: usize) -> Result<(), String> {
+    pub(crate) fn validate(&self, n_ranks: usize) -> Result<(), String> {
         self.strategy.validate()?;
         self.interval_policy.validate()?;
         self.spmv_format.validate()?;
@@ -691,7 +691,7 @@ fn analytic_round_cost_mean(ctx: &Ctx, shared: &SharedProblem, st: &NodeState) -
 /// dispatching on the configured [`PcgVariant`].
 ///
 /// # Panics
-/// Panics on configuration errors (call [`SolverConfig::validate`] first),
+/// Panics on configuration errors (call `SolverConfig::validate` first),
 /// protocol violations, and unrecoverable failures (e.g. ψ > φ).
 pub fn solve_node(ctx: &mut Ctx, shared: &SharedProblem) -> NodeOutcome {
     match shared.cfg.variant {

@@ -35,7 +35,7 @@ pub(crate) struct PipelinedAux {
 }
 
 impl PipelinedAux {
-    pub fn new(nloc: usize) -> Self {
+    pub(crate) fn new(nloc: usize) -> Self {
         PipelinedAux {
             w: vec![0.0; nloc],
             h: vec![0.0; nloc],
@@ -97,7 +97,7 @@ pub(crate) struct SStepAux {
 impl SStepAux {
     /// Workspace for block size `s` on a node owning `nloc` indices.
     /// All later solver work is allocation-free against these buffers.
-    pub fn new(s: usize, nloc: usize) -> Self {
+    pub(crate) fn new(s: usize, nloc: usize) -> Self {
         let nv = 2 * s + 1;
         let nw = 2 * s - 1;
         SStepAux {
@@ -187,7 +187,7 @@ pub(crate) struct NodeState {
 
 impl NodeState {
     /// Fresh (pre-initialization) state for a node owning `nloc` indices.
-    pub fn new(nloc: usize) -> Self {
+    pub(crate) fn new(nloc: usize) -> Self {
         NodeState {
             x: vec![0.0; nloc],
             r: vec![0.0; nloc],
@@ -204,7 +204,7 @@ impl NodeState {
     }
 
     /// Fresh state carrying the pipelined auxiliary vectors.
-    pub fn new_pipelined(nloc: usize) -> Self {
+    pub(crate) fn new_pipelined(nloc: usize) -> Self {
         let mut st = NodeState::new(nloc);
         st.aux = Some(Box::new(PipelinedAux::new(nloc)));
         st
@@ -213,7 +213,7 @@ impl NodeState {
     /// Simulates the node failure exactly as the paper does (§4): zero out
     /// every vector entry and scalar, and drop all redundant/checkpoint
     /// data residing on this node.
-    pub fn wipe(&mut self) {
+    pub(crate) fn wipe(&mut self) {
         self.x.fill(0.0);
         self.r.fill(0.0);
         self.z.fill(0.0);
@@ -242,7 +242,7 @@ impl NodeState {
     /// rollback restores the full recurrence bitwise. The previous copy is
     /// overwritten in place, so only the first one (and the first after a
     /// [`NodeState::wipe`]) allocates.
-    pub fn take_snapshot(&mut self, iter: usize, with_aux: bool) {
+    pub(crate) fn take_snapshot(&mut self, iter: usize, with_aux: bool) {
         let mut snap = self.snapshot.take().unwrap_or_default();
         snap.iter = iter;
         snap.rz = self.rz;
@@ -256,7 +256,7 @@ impl NodeState {
     /// # Panics
     /// Panics if there is none — callers must have established that a
     /// storage stage or checkpoint round completed.
-    pub fn rollback_to_snapshot(&mut self) {
+    pub(crate) fn rollback_to_snapshot(&mut self) {
         let snap = self.snapshot.take().expect("rollback requires a snapshot");
         self.restore_from_blob(&snap.blob);
         self.rz = snap.rz;
@@ -269,7 +269,7 @@ impl NodeState {
     /// [`checkpoint_blob_len`]'s: the classic part `[x; r; z; p]`, the
     /// pipelined vectors `[q; w; h; g]` if the state has them and `with_aux`
     /// asks for them, then the scalars (β, and with the vectors γ and pᵀAp).
-    pub fn checkpoint_blob_into(&self, with_aux: bool, blob: &mut Vec<f64>) {
+    pub(crate) fn checkpoint_blob_into(&self, with_aux: bool, blob: &mut Vec<f64>) {
         let aux = self.aux.as_ref().filter(|_| with_aux);
         blob.clear();
         blob.reserve(checkpoint_blob_len(self.x.len(), aux.is_some()));
@@ -298,7 +298,7 @@ impl NodeState {
     ///
     /// # Panics
     /// Panics if the blob length is neither layout's for this state.
-    pub fn restore_from_blob(&mut self, blob: &[f64]) {
+    pub(crate) fn restore_from_blob(&mut self, blob: &[f64]) {
         let nloc = self.x.len();
         let with_aux = self.aux.is_some() && blob.len() != checkpoint_blob_len(nloc, false);
         assert_eq!(

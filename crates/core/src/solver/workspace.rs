@@ -35,7 +35,7 @@ use crate::solver::SharedProblem;
 /// Per-rank scratch memory for the solver's recovery path. Create once per
 /// [`solve_node`](crate::solver::solve_node) call; all recoveries reuse it.
 #[derive(Default)]
-pub struct SolverWorkspace {
+pub(crate) struct SolverWorkspace {
     /// Reusable reconstruction buffers.
     pub(crate) scratch: RecoveryScratch,
     /// Cached structures keyed by the sorted failed-rank set.
@@ -46,7 +46,7 @@ pub struct SolverWorkspace {
 
 impl SolverWorkspace {
     /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SolverWorkspace::default()
     }
 }
@@ -79,7 +79,7 @@ pub(crate) struct RecoveryScratch {
 impl RecoveryScratch {
     /// Sizes every buffer for a rank owning `nloc` rows and zeroes the ones
     /// recovery reads before writing.
-    pub fn prepare(&mut self, nloc: usize) {
+    pub(crate) fn prepare(&mut self, nloc: usize) {
         resize_zeroed(&mut self.p_prev, nloc);
         resize_zeroed(&mut self.p_cur, nloc);
         self.cov.clear();
@@ -119,7 +119,7 @@ impl DomainCache {
     /// Builds the cache for this rank's `own_rows` under the failure domain
     /// `failed_sorted`. Pure static-data extraction (the paper treats static
     /// reloads as free), so no flops are charged.
-    pub fn build(
+    pub(crate) fn build(
         a: &CsrMatrix,
         part: &Partition,
         own_rows: &[usize],

@@ -105,7 +105,7 @@ impl Strategy {
     }
 
     /// True for classic ESR (every-iteration storage).
-    pub fn is_esr(&self) -> bool {
+    pub(crate) fn is_esr(&self) -> bool {
         matches!(self, Strategy::Esrp { t: 1 })
     }
 
@@ -157,7 +157,7 @@ pub enum IntervalPolicy {
 
 impl IntervalPolicy {
     /// True for the adaptive policy.
-    pub fn is_adaptive(&self) -> bool {
+    pub(crate) fn is_adaptive(&self) -> bool {
         matches!(self, IntervalPolicy::Adaptive { .. })
     }
 
@@ -226,7 +226,8 @@ impl Resilience {
     /// # Errors
     /// Returns strategy/policy validation failures, or a description of an
     /// adaptive policy on `Strategy::None` (there is nothing to tune).
-    pub fn validate(&self) -> Result<(), String> {
+    #[cfg(test)]
+    pub(crate) fn validate(&self) -> Result<(), String> {
         self.strategy.validate()?;
         self.policy.validate()?;
         if self.policy.is_adaptive() && self.strategy == Strategy::None {

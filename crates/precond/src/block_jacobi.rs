@@ -181,7 +181,8 @@ impl BlockJacobiPrecond {
     }
 
     /// Number of blocks.
-    pub fn n_blocks(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_blocks(&self) -> usize {
         self.groups.iter().map(|g| g.lanes).sum()
     }
 

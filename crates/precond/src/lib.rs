@@ -19,10 +19,10 @@
 //! part of recovery is the `A[I_f, I_f]` inner solve, exactly as the paper
 //! reports.
 
-pub mod block_jacobi;
-pub mod jacobi;
-pub mod spec;
-pub mod traits;
+mod block_jacobi;
+mod jacobi;
+mod spec;
+mod traits;
 
 pub use block_jacobi::BlockJacobiPrecond;
 pub use jacobi::JacobiPrecond;

@@ -5,7 +5,7 @@
 //! [`KernelBackend`] value. Two implementations exist:
 //!
 //! * [`KernelBackend::Sequential`] — the single-threaded reference kernels
-//!   from [`crate::csr`] and [`crate::vector`],
+//!   from `crate::csr` and [`crate::vector`],
 //! * [`KernelBackend::Parallel`] — multithreaded kernels dispatched to the
 //!   persistent thread-local [`crate::pool::WorkerPool`] (dependency-free;
 //!   the container this project is developed in has no network access, so
@@ -25,7 +25,7 @@
 //!   ([`KernelBackend::spmv_row_runs_into`]) is the same kernel applied to
 //!   each contiguous run of a [`crate::split::RowRuns`].
 //! * Reductions (`dot`) use the fixed-block tree of
-//!   [`crate::vector::REDUCTION_BLOCK`]: threads compute the partial sums of
+//!   `crate::vector::REDUCTION_BLOCK`: threads compute the partial sums of
 //!   whole blocks (the same partials the sequential kernel forms), and the
 //!   final combine adds block partials in ascending block order on one
 //!   thread. The grouping depends only on the compile-time block size, never
@@ -34,7 +34,7 @@
 //!   data flow at all.
 //!
 //! Whether a call dispatches at all is decided by constants —
-//! [`PARALLEL_CUTOFF`] rows and [`SPMV_PARALLEL_NNZ_CUTOFF`] entries for
+//! `PARALLEL_CUTOFF` rows and `SPMV_PARALLEL_NNZ_CUTOFF` entries for
 //! SpMV, [`VECTOR_PARALLEL_CUTOFF`] elements for the streaming vector
 //! kernels — and below a gate the sequential kernel runs, which by the
 //! above cannot change a bit.
@@ -126,14 +126,14 @@ where
 /// [`SPMV_PARALLEL_NNZ_CUTOFF`] entry cutoff must pass as well). Below it
 /// the sequential path is used — which is safe precisely because both
 /// paths are bit-identical.
-pub const PARALLEL_CUTOFF: usize = 8192;
+pub(crate) const PARALLEL_CUTOFF: usize = 8192;
 
 /// Minimum vector length before a *streaming* kernel (`dot`, `axpby`,
 /// `fused_axpy2`) dispatches in parallel.
 /// These kernels move 16–32 bytes per element and do one or two flops on
 /// them, so waking the parked workers (≈ 40 µs on the 2-core bench host)
 /// costs more than the sweep itself until the vectors are far longer than
-/// [`PARALLEL_CUTOFF`]. Measured `par(2)` / sequential time there: at
+/// `PARALLEL_CUTOFF`. Measured `par(2)` / sequential time there: at
 /// n = 2¹⁶ `dot` 1.59×, `axpby` 2.97×, `fused_axpy2` 1.26× (parallel
 /// loses); at 2¹⁷ 1.02×, 1.19×, 0.78× — break-even for PCG's mix of two
 /// dots, one `axpby` and one fused update; from 2¹⁸ on parallel wins on all
@@ -151,7 +151,7 @@ pub const VECTOR_PARALLEL_CUTOFF: usize = 131_072;
 /// which cannot change any bit (the backends are bitwise identical);
 /// `backend::tests::spmv_nnz_cutoff_gates_the_parallel_path` pins both
 /// sides of the gate.
-pub const SPMV_PARALLEL_NNZ_CUTOFF: usize = 200_000;
+pub(crate) const SPMV_PARALLEL_NNZ_CUTOFF: usize = 200_000;
 
 /// Detected hardware parallelism, queried once per process (the kernels
 /// consult it on every call at auto settings).
@@ -186,11 +186,6 @@ impl Default for KernelBackend {
 }
 
 impl KernelBackend {
-    /// The sequential reference backend.
-    pub fn sequential() -> Self {
-        KernelBackend::Sequential
-    }
-
     /// The parallel backend with an explicit thread count (`0` = auto).
     pub fn parallel(threads: usize) -> Self {
         KernelBackend::Parallel { threads }
@@ -269,7 +264,13 @@ impl KernelBackend {
     ///
     /// # Panics
     /// Panics on dimension mismatches or an out-of-range row range.
-    pub fn spmv_rows_into(&self, a: &CsrMatrix, rows: Range<usize>, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn spmv_rows_into(
+        &self,
+        a: &CsrMatrix,
+        rows: Range<usize>,
+        x: &[f64],
+        y: &mut [f64],
+    ) {
         assert!(rows.end <= a.nrows(), "spmv_rows: row range out of range");
         assert_eq!(x.len(), a.ncols(), "spmv_rows: x length != ncols");
         assert_eq!(y.len(), rows.len(), "spmv_rows: y length != rows.len()");
@@ -289,11 +290,11 @@ impl KernelBackend {
     /// of `rows` — the kernel of the split-phase distributed SpMV. Interior
     /// rows run while the halo is in flight, boundary rows afterwards;
     /// together the two calls write exactly what
-    /// [`KernelBackend::spmv_rows_into`] over the whole owned range writes,
+    /// `KernelBackend::spmv_rows_into` over the whole owned range writes,
     /// bit for bit, because every row is the same sequential accumulation.
     /// Positions of `y` outside the runs keep their contents.
     ///
-    /// Each run is one [`KernelBackend::spmv_rows_into`] — contiguous rows,
+    /// Each run is one `KernelBackend::spmv_rows_into` — contiguous rows,
     /// nnz-balanced by `partition_point` on the row pointer — so a call
     /// costs O(runs · log rows) on top of the products themselves. The
     /// dispatch gates therefore apply per run: this is as fast as the
@@ -489,7 +490,7 @@ impl KernelBackend {
     }
 
     /// The fused PCG iterate update: `x ← x + alpha·p`, `r ← r − alpha·q`
-    /// in one sweep (see [`vector::fused_axpy2`]). Elementwise, so
+    /// in one sweep (see `vector::fused_axpy2`). Elementwise, so
     /// chunk-parallel without any reduction.
     ///
     /// # Panics

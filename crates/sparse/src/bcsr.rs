@@ -27,7 +27,7 @@ use crate::csr::CsrMatrix;
 /// Upper bound on each block dimension (`r·c ≤ 64` keeps the occupancy
 /// mask in one `u64`; the generic kernel's accumulator lives on the
 /// stack).
-pub const MAX_BCSR_DIM: usize = 8;
+pub(crate) const MAX_BCSR_DIM: usize = 8;
 
 /// A row list stored as masked dense `r × c` blocks. See the module docs.
 #[derive(Debug, Clone)]
@@ -55,7 +55,8 @@ impl BcsrMatrix {
     ///
     /// # Panics
     /// See [`BcsrMatrix::from_rows`].
-    pub fn from_csr(a: &CsrMatrix, r: usize, c: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_csr(a: &CsrMatrix, r: usize, c: usize) -> Self {
         let rows: Vec<usize> = (0..a.nrows()).collect();
         Self::from_rows(a, &rows, &rows, r, c)
     }
@@ -68,7 +69,13 @@ impl BcsrMatrix {
     /// Panics if a block dimension is 0 or exceeds [`MAX_BCSR_DIM`], the
     /// lists differ in length, or `out` is not strictly increasing (the
     /// parallel backend's output disjointness depends on it).
-    pub fn from_rows(a: &CsrMatrix, rows: &[usize], out: &[usize], r: usize, c: usize) -> Self {
+    pub(crate) fn from_rows(
+        a: &CsrMatrix,
+        rows: &[usize],
+        out: &[usize],
+        r: usize,
+        c: usize,
+    ) -> Self {
         assert!(
             (1..=MAX_BCSR_DIM).contains(&r) && (1..=MAX_BCSR_DIM).contains(&c),
             "bcsr: block dims must be in 1..={MAX_BCSR_DIM}"
@@ -134,43 +141,35 @@ impl BcsrMatrix {
     }
 
     /// Block height `r`.
-    pub fn r(&self) -> usize {
+    pub(crate) fn r(&self) -> usize {
         self.r
     }
 
-    /// Block width `c`.
-    pub fn c(&self) -> usize {
-        self.c
-    }
-
     /// Number of columns of the source matrix.
-    pub fn ncols(&self) -> usize {
+    pub(crate) fn ncols(&self) -> usize {
         self.ncols
     }
 
     /// Stored (structural) entries — identical to the source rows' CSR nnz.
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.nnz
     }
 
-    /// Number of stored blocks.
-    pub fn n_blocks(&self) -> usize {
-        self.block_col.len()
-    }
-
     /// Allocated tile slots including padding (`n_blocks * r * c ≥ nnz`).
-    pub fn n_slots(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_slots(&self) -> usize {
         self.vals.len()
     }
 
     /// Number of block rows (the parallel split granularity).
-    pub fn n_block_rows(&self) -> usize {
+    pub(crate) fn n_block_rows(&self) -> usize {
         self.row_ptr.len() - 1
     }
 
     /// Fraction of stored blocks that are completely full (these take the
     /// unguarded dense fast path).
-    pub fn full_block_ratio(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn full_block_ratio(&self) -> f64 {
         if self.masks.is_empty() {
             return 1.0;
         }
@@ -204,7 +203,8 @@ impl BcsrMatrix {
     /// Scatters the stored entries into a dense `nrows × ncols` row-major
     /// buffer at their output positions — the round-trip check used by the
     /// conversion tests.
-    pub fn to_dense(&self, nrows: usize) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn to_dense(&self, nrows: usize) -> Vec<f64> {
         let mut dense = vec![0.0; nrows * self.ncols];
         let (r, c) = (self.r, self.c);
         for br in 0..self.n_block_rows() {
@@ -250,7 +250,7 @@ impl BcsrMatrix {
     ///
     /// # Panics
     /// Panics if `x.len() != ncols`.
-    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "bcsr spmv: x length != ncols");
         self.spmv_block_rows_into(0, self.n_block_rows(), x, y, 0);
     }

@@ -23,7 +23,7 @@ pub struct CooMatrix {
 
 impl CooMatrix {
     /// Creates an empty `nrows × ncols` builder.
-    pub fn new(nrows: usize, ncols: usize) -> Self {
+    pub(crate) fn new(nrows: usize, ncols: usize) -> Self {
         CooMatrix {
             nrows,
             ncols,
@@ -32,7 +32,7 @@ impl CooMatrix {
     }
 
     /// Creates an empty builder with capacity for `cap` triplets.
-    pub fn with_capacity(nrows: usize, ncols: usize, cap: usize) -> Self {
+    pub(crate) fn with_capacity(nrows: usize, ncols: usize, cap: usize) -> Self {
         CooMatrix {
             nrows,
             ncols,
@@ -41,23 +41,19 @@ impl CooMatrix {
     }
 
     /// Number of rows.
-    pub fn nrows(&self) -> usize {
+    pub(crate) fn nrows(&self) -> usize {
         self.nrows
     }
 
     /// Number of columns.
-    pub fn ncols(&self) -> usize {
+    pub(crate) fn ncols(&self) -> usize {
         self.ncols
     }
 
     /// Number of stored triplets (duplicates counted individually).
-    pub fn nnz(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn nnz(&self) -> usize {
         self.entries.len()
-    }
-
-    /// The raw triplets, in insertion order.
-    pub fn entries(&self) -> &[(usize, usize, f64)] {
-        &self.entries
     }
 
     /// Adds `value` at `(row, col)`. Duplicate positions are summed when the
@@ -66,7 +62,7 @@ impl CooMatrix {
     /// # Errors
     /// Returns [`SparseError::IndexOutOfBounds`] if the position is outside
     /// the matrix.
-    pub fn push(&mut self, row: usize, col: usize, value: f64) -> Result<(), SparseError> {
+    pub(crate) fn push(&mut self, row: usize, col: usize, value: f64) -> Result<(), SparseError> {
         if row >= self.nrows || col >= self.ncols {
             return Err(SparseError::IndexOutOfBounds {
                 row,
@@ -85,7 +81,12 @@ impl CooMatrix {
     ///
     /// # Errors
     /// Returns [`SparseError::IndexOutOfBounds`] on out-of-range positions.
-    pub fn push_sym(&mut self, row: usize, col: usize, value: f64) -> Result<(), SparseError> {
+    pub(crate) fn push_sym(
+        &mut self,
+        row: usize,
+        col: usize,
+        value: f64,
+    ) -> Result<(), SparseError> {
         self.push(row, col, value)?;
         if row != col {
             self.push(col, row, value)?;

@@ -16,7 +16,7 @@ use crate::error::SparseError;
 
 /// A sparse matrix in compressed sparse row format.
 ///
-/// Invariants (checked by [`CsrMatrix::validate`], maintained by all
+/// Invariants (checked by `CsrMatrix::validate`, maintained by all
 /// constructors): `row_ptr` has length `nrows + 1`, is non-decreasing, starts
 /// at 0 and ends at `nnz`; within each row, column indices are strictly
 /// increasing and `< ncols`.
@@ -50,7 +50,7 @@ pub struct CsrMatrix {
 impl CsrMatrix {
     /// Builds a CSR matrix from a COO builder, sorting entries and summing
     /// duplicates.
-    pub fn from_coo(coo: CooMatrix) -> Self {
+    pub(crate) fn from_coo(coo: CooMatrix) -> Self {
         let nrows = coo.nrows();
         let ncols = coo.ncols();
         let (row_ptr, col_idx, values) = coo.into_csr_arrays();
@@ -68,7 +68,8 @@ impl CsrMatrix {
     ///
     /// # Errors
     /// Returns [`SparseError::InvalidCsr`] if any invariant is violated.
-    pub fn from_raw(
+    #[cfg(test)]
+    pub(crate) fn from_raw(
         nrows: usize,
         ncols: usize,
         row_ptr: Vec<usize>,
@@ -117,7 +118,7 @@ impl CsrMatrix {
     ///
     /// # Errors
     /// Returns [`SparseError::InvalidCsr`] describing the first violation.
-    pub fn validate(&self) -> Result<(), SparseError> {
+    pub(crate) fn validate(&self) -> Result<(), SparseError> {
         if self.row_ptr.len() != self.nrows + 1 {
             return Err(SparseError::InvalidCsr(format!(
                 "row_ptr length {} != nrows + 1 = {}",
@@ -202,19 +203,21 @@ impl CsrMatrix {
 
     /// Row pointer array (length `nrows + 1`).
     #[inline]
-    pub fn row_ptr(&self) -> &[usize] {
+    pub(crate) fn row_ptr(&self) -> &[usize] {
         &self.row_ptr
     }
 
     /// Column index array (length `nnz`).
     #[inline]
-    pub fn col_idx(&self) -> &[usize] {
+    #[cfg(test)]
+    pub(crate) fn col_idx(&self) -> &[usize] {
         &self.col_idx
     }
 
     /// Value array (length `nnz`).
     #[inline]
-    pub fn values(&self) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn values(&self) -> &[f64] {
         &self.values
     }
 
@@ -254,7 +257,7 @@ impl CsrMatrix {
     ///
     /// # Panics
     /// Panics if `x.len() != ncols` or `y.len() != nrows`.
-    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length != ncols");
         assert_eq!(y.len(), self.nrows, "spmv: y length != nrows");
         for (out, w) in y.iter_mut().zip(self.row_ptr.windows(2)) {
@@ -326,7 +329,7 @@ impl CsrMatrix {
     ///
     /// # Panics
     /// Panics if `x_full.len() != ncols` or `y.len() != rows.len()`.
-    pub fn spmv_rows_masked_into(
+    pub(crate) fn spmv_rows_masked_into(
         &self,
         rows: &[usize],
         x_full: &[f64],
@@ -552,7 +555,8 @@ impl CsrMatrix {
 
     /// Matrix bandwidth: `max_i max_{j: a_ij ≠ 0} |i - j|`. Returns 0 for
     /// matrices with no off-diagonal entries.
-    pub fn bandwidth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bandwidth(&self) -> usize {
         let mut bw = 0usize;
         for r in 0..self.nrows {
             let (cols, _) = self.row(r);
@@ -564,15 +568,6 @@ impl CsrMatrix {
             }
         }
         bw
-    }
-
-    /// Average number of stored entries per row.
-    pub fn avg_nnz_per_row(&self) -> f64 {
-        if self.nrows == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / self.nrows as f64
-        }
     }
 
     /// Flop count of one SpMV with this matrix (2 flops per stored entry),
@@ -588,7 +583,8 @@ impl CsrMatrix {
 
     /// Flop count of applying exactly the rows in `rows` (an explicit
     /// list, as used by [`CsrMatrix::spmv_rows_subset_into`]).
-    pub fn spmv_rows_list_flops(&self, rows: &[usize]) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn spmv_rows_list_flops(&self, rows: &[usize]) -> u64 {
         2 * rows.iter().map(|&r| self.row_nnz(r)).sum::<usize>() as u64
     }
 }
@@ -952,6 +948,6 @@ mod tests {
     #[test]
     fn avg_nnz_per_row_computed() {
         let a = small();
-        assert!((a.avg_nnz_per_row() - 7.0 / 3.0).abs() < 1e-15);
+        assert!(((a.nnz() as f64 / a.nrows() as f64) - 7.0 / 3.0).abs() < 1e-15);
     }
 }

@@ -17,7 +17,7 @@ pub struct DenseMatrix {
 
 impl DenseMatrix {
     /// Creates an `n × n` zero matrix.
-    pub fn zeros(n: usize) -> Self {
+    pub(crate) fn zeros(n: usize) -> Self {
         DenseMatrix {
             n,
             data: vec![0.0; n * n],
@@ -28,7 +28,8 @@ impl DenseMatrix {
     ///
     /// # Panics
     /// Panics if `data.len() != n * n`.
-    pub fn from_row_major(n: usize, data: Vec<f64>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_row_major(n: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), n * n, "from_row_major: data length");
         DenseMatrix { n, data }
     }
@@ -59,21 +60,15 @@ impl DenseMatrix {
         m
     }
 
-    /// Dimension.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Element accessor.
     #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    pub(crate) fn get(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.n + c]
     }
 
     /// Element mutator.
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, v: f64) {
         self.data[r * self.n + c] = v;
     }
 
@@ -81,7 +76,8 @@ impl DenseMatrix {
     ///
     /// # Panics
     /// Panics if `x.len() != n`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n, "matvec: x length");
         let mut y = vec![0.0; self.n];
         #[allow(clippy::needless_range_loop)]
@@ -199,7 +195,8 @@ impl Cholesky {
     ///
     /// # Panics
     /// Panics if `b.len() != n`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn solve(&self, b: &[f64]) -> Vec<f64> {
         let mut x = b.to_vec();
         self.solve_in_place(&mut x);
         x

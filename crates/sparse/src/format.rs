@@ -30,7 +30,7 @@ pub enum SpmvFormat {
     /// SELL-C-σ sliced ELLPACK: chunks of `c` lanes, rows sorted by
     /// descending length within σ-row windows.
     Sellcs {
-        /// Chunk height (lanes per chunk), `1..=`[`MAX_SELL_C`].
+        /// Chunk height (lanes per chunk), `1..=MAX_SELL_C`.
         c: usize,
         /// Sort-window size in rows (rounded up to a multiple of `c`).
         sigma: usize,
@@ -38,9 +38,9 @@ pub enum SpmvFormat {
     /// BCSR: dense `r × c` tiles on aligned block columns with occupancy
     /// masks.
     Bcsr {
-        /// Block height, `1..=`[`MAX_BCSR_DIM`].
+        /// Block height, `1..=MAX_BCSR_DIM`.
         r: usize,
-        /// Block width, `1..=`[`MAX_BCSR_DIM`].
+        /// Block width, `1..=MAX_BCSR_DIM`.
         c: usize,
     },
 }
@@ -147,7 +147,7 @@ impl FormatMatrix {
     /// # Panics
     /// Panics on invalid format parameters (validate the format first) or
     /// a non-increasing `out` list.
-    pub fn from_rows(
+    pub(crate) fn from_rows(
         a: &CsrMatrix,
         rows: &[usize],
         out: &[usize],
@@ -171,23 +171,16 @@ impl FormatMatrix {
     }
 
     /// Stored (structural) entries.
-    pub fn nnz(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn nnz(&self) -> usize {
         match self {
             FormatMatrix::Sell(m) => m.nnz(),
             FormatMatrix::Bcsr(m) => m.nnz(),
         }
     }
 
-    /// Allocated value slots including padding.
-    pub fn n_slots(&self) -> usize {
-        match self {
-            FormatMatrix::Sell(m) => m.n_slots(),
-            FormatMatrix::Bcsr(m) => m.n_slots(),
-        }
-    }
-
     /// Number of columns of the source matrix.
-    pub fn ncols(&self) -> usize {
+    pub(crate) fn ncols(&self) -> usize {
         match self {
             FormatMatrix::Sell(m) => m.ncols(),
             FormatMatrix::Bcsr(m) => m.ncols(),
@@ -265,7 +258,8 @@ impl FormatCache {
     }
 
     /// Number of ranks covered.
-    pub fn n_ranks(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_ranks(&self) -> usize {
         self.per_rank.len()
     }
 

@@ -13,7 +13,7 @@ use crate::csr::{CsrMatrix, CsrWriter};
 /// Generator parameters for [`elasticity3d_params`]; [`Default`] gives the
 /// calibrated `audikw_1` stand-in.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ElasticityParams {
+pub(crate) struct ElasticityParams {
     /// Anisotropic stiffness per axis: stiff along z (the partition
     /// direction), compliant transversally — what keeps the spectrum hard
     /// for the node-local block Jacobi preconditioner.
@@ -101,7 +101,12 @@ pub fn elasticity3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
 /// # Panics
 /// Panics on zero grid dimensions or invalid parameters (non-positive
 /// anisotropy/shift, negative contrast, zero layer thickness).
-pub fn elasticity3d_params(nx: usize, ny: usize, nz: usize, p: ElasticityParams) -> CsrMatrix {
+pub(crate) fn elasticity3d_params(
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    p: ElasticityParams,
+) -> CsrMatrix {
     use super::stencil::material_coefficient;
     assert!(
         nx > 0 && ny > 0 && nz > 0,

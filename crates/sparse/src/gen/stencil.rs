@@ -18,7 +18,7 @@ use crate::csr::{CsrMatrix, CsrWriter};
 /// Generator parameters for [`stencil27_params`]; [`Default`] gives the
 /// calibrated `Emilia_923` stand-in.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StencilParams {
+pub(crate) struct StencilParams {
     /// Anisotropic diffusion coefficients per axis. Strong coupling across
     /// the partition direction (z, the index-slowest axis) is what makes
     /// the spectrum resistant to the node-local block Jacobi
@@ -83,7 +83,7 @@ pub(crate) fn material_coefficient(i: usize, contrast: f64) -> f64 {
 
 /// Default material contrast: coefficients span 10⁰..10³, typical of layered
 /// rock / composite structures.
-pub const DEFAULT_CONTRAST: f64 = 3.0;
+pub(crate) const DEFAULT_CONTRAST: f64 = 3.0;
 
 /// 27-point heterogeneous stencil matrix on an `nx × ny × nz` grid
 /// (`n = nx·ny·nz`) with the default material contrast. Strictly diagonally
@@ -100,7 +100,7 @@ pub fn stencil27(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
 ///
 /// # Panics
 /// Panics if any grid dimension is zero or `contrast` is negative.
-pub fn stencil27_with_contrast(nx: usize, ny: usize, nz: usize, contrast: f64) -> CsrMatrix {
+pub(crate) fn stencil27_with_contrast(nx: usize, ny: usize, nz: usize, contrast: f64) -> CsrMatrix {
     stencil27_params(
         nx,
         ny,
@@ -119,7 +119,7 @@ pub fn stencil27_with_contrast(nx: usize, ny: usize, nz: usize, contrast: f64) -
 /// # Panics
 /// Panics if any grid dimension is zero, `contrast < 0`, `layer_nz == 0`,
 /// any anisotropy coefficient is non-positive, or `shift <= 0`.
-pub fn stencil27_params(nx: usize, ny: usize, nz: usize, p: StencilParams) -> CsrMatrix {
+pub(crate) fn stencil27_params(nx: usize, ny: usize, nz: usize, p: StencilParams) -> CsrMatrix {
     assert!(
         nx > 0 && ny > 0 && nz > 0,
         "stencil27: grid dims must be positive"

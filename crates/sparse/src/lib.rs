@@ -11,8 +11,8 @@
 //!   sequential reference kernels and a multithreaded backend that is
 //!   **bitwise identical** to them at any thread count (fixed-block
 //!   deterministic reductions, row-parallel SpMV),
-//! * [`mod@format`] / [`SpmvFormat`] — the SpMV storage-format switch
-//!   ([`sellcs`] SELL-C-σ and [`bcsr`] masked-block BCSR next to plain
+//! * `format` / [`SpmvFormat`] — the SpMV storage-format switch
+//!   (`sellcs` SELL-C-σ and `bcsr` masked-block BCSR next to plain
 //!   CSR), with per-problem conversion cached in a [`FormatCache`]; all
 //!   formats are bitwise identical to CSR,
 //! * [`pool`] — the persistent worker pool the parallel backend dispatches
@@ -21,7 +21,7 @@
 //!   factorization for block Jacobi preconditioner blocks,
 //! * [`Partition`] — the contiguous block-row distribution of matrix rows and
 //!   vector entries over cluster ranks used throughout the paper,
-//! * [`split`] / [`RowSplit`] — the interior/boundary row classification the
+//! * `split` / [`RowSplit`] — the interior/boundary row classification the
 //!   split-phase distributed SpMV uses to overlap communication with
 //!   interior compute (cached per matrix + partition, each class stored as
 //!   contiguous [`RowRuns`]),
@@ -39,19 +39,19 @@
 //! All numeric code is `f64`; indices are `usize`.
 
 pub mod backend;
-pub mod bcsr;
-pub mod coo;
-pub mod csr;
-pub mod dense;
-pub mod error;
-pub mod format;
+mod bcsr;
+mod coo;
+mod csr;
+mod dense;
+mod error;
+mod format;
 pub mod gen;
 pub mod mm;
-pub mod partition;
+mod partition;
 pub mod pool;
 pub mod rng;
-pub mod sellcs;
-pub mod split;
+mod sellcs;
+mod split;
 pub mod vector;
 
 pub use backend::KernelBackend;

@@ -73,12 +73,6 @@ impl Partition {
         self.offsets[rank + 1] - self.offsets[rank]
     }
 
-    /// First global index owned by `rank`.
-    #[inline]
-    pub fn start(&self, rank: usize) -> usize {
-        self.offsets[rank]
-    }
-
     /// The rank owning global index `i` (if several ranks are empty at that
     /// boundary, the one that actually contains `i`).
     ///

@@ -118,7 +118,7 @@ fn worker_loop(rx: Receiver<Cmd>) {
 impl WorkerPool {
     /// Builds a pool able to run jobs at `threads` total parallelism
     /// (spawning `threads − 1` background workers; the caller is worker 0).
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         let extra = threads.saturating_sub(1);
         let mut injectors = Vec::with_capacity(extra);
         let mut handles = Vec::with_capacity(extra);
@@ -135,7 +135,7 @@ impl WorkerPool {
     }
 
     /// Total parallelism: background workers plus the calling thread.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.injectors.len() + 1
     }
 

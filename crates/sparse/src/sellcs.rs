@@ -30,7 +30,7 @@ use crate::csr::CsrMatrix;
 
 /// Upper bound on the chunk height `C` (the generic kernel's accumulator
 /// lives on the stack).
-pub const MAX_SELL_C: usize = 16;
+pub(crate) const MAX_SELL_C: usize = 16;
 
 /// Lane marker for padded (non-existent) rows at the tail of the lane grid.
 const NO_ROW: usize = usize::MAX;
@@ -71,7 +71,8 @@ impl SellMatrix {
     ///
     /// # Panics
     /// See [`SellMatrix::from_rows`].
-    pub fn from_csr(a: &CsrMatrix, c: usize, sigma: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_csr(a: &CsrMatrix, c: usize, sigma: usize) -> Self {
         let rows: Vec<usize> = (0..a.nrows()).collect();
         Self::from_rows(a, &rows, &rows, c, sigma)
     }
@@ -84,7 +85,13 @@ impl SellMatrix {
     /// Panics if `c` is 0 or exceeds [`MAX_SELL_C`], σ is 0, the lists
     /// differ in length, or `out` is not strictly increasing (the parallel
     /// backend's output disjointness depends on it).
-    pub fn from_rows(a: &CsrMatrix, rows: &[usize], out: &[usize], c: usize, sigma: usize) -> Self {
+    pub(crate) fn from_rows(
+        a: &CsrMatrix,
+        rows: &[usize],
+        out: &[usize],
+        c: usize,
+        sigma: usize,
+    ) -> Self {
         assert!(
             (1..=MAX_SELL_C).contains(&c),
             "sell: C must be in 1..={MAX_SELL_C}"
@@ -181,39 +188,35 @@ impl SellMatrix {
         }
     }
 
-    /// Chunk height `C`.
-    pub fn c(&self) -> usize {
-        self.c
-    }
-
     /// Effective sort-window size in rows (σ rounded up to a multiple of
     /// `C`).
-    pub fn window(&self) -> usize {
+    pub(crate) fn window(&self) -> usize {
         self.window
     }
 
     /// Number of columns of the source matrix.
-    pub fn ncols(&self) -> usize {
+    pub(crate) fn ncols(&self) -> usize {
         self.ncols
     }
 
     /// Stored (structural) entries — identical to the source rows' CSR nnz.
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.nnz
     }
 
     /// Allocated slots including zero padding (`≥ nnz`).
-    pub fn n_slots(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_slots(&self) -> usize {
         self.cols.len()
     }
 
     /// Number of `C`-lane chunks.
-    pub fn n_chunks(&self) -> usize {
+    pub(crate) fn n_chunks(&self) -> usize {
         self.chunk_ptr.len() - 1
     }
 
     /// Number of σ windows (the parallel split granularity).
-    pub fn n_windows(&self) -> usize {
+    pub(crate) fn n_windows(&self) -> usize {
         self.win_out.len()
     }
 
@@ -230,14 +233,16 @@ impl SellMatrix {
     /// `(stored-entry count, output position)` of every lane, in lane
     /// order — the σ permutation record (padded lanes report
     /// `(0, usize::MAX)`).
-    pub fn lanes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn lanes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.lens.iter().zip(self.out.iter()).map(|(&l, &o)| (l, o))
     }
 
     /// Scatters the stored entries into a dense `nrows × ncols` row-major
     /// buffer at their output positions — the round-trip check used by the
     /// conversion tests.
-    pub fn to_dense(&self, nrows: usize) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn to_dense(&self, nrows: usize) -> Vec<f64> {
         let mut dense = vec![0.0; nrows * self.ncols];
         for ch in 0..self.n_chunks() {
             let base = self.chunk_ptr[ch];
@@ -284,7 +289,7 @@ impl SellMatrix {
     ///
     /// # Panics
     /// Panics if `x.len() != ncols`.
-    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "sell spmv: x length != ncols");
         self.spmv_windows_into(0, self.n_windows(), x, y, 0);
     }

@@ -181,7 +181,7 @@ impl RowSplitSet {
     }
 
     /// Number of ranks.
-    pub fn n_ranks(&self) -> usize {
+    pub(crate) fn n_ranks(&self) -> usize {
         self.splits.len()
     }
 

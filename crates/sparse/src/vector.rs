@@ -10,7 +10,7 @@
 //!
 //! Every reduction ([`dot`] and
 //! [`crate::backend::KernelBackend::dot`]) sums in **fixed blocks** of
-//! [`REDUCTION_BLOCK`] elements: element products accumulate sequentially
+//! `REDUCTION_BLOCK` elements: element products accumulate sequentially
 //! within a block, and block partial sums accumulate sequentially in block
 //! order. The block size is a compile-time constant, independent of thread
 //! count, so the parallel backend — whose threads each produce the partial
@@ -21,7 +21,7 @@
 /// backends. Changing it changes floating-point results (legitimately — it
 /// picks one of many valid summation orders), so it is a compile-time
 /// constant, never a tunable.
-pub const REDUCTION_BLOCK: usize = 4096;
+pub(crate) const REDUCTION_BLOCK: usize = 4096;
 
 /// Dot product `a · b`, summed with the fixed-block deterministic reduction
 /// (see module docs).
@@ -47,7 +47,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// # Panics
 /// Panics if `x.len() != y.len()`.
 #[inline]
-pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
+pub(crate) fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpby: length mismatch");
     for (yi, xi) in y.iter_mut().zip(x.iter()) {
         *yi = alpha * xi + beta * *yi;
@@ -62,7 +62,7 @@ pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
 /// # Panics
 /// Panics if lengths differ.
 #[inline]
-pub fn fused_axpy2(alpha: f64, p: &[f64], q: &[f64], x: &mut [f64], r: &mut [f64]) {
+pub(crate) fn fused_axpy2(alpha: f64, p: &[f64], q: &[f64], x: &mut [f64], r: &mut [f64]) {
     let n = x.len();
     assert_eq!(p.len(), n, "fused_axpy2: p length mismatch");
     assert_eq!(q.len(), n, "fused_axpy2: q length mismatch");

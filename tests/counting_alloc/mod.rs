@@ -32,6 +32,6 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations and reallocations the process has made so far.
-pub fn allocations() -> u64 {
+pub(crate) fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
