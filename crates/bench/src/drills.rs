@@ -6,8 +6,10 @@
 //! landing inside a checkpoint round, pre-recovery-point full restarts,
 //! the pipelined variant, a mid-block failure of the s-step variant,
 //! IMCR rollback, the adaptive interval tuner
-//! under exponential and burst fault processes, and a flight-recorder
-//! replay that re-derives the recovery time from the recorded trace.
+//! under exponential and burst fault processes, a flight-recorder
+//! replay that re-derives the recovery time from the recorded trace, and a
+//! neighbour failing while a lone replacement still owes its background
+//! inner solve.
 //! Every drill emits one machine-parseable artifact line
 //!
 //! ```text
@@ -23,13 +25,13 @@
 
 use esrcg_campaign::fleet::run_jobs;
 use esrcg_campaign::{FaultProcess, TraceBudget};
-use esrcg_cluster::{validate_trace_json, TraceConfig};
+use esrcg_cluster::{validate_trace_json, FailureSpec, InstantKind, TraceConfig, TraceEvent};
 use esrcg_core::driver::{Experiment, MatrixSource, RunReport};
 use esrcg_core::solver::PcgVariant;
 use esrcg_core::{Resilience, Strategy};
 
 /// The drill catalog, in the order the harness runs and reports them.
-pub const DRILLS: [&str; 12] = [
+pub const DRILLS: [&str; 13] = [
     "esr-single-fail-stop",
     "esrp-phi-block-burst",
     "imcr-checkpoint-round-failure",
@@ -42,6 +44,7 @@ pub const DRILLS: [&str; 12] = [
     "burst-fixed-t",
     "burst-auto",
     "trace-replay",
+    "lone-then-neighbour",
 ];
 
 /// The measured result of one drill.
@@ -260,8 +263,53 @@ pub fn run_drill(name: &str) -> Result<DrillOutcome, String> {
             }
             Ok(o)
         }
+        // Rank 1 fails alone under ESR and solves for its `x` in the
+        // background of its later receive waits; one iteration later its
+        // halo peer rank 2 fails, whose gather reads rank 1's `x`. The drill
+        // passes only when rank 1 still owed part of the solve then, so
+        // that the debt is settled as a span of the first event before the
+        // second one's trigger.
+        "lone-then-neighbour" => {
+            let report = base(Strategy::esr(), 1)
+                .failures(vec![
+                    FailureSpec::contiguous(17, 1, 1, 4),
+                    FailureSpec::contiguous(18, 2, 1, 4),
+                ])
+                .trace(TraceConfig::Spans)
+                .run()?;
+            let trace = report
+                .trace
+                .as_ref()
+                .ok_or("lone-then-neighbour: no trace recorded")?;
+            let mut first_episode = trace.ranks[1]
+                .events
+                .iter()
+                .skip_while(|ev| !is_trigger(ev));
+            first_episode.next();
+            let spans = first_episode
+                .take_while(|ev| !is_trigger(ev))
+                .filter(|ev| matches!(ev, TraceEvent::RecoverySpan { .. }))
+                .count();
+            if spans != 2 {
+                return Err(format!(
+                    "lone-then-neighbour: rank 1 records {spans} recovery spans \
+                     before the second failure, not its own and the settled debt"
+                ));
+            }
+            outcome("lone-then-neighbour", &report)
+        }
         other => Err(format!("unknown drill '{other}'")),
     }
+}
+
+fn is_trigger(ev: &TraceEvent) -> bool {
+    matches!(
+        ev,
+        TraceEvent::Instant {
+            kind: InstantKind::FailureTrigger,
+            ..
+        }
+    )
 }
 
 /// The trace-replay drill's experiment: the `sstep-midblock-esrp` scenario

@@ -72,6 +72,12 @@ pub struct Ctx {
     coll_seq: u32,
     /// Flight recorder (a branch-only no-op at [`TraceConfig::Off`]).
     trace: TraceRecorder,
+    /// Modeled compute run in the background ([`Ctx::background`]) and not
+    /// yet on the clock: absorbed by later receive waits, the rest charged
+    /// by [`Ctx::settle_background`].
+    debt: f64,
+    /// Inside [`Ctx::background`]: flop charges add to `debt`.
+    in_background: bool,
 }
 
 impl Ctx {
@@ -95,6 +101,8 @@ impl Ctx {
             stats: RankStats::default(),
             coll_seq: 0,
             trace: TraceRecorder::new(trace),
+            debt: 0.0,
+            in_background: false,
         }
     }
 
@@ -195,7 +203,8 @@ impl Ctx {
     }
 
     /// Records this rank's part of one recovery episode as a span from the
-    /// clock the entry barrier of `recover()` agreed on to the rank's own
+    /// clock the entry barrier of `recover()` agreed on (or, for a later
+    /// span of the same episode, the rank's own clock) to the rank's own
     /// clock when its part ended. A no-op unless tracing is enabled.
     #[inline]
     pub fn trace_recovery_span(&mut self, start: f64, end: f64) {
@@ -207,6 +216,7 @@ impl Ctx {
     /// at the final clock). Called by the runner after the rank body
     /// finishes.
     pub(crate) fn into_parts(self) -> (RankStats, BufferPoolStats, Vec<TraceEvent>) {
+        debug_assert_eq!(self.debt, 0.0, "a rank ended owing background work");
         let events = self.trace.finish(self.clock);
         (self.stats, self.buffers.stats(), events)
     }
@@ -231,10 +241,61 @@ impl Ctx {
     }
 
     /// Charges `flops` floating-point operations to the current phase and
-    /// advances the clock accordingly.
+    /// advances the clock accordingly (inside [`Ctx::background`], the
+    /// background debt instead).
     pub fn charge_flops(&mut self, flops: u64) {
         self.stats.flops[self.phase as usize] += flops;
-        self.advance(self.cost.compute_time(flops));
+        let dt = self.cost.compute_time(flops);
+        if self.in_background {
+            self.debt += dt;
+        } else {
+            self.advance(dt);
+        }
+    }
+
+    /// Runs `work` as background compute: its flops are counted under the
+    /// current phase as usual, but their modeled time becomes debt instead
+    /// of clock time. Each later receive that waits pays debt out of its
+    /// wait (under [`Phase::RecoveryInner`]) and [`Ctx::settle_background`]
+    /// charges the rest, so the clock plus the debt never exceeds the clock
+    /// the work would have left on the spot. The caller settles before
+    /// anything reads what `work` produced.
+    ///
+    /// # Panics
+    /// Panics if `work` sends or receives a message, or nests another
+    /// `background`: background work runs on data the rank already holds.
+    pub fn background<T>(&mut self, work: impl FnOnce(&mut Ctx) -> T) -> T {
+        assert!(!self.in_background, "background work does not nest");
+        self.in_background = true;
+        let out = work(self);
+        self.in_background = false;
+        out
+    }
+
+    /// Charges the background debt still owed under
+    /// [`Phase::RecoveryInner`]; a no-op when nothing is owed.
+    pub fn settle_background(&mut self) {
+        if self.debt > 0.0 {
+            let debt = std::mem::take(&mut self.debt);
+            self.pay_debt(debt);
+        }
+    }
+
+    /// Puts `dt` of background debt on the clock, as a
+    /// [`Phase::RecoveryInner`] span.
+    fn pay_debt(&mut self, dt: f64) {
+        let phase = self.set_phase(Phase::RecoveryInner);
+        self.advance(dt);
+        self.set_phase(phase);
+    }
+
+    /// Messaging inside [`Ctx::background`] is a protocol bug.
+    #[inline]
+    fn assert_foreground(&self, op: &str) {
+        assert!(
+            !self.in_background,
+            "{op} inside background work is a protocol bug"
+        );
     }
 
     /// Sends `payload` to rank `to` under `tag`. Never blocks: the message
@@ -245,6 +306,7 @@ impl Ctx {
     /// Panics on self-sends and on unknown destination ranks (both are
     /// protocol bugs, not runtime conditions).
     pub fn send(&mut self, to: usize, tag: u64, payload: Payload) {
+        self.assert_foreground("send");
         assert_ne!(to, self.rank, "self-send is a protocol bug");
         assert!(to < self.size, "send: unknown destination rank {to}");
         let bytes = payload.bytes();
@@ -267,12 +329,19 @@ impl Ctx {
     }
 
     /// Completes a receive on the modeled clock: waits (if needed) until
-    /// the message's arrival time, attributing the wait to the current
-    /// phase's `recv_wait` counter. Returns the modeled wait.
+    /// the message's arrival time. Background debt is paid out of the wait
+    /// first; the idle rest goes to the current phase's `recv_wait` counter
+    /// and is returned.
     #[inline]
     fn complete_recv(&mut self, arrival: f64) -> f64 {
         if arrival > self.clock {
-            let wait = arrival - self.clock;
+            let mut wait = arrival - self.clock;
+            if self.debt > 0.0 {
+                let absorbed = self.debt.min(wait);
+                self.debt -= absorbed;
+                self.pay_debt(absorbed);
+                wait = arrival - self.clock;
+            }
             self.stats.recv_wait[self.phase as usize] += wait;
             self.advance_to(arrival);
             wait
@@ -308,6 +377,7 @@ impl Ctx {
     /// ends up blocked, `run_spmd` panics with a report that lists this
     /// rank and the `(from, tag)` it waits for.
     pub fn recv(&mut self, from: usize, tag: u64) -> Payload {
+        self.assert_foreground("recv");
         assert_ne!(from, self.rank, "self-receive is a protocol bug");
         assert!(from < self.size, "recv: unknown source rank {from}");
         let msg = self
@@ -335,6 +405,7 @@ impl Ctx {
     /// # Panics
     /// Panics on self-receives and unknown source ranks.
     pub fn try_recv(&mut self, from: usize, tag: u64) -> Option<Payload> {
+        self.assert_foreground("try_recv");
         assert_ne!(from, self.rank, "self-receive is a protocol bug");
         assert!(from < self.size, "try_recv: unknown source rank {from}");
         let msg = self.fabric.try_recv(self.rank, from, tag, self.clock)?;

@@ -634,6 +634,7 @@ where
 mod tests {
     use super::*;
     use crate::msg::{Payload, Tag};
+    use crate::trace::TraceEvent;
     use std::time::{Duration, Instant};
 
     const SIZES: [usize; 7] = [1, 2, 3, 4, 5, 8, 13];
@@ -1500,6 +1501,122 @@ mod tests {
             }
         })
         .expect("the budget holds");
+    }
+
+    /// Dyadic costs, so every clock below is exact: α = 1/16 s, one flop
+    /// 1/1024 s, bytes free.
+    const DYADIC: CostModel = CostModel {
+        alpha: 0.0625,
+        seconds_per_byte: 0.0,
+        seconds_per_flop: 1.0 / 1024.0,
+    };
+
+    /// Rank 0 computes 64 flops (1/16 s) and sends rank 1 a scalar, which
+    /// arrives at 1/16 + 2α = 3/16. Rank 1 first runs `debt_flops` of
+    /// background work under [`Phase::VecOps`], then receives under
+    /// [`Phase::SpMV`]; it returns its clock after the receive and after
+    /// settling, as bits.
+    fn owe_then_wait(workers: usize, debt_flops: u64) -> SpmdOutcome<(u64, u64)> {
+        run_on_workers(2, workers, DYADIC, TraceConfig::Spans, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.charge_flops(64);
+                ctx.send(1, Tag::Halo.bare(), Payload::Scalar(1.0));
+            } else {
+                ctx.set_phase(Phase::VecOps);
+                ctx.background(|ctx| ctx.charge_flops(debt_flops));
+                assert_eq!(ctx.clock(), 0.0, "background work leaves the clock");
+                ctx.set_phase(Phase::SpMV);
+                ctx.recv(0, Tag::Halo.bare());
+            }
+            let after_recv = ctx.clock();
+            ctx.settle_background();
+            (after_recv.to_bits(), ctx.clock().to_bits())
+        })
+    }
+
+    #[test]
+    fn background_debt_within_the_wait_is_absorbed_by_it() {
+        // Debt 1/16 s against a 3/16 s wait: the clock still ends at the
+        // arrival, the debt is the first 1/16 s of the wait (a recovery-inner
+        // span) and only the idle 1/8 s is receive wait.
+        let out = owe_then_wait(1, 64);
+        let (after_recv, settled) = out.results[1];
+        assert_eq!(f64::from_bits(after_recv), 0.1875);
+        assert_eq!(settled, after_recv, "nothing is left to settle");
+        let st = &out.stats[1];
+        assert_eq!(
+            st.flops[Phase::VecOps as usize],
+            64,
+            "flops stay in their phase"
+        );
+        assert_eq!(st.modeled_time[Phase::VecOps as usize], 0.0);
+        assert_eq!(st.modeled_time[Phase::RecoveryInner as usize], 0.0625);
+        assert_eq!(st.recv_wait[Phase::SpMV as usize], 0.125);
+        assert_eq!(st.modeled_time[Phase::SpMV as usize], 0.125);
+        let spans: Vec<_> = out.trace.expect("traced").ranks[1]
+            .events
+            .iter()
+            .filter_map(|ev| match *ev {
+                TraceEvent::PhaseSpan { phase, start, end } => Some((phase, start, end)),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            spans.contains(&(Phase::RecoveryInner, 0.0, 0.0625)),
+            "the absorbed debt is a recovery-inner span: {spans:?}"
+        );
+    }
+
+    #[test]
+    fn background_debt_beyond_the_wait_is_settled_exactly() {
+        // Debt 1/4 s against a 3/16 s wait: the wait absorbs 3/16 s, nothing
+        // is receive wait, and settling adds exactly the 1/16 s left, which
+        // ends where the work would have ended on the spot.
+        let out = owe_then_wait(1, 256);
+        let (after_recv, settled) = out.results[1];
+        assert_eq!(f64::from_bits(after_recv), 0.1875);
+        assert_eq!(f64::from_bits(settled), 0.25);
+        let st = &out.stats[1];
+        assert_eq!(st.recv_wait[Phase::SpMV as usize], 0.0);
+        assert_eq!(st.modeled_time[Phase::RecoveryInner as usize], 0.25);
+        assert_eq!(st.flops[Phase::VecOps as usize], 256);
+    }
+
+    #[test]
+    fn background_clocks_are_identical_at_one_and_two_workers() {
+        for debt_flops in [64, 256] {
+            let one = owe_then_wait(1, debt_flops);
+            let two = owe_then_wait(2, debt_flops);
+            assert_eq!(one.results, two.results, "{debt_flops} flops");
+            assert_eq!(one.modeled_time.to_bits(), two.modeled_time.to_bits());
+            for (a, b) in one.stats.iter().zip(&two.stats) {
+                let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a.modeled_time), bits(&b.modeled_time));
+                assert_eq!(bits(&a.recv_wait), bits(&b.recv_wait));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "send inside background work is a protocol bug")]
+    fn a_send_inside_background_work_panics() {
+        run_on(2, 1, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.background(|ctx| ctx.send(1, Tag::Halo.bare(), Payload::Scalar(0.0)));
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "recv inside background work is a protocol bug")]
+    fn a_recv_inside_background_work_panics() {
+        run_on(2, 1, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, Tag::Halo.bare(), Payload::Scalar(0.0));
+            } else {
+                ctx.background(|ctx| ctx.recv(0, Tag::Halo.bare()));
+            }
+        });
     }
 
     #[test]

@@ -126,8 +126,9 @@ pub enum TraceEvent {
     },
     /// This rank's part of one recovery episode: from the clock the entry
     /// barrier of `recover()` agreed on to the rank's own clock when its
-    /// part ended. The longest of an episode's spans across ranks is the
-    /// per-failure `recovery_time`.
+    /// part ended. A later span of the episode (a settled background solve,
+    /// the end solve) starts on the rank's own clock. The longest per-rank
+    /// sum of an episode's spans is the per-failure `recovery_time`.
     RecoverySpan {
         /// The agreed clock of the entry barrier (the same on every rank).
         start: f64,

@@ -43,8 +43,6 @@ use crate::dist::plan::CommPlan;
 /// The designated destinations `d(s,k)` of paper Eq. 1 and their inverse.
 #[derive(Debug, Clone)]
 pub struct BuddyMap {
-    n_ranks: usize,
-    phi: usize,
     /// `out[s]` = `[d(s,1), …, d(s,φ)]`.
     out: Vec<Vec<usize>>,
     /// `inn[l]` = ranks `s` with `d(s,k) = l` for some `k`, sorted.
@@ -97,22 +95,7 @@ impl BuddyMap {
         for l in inn.iter_mut() {
             l.sort_unstable();
         }
-        BuddyMap {
-            n_ranks,
-            phi,
-            out,
-            inn,
-        }
-    }
-
-    /// Number of ranks.
-    pub fn n_ranks(&self) -> usize {
-        self.n_ranks
-    }
-
-    /// Number of redundant copies (φ).
-    pub fn phi(&self) -> usize {
-        self.phi
+        BuddyMap { out, inn }
     }
 
     /// `[d(s,1), …, d(s,φ)]` — in k order, which is also the preference
@@ -220,11 +203,6 @@ impl AspmvPlan {
     /// The buddy map (shared with IMCR).
     pub fn buddies(&self) -> &BuddyMap {
         &self.buddies
-    }
-
-    /// φ, the number of supported simultaneous failures.
-    pub fn phi(&self) -> usize {
-        self.buddies.phi()
     }
 
     /// Extra sends of `rank`: `(destination, sorted global indices)`.

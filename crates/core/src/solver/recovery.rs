@@ -19,7 +19,10 @@
 //! to a pending rank, stops after Alg. 2 line 6 and leaves its ranks
 //! pending; `reconstruct_pending` solves for the pending ranks' `x` once,
 //! when the loop exits, a multi-rank component by pipelined PCG at one
-//! message round per inner iteration. The same rule ships the survivors'
+//! message round per inner iteration. A lone replacement that solves at
+//! once does so in the background of its later receive waits
+//! (`Ctx::background`); `settle_background` charges what is left before
+//! the next reader of its `x`. The same rule ships the survivors'
 //! reduction log since the rollback target to each replacement, behind the
 //! ESRP scalar root's β and `r·z` or the IMCR buddy's blob, so that the
 //! redo replays it on every rank.
@@ -58,7 +61,11 @@ pub struct RecoveryOutcome {
     /// True if no recovery point existed and the solver restarted from x⁰.
     pub full_restart: bool,
     /// Modeled seconds from the agreed start of the recovery to the end of
-    /// this rank's part of it; the maximum over ranks is the event's cost.
+    /// this rank's part of it, plus the spans added later: the background
+    /// solve's remainder a lone replacement settles before the next event
+    /// or at the loop's exit (under [`RecoveryRule::Extended`] the part its
+    /// receive waits absorbed is not recovery time), and on the last event
+    /// the end solve. The maximum over ranks is the event's cost.
     pub recovery_time: f64,
     /// Iterations of the inner `A[I_f, I_f]` solve (on every replacement;
     /// 0 on survivors and for IMCR). A deferred event solves nothing; the
@@ -169,6 +176,23 @@ pub(super) fn recover<R: Recurrence>(
         full_restart: target.is_none(),
         recovery_time: t_end - t_start,
         inner_iterations,
+    }
+}
+
+/// Charges what a lone replacement still owes of its background inner
+/// solve ([`Ctx::settle_background`]) before the next reader of its `x` —
+/// the next event's agreement (its gather and rollback read `x` and `x*`),
+/// or the loop's exit — and records it as one more span of `owner`, the
+/// event that solved; a no-op when nothing is owed.
+pub(super) fn settle_background(ctx: &mut Ctx, owner: Option<&mut RecoveryOutcome>) {
+    let start = ctx.clock();
+    ctx.settle_background();
+    let end = ctx.clock();
+    if end > start {
+        ctx.trace_recovery_span(start, end);
+        owner
+            .expect("only a recovery runs background work")
+            .recovery_time += end - start;
     }
 }
 
@@ -328,10 +352,20 @@ fn recover_esrp(
             .solve_restricted(range.clone(), &st.z, &mut st.r);
         ctx.charge_flops(shared.precond.solve_restricted_flops(nloc));
 
-        // Lines 7–8, unless the event leaves them to the end solve.
+        // Lines 7–8, unless the event leaves them to the end solve. Under
+        // `Extended` only a lone replacement solves now, sending nothing:
+        // no outer iteration reads its `x`, so the solve runs in the
+        // background of its later receive waits (`settle_background`).
         if let Some(bnorm2) = solve {
             let (r, x) = (&st.r, &mut st.x);
-            inner_iterations = solve_lost_x(ctx, shared, ws, failed_sorted, full, r, x, bnorm2);
+            let mut lines_7_8 =
+                |ctx: &mut Ctx| solve_lost_x(ctx, shared, ws, failed_sorted, full, r, x, bnorm2);
+            inner_iterations = if shared.cfg.recovery_rule == RecoveryRule::Extended {
+                debug_assert_eq!(failed_sorted.len(), 1, "only a lone replacement solves now");
+                ctx.background(lines_7_8)
+            } else {
+                lines_7_8(ctx)
+            };
         }
 
         // Restore the rest of the replacement's state for iteration ĵ.
@@ -1338,6 +1372,121 @@ mod tests {
                     .fold(0.0, f64::max);
                 let reported = report.recoveries[0].recovery_time;
                 assert_eq!(reported.to_bits(), latest.to_bits(), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_recovery_solves_in_the_background_of_later_waits() {
+        use crate::driver::{Experiment, MatrixSource};
+        use crate::PcgVariant;
+        use esrcg_cluster::{FailureSpec, InstantKind, TraceConfig, TraceEvent};
+
+        // Poisson2d 24×24 on 4 ranks; a lone event on rank 1 at 12, whose
+        // cost stays below its own inner solve's. The two-event runs add a
+        // second on rank 2 at the first iteration the schedule allows (13,
+        // or 17 after ESRP's storage stage 15–16), under a latency of
+        // 0.2 µs, so that rank 1's reduction waits leave part of its solve
+        // owed. The inner flops per replacement are the eager schedule's,
+        // recorded before the solve ran in the background: 243 084 (k = 36),
+        // and 236 976 (k = 35) for the s-step ESRP's first event.
+        let gamma = CostModel::default().seconds_per_flop;
+        let short_waits = CostModel {
+            alpha: 2.0e-7,
+            ..CostModel::default()
+        };
+        let variants = [
+            PcgVariant::Classic,
+            PcgVariant::Pipelined,
+            PcgVariant::SStep { s: 4 },
+        ];
+        for variant in variants {
+            for t in [1, 5] {
+                let first_flops = match (variant, t) {
+                    (PcgVariant::SStep { .. }, 5) => 236_976,
+                    _ => 243_084,
+                };
+                for two in [false, true] {
+                    let label = format!("{variant:?}, T = {t}, two events: {two}");
+                    let mut failures = vec![FailureSpec::contiguous(12, 1, 1, 4)];
+                    let mut cost = CostModel::default();
+                    if two {
+                        let second_at = if t == 1 { 13 } else { 17 };
+                        failures.push(FailureSpec::contiguous(second_at, 2, 1, 4));
+                        cost = short_waits;
+                    }
+                    let report = Experiment::builder()
+                        .matrix(MatrixSource::Poisson2d { nx: 24, ny: 24 })
+                        .n_ranks(4)
+                        .variant(variant)
+                        .strategy(Strategy::Esrp { t })
+                        .phi(1)
+                        .failures(failures)
+                        .cost_model(cost)
+                        .trace(TraceConfig::Spans)
+                        .run()
+                        .expect("run");
+                    let inner_flops =
+                        |r: usize| report.per_rank_stats[r].flops[Phase::RecoveryInner as usize];
+                    let inner_time = |r: usize| {
+                        report.per_rank_stats[r].modeled_time[Phase::RecoveryInner as usize]
+                    };
+                    assert_eq!(inner_flops(1), first_flops, "{label}");
+                    assert_eq!(inner_flops(2), if two { 243_084 } else { 0 }, "{label}");
+                    for (event, r) in report.recoveries.iter().zip([1, 2]) {
+                        let solve = inner_flops(r) as f64 * gamma;
+                        assert!(two || event.recovery_time < solve, "{label}");
+                        // Every background second reaches the clock once:
+                        // absorbed by a wait or settled.
+                        assert!((inner_time(r) - solve).abs() <= 1e-12 * solve, "{label}");
+                    }
+                    let trace = report.trace.as_ref().expect("traced run");
+                    assert_eq!(
+                        trace.recovery_seconds().to_bits(),
+                        report.recovery_seconds().to_bits(),
+                        "{label}"
+                    );
+                    if !two {
+                        continue;
+                    }
+                    // On rank 1 the second event's trigger follows the span
+                    // settling its debt, and its agreement starts no earlier
+                    // than that span's end: the debtor's clock plus its debt.
+                    let trigger = |ev: &TraceEvent| match *ev {
+                        TraceEvent::Instant {
+                            kind: InstantKind::FailureTrigger,
+                            at,
+                            ..
+                        } => Some(at),
+                        _ => None,
+                    };
+                    let span = |ev: &TraceEvent| match *ev {
+                        TraceEvent::RecoverySpan { start, end } => Some((start, end)),
+                        _ => None,
+                    };
+                    let events = &trace.ranks[1].events;
+                    let triggers: Vec<usize> = (0..events.len())
+                        .filter(|&i| trigger(&events[i]).is_some())
+                        .collect();
+                    let [first, second] = triggers[..] else {
+                        panic!("{label}: two triggers on rank 1");
+                    };
+                    let owed: Vec<(f64, f64)> =
+                        events[first..second].iter().filter_map(span).collect();
+                    let [(_, first_end), (settle_start, settled)] = owed[..] else {
+                        panic!("{label}: the event's span and the settled debt, got {owed:?}");
+                    };
+                    assert!(
+                        settle_start >= first_end && settled > settle_start,
+                        "{label}"
+                    );
+                    assert_eq!(trigger(&events[second]), Some(settled), "{label}");
+                    let agreed = events[second..].iter().find_map(span);
+                    assert!(
+                        agreed.expect("the second event's span").0 >= settled,
+                        "{label}"
+                    );
+                }
             }
         }
     }

@@ -355,7 +355,13 @@ struct PinnedRun {
 /// inner iteration re-recorded the same four ψ = 2 ESRP rows: their
 /// `x_hash` moved, every modeled clock 3.3–4.1 % (93 µs) lower, every
 /// recovery 10.7–11.3 % cheaper, every count, resume point and tuner
-/// decision unchanged; every other row untouched.
+/// decision unchanged; every other row untouched. Running a lone
+/// replacement's inner solve in the background of its later receive waits
+/// (`Ctx::background`, `RecoveryRule::Extended`) re-recorded the eight
+/// ψ = 1 ESR/ESRP rows that solve at once: every modeled clock 8.1–24.8 %
+/// lower, every recovery 28–94 % cheaper, `x_hash`, every count and resume
+/// point unchanged; the s-step ESRP two-event row's second tuner decision
+/// moved 5 → 3; every IMCR, full-restart and ψ = 2 row untouched.
 /// The
 /// solution, both iteration counts, the modeled clock, every recovery's
 /// resume point and modeled cost and the tuner's decisions must not move.
@@ -375,8 +381,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 41,
-            modeled_bits: 0x3f6295cbcedb5e9f,
-            recoveries: &[(12, 12, 0x3f38178350237b76)],
+            modeled_bits: 0x3f5f7e1d6b5a63d8,
+            recoveries: &[(12, 12, 0x3ef619a86b213f20)],
             intervals_after: &[],
             x_hash: 0xb5cdc8242e20ad44,
         },
@@ -388,8 +394,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 41,
-            modeled_bits: 0x3f5fc8e6c2eaffda,
-            recoveries: &[(12, 12, 0x3f3b0d969281553c)],
+            modeled_bits: 0x3f5a1b6c908ea5dd,
+            recoveries: &[(12, 12, 0x3f115eb7243fb6e0)],
             intervals_after: &[],
             x_hash: 0x91969a3185b4ad5b,
         },
@@ -401,8 +407,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f625c91b1dbb869,
-            recoveries: &[(12, 12, 0x3f382936143b42e8)],
+            modeled_bits: 0x3f609bb40520a653,
+            recoveries: &[(12, 12, 0x3f24ab12c377ca08)],
             intervals_after: &[],
             x_hash: 0xace594c6b3cc6fed,
         },
@@ -492,8 +498,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(18, 1, 1)],
             iterations: 40,
             total_loop_trips: 40,
-            modeled_bits: 0x3f625c91b1dbb86f,
-            recoveries: &[(18, 16, 0x3f382936143b4324)],
+            modeled_bits: 0x3f60db7963be5a48,
+            recoveries: &[(18, 16, 0x3f28a768ad530958)],
             intervals_after: &[],
             x_hash: 0x5bcc4ff807f43e60,
         },
@@ -609,8 +615,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 47,
-            modeled_bits: 0x3f66381554f0946c,
-            recoveries: &[(12, 11, 0x3f37735d5a5f5860), (25, 21, 0x3f3783b88588fd4c)],
+            modeled_bits: 0x3f60b3fa8640cc76,
+            recoveries: &[(12, 11, 0x3ef62f21fa036fc0), (25, 21, 0x3ef734d4ac9db640)],
             intervals_after: &[5, 1],
             x_hash: 0x8987ea9c010ba0c2,
         },
@@ -622,8 +628,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 47,
-            modeled_bits: 0x3f630b30341e2e9c,
-            recoveries: &[(12, 11, 0x3f3a7806f3107af3), (25, 21, 0x3f3a6a5dd8a56b34)],
+            modeled_bits: 0x3f5f714ccadb63e1,
+            recoveries: &[(12, 11, 0x3f2bf574f4ba8d52), (25, 21, 0x3f28a253962c4848)],
             intervals_after: &[5, 3],
             x_hash: 0x658419e44ff50281,
         },
@@ -635,9 +641,9 @@ fn failure_runs_reproduce_the_recorded_bits() {
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
             total_loop_trips: 44,
-            modeled_bits: 0x3f66901d13175ee4,
-            recoveries: &[(12, 8, 0x3f382936143b42e8), (25, 24, 0x3f37451ca7062580)],
-            intervals_after: &[5, 5],
+            modeled_bits: 0x3f64bac3d02d0fbf,
+            recoveries: &[(12, 8, 0x3f312fc8e2786bc8), (25, 24, 0x3f2f60d31e758bf0)],
+            intervals_after: &[5, 3],
             x_hash: 0x7136bfd7d02cce32,
         },
         PinnedRun {
@@ -695,8 +701,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
                 failures: &[(12, 3, 1)],
                 iterations: 40,
                 total_loop_trips: 42,
-                modeled_bits: 0x3f62dc357a9cedee,
-                recoveries: &[(12, 11, 0x3f31f7cc78eb09c6)],
+                modeled_bits: 0x3f60cd24ef121394,
+                recoveries: &[(12, 11, 0x3ef7f481c94355c0)],
                 intervals_after: &[],
                 x_hash: 0x4a781c9531bdaeae,
             },
