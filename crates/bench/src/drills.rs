@@ -28,7 +28,7 @@ use esrcg_campaign::{FaultProcess, TraceBudget};
 use esrcg_cluster::{validate_trace_json, FailureSpec, InstantKind, TraceConfig, TraceEvent};
 use esrcg_core::driver::{Experiment, MatrixSource, RunReport};
 use esrcg_core::solver::PcgVariant;
-use esrcg_core::{Resilience, Strategy};
+use esrcg_core::{IntervalPolicy, Strategy};
 
 /// The drill catalog, in the order the harness runs and reports them.
 pub const DRILLS: [&str; 13] = [
@@ -86,7 +86,7 @@ fn matrix() -> MatrixSource {
     MatrixSource::Poisson2d { nx: 24, ny: 24 }
 }
 
-fn base(strategy: impl Into<Resilience>, phi: usize) -> Experiment {
+fn base(strategy: Strategy, phi: usize) -> Experiment {
     Experiment::builder()
         .matrix(matrix())
         .n_ranks(4)
@@ -107,17 +107,19 @@ fn outcome(name: &'static str, report: &RunReport) -> Result<DrillOutcome, Strin
     })
 }
 
-/// The adaptive drills clamp the tuner to this range, and *all* stochastic
-/// drills budget their traces against the upper bound, so the fixed and
-/// auto cells of a pair replay the **same** failure schedule.
-const AUTO_BOUNDS: (usize, usize) = (2, 8);
+/// The adaptive drills' policy. *All* stochastic drills budget their
+/// traces against its largest interval, so the fixed and auto cells of a
+/// pair replay the **same** failure schedule.
+const AUTO: IntervalPolicy = IntervalPolicy::Adaptive { min_t: 2, max_t: 8 };
 
+/// ESRP(T = 6) under `policy` against a fault trace compiled from
+/// `process`.
 fn stochastic(
     name: &'static str,
     process: FaultProcess,
     seed: u64,
     phi: usize,
-    resilience: Resilience,
+    policy: IntervalPolicy,
 ) -> Result<DrillOutcome, String> {
     let reference = Experiment::builder().matrix(matrix()).n_ranks(4).run()?;
     let schedule = process.compile(
@@ -126,13 +128,16 @@ fn stochastic(
             iterations: reference.iterations,
             n_ranks: 4,
             phi,
-            interval: AUTO_BOUNDS.1,
+            interval: AUTO.max_interval(6),
         },
     );
     if schedule.is_empty() {
         return Err(format!("drill {name}: trace compiled empty"));
     }
-    let report = base(resilience, phi).failures(schedule).run()?;
+    let report = base(Strategy::Esrp { t: 6 }, phi)
+        .interval_policy(policy)
+        .failures(schedule)
+        .run()?;
     outcome(name, &report)
 }
 
@@ -205,14 +210,14 @@ pub fn run_drill(name: &str) -> Result<DrillOutcome, String> {
             FaultProcess::Exponential { mtbf: 10.0 },
             9,
             1,
-            Strategy::Esrp { t: 6 }.fixed(),
+            IntervalPolicy::Fixed,
         ),
         "exp-auto" => stochastic(
             "exp-auto",
             FaultProcess::Exponential { mtbf: 10.0 },
             9,
             1,
-            Strategy::Esrp { t: 6 }.auto_bounded(AUTO_BOUNDS.0, AUTO_BOUNDS.1),
+            AUTO,
         ),
         // The same pair under correlated φ-wide bursts.
         "burst-fixed-t" => stochastic(
@@ -223,7 +228,7 @@ pub fn run_drill(name: &str) -> Result<DrillOutcome, String> {
             },
             9,
             2,
-            Strategy::Esrp { t: 6 }.fixed(),
+            IntervalPolicy::Fixed,
         ),
         "burst-auto" => stochastic(
             "burst-auto",
@@ -233,7 +238,7 @@ pub fn run_drill(name: &str) -> Result<DrillOutcome, String> {
             },
             9,
             2,
-            Strategy::Esrp { t: 6 }.auto_bounded(AUTO_BOUNDS.0, AUTO_BOUNDS.1),
+            AUTO,
         ),
         // Flight-recorder replay: the mid-block s-step failure re-run with
         // the recorder at Full. The drill passes only when the trace is

@@ -28,7 +28,6 @@ use std::sync::Arc;
 use esrcg_cluster::{CostModel, MetricsRollup, TraceConfig};
 use esrcg_core::driver::{Experiment, MatrixSource, RunReport};
 use esrcg_core::solver::PcgVariant;
-use esrcg_core::strategy::Resilience;
 use esrcg_sparse::{CsrMatrix, SpmvFormat};
 
 use crate::fleet::run_jobs;
@@ -242,10 +241,8 @@ impl CampaignRunner {
                     cell.cost,
                     cell.format,
                 )
-                .strategy(Resilience {
-                    strategy: cell.strategy,
-                    policy: cell.policy,
-                })
+                .strategy(cell.strategy)
+                .interval_policy(cell.policy)
                 .phi(cell.phi)
                 .failures(job.schedule.clone())
                 // Spans-level recording: phase/recovery spans and logical

@@ -65,7 +65,7 @@ pub struct CampaignSpec {
     /// so the axis exercises code paths rather than splitting baselines —
     /// every format shares the (problem, ranks, variant) baseline.
     pub formats: Vec<SpmvFormat>,
-    /// Resilience strategies under test (`Strategy::None` is implicit: the
+    /// Resilient strategies under test (`Strategy::None` is implicit: the
     /// matched baseline of every (problem, rank count) pair always runs).
     pub strategies: Vec<Strategy>,
     /// Interval policies under test: fixed T (the spec strategy's interval

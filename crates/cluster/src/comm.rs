@@ -350,24 +350,14 @@ impl Ctx {
         }
     }
 
-    /// Records a completed receive in the flight recorder (`Full` level
-    /// only). The event is identical whether the message was handed over by
-    /// `recv` or the `try_recv` fast path: both complete at
-    /// `max(clock, arrival)` with the same payload, so `Full` traces stay
-    /// schedule-independent.
-    #[inline]
-    fn trace_recv(&mut self, from: usize, tag: u64, payload: &Payload, wait: f64) {
-        if self.trace.level() == TraceConfig::Full {
-            self.trace
-                .recv(from, tag, payload.bytes(), wait, self.clock);
-        }
-    }
-
     /// Receives the next message from rank `from` with matching `tag`,
     /// blocking until it is delivered: the rank suspends and its worker
     /// runs other ranks meanwhile. Other messages stay in the mailbox for
-    /// later receives. Time spent waiting for the arrival (on the modeled
-    /// clock) is recorded in [`RankStats::recv_wait`].
+    /// later receives. The receive completes at `max(clock, arrival)` on
+    /// the modeled clock, whenever the host delivered the message, so
+    /// results, clocks and `Full` traces do not depend on how ranks share
+    /// threads. Time spent waiting for the arrival is recorded in
+    /// [`RankStats::recv_wait`].
     ///
     /// # Panics
     /// Panics on self-receives and unknown source ranks. A receive nobody
@@ -384,33 +374,11 @@ impl Ctx {
             .fabric
             .recv(self.rank, from, tag, self.phase, self.clock);
         let wait = self.complete_recv(msg.arrival);
-        self.trace_recv(from, tag, &msg.payload, wait);
+        if self.trace.level() == TraceConfig::Full {
+            self.trace
+                .recv(from, tag, msg.payload.bytes(), wait, self.clock);
+        }
         msg.payload
-    }
-
-    /// Nonblocking receive: returns the next message from `(from, tag)` if
-    /// it has been physically delivered **and** has already arrived on this
-    /// rank's modeled clock (see `Message::has_arrived`), so completing
-    /// it costs no modeled time. Returns `None` otherwise.
-    ///
-    /// FIFO order per `(source, tag)` is preserved across `try_recv` and
-    /// [`Ctx::recv`], so mixing the two can never reorder payloads.
-    /// Whether a probe hits depends on how the host schedules ranks, but a
-    /// hit never advances the clock — a deterministic protocol that eventually
-    /// `recv`s every message it is owed therefore yields
-    /// schedule-independent results *and* modeled times, with `try_recv`
-    /// acting purely as a zero-cost fast path (this is how the split-phase
-    /// halo exchange drains its receives).
-    ///
-    /// # Panics
-    /// Panics on self-receives and unknown source ranks.
-    pub fn try_recv(&mut self, from: usize, tag: u64) -> Option<Payload> {
-        self.assert_foreground("try_recv");
-        assert_ne!(from, self.rank, "self-receive is a protocol bug");
-        assert!(from < self.size, "try_recv: unknown source rank {from}");
-        let msg = self.fabric.try_recv(self.rank, from, tag, self.clock)?;
-        self.trace_recv(from, tag, &msg.payload, 0.0);
-        Some(msg.payload)
     }
 
     /// Fresh sub-identifier for a collective round.

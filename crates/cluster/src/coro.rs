@@ -16,7 +16,8 @@
 //!
 //! Two implementations sit behind the interface, selected at build time.
 //! On x86-64 Linux, [`native`] switches stacks in user space (an `mmap`'d
-//! stack per coroutine and a callee-saved-register swap). Every other
+//! stack per coroutine, reused by the thread's next coroutine once the body
+//! has ended, and a callee-saved-register swap). Every other
 //! target gets [`threaded`], which backs each coroutine with a parked OS
 //! thread; it is compiled and unit-tested on every target. ARCHITECTURE.md
 //! ("The coroutine safety contract") states the invariants in full.
@@ -33,7 +34,7 @@ pub(crate) use threaded::{suspend, Coro};
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod native {
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::ffi::{c_int, c_void};
     use std::marker::PhantomData;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -149,14 +150,26 @@ mod native {
         /// The coroutine running on this OS thread (null outside any).
         /// Sound as a thread-local because coroutines are pinned.
         static CURRENT: Cell<*mut u8> = const { Cell::new(ptr::null_mut()) };
+
+        /// Stacks of this thread's ended coroutines, taken by its next
+        /// [`Coro::new`]s before any fresh mapping: a thread holds at most
+        /// as many stacks as it ever had coroutines alive at once. Unmapped
+        /// when the thread exits.
+        static SPARE: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// How many spare stacks this thread holds.
+    #[cfg(test)]
+    pub(super) fn spare_stacks() -> usize {
+        SPARE.with_borrow(Vec::len)
     }
 
     /// A closure running on its own stack (see the module docs).
     pub(crate) struct Coro<'a> {
         inner: NonNull<Inner<'a>>,
-        /// Held only to keep the mapping alive; unmapped after `drop` has
-        /// ended the body.
-        _stack: Stack,
+        /// Held only to keep the mapping alive; handed to [`SPARE`] after
+        /// `drop` has ended the body (`None` only inside `drop`).
+        stack: Option<Stack>,
         done: bool,
         /// Owns an `Inner<'a>`; the raw pointer also makes `Coro: !Send`.
         _owns: PhantomData<Box<Inner<'a>>>,
@@ -232,11 +245,11 @@ mod native {
     }
 
     impl<'a> Coro<'a> {
-        /// A coroutine that will run `body` on a fresh stack at the first
-        /// [`Coro::resume`]. Costs one `mmap` + `mprotect` and one touched
-        /// page.
+        /// A coroutine that will run `body` at the first [`Coro::resume`],
+        /// on a spare stack of this thread's if there is one. A fresh stack
+        /// costs one `mmap` + `mprotect` and one touched page.
         pub(crate) fn new(body: impl FnOnce() + Send + 'a) -> Coro<'a> {
-            let stack = Stack::new();
+            let stack = SPARE.with_borrow_mut(Vec::pop).unwrap_or_else(Stack::new);
             let inner = Box::into_raw(Box::new(Inner {
                 sp: ptr::null_mut(),
                 body: Some(Box::new(body)),
@@ -245,19 +258,21 @@ mod native {
             }));
             let top = stack.top();
             // SAFETY: the nine words below `top` lie in the writable part
-            // of the fresh mapping, which is zero-filled: the frame `switch`
+            // of the mapping, which a reused stack leaves holding an ended
+            // body's frames, so every word is written: the frame `switch`
             // pops is r15 r14 r13 r12 rbx rbp (words 9..=4 below `top`),
-            // then the return address (word 3). Word 2 stays zero — the
-            // trampoline's own "return address", where a frame-pointer walk
-            // ends — and after the `ret` rsp = top − 16, 16-byte aligned.
-            // `inner` is non-null (it came from a `Box`).
+            // then the return address (word 3). rbp and word 2 — the
+            // trampoline's own "return address" — are zero, where a
+            // frame-pointer walk ends, and after the `ret` rsp = top − 16,
+            // 16-byte aligned. `inner` is non-null (it came from a `Box`).
             unsafe {
-                top.sub(3).write(trampoline as *const () as usize);
-                top.sub(6).write(inner as usize);
+                let entry = trampoline as *const () as usize;
+                let frame = [0, 0, 0, inner as usize, 0, 0, entry, 0, 0];
+                top.sub(9).cast::<[usize; 9]>().write(frame);
                 (*inner).sp = top.sub(9).cast();
                 Coro {
                     inner: NonNull::new_unchecked(inner),
-                    _stack: stack,
+                    stack: Some(stack),
                     done: false,
                     _owns: PhantomData,
                 }
@@ -276,7 +291,7 @@ mod native {
             // SAFETY: `inner` lives until `drop`. The coroutine is not
             // running (it is `!Send` and this thread is here), so `sp` is
             // its initial frame or what its last `switch` saved, on a stack
-            // that `self._stack` keeps mapped and that only this thread
+            // that `self.stack` keeps mapped and that only this thread
             // uses. The closure's borrows are valid: `&mut self` proves
             // `'a` has not ended.
             let outcome = unsafe {
@@ -329,8 +344,13 @@ mod native {
             }
             // SAFETY: `inner` came from `Box::into_raw` in `new` and is
             // freed exactly once; the coroutine has ended or never started,
-            // so nothing will reach it (or the stack, unmapped next) again.
+            // so nothing will reach it (or the stack) again.
             drop(unsafe { Box::from_raw(inner) });
+            // No frame on the stack can run again, so the next coroutine may
+            // overwrite it. During thread exit the list may be gone already;
+            // then the closure, and with it the stack, is dropped: unmapped.
+            let stack = self.stack.take();
+            let _ = SPARE.try_with(move |spare| spare.borrow_mut().extend(stack));
         }
     }
 }
@@ -668,5 +688,63 @@ mod tests {
         });
         assert!(matches!(coro.resume(), Some(Ok(()))));
         assert_eq!(*result.lock().unwrap(), 200);
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    #[test]
+    fn an_ended_coroutines_stack_is_reused_by_the_next() {
+        use super::native::{spare_stacks, suspend, Coro};
+        // Where the body's first local lands: the same address on the same
+        // stack.
+        fn local_addr() -> usize {
+            let local = 0u8;
+            std::hint::black_box(&local) as *const u8 as usize
+        }
+        /// A coroutine that records `local_addr` in `addr`, runs `body` and
+        /// suspends.
+        fn started<'a>(addr: &'a AtomicUsize, body: &'a (dyn Fn() + Sync)) -> Coro<'a> {
+            let mut coro = Coro::new(move || {
+                addr.store(local_addr(), Ordering::SeqCst);
+                body();
+                suspend();
+            });
+            assert!(coro.resume().is_none());
+            coro
+        }
+        let addrs: [AtomicUsize; 5] = Default::default();
+        let at = |k: usize| addrs[k].load(Ordering::SeqCst);
+        let nothing = || {};
+        // A body that dirties its stack far down, then is unwound mid-body:
+        // its stack becomes this thread's one spare.
+        let dirty = || {
+            std::hint::black_box([usize::MAX; 4096]);
+        };
+        assert_eq!(spare_stacks(), 0);
+        drop(started(&addrs[0], &dirty));
+        assert_eq!(spare_stacks(), 1);
+        // The next coroutine runs on that stack: its initial frame must be
+        // rewritten, not found zeroed, for it to start, unwind and leave a
+        // terminating backtrace.
+        let traced = || {
+            let frames = std::backtrace::Backtrace::force_capture().to_string();
+            assert!(!frames.is_empty());
+        };
+        let again = started(&addrs[1], &traced);
+        assert_eq!(spare_stacks(), 0, "the spare stack is taken");
+        assert_eq!(at(1), at(0), "and it is the ended coroutine's");
+        // While it is alive, a third coroutine needs a stack of its own.
+        let other = started(&addrs[2], &nothing);
+        assert_ne!(at(2), at(1), "a live coroutine's stack is never shared");
+        drop((again, other));
+        assert_eq!(spare_stacks(), 2, "as many as were ever alive at once");
+        let both = (started(&addrs[3], &nothing), started(&addrs[4], &nothing));
+        assert_eq!(spare_stacks(), 0, "no third mapping while two are spare");
+        let mut reused = [at(3), at(4)];
+        reused.sort_unstable();
+        let mut spare = [at(1), at(2)];
+        spare.sort_unstable();
+        assert_eq!(reused, spare);
+        drop(both);
+        assert_eq!(spare_stacks(), 2);
     }
 }

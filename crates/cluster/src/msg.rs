@@ -11,14 +11,12 @@
 /// Typed message payloads exchanged between ranks.
 ///
 /// The solver's protocols only ever move a handful of shapes: raw `f64`
-/// vectors (halo exchange, checkpoints, the recovery gather), single
-/// scalars, and empty control messages. An enum keeps the message layer
+/// vectors (halo exchange, checkpoints, the recovery gather) and single
+/// scalars (the clock barrier). An enum keeps the message layer
 /// simple and lets the instrumentation compute payload sizes without
 /// serialization.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
-    /// No data (barriers, acknowledgements).
-    Empty,
     /// A single scalar (e.g. a clock-barrier round).
     Scalar(f64),
     /// A dense vector chunk.
@@ -30,7 +28,6 @@ impl Payload {
     /// compact wire encoding would carry (8 bytes per value).
     pub(crate) fn bytes(&self) -> usize {
         match self {
-            Payload::Empty => 0,
             Payload::Scalar(_) => 8,
             Payload::F64s(v) => 8 * v.len(),
         }
@@ -144,7 +141,7 @@ impl BufferPool {
     /// bufferless shapes).
     pub(crate) fn recycle(&mut self, payload: Payload) {
         match payload {
-            Payload::Empty | Payload::Scalar(_) => {}
+            Payload::Scalar(_) => {}
             Payload::F64s(v) => self.recycle_f64s(v),
         }
     }
@@ -172,17 +169,6 @@ pub(crate) struct Message {
     pub payload: Payload,
 }
 
-impl Message {
-    /// True once the receiver's modeled clock `now` has reached this
-    /// message's arrival time — a receive would complete without waiting.
-    /// This is the condition `Ctx::try_recv` checks before handing a
-    /// physically delivered message over at zero modeled cost.
-    #[inline]
-    pub(crate) fn has_arrived(&self, now: f64) -> bool {
-        self.arrival <= now
-    }
-}
-
 /// Tag namespaces for the solver's protocols.
 ///
 /// A tag is `(kind << 32) | sub`, where `sub` disambiguates concurrent
@@ -198,9 +184,6 @@ pub enum Tag {
     Bcast = 2,
     /// Internal: clock-barrier rounds ([`crate::Ctx::barrier_sync_clock`]).
     Barrier = 3,
-    /// Reserved: no collective sends under it; the kind keeps its id so
-    /// the tag-kind names in traces and drill reports keep theirs.
-    Gather = 4,
     /// Halo exchange for SpMV.
     Halo = 16,
     /// ASpMV top-ups that stand alone: redundant copies for a designated
@@ -250,7 +233,7 @@ mod tests {
 
     #[test]
     fn payload_sizes() {
-        assert_eq!(Payload::Empty.bytes(), 0);
+        assert_eq!(Payload::F64s(Vec::new()).bytes(), 0);
         assert_eq!(Payload::Scalar(1.0).bytes(), 8);
         assert_eq!(Payload::F64s(vec![0.0; 5]).bytes(), 40);
     }
@@ -264,7 +247,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "protocol error")]
     fn wrong_unwrap_panics() {
-        Payload::Empty.into_f64s();
+        Payload::Scalar(1.0).into_f64s();
     }
 
     #[test]
@@ -273,7 +256,6 @@ mod tests {
             Tag::Reduce,
             Tag::Bcast,
             Tag::Barrier,
-            Tag::Gather,
             Tag::Halo,
             Tag::Redundant,
             Tag::Checkpoint,
@@ -314,9 +296,8 @@ mod tests {
     #[test]
     fn buffer_pool_recycles_every_payload_shape() {
         let mut pool = BufferPool::new();
-        pool.recycle(Payload::Empty);
         pool.recycle(Payload::Scalar(1.0));
-        assert_eq!(pool.parked(), 0, "bufferless shapes park nothing");
+        assert_eq!(pool.parked(), 0, "a scalar parks nothing");
         pool.recycle(Payload::F64s(vec![1.0]));
         pool.recycle(Payload::F64s(vec![2.0, 3.0]));
         assert_eq!(pool.parked(), 2);

@@ -278,17 +278,6 @@ impl Fabric {
         }
     }
 
-    /// The oldest message from `(from, tag)` if it is delivered *and* has
-    /// arrived by modeled time `now`. Never suspends.
-    pub(crate) fn try_recv(&self, rank: usize, from: usize, tag: u64, now: f64) -> Option<Message> {
-        let mut inbox = lock(&self.mailboxes[rank]);
-        let at = inbox.position(from, tag)?;
-        if !inbox.queue[at].1.has_arrived(now) {
-            return None;
-        }
-        inbox.queue.remove(at).map(|(_, msg)| msg)
-    }
-
     fn make_runnable(&self, rank: usize) {
         let worker = &self.workers[self.worker_of(rank)];
         let mut queue = lock(&worker.queue);
@@ -709,90 +698,64 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_is_a_zero_cost_fast_path() {
-        // Rank 0 sends, then both ranks sync clocks; rank 1 then drains the
-        // message with try_recv. The payload and clock must match what a
-        // blocking recv would produce.
+    fn an_arrived_message_is_received_at_no_modeled_cost() {
+        // Rank 0 sends, then both ranks sync clocks: the barrier's message
+        // from rank 0 leaves after the halo message, so once rank 1 is out
+        // of the barrier the halo message has arrived on its modeled clock.
+        // Receiving it moves neither the clock nor the receive wait.
         let out = run_spmd(2, CostModel::default(), |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, Tag::Halo.with(3), Payload::Scalar(42.0));
                 ctx.barrier_sync_clock();
-                (0.0, 0.0)
-            } else {
-                // The barrier's broadcast reaches this rank from rank 0,
-                // which sent the halo message first: mailboxes are FIFO per
-                // sender and the broadcast arrives later on the modeled
-                // clock, so the message has physically and logically arrived.
-                ctx.barrier_sync_clock();
-                let before = ctx.clock();
-                let v = ctx
-                    .try_recv(0, Tag::Halo.with(3))
-                    .expect("delivered ahead of the barrier's broadcast")
-                    .into_scalar();
-                assert_eq!(ctx.clock(), before, "try_recv never advances the clock");
-                (v, ctx.stats().total_recv_wait())
-            }
-        });
-        assert_eq!(out.results[1].0, 42.0);
-        // The only wait was inside the barrier collective, not the halo.
-        assert_eq!(
-            out.stats[1].recv_wait[Phase::Setup as usize],
-            out.results[1].1
-        );
-    }
-
-    #[test]
-    fn try_recv_returns_none_for_future_arrivals() {
-        // A message whose modeled arrival lies ahead of the receiver's
-        // clock must not be handed over by try_recv, even once physically
-        // delivered; the blocking recv then waits exactly the gap. Rank 0
-        // sends a long message and then an empty one: the empty one is
-        // injected later but lands first on the modeled clock, and mailboxes
-        // are FIFO per sender, so once rank 1 holds it the long message is
-        // delivered and still in rank 1's modeled future.
-        let out = run_spmd(2, CostModel::default(), |ctx| {
-            let (long, short) = (Tag::Halo.with(9), Tag::Halo.with(10));
-            if ctx.rank() == 0 {
-                ctx.send(1, long, Payload::F64s(vec![7.0; 4096]));
-                ctx.send(1, short, Payload::Empty);
                 0.0
             } else {
-                ctx.recv(0, short);
-                assert!(
-                    ctx.try_recv(0, long).is_none(),
-                    "arrival is in the modeled future"
-                );
-                let before = ctx.clock();
-                let v = ctx.recv(0, long).into_f64s()[0];
-                let waited = ctx.clock() - before;
-                assert!(waited > 0.0, "blocking recv waited");
-                assert!(ctx.stats().total_recv_wait() >= waited);
+                ctx.barrier_sync_clock();
+                let (clock, waited) = (ctx.clock(), ctx.stats().total_recv_wait());
+                let v = ctx.recv(0, Tag::Halo.with(3)).into_scalar();
+                assert_eq!(ctx.clock(), clock, "an arrived message costs no time");
+                assert_eq!(ctx.stats().total_recv_wait(), waited, "nor any wait");
                 v
             }
         });
-        assert_eq!(out.results[1], 7.0);
+        assert_eq!(out.results[1], 42.0);
     }
 
     #[test]
-    fn mixing_try_recv_and_recv_preserves_fifo_order() {
+    fn a_message_in_the_modeled_future_waits_exactly_the_gap() {
+        // α = 1/16 s, 1/1024 s per byte. Rank 0 sends 64 values at clock 0
+        // (arrival 1/16 + 1/16 + 1/2 = 5/8), then an empty message that
+        // lands first (1/8 + 1/16 = 3/16). Once rank 1 holds the empty one
+        // the long one is delivered too (mailboxes are FIFO per sender)
+        // but still 7/16 s ahead, and the receive waits exactly that.
+        let cost = CostModel::comm_only(0.0625, 1.0 / 1024.0);
+        let out = run_spmd(2, cost, |ctx| {
+            let (long, short) = (Tag::Halo.with(9), Tag::Halo.with(10));
+            if ctx.rank() == 0 {
+                ctx.send(1, long, Payload::F64s(vec![7.0; 64]));
+                ctx.send(1, short, Payload::F64s(Vec::new()));
+                (0.0, 0.0)
+            } else {
+                ctx.recv(0, short);
+                assert_eq!(ctx.clock(), 0.1875);
+                let v = ctx.recv(0, long).into_f64s()[0];
+                (v, ctx.clock() - 0.1875)
+            }
+        });
+        assert_eq!(out.results[1], (7.0, 0.4375));
+        assert_eq!(out.stats[1].total_recv_wait(), 0.625);
+    }
+
+    #[test]
+    fn messages_under_one_source_and_tag_arrive_in_send_order() {
         let out = run_spmd(2, CostModel::default(), |ctx| {
             let tag = Tag::Halo.with(1);
             if ctx.rank() == 0 {
                 for v in 1..=3 {
                     ctx.send(1, tag, Payload::Scalar(v as f64));
                 }
-                ctx.barrier_sync_clock();
                 Vec::new()
             } else {
-                ctx.barrier_sync_clock();
-                let mut got = Vec::new();
-                while got.len() < 3 {
-                    match ctx.try_recv(0, tag) {
-                        Some(p) => got.push(p.into_scalar()),
-                        None => got.push(ctx.recv(0, tag).into_scalar()),
-                    }
-                }
-                got
+                (0..3).map(|_| ctx.recv(0, tag).into_scalar()).collect()
             }
         });
         assert_eq!(out.results[1], vec![1.0, 2.0, 3.0]);
@@ -1286,7 +1249,7 @@ mod tests {
                     let next = (ctx.rank() + 1) % ctx.size();
                     let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
                     ctx.recv(next, Tag::Checkpoint.bare());
-                    ctx.send(prev, Tag::Checkpoint.bare(), Payload::Empty);
+                    ctx.send(prev, Tag::Checkpoint.bare(), Payload::F64s(Vec::new()));
                 })
             });
             let report = panic_message(outcome.expect_err("the run must fail"));
@@ -1339,9 +1302,9 @@ mod tests {
 
     #[test]
     fn worker_count_is_invisible_to_results_and_clocks() {
-        // Uneven blocks (37 is prime), tree hops across every worker, an
-        // opportunistic try_recv drain: values and modeled clocks must not
-        // depend on how ranks share threads.
+        // Uneven blocks (37 is prime), tree hops across every worker, a
+        // ring of point-to-point receives: values and modeled clocks must
+        // not depend on how ranks share threads.
         let run = |workers: usize| {
             watchdog(move || {
                 run_on(37, workers, |ctx| {
@@ -1352,11 +1315,8 @@ mod tests {
                         let tag = Tag::Halo.with(round);
                         ctx.charge_flops(100 * (1 + ctx.rank() as u64 % 3));
                         ctx.send(next, tag, Payload::Scalar(x));
-                        let got = match ctx.try_recv(prev, tag) {
-                            Some(p) => p,
-                            None => ctx.recv(prev, tag),
-                        };
-                        x = ctx.allreduce_sum_scalar(x + got.into_scalar()) / ctx.size() as f64;
+                        let got = ctx.recv(prev, tag).into_scalar();
+                        x = ctx.allreduce_sum_scalar(x + got) / ctx.size() as f64;
                     }
                     (x.to_bits(), ctx.clock().to_bits())
                 })

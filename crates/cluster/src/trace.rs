@@ -96,7 +96,6 @@ pub(crate) fn tag_kind_name(kind: u32) -> &'static str {
         1 => "reduce",
         2 => "bcast",
         3 => "barrier",
-        4 => "gather",
         16 => "halo",
         17 => "redundant",
         18 => "checkpoint",

@@ -226,12 +226,9 @@ impl HaloExchange {
     /// scatters them into `full`. The view must accept the same peers the
     /// matching [`HaloExchange::start_view`] accepted, or receives leak.
     ///
-    /// * Each receive first probes [`Ctx::try_recv`] — a message that
-    ///   arrived (physically and on the modeled clock) while the caller was
-    ///   computing interior rows is handed over at zero modeled cost — and
-    ///   falls back to the blocking [`Ctx::recv`] otherwise. Both paths
-    ///   yield the same payload and the same clock, so the fast path can
-    ///   never change a result or a modeled time.
+    /// * Each receive is a [`Ctx::recv`]: a message that arrived while the
+    ///   caller was computing interior rows completes at no modeled cost,
+    ///   a later one waits for its arrival.
     /// * When `captured` is provided, each received payload is appended to
     ///   it whole with its source ([`Capture::record`]) — this is how the
     ///   ASpMV records the redundant copies it stores in the
@@ -255,10 +252,7 @@ impl HaloExchange {
     ) {
         let me = ctx.rank();
         for (src, halo, top_ups) in view.recvs_of(me) {
-            let vals = match ctx.try_recv(src, self.tag) {
-                Some(payload) => payload.into_f64s(),
-                None => ctx.recv(src, self.tag).into_f64s(),
-            };
+            let vals = ctx.recv(src, self.tag).into_f64s();
             assert_eq!(
                 vals.len(),
                 halo.len() + top_ups.len(),

@@ -28,7 +28,7 @@ use esrcg_sparse::{CsrMatrix, KernelBackend, SpmvFormat};
 use crate::solver::recovery::RecoveryOutcome;
 use crate::solver::tuning::TuneEvent;
 use crate::solver::{solve_node, PcgVariant, RecoveryRule, SharedProblem, SolverConfig};
-use crate::strategy::{IntervalPolicy, Resilience, Strategy};
+use crate::strategy::{IntervalPolicy, Strategy};
 
 /// Where the system matrix comes from.
 #[derive(Debug, Clone)]
@@ -235,14 +235,17 @@ impl Experiment {
         self
     }
 
-    /// Sets the resilience strategy and interval policy. Accepts a plain
-    /// [`Strategy`] (fixed interval, the legacy behavior) or a
-    /// [`Resilience`] — e.g. `Strategy::Esrp { t: 10 }.auto()` for
-    /// adaptive Daly/Young interval tuning.
-    pub fn strategy(mut self, s: impl Into<Resilience>) -> Self {
-        let r = s.into();
-        self.cfg.strategy = r.strategy;
-        self.cfg.interval_policy = r.policy;
+    /// Sets the resilience strategy (default: [`Strategy::None`]).
+    pub fn strategy(mut self, s: Strategy) -> Self {
+        self.cfg.strategy = s;
+        self
+    }
+
+    /// Sets how the strategy's interval evolves (default:
+    /// [`IntervalPolicy::Fixed`]; [`IntervalPolicy::Adaptive`] tunes it
+    /// online toward the Daly/Young optimum).
+    pub fn interval_policy(mut self, p: IntervalPolicy) -> Self {
+        self.cfg.interval_policy = p;
         self
     }
 
@@ -623,6 +626,13 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(err.contains("T = 2"));
+        let err = Experiment::builder()
+            .matrix(MatrixSource::Poisson2d { nx: 4, ny: 4 })
+            .n_ranks(4)
+            .interval_policy(IntervalPolicy::Adaptive { min_t: 1, max_t: 8 })
+            .run()
+            .unwrap_err();
+        assert!(err.contains("needs a resilient strategy"), "{err}");
         // A zero block size is an error up front, not a panic inside
         // `BlockJacobiPrecond::new` — for the inner one, that would be on a
         // replacement rank in the middle of the first recovery.

@@ -58,4 +58,4 @@ pub mod strategy;
 pub use driver::{Experiment, RunReport};
 pub use solver::tuning::TuneEvent;
 pub use solver::{PcgVariant, RecoveryRule};
-pub use strategy::{IntervalPolicy, Resilience, Strategy};
+pub use strategy::{IntervalPolicy, Strategy};

@@ -3,6 +3,7 @@
 //! their state is classic-shaped (the [`Recurrence`] defaults).
 
 use esrcg_cluster::{Ctx, Phase};
+use esrcg_sparse::KernelBackend;
 
 use super::state::NodeState;
 use super::{dist_spmv, Node, Recurrence, SharedProblem, INIT_TAG};
@@ -24,23 +25,14 @@ pub(super) fn init_state(
     shared: &SharedProblem,
     full: &mut [f64],
 ) -> (NodeState, f64, f64) {
-    let rank = ctx.rank();
-    let part = &*shared.part;
     // Ranks run concurrently, up to one per core: divide the kernel thread
     // budget so together they use the machine once over, not n_ranks times.
     let be = shared.cfg.backend.subdivided(ctx.size());
-    let range = part.range(rank);
+    let range = shared.part.range(ctx.rank());
     let nloc = range.len();
     let mut st = NodeState::new(nloc);
 
-    st.x.copy_from_slice(&shared.x0[range.clone()]);
-    dist_spmv(ctx, shared, be, &st.x, INIT_TAG, full, &mut st.q, None);
-    for i in 0..nloc {
-        st.r[i] = shared.b[range.start + i] - st.q[i];
-    }
-    ctx.charge_flops(nloc as u64);
-    shared.precond.apply_local(range.clone(), &st.r, &mut st.z);
-    ctx.charge_flops(shared.precond.apply_flops(range.clone()));
+    init_residual(ctx, shared, be, &mut st, full);
     st.p.copy_from_slice(&st.z);
 
     let b_loc = &shared.b[range.clone()];
@@ -56,6 +48,27 @@ pub(super) fn init_state(
     st.beta_prev = 0.0;
     ctx.recycle_f64s(red);
     (st, bnorm2, rr)
+}
+
+/// The start every recurrence's initialization shares, on this rank's rows:
+/// `x = x0`, `q = A x` (under [`INIT_TAG`]), `r = b − q` and `z = P r`.
+/// Compute charges to the surrounding phase.
+pub(super) fn init_residual(
+    ctx: &mut Ctx,
+    shared: &SharedProblem,
+    be: KernelBackend,
+    st: &mut NodeState,
+    full: &mut [f64],
+) {
+    let range = shared.part.range(ctx.rank());
+    st.x.copy_from_slice(&shared.x0[range.clone()]);
+    dist_spmv(ctx, shared, be, &st.x, INIT_TAG, full, &mut st.q, None);
+    for i in 0..range.len() {
+        st.r[i] = shared.b[range.start + i] - st.q[i];
+    }
+    ctx.charge_flops(range.len() as u64);
+    shared.precond.apply_local(range.clone(), &st.r, &mut st.z);
+    ctx.charge_flops(shared.precond.apply_flops(range));
 }
 
 impl Recurrence for Classic {

@@ -1026,8 +1026,8 @@ mod tests {
 
     #[test]
     fn all_strategies_follow_identical_trajectories_failure_free() {
-        // Resilience without failures must not change the arithmetic: same
-        // iteration count, bitwise identical solution.
+        // A resilient strategy without failures must not change the
+        // arithmetic: same iteration count, bitwise identical solution.
         let (ref_outs, _) = run(shared_for(4, Strategy::None, 0, None), 4);
         let ref_x = gather_x(&ref_outs);
         let c = ref_outs[0].iterations;

@@ -8,8 +8,9 @@
 
 use esrcg_cluster::{Ctx, Phase, Tag};
 
+use super::classic::init_residual;
 use super::state::NodeState;
-use super::{capture_direction, dist_spmv, Node, Recurrence, SharedProblem, INIT_TAG};
+use super::{capture_direction, dist_spmv, Node, Recurrence, SharedProblem};
 
 /// Second and third initialization SpMVs (`w = Au` and `g = Ah`).
 const INIT_TAG_W: u32 = u32::MAX - 2;
@@ -39,21 +40,11 @@ impl Recurrence for Pipelined {
         shared: &SharedProblem,
         full: &mut [f64],
     ) -> (NodeState, f64, f64) {
-        let rank = ctx.rank();
-        let part = &*shared.part;
         let be = shared.cfg.backend.subdivided(ctx.size());
-        let range = part.range(rank);
+        let range = shared.part.range(ctx.rank());
         let nloc = range.len();
         let mut st = NodeState::new_pipelined(nloc);
-
-        st.x.copy_from_slice(&shared.x0[range.clone()]);
-        dist_spmv(ctx, shared, be, &st.x, INIT_TAG, full, &mut st.q, None);
-        for i in 0..nloc {
-            st.r[i] = shared.b[range.start + i] - st.q[i];
-        }
-        ctx.charge_flops(nloc as u64);
-        shared.precond.apply_local(range.clone(), &st.r, &mut st.z);
-        ctx.charge_flops(shared.precond.apply_flops(range.clone()));
+        init_residual(ctx, shared, be, &mut st, full);
 
         // w = A u (u lives in z). The aux box is detached while distributed
         // kernels borrow both it and the rest of the state.

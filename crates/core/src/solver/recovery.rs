@@ -649,7 +649,7 @@ impl InnerSystem<'_> {
     ///    v over I(me,d)]`, and nothing when both parts are empty;
     /// 2. the interior rows of `av = A[I_own, I_f] v` compute while the
     ///    messages fly;
-    /// 3. the receives drain in `group` order (`try_recv`, then `recv`),
+    /// 3. the receives drain in `group` order,
     ///    the halo values landing in `full` at `I(src, me)`;
     /// 4. the partials are summed starting from the first member's — the
     ///    same additions in the same order on every member, so all hold the
@@ -708,10 +708,7 @@ impl InnerSystem<'_> {
                 if K == 0 && idx.is_empty() {
                     continue;
                 }
-                let msg = match ctx.try_recv(src, tag) {
-                    Some(payload) => payload.into_f64s(),
-                    None => ctx.recv(src, tag).into_f64s(),
-                };
+                let msg = ctx.recv(src, tag).into_f64s();
                 assert_eq!(
                     msg.len(),
                     K + idx.len(),

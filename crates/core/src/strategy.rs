@@ -1,4 +1,4 @@
-//! Resilience strategy configuration.
+//! The resilience strategy and its interval policy.
 
 use std::fmt;
 
@@ -34,34 +34,6 @@ impl Strategy {
     /// Classic ESR (ESRP with `t = 1`).
     pub fn esr() -> Self {
         Strategy::Esrp { t: 1 }
-    }
-
-    /// This strategy with the interval re-tuned online: `t` is the
-    /// starting interval, and after every recovery the solver re-estimates
-    /// MTBF and per-round checkpoint cost and moves `T` toward the
-    /// Daly/Young optimum `T* = √(2·MTBF·C_ckpt)` (in iteration units),
-    /// clamped to `[1, max(8·t, 32)]`. Use [`Strategy::auto_bounded`] for
-    /// explicit clamp bounds.
-    pub fn auto(self) -> Resilience {
-        let t = self.interval().unwrap_or(1);
-        self.auto_bounded(1, (8 * t).max(32))
-    }
-
-    /// [`Strategy::auto`] with an explicit interval clamp `[min_t, max_t]`.
-    pub fn auto_bounded(self, min_t: usize, max_t: usize) -> Resilience {
-        Resilience {
-            strategy: self,
-            policy: IntervalPolicy::Adaptive { min_t, max_t },
-        }
-    }
-
-    /// This strategy with the interval held fixed (the default; equivalent
-    /// to passing the bare `Strategy`).
-    pub fn fixed(self) -> Resilience {
-        Resilience {
-            strategy: self,
-            policy: IntervalPolicy::Fixed,
-        }
     }
 
     /// Validates the configuration.
@@ -136,10 +108,13 @@ impl fmt::Display for Strategy {
 /// `Fixed` (the default) keeps the configured `T` forever — every run
 /// before this type existed behaved like that, and the solver is bitwise
 /// unchanged under it. `Adaptive` re-tunes `T` at recovery points from the
-/// observed failure stream (see [`Strategy::auto`]); until two failures
-/// have been observed there is no MTBF estimate and the configured `T`
-/// stands, so an adaptive run with fewer than two failures is bitwise
-/// identical to the fixed run.
+/// observed failure stream: after every recovery the solver re-estimates
+/// MTBF and the per-round checkpoint cost and moves `T` toward the
+/// Daly/Young optimum `T* = √(2·MTBF·C_ckpt)` (in iteration units), clamped
+/// to `[min_t, max_t]`. Until two failures have been observed there is no
+/// MTBF estimate and the configured `T` stands, so an adaptive run with
+/// fewer than two failures is bitwise identical to the fixed run. Set it
+/// with `Experiment::interval_policy`; it needs a resilient strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntervalPolicy {
     /// Keep the configured interval for the whole run.
@@ -205,44 +180,6 @@ impl IntervalPolicy {
 impl fmt::Display for IntervalPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.name())
-    }
-}
-
-/// A strategy paired with its interval policy — what the solver actually
-/// runs. A bare [`Strategy`] converts into the fixed-interval form, so
-/// `Experiment::strategy(Strategy::Esrp { t: 10 })` keeps meaning what it
-/// always did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Resilience {
-    /// The protection protocol (with the starting interval).
-    pub strategy: Strategy,
-    /// How the interval evolves.
-    pub policy: IntervalPolicy,
-}
-
-impl Resilience {
-    /// Validates the strategy, the policy bounds, and their combination.
-    ///
-    /// # Errors
-    /// Returns strategy/policy validation failures, or a description of an
-    /// adaptive policy on `Strategy::None` (there is nothing to tune).
-    #[cfg(test)]
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        self.strategy.validate()?;
-        self.policy.validate()?;
-        if self.policy.is_adaptive() && self.strategy == Strategy::None {
-            return Err("adaptive interval tuning needs a resilient strategy".into());
-        }
-        Ok(())
-    }
-}
-
-impl From<Strategy> for Resilience {
-    fn from(strategy: Strategy) -> Self {
-        Resilience {
-            strategy,
-            policy: IntervalPolicy::Fixed,
-        }
     }
 }
 
@@ -318,37 +255,34 @@ mod tests {
 
     #[test]
     fn auto_and_fixed_constructors() {
-        let auto = Strategy::Esrp { t: 10 }.auto();
-        assert_eq!(auto.strategy, Strategy::Esrp { t: 10 });
-        assert_eq!(
-            auto.policy,
-            IntervalPolicy::Adaptive {
-                min_t: 1,
-                max_t: 80
-            }
-        );
-        assert!(auto.validate().is_ok());
-        assert!(auto.policy.is_adaptive());
-        assert_eq!(auto.policy.max_interval(10), 80);
-        assert_eq!(
-            Strategy::esr().auto().policy,
-            IntervalPolicy::Adaptive {
-                min_t: 1,
-                max_t: 32
-            },
-            "small starting intervals still get tuning headroom"
-        );
+        use crate::solver::SolverConfig;
 
-        let fixed: Resilience = Strategy::Imcr { t: 20 }.into();
-        assert_eq!(fixed, Strategy::Imcr { t: 20 }.fixed());
-        assert_eq!(fixed.policy.max_interval(20), 20);
-        assert!(fixed.validate().is_ok());
+        let auto = IntervalPolicy::Adaptive {
+            min_t: 1,
+            max_t: 80,
+        };
+        assert!(auto.is_adaptive());
+        assert_eq!(auto.max_interval(10), 80);
+        assert_eq!(auto.max_interval(100), 100, "the starting interval counts");
+        assert!(!IntervalPolicy::Fixed.is_adaptive());
+        assert_eq!(IntervalPolicy::Fixed.max_interval(20), 20);
 
-        assert!(Strategy::None.auto().validate().is_err());
-        assert!(Strategy::Esrp { t: 2 }.auto().validate().is_err());
-        assert!(Strategy::Imcr { t: 5 }
-            .auto_bounded(4, 2)
-            .validate()
-            .is_err());
+        let with = |strategy: Strategy, policy: IntervalPolicy| {
+            let mut cfg = SolverConfig::new(strategy, 1);
+            cfg.interval_policy = policy;
+            cfg.validate(4)
+        };
+        assert!(with(Strategy::Esrp { t: 10 }, auto).is_ok());
+        assert!(with(Strategy::Imcr { t: 20 }, IntervalPolicy::Fixed).is_ok());
+        assert!(
+            with(Strategy::None, auto).is_err(),
+            "nothing to tune without a resilient strategy"
+        );
+        assert!(with(Strategy::Esrp { t: 2 }, auto).is_err());
+        assert!(with(
+            Strategy::Imcr { t: 5 },
+            IntervalPolicy::Adaptive { min_t: 4, max_t: 2 }
+        )
+        .is_err());
     }
 }

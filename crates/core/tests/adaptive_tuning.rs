@@ -17,7 +17,7 @@
 
 use esrcg_core::driver::{Experiment, MatrixSource, RunReport};
 use esrcg_core::solver::PcgVariant;
-use esrcg_core::{IntervalPolicy, Resilience, Strategy};
+use esrcg_core::{IntervalPolicy, Strategy};
 
 fn poisson() -> MatrixSource {
     MatrixSource::Poisson2d { nx: 16, ny: 16 }
@@ -35,8 +35,14 @@ fn reference_c(variant: PcgVariant) -> usize {
     report.iterations
 }
 
+/// The tuner's clamp `[1, max_t]`.
+fn adaptive(max_t: usize) -> IntervalPolicy {
+    IntervalPolicy::Adaptive { min_t: 1, max_t }
+}
+
 fn run_with(
-    resilience: Resilience,
+    strategy: Strategy,
+    policy: IntervalPolicy,
     variant: PcgVariant,
     failures: &[(usize, usize, usize)],
 ) -> RunReport {
@@ -44,13 +50,14 @@ fn run_with(
         .matrix(poisson())
         .n_ranks(4)
         .variant(variant)
-        .strategy(resilience)
+        .strategy(strategy)
+        .interval_policy(policy)
         .phi(1);
     for &(at, start, count) in failures {
         b = b.failure_at(at, start, count);
     }
     let report = b.run().expect("experiment runs");
-    assert!(report.converged, "{resilience:?} under {variant:?}");
+    assert!(report.converged, "{strategy} {policy} under {variant:?}");
     report
 }
 
@@ -70,19 +77,20 @@ fn bitwise_equal(a: &RunReport, b: &RunReport) {
 
 #[test]
 fn fewer_than_two_failures_is_bitwise_identical_to_fixed() {
-    for strategy in [Strategy::Esrp { t: 5 }, Strategy::Imcr { t: 4 }] {
+    for (strategy, max_t) in [(Strategy::Esrp { t: 5 }, 40), (Strategy::Imcr { t: 4 }, 32)] {
         let c = reference_c(PcgVariant::Classic);
         // Zero failures: the tuner never runs at all.
-        let fixed = run_with(strategy.fixed(), PcgVariant::Classic, &[]);
-        let auto = run_with(strategy.auto(), PcgVariant::Classic, &[]);
+        let fixed = run_with(strategy, IntervalPolicy::Fixed, PcgVariant::Classic, &[]);
+        let auto = run_with(strategy, adaptive(max_t), PcgVariant::Classic, &[]);
         assert!(auto.tuning.is_empty(), "no failure, no tuning event");
         bitwise_equal(&fixed, &auto);
 
         // One failure: the tuner observes it but has no MTBF estimate yet,
         // so it must not touch the schedule or the modeled clock.
         let jf = c / 2;
-        let fixed = run_with(strategy.fixed(), PcgVariant::Classic, &[(jf, 0, 1)]);
-        let auto = run_with(strategy.auto(), PcgVariant::Classic, &[(jf, 0, 1)]);
+        let one = [(jf, 0, 1)];
+        let fixed = run_with(strategy, IntervalPolicy::Fixed, PcgVariant::Classic, &one);
+        let auto = run_with(strategy, adaptive(max_t), PcgVariant::Classic, &one);
         assert!(fixed.tuning.is_empty(), "fixed policy emits no tune events");
         assert_eq!(auto.tuning.len(), 1, "one event per recovery");
         let ev = &auto.tuning[0];
@@ -98,17 +106,13 @@ fn fewer_than_two_failures_is_bitwise_identical_to_fixed() {
 
 #[test]
 fn tuner_never_emits_degenerate_intervals() {
-    for strategy in [Strategy::Esrp { t: 5 }, Strategy::Imcr { t: 4 }] {
+    for (strategy, max_t) in [(Strategy::Esrp { t: 5 }, 40), (Strategy::Imcr { t: 4 }, 32)] {
         let c = reference_c(PcgVariant::Classic);
         assert!(c >= 30, "test problem must run long enough, C = {c}");
         let failures = [(c / 4, 0, 1), (c / 2, 1, 1), (3 * c / 4, 2, 1)];
-        let auto = run_with(strategy.auto(), PcgVariant::Classic, &failures);
+        let auto = run_with(strategy, adaptive(max_t), PcgVariant::Classic, &failures);
         assert_eq!(auto.recoveries.len(), 3);
         assert_eq!(auto.tuning.len(), 3, "one tuning event per recovery");
-        let max_t = match strategy.auto().policy {
-            IntervalPolicy::Adaptive { max_t, .. } => max_t,
-            IntervalPolicy::Fixed => unreachable!(),
-        };
         for (k, ev) in auto.tuning.iter().enumerate() {
             assert!(
                 ev.interval_before >= 1 && ev.interval_after >= 1,
@@ -147,7 +151,7 @@ fn retuning_works_under_both_pcg_variants() {
     for variant in [PcgVariant::Classic, PcgVariant::Pipelined] {
         let c = reference_c(variant);
         let failures = [(c / 3, 0, 1), (2 * c / 3, 2, 1)];
-        let auto = run_with(Strategy::Esrp { t: 6 }.auto(), variant, &failures);
+        let auto = run_with(Strategy::Esrp { t: 6 }, adaptive(48), variant, &failures);
         assert_eq!(auto.recoveries.len(), 2, "{variant:?}");
         assert_eq!(auto.tuning.len(), 2, "{variant:?}");
         assert!(
@@ -165,7 +169,11 @@ fn explicit_bounds_clamp_the_proposal() {
     // A floor above any plausible Daly optimum for this failure density:
     // the proposal must be clamped up to min_t, not below it.
     let auto = run_with(
-        Strategy::Esrp { t: 12 }.auto_bounded(10, 20),
+        Strategy::Esrp { t: 12 },
+        IntervalPolicy::Adaptive {
+            min_t: 10,
+            max_t: 20,
+        },
         PcgVariant::Classic,
         &failures,
     );

@@ -12,7 +12,7 @@
 use esrcg_cluster::Phase;
 use esrcg_core::driver::{Experiment, MatrixSource, RhsSpec};
 use esrcg_core::solver::PcgVariant;
-use esrcg_core::{RunReport, Strategy};
+use esrcg_core::{IntervalPolicy, RunReport, Strategy};
 use esrcg_sparse::KernelBackend;
 
 fn poisson(nx: usize, ny: usize) -> MatrixSource {
@@ -234,7 +234,11 @@ fn per_phase_wait_accounts_for_all_blocked_time() {
             .rhs(RhsSpec::Random { seed: 42 })
             .n_ranks(4)
             .variant(variant)
-            .strategy(Strategy::Esrp { t: 5 }.auto())
+            .strategy(Strategy::Esrp { t: 5 })
+            .interval_policy(IntervalPolicy::Adaptive {
+                min_t: 1,
+                max_t: 40,
+            })
             .phi(1)
             .failure_at(12, 0, 1)
             .failure_at(26, 2, 1)

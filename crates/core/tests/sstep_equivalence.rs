@@ -13,7 +13,7 @@
 use esrcg_cluster::{CostModel, Phase};
 use esrcg_core::driver::{Experiment, MatrixSource, RhsSpec};
 use esrcg_core::solver::PcgVariant;
-use esrcg_core::{RunReport, Strategy};
+use esrcg_core::{IntervalPolicy, RunReport, Strategy};
 use esrcg_sparse::KernelBackend;
 
 fn poisson(nx: usize, ny: usize) -> MatrixSource {
@@ -285,7 +285,11 @@ fn sstep_per_phase_wait_accounts_for_all_blocked_time() {
         .rhs(RhsSpec::Random { seed: 42 })
         .n_ranks(4)
         .variant(PcgVariant::SStep { s: 4 })
-        .strategy(Strategy::Esrp { t: 5 }.auto())
+        .strategy(Strategy::Esrp { t: 5 })
+        .interval_policy(IntervalPolicy::Adaptive {
+            min_t: 1,
+            max_t: 40,
+        })
         .phi(1)
         .failure_at(13, 0, 1)
         .failure_at(27, 2, 1)

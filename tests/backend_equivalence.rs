@@ -4,7 +4,7 @@
 //! runs — at 1, 2, and 8 threads.
 
 use esrcg::core::pcg::{pcg_with, PcgWorkspace};
-use esrcg::core::Resilience;
+use esrcg::core::IntervalPolicy;
 use esrcg::prelude::*;
 use esrcg::sparse::backend::VECTOR_PARALLEL_CUTOFF;
 use esrcg::sparse::gen::{audikw_like, banded_spd, poisson3d};
@@ -287,7 +287,8 @@ fn split_phase_spmv_matches_the_list_oracle_across_formats_and_threads() {
 struct PinnedRun {
     name: &'static str,
     variant: PcgVariant,
-    strategy: Resilience,
+    /// The strategy and its interval policy.
+    strategy: (Strategy, IntervalPolicy),
     phi: usize,
     /// `(at_iteration, start_rank, count)` per failure event.
     failures: &'static [(usize, usize, usize)],
@@ -369,9 +370,13 @@ struct PinnedRun {
 #[test]
 fn failure_runs_reproduce_the_recorded_bits() {
     const SSTEP4: PcgVariant = PcgVariant::SStep { s: 4 };
-    let esr = Strategy::esr().fixed();
-    let esrp = Strategy::Esrp { t: 5 }.fixed();
-    let imcr = Strategy::Imcr { t: 5 }.fixed();
+    const AUTO: IntervalPolicy = IntervalPolicy::Adaptive {
+        min_t: 1,
+        max_t: 40,
+    };
+    let esr = (Strategy::esr(), IntervalPolicy::Fixed);
+    let esrp = (Strategy::Esrp { t: 5 }, IntervalPolicy::Fixed);
+    let imcr = (Strategy::Imcr { t: 5 }, IntervalPolicy::Fixed);
     let table = [
         PinnedRun {
             name: "classic esr mid-run",
@@ -610,7 +615,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
         PinnedRun {
             name: "classic esrp5 adaptive two-event",
             variant: PcgVariant::Classic,
-            strategy: Strategy::Esrp { t: 5 }.auto(),
+            strategy: (Strategy::Esrp { t: 5 }, AUTO),
             phi: 1,
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
@@ -623,7 +628,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
         PinnedRun {
             name: "pipelined esrp5 adaptive two-event",
             variant: PcgVariant::Pipelined,
-            strategy: Strategy::Esrp { t: 5 }.auto(),
+            strategy: (Strategy::Esrp { t: 5 }, AUTO),
             phi: 1,
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
@@ -636,7 +641,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
         PinnedRun {
             name: "sstep4 esrp5 adaptive two-event",
             variant: SSTEP4,
-            strategy: Strategy::Esrp { t: 5 }.auto(),
+            strategy: (Strategy::Esrp { t: 5 }, AUTO),
             phi: 1,
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
@@ -649,7 +654,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
         PinnedRun {
             name: "classic imcr5 adaptive two-event",
             variant: PcgVariant::Classic,
-            strategy: Strategy::Imcr { t: 5 }.auto(),
+            strategy: (Strategy::Imcr { t: 5 }, AUTO),
             phi: 1,
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
@@ -662,7 +667,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
         PinnedRun {
             name: "pipelined imcr5 adaptive two-event",
             variant: PcgVariant::Pipelined,
-            strategy: Strategy::Imcr { t: 5 }.auto(),
+            strategy: (Strategy::Imcr { t: 5 }, AUTO),
             phi: 1,
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
@@ -675,7 +680,7 @@ fn failure_runs_reproduce_the_recorded_bits() {
         PinnedRun {
             name: "sstep4 imcr5 adaptive two-event",
             variant: SSTEP4,
-            strategy: Strategy::Imcr { t: 5 }.auto(),
+            strategy: (Strategy::Imcr { t: 5 }, AUTO),
             phi: 1,
             failures: &[(12, 1, 1), (25, 2, 1)],
             iterations: 40,
@@ -739,7 +744,8 @@ fn failure_runs_reproduce_the_recorded_bits() {
                 })
                 .n_ranks(n_ranks)
                 .variant(row.variant)
-                .strategy(row.strategy)
+                .strategy(row.strategy.0)
+                .interval_policy(row.strategy.1)
                 .phi(row.phi)
                 .backend(be);
             for &(at, start, count) in row.failures {

@@ -21,8 +21,7 @@
 
 use esrcg::cluster::{InstantKind, Tag, TraceEvent};
 use esrcg::core::solver::SolverConfig;
-use esrcg::core::strategy::Resilience;
-use esrcg::core::RecoveryRule;
+use esrcg::core::{IntervalPolicy, RecoveryRule};
 use esrcg::prelude::*;
 use esrcg::sparse::vector::max_abs_diff;
 
@@ -41,12 +40,14 @@ fn experiment(variant: PcgVariant) -> Experiment {
 /// A fully traced run at φ = 2 hit by `(iteration, first rank, ψ)` events.
 fn run(
     variant: PcgVariant,
-    strategy: impl Into<Resilience>,
+    strategy: Strategy,
+    policy: IntervalPolicy,
     events: &[(usize, usize, usize)],
     rule: RecoveryRule,
 ) -> RunReport {
     let mut exp = experiment(variant)
         .strategy(strategy)
+        .interval_policy(policy)
         .phi(2)
         .recovery_rule(rule)
         .trace(TraceConfig::Full);
@@ -130,11 +131,16 @@ fn reductions(report: &RunReport) -> usize {
 
 /// Runs `events` under both rules and checks everything the module doc
 /// lists; returns the number of trips redone without a reduction.
-fn replays(variant: PcgVariant, strategy: Resilience, events: &[(usize, usize, usize)]) -> usize {
-    let label = format!("{} {} {events:?}", variant.name(), strategy.strategy);
+fn replays(
+    variant: PcgVariant,
+    strategy: Strategy,
+    policy: IntervalPolicy,
+    events: &[(usize, usize, usize)],
+) -> usize {
+    let label = format!("{} {strategy} {policy} {events:?}", variant.name());
     let reference = experiment(variant).run().expect("reference run");
     let [paper, extended] = [RecoveryRule::Paper, RecoveryRule::Extended]
-        .map(|rule| run(variant, strategy, events, rule));
+        .map(|rule| run(variant, strategy, policy, events, rule));
     assert_eq!(extended.iterations, paper.iterations, "{label}");
     assert_eq!(extended.total_loop_trips, paper.total_loop_trips, "{label}");
     let points = |r: &RunReport| -> Vec<(usize, usize, usize, bool)> {
@@ -153,7 +159,7 @@ fn replays(variant: PcgVariant, strategy: Resilience, events: &[(usize, usize, u
     let intervals =
         |r: &RunReport| -> Vec<usize> { r.tuning.iter().map(|t| t.interval_after).collect() };
     assert_eq!(intervals(&extended), intervals(&paper), "{label}");
-    if matches!(strategy.strategy, Strategy::Imcr { .. }) {
+    if matches!(strategy, Strategy::Imcr { .. }) {
         assert!(extended.x == paper.x, "{label}: not the paper's bits");
         assert!(
             extended.x == reference.x,
@@ -162,7 +168,7 @@ fn replays(variant: PcgVariant, strategy: Resilience, events: &[(usize, usize, u
     } else {
         let diff = max_abs_diff(&extended.x, &reference.x);
         assert!(diff < 1e-9, "{label}: |x − x_ref| = {diff:e}");
-        let rtol = SolverConfig::new(strategy.strategy, 2).rtol;
+        let rtol = SolverConfig::new(strategy, 2).rtol;
         assert!(extended.true_relres <= 10.0 * rtol, "{label}");
     }
 
@@ -209,7 +215,7 @@ fn replays(variant: PcgVariant, strategy: Resilience, events: &[(usize, usize, u
 fn the_redo_replays_every_recurrence_under_esrp_and_imcr() {
     for variant in [PcgVariant::Classic, PcgVariant::Pipelined, SSTEP4] {
         for strategy in [Strategy::Esrp { t: 5 }, Strategy::Imcr { t: 5 }] {
-            let trips = replays(variant, strategy.fixed(), &[(14, 1, 2)]);
+            let trips = replays(variant, strategy, IntervalPolicy::Fixed, &[(14, 1, 2)]);
             // The s-step IMCR checkpoint lands on 14's block start, 12.
             let checkpointed = variant == SSTEP4 && strategy.uses_checkpoints();
             let label = format!("{} {strategy}", variant.name());
@@ -218,9 +224,10 @@ fn the_redo_replays_every_recurrence_under_esrp_and_imcr() {
     }
     // Mid-block: the failure strikes iteration 18 inside the block starting
     // at 16, and IMCR rolls back to the block start 12.
-    let trips = replays(SSTEP4, Strategy::Imcr { t: 5 }.fixed(), &[(18, 1, 1)]);
+    let fixed = IntervalPolicy::Fixed;
+    let trips = replays(SSTEP4, Strategy::Imcr { t: 5 }, fixed, &[(18, 1, 1)]);
     assert_eq!(trips, 1, "one block redone");
-    replays(SSTEP4, Strategy::Esrp { t: 5 }.fixed(), &[(18, 1, 2)]);
+    replays(SSTEP4, Strategy::Esrp { t: 5 }, fixed, &[(18, 1, 2)]);
 }
 
 #[test]
@@ -228,7 +235,11 @@ fn an_adaptive_two_event_run_replays_both_redos() {
     for strategy in [Strategy::Esrp { t: 5 }, Strategy::Imcr { t: 5 }] {
         let trips = replays(
             PcgVariant::Classic,
-            strategy.auto(),
+            strategy,
+            IntervalPolicy::Adaptive {
+                min_t: 1,
+                max_t: 40,
+            },
             &[(12, 1, 1), (25, 2, 1)],
         );
         assert!(trips > 0, "{strategy}");
@@ -241,7 +252,7 @@ fn a_full_restart_replays_nothing() {
         for strategy in [Strategy::Esrp { t: 5 }, Strategy::Imcr { t: 5 }] {
             let label = format!("{} {strategy}", variant.name());
             let [paper, extended] = [RecoveryRule::Paper, RecoveryRule::Extended]
-                .map(|rule| run(variant, strategy, &[(3, 0, 1)], rule));
+                .map(|rule| run(variant, strategy, IntervalPolicy::Fixed, &[(3, 0, 1)], rule));
             assert!(extended.recoveries[0].full_restart, "{label}");
             assert_eq!(extended.x, paper.x, "{label}");
             let bits = |r: &RunReport| r.modeled_time.to_bits();
