@@ -26,26 +26,6 @@ pub struct FailureSpec {
 }
 
 impl FailureSpec {
-    /// A failure of the given rank set at iteration `at_iteration`. The
-    /// ranks are sorted; duplicates and empty sets are rejected.
-    ///
-    /// # Errors
-    /// Returns a description of the problem for an empty rank set or a
-    /// duplicated rank.
-    pub(crate) fn new(at_iteration: usize, mut ranks: Vec<usize>) -> Result<Self, String> {
-        if ranks.is_empty() {
-            return Err("failure must affect at least one rank".into());
-        }
-        ranks.sort_unstable();
-        if let Some(w) = ranks.windows(2).find(|w| w[0] == w[1]) {
-            return Err(format!("duplicate rank {} in failure set", w[0]));
-        }
-        Ok(FailureSpec {
-            at_iteration,
-            ranks,
-        })
-    }
-
     /// A failure of a contiguous block of `count` ranks starting at `start`
     /// (wrapping modulo `n_ranks`), at iteration `at_iteration`. The paper
     /// justifies contiguous blocks by switch faults in a fat tree taking out
@@ -61,8 +41,13 @@ impl FailureSpec {
             "cannot fail more ranks than the cluster has"
         );
         assert!(start < n_ranks, "start rank out of range");
-        let ranks = (0..count).map(|k| (start + k) % n_ranks).collect();
-        FailureSpec::new(at_iteration, ranks).expect("contiguous block is duplicate-free")
+        let mut ranks: Vec<usize> = (0..count).map(|k| (start + k) % n_ranks).collect();
+        // A block that wraps past the last rank starts with its high ranks.
+        ranks.sort_unstable();
+        FailureSpec {
+            at_iteration,
+            ranks,
+        }
     }
 
     /// The iteration at which the failure strikes.
@@ -116,25 +101,6 @@ mod tests {
     fn single_rank_failure() {
         let f = FailureSpec::contiguous(1, 0, 1, 4);
         assert_eq!(f.ranks(), &[0]);
-    }
-
-    #[test]
-    fn explicit_set_is_sorted() {
-        let f = FailureSpec::new(7, vec![5, 1, 3]).unwrap();
-        assert_eq!(f.ranks(), &[1, 3, 5]);
-        assert!(f.affects(3) && !f.affects(2));
-    }
-
-    #[test]
-    fn duplicate_ranks_rejected() {
-        let err = FailureSpec::new(1, vec![2, 4, 2]).unwrap_err();
-        assert!(err.contains("duplicate rank 2"), "{err}");
-    }
-
-    #[test]
-    fn empty_set_rejected() {
-        let err = FailureSpec::new(1, Vec::new()).unwrap_err();
-        assert!(err.contains("at least one rank"), "{err}");
     }
 
     #[test]

@@ -153,15 +153,6 @@ impl RankStats {
         self.recv_wait.iter().sum()
     }
 
-    /// Modeled time spent in recovery phases.
-    pub fn recovery_time(&self) -> f64 {
-        Phase::ALL
-            .iter()
-            .filter(|p| p.is_recovery())
-            .map(|p| self.modeled_time[*p as usize])
-            .sum()
-    }
-
     /// Element-wise accumulation (for aggregating across ranks).
     pub(crate) fn merge(&mut self, other: &RankStats) {
         for i in 0..N_PHASES {
@@ -213,7 +204,6 @@ mod tests {
         assert_eq!(a.phase_time(Phase::SpMV), 1.0);
         assert_eq!(a.phase_time(Phase::Checkpoint), 0.0);
         assert!((a.total_time() - 1.5).abs() < 1e-15);
-        assert!((a.recovery_time() - 0.5).abs() < 1e-15);
         assert!((a.total_recv_wait() - 0.25).abs() < 1e-15);
 
         let mut b = RankStats::default();

@@ -22,9 +22,9 @@
 //! * [`solver`] — the distributed resilient PCG node program (paper Alg. 3)
 //!   with the ESR reconstruction (paper Alg. 2) and IMCR recovery; its hot
 //!   paths run on a selectable [`esrcg_sparse::KernelBackend`]
-//!   (`SolverConfig::backend`) and reuse per-rank
-//!   `solver::SolverWorkspace` buffers and per-failure-domain caches
-//!   instead of allocating per iteration or per recovery,
+//!   (`SolverConfig::backend`) and reuse per-rank recovery buffers and
+//!   per-failure-domain caches instead of allocating per iteration or per
+//!   recovery,
 //! * [`driver`] — the experiment driver that runs reference/failure-free/
 //!   failure experiments and reports the paper's overhead metrics.
 //!

@@ -30,42 +30,10 @@ pub struct PcgResult {
     pub flops: u64,
 }
 
-/// The four working vectors of one PCG solve, reusable across solves of the
-/// same (or any — buffers are resized) dimension, so repeated solves (e.g.
-/// benchmark repetitions or the recovery path's inner systems) allocate
-/// nothing after the first.
-#[derive(Debug, Default, Clone)]
-pub struct PcgWorkspace {
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    q: Vec<f64>,
-}
-
-impl PcgWorkspace {
-    /// A workspace pre-sized for problems of dimension `n`.
-    pub fn new(n: usize) -> Self {
-        PcgWorkspace {
-            r: vec![0.0; n],
-            z: vec![0.0; n],
-            p: vec![0.0; n],
-            q: vec![0.0; n],
-        }
-    }
-
-    fn prepare(&mut self, n: usize) {
-        for buf in [&mut self.r, &mut self.z, &mut self.p, &mut self.q] {
-            buf.clear();
-            buf.resize(n, 0.0);
-        }
-    }
-}
-
 /// Solves `A x = b` with PCG, starting from `x0`.
 ///
 /// Convenience wrapper over [`pcg_with`] using the default (parallel)
-/// backend and a fresh workspace — results are bitwise identical to any
-/// other backend/workspace combination (see
+/// backend — results are bitwise identical on any other backend (see
 /// [`esrcg_sparse::backend`]'s determinism guarantee).
 ///
 /// # Panics
@@ -78,20 +46,10 @@ pub fn pcg(
     rtol: f64,
     max_iters: usize,
 ) -> PcgResult {
-    pcg_with(
-        a,
-        b,
-        x0,
-        precond,
-        rtol,
-        max_iters,
-        KernelBackend::default(),
-        &mut PcgWorkspace::default(),
-    )
+    pcg_with(a, b, x0, precond, rtol, max_iters, KernelBackend::default())
 }
 
-/// Solves `A x = b` with PCG on an explicit kernel backend, reusing the
-/// caller's workspace buffers (no allocation beyond the returned solution).
+/// Solves `A x = b` with PCG on an explicit kernel backend.
 ///
 /// Follows the paper's Alg. 1 exactly: `α = rᵀz / pᵀAp`, `x += αp`,
 /// `r -= αAp`, `z = Pr`, `β = r'ᵀz' / rᵀz`, `p = z + βp`, until
@@ -104,7 +62,6 @@ pub fn pcg(
 ///
 /// # Panics
 /// Panics on dimension mismatches.
-#[allow(clippy::too_many_arguments)]
 pub fn pcg_with(
     a: &CsrMatrix,
     b: &[f64],
@@ -113,7 +70,6 @@ pub fn pcg_with(
     rtol: f64,
     max_iters: usize,
     backend: KernelBackend,
-    ws: &mut PcgWorkspace,
 ) -> PcgResult {
     let n = a.nrows();
     assert_eq!(a.ncols(), n, "pcg: matrix must be square");
@@ -125,8 +81,8 @@ pub fn pcg_with(
     let spmv_flops = a.spmv_flops();
     let precond_flops = precond.apply_flops(0..n);
 
-    ws.prepare(n);
-    let PcgWorkspace { r, z, p, q } = ws;
+    let mut work = [(); 4].map(|_| vec![0.0; n]);
+    let [r, z, p, q] = &mut work;
 
     let mut x = x0.to_vec();
     // r = b - A x0
@@ -323,16 +279,16 @@ mod tests {
         let b = vec![1.0; n];
         let p = JacobiPrecond::new(&a).unwrap();
         let reference = pcg(&a, &b, &vec![0.0; n], &p, 1e-10, 10_000);
-        let mut ws = PcgWorkspace::new(n);
         for backend in [
             KernelBackend::Sequential,
             KernelBackend::parallel(1),
             KernelBackend::parallel(2),
             KernelBackend::parallel(8),
         ] {
-            // Run twice with the same workspace: reuse must not change bits.
+            // Run twice on the same backend: reusing its pool must not
+            // change bits.
             for round in 0..2 {
-                let res = pcg_with(&a, &b, &vec![0.0; n], &p, 1e-10, 10_000, backend, &mut ws);
+                let res = pcg_with(&a, &b, &vec![0.0; n], &p, 1e-10, 10_000, backend);
                 assert_eq!(res.x, reference.x, "{} round {round}", backend.name());
                 assert_eq!(res.iterations, reference.iterations);
                 assert_eq!(res.relres.to_bits(), reference.relres.to_bits());

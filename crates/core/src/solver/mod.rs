@@ -30,12 +30,11 @@ use crate::dist::halo::{HaloExchange, PlanView};
 use crate::dist::plan::CommPlan;
 use crate::queue::Capture;
 use crate::strategy::{IntervalPolicy, Strategy};
-use recovery::{reconstruct_pending, recover, settle_background, RecoveryOutcome};
+use recovery::{recover, settle_and_end_solve, settle_background, RecoveryOutcome, RecoveryState};
 use reduction_log::ReductionLog;
 use state::{checkpoint_blob_len, NodeState, Snapshot};
 use tuning::TuneEvent;
 use tuning::{IntervalSchedule, IntervalTuner};
-use workspace::SolverWorkspace;
 
 /// Halo-exchange tag used during (re)initialization.
 const INIT_TAG: u32 = u32::MAX - 1;
@@ -568,8 +567,9 @@ struct Node<'a> {
     /// The full-length gather buffer of the distributed SpMV.
     full: Vec<f64>,
     st: NodeState,
-    /// Scratch of the recovery path.
-    ws: SolverWorkspace,
+    /// What the recovery path keeps between events, the pending set
+    /// included.
+    recovery: RecoveryState,
     sched: IntervalSchedule,
     tuner: Option<IntervalTuner>,
     /// The capture buffer the redundancy queue last handed back; the next
@@ -578,9 +578,6 @@ struct Node<'a> {
     spare: Capture,
     /// ‖b‖₂².
     bnorm2: f64,
-    /// The sorted pending set U: ranks whose `x` a deferred ESR/ESRP event
-    /// left unreconstructed ([`RecoveryRule::Extended`]). Replicated.
-    pending: Vec<usize>,
     /// The loop's reduction results since the rollback target, which a
     /// rollback's redo replays ([`RecoveryRule::Extended`]). Replicated.
     log: ReductionLog,
@@ -734,12 +731,11 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
         range: part.range(rank),
         full,
         st,
-        ws: SolverWorkspace::new(),
+        recovery: RecoveryState::default(),
         sched: IntervalSchedule::new(cfg.strategy),
         tuner: IntervalTuner::for_policy(cfg.interval_policy),
         spare: Capture::default(),
         bnorm2,
-        pending: Vec::new(),
         log: ReductionLog::new(logs, rec.log_bound(longest)),
     };
 
@@ -810,14 +806,7 @@ fn resilient_loop<R: Recurrence>(ctx: &mut Ctx, shared: &SharedProblem, mut rec:
         j += advanced;
     }
 
-    settle_background(ctx, recoveries.last_mut());
-    if !node.pending.is_empty() {
-        // The deferred reconstruction is one more span of the last event.
-        let (seconds, inner_iterations) = reconstruct_pending(ctx, &mut node);
-        let last = recoveries.last_mut().expect("a pending rank failed");
-        last.recovery_time += seconds;
-        last.inner_iterations += inner_iterations;
-    }
+    settle_and_end_solve(ctx, &mut node, recoveries.last_mut());
     drift_epilogue(
         ctx,
         node,
@@ -966,6 +955,29 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     fn the_shared_problem_stays_256_bytes() {
         assert_eq!(std::mem::size_of::<SharedProblem>(), 256);
+    }
+
+    /// This rank's node around `st`, with nothing recovered yet, as
+    /// [`resilient_loop`] builds it under a fixed interval and no log.
+    pub(super) fn node_for<'a>(
+        ctx: &Ctx,
+        shared: &'a SharedProblem,
+        st: NodeState,
+        bnorm2: f64,
+    ) -> Node<'a> {
+        Node {
+            shared,
+            be: shared.cfg.backend.subdivided(ctx.size()),
+            range: shared.part.range(ctx.rank()),
+            full: vec![0.0; shared.part.n()],
+            st,
+            recovery: RecoveryState::default(),
+            sched: IntervalSchedule::new(shared.cfg.strategy),
+            tuner: None,
+            spare: Capture::default(),
+            bnorm2,
+            log: ReductionLog::new(false, 0),
+        }
     }
 
     fn shared_for(

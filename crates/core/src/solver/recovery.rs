@@ -22,17 +22,22 @@
 //! message round per inner iteration. A lone replacement that solves at
 //! once does so in the background of its later receive waits
 //! (`Ctx::background`); `settle_background` charges what is left before
-//! the next reader of its `x`. The same rule ships the survivors'
+//! the next reader of its `x`. The loop makes two calls for that timing:
+//! `settle_background` before a due event's trigger, and
+//! `settle_and_end_solve` at its exit. The same rule ships the survivors'
 //! reduction log since the rollback target to each replacement, behind the
 //! ESRP scalar root's β and `r·z` or the IMCR buddy's blob, so that the
 //! redo replays it on every rank.
 
+use std::collections::HashMap;
+use std::ops::Range;
+
 use esrcg_cluster::{Ctx, Payload, Phase, Tag};
 use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
+use esrcg_sparse::KernelBackend;
 
-use crate::solver::reduction_log::ReductionLog;
-use crate::solver::state::{checkpoint_blob_len, NodeState};
-use crate::solver::workspace::{inner_precond, DomainCache, RecoveryScratch, SolverWorkspace};
+use crate::solver::state::checkpoint_blob_len;
+use crate::solver::workspace::{inner_precond, DomainCache, RecoveryScratch};
 use crate::solver::{Node, RecoveryRule, Recurrence, SharedProblem};
 use crate::strategy::Strategy;
 
@@ -73,13 +78,30 @@ pub struct RecoveryOutcome {
     pub inner_iterations: usize,
 }
 
+/// What the recovery path keeps on the [`Node`] from one event to the next:
+/// the reconstruction buffers and per-subgroup caches of `workspace.rs`, the
+/// inner preconditioner and the pending set U.
+#[derive(Default)]
+pub(super) struct RecoveryState {
+    scratch: RecoveryScratch,
+    /// Keyed by the sorted subgroup.
+    domains: HashMap<Vec<usize>, DomainCache>,
+    /// The block Jacobi of the rank's own rows, factored on first use.
+    inner_precond: Option<BlockJacobiPrecond>,
+    /// The sorted pending set U: ranks whose `x` a deferred ESR/ESRP event
+    /// left unreconstructed ([`RecoveryRule::Extended`]). Replicated.
+    pending: Vec<usize>,
+}
+
 /// Runs the strategy's recovery protocol. The failed ranks must already
-/// have wiped their state ([`NodeState::wipe`]). The rollback `target` is
-/// supplied by the caller ([`Recurrence::rollback_target`]): the
-/// per-iteration variants derive it from the (possibly re-anchored)
-/// schedule, while the s-step variant passes the last *block-start* it
-/// protected — its protection events all land on outer-step boundaries, so
-/// mid-block failures resume at the enclosing outer step. `None` means no
+/// have wiped their state
+/// ([`NodeState::wipe`](crate::solver::state::NodeState::wipe)). The
+/// rollback `target` is supplied by the caller
+/// ([`Recurrence::rollback_target`]): the per-iteration variants derive it
+/// from the (possibly re-anchored) schedule, while the s-step variant
+/// passes the last *block-start* it protected — its protection events all
+/// land on outer-step boundaries, so mid-block failures resume at the
+/// enclosing outer step. `None` means no
 /// recovery point exists yet. Returns the outcome; afterwards every rank's
 /// state corresponds to iteration `outcome.resumed_at`, `st.rz` included.
 pub(super) fn recover<R: Recurrence>(
@@ -90,17 +112,6 @@ pub(super) fn recover<R: Recurrence>(
     target: Option<usize>,
     event: &esrcg_cluster::FailureSpec,
 ) -> RecoveryOutcome {
-    let Node {
-        shared,
-        st,
-        ws,
-        full,
-        sched,
-        bnorm2,
-        pending,
-        log,
-        ..
-    } = &mut *node;
     // The entry barrier is the agreement on the failed set and defines the
     // recovery's start. Attribute it (and everything until the strategy
     // sets a finer recovery phase) to RecoveryReset rather than the caller's
@@ -114,7 +125,7 @@ pub(super) fn recover<R: Recurrence>(
         failed.windows(2).all(|w| w[0] < w[1]),
         "FailureSpec guarantees a sorted, duplicate-free rank set"
     );
-    let strategy = sched.strategy();
+    let strategy = node.sched.strategy();
     assert!(
         strategy != Strategy::None,
         "node failure injected into a run without a resilience strategy — \
@@ -125,11 +136,11 @@ pub(super) fn recover<R: Recurrence>(
     // state *is* the iteration-ĵ state.
     if target.is_some() && !strategy.is_esr() && !event.affects(ctx.rank()) {
         debug_assert_eq!(
-            st.snapshot.as_ref().map(|s| s.iter),
+            node.st.snapshot.as_ref().map(|s| s.iter),
             target,
             "the snapshot must match the rollback target"
         );
-        st.rollback_to_snapshot();
+        node.st.rollback_to_snapshot();
     }
     let inner_iterations = match (strategy, target) {
         (Strategy::None, _) => unreachable!("asserted above"),
@@ -140,22 +151,13 @@ pub(super) fn recover<R: Recurrence>(
             // it). The s-step loop rebuilds its per-block basis workspace
             // from definitions. Every rank's `x` is x⁰ again: nothing is
             // pending any more.
-            (*st, _, _) = rec.init(ctx, shared, full);
-            pending.clear();
+            (node.st, _, _) = rec.init(ctx, node.shared, &mut node.full);
+            node.recovery.pending.clear();
             0
         }
-        (Strategy::Esrp { t }, Some(jhat)) => {
-            let defer = defers(shared, pending, failed);
-            if defer {
-                pending.extend_from_slice(failed);
-                pending.sort_unstable();
-                pending.dedup();
-            }
-            let solve = (!defer).then_some(*bnorm2);
-            recover_esrp(ctx, shared, st, ws, log, full, jhat, t, failed, solve)
-        }
+        (Strategy::Esrp { t }, Some(jhat)) => recover_esrp(ctx, node, jhat, t, failed),
         (Strategy::Imcr { .. }, Some(jc)) => {
-            recover_imcr(ctx, shared, st, log, jc, failed);
+            recover_imcr(ctx, node, jc, failed);
             0
         }
     };
@@ -196,6 +198,20 @@ pub(super) fn settle_background(ctx: &mut Ctx, owner: Option<&mut RecoveryOutcom
     }
 }
 
+/// The loop's exit, on every rank: the background debt is settled first
+/// ([`settle_background`]), then the pending set's `x` is solved for
+/// (`reconstruct_pending`). Both are spans of `last`, the run's last event.
+pub(super) fn settle_and_end_solve(
+    ctx: &mut Ctx,
+    node: &mut Node<'_>,
+    mut last: Option<&mut RecoveryOutcome>,
+) {
+    settle_background(ctx, last.as_deref_mut());
+    if !node.recovery.pending.is_empty() {
+        reconstruct_pending(ctx, node, last.expect("a pending rank failed"));
+    }
+}
+
 /// Whether the ESR/ESRP event on `failed_sorted` leaves its `x` for the end
 /// solve ([`RecoveryRule::Extended`]): when ψ ≥ 2, or when a failed rank
 /// is pending or a halo peer of a pending rank. A lone replacement with no
@@ -212,38 +228,37 @@ fn defers(shared: &SharedProblem, pending: &[usize], failed_sorted: &[usize]) ->
 
 /// ESR/ESRP recovery (paper Alg. 2 + the ESRP rollback of §3) to iteration
 /// `jhat`; returns the inner-solve iteration count (0 on survivors and for
-/// a deferred event). `solve` is `Some(‖b‖₂²)` when the replacements solve
-/// for their `x` now (lines 7–8) — the same bits on every rank, so every
-/// replacement stops a [`RecoveryRule::Extended`] solve at the same
-/// iteration — and `None` when the event defers it: then the gather carries
-/// no `x` and the replacements stop after line 6. The scalar root ships its
+/// a deferred event). An event that [`defers`] joins the pending set: its
+/// gather carries no `x` and its replacements stop after line 6. Otherwise
+/// they solve for their `x` now (lines 7–8). The scalar root ships its
 /// reduction log's replay behind β and `r·z`; each replacement refills its
-/// `log` from it.
-#[allow(clippy::too_many_arguments)]
+/// log from it.
 fn recover_esrp(
     ctx: &mut Ctx,
-    shared: &SharedProblem,
-    st: &mut NodeState,
-    ws: &mut SolverWorkspace,
-    log: &mut ReductionLog,
-    full: &mut [f64],
+    node: &mut Node<'_>,
     jhat: usize,
     t: usize,
     failed_sorted: &[usize],
-    solve: Option<f64>,
 ) -> usize {
-    let part = &*shared.part;
+    let shared = node.shared;
     let me = ctx.rank();
     let n_ranks = ctx.size();
     let is_failed = |r: usize| failed_sorted.binary_search(&r).is_ok();
     let am_failed = is_failed(me);
-    let range = part.range(me);
+    let range = node.range.clone();
+    let solve = !defers(shared, &node.recovery.pending, failed_sorted);
+    if !solve {
+        let pending = &mut node.recovery.pending;
+        pending.extend_from_slice(failed_sorted);
+        pending.sort_unstable();
+        pending.dedup();
+    }
 
     // --- Survivors (rolled back by `recover`) drop what they captured past
     // the storage-stage state ---------------------------------------------
     ctx.set_phase(Phase::RecoveryReset);
     if !am_failed {
-        st.queue.purge_after(jhat);
+        node.st.queue.purge_after(jhat);
     }
 
     // --- One gather round: each survivor sends each replacement at most one
@@ -265,16 +280,20 @@ fn recover_esrp(
     let scalar_root = (0..n_ranks)
         .find(|&r| !is_failed(r))
         .expect("at least one rank survives");
-    let x_halo = |s: usize, f: usize| match solve {
-        Some(_) => plan.indices_to(s, f),
-        None => &[],
-    };
+    let x_halo = |s: usize, f: usize| if solve { plan.indices_to(s, f) } else { &[] };
     let sends = |s: usize, f: usize| {
         let (halo, extras) = copies(f, s);
         s == scalar_root || !halo.is_empty() || !extras.is_empty() || !x_halo(s, f).is_empty()
     };
     let tag = Tag::RecoveryCopies.bare();
-    let scratch = &mut ws.scratch;
+    let Node {
+        st,
+        full,
+        log,
+        recovery,
+        ..
+    } = &mut *node;
+    let scratch = &mut recovery.scratch;
     let mut scalars = None;
     if !am_failed {
         for &f in failed_sorted.iter().filter(|&&f| sends(me, f)) {
@@ -336,7 +355,6 @@ fn recover_esrp(
         let (beta, rz) = scalars.expect("the scalar root sends β and r·z");
         ctx.set_phase(Phase::RecoveryInner);
         let nloc = range.len();
-        let scratch = &ws.scratch;
 
         // Line 4: z_f = p^(ĵ)_f − β^(ĵ−1) p^(ĵ−1)_f.
         for i in 0..nloc {
@@ -356,10 +374,8 @@ fn recover_esrp(
         // `Extended` only a lone replacement solves now, sending nothing:
         // no outer iteration reads its `x`, so the solve runs in the
         // background of its later receive waits (`settle_background`).
-        if let Some(bnorm2) = solve {
-            let (r, x) = (&st.r, &mut st.x);
-            let mut lines_7_8 =
-                |ctx: &mut Ctx| solve_lost_x(ctx, shared, ws, failed_sorted, full, r, x, bnorm2);
+        if solve {
+            let mut lines_7_8 = |ctx: &mut Ctx| solve_lost_x(ctx, node, failed_sorted);
             inner_iterations = if shared.cfg.recovery_rule == RecoveryRule::Extended {
                 debug_assert_eq!(failed_sorted.len(), 1, "only a lone replacement solves now");
                 ctx.background(lines_7_8)
@@ -369,7 +385,8 @@ fn recover_esrp(
         }
 
         // Restore the rest of the replacement's state for iteration ĵ.
-        st.p.copy_from_slice(&ws.scratch.p_cur);
+        let st = &mut node.st;
+        st.p.copy_from_slice(&node.recovery.scratch.p_cur);
         st.beta_prev = beta;
         st.rz = rz;
         if t > 1 {
@@ -386,9 +403,10 @@ fn recover_esrp(
 /// Alg. 2 lines 7–8 on one member of the subgroup `group` — the failed ranks
 /// of an event, or a component of the pending set at the end:
 /// `w = b_own − r_own − A[own, ∖group] x`, reading the `x` of the ranks
-/// outside `group` from `full`, then the subgroup solve of `A_gg x_g = w`,
-/// whose share of the solution lands in `x`. `ws.scratch` must be freshly
-/// prepared. Returns the inner iteration count.
+/// outside `group` from the node's `full`, then the subgroup solve of `A_gg
+/// x_g = w`, whose share of the solution lands in the node's `x`. The
+/// recovery scratch must be freshly prepared; the stop rule reads the node's
+/// ‖b‖₂². Returns the inner iteration count.
 ///
 /// Line 8 couples the members' rows, so the union system is solved by a
 /// *distributed* PCG over `group`, as the paper's recovery runs on the
@@ -405,25 +423,16 @@ fn recover_esrp(
 /// ([`single_reduction_inner_pcg`], two). Line 7 is the last reader of the
 /// survivors' `x` in `full`: from then on `full` is the rounds' gather
 /// buffer, and every later SpMV refills the positions it reads.
-#[allow(clippy::too_many_arguments)]
-fn solve_lost_x(
-    ctx: &mut Ctx,
-    shared: &SharedProblem,
-    ws: &mut SolverWorkspace,
-    group: &[usize],
-    full: &mut [f64],
-    r: &[f64],
-    x: &mut [f64],
-    bnorm2: f64,
-) -> usize {
-    let range = shared.part.range(ctx.rank());
+fn solve_lost_x(ctx: &mut Ctx, node: &mut Node<'_>, group: &[usize]) -> usize {
+    let (shared, be, range) = (node.shared, node.be, node.range.clone());
+    let Node {
+        full,
+        st,
+        recovery,
+        bnorm2,
+        ..
+    } = node;
     let nloc = range.len();
-    let be = shared.cfg.backend.subdivided(ctx.size());
-    let SolverWorkspace {
-        scratch,
-        domains,
-        inner_precond: pre,
-    } = ws;
     debug_assert!(
         range.is_empty() || group.contains(&shared.part.owner_of(range.start)),
         "my own indices must be inside the subgroup's domain"
@@ -433,7 +442,8 @@ fn solve_lost_x(
     // Built once per subgroup (static-data access, uncharged like the
     // paper's safe-storage reloads), reused by every later solve over the
     // same ranks.
-    let cache = domains.entry(group.to_vec()).or_insert_with(|| {
+    let scratch = &mut recovery.scratch;
+    let cache = recovery.domains.entry(group.to_vec()).or_insert_with(|| {
         let my_idx: Vec<usize> = range.clone().collect();
         DomainCache::build(&shared.a, &shared.part, &my_idx, group)
     });
@@ -443,7 +453,7 @@ fn solve_lost_x(
     // column-split `a_off` is `A[f, s]` as a branch-free SpMV.
     be.spmv_into(&cache.a_off, full, &mut scratch.ax);
     ctx.charge_flops(cache.a_off.spmv_flops());
-    let rhs = shared.b[range.clone()].iter().zip(r).zip(&scratch.ax);
+    let rhs = shared.b[range.clone()].iter().zip(&st.r).zip(&scratch.ax);
     for (w, ((&b, &r), &ax)) in scratch.w.iter_mut().zip(rhs) {
         *w = b - r - ax;
     }
@@ -454,29 +464,33 @@ fn solve_lost_x(
     // deterministic, so reuse cannot change results). The *model* still
     // charges the factorization on every inner solve: a real replacement
     // node is fresh hardware and must re-factor.
-    let pre = pre.get_or_insert_with(|| inner_precond(shared, range.clone()));
+    let pre = recovery
+        .inner_precond
+        .get_or_insert_with(|| inner_precond(shared, range.clone()));
     ctx.charge_flops(
         (shared.cfg.inner_max_block * shared.cfg.inner_max_block) as u64 * nloc as u64,
     );
 
     // Set-up: x = 0, r = w, u = P r in `full`'s own range, q = A u.
-    x.fill(0.0);
+    st.x.fill(0.0);
     scratch.ir.copy_from_slice(&scratch.w);
-    pre.apply_local(0..nloc, &scratch.ir, &mut full[range]);
+    pre.apply_local(0..nloc, &scratch.ir, &mut full[range.clone()]);
     ctx.charge_flops(pre.apply_flops(0..nloc));
     let sys = InnerSystem {
         shared,
+        be,
+        own: range,
         group,
         cache,
         pre,
-        bnorm2,
+        bnorm2: *bnorm2,
     };
     let mut seq = 0;
     sys.round(ctx, &mut seq, [], Some((full, &mut scratch.iq)));
     if shared.cfg.recovery_rule == RecoveryRule::Extended && group.len() >= 2 {
-        pipelined_inner_pcg(ctx, &sys, &mut seq, scratch, full, x)
+        pipelined_inner_pcg(ctx, &sys, &mut seq, scratch, full, &mut st.x)
     } else {
-        single_reduction_inner_pcg(ctx, &sys, &mut seq, scratch, full, x)
+        single_reduction_inner_pcg(ctx, &sys, &mut seq, scratch, full, &mut st.x)
     }
 }
 
@@ -505,32 +519,24 @@ fn component_of(shared: &SharedProblem, pending: &[usize], me: usize) -> Vec<usi
 /// solves `A_KK x_K = b_K − r_K − A_{K,S} x_S` from the final recurrence `r`
 /// over the subgroup K (Alg. 2 lines 7–8). Components share no rank and no
 /// message, so they solve concurrently. Each rank records one recovery span
-/// from its clock at the loop's exit; returns the span's length and this
-/// rank's inner iteration count (0 on survivors).
-pub(super) fn reconstruct_pending(ctx: &mut Ctx, node: &mut Node<'_>) -> (f64, usize) {
-    let Node {
-        shared,
-        st,
-        ws,
-        full,
-        bnorm2,
-        pending,
-        ..
-    } = node;
+/// from its clock at the loop's exit and adds it, and its inner iteration
+/// count (0 on survivors), to `last`.
+fn reconstruct_pending(ctx: &mut Ctx, node: &mut Node<'_>, last: &mut RecoveryOutcome) {
+    let shared = node.shared;
     let plan = &*shared.plan;
     let me = ctx.rank();
-    let range = shared.part.range(me);
+    let range = node.range.clone();
+    let pending = &node.recovery.pending;
     let is_pending = |r: &usize| pending.binary_search(r).is_ok();
     let t_start = ctx.clock();
     ctx.set_phase(Phase::RecoveryGather);
     let tag = Tag::RecoveryCopies.bare();
-    let mut inner_iterations = 0;
     if !is_pending(&me) {
         for &k in pending.iter() {
             let idx = plan.indices_to(me, k);
             if !idx.is_empty() {
                 let mut msg = ctx.take_f64s();
-                msg.extend(idx.iter().map(|&g| st.x[g - range.start]));
+                msg.extend(idx.iter().map(|&g| node.st.x[g - range.start]));
                 ctx.send(k, tag, Payload::F64s(msg));
             }
         }
@@ -547,19 +553,18 @@ pub(super) fn reconstruct_pending(ctx: &mut Ctx, node: &mut Node<'_>) -> (f64, u
                 "end solve: payload length mismatch from rank {s} (protocol violation)"
             );
             for (&g, &v) in idx.iter().zip(&msg) {
-                full[g] = v;
+                node.full[g] = v;
             }
             ctx.recycle_f64s(msg);
         }
         let component = component_of(shared, pending, me);
         ctx.set_phase(Phase::RecoveryInner);
-        ws.scratch.prepare(range.len());
-        let (r, x) = (&st.r, &mut st.x);
-        inner_iterations = solve_lost_x(ctx, shared, ws, &component, full, r, x, *bnorm2);
+        node.recovery.scratch.prepare(range.len());
+        last.inner_iterations += solve_lost_x(ctx, node, &component);
     }
     let t_end = ctx.clock();
     ctx.trace_recovery_span(t_start, t_end);
-    (t_end - t_start, inner_iterations)
+    last.recovery_time += t_end - t_start;
 }
 
 /// IMCR recovery to the checkpoint of iteration `jc`: replacements fetch it
@@ -567,18 +572,13 @@ pub(super) fn reconstruct_pending(ctx: &mut Ctx, node: &mut Node<'_>) -> (f64, u
 /// (in `recover`) and serve the copies they hold. The pipelined blob layout
 /// carries the replicated `r·z` at `jc`; behind a classic-shaped blob the
 /// buddy appends it from the held copy. Last come the buddy's reduction log
-/// since `jc`, which the replacement refills its `log` from.
-fn recover_imcr(
-    ctx: &mut Ctx,
-    shared: &SharedProblem,
-    st: &mut NodeState,
-    log: &mut ReductionLog,
-    jc: usize,
-    failed_sorted: &[usize],
-) {
+/// since `jc`, which the replacement refills its log from.
+fn recover_imcr(ctx: &mut Ctx, node: &mut Node<'_>, jc: usize, failed_sorted: &[usize]) {
     let me = ctx.rank();
     let am_failed = failed_sorted.binary_search(&me).is_ok();
+    let shared = node.shared;
     let buddies = shared.buddies.as_ref().expect("IMCR requires a buddy map");
+    let Node { st, log, .. } = node;
     // The recurrence is shared config: every rank's state has the same shape.
     let blob_has_rz = st.aux.is_some();
 
@@ -630,10 +630,13 @@ fn recover_imcr(
 }
 
 /// What the inner solve's recurrences and rounds read besides their
-/// vectors: the problem, the member group, the group's cached operator,
-/// this rank's inner preconditioner and the stop rule's ‖b‖₂².
+/// vectors: the problem, the node's backend and own range, the member group,
+/// the group's cached operator, this rank's inner preconditioner and the
+/// stop rule's ‖b‖₂².
 struct InnerSystem<'a> {
     shared: &'a SharedProblem,
+    be: KernelBackend,
+    own: Range<usize>,
     group: &'a [usize],
     cache: &'a DomainCache,
     pre: &'a BlockJacobiPrecond,
@@ -672,7 +675,7 @@ impl InnerSystem<'_> {
         *seq += 1;
         let tag = Tag::RecoveryInner.with(*seq);
         let me = ctx.rank();
-        let be = self.shared.cfg.backend.subdivided(ctx.size());
+        let be = self.be;
         let plan = &*self.shared.plan;
         let (a_in, split) = (&self.cache.a_in, &self.cache.inner_split);
         let with_v = spmv.is_some();
@@ -764,9 +767,7 @@ fn single_reduction_inner_pcg(
     full: &mut [f64],
     x: &mut [f64],
 ) -> usize {
-    let shared = sys.shared;
-    let be = shared.cfg.backend.subdivided(ctx.size());
-    let own = shared.part.range(ctx.rank());
+    let (shared, be, own) = (sys.shared, sys.be, &sys.own);
     let nloc = own.len();
     let RecoveryScratch {
         w,
@@ -849,9 +850,7 @@ fn pipelined_inner_pcg(
     full: &mut [f64],
     x: &mut [f64],
 ) -> usize {
-    let shared = sys.shared;
-    let be = shared.cfg.backend.subdivided(ctx.size());
-    let own = shared.part.range(ctx.rank());
+    let (shared, be, own) = (sys.shared, sys.be, &sys.own);
     let nloc = own.len();
     let RecoveryScratch {
         w: h,
@@ -907,11 +906,14 @@ fn pipelined_inner_pcg(
 mod tests {
     use super::*;
 
+    use crate::solver::state::NodeState;
+    use crate::solver::tests::node_for;
     use esrcg_cluster::{run_spmd, CostModel};
 
     /// Runs [`solve_lost_x`] on every member of `group` with `w = rhs` over
     /// the member's rows (`full` is zero off the group, so line 7 leaves
-    /// `b − r`): `(k, x, messages sent)` per member, `None` elsewhere.
+    /// `b − r`) and `bnorm2` as the node's ‖b‖₂²: `(k, x, messages sent)` per
+    /// member, `None` elsewhere.
     fn solve_on(
         shared: &SharedProblem,
         group: &[usize],
@@ -924,15 +926,15 @@ mod tests {
                 return None;
             }
             let range = shared.part.range(me);
-            let mut ws = SolverWorkspace::new();
-            ws.scratch.prepare(range.len());
-            let r: Vec<f64> = range.clone().map(|g| shared.b[g] - rhs(g)).collect();
-            let mut full = vec![0.0; shared.part.n()];
-            let mut x = vec![f64::NAN; range.len()];
+            let mut st = NodeState::new(range.len());
+            st.r = range.clone().map(|g| shared.b[g] - rhs(g)).collect();
+            st.x.fill(f64::NAN);
+            let mut node = node_for(ctx, shared, st, bnorm2);
+            node.recovery.scratch.prepare(range.len());
             let sent = |ctx: &Ctx| ctx.stats().msgs_sent.iter().sum::<u64>();
             let before = sent(ctx);
-            let k = solve_lost_x(ctx, shared, &mut ws, group, &mut full, &r, &mut x, bnorm2);
-            Some((k, x, sent(ctx) - before))
+            let k = solve_lost_x(ctx, &mut node, group);
+            Some((k, node.st.x, sent(ctx) - before))
         });
         out.results
     }
@@ -978,8 +980,11 @@ mod tests {
                 let own: Vec<usize> = range.clone().collect();
                 let cache = DomainCache::build(&shared.a, &shared.part, &own, group);
                 let pre = inner_precond(&shared, range.clone());
+                let node = node_for(ctx, &shared, NodeState::new(range.len()), 0.0);
                 let sys = InnerSystem {
                     shared: &shared,
+                    be: node.be,
+                    own: node.range.clone(),
                     group,
                     cache: &cache,
                     pre: &pre,
@@ -1392,6 +1397,18 @@ mod tests {
             alpha: 2.0e-7,
             ..CostModel::default()
         };
+        let trigger = |ev: &TraceEvent| match *ev {
+            TraceEvent::Instant {
+                kind: InstantKind::FailureTrigger,
+                at,
+                ..
+            } => Some(at),
+            _ => None,
+        };
+        let span = |ev: &TraceEvent| match *ev {
+            TraceEvent::RecoverySpan { start, end } => Some((start, end)),
+            _ => None,
+        };
         let variants = [
             PcgVariant::Classic,
             PcgVariant::Pipelined,
@@ -1449,18 +1466,6 @@ mod tests {
                     // On rank 1 the second event's trigger follows the span
                     // settling its debt, and its agreement starts no earlier
                     // than that span's end: the debtor's clock plus its debt.
-                    let trigger = |ev: &TraceEvent| match *ev {
-                        TraceEvent::Instant {
-                            kind: InstantKind::FailureTrigger,
-                            at,
-                            ..
-                        } => Some(at),
-                        _ => None,
-                    };
-                    let span = |ev: &TraceEvent| match *ev {
-                        TraceEvent::RecoverySpan { start, end } => Some((start, end)),
-                        _ => None,
-                    };
                     let events = &trace.ranks[1].events;
                     let triggers: Vec<usize> = (0..events.len())
                         .filter(|&i| trigger(&events[i]).is_some())
@@ -1486,6 +1491,45 @@ mod tests {
                 }
             }
         }
+
+        // At the loop's exit the debt is settled before the end solve: on 6
+        // ranks under ESR, ranks 0–1 fail at 12 and stay pending, then rank 4
+        // — no halo peer of theirs — fails alone at 40, and the short waits
+        // left before convergence (56) leave part of its solve owed. Rank 4
+        // sends nothing in the end solve, so its span there is empty and
+        // starts where the settled one ends.
+        let report = Experiment::builder()
+            .matrix(MatrixSource::Poisson2d { nx: 24, ny: 24 })
+            .n_ranks(6)
+            .strategy(Strategy::esr())
+            .phi(2)
+            .failures(vec![
+                FailureSpec::contiguous(12, 0, 2, 6),
+                FailureSpec::contiguous(40, 4, 1, 6),
+            ])
+            .cost_model(short_waits)
+            .trace(TraceConfig::Spans)
+            .run()
+            .expect("run");
+        let trace = report.trace.as_ref().expect("traced run");
+        assert_eq!(
+            trace.recovery_seconds().to_bits(),
+            report.recovery_seconds().to_bits()
+        );
+        let events = &trace.ranks[4].events;
+        let second = events.iter().rposition(|ev| trigger(ev).is_some());
+        let spans: Vec<(f64, f64)> = events[second.expect("a trigger")..]
+            .iter()
+            .filter_map(span)
+            .collect();
+        let [(_, event_end), (settle_start, settled), (solve_start, solved)] = spans[..] else {
+            panic!("the event's span, the settled debt and the end solve, got {spans:?}");
+        };
+        assert!(settle_start >= event_end && settled > settle_start);
+        assert_eq!(
+            [solve_start, solved].map(f64::to_bits),
+            [settled.to_bits(); 2]
+        );
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Reusable buffers and per-failure-domain caches for the solver and its
-//! recovery path.
+//! Reusable buffers and per-failure-domain caches of the recovery path.
 //!
 //! The solver loop itself keeps its dynamic vectors in
 //! `NodeState` (see [`crate::solver::state`]); everything here is
 //! *scratch* — memory whose contents never survive a call, but whose
 //! allocations used to happen on every recovery event and every inner PCG
-//! iteration. One [`SolverWorkspace`] per rank eliminates those
-//! (the parts below are crate-internal):
+//! iteration. The recovery state each rank's `Node` carries
+//! (`recovery::RecoveryState`) holds one of each and eliminates those:
 //!
 //! * `RecoveryScratch` — the reconstruction vectors of paper Alg. 2
 //!   (`p^(ĵ−1)`, `p^(ĵ)`, their coverage flags, `w`, the masked-SpMV output,
@@ -24,32 +23,12 @@
 //!   principal submatrix, which depends only on the rank's row range and
 //!   is therefore factored at most once per solve.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use esrcg_precond::BlockJacobiPrecond;
 use esrcg_sparse::{CsrMatrix, Partition, RowSplit};
 
 use crate::solver::SharedProblem;
-
-/// Per-rank scratch memory for the solver's recovery path. Create once per
-/// [`solve_node`](crate::solver::solve_node) call; all recoveries reuse it.
-#[derive(Default)]
-pub(crate) struct SolverWorkspace {
-    /// Reusable reconstruction buffers.
-    pub(crate) scratch: RecoveryScratch,
-    /// Cached structures keyed by the sorted failed-rank set.
-    pub(crate) domains: HashMap<Vec<usize>, DomainCache>,
-    /// The rank-local inner-solve preconditioner (built on first use).
-    pub(crate) inner_precond: Option<BlockJacobiPrecond>,
-}
-
-impl SolverWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub(crate) fn new() -> Self {
-        SolverWorkspace::default()
-    }
-}
 
 /// The recovery path's reusable vectors (see module docs).
 #[derive(Default)]

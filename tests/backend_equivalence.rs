@@ -3,7 +3,7 @@
 //! kernels, for whole PCG trajectories, and for full distributed resilient
 //! runs — at 1, 2, and 8 threads.
 
-use esrcg::core::pcg::{pcg_with, PcgWorkspace};
+use esrcg::core::pcg::pcg_with;
 use esrcg::core::IntervalPolicy;
 use esrcg::prelude::*;
 use esrcg::sparse::backend::VECTOR_PARALLEL_CUTOFF;
@@ -70,17 +70,7 @@ fn pcg_trajectories_bit_identical_on_poisson() {
     let b: Vec<f64> = (0..n).map(|i| ((i % 13) as f64 - 6.0) / 13.0).collect();
     let mut reference = None;
     for be in backends() {
-        let mut ws = PcgWorkspace::new(n);
-        let res = pcg_with(
-            &a,
-            &b,
-            &vec![0.0; n],
-            precond.as_ref(),
-            1e-9,
-            50_000,
-            be,
-            &mut ws,
-        );
+        let res = pcg_with(&a, &b, &vec![0.0; n], precond.as_ref(), 1e-9, 50_000, be);
         assert!(res.converged, "{}", be.name());
         match &reference {
             None => reference = Some(res),
@@ -104,17 +94,7 @@ fn pcg_trajectories_bit_identical_on_elasticity() {
     let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).cos()).collect();
     let mut reference = None;
     for be in backends() {
-        let mut ws = PcgWorkspace::new(n);
-        let res = pcg_with(
-            &a,
-            &b,
-            &vec![0.0; n],
-            precond.as_ref(),
-            1e-8,
-            50_000,
-            be,
-            &mut ws,
-        );
+        let res = pcg_with(&a, &b, &vec![0.0; n], precond.as_ref(), 1e-8, 50_000, be);
         assert!(res.converged, "{}", be.name());
         match &reference {
             None => reference = Some(res),

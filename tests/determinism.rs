@@ -124,10 +124,15 @@ fn phase_accounting_is_consistent() {
         .fold(0.0f64, f64::max);
     assert!((max_total - report.modeled_time).abs() <= 1e-12 * report.modeled_time.max(1.0));
     // The failure run must have spent time in recovery phases.
+    let recovery = [
+        Phase::RecoveryGather,
+        Phase::RecoveryInner,
+        Phase::RecoveryReset,
+    ];
     let recovery_time: f64 = report
         .per_rank_stats
         .iter()
-        .map(|s| s.recovery_time())
+        .flat_map(|s| recovery.map(|p| s.phase_time(p)))
         .sum();
     assert!(recovery_time > 0.0);
     // Flops were charged in the main phases.

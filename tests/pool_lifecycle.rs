@@ -5,7 +5,7 @@
 //! thread-local and every test runs on its own thread, so the tests share
 //! no state.
 
-use esrcg::core::pcg::{pcg_with, PcgWorkspace};
+use esrcg::core::pcg::pcg_with;
 use esrcg::prelude::*;
 use esrcg::sparse::backend::VECTOR_PARALLEL_CUTOFF;
 use esrcg::sparse::gen::poisson3d;
@@ -130,8 +130,8 @@ fn subdivided_backends_share_no_state_across_threads() {
 
 #[test]
 fn pcg_workspace_reuse_on_one_pool_matches_reference() {
-    // The realistic composition: repeated PCG solves reusing both the
-    // solver workspace and this thread's worker pool.
+    // The realistic composition: repeated PCG solves reusing this
+    // thread's worker pool.
     let a = poisson3d(14, 14, 14);
     let n = a.nrows();
     let part = Partition::balanced(n, 1);
@@ -140,23 +140,13 @@ fn pcg_workspace_reuse_on_one_pool_matches_reference() {
         .expect("precond");
     let b: Vec<f64> = (0..n).map(|i| ((i % 11) as f64 - 5.0) / 11.0).collect();
     let be = KernelBackend::parallel(4);
-    let mut ws = PcgWorkspace::new(n);
     let mut reference = None;
     for round in 0..4 {
         if round == 2 {
             // Mid-series pool teardown must be invisible.
             drop_local_pool();
         }
-        let res = pcg_with(
-            &a,
-            &b,
-            &vec![0.0; n],
-            precond.as_ref(),
-            1e-9,
-            50_000,
-            be,
-            &mut ws,
-        );
+        let res = pcg_with(&a, &b, &vec![0.0; n], precond.as_ref(), 1e-9, 50_000, be);
         assert!(res.converged, "round {round}");
         match &reference {
             None => reference = Some(res),
