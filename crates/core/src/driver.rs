@@ -634,19 +634,14 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("needs a resilient strategy"), "{err}");
         // A zero block size is an error up front, not a panic inside
-        // `BlockJacobiPrecond::new` — for the inner one, that would be on a
-        // replacement rank in the middle of the first recovery.
+        // `BlockJacobiPrecond::new`.
         let err = Experiment::builder()
             .matrix(MatrixSource::Poisson2d { nx: 4, ny: 4 })
             .n_ranks(4)
-            .precond(PrecondSpec::BlockJacobi { max_block: 0 })
+            .precond(PrecondSpec { max_block: 0 })
             .run()
             .unwrap_err();
         assert!(err.contains("max_block must be at least 1"), "{err}");
-        let mut cfg = SolverConfig::new(Strategy::Esrp { t: 5 }, 1);
-        cfg.inner_max_block = 0;
-        let err = cfg.validate(4).unwrap_err();
-        assert!(err.contains("inner_max_block must be at least 1"), "{err}");
     }
 
     #[test]

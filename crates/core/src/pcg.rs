@@ -12,7 +12,7 @@
 //! to the backend. The distributed inner solve does exchange halos between
 //! replacement ranks and is split-phase like the outer loop.
 
-use esrcg_precond::Preconditioner;
+use esrcg_precond::BlockJacobiPrecond;
 use esrcg_sparse::{CsrMatrix, KernelBackend};
 
 /// Result of a sequential PCG solve.
@@ -42,7 +42,7 @@ pub fn pcg(
     a: &CsrMatrix,
     b: &[f64],
     x0: &[f64],
-    precond: &dyn Preconditioner,
+    precond: &BlockJacobiPrecond,
     rtol: f64,
     max_iters: usize,
 ) -> PcgResult {
@@ -66,7 +66,7 @@ pub fn pcg_with(
     a: &CsrMatrix,
     b: &[f64],
     x0: &[f64],
-    precond: &dyn Preconditioner,
+    precond: &BlockJacobiPrecond,
     rtol: f64,
     max_iters: usize,
     backend: KernelBackend,
@@ -152,10 +152,17 @@ pub fn pcg_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esrcg_precond::{BlockJacobiPrecond, IdentityPrecond, JacobiPrecond, PrecondSpec};
+    use esrcg_precond::PrecondSpec;
     use esrcg_sparse::gen::{poisson1d, poisson2d, poisson3d, random_spd_dense};
     use esrcg_sparse::vector::max_abs_diff;
     use esrcg_sparse::{KernelBackend, Partition};
+
+    /// Point Jacobi (blocks of one row). Poisson's diagonal is constant, so
+    /// on it this is a scaled identity and PCG takes plain CG's iterates.
+    fn point_jacobi(a: &CsrMatrix) -> BlockJacobiPrecond {
+        let part = Partition::balanced(a.nrows(), 1);
+        PrecondSpec { max_block: 1 }.build(a, &part).unwrap()
+    }
 
     #[test]
     fn solves_poisson1d_exactly_in_n_iterations() {
@@ -165,7 +172,7 @@ mod tests {
         let a = poisson1d(20);
         let x_true: Vec<f64> = (0..20).map(|i| (i as f64 * 0.37).sin()).collect();
         let b = a.spmv(&x_true);
-        let res = pcg(&a, &b, &[0.0; 20], &IdentityPrecond::new(20), 1e-12, 40);
+        let res = pcg(&a, &b, &[0.0; 20], &point_jacobi(&a), 1e-12, 40);
         assert!(res.converged);
         assert!(res.iterations <= 20);
         assert!(max_abs_diff(&res.x, &x_true) < 1e-9);
@@ -177,21 +184,14 @@ mod tests {
         let n = a.nrows();
         let x_true: Vec<f64> = (0..n).map(|i| ((i % 17) as f64) / 17.0).collect();
         let b = a.spmv(&x_true);
-        let plain = pcg(
-            &a,
-            &b,
-            &vec![0.0; n],
-            &IdentityPrecond::new(n),
-            1e-10,
-            10_000,
-        );
+        let plain = pcg(&a, &b, &vec![0.0; n], &point_jacobi(&a), 1e-10, 10_000);
         let part = Partition::balanced(n, 4);
         let bj = BlockJacobiPrecond::new(&a, &part, 10).unwrap();
         let pre = pcg(&a, &b, &vec![0.0; n], &bj, 1e-10, 10_000);
         assert!(plain.converged && pre.converged);
         assert!(
             pre.iterations < plain.iterations,
-            "block Jacobi ({}) should beat identity ({})",
+            "block Jacobi ({}) should beat point Jacobi ({})",
             pre.iterations,
             plain.iterations
         );
@@ -202,7 +202,7 @@ mod tests {
         let a = poisson3d(6, 6, 6);
         let n = a.nrows();
         let b = vec![1.0; n];
-        let p = JacobiPrecond::new(&a).unwrap();
+        let p = point_jacobi(&a);
         let res = pcg(&a, &b, &vec![0.0; n], &p, 1e-8, 1000);
         assert!(res.converged);
         // True residual check.
@@ -219,7 +219,7 @@ mod tests {
         let a = poisson2d(10, 10);
         let n = a.nrows();
         let b = vec![1.0; n];
-        let p = IdentityPrecond::new(n);
+        let p = point_jacobi(&a);
         let cold = pcg(&a, &b, &vec![0.0; n], &p, 1e-10, 10_000);
         let warm = pcg(&a, &b, &cold.x, &p, 1e-10, 10_000);
         assert!(warm.iterations <= 1, "restart from solution must be free");
@@ -228,14 +228,7 @@ mod tests {
     #[test]
     fn zero_rhs_returns_immediately() {
         let a = poisson1d(5);
-        let res = pcg(
-            &a,
-            &[0.0; 5],
-            &[0.0; 5],
-            &IdentityPrecond::new(5),
-            1e-10,
-            10,
-        );
+        let res = pcg(&a, &[0.0; 5], &[0.0; 5], &point_jacobi(&a), 1e-10, 10);
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
     }
@@ -248,7 +241,7 @@ mod tests {
             &a,
             &vec![1.0; n],
             &vec![0.0; n],
-            &IdentityPrecond::new(n),
+            &point_jacobi(&a),
             1e-14,
             3,
         );
@@ -266,7 +259,7 @@ mod tests {
         let p = PrecondSpec::paper_default().build(&a, &part).unwrap();
         let x_true: Vec<f64> = (0..30).map(|i| (i as f64).cos()).collect();
         let b = a.spmv(&x_true);
-        let res = pcg(&a, &b, &vec![0.0; 30], p.as_ref(), 1e-14, 10_000);
+        let res = pcg(&a, &b, &vec![0.0; 30], &p, 1e-14, 10_000);
         assert!(res.converged);
         assert!(res.relres < 1e-14);
         assert!(max_abs_diff(&res.x, &x_true) < 1e-10);
@@ -277,7 +270,7 @@ mod tests {
         let a = poisson2d(16, 16);
         let n = a.nrows();
         let b = vec![1.0; n];
-        let p = JacobiPrecond::new(&a).unwrap();
+        let p = point_jacobi(&a);
         let reference = pcg(&a, &b, &vec![0.0; n], &p, 1e-10, 10_000);
         for backend in [
             KernelBackend::Sequential,
@@ -299,14 +292,7 @@ mod tests {
     #[test]
     fn flops_are_counted() {
         let a = poisson1d(10);
-        let res = pcg(
-            &a,
-            &[1.0; 10],
-            &[0.0; 10],
-            &IdentityPrecond::new(10),
-            1e-10,
-            100,
-        );
+        let res = pcg(&a, &[1.0; 10], &[0.0; 10], &point_jacobi(&a), 1e-10, 100);
         assert!(res.flops > 0);
         // At least spmv per iteration.
         assert!(res.flops >= res.iterations as u64 * a.spmv_flops());

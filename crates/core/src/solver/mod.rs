@@ -20,7 +20,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use esrcg_cluster::{Ctx, InstantKind, Payload, Phase, Tag};
-use esrcg_precond::{PrecondSpec, Preconditioner};
+use esrcg_precond::{BlockJacobiPrecond, PrecondSpec};
 use esrcg_sparse::{
     CsrMatrix, FormatCache, KernelBackend, Partition, RowSplitSet, SparseError, SpmvFormat,
 };
@@ -176,9 +176,6 @@ pub struct SolverConfig {
     pub recovery_rule: RecoveryRule,
     /// Iteration cap of the inner solve.
     pub inner_max_iters: usize,
-    /// Block size of the inner solve's block Jacobi preconditioner
-    /// (paper: 10).
-    pub inner_max_block: usize,
     /// Which kernel backend executes the hot paths (SpMV, reductions,
     /// vector updates). Defaults to the parallel backend; all backends are
     /// bitwise identical (see [`esrcg_sparse::backend`]), so this only
@@ -211,7 +208,6 @@ impl SolverConfig {
             failures: Vec::new(),
             recovery_rule: RecoveryRule::Extended,
             inner_max_iters: 100_000,
-            inner_max_block: 10,
             backend: KernelBackend::default(),
             variant: PcgVariant::default(),
             spmv_format: SpmvFormat::default(),
@@ -268,9 +264,6 @@ impl SolverConfig {
                 self.rtol
             ));
         }
-        if self.inner_max_block == 0 {
-            return Err("inner_max_block must be at least 1".into());
-        }
         if let PcgVariant::SStep { s } = self.variant {
             if !matches!(s, 2 | 4 | 8) {
                 return Err(format!("s-step block size must be 2, 4, or 8 (got {s})"));
@@ -291,8 +284,11 @@ pub struct SharedProblem {
     pub x0: Arc<Vec<f64>>,
     /// The block-row distribution.
     pub part: Arc<Partition>,
-    /// The preconditioner.
-    pub precond: Arc<dyn Preconditioner>,
+    /// The block Jacobi preconditioner, factored once per problem. The
+    /// outer loop applies it over a rank's range, and so does every inner
+    /// solve of a reconstruction: a rank's blocks are those of its own
+    /// principal submatrix, so no replacement factors a second copy.
+    pub precond: BlockJacobiPrecond,
     /// The SpMV communication plan.
     pub plan: Arc<CommPlan>,
     /// Per-rank interior/boundary row classification (built once per
@@ -337,7 +333,7 @@ impl SharedProblem {
             return Err("b and x0 must match the matrix size".into());
         }
         cfg.validate(n_ranks)?;
-        if precond_spec == (PrecondSpec::BlockJacobi { max_block: 0 }) {
+        if precond_spec.max_block == 0 {
             return Err("block Jacobi max_block must be at least 1".into());
         }
         let part = Arc::new(Partition::balanced(a.nrows(), n_ranks));
@@ -948,13 +944,16 @@ mod tests {
     use esrcg_sparse::vector::max_abs_diff;
 
     /// `kernel-bound`'s peak RSS is bimodal in this size: the harness keeps
-    /// its problems in a `Vec<SharedProblem>`, and glibc places that block
-    /// so that 256 B peaks at 38.6 MiB and 240 or 248 B at 45 MiB. A field
-    /// change that moves it needs a `peak_rss_mb` A/B first.
+    /// each set-up call's problems in a `Vec<SharedProblem>` of capacity 4,
+    /// and glibc places that block so that every size probed below 256 B
+    /// (240, 248) peaks at 45 MiB, while 256 B and every padded size from
+    /// 264 to 320 B peak at 38.6 MiB. The block Jacobi is held by value,
+    /// not behind an `Arc` (248 B). A field change that moves the size
+    /// needs a `peak_rss_mb` A/B first.
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn the_shared_problem_stays_256_bytes() {
-        assert_eq!(std::mem::size_of::<SharedProblem>(), 256);
+    fn the_shared_problem_stays_296_bytes() {
+        assert_eq!(std::mem::size_of::<SharedProblem>(), 296);
     }
 
     /// This rank's node around `st`, with nothing recovered yet, as
@@ -1025,7 +1024,7 @@ mod tests {
             &shared.a,
             &shared.b,
             &shared.x0,
-            shared.precond.as_ref(),
+            &shared.precond,
             shared.cfg.rtol,
             shared.cfg.max_iters,
         );

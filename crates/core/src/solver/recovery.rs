@@ -33,11 +33,10 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use esrcg_cluster::{Ctx, Payload, Phase, Tag};
-use esrcg_precond::{BlockJacobiPrecond, Preconditioner};
 use esrcg_sparse::KernelBackend;
 
 use crate::solver::state::checkpoint_blob_len;
-use crate::solver::workspace::{inner_precond, DomainCache, RecoveryScratch};
+use crate::solver::workspace::{DomainCache, RecoveryScratch};
 use crate::solver::{Node, RecoveryRule, Recurrence, SharedProblem};
 use crate::strategy::Strategy;
 
@@ -79,15 +78,13 @@ pub struct RecoveryOutcome {
 }
 
 /// What the recovery path keeps on the [`Node`] from one event to the next:
-/// the reconstruction buffers and per-subgroup caches of `workspace.rs`, the
-/// inner preconditioner and the pending set U.
+/// the reconstruction buffers and per-subgroup caches of `workspace.rs` and
+/// the pending set U.
 #[derive(Default)]
 pub(super) struct RecoveryState {
     scratch: RecoveryScratch,
     /// Keyed by the sorted subgroup.
     domains: HashMap<Vec<usize>, DomainCache>,
-    /// The block Jacobi of the rank's own rows, factored on first use.
-    inner_precond: Option<BlockJacobiPrecond>,
     /// The sorted pending set U: ranks whose `x` a deferred ESR/ESRP event
     /// left unreconstructed ([`RecoveryRule::Extended`]). Replicated.
     pending: Vec<usize>,
@@ -412,9 +409,10 @@ fn recover_esrp(
 /// *distributed* PCG over `group`, as the paper's recovery runs on the
 /// replacement nodes (which is why its cost scales with the inner system
 /// rather than with the whole machine). Each member owns its own rows and
-/// preconditions its own diagonal block with block Jacobi of the
-/// configured inner block size, the paper's choice for the inner systems
-/// too. All messages are member rounds ([`InnerSystem::round`]).
+/// preconditions its own diagonal block with the problem's block Jacobi
+/// over its range, the paper's choice for the inner systems too (its
+/// blocks there are exactly those of `A[own, own]`). All messages are
+/// member rounds ([`InnerSystem::round`]).
 ///
 /// The set-up both recurrences share — `r = w`, `u = P r`, `q = A u` — runs
 /// here; then a multi-rank group under [`RecoveryRule::Extended`] runs the
@@ -459,30 +457,26 @@ fn solve_lost_x(ctx: &mut Ctx, node: &mut Node<'_>, group: &[usize]) -> usize {
     }
     ctx.charge_flops(2 * nloc as u64);
 
-    // The inner preconditioner depends only on my own rows; the
-    // simulator factors it at most once per solve (the factorization is
-    // deterministic, so reuse cannot change results). The *model* still
-    // charges the factorization on every inner solve: a real replacement
-    // node is fresh hardware and must re-factor.
-    let pre = recovery
-        .inner_precond
-        .get_or_insert_with(|| inner_precond(shared, range.clone()));
-    ctx.charge_flops(
-        (shared.cfg.inner_max_block * shared.cfg.inner_max_block) as u64 * nloc as u64,
-    );
+    // The inner preconditioner is the problem's block Jacobi over my own
+    // rows: its blocks there are exactly those of `A[own, own]`, so the
+    // simulator applies the shared factors (the paper's static data). The
+    // *model* still charges a factorization on every inner solve: a real
+    // replacement node is fresh hardware and must re-factor.
+    let pre = &shared.precond;
+    let max_block = pre.max_block() as u64;
+    ctx.charge_flops(max_block * max_block * nloc as u64);
 
     // Set-up: x = 0, r = w, u = P r in `full`'s own range, q = A u.
     st.x.fill(0.0);
     scratch.ir.copy_from_slice(&scratch.w);
-    pre.apply_local(0..nloc, &scratch.ir, &mut full[range.clone()]);
-    ctx.charge_flops(pre.apply_flops(0..nloc));
+    pre.apply_local(range.clone(), &scratch.ir, &mut full[range.clone()]);
+    ctx.charge_flops(pre.apply_flops(range.clone()));
     let sys = InnerSystem {
         shared,
         be,
         own: range,
         group,
         cache,
-        pre,
         bnorm2: *bnorm2,
     };
     let mut seq = 0;
@@ -630,16 +624,15 @@ fn recover_imcr(ctx: &mut Ctx, node: &mut Node<'_>, jc: usize, failed_sorted: &[
 }
 
 /// What the inner solve's recurrences and rounds read besides their
-/// vectors: the problem, the node's backend and own range, the member group,
-/// the group's cached operator, this rank's inner preconditioner and the
-/// stop rule's ‖b‖₂².
+/// vectors: the problem (whose block Jacobi over `own` preconditions the
+/// inner solve), the node's backend and own range, the member group, the
+/// group's cached operator and the stop rule's ‖b‖₂².
 struct InnerSystem<'a> {
     shared: &'a SharedProblem,
     be: KernelBackend,
     own: Range<usize>,
     group: &'a [usize],
     cache: &'a DomainCache,
-    pre: &'a BlockJacobiPrecond,
     bnorm2: f64,
 }
 
@@ -768,7 +761,7 @@ fn single_reduction_inner_pcg(
     x: &mut [f64],
 ) -> usize {
     let (shared, be, own) = (sys.shared, sys.be, &sys.own);
-    let nloc = own.len();
+    let (pre, nloc) = (&shared.precond, own.len());
     let RecoveryScratch {
         w,
         ir: r,
@@ -801,8 +794,8 @@ fn single_reduction_inner_pcg(
         be.axpby(1.0, q, beta, s);
         be.fused_axpy2(alpha, p, s, x, r);
         ctx.charge_flops(8 * nloc as u64);
-        sys.pre.apply_local(0..nloc, r, &mut full[own.clone()]);
-        ctx.charge_flops(sys.pre.apply_flops(0..nloc));
+        pre.apply_local(own.clone(), r, &mut full[own.clone()]);
+        ctx.charge_flops(pre.apply_flops(own.clone()));
         sys.round(ctx, seq, [], Some((full, q)));
         let u = &full[own.clone()];
         let mine = [be.dot(r, u), be.dot(u, q), be.dot(r, r)];
@@ -851,7 +844,7 @@ fn pipelined_inner_pcg(
     x: &mut [f64],
 ) -> usize {
     let (shared, be, own) = (sys.shared, sys.be, &sys.own);
-    let nloc = own.len();
+    let (pre, nloc) = (&shared.precond, own.len());
     let RecoveryScratch {
         w: h,
         ax: am,
@@ -872,8 +865,8 @@ fn pipelined_inner_pcg(
     loop {
         let mine = [be.dot(r, u), be.dot(q, u), be.dot(r, r)];
         ctx.charge_flops(6 * nloc as u64);
-        sys.pre.apply_local(0..nloc, q, &mut full[own.clone()]);
-        ctx.charge_flops(sys.pre.apply_flops(0..nloc));
+        pre.apply_local(own.clone(), q, &mut full[own.clone()]);
+        ctx.charge_flops(pre.apply_flops(own.clone()));
         let [gamma_new, delta, rr] = sys.round(ctx, seq, mine, Some((full, am)));
         if rr <= target || iterations == shared.cfg.inner_max_iters {
             break;
@@ -979,7 +972,6 @@ mod tests {
                 let range = shared.part.range(me);
                 let own: Vec<usize> = range.clone().collect();
                 let cache = DomainCache::build(&shared.a, &shared.part, &own, group);
-                let pre = inner_precond(&shared, range.clone());
                 let node = node_for(ctx, &shared, NodeState::new(range.len()), 0.0);
                 let sys = InnerSystem {
                     shared: &shared,
@@ -987,7 +979,6 @@ mod tests {
                     own: node.range.clone(),
                     group,
                     cache: &cache,
-                    pre: &pre,
                     bnorm2: 0.0,
                 };
                 let mut seq = 0;
@@ -1060,7 +1051,7 @@ mod tests {
     fn inner_solve_is_sequential_pcg_at_one_all_gather_per_iteration() {
         use crate::pcg::pcg;
         use crate::solver::SolverConfig;
-        use esrcg_precond::PrecondSpec;
+        use esrcg_precond::{BlockJacobiPrecond, PrecondSpec};
         use esrcg_sparse::gen::poisson3d;
         use esrcg_sparse::Partition;
         use std::sync::Arc;
@@ -1089,7 +1080,8 @@ mod tests {
             let out = solve_on(&shared, failed, rhs, n as f64);
 
             // The sequential oracle: PCG on A[I_f, I_f] with the same
-            // blocks — each failed rank's range cut by the inner block size.
+            // blocks — each failed rank's range cut by the problem's block
+            // size.
             let idx: Vec<usize> = failed.iter().flat_map(|&f| shared.part.range(f)).collect();
             let a_ff = shared.a.principal_submatrix(&idx);
             let mut offsets = vec![0];
@@ -1098,7 +1090,7 @@ mod tests {
             }
             let blocks = Partition::from_offsets(offsets);
             let inner_pre =
-                BlockJacobiPrecond::new(&a_ff, &blocks, shared.cfg.inner_max_block).unwrap();
+                BlockJacobiPrecond::new(&a_ff, &blocks, shared.precond.max_block()).unwrap();
             let w: Vec<f64> = idx.iter().map(|&g| rhs(g)).collect();
             let (rtol, cap) = (PAPER_INNER_RTOL, shared.cfg.inner_max_iters);
             let seq = pcg(&a_ff, &w, &vec![0.0; idx.len()], &inner_pre, rtol, cap);
@@ -1602,7 +1594,7 @@ mod tests {
     fn end_solve_is_sequential_pcg_at_one_round_per_iteration() {
         use crate::pcg::pcg;
         use crate::solver::SolverConfig;
-        use esrcg_precond::PrecondSpec;
+        use esrcg_precond::{BlockJacobiPrecond, PrecondSpec};
         use esrcg_sparse::gen::poisson3d;
         use esrcg_sparse::Partition;
         use std::sync::Arc;
@@ -1650,7 +1642,7 @@ mod tests {
             }
             let blocks = Partition::from_offsets(offsets);
             let inner_pre =
-                BlockJacobiPrecond::new(&a_kk, &blocks, shared.cfg.inner_max_block).unwrap();
+                BlockJacobiPrecond::new(&a_kk, &blocks, shared.precond.max_block()).unwrap();
             let w: Vec<f64> = idx.iter().map(|&g| rhs(g)).collect();
             let rtol = 1e-12;
             let wnorm2 = w.iter().map(|v| v * v).sum::<f64>();

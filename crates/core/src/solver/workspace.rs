@@ -18,17 +18,13 @@
 //!   plain CSR SpMV with no per-entry branch (always CSR, whatever
 //!   `SolverConfig::spmv_format` the outer SpMV runs: these operators live
 //!   for one failure domain, and the format contract makes the choice
-//!   invisible in every iterate and every modeled second),
-//! * `inner_precond` — the block-Jacobi factorization of the rank's own
-//!   principal submatrix, which depends only on the rank's row range and
-//!   is therefore factored at most once per solve.
+//!   invisible in every iterate and every modeled second).
+//!
+//! The inner solve's preconditioner is no cache of its own: it is the
+//! problem's block Jacobi applied over the rank's range
+//! (`SharedProblem::precond`).
 
-use std::ops::Range;
-
-use esrcg_precond::BlockJacobiPrecond;
 use esrcg_sparse::{CsrMatrix, Partition, RowSplit};
-
-use crate::solver::SharedProblem;
 
 /// The recovery path's reusable vectors (see module docs).
 #[derive(Default)]
@@ -128,20 +124,6 @@ impl DomainCache {
             inner_split,
         }
     }
-}
-
-/// Factors the block-Jacobi preconditioner of the rank's own principal
-/// submatrix, which every inner solve this rank takes part in reuses.
-///
-/// # Panics
-/// Panics if the principal submatrix is not SPD (impossible for an SPD
-/// system matrix).
-pub(crate) fn inner_precond(shared: &SharedProblem, own_range: Range<usize>) -> BlockJacobiPrecond {
-    let my_rows: Vec<usize> = own_range.collect();
-    let a_local = shared.a.principal_submatrix(&my_rows);
-    let local_part = Partition::balanced(my_rows.len(), 1);
-    BlockJacobiPrecond::new(&a_local, &local_part, shared.cfg.inner_max_block)
-        .expect("principal submatrix of an SPD matrix is SPD")
 }
 
 #[cfg(test)]

@@ -49,8 +49,6 @@ use std::ops::Range;
 
 use esrcg_sparse::{Cholesky, CsrMatrix, Partition, SparseError};
 
-use crate::traits::Preconditioner;
-
 /// Blocks solved in lock-step per full group.
 const W: usize = 8;
 // `solve_groups` names every lane count `1..=W` in one `match`.
@@ -178,6 +176,88 @@ impl BlockJacobiPrecond {
             arena,
             max_block,
         })
+    }
+
+    /// Global problem size.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Maximum rows per block, as configured.
+    pub fn max_block(&self) -> usize {
+        self.max_block
+    }
+
+    /// Full application `z ← P r` (sequential use).
+    ///
+    /// # Panics
+    /// Panics if `r.len() != n()` or `z.len() != n()`.
+    pub fn apply_into(&self, r: &[f64], z: &mut [f64]) {
+        self.apply_local(0..self.n, r, z);
+    }
+
+    /// Node-local application: computes `z[range]` from `r[range]`, where
+    /// `range` is a union of whole, adjacent rank ranges and the slices are
+    /// the local chunks of length `range.len()`.
+    ///
+    /// # Panics
+    /// Panics if a slice's length differs from `range.len()`, or if `range`
+    /// cuts a block.
+    pub fn apply_local(&self, range: Range<usize>, r_local: &[f64], z_local: &mut [f64]) {
+        assert_eq!(r_local.len(), range.len(), "block jacobi: local r length");
+        assert_eq!(z_local.len(), range.len(), "block jacobi: local z length");
+        let groups = self.groups_in(range.start, range.end);
+        self.solve_groups(groups, range.start, r_local, z_local);
+    }
+
+    /// Flop count of one [`BlockJacobiPrecond::apply_local`] over `range`,
+    /// for the cost model.
+    pub fn apply_flops(&self, range: Range<usize>) -> u64 {
+        // ~2·n² per block: n² multiply-adds per triangular solve.
+        self.groups_in(range.start, range.end)
+            .iter()
+            .map(|g| g.lanes as u64 * 2 * (g.n as u64) * (g.n as u64))
+            .sum()
+    }
+
+    /// Solves `P[range, range] · r_f = v` for `r_f` (Alg. 2, line 6), the
+    /// inverse of [`BlockJacobiPrecond::apply_local`] over the same `range`.
+    ///
+    /// Since `P = M⁻¹` is block-diagonal with every block inside `range`,
+    /// this is simply `r_f = M[range, range] · v` — exact, no iteration.
+    ///
+    /// # Panics
+    /// Panics if a slice's length differs from `range.len()`, or if `range`
+    /// cuts a block.
+    pub fn solve_restricted(&self, range: Range<usize>, v: &[f64], r_f: &mut [f64]) {
+        assert_eq!(v.len(), range.len(), "block jacobi: restricted v length");
+        assert_eq!(r_f.len(), range.len(), "block jacobi: restricted r length");
+        // P_ff r_f = v with P = M⁻¹ block-diagonal ⇒ r_f = M_ff v, i.e.
+        // multiply each block's original matrix (recovered from its factor
+        // as L·Lᵀ), group by group.
+        let mut scratch = vec![0.0; self.max_block];
+        for g in self.groups_in(range.start, range.end) {
+            let l = self.factors(g);
+            for lane in 0..g.lanes {
+                let first = g.start - range.start + lane * g.n;
+                let span = first..first + g.n;
+                Cholesky::llt_matvec(
+                    |i, j| l[(tri(i) + j) * g.lanes + lane],
+                    &v[span.clone()],
+                    &mut scratch[..g.n],
+                    &mut r_f[span],
+                );
+            }
+        }
+    }
+
+    /// Flop count of one [`BlockJacobiPrecond::solve_restricted`] on
+    /// `idx_len` indices.
+    pub fn solve_restricted_flops(&self, idx_len: usize) -> u64 {
+        // Same asymptotic cost as a solve over the same rows: ~2·Σ n_b².
+        // Approximate with the configured block size.
+        let nb = self.max_block.max(1) as u64;
+        2 * nb * idx_len as u64
     }
 
     /// Number of blocks.
@@ -325,60 +405,6 @@ fn solve_lanes<const L: usize>(l: &[f64], n: usize, r: &[f64], z: &mut [f64], sc
         for (lane, v) in bi.iter().enumerate() {
             z[lane * n + i] = *v;
         }
-    }
-}
-
-impl Preconditioner for BlockJacobiPrecond {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn apply_local(&self, range: Range<usize>, r_local: &[f64], z_local: &mut [f64]) {
-        assert_eq!(r_local.len(), range.len(), "block jacobi: local r length");
-        assert_eq!(z_local.len(), range.len(), "block jacobi: local z length");
-        let groups = self.groups_in(range.start, range.end);
-        self.solve_groups(groups, range.start, r_local, z_local);
-    }
-
-    fn apply_flops(&self, range: Range<usize>) -> u64 {
-        // ~2·n² per block: n² multiply-adds per triangular solve.
-        self.groups_in(range.start, range.end)
-            .iter()
-            .map(|g| g.lanes as u64 * 2 * (g.n as u64) * (g.n as u64))
-            .sum()
-    }
-
-    fn solve_restricted(&self, range: Range<usize>, v: &[f64], r_f: &mut [f64]) {
-        assert_eq!(v.len(), range.len(), "block jacobi: restricted v length");
-        assert_eq!(r_f.len(), range.len(), "block jacobi: restricted r length");
-        // P_ff r_f = v with P = M⁻¹ block-diagonal ⇒ r_f = M_ff v, i.e.
-        // multiply each block's original matrix (recovered from its factor
-        // as L·Lᵀ), group by group.
-        let mut scratch = vec![0.0; self.max_block];
-        for g in self.groups_in(range.start, range.end) {
-            let l = self.factors(g);
-            for lane in 0..g.lanes {
-                let first = g.start - range.start + lane * g.n;
-                let span = first..first + g.n;
-                Cholesky::llt_matvec(
-                    |i, j| l[(tri(i) + j) * g.lanes + lane],
-                    &v[span.clone()],
-                    &mut scratch[..g.n],
-                    &mut r_f[span],
-                );
-            }
-        }
-    }
-
-    fn solve_restricted_flops(&self, idx_len: usize) -> u64 {
-        // Same asymptotic cost as a solve over the same rows: ~2·Σ n_b².
-        // Approximate with the configured block size.
-        let nb = self.max_block.max(1) as u64;
-        2 * nb * idx_len as u64
-    }
-
-    fn name(&self) -> &'static str {
-        "block-jacobi"
     }
 }
 
@@ -687,11 +713,10 @@ mod tests {
     }
 
     #[test]
-    fn name_and_flops() {
+    fn flops_are_counted() {
         let a = poisson1d(10);
         let part = Partition::balanced(10, 1);
         let p = BlockJacobiPrecond::new(&a, &part, 5).unwrap();
-        assert_eq!(p.name(), "block-jacobi");
         assert!(p.apply_flops(0..10) > 0);
         assert!(p.solve_restricted_flops(10) > 0);
     }

@@ -15,8 +15,8 @@
 //!
 //! * [`sparse`] — CSR matrices, SPD generators, partitioning, Matrix Market,
 //! * [`cluster`] — the SPMD runtime, cost model, and failure injection,
-//! * [`precond`] — the paper's node-local block Jacobi preconditioner, plus
-//!   the Jacobi and identity oracles,
+//! * [`precond`] — the paper's node-local block Jacobi preconditioner, the
+//!   one preconditioner of the outer and the inner solve,
 //! * [`core`] — PCG, ASpMV, the redundancy queue, ESR/ESRP/IMCR, and the
 //!   experiment driver,
 //! * [`campaign`] — stochastic fault traces, the concurrent experiment

@@ -8,11 +8,11 @@
 //! probe converges at 119.)
 //!
 //! A recovery event does allocate — gather buffers, the failure domain's
-//! column-split operators, the inner preconditioner — but a bounded number
-//! of times that does not depend on the outer SpMV's storage format, and a
-//! second event in the same failure domain reuses what the first one built
-//! (each event allocates no more than a pinned count; a deferred event's
-//! count includes the end solve).
+//! column-split operators — but a bounded number of times that does not
+//! depend on the outer SpMV's storage format, and a second event in the
+//! same failure domain reuses what the first one built (each event
+//! allocates no more than a pinned count; a deferred event's count
+//! includes the end solve).
 //! The inner reconstruction solve's loop allocates nothing: an event whose
 //! inner solve runs more iterations (`RecoveryRule::Paper` against
 //! `RecoveryRule::Extended`) allocates exactly as often.
@@ -140,10 +140,13 @@ fn iterations_past_the_warm_up_add_no_allocation() {
     // event's count carries: its `x` halo round and the component (206 / 26
     // when each event solved at once). The inner rounds gather into the
     // node's own full-length vector and sum their partials in place (110 /
-    // 13 and 217 / 22 with a second gather buffer and pooled partials).
+    // 13 and 217 / 22 with a second gather buffer and pooled partials). The
+    // inner solve applies the problem's block Jacobi over the replacement's
+    // rows (108 / 13 and 213 / 22 when the first event extracted and
+    // factored `A[own, own]`).
     for (psi, first, second, pins) in [
-        (1, csr_first, csr_second, (108, 13)),
-        (2, pair_first, pair_second, (213, 22)),
+        (1, csr_first, csr_second, (78, 13)),
+        (2, pair_first, pair_second, (153, 22)),
     ] {
         assert!(
             2 * second < first,

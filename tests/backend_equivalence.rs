@@ -5,6 +5,7 @@
 
 use esrcg::core::pcg::pcg_with;
 use esrcg::core::IntervalPolicy;
+use esrcg::precond::BlockJacobiPrecond;
 use esrcg::prelude::*;
 use esrcg::sparse::backend::VECTOR_PARALLEL_CUTOFF;
 use esrcg::sparse::gen::{audikw_like, banded_spd, poisson3d};
@@ -70,7 +71,7 @@ fn pcg_trajectories_bit_identical_on_poisson() {
     let b: Vec<f64> = (0..n).map(|i| ((i % 13) as f64 - 6.0) / 13.0).collect();
     let mut reference = None;
     for be in backends() {
-        let res = pcg_with(&a, &b, &vec![0.0; n], precond.as_ref(), 1e-9, 50_000, be);
+        let res = pcg_with(&a, &b, &vec![0.0; n], &precond, 1e-9, 50_000, be);
         assert!(res.converged, "{}", be.name());
         match &reference {
             None => reference = Some(res),
@@ -94,7 +95,7 @@ fn pcg_trajectories_bit_identical_on_elasticity() {
     let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).cos()).collect();
     let mut reference = None;
     for be in backends() {
-        let res = pcg_with(&a, &b, &vec![0.0; n], precond.as_ref(), 1e-8, 50_000, be);
+        let res = pcg_with(&a, &b, &vec![0.0; n], &precond, 1e-8, 50_000, be);
         assert!(res.converged, "{}", be.name());
         match &reference {
             None => reference = Some(res),
@@ -181,9 +182,7 @@ fn block_jacobi_is_bitwise_the_per_block_cholesky() {
     let part = Partition::from_offsets(vec![0, 0, 25, 1_000, n]);
     let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() - 0.2).collect();
     for max_block in [1usize, 3, 10, 16, 25] {
-        let precond = PrecondSpec::BlockJacobi { max_block }
-            .build(&a, &part)
-            .expect("precond");
+        let precond = PrecondSpec { max_block }.build(&a, &part).expect("precond");
         for (_, range) in part.iter() {
             // The reference: every block factored and solved on its own.
             let mut expected = r[range.clone()].to_vec();
@@ -208,6 +207,36 @@ fn block_jacobi_is_bitwise_the_per_block_cholesky() {
                 bits(&expected),
                 "apply_local, max_block {max_block}, rows {range:?}"
             );
+        }
+    }
+}
+
+#[test]
+fn block_jacobi_over_a_rank_is_bitwise_that_of_its_principal_submatrix() {
+    // The inner solve of a reconstruction preconditions `A[own, own]` with
+    // the problem's block Jacobi over `own`. That is sound because a rank's
+    // blocks depend on its own rows alone: factoring the principal
+    // submatrix on its own gives the same blocks and the same bits. Same
+    // uneven ranks as above: one empty, both block sizes.
+    let a = poisson3d(16, 16, 16);
+    let n = a.nrows();
+    let part = Partition::from_offsets(vec![0, 0, 25, 1_000, n]);
+    let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() - 0.2).collect();
+    for max_block in [1usize, 3, 10, 16] {
+        let full = BlockJacobiPrecond::new(&a, &part, max_block).expect("SPD blocks");
+        for (rank, own) in part.iter() {
+            let nloc = own.len();
+            let idx: Vec<usize> = own.clone().collect();
+            let a_own = a.principal_submatrix(&idx);
+            let local = BlockJacobiPrecond::new(&a_own, &Partition::balanced(nloc, 1), max_block)
+                .expect("SPD blocks");
+            let mut z_local = vec![f64::NAN; nloc];
+            local.apply_local(0..nloc, &r[own.clone()], &mut z_local);
+            let mut z_full = vec![f64::NAN; nloc];
+            full.apply_local(own.clone(), &r[own.clone()], &mut z_full);
+            let what = format!("max_block {max_block}, rank {rank}");
+            assert_eq!(bits(&z_local), bits(&z_full), "{what}");
+            assert_eq!(local.apply_flops(0..nloc), full.apply_flops(own), "{what}");
         }
     }
 }

@@ -146,7 +146,7 @@ fn pcg_workspace_reuse_on_one_pool_matches_reference() {
             // Mid-series pool teardown must be invisible.
             drop_local_pool();
         }
-        let res = pcg_with(&a, &b, &vec![0.0; n], precond.as_ref(), 1e-9, 50_000, be);
+        let res = pcg_with(&a, &b, &vec![0.0; n], &precond, 1e-9, 50_000, be);
         assert!(res.converged, "round {round}");
         match &reference {
             None => reference = Some(res),
